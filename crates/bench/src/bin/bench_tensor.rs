@@ -9,7 +9,7 @@
 //! with the `host_parallelism` field in hand.
 //!
 //! A roofline summary rides along: a compute-peak probe (the repo's own
-//! f32x8 dot kernel on an L1-resident operand — mul+add throughput, no
+//! matmul register tile on an L1-resident panel — mul+add throughput, no
 //! FMA, matching the determinism contract), per-case nominal bytes moved,
 //! arithmetic intensity (FLOP/byte) and single-thread percent-of-peak,
 //! plus a scalar-libm reference for the elementwise and reduction cases so
@@ -19,6 +19,7 @@
 //! minimum over reps is reported).
 
 use gtv_tensor::{pool, simd, Graph, Tensor, UnaryOp};
+use std::hint::black_box;
 use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -112,30 +113,36 @@ fn cases() -> Vec<Case> {
     out
 }
 
-/// Single-thread compute ceiling in GFLOP/s: the repo's own f32x8 dot
-/// kernel over an L1-resident 4Ki-element pair (2 FLOPs/element, no FMA —
-/// the determinism contract forbids it, so this *is* the relevant peak for
-/// every kernel in the crate, not a theoretical FMA number).
+/// Single-thread compute ceiling in GFLOP/s: the repo's own matmul register
+/// tile ([`simd::tile`], `MR×NR` outputs) over one L1-resident packed panel
+/// of depth 256 — 2 FLOPs per multiply-add, no FMA (the determinism
+/// contract forbids it, so this *is* the relevant peak for every kernel in
+/// the crate, not a theoretical FMA number). A whole matmul adds packing,
+/// cache misses and ragged edges on top, so it reads below 100% of this.
 fn measure_peak(reps: usize) -> f64 {
-    const LEN: usize = 4096;
-    const ITERS: usize = 20_000;
+    const DEPTH: usize = 256;
+    const ITERS: usize = 40_000;
     let mut state = 7u64;
-    let a: Vec<f32> =
-        (0..LEN).map(|_| (splitmix(&mut state) % 2000) as f32 / 1000.0 - 1.0).collect();
-    let b: Vec<f32> =
-        (0..LEN).map(|_| (splitmix(&mut state) % 2000) as f32 / 1000.0 - 1.0).collect();
+    let mut fill = |len: usize| -> Vec<f32> {
+        (0..len).map(|_| (splitmix(&mut state) % 2000) as f32 / 1000.0 - 1.0).collect()
+    };
+    let a = fill(simd::MR * DEPTH);
+    let mut panel = Vec::new();
+    simd::pack_panels(&fill(DEPTH * simd::NR), DEPTH, simd::NR, &mut panel);
+    let mut out = vec![0.0f32; simd::MR * simd::NR];
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
         let mut sink = 0.0f64;
         for _ in 0..ITERS {
-            sink += f64::from(simd::dot(&a, &b));
+            simd::tile(simd::MR, black_box(&a), DEPTH, &panel, &mut out, simd::NR, simd::NR);
+            sink += f64::from(out[0]);
         }
         let elapsed = start.elapsed().as_secs_f64();
         assert!(sink.is_finite(), "peak probe must produce finite values");
         best = best.min(elapsed);
     }
-    2.0 * (LEN * ITERS) as f64 / best / 1e9
+    2.0 * (simd::MR * simd::NR * DEPTH * ITERS) as f64 / best / 1e9
 }
 
 fn measure(case: &Case, reps: usize) -> f64 {
@@ -165,7 +172,7 @@ fn main() {
     eprintln!("bench_tensor: host parallelism {host}, {reps} reps, threads {THREAD_COUNTS:?}");
 
     let peak_gflops = measure_peak(reps);
-    eprintln!("  compute peak (f32x8 dot, L1-resident): {peak_gflops:.2} GFLOP/s");
+    eprintln!("  compute peak (matmul register tile, L1-resident panel): {peak_gflops:.2} GFLOP/s");
 
     let cases = cases();
     // times[case][thread-count index]
@@ -235,7 +242,7 @@ fn main() {
     }
     let json = format!(
         "{{\"host_parallelism\":{host},\"reps\":{reps},\"thread_counts\":{:?},\
-         \"roofline_peak_gflops\":{},\"roofline_probe\":\"f32x8_dot_l1_4k\",\"cases\":[{}]}}\n",
+         \"roofline_peak_gflops\":{},\"roofline_probe\":\"matmul_tile_l1_panel_k256\",\"cases\":[{}]}}\n",
         THREAD_COUNTS,
         json_f(peak_gflops),
         entries.join(",")

@@ -137,7 +137,7 @@ impl BatchNorm1d {
         let g = ctx.graph();
         let gamma = ctx.binder().bind(g, &self.gamma);
         let beta = ctx.binder().bind(g, &self.beta);
-        let (mean, var) = if ctx.is_train() {
+        let (centered, var) = if ctx.is_train() {
             let mean = g.mean_rows(x);
             let centered = g.sub(x, mean);
             let var = g.mean_rows(g.square(centered));
@@ -150,15 +150,14 @@ impl BatchNorm1d {
                 let mut rv = self.running_var.write().unwrap_or_else(PoisonError::into_inner);
                 *rv = rv.mul_scalar(1.0 - self.momentum).add(&v.mul_scalar(self.momentum));
             }
-            (mean, var)
+            (centered, var)
         } else {
             let mean =
                 g.leaf(self.running_mean.read().unwrap_or_else(PoisonError::into_inner).clone());
             let var =
                 g.leaf(self.running_var.read().unwrap_or_else(PoisonError::into_inner).clone());
-            (mean, var)
+            (g.sub(x, mean), var)
         };
-        let centered = g.sub(x, mean);
         let denom = g.sqrt(g.add_scalar(var, self.eps));
         let norm = g.div(centered, denom);
         let scaled = g.mul(norm, gamma);

@@ -109,6 +109,75 @@ fn batchnorm_learns_scale_and_shift() {
     assert!((beta - 2.0).abs() < 0.5, "beta {beta}");
 }
 
+/// Train-mode batch-norm gradients (input, γ, β) against central finite
+/// differences of an independent f64 implementation of the layer. The
+/// reference shares nothing with the graph, so it checks the forward wiring
+/// (one `x − mean` node feeding both the variance and the output) as well
+/// as the backward pass through it.
+#[test]
+fn batchnorm_train_gradients_match_an_independent_reference() {
+    const ROWS: usize = 6;
+    const DIM: usize = 3;
+    let x0 = Tensor::from_fn(ROWS, DIM, |r, c| {
+        0.37 * (r as f32) - 0.21 * (c as f32) + 0.05 * ((r * c) as f32)
+    });
+    let gamma0 = Tensor::row(&[1.3, -0.7, 0.4]);
+    let beta0 = Tensor::row(&[0.2, 0.5, -0.1]);
+    // Loss Σ w ⊙ y with fixed weights: an unweighted sum of a batch-norm
+    // output is constant in x and γ.
+    let weights = Tensor::from_fn(ROWS, DIM, |r, c| {
+        0.3 * (r as f32) - 0.45 * (c as f32) + 0.11 * ((r * r) as f32)
+    });
+
+    // The layer over one flat f64 vector: x row-major, then γ, then β.
+    let reference_loss = |v: &[f64]| -> f64 {
+        let (x, rest) = v.split_at(ROWS * DIM);
+        let (gamma, beta) = rest.split_at(DIM);
+        let mut loss = 0.0;
+        for c in 0..DIM {
+            let col = |r: usize| x[r * DIM + c];
+            let mean = (0..ROWS).map(col).sum::<f64>() / ROWS as f64;
+            let var = (0..ROWS).map(|r| (col(r) - mean).powi(2)).sum::<f64>() / ROWS as f64;
+            for r in 0..ROWS {
+                let y = (col(r) - mean) / (var + 1e-5).sqrt() * gamma[c] + beta[c];
+                loss += f64::from(weights.at(r, c)) * y;
+            }
+        }
+        loss
+    };
+
+    let bn = BatchNorm1d::new("bn", DIM);
+    let params = bn.params();
+    params[0].set_value(gamma0.clone());
+    params[1].set_value(beta0.clone());
+    let g = Graph::new();
+    let ctx = Ctx::train(&g, 0);
+    let x = g.leaf(x0.clone());
+    let y = bn.forward(&ctx, x);
+    let loss = g.sum_all(g.mul(y, g.leaf(weights.clone())));
+    let dx = ctx.binder().backprop_with_extras(&g, loss, &[x])[0];
+
+    let flat = |parts: [&Tensor; 3]| -> Vec<f64> {
+        parts.iter().flat_map(|t| t.as_slice()).map(|&v| f64::from(v)).collect()
+    };
+    let point = flat([&x0, &gamma0, &beta0]);
+    let analytic = flat([&g.value(dx), &params[0].grad(), &params[1].grad()]);
+    let forward = f64::from(g.value(loss).item());
+    assert!((forward - reference_loss(&point)).abs() < 1e-4, "forward {forward}");
+    for (i, &a) in analytic.iter().enumerate() {
+        let eval = |delta: f64| {
+            let mut moved = point.clone();
+            moved[i] += delta;
+            reference_loss(&moved)
+        };
+        let numeric = (eval(1e-5) - eval(-1e-5)) / 2e-5;
+        assert!(
+            (a - numeric).abs() <= 2e-3 * (1.0 + numeric.abs()),
+            "grad mismatch at {i}: analytic {a} vs numeric {numeric}"
+        );
+    }
+}
+
 #[test]
 fn adam_handles_many_params_of_mixed_shapes() {
     let mut rng = StdRng::seed_from_u64(3);

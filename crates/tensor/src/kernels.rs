@@ -7,8 +7,10 @@
 //!   chunked computation inline;
 //! * reductions combine chunk partials in a fixed pairwise tree, so the
 //!   rounding of a sum depends on the data's length, not on scheduling;
-//! * kernel selection (dense vs. zero-skipping matmul) is data-dependent
-//!   but thread-count independent;
+//! * matmul accumulates every output element as one chain in ascending
+//!   contraction index — the naive triple loop's bits — so its tiling,
+//!   blocking and data-dependent kernel selection (register-tiled vs.
+//!   zero-skipping rows) are all unobservable;
 //! * inline-vs-pool dispatch keys on the problem size alone, against the
 //!   thresholds in [`crate::dispatch`], and both sides run the *same*
 //!   chunked computation.
@@ -16,8 +18,9 @@
 //! Together these make results bit-identical for any `GTV_THREADS` value.
 //!
 //! The inner loops live in [`crate::simd`]: f32x8 lane kernels for the
-//! transcendentals, elementwise maps, and fixed-shape reductions. This
-//! module owns chunking, dispatch, and buffer plumbing only.
+//! transcendentals, elementwise maps, fixed-shape reductions and the
+//! matmul register tile. This module owns chunking, dispatch, and buffer
+//! plumbing only.
 
 use std::sync::Arc;
 
@@ -26,8 +29,10 @@ use crate::pool;
 use crate::pool_mem;
 use crate::simd;
 
-/// Output rows per matmul chunk.
-const ROW_BLOCK: usize = 16;
+/// Output rows per matmul block, a multiple of [`simd::MR`]: the unit of
+/// pool dispatch, and small enough that a block of LHS rows stays
+/// cache-resident while the packed RHS panels stream past it.
+const ROW_BLOCK: usize = 32;
 /// Elements per elementwise chunk (a multiple of [`simd::LANES`], so chunk
 /// cuts land on lane-group boundaries).
 const ELEM_BLOCK: usize = 8_192;
@@ -242,6 +247,78 @@ pub(crate) fn binary(a: &[f32], b: &[f32], op: BinaryOp) -> Vec<f32> {
     stitch(chunks, len)
 }
 
+/// How the narrower operand of a broadcasting binary op lines up against
+/// the `rows×cols` one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Broadcast {
+    /// A `1×cols` row vector, repeated down the rows.
+    Row,
+    /// A `rows×1` column vector, repeated across the columns.
+    Col,
+}
+
+/// One monomorphic row loop per op for [`binary_broadcast`]: a row vector
+/// zips against every row of `full`, a column vector contributes one splat
+/// per row. `f8` always sees the operands in the caller's order.
+#[inline]
+fn broadcast_rows(
+    full: &[f32],
+    vec: &[f32],
+    cols: usize,
+    along: Broadcast,
+    vec_first: bool,
+    out: &mut Vec<f32>,
+    f8: impl Fn(simd::F32x8, simd::F32x8) -> simd::F32x8 + Copy,
+) {
+    for (r, row) in full.chunks_exact(cols).enumerate() {
+        match (along, vec_first) {
+            (Broadcast::Row, false) => simd::zip_slice(row, vec, out, f8),
+            (Broadcast::Row, true) => simd::zip_slice(vec, row, out, f8),
+            (Broadcast::Col, false) => {
+                let splat = simd::F32x8::splat(vec[r]);
+                simd::map_slice(row, out, |x| f8(x, splat));
+            }
+            (Broadcast::Col, true) => {
+                let splat = simd::F32x8::splat(vec[r]);
+                simd::map_slice(row, out, |x| f8(splat, x));
+            }
+        }
+    }
+}
+
+/// Broadcasting binary map of a row-major `rows×cols` buffer `full` with a
+/// row or column vector `vec` (`vec ⊕ full` when `vec_first`, else
+/// `full ⊕ vec`), row by row through the lane kernels. Each element is the
+/// same single `op` on the same two values the generic broadcasting loop
+/// pairs up, so the results are bit-identical to it.
+pub(crate) fn binary_broadcast(
+    full: &[f32],
+    vec: &[f32],
+    cols: usize,
+    along: Broadcast,
+    vec_first: bool,
+    op: BinaryOp,
+) -> Vec<f32> {
+    let mut out = pool_mem::take(full.len());
+    if !full.is_empty() {
+        match op {
+            BinaryOp::Add => {
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.add(y))
+            }
+            BinaryOp::Sub => {
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.sub(y))
+            }
+            BinaryOp::Mul => {
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.mul(y))
+            }
+            BinaryOp::Div => {
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.div(y))
+            }
+        }
+    }
+    out
+}
+
 /// Concatenates chunk outputs in index order; each drained chunk buffer is
 /// parked back in the recycling pool.
 fn stitch(chunks: Vec<Vec<f32>>, len: usize) -> Vec<f32> {
@@ -391,108 +468,120 @@ pub(crate) fn row_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     }
 }
 
-/// Packs the RHS into its transpose so the dot kernel streams both
-/// operands contiguously.
-fn pack_transpose(b: &[f32], k: usize, m: usize) -> Vec<f32> {
-    let mut bt = pool_mem::take_zeroed(b.len());
-    for p in 0..k {
-        for j in 0..m {
-            bt[j * k + p] = b[p * m + j];
+/// Calls `f(i, r)` for every maximal run of dense rows in `r0..r1`, cut
+/// into pieces of at most `max` rows starting at row `i`.
+fn dense_runs(sparse: &[bool], r0: usize, r1: usize, max: usize, mut f: impl FnMut(usize, usize)) {
+    let mut i = r0;
+    while i < r1 {
+        if sparse[i] {
+            i += 1;
+            continue;
         }
+        let r = sparse[i..r1.min(i + max)].iter().take_while(|&&s| !s).count();
+        f(i, r);
+        i += r;
     }
-    bt
 }
 
-/// Zero-skipping axpy kernel for output rows `r0..r1`. Only valid when the
-/// RHS is entirely finite: then every skipped term is an exact `±0.0` and
-/// skipping cannot change the result (see [`matmul`]).
-///
-/// Each row independently takes the zero-skipping kernel (`sparse[i]`) or the
-/// packed-transpose dot kernel; `bt` holds the packed transpose whenever at
-/// least one row in the whole product is dense (and may be empty otherwise).
+/// Output rows `r0..r1` of the product into the zeroed `out`
+/// (`(r1 - r0)·m` elements). Rows flagged `sparse` take the zero-skipping
+/// axpy over the unpacked `b`; runs of dense rows take the register-tiled
+/// micro-kernel over the packed `panels`, panel by panel so one `k×NR`
+/// panel stays cache-resident across the block (a single output column
+/// takes [`simd::col_chains`] on `b` itself). Either way every output
+/// element is one ascending-`p` chain — see [`matmul`].
 #[allow(clippy::too_many_arguments)] // hot-loop kernel: slices + strides, a struct would obscure it
-fn mixed_rows(
+fn matmul_rows(
     a: &[f32],
     b: &[f32],
-    bt: &[f32],
+    panels: &[f32],
     sparse: &[bool],
     k: usize,
     m: usize,
     r0: usize,
     r1: usize,
-) -> Vec<f32> {
-    let mut out = pool_mem::take_zeroed((r1 - r0) * m);
-    for i in r0..r1 {
-        let a_row = &a[i * k..(i + 1) * k];
+    out: &mut [f32],
+) {
+    for i in (r0..r1).filter(|&i| sparse[i]) {
         let out_row = &mut out[(i - r0) * m..(i - r0 + 1) * m];
-        if sparse[i] {
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in out_row.iter_mut().zip(&b[p * m..(p + 1) * m]) {
-                    *o += av * bv;
-                }
+        for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+            if av == 0.0 {
+                continue;
             }
-        } else {
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = simd::dot(a_row, &bt[j * k..(j + 1) * k]);
+            for (o, &bv) in out_row.iter_mut().zip(&b[p * m..(p + 1) * m]) {
+                *o += av * bv;
             }
         }
     }
-    out
+    if m == 1 {
+        dense_runs(sparse, r0, r1, simd::COL_ROWS, |i, r| {
+            simd::col_chains(r, &a[i * k..(i + r) * k], k, b, &mut out[i - r0..]);
+        });
+        return;
+    }
+    for (q, panel) in panels.chunks_exact(k * simd::NR).enumerate() {
+        let j0 = q * simd::NR;
+        let w = simd::NR.min(m - j0);
+        dense_runs(sparse, r0, r1, simd::MR, |i, r| {
+            simd::tile(r, &a[i * k..(i + r) * k], k, panel, &mut out[(i - r0) * m + j0..], m, w);
+        });
+    }
 }
 
-/// Matrix product of row-major `n×k` and `k×m` buffers.
+/// Matrix product of row-major `n×k` and `k×m` buffers, **bit-identical to
+/// the naive triple loop**: every `c[i][j]` is the single chain
+/// `((0 + a[i][0]·b[0][j]) + a[i][1]·b[1][j]) + …` in ascending `p`, with
+/// multiply and add rounded separately. Tile shape, ragged edges, row
+/// blocks, the thread count and the rows sharing a batch (which is what
+/// lets the serving engine coalesce and split request batches, DESIGN.md
+/// §14) are therefore all unobservable in the output bits.
 ///
-/// Kernel choice is **per output row** and thread-count independent: a row
-/// that is mostly zero against a finite RHS (one-hot and mask rows are
-/// everywhere on the encode path) takes the zero-skipping kernel; everything
-/// else — including every row of any product with a non-finite RHS, so
-/// `0·NaN`/`0·∞` still poison the output as IEEE demands — takes the packed
-/// dense kernel. Deciding per row rather than per matrix makes every output
-/// row a pure function of that row and the RHS: the other rows sharing the
-/// batch cannot flip its kernel (and with it the accumulation order), which
-/// is what lets the serving engine coalesce and split request batches
-/// without perturbing any row's bits (DESIGN.md §14). Work is split over
-/// fixed `ROW_BLOCK`-row output chunks and stitched in chunk order.
+/// So is kernel choice, made **per output row**: a row that is mostly zero
+/// against a finite RHS (one-hot and mask rows are everywhere on the encode
+/// path) skips its zero terms — each is an exact `±0.0` added to an
+/// accumulator that is never `-0.0`, so skipping changes nothing. Every
+/// other row — including every row of any product with a non-finite RHS,
+/// so `0·NaN`/`0·∞` still poison the output as IEEE demands — takes the
+/// register-tiled kernel over the RHS packed once per call. Work runs in
+/// `ROW_BLOCK`-row blocks, on the pool above [`dispatch::matmul_par_min`].
 pub(crate) fn matmul(n: usize, k: usize, m: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+    if n == 0 || k == 0 || m == 0 {
+        return pool_mem::take_zeroed(n * m);
+    }
     let rhs_finite = b.iter().all(|v| v.is_finite());
-    let row_sparse: Vec<bool> = (0..n)
-        .map(|i| {
-            if !rhs_finite || k == 0 {
-                return false;
-            }
-            let row = &a[i * k..(i + 1) * k];
-            2 * row.iter().filter(|&&v| v == 0.0).count() >= k
-        })
+    let row_sparse: Vec<bool> = a
+        .chunks_exact(k)
+        .map(|row| rhs_finite && 2 * row.iter().filter(|&&v| v == 0.0).count() >= k)
         .collect();
-    let any_dense = row_sparse.iter().any(|&s| !s);
-    let bt = if any_dense { pack_transpose(b, k, m) } else { pool_mem::take(0) };
+    let mut panels = Vec::new();
+    if m > 1 && row_sparse.contains(&false) {
+        panels = pool_mem::take(k * m.next_multiple_of(simd::NR));
+        simd::pack_panels(b, k, m, &mut panels);
+    }
 
-    let n_chunks = n.div_ceil(ROW_BLOCK);
+    let n_blocks = n.div_ceil(ROW_BLOCK);
     let bounds = move |i: usize| (i * ROW_BLOCK, ((i + 1) * ROW_BLOCK).min(n));
-    let parallel = pool::threads() > 1 && n_chunks > 1 && n * k * m >= dispatch::matmul_par_min();
-
-    let chunks: Vec<Vec<f32>> = if parallel {
-        let a: Arc<Vec<f32>> = Arc::new(a.to_vec());
-        let b: Arc<Vec<f32>> = Arc::new(b.to_vec());
-        let bt: Arc<Vec<f32>> = Arc::new(bt);
-        let flags: Arc<Vec<bool>> = Arc::new(row_sparse);
-        pool::run_chunks(n_chunks, move |i| {
-            let (r0, r1) = bounds(i);
-            mixed_rows(&a, &b, &bt, &flags, k, m, r0, r1)
-        })
-    } else {
-        let chunks = (0..n_chunks)
-            .map(|i| {
-                let (r0, r1) = bounds(i);
-                mixed_rows(a, b, &bt, &row_sparse, k, m, r0, r1)
-            })
-            .collect();
-        pool_mem::give(bt);
-        chunks
-    };
+    if pool::threads() == 1 || n_blocks == 1 || n * k * m < dispatch::matmul_par_min() {
+        let mut out = pool_mem::take_zeroed(n * m);
+        for (r0, r1) in (0..n_blocks).map(bounds) {
+            matmul_rows(a, b, &panels, &row_sparse, k, m, r0, r1, &mut out[r0 * m..r1 * m]);
+        }
+        pool_mem::give(panels);
+        return out;
+    }
+    // Pool jobs are `'static`: snapshot the LHS, share the packed panels as
+    // they are, and copy `b` only when some row reads it unpacked.
+    let a: Arc<Vec<f32>> = Arc::new(a.to_vec());
+    let unpacked = m == 1 || row_sparse.contains(&true);
+    let b: Arc<Vec<f32>> = Arc::new(if unpacked { b.to_vec() } else { Vec::new() });
+    let panels: Arc<Vec<f32>> = Arc::new(panels);
+    let flags: Arc<Vec<bool>> = Arc::new(row_sparse);
+    let chunks = pool::run_chunks(n_blocks, move |i| {
+        let (r0, r1) = bounds(i);
+        let mut out = pool_mem::take_zeroed((r1 - r0) * m);
+        matmul_rows(&a, &b, &panels, &flags, k, m, r0, r1, &mut out);
+        out
+    });
     stitch(chunks, n * m)
 }
 
@@ -584,14 +673,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_matches_naive_on_integers() {
-        let x: Vec<f32> = (1..=19).map(|v| v as f32).collect();
-        let y: Vec<f32> = (1..=19).map(|v| (v * 2) as f32).collect();
-        let naive: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert_eq!(simd::dot(&x, &y), naive);
-    }
-
-    #[test]
     fn tree_fold_is_exact_on_integers() {
         let data: Vec<f32> = (0..10_000).map(|v| (v % 7) as f32).collect();
         let expected: f32 = data.iter().sum();
@@ -600,14 +681,25 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_kernels_agree_on_exact_inputs() {
-        // One-hot LHS: integer arithmetic, both kernels must agree exactly.
-        let (n, k, m) = (6, 5, 4);
-        let a: Vec<f32> = (0..n * k).map(|i| if i % 5 == i / 5 { 1.0 } else { 0.0 }).collect();
-        let b: Vec<f32> = (0..k * m).map(|i| (i as f32) - 7.0).collect();
-        let bt = pack_transpose(&b, k, m);
-        let sparse = mixed_rows(&a, &b, &bt, &vec![true; n], k, m, 0, n);
-        let dense = mixed_rows(&a, &b, &bt, &vec![false; n], k, m, 0, n);
-        assert_eq!(sparse, dense);
+        // Arbitrary finite inputs, ~60% zeros in the LHS: both kernels walk
+        // the same ascending-p chain, so they agree bit for bit — ragged
+        // tile (7 % MR, 21 % NR) and single-column shapes included.
+        for (n, k, m) in [(7, 33, 21), (9, 40, 1)] {
+            let a: Vec<f32> = (0..n * k)
+                .map(|i| if i * 7 % 5 < 3 { 0.0 } else { ((i * 29 % 83) as f32) * 0.173 - 7.1 })
+                .collect();
+            let b: Vec<f32> = (0..k * m).map(|i| ((i * 37 % 101) as f32) * 0.137 - 6.9).collect();
+            let mut panels = Vec::new();
+            simd::pack_panels(&b, k, m, &mut panels);
+            let rows = |flags: &[bool]| {
+                let mut out = vec![0.0; n * m];
+                matmul_rows(&a, &b, &panels, flags, k, m, 0, n, &mut out);
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let mixed: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
+            assert_eq!(rows(&vec![true; n]), rows(&vec![false; n]), "{n}x{k}x{m}");
+            assert_eq!(rows(&mixed), rows(&vec![false; n]), "{n}x{k}x{m} mixed");
+        }
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! * every lane operation is **lanewise pure** — lane `i` of a result
 //!   depends only on lane `i` of the inputs — so how a buffer is cut into
 //!   groups of eight is unobservable in the output bits;
-//! * horizontal reductions ([`dot`], [`sum`], [`sum_squares`]) accumulate
-//!   into eight fixed lanes combined in one fixed order,
+//! * horizontal reductions ([`sum`], [`sum_squares`]) accumulate into eight
+//!   fixed lanes combined in one fixed order,
 //!   `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`, plus a sequential tail, so
 //!   the rounding tree is a pure function of the slice length;
+//! * the matmul micro-kernel ([`tile`]) runs its lanes across *output
+//!   columns*, never across the contraction index: every output element is
+//!   one chain `((0 + a₀b₀) + a₁b₁) + …` in ascending `p`, so the product is
+//!   bit-identical to the naive triple loop and no lane-combine exists;
 //! * the scalar transcendentals ([`tanh`], [`sigmoid`], [`exp`]) are defined
 //!   as lane 0 of the eight-lane kernel applied to a splat, which makes
 //!   scalar tails bit-identical to vector lanes *by construction*;
@@ -370,21 +374,107 @@ pub fn sum_squares(xs: &[f32]) -> f32 {
     s
 }
 
-/// Dot product with the same lane/combine/tail shape as [`sum`]; the result
-/// is a pure function of the operands.
-#[inline]
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    let mut acc = F32x8::splat(0.0);
-    let mut xg = x.chunks_exact(LANES);
-    let mut yg = y.chunks_exact(LANES);
-    for (xc, yc) in (&mut xg).zip(&mut yg) {
-        acc = acc.add(F32x8::load(xc).mul(F32x8::load(yc)));
+// --- matmul micro-kernel --------------------------------------------------
+
+/// Output rows per register tile of the matmul micro-kernel. Two rows of
+/// two [`F32x8`] are eight SSE accumulators, which together with the four
+/// panel vectors and the broadcast fit baseline x86-64's sixteen registers;
+/// 3- and 4-row tiles measured no faster because LLVM spills their
+/// accumulators to the stack.
+pub const MR: usize = 2;
+/// Output columns per register tile: two [`F32x8`] accumulators per row,
+/// and the width of a packed RHS panel.
+pub const NR: usize = 2 * LANES;
+/// Most rows one [`col_chains`] call takes: enough independent add chains
+/// to cover the add latency when the output is a single column.
+pub(crate) const COL_ROWS: usize = 16;
+
+/// Packs the row-major `k×m` matrix `b` into `⌈m/NR⌉` column panels,
+/// appended to `out`: panel `q` is the contiguous `k×NR` block of columns
+/// `q·NR ..`, the last one zero-padded to full width, so the micro-kernel
+/// streams one panel with unit stride and never sees a ragged row.
+pub fn pack_panels(b: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
+    for j0 in (0..m).step_by(NR) {
+        let w = NR.min(m - j0);
+        for p in 0..k {
+            out.extend_from_slice(&b[p * m + j0..p * m + j0 + w]);
+            out.resize(out.len() + NR - w, 0.0);
+        }
     }
-    let mut s = acc.hsum();
-    for (&a, &b) in xg.remainder().iter().zip(yg.remainder()) {
-        s += a * b;
+}
+
+/// `R × NV·LANES` register tile: `acc[r][j] += a[r][p]·panel[p][j]` for
+/// `p` ascending, multiply and add rounded separately. Lanes run across
+/// `j` only, so each `acc[r][j]` is the naive loop's accumulator. `NV = 1`
+/// reads only the left half of each panel row.
+#[inline(always)]
+fn tile_rows<const R: usize, const NV: usize>(
+    a: &[f32],
+    k: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    m: usize,
+    w: usize,
+) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[F32x8::splat(0.0); NV]; R];
+    for (p, bp) in panel[..k * NR].chunks_exact(NR).enumerate() {
+        let b: [F32x8; NV] = std::array::from_fn(|v| F32x8::load(&bp[v * LANES..]));
+        for r in 0..R {
+            let av = F32x8::splat(rows[r][p]);
+            for v in 0..NV {
+                acc[r][v] = acc[r][v].add(av.mul(b[v]));
+            }
+        }
     }
-    s
+    for (r, acc) in acc.iter().enumerate() {
+        let mut flat = [0.0; NR];
+        for (v, lanes) in acc.iter().enumerate() {
+            lanes.store(&mut flat[v * LANES..]);
+        }
+        out[r * m..r * m + w].copy_from_slice(&flat[..w]);
+    }
+}
+
+/// Matmul micro-kernel: `out[r·m + j] = Σ_p a[r·k + p]·panel[p·NR + j]` for
+/// `r < rows ≤ MR` and `j < w ≤ NR`, where `a` holds `rows` LHS rows of
+/// length `k` read in place, `panel` is one [`pack_panels`] panel and `out`
+/// starts at the tile's first element inside an output of row stride `m`.
+/// Each sum is a single chain in ascending `p` — equal to the naive triple
+/// loop bit for bit whatever `rows` and `w` are. A tile at most [`LANES`]
+/// wide (a ragged last panel, a narrow output) runs one accumulator per
+/// row instead of two.
+///
+/// # Panics
+///
+/// Panics if `rows` is 0 or exceeds [`MR`], or a slice is too short.
+pub fn tile(rows: usize, a: &[f32], k: usize, panel: &[f32], out: &mut [f32], m: usize, w: usize) {
+    match (rows, w <= LANES) {
+        (1, false) => tile_rows::<1, 2>(a, k, panel, out, m, w),
+        (2, false) => tile_rows::<2, 2>(a, k, panel, out, m, w),
+        (1, true) => tile_rows::<1, 1>(a, k, panel, out, m, w),
+        (2, true) => tile_rows::<2, 1>(a, k, panel, out, m, w),
+        _ => panic!("tile height {rows} outside 1..={MR}"),
+    }
+}
+
+/// Single-column product (`m = 1`): `out[r] = Σ_p a[r·k + p]·b[p]` for
+/// `r < rows ≤ COL_ROWS`. A one-wide tile would leave a single add chain in
+/// flight; here the lanes are the *rows*, each still its own ascending-`p`
+/// chain, so the result equals [`tile`]'s and the naive loop's. A short
+/// group recomputes its last row in the spare lanes and discards them.
+pub(crate) fn col_chains(rows: usize, a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
+    let lhs: [&[f32]; COL_ROWS] = std::array::from_fn(|r| {
+        let r = r.min(rows - 1);
+        &a[r * k..(r + 1) * k]
+    });
+    let mut acc = [0.0; COL_ROWS];
+    for (p, &bv) in b[..k].iter().enumerate() {
+        for r in 0..COL_ROWS {
+            acc[r] += lhs[r][p] * bv;
+        }
+    }
+    out[..rows].copy_from_slice(&acc[..rows]);
 }
 
 #[cfg(test)]

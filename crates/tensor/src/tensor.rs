@@ -5,7 +5,7 @@
 //! dimensions: scalars are `1×1`, row vectors `1×n`, column vectors `n×1`.
 //! Broadcasting follows NumPy semantics restricted to those shapes.
 
-use crate::kernels::{self, BinaryOp, UnaryOp};
+use crate::kernels::{self, BinaryOp, Broadcast, UnaryOp};
 use crate::pool_mem;
 use rand::Rng;
 use std::fmt;
@@ -269,20 +269,31 @@ impl Tensor {
     }
 
     /// Broadcasting combine with a named binary kernel. The same-shape fast
-    /// path is chunked over the worker pool for large tensors.
+    /// path is chunked over the worker pool for large tensors; a matrix
+    /// against a row or column vector (a bias add, a batch-norm `x − mean`)
+    /// runs row by row through the same lane kernels. Every path yields the
+    /// bits of the generic [`Tensor::zip`] loop.
     ///
     /// # Panics
     ///
     /// Panics if the shapes are not broadcast-compatible.
     pub fn zip_op(&self, other: &Self, op: BinaryOp) -> Self {
+        let (rows, cols) = self.broadcast_shape(other);
         if self.shape() == other.shape() {
-            return Self::from_vec(
-                self.rows,
-                self.cols,
-                kernels::binary(&self.data, &other.data, op),
-            );
+            return Self::from_vec(rows, cols, kernels::binary(&self.data, &other.data, op));
         }
-        self.zip(other, |a, b| op.eval(a, b))
+        // Fast path: one operand has the output's shape and the other is a
+        // row or a column vector. Anything else (a `1×1` against a matrix,
+        // a row against a column) takes the generic loop.
+        let vec_first = other.shape() == (rows, cols);
+        let (full, vec) = if vec_first { (other, self) } else { (self, other) };
+        let along = match (full.shape() == (rows, cols), vec.shape()) {
+            (true, (1, c)) if c == cols => Broadcast::Row,
+            (true, (r, 1)) if r == rows => Broadcast::Col,
+            _ => return self.zip(other, |a, b| op.eval(a, b)),
+        };
+        let data = kernels::binary_broadcast(&full.data, &vec.data, cols, along, vec_first, op);
+        Self::from_vec(rows, cols, data)
     }
 
     /// Applies `f` elementwise in place.
@@ -372,13 +383,17 @@ impl Tensor {
         self.apply(UnaryOp::MulScalar(v))
     }
 
-    /// Matrix product `self @ other`.
-    ///
-    /// Runs on the blocked kernels in [`crate::kernels`]: the zero-skipping
-    /// fast path is only taken when the RHS is entirely finite, so IEEE
-    /// non-finite propagation (`0·NaN = NaN`, `0·∞ = NaN`) is preserved and
-    /// a diverged training run surfaces as NaNs instead of being masked as
-    /// zeros. Results are bit-identical at any `GTV_THREADS` setting.
+    /// Matrix product `self @ other`, **bit-identical to the naive triple
+    /// loop**: each output element is one chain
+    /// `((0 + a₀·b₀) + a₁·b₁) + …` in ascending contraction index, multiply
+    /// and add rounded separately (no FMA). The register-tiled, panel-packed
+    /// kernel behind it ([`crate::simd::tile`], DESIGN.md §8) only changes
+    /// how fast that chain is walked, so results do not depend on the
+    /// `GTV_THREADS` setting, on tile or block remainders, or on which
+    /// other rows share the batch. Mostly-zero rows skip their zero terms
+    /// only when the RHS is entirely finite, so IEEE non-finite propagation
+    /// (`0·NaN = NaN`, `0·∞ = NaN`) is preserved and a diverged training
+    /// run surfaces as NaNs instead of being masked as zeros.
     ///
     /// # Panics
     ///
@@ -393,15 +408,23 @@ impl Tensor {
         Self::from_vec(n, m, kernels::matmul(n, k, m, &self.data, &other.data))
     }
 
-    /// Transpose.
+    /// Transpose, moved in 16×16 blocks so both the strided reads and the
+    /// contiguous writes of a block stay within a few cache lines.
     pub fn transpose(&self) -> Self {
+        const BLOCK: usize = 16;
+        let (rows, cols) = self.shape();
         let mut data = pool_mem::take_zeroed(self.data.len());
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                data[c * self.rows + r] = self.data[r * self.cols + c];
+        for r0 in (0..rows).step_by(BLOCK) {
+            let r1 = (r0 + BLOCK).min(rows);
+            for c0 in (0..cols).step_by(BLOCK) {
+                for c in c0..(c0 + BLOCK).min(cols) {
+                    for r in r0..r1 {
+                        data[c * rows + r] = self.data[r * cols + c];
+                    }
+                }
             }
         }
-        Self::from_vec(self.cols, self.rows, data)
+        Self::from_vec(cols, rows, data)
     }
 
     /// Sum of all elements as a `1×1` tensor (fixed-shape tree reduction,

@@ -1,11 +1,130 @@
 //! Property-based tests for tensor algebra and autograd invariants.
 
-use gtv_tensor::{Graph, Tensor};
+use gtv_tensor::{dispatch, pool, BinaryOp, Graph, Tensor};
 use proptest::prelude::*;
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |v| Tensor::from_vec(rows, cols, v))
+}
+
+/// A dimension in `0..=70` with the edges over-weighted: a quarter of the
+/// draws are `0` or `1`, so empty products, `k = 0` and the single-column
+/// kernel all occur in every run next to every tile remainder.
+fn dim_strategy() -> impl Strategy<Value = usize> {
+    (0usize..71, 0u8..8).prop_map(|(d, edge)| if edge < 2 { edge as usize } else { d })
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A `rows×cols` tensor of awkward values: each row is dense, half zero or
+/// almost all zero (so products mix the zero-skipping and the tiled kernel),
+/// zeros carry either sign, and the rest are ordinary values salted with
+/// subnormals, magnitudes whose products overflow and — when `non_finite` —
+/// NaN and ±Inf.
+fn messy(rows: usize, cols: usize, state: &mut u64, non_finite: bool) -> Tensor {
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let zero_pct = [0, 50, 97][(splitmix(state) % 3) as usize];
+        for _ in 0..cols {
+            let r = splitmix(state);
+            let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+            let unit = (r >> 40) as f32 / (1u64 << 24) as f32;
+            data.push(if (r >> 1) % 100 < zero_pct {
+                0.0 * sign
+            } else {
+                match (r >> 8) % 32 {
+                    0 => f32::from_bits((r >> 16) as u32 & 0x007f_ffff) * sign,
+                    1 => 3e19 * unit * sign,
+                    2 if non_finite => f32::NAN,
+                    3 if non_finite => f32::INFINITY * sign,
+                    _ => 10.0 * unit * sign,
+                }
+            });
+        }
+    }
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// Bit patterns with every NaN folded onto one: IEEE leaves a NaN result's
+/// sign and payload open, and x86 takes them from whichever operand the
+/// compiler happened to put first.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The matmul contract (DESIGN.md §8): the product is the naive triple
+    /// loop, bit for bit — whatever the shape does to the tiling (ragged
+    /// `n % MR`, `m % NR`, the single-column kernel, empty dimensions),
+    /// whichever rows skip their zeros, and at any thread count.
+    #[test]
+    fn matmul_equals_naive_triple_loop(
+        n in dim_strategy(),
+        k in dim_strategy(),
+        m in dim_strategy(),
+        seed in any::<u64>(),
+        non_finite in 0u8..4
+    ) {
+        let mut state = seed;
+        let a = messy(n, k, &mut state, non_finite == 0);
+        let b = messy(k, m, &mut state, non_finite == 0);
+        let want = Tensor::from_fn(n, m, |i, j| {
+            let mut acc = 0.0;
+            (0..k).for_each(|p| acc += a.at(i, p) * b.at(p, j));
+            acc
+        });
+        // Lowered so these shapes cross the pool; left lowered, as in
+        // `parallel_determinism` (the override is process-global and the
+        // other properties here do not care where their chunks run).
+        dispatch::set_par_mins(1_024, 1_024, 2_048);
+        for threads in [1, 2, 8] {
+            pool::set_threads(threads);
+            let got = a.matmul(&b);
+            prop_assert_eq!(got.shape(), (n, m));
+            prop_assert_eq!(bits(&got), bits(&want), "{}x{}x{} at {} threads", n, k, m, threads);
+        }
+        pool::set_threads(1);
+    }
+
+    /// The row- and column-broadcast fast paths of `zip_op` do the generic
+    /// broadcasting loop's arithmetic element for element, in both operand
+    /// orders and for every op (division by the salted-in zeros included).
+    #[test]
+    fn broadcast_fast_paths_match_generic_zip(
+        n in dim_strategy(),
+        m in dim_strategy(),
+        seed in any::<u64>()
+    ) {
+        let mut state = seed;
+        let full = messy(n, m, &mut state, false);
+        let row = messy(1, m, &mut state, false);
+        let col = messy(n, 1, &mut state, false);
+        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
+            for (x, y) in [(&full, &row), (&row, &full), (&full, &col), (&col, &full)] {
+                let want = x.zip(y, |p, q| op.eval(p, q));
+                prop_assert_eq!(bits(&x.zip_op(y, op)), bits(&want), "{:?} {:?} {:?}", op, x.shape(), y.shape());
+            }
+        }
+    }
+
+    /// The blocked transpose moves every element to its mirrored position,
+    /// block remainders included.
+    #[test]
+    fn transpose_mirrors_every_element(n in dim_strategy(), m in dim_strategy(), seed in any::<u64>()) {
+        let mut state = seed;
+        let a = messy(n, m, &mut state, true);
+        let want = Tensor::from_fn(m, n, |r, c| a.at(c, r));
+        prop_assert_eq!(bits(&a.transpose()), bits(&want));
+    }
 }
 
 proptest! {

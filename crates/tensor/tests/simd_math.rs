@@ -184,18 +184,13 @@ proptest! {
 
     /// The SIMD reductions (fixed lane-combine order + sequential tail)
     /// are pure functions of the input slice: same bits at every thread
-    /// count, and `dot(x, x) == sum_squares(x)` bitwise.
+    /// count.
     #[test]
     fn simd_reductions_are_thread_invariant(
         data in proptest::collection::vec(-10.0f32..10.0, 5 * 103)
     ) {
         dispatch::set_par_mins(1_024, 1_024, 8_192);
         let t = Tensor::from_vec(5, 103, data.clone());
-        prop_assert_eq!(
-            simd::dot(&data, &data).to_bits(),
-            simd::sum_squares(&data).to_bits(),
-            "dot(x, x) and sum_squares(x) share one lane-combine order"
-        );
         let mut reference: Option<(u32, u32)> = None;
         for &threads in &THREAD_COUNTS {
             pool::set_threads(threads);

@@ -45,6 +45,14 @@ rm target/gtv-lint.sarif.2
 step "cargo test -q"
 cargo test -q --workspace
 
+step "gtvbench smoke (benchmark output checks at 1/50 size)"
+# The repo's one benchmark (BENCHMARK.json) is a package of its own that the
+# workspace run above does not see. Its unit tests include a pass over all
+# four workloads with every output check (avg_jsd bound, finite losses,
+# reply ≡ in-process request bytes), so a change that breaks a check or a
+# public item the benchmark depends on fails here, not in the driver.
+cargo test --offline --manifest-path gtvbench/Cargo.toml
+
 step "socket loopback (transport-backend equivalence)"
 # Real TCP and Unix-domain PartyNodes behind SocketTransport must train to
 # byte-identical weights and identical byte accounting vs the in-process
