@@ -132,6 +132,12 @@ fn payload_of(t: &Tensor) -> MatrixPayload {
     MatrixPayload::new(t.rows() as u32, t.cols() as u32, t.as_slice().to_vec())
 }
 
+/// The wire payload of a graph node's value, copied once (straight from the
+/// node, not through a clone of it).
+fn payload_of_var(g: &Graph, v: Var) -> MatrixPayload {
+    g.with_value(v, payload_of)
+}
+
 impl GtvTrainer {
     /// Creates an in-process trainer from the clients' (row-aligned) local
     /// tables.
@@ -550,7 +556,7 @@ impl<T: Transport> GtvTrainer<T> {
                 (
                     PartyId::Server,
                     PartyId::Client(i),
-                    Message::GenSlice(payload_of(&g.value(slices[i]))),
+                    Message::GenSlice(payload_of_var(g, slices[i])),
                 )
             })
             .collect();
@@ -571,7 +577,7 @@ impl<T: Transport> GtvTrainer<T> {
             uploads.push((
                 PartyId::Client(i),
                 PartyId::Server,
-                Message::SynthLogits(payload_of(&g.value(dl))),
+                Message::SynthLogits(payload_of_var(g, dl)),
             ));
             head_logits.push(logits);
             activations.push(act_for_d);
@@ -626,13 +632,16 @@ impl<T: Transport> GtvTrainer<T> {
             if full_upload {
                 // The client passes its *entire* table through D_i^b and the
                 // server selects the idx_p rows from the uploaded logits.
-                let full = g.leaf(self.clients[i].encoded.clone());
+                // Copied out of the recycling pool (this is its pooled clone),
+                // which the popped uploads below refill: a ~10 MB buffer per
+                // client that cycles instead of being mapped and unmapped.
+                let full = g.leaf(Tensor::concat_rows(&[&self.clients[i].encoded]));
                 let logits_full = self.discriminator.client_forward(&ctx, i, full);
                 let logits_full = self.apply_dp_noise(&g, logits_full);
                 uploads.push((
                     PartyId::Client(i),
                     PartyId::Server,
-                    Message::RealLogits(payload_of(&g.value(logits_full))),
+                    Message::RealLogits(payload_of_var(&g, logits_full)),
                 ));
                 real_logits.push(g.select_rows(logits_full, &indices));
             } else {
@@ -642,13 +651,20 @@ impl<T: Transport> GtvTrainer<T> {
                 uploads.push((
                     PartyId::Client(i),
                     PartyId::Server,
-                    Message::RealLogits(payload_of(&g.value(logits))),
+                    Message::RealLogits(payload_of_var(&g, logits)),
                 ));
                 real_logits.push(logits);
             }
             real_rows.push(selected_rows);
         }
-        let _ = self.fan_in(uploads, "RealLogits")?;
+        // The server works on the graph nodes; the popped copies — a whole
+        // table per non-`p` client on the faithful path — are parked for the
+        // next step's copies instead of being freed.
+        for upload in self.fan_in(uploads, "RealLogits")? {
+            if let Message::RealLogits(p) = upload {
+                Tensor::from_vec(p.rows as usize, p.cols as usize, p.data).recycle();
+            }
+        }
         let cv_real = cv_t.as_ref().map(|t| g.leaf(t.clone()));
         let y_real = self.discriminator.server_forward(&ctx, &real_logits, cv_real);
 
@@ -683,12 +699,13 @@ impl<T: Transport> GtvTrainer<T> {
         };
 
         self.d_opt.zero_grad();
-        self.g_opt.zero_grad();
-        // One backward pass: parameter grads + the gradient messages that
-        // cross the server→client boundary.
+        // One backward pass over the critic's parameters only (the generator
+        // is detached here and `g_opt` does not step): parameter grads + the
+        // gradient messages that cross the server→client boundary.
         let mut extras = synth_logits.clone();
         extras.extend(real_logits.iter().copied());
-        let boundary_grads = ctx.binder().backprop_with_extras(&g, d_loss, &extras);
+        let boundary_grads =
+            ctx.binder().backprop_params(&g, d_loss, &self.d_opt.params(), &extras);
         let grad_msgs: Vec<(PartyId, PartyId, Message)> = boundary_grads
             .iter()
             .enumerate()
@@ -696,7 +713,7 @@ impl<T: Transport> GtvTrainer<T> {
                 (
                     PartyId::Server,
                     PartyId::Client(i % self.clients.len()),
-                    Message::GradLogits(payload_of(&g.value(*gv))),
+                    Message::GradLogits(payload_of_var(&g, *gv)),
                 )
             })
             .collect();
@@ -747,8 +764,10 @@ impl<T: Transport> GtvTrainer<T> {
         }
 
         self.g_opt.zero_grad();
-        self.d_opt.zero_grad();
-        let boundary_grads = ctx.binder().backprop_with_extras(&g, g_loss, &slices);
+        // The loss reaches the generator *through* the critic, whose weights
+        // `d_opt` does not step here: they are not differentiated.
+        let boundary_grads =
+            ctx.binder().backprop_params(&g, g_loss, &self.g_opt.params(), &slices);
         let grad_msgs: Vec<(PartyId, PartyId, Message)> = boundary_grads
             .iter()
             .enumerate()
@@ -756,7 +775,7 @@ impl<T: Transport> GtvTrainer<T> {
                 (
                     PartyId::Server,
                     PartyId::Client(i),
-                    Message::GradGenSlice(payload_of(&g.value(*gv))),
+                    Message::GradGenSlice(payload_of_var(&g, *gv)),
                 )
             })
             .collect();
@@ -1161,6 +1180,28 @@ mod tests {
             }
             other => panic!("expected ProtocolViolation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn each_step_differentiates_only_the_network_it_trains() {
+        use gtv_nn::Module;
+        let all_zero = |params: Vec<gtv_nn::Param>| {
+            params.iter().all(|p| p.grad().as_slice().iter().all(|&v| v == 0.0))
+        };
+        let touched = |params: Vec<gtv_nn::Param>| {
+            params.iter().any(|p| p.grad().as_slice().iter().any(|&v| v != 0.0))
+        };
+        // A G-step reaches the generator through the critic and must leave
+        // no gradient on the critic's weights …
+        let mut t = GtvTrainer::new(two_client_shards(80), GtvConfig::smoke());
+        t.g_step().unwrap();
+        assert!(touched(t.generator.params()));
+        assert!(all_zero(t.discriminator.params()), "G-step wrote a critic gradient");
+        // … and a D-step, which detaches the generator, none on its.
+        let mut t = GtvTrainer::new(two_client_shards(80), GtvConfig::smoke());
+        t.d_step().unwrap();
+        assert!(touched(t.discriminator.params()));
+        assert!(all_zero(t.generator.params()), "D-step wrote a generator gradient");
     }
 
     #[test]

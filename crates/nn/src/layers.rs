@@ -202,18 +202,11 @@ impl Dropout {
         let g = ctx.graph();
         let (rows, cols) = g.shape(x);
         let keep = 1.0 - self.p;
+        let scale = 1.0 / keep;
+        // A select, not a branch: which elements survive is a coin flip the
+        // predictor loses half the time. `1·scale` and `0·scale` are exact.
         let mask = ctx.with_rng(|rng| {
-            Tensor::from_fn(
-                rows,
-                cols,
-                |_, _| {
-                    if rng.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                },
-            )
+            Tensor::from_fn(rows, cols, |_, _| f32::from(u8::from(rng.gen::<f32>() < keep)) * scale)
         });
         let mask = g.leaf(mask);
         g.mul(x, mask)
@@ -330,6 +323,26 @@ mod tests {
         let y = g.value(d.forward(&ctx, x));
         let mean = y.mean_all();
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout should keep E[x], got {mean}");
+    }
+
+    #[test]
+    fn dropout_mask_is_the_branchy_definition_on_the_same_draws() {
+        use rand::SeedableRng;
+        for p in [0.5f32, 0.1, 0.75] {
+            let g = Graph::new();
+            let ctx = Ctx::train(&g, 42);
+            let x = g.leaf(Tensor::ones(37, 19));
+            let y = g.value(Dropout::new(p).forward(&ctx, x));
+            let keep = 1.0 - p;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+            let want =
+                Tensor::from_fn(
+                    37,
+                    19,
+                    |_, _| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 },
+                );
+            assert_eq!(y, want, "p = {p}");
+        }
     }
 
     #[test]

@@ -80,6 +80,12 @@ impl Adam {
         self.slots.is_empty()
     }
 
+    /// Handles to the managed parameters, in construction order — the set a
+    /// training step has to differentiate before [`Adam::step`].
+    pub fn params(&self) -> Vec<Param> {
+        self.slots.iter().map(|slot| slot.param.clone()).collect()
+    }
+
     /// Applies one Adam update using each parameter's accumulated gradient.
     ///
     /// The moments and the parameter are updated in place — the optimizer

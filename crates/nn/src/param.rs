@@ -3,7 +3,9 @@
 //! Parameters live *outside* the autograd graph: a [`Param`] owns persistent
 //! value and gradient tensors, and every training step binds it into a fresh
 //! [`Graph`] as a leaf via [`ParamBinder::bind`]. After building the loss,
-//! [`ParamBinder::backprop`] computes gradients and writes them back.
+//! [`ParamBinder::backprop`] computes gradients and writes them back;
+//! [`ParamBinder::backprop_params`] does so for a chosen subset, which is
+//! how a GAN step differentiates only the network its optimizer steps.
 
 use gtv_tensor::{Graph, Tensor, Var};
 use std::cell::RefCell;
@@ -163,31 +165,50 @@ impl ParamBinder {
         self.entries.borrow().clone()
     }
 
-    /// Computes gradients of `loss` w.r.t. every bound parameter *and* the
-    /// given extra vars in one backward pass. Parameter gradients are
-    /// accumulated into the parameters; the extras' gradient vars are
-    /// returned (in order). Useful when a trainer also needs the gradients
-    /// that cross a protocol boundary.
-    pub fn backprop_with_extras(&self, g: &Graph, loss: Var, extras: &[Var]) -> Vec<Var> {
+    /// The one backward pass: computes gradients of `loss` w.r.t. the bound
+    /// parameters among `params` *and* the given extra vars, accumulates the
+    /// parameter gradients into those parameters and returns the extras'
+    /// gradient vars (in order).
+    ///
+    /// Bound parameters outside `params` are not differentiated — their
+    /// gradient buffers are left untouched and [`Graph::grad`] builds no
+    /// node on their behalf (the backward pass is demand-driven). A step
+    /// that trains one network through another passes its own optimizer's
+    /// parameters here; a parameter of `params` that was never bound is
+    /// ignored. The gradients that are computed do not depend on which
+    /// other parameters were asked for.
+    pub fn backprop_params(
+        &self,
+        g: &Graph,
+        loss: Var,
+        params: &[Param],
+        extras: &[Var],
+    ) -> Vec<Var> {
         let entries = self.entries.borrow();
-        let mut wrt: Vec<Var> = entries.iter().map(|(_, v)| *v).collect();
+        let wanted: Vec<&(Param, Var)> =
+            entries.iter().filter(|(p, _)| params.iter().any(|q| q.ptr_eq(p))).collect();
+        let mut wrt: Vec<Var> = wanted.iter().map(|(_, v)| *v).collect();
         wrt.extend_from_slice(extras);
         let grads = g.grad(loss, &wrt);
-        for ((p, _), gv) in entries.iter().zip(&grads) {
+        for ((p, _), gv) in wanted.iter().zip(&grads) {
             g.with_value(*gv, |t| p.accumulate_grad(t));
         }
-        grads[entries.len()..].to_vec()
+        grads[wanted.len()..].to_vec()
+    }
+
+    /// [`ParamBinder::backprop_params`] over every bound parameter: parameter
+    /// gradients are accumulated into the parameters; the extras' gradient
+    /// vars are returned (in order). Useful when a trainer also needs the
+    /// gradients that cross a protocol boundary.
+    pub fn backprop_with_extras(&self, g: &Graph, loss: Var, extras: &[Var]) -> Vec<Var> {
+        let bound: Vec<Param> = self.entries.borrow().iter().map(|(p, _)| p.clone()).collect();
+        self.backprop_params(g, loss, &bound, extras)
     }
 
     /// Computes `d loss / d p` for every bound parameter and accumulates the
     /// results into the parameters' gradient buffers.
     pub fn backprop(&self, g: &Graph, loss: Var) {
-        let entries = self.entries.borrow();
-        let vars: Vec<Var> = entries.iter().map(|(_, v)| *v).collect();
-        let grads = g.grad(loss, &vars);
-        for ((p, _), gv) in entries.iter().zip(grads) {
-            g.with_value(gv, |t| p.accumulate_grad(t));
-        }
+        self.backprop_with_extras(g, loss, &[]);
     }
 }
 
@@ -220,6 +241,27 @@ mod tests {
         assert_eq!(p.grad(), Tensor::row(&[8.0, 12.0]));
         p.zero_grad();
         assert_eq!(p.grad(), Tensor::zeros(1, 2));
+    }
+
+    #[test]
+    fn backprop_params_differentiates_only_the_chosen_set() {
+        let g = Graph::new();
+        let binder = ParamBinder::new();
+        let own = Param::new("own", Tensor::row(&[2.0, 3.0]));
+        let other = Param::new("other", Tensor::row(&[5.0, 7.0]));
+        let unbound = Param::new("unbound", Tensor::scalar(1.0));
+        let (a, b) = (binder.bind(&g, &own), binder.bind(&g, &other));
+        let x = g.leaf(Tensor::row(&[1.0, 1.0]));
+        let loss = g.sum_all(g.mul(g.mul(a, b), x));
+        let extras = binder.backprop_params(&g, loss, &[own.clone(), unbound.clone()], &[x]);
+        assert_eq!(own.grad(), Tensor::row(&[5.0, 7.0]));
+        assert_eq!(other.grad(), Tensor::zeros(1, 2), "not asked for, not touched");
+        assert_eq!(unbound.grad(), Tensor::scalar(0.0), "asked for, never bound");
+        assert_eq!(g.value(extras[0]), Tensor::row(&[10.0, 21.0]));
+        // The all-bound form is the same pass over a wider set.
+        binder.backprop(&g, loss);
+        assert_eq!(own.grad(), Tensor::row(&[10.0, 14.0]), "accumulated");
+        assert_eq!(other.grad(), Tensor::row(&[2.0, 3.0]));
     }
 
     #[test]

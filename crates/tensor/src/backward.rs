@@ -2,9 +2,10 @@
 //!
 //! [`Graph::grad`] walks the graph in reverse creation order (creation order
 //! is a topological order because the graph is eager) and *constructs new
-//! nodes* for every vector–Jacobian product. Because the backward pass is
-//! ordinary graph construction, its outputs can be differentiated again —
-//! this is what powers the WGAN-GP gradient penalty.
+//! nodes* for every vector–Jacobian product that leads to a var it was
+//! asked for — a forward sweep marks those first (DESIGN.md §4). Because
+//! the backward pass is ordinary graph construction, its outputs can be
+//! differentiated again — this is what powers the WGAN-GP gradient penalty.
 
 use crate::graph::{Graph, Op, Var};
 use crate::kernels::{FusedAct, UnaryOp};
@@ -34,12 +35,37 @@ impl Graph {
         });
     }
 
+    /// Marks the nodes below `limit` that a gradient towards `wrt` has to
+    /// pass through: the `wrt` vars themselves and every node computed from
+    /// one. One forward sweep, because creation order is topological.
+    fn reaches(&self, wrt: &[Var], limit: usize) -> Vec<bool> {
+        let mut live = vec![false; limit];
+        for v in wrt.iter().filter(|v| v.0 < limit) {
+            live[v.0] = true;
+        }
+        let nodes = self.nodes.borrow();
+        for i in 0..limit {
+            live[i] = live[i] || nodes[i].op.any_input(|v| live[v.0]);
+        }
+        live
+    }
+
     /// Builds the gradients of `sum(y)` with respect to each var in `wrt`,
     /// as **new graph nodes** (so they can be differentiated again).
     ///
     /// If `y` is not a scalar the result is the gradient of the sum of its
     /// elements, which for row-independent networks yields per-row gradients.
     /// Vars unreachable from `y` get zero gradients of their own shape.
+    ///
+    /// The pass is **demand-driven**: a vector–Jacobian product is built
+    /// only towards an input from which some `wrt` var is reachable, so
+    /// `grad(y, &[x])` on `y = x·w` builds neither `xᵀ·g` nor its transpose,
+    /// and nothing upstream of an interior `wrt` var is visited unless
+    /// another `wrt` var lies there. Asking for fewer vars never changes a
+    /// returned gradient: the surviving contributions to every adjoint are
+    /// built from the same values and summed in the same order as when all
+    /// leaves are asked for, so each result is bit-identical to the matching
+    /// entry of the all-leaves gradient — first and second order.
     ///
     /// # Examples
     ///
@@ -54,6 +80,8 @@ impl Graph {
     pub fn grad(&self, y: Var, wrt: &[Var]) -> Vec<Var> {
         let y_shape = self.shape(y);
         let limit = y.0 + 1;
+        let live = self.reaches(wrt, limit);
+        let live = |v: Var| live[v.0];
         let mut adj: Vec<Option<Var>> = vec![None; limit];
         let seed = self.constant(Tensor::ones(y_shape.0, y_shape.1));
         adj[y.0] = Some(seed);
@@ -61,61 +89,88 @@ impl Graph {
         for i in (0..limit).rev() {
             let Some(g_out) = adj[i] else { continue };
             let op = self.nodes.borrow()[i].op.clone();
+            // Only live nodes ever receive an adjoint (bar the seed on a `y`
+            // that reaches no `wrt` var), and a live node without a live
+            // input is a `wrt` var the pass ends at. Past this check a
+            // single-input arm knows its input is live.
+            if !op.any_input(live) {
+                continue;
+            }
             let out_var = Var(i);
             match op {
                 Op::Leaf | Op::Const => {}
                 Op::Add(a, b) => {
-                    let (ar, ac) = self.shape(a);
-                    let (br, bc) = self.shape(b);
-                    let ga = self.reduce_to(g_out, ar, ac);
-                    self.accumulate(&mut adj, a.0, ga);
-                    let gb = self.reduce_to(g_out, br, bc);
-                    self.accumulate(&mut adj, b.0, gb);
+                    if live(a) {
+                        let (ar, ac) = self.shape(a);
+                        let ga = self.reduce_to(g_out, ar, ac);
+                        self.accumulate(&mut adj, a.0, ga);
+                    }
+                    if live(b) {
+                        let (br, bc) = self.shape(b);
+                        let gb = self.reduce_to(g_out, br, bc);
+                        self.accumulate(&mut adj, b.0, gb);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    let (ar, ac) = self.shape(a);
-                    let (br, bc) = self.shape(b);
-                    let ga = self.reduce_to(g_out, ar, ac);
-                    self.accumulate(&mut adj, a.0, ga);
-                    let neg = self.neg(g_out);
-                    let gb = self.reduce_to(neg, br, bc);
-                    self.accumulate(&mut adj, b.0, gb);
+                    if live(a) {
+                        let (ar, ac) = self.shape(a);
+                        let ga = self.reduce_to(g_out, ar, ac);
+                        self.accumulate(&mut adj, a.0, ga);
+                    }
+                    if live(b) {
+                        let (br, bc) = self.shape(b);
+                        let neg = self.neg(g_out);
+                        let gb = self.reduce_to(neg, br, bc);
+                        self.accumulate(&mut adj, b.0, gb);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let (ar, ac) = self.shape(a);
-                    let (br, bc) = self.shape(b);
-                    let gb_full = self.mul(g_out, a);
-                    let ga_full = self.mul(g_out, b);
-                    let ga = self.reduce_to(ga_full, ar, ac);
-                    self.accumulate(&mut adj, a.0, ga);
-                    let gb = self.reduce_to(gb_full, br, bc);
-                    self.accumulate(&mut adj, b.0, gb);
+                    if live(a) {
+                        let (ar, ac) = self.shape(a);
+                        let ga_full = self.mul(g_out, b);
+                        let ga = self.reduce_to(ga_full, ar, ac);
+                        self.accumulate(&mut adj, a.0, ga);
+                    }
+                    if live(b) {
+                        let (br, bc) = self.shape(b);
+                        let gb_full = self.mul(g_out, a);
+                        let gb = self.reduce_to(gb_full, br, bc);
+                        self.accumulate(&mut adj, b.0, gb);
+                    }
                 }
                 Op::Div(a, b) => {
-                    let (ar, ac) = self.shape(a);
-                    let (br, bc) = self.shape(b);
                     // d/da (a/b) = 1/b ; d/db (a/b) = -a/b²
-                    let ga_full = self.div(g_out, b);
-                    let ga = self.reduce_to(ga_full, ar, ac);
-                    self.accumulate(&mut adj, a.0, ga);
-                    let b2 = self.mul(b, b);
-                    let t = self.div(a, b2);
-                    let t = self.mul(g_out, t);
-                    let t = self.neg(t);
-                    let gb = self.reduce_to(t, br, bc);
-                    self.accumulate(&mut adj, b.0, gb);
+                    if live(a) {
+                        let (ar, ac) = self.shape(a);
+                        let ga_full = self.div(g_out, b);
+                        let ga = self.reduce_to(ga_full, ar, ac);
+                        self.accumulate(&mut adj, a.0, ga);
+                    }
+                    if live(b) {
+                        let (br, bc) = self.shape(b);
+                        let b2 = self.mul(b, b);
+                        let t = self.div(a, b2);
+                        let t = self.mul(g_out, t);
+                        let t = self.neg(t);
+                        let gb = self.reduce_to(t, br, bc);
+                        self.accumulate(&mut adj, b.0, gb);
+                    }
                 }
                 Op::Neg(x) => {
                     let gx = self.neg(g_out);
                     self.accumulate(&mut adj, x.0, gx);
                 }
                 Op::MatMul(a, b) => {
-                    let bt = self.transpose(b);
-                    let ga = self.matmul(g_out, bt);
-                    self.accumulate(&mut adj, a.0, ga);
-                    let at = self.transpose(a);
-                    let gb = self.matmul(at, g_out);
-                    self.accumulate(&mut adj, b.0, gb);
+                    if live(a) {
+                        let bt = self.transpose(b);
+                        let ga = self.matmul(g_out, bt);
+                        self.accumulate(&mut adj, a.0, ga);
+                    }
+                    if live(b) {
+                        let at = self.transpose(a);
+                        let gb = self.matmul(at, g_out);
+                        self.accumulate(&mut adj, b.0, gb);
+                    }
                 }
                 Op::Transpose(x) => {
                     let gx = self.transpose(g_out);
@@ -205,8 +260,10 @@ impl Graph {
                     let mut offset = 0;
                     for p in parts {
                         let (_, w) = self.shape(p);
-                        let gp = self.slice_cols(g_out, offset, w);
-                        self.accumulate(&mut adj, p.0, gp);
+                        if live(p) {
+                            let gp = self.slice_cols(g_out, offset, w);
+                            self.accumulate(&mut adj, p.0, gp);
+                        }
                         offset += w;
                     }
                 }
@@ -260,15 +317,21 @@ impl Graph {
                         }
                     };
                     // Bias add, then matmul — exactly the unfused adjoints.
-                    let (br, bc) = self.shape(b);
-                    let gb = self.reduce_to(g_s, br, bc);
-                    self.accumulate(&mut adj, b.0, gb);
-                    let wt = self.transpose(w);
-                    let gx = self.matmul(g_s, wt);
-                    self.accumulate(&mut adj, x.0, gx);
-                    let xt = self.transpose(x);
-                    let gw = self.matmul(xt, g_s);
-                    self.accumulate(&mut adj, w.0, gw);
+                    if live(b) {
+                        let (br, bc) = self.shape(b);
+                        let gb = self.reduce_to(g_s, br, bc);
+                        self.accumulate(&mut adj, b.0, gb);
+                    }
+                    if live(x) {
+                        let wt = self.transpose(w);
+                        let gx = self.matmul(g_s, wt);
+                        self.accumulate(&mut adj, x.0, gx);
+                    }
+                    if live(w) {
+                        let xt = self.transpose(x);
+                        let gw = self.matmul(xt, g_s);
+                        self.accumulate(&mut adj, w.0, gw);
+                    }
                 }
                 Op::RowNormEps(x) => {
                     // Unfused chain: sq = x·x, s = Σ_cols sq, out = √(s+eps).
@@ -567,5 +630,63 @@ mod tests {
         let y = g.mul(x, x);
         let gz = g.grad(y, &[z])[0];
         assert_eq!(g.value(gz), Tensor::zeros(1, 2));
+    }
+
+    /// Nodes of each kind (`Debug` name of the op) from index `from` on.
+    fn count(g: &Graph, from: usize, kind: &str) -> usize {
+        g.nodes.borrow()[from..].iter().filter(|n| format!("{:?}", n.op).starts_with(kind)).count()
+    }
+
+    #[test]
+    fn grad_builds_no_product_for_an_input_nobody_asked_for() {
+        let g = Graph::new();
+        let x = g.leaf(random_tensor(4, 3, 1));
+        let w = g.leaf(random_tensor(3, 2, 2));
+        let y = g.sum_all(g.matmul(x, w));
+        let forward = g.len();
+        let dx = g.grad(y, &[x])[0];
+        // seed, its broadcast, wᵀ, g·wᵀ — and nothing towards `w`.
+        assert_eq!(g.len() - forward, 4);
+        assert_eq!(count(&g, forward, "MatMul"), 1);
+        assert_eq!(count(&g, forward, "Transpose"), 1);
+        let both = g.len();
+        let grads = g.grad(y, &[x, w]);
+        assert_eq!(g.len() - both, 6);
+        assert_eq!(g.value(grads[0]), g.value(dx));
+    }
+
+    #[test]
+    fn grad_wrt_an_interior_var_stops_there() {
+        let g = Graph::new();
+        let x = g.leaf(random_tensor(4, 3, 3));
+        let w = g.leaf(random_tensor(3, 3, 4));
+        let b = g.leaf(random_tensor(1, 3, 5));
+        let h = g.affine_act(x, w, b, FusedAct::Tanh);
+        let y = g.sum_all(g.tanh(h));
+        let forward = g.len();
+        let dh = g.grad(y, &[h])[0];
+        // seed, its broadcast, 1 − tanh², their product: nothing of the
+        // affine layer upstream of `h` is differentiated.
+        assert_eq!(g.len() - forward, 4);
+        assert_eq!(count(&g, forward, "MatMul") + count(&g, forward, "Transpose"), 0);
+        assert_eq!(g.shape(dh), (4, 3));
+    }
+
+    #[test]
+    fn gathered_table_outside_wrt_gets_no_scatter() {
+        // The faithful real path: the server gathers `idx` rows of a whole
+        // uploaded table. Differentiating the weights behind the gather
+        // must not scatter a gradient back into a table-sized zero tensor.
+        let g = Graph::new();
+        let table = g.leaf(random_tensor(50, 3, 6));
+        let w = g.leaf(random_tensor(3, 2, 7));
+        let rows = g.select_rows(table, &[7, 7, 31]);
+        let y = g.sum_all(g.matmul(rows, w));
+        let forward = g.len();
+        let _ = g.grad(y, &[w, rows]);
+        assert_eq!(count(&g, forward, "ScatterRows"), 0);
+        let wide = g.len();
+        let _ = g.grad(y, &[w, table]);
+        assert_eq!(count(&g, wide, "ScatterRows"), 1);
     }
 }

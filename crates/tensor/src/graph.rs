@@ -89,6 +89,43 @@ pub(crate) enum Op {
     RowNormEps(Var),
 }
 
+impl Op {
+    /// True if `pred` holds for at least one input of the op.
+    pub(crate) fn any_input(&self, mut pred: impl FnMut(Var) -> bool) -> bool {
+        match self {
+            Op::Leaf | Op::Const => false,
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
+                pred(*a) || pred(*b)
+            }
+            Op::Neg(x)
+            | Op::Transpose(x)
+            | Op::SumAll(x)
+            | Op::SumRows(x)
+            | Op::SumCols(x)
+            | Op::Broadcast(x)
+            | Op::MulScalar(x, _)
+            | Op::AddScalar(x)
+            | Op::PowScalar(x, _)
+            | Op::Exp(x)
+            | Op::Ln(x)
+            | Op::Sqrt(x)
+            | Op::Tanh(x)
+            | Op::Sigmoid(x)
+            | Op::TanhGrad(x)
+            | Op::SigmoidGrad(x)
+            | Op::Relu(x)
+            | Op::LeakyRelu(x, _)
+            | Op::SliceCols(x, _)
+            | Op::PadCols(x, _)
+            | Op::SelectRows(x, _)
+            | Op::ScatterRows(x, _)
+            | Op::RowNormEps(x) => pred(*x),
+            Op::ConcatCols(parts) => parts.iter().any(|p| pred(*p)),
+            Op::AffineAct(x, w, b, _) => pred(*x) || pred(*w) || pred(*b),
+        }
+    }
+}
+
 pub(crate) struct Node {
     pub(crate) value: Tensor,
     pub(crate) op: Op,

@@ -33,6 +33,14 @@ use crate::simd;
 /// pool dispatch, and small enough that a block of LHS rows stays
 /// cache-resident while the packed RHS panels stream past it.
 const ROW_BLOCK: usize = 32;
+/// Share of a LHS row, as `(numerator, denominator)`, that has to be zero
+/// before the zero-skipping axpy beats the register tile. The measured
+/// crossover runs from 55% zeros (256 output columns) to 80% (64), and the
+/// rows training produces sit either side of it — 37.5–62.5% zero behind a
+/// dropout mask or ReLU, at least 87.5% zero when one-hot — so the cut lies
+/// in the gap between the two clusters and no product is split between the
+/// kernels row by row (DESIGN.md §8 has the table).
+const AXPY_MIN_ZEROS: (usize, usize) = (3, 4);
 /// Elements per elementwise chunk (a multiple of [`simd::LANES`], so chunk
 /// cuts land on lane-group boundaries).
 const ELEM_BLOCK: usize = 8_192;
@@ -101,19 +109,9 @@ impl UnaryOp {
             UnaryOp::MulScalar(c) => v * c,
             UnaryOp::AddScalar(c) => v + c,
             UnaryOp::PowScalar(p) => v.powf(p),
-            UnaryOp::ReluMask => {
-                if v > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            UnaryOp::ReluMask => simd::relu_mask8(simd::F32x8::splat(v)).0[0],
             UnaryOp::LeakyReluMask(alpha) => {
-                if v >= 0.0 {
-                    1.0
-                } else {
-                    alpha
-                }
+                simd::leaky_relu_mask8(simd::F32x8::splat(v), alpha).0[0]
             }
             UnaryOp::TanhGrad => 1.0 - v * v,
             UnaryOp::SigmoidGrad => v * (1.0 - v),
@@ -133,6 +131,10 @@ impl UnaryOp {
             UnaryOp::Exp => simd::map_slice(src, out, simd::exp8),
             UnaryOp::Relu => simd::map_slice(src, out, simd::relu8),
             UnaryOp::LeakyRelu(alpha) => simd::map_slice(src, out, |x| simd::leaky_relu8(x, alpha)),
+            UnaryOp::ReluMask => simd::map_slice(src, out, simd::relu_mask8),
+            UnaryOp::LeakyReluMask(alpha) => {
+                simd::map_slice(src, out, |x| simd::leaky_relu_mask8(x, alpha))
+            }
             UnaryOp::TanhGrad => simd::map_slice(src, out, simd::tanh_grad8),
             UnaryOp::SigmoidGrad => simd::map_slice(src, out, simd::sigmoid_grad8),
             _ => out.extend(src.iter().map(|&v| self.eval(v))),
@@ -536,22 +538,29 @@ fn matmul_rows(
 /// lets the serving engine coalesce and split request batches, DESIGN.md
 /// §14) are therefore all unobservable in the output bits.
 ///
-/// So is kernel choice, made **per output row**: a row that is mostly zero
-/// against a finite RHS (one-hot and mask rows are everywhere on the encode
-/// path) skips its zero terms — each is an exact `±0.0` added to an
-/// accumulator that is never `-0.0`, so skipping changes nothing. Every
-/// other row — including every row of any product with a non-finite RHS,
-/// so `0·NaN`/`0·∞` still poison the output as IEEE demands — takes the
-/// register-tiled kernel over the RHS packed once per call. Work runs in
-/// `ROW_BLOCK`-row blocks, on the pool above [`dispatch::matmul_par_min`].
+/// So is kernel choice, made **per output row** from the measured
+/// crossover (DESIGN.md §8): a row at least [`AXPY_MIN_ZEROS`] zero against
+/// a finite RHS more than one panel wide — one-hot and condition-vector
+/// rows on the encode path — skips its zero terms; each is an exact `±0.0`
+/// added to an accumulator that is never `-0.0`, so skipping changes
+/// nothing. Every other row takes the register-tiled kernel over the RHS
+/// packed once per call ([`simd::col_chains`] for a single column): rows
+/// behind a dropout mask or a ReLU, half zero give or take, where a
+/// mispredicted branch per element costs the axpy more than the skipped
+/// terms save; every row of an output at most [`simd::NR`] columns wide,
+/// where the axpy never catches up; and every row of a product with a
+/// non-finite RHS, so `0·NaN`/`0·∞` still poison the output as IEEE
+/// demands. Work runs in `ROW_BLOCK`-row blocks, on the pool above
+/// [`dispatch::matmul_par_min`].
 pub(crate) fn matmul(n: usize, k: usize, m: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     if n == 0 || k == 0 || m == 0 {
         return pool_mem::take_zeroed(n * m);
     }
-    let rhs_finite = b.iter().all(|v| v.is_finite());
+    let axpy_allowed = m > simd::NR && b.iter().all(|v| v.is_finite());
+    let (num, den) = AXPY_MIN_ZEROS;
     let row_sparse: Vec<bool> = a
         .chunks_exact(k)
-        .map(|row| rhs_finite && 2 * row.iter().filter(|&&v| v == 0.0).count() >= k)
+        .map(|row| axpy_allowed && den * row.iter().filter(|&&v| v == 0.0).count() >= num * k)
         .collect();
     let mut panels = Vec::new();
     if m > 1 && row_sparse.contains(&false) {
@@ -681,12 +690,22 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_kernels_agree_on_exact_inputs() {
-        // Arbitrary finite inputs, ~60% zeros in the LHS: both kernels walk
-        // the same ascending-p chain, so they agree bit for bit — ragged
-        // tile (7 % MR, 21 % NR) and single-column shapes included.
-        for (n, k, m) in [(7, 33, 21), (9, 40, 1)] {
+        // Arbitrary finite inputs, row `i` of the LHS about `10·(i % 10)`%
+        // zeros — dense, the dropout band, either side of the selection
+        // threshold, one-hot: both kernels walk the same ascending-p chain,
+        // so they agree bit for bit whichever one a row is handed to.
+        // Ragged tiles (7 % MR, 21 % NR), the single column and the widths
+        // either side of one panel included.
+        for (n, k, m) in [(7, 33, 21), (9, 40, 1), (13, 64, 16), (13, 64, 17)] {
             let a: Vec<f32> = (0..n * k)
-                .map(|i| if i * 7 % 5 < 3 { 0.0 } else { ((i * 29 % 83) as f32) * 0.173 - 7.1 })
+                .map(|i| {
+                    let zero = (i * 7 + i / k) % 10 < (i / k) % 10;
+                    if zero {
+                        0.0
+                    } else {
+                        ((i * 29 % 83) as f32) * 0.173 - 7.1
+                    }
+                })
                 .collect();
             let b: Vec<f32> = (0..k * m).map(|i| ((i * 37 % 101) as f32) * 0.137 - 6.9).collect();
             let mut panels = Vec::new();
@@ -699,7 +718,35 @@ mod tests {
             let mixed: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
             assert_eq!(rows(&vec![true; n]), rows(&vec![false; n]), "{n}x{k}x{m}");
             assert_eq!(rows(&mixed), rows(&vec![false; n]), "{n}x{k}x{m} mixed");
+            // And the selection `matmul` itself makes lands on those bits.
+            let picked: Vec<u32> = matmul(n, k, m, &a, &b).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(picked, rows(&vec![false; n]), "{n}x{k}x{m} as selected");
         }
+    }
+
+    #[test]
+    fn row_selection_follows_the_measured_crossover() {
+        // Which kernel ran is unobservable in the bits; it is observable in
+        // whether the RHS got packed. A product whose rows all sit in the
+        // dropout band packs (register tile); one-hot rows against a wide
+        // RHS do not (axpy); one-hot rows against a single panel do (the
+        // tile wins at every density there).
+        let (n, k) = (4, 64);
+        let lhs = |zeros: usize| -> Vec<f32> {
+            (0..n * k).map(|i| if i % k < zeros { 0.0 } else { 1.0 + i as f32 }).collect()
+        };
+        let packs = |zeros: usize, m: usize| {
+            let b = vec![0.5; k * m];
+            let before = pool_mem::stats().bytes_requested;
+            let _ = matmul(n, k, m, &lhs(zeros), &b);
+            let asked = (pool_mem::stats().bytes_requested - before) as usize;
+            asked > n * m * 4
+        };
+        assert!(packs(32, 48), "half-zero rows take the tile");
+        assert!(packs(40, 48), "62.5% zeros is still the dropout band");
+        assert!(!packs(48, 48), "75% zeros and up skip their zeros");
+        assert!(!packs(63, 48), "one-hot rows skip their zeros");
+        assert!(packs(63, 16), "one panel wide: always the tile");
     }
 
     #[test]

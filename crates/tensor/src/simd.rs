@@ -264,6 +264,20 @@ pub(crate) fn leaky_relu8(x: F32x8, alpha: f32) -> F32x8 {
     x.map(|v| if v >= 0.0 { v } else { alpha * v })
 }
 
+/// Eight-lane subgradient mask of ReLU: `1` for `x > 0`, else `0` (NaN
+/// lanes included).
+#[inline]
+pub(crate) fn relu_mask8(x: F32x8) -> F32x8 {
+    x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
+}
+
+/// Eight-lane subgradient mask of leaky ReLU: `1` for `x ≥ 0`, else `α`
+/// (NaN lanes included).
+#[inline]
+pub(crate) fn leaky_relu_mask8(x: F32x8, alpha: f32) -> F32x8 {
+    x.map(|v| if v >= 0.0 { 1.0 } else { alpha })
+}
+
 // --- scalar forms --------------------------------------------------------
 
 /// Scalar tanh — lane 0 of [`tanh8`] on a splat, so tails and lanes agree

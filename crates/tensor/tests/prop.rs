@@ -8,11 +8,13 @@ fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |v| Tensor::from_vec(rows, cols, v))
 }
 
-/// A dimension in `0..=70` with the edges over-weighted: a quarter of the
-/// draws are `0` or `1`, so empty products, `k = 0` and the single-column
-/// kernel all occur in every run next to every tile remainder.
+/// A dimension in `0..=70` with the edges over-weighted: half of the draws
+/// are `0`, `1`, `16` or `17`, so empty products, `k = 0`, the
+/// single-column kernel and both sides of the one-panel width below which
+/// no row skips its zeros all occur in every run next to every tile
+/// remainder.
 fn dim_strategy() -> impl Strategy<Value = usize> {
-    (0usize..71, 0u8..8).prop_map(|(d, edge)| if edge < 2 { edge as usize } else { d })
+    (0usize..71, 0usize..8).prop_map(|(d, edge)| [0, 1, 16, 17].get(edge).copied().unwrap_or(d))
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -23,15 +25,16 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A `rows×cols` tensor of awkward values: each row is dense, half zero or
-/// almost all zero (so products mix the zero-skipping and the tiled kernel),
-/// zeros carry either sign, and the rest are ordinary values salted with
+/// A `rows×cols` tensor of awkward values: each row is dense, half zero,
+/// just under or just over the three-quarters-zero cut between the kernels,
+/// or almost all zero (so products mix the zero-skipping and the tiled
+/// kernel), zeros carry either sign, and the rest are ordinary values salted with
 /// subnormals, magnitudes whose products overflow and — when `non_finite` —
 /// NaN and ±Inf.
 fn messy(rows: usize, cols: usize, state: &mut u64, non_finite: bool) -> Tensor {
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows {
-        let zero_pct = [0, 50, 97][(splitmix(state) % 3) as usize];
+        let zero_pct = [0, 50, 70, 80, 97][(splitmix(state) % 5) as usize];
         for _ in 0..cols {
             let r = splitmix(state);
             let sign = if r & 1 == 0 { 1.0 } else { -1.0 };

@@ -150,7 +150,50 @@ fn scalar_reference(op: UnaryOp, x: f32) -> f32 {
                 alpha * x
             }
         }
+        UnaryOp::ReluMask => {
+            if x > 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        UnaryOp::LeakyReluMask(alpha) => {
+            if x >= 0.0 {
+                1.0
+            } else {
+                alpha
+            }
+        }
         _ => unreachable!("not exercised here"),
+    }
+}
+
+/// Every unary op with a lane kernel.
+const LANE_OPS: [UnaryOp; 7] = [
+    UnaryOp::Tanh,
+    UnaryOp::Sigmoid,
+    UnaryOp::Exp,
+    UnaryOp::Relu,
+    UnaryOp::LeakyRelu(0.2),
+    UnaryOp::ReluMask,
+    UnaryOp::LeakyReluMask(0.2),
+];
+
+/// The backward masks at the values a comparison can get wrong — signed
+/// zeros, NaN, infinities, subnormals — in lane groups and in the tail,
+/// against the branchy definition and against `eval`.
+#[test]
+fn mask_kernels_agree_with_their_definition_on_edge_values() {
+    let edges =
+        [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-45, -1e-45, 3.0, -3.0, 1e-30];
+    let data: Vec<f32> = (0..27).map(|i| edges[i % edges.len()]).collect();
+    let t = Tensor::from_vec(3, 9, data.clone());
+    for op in [UnaryOp::ReluMask, UnaryOp::LeakyReluMask(0.2)] {
+        let got = t.apply(op);
+        for (&x, &m) in data.iter().zip(got.as_slice()) {
+            assert_eq!(m.to_bits(), scalar_reference(op, x).to_bits(), "{op:?} at {x:e}");
+            assert_eq!(m.to_bits(), op.eval(x).to_bits(), "{op:?} eval at {x:e}");
+        }
     }
 }
 
@@ -166,7 +209,7 @@ proptest! {
     ) {
         dispatch::set_par_mins(1_024, 1_024, 8_192);
         let t = Tensor::from_vec(7, 101, data.clone());
-        for op in [UnaryOp::Tanh, UnaryOp::Sigmoid, UnaryOp::Exp, UnaryOp::Relu, UnaryOp::LeakyRelu(0.2)] {
+        for op in LANE_OPS {
             let want: Vec<u32> =
                 data.iter().map(|&x| scalar_reference(op, x).to_bits()).collect();
             for &threads in &THREAD_COUNTS {
