@@ -57,7 +57,7 @@ pub struct CondBatch {
     pub row_indices: Vec<usize>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CondColumn {
     /// Column index in the client's local table.
     column: usize,
@@ -66,12 +66,15 @@ struct CondColumn {
     n_categories: usize,
     /// Log-frequency sampling distribution over categories (sums to 1).
     log_probs: Vec<f64>,
+    /// Raw category frequencies (`pools[c].len()`, as the weights
+    /// generation-time sampling draws from).
+    freqs: Vec<f64>,
     /// Row indices per category.
     pools: Vec<Vec<usize>>,
 }
 
 /// Per-client conditional-vector sampler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientCondSampler {
     columns: Vec<CondColumn>,
     width: usize,
@@ -82,15 +85,39 @@ impl ClientCondSampler {
     /// has no categorical columns (such a client can never be chosen to
     /// construct the CV).
     pub fn from_table(table: &Table) -> Option<Self> {
+        Self::build(table, 0..table.n_rows())
+    }
+
+    /// The sampler of `table.select_rows(order)`, built without making that
+    /// table: row `r` of the sampled table is row `order[r]` of `table`.
+    ///
+    /// This is how a client re-indexes after the end-of-round shuffle. It
+    /// keeps its raw table as loaded and hands in the composed shuffle
+    /// (current position → stored row); the categorical columns are read
+    /// through `order` in ascending position, so every pool, probability
+    /// and draw — and the `row_indices` of [`ClientCondSampler::sample_batch`],
+    /// which are positions in `order` — is what [`ClientCondSampler::from_table`]
+    /// gives for the materialised table. `from_table` is this constructor
+    /// with the identity order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry of `order` is not a row of `table`.
+    pub fn from_table_in_order(table: &Table, order: &[usize]) -> Option<Self> {
+        Self::build(table, order.iter().copied())
+    }
+
+    fn build(table: &Table, order: impl Iterator<Item = usize> + Clone) -> Option<Self> {
         let mut columns = Vec::new();
         let mut offset = 0usize;
         for (ci, meta) in table.schema().columns().iter().enumerate() {
             let Some(k) = meta.kind.n_categories() else { continue };
-            let counts = table.category_counts(ci);
+            let cells = table.column(ci).as_cat();
             let mut pools: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for (r, &v) in table.column(ci).as_cat().iter().enumerate() {
-                pools[v as usize].push(r);
+            for (r, row) in order.clone().enumerate() {
+                pools[cells[row] as usize].push(r);
             }
+            let counts: Vec<usize> = pools.iter().map(Vec::len).collect();
             // CTGAN log-frequency: P(cat) ∝ log(1 + count); empty categories
             // can never be sampled (no matching row exists).
             let logs: Vec<f64> = counts.iter().map(|&c| ((1 + c) as f64).ln()).collect();
@@ -106,6 +133,7 @@ impl ClientCondSampler {
                 local_offset: offset,
                 n_categories: k,
                 log_probs,
+                freqs: counts.iter().map(|&c| c as f64).collect(),
                 pools,
             });
             offset += k;
@@ -162,8 +190,7 @@ impl ClientCondSampler {
             .map(|_| {
                 let slot = rng.gen_range(0..self.columns.len());
                 let col = &self.columns[slot];
-                let freqs: Vec<f64> = col.pools.iter().map(|p| p.len() as f64).collect();
-                let category = sample_discrete_unnormalized(&freqs, rng);
+                let category = sample_discrete_unnormalized(&col.freqs, rng);
                 CondChoice { slot, column: col.column, category }
             })
             .collect()
@@ -281,6 +308,7 @@ impl CondLayout {
 mod tests {
     use super::*;
     use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn demo_table() -> Table {
@@ -369,6 +397,116 @@ mod tests {
         assert_eq!(l.offset(2), 3);
         assert_eq!(l.width(2), 4);
         assert_eq!(l.n_clients(), 3);
+    }
+
+    #[test]
+    fn original_frequency_draws_are_those_of_the_pool_sizes() {
+        // The definition `sample_batch_original` had before the frequencies
+        // were kept at construction: weights recomputed from the pools for
+        // every row.
+        let reference = |s: &ClientCondSampler, batch: usize, rng: &mut StdRng| {
+            (0..batch)
+                .map(|_| {
+                    let slot = rng.gen_range(0..s.columns.len());
+                    let col = &s.columns[slot];
+                    let freqs: Vec<f64> = col.pools.iter().map(|p| p.len() as f64).collect();
+                    let category = sample_discrete_unnormalized(&freqs, rng);
+                    CondChoice { slot, column: col.column, category }
+                })
+                .collect::<Vec<_>>()
+        };
+        let t = demo_table();
+        for s in [
+            ClientCondSampler::from_table(&t).unwrap(),
+            ClientCondSampler::from_table_in_order(&t, &[9, 9, 2, 0, 5]).unwrap(),
+        ] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+            assert_eq!(s.sample_batch_original(300, &mut a), reference(&s, 300, &mut b));
+            // Same draws consumed, too: the streams stay in step.
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn order_indexes_the_sampled_rows() {
+        // Positions 0..4 hold stored rows 8, 9, 0, 1: column g reads 1 1 0 0.
+        let t = demo_table();
+        let s = ClientCondSampler::from_table_in_order(&t, &[8, 9, 0, 1]).unwrap();
+        assert_eq!(s.columns[0].pools, vec![vec![2, 3], vec![0, 1]]);
+        assert_eq!(s.columns[0].freqs, vec![2.0, 2.0]);
+        // Column h reads 2 0 0 1.
+        assert_eq!(s.columns[1].pools, vec![vec![1, 2], vec![3], vec![0]]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn order_must_name_rows_of_the_table() {
+        let _ = ClientCondSampler::from_table_in_order(&demo_table(), &[0, 10]);
+    }
+
+    /// A random table (one continuous column, 1–3 categorical ones, some
+    /// categories possibly unused) and a list of its rows — a permutation
+    /// when `permute`, otherwise any rows in any number.
+    fn table_and_order() -> impl Strategy<Value = (Table, Vec<usize>)> {
+        (1usize..4, 1usize..60, any::<u64>(), any::<bool>()).prop_map(
+            |(n_cat, rows, seed, permute)| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut metas = vec![ColumnMeta::new("x", ColumnKind::Continuous)];
+                let mut cols =
+                    vec![ColumnData::Float((0..rows).map(|_| rng.gen_range(-5.0..5.0)).collect())];
+                for c in 0..n_cat {
+                    let k = rng.gen_range(1..6usize);
+                    metas.push(ColumnMeta::new(
+                        format!("c{c}"),
+                        ColumnKind::categorical((0..k).map(|i| format!("v{i}"))),
+                    ));
+                    cols.push(ColumnData::Cat(
+                        (0..rows).map(|_| rng.gen_range(0..k) as u32).collect(),
+                    ));
+                }
+                let table = Table::new(Schema::new(metas, None), cols);
+                let order = if permute {
+                    Table::shuffle_permutation(rows, seed ^ 0x5eed)
+                } else {
+                    (0..rng.gen_range(1..2 * rows + 1)).map(|_| rng.gen_range(0..rows)).collect()
+                };
+                (table, order)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Reading through an order is building from the reordered table:
+        /// same pools, probabilities, frequencies and width, hence the same
+        /// conditions and row indices for the same seed.
+        #[test]
+        fn reading_through_an_order_equals_materialising_it(
+            (table, order) in table_and_order(),
+            seed in any::<u64>(),
+        ) {
+            let through = ClientCondSampler::from_table_in_order(&table, &order).unwrap();
+            let materialised = ClientCondSampler::from_table(&table.select_rows(&order)).unwrap();
+            prop_assert_eq!(&through, &materialised);
+            prop_assert_eq!(through.width(), materialised.width());
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            prop_assert_eq!(through.sample_batch(40, &mut a), materialised.sample_batch(40, &mut b));
+            prop_assert_eq!(
+                through.sample_batch_original(40, &mut a),
+                materialised.sample_batch_original(40, &mut b)
+            );
+        }
+
+        /// `from_table` is the identity-order case.
+        #[test]
+        fn identity_order_is_from_table((table, _) in table_and_order()) {
+            let identity: Vec<usize> = (0..table.n_rows()).collect();
+            prop_assert_eq!(
+                ClientCondSampler::from_table_in_order(&table, &identity),
+                ClientCondSampler::from_table(&table)
+            );
+        }
     }
 
     #[test]

@@ -187,9 +187,12 @@ impl ClientIndexObserver {
 
 /// Builds [`ColumnTruth`] entries for every categorical column of the
 /// clients' initial tables, laid out per the global [`CondLayout`].
-pub fn column_truths(initial_tables: &[Table], layout: &CondLayout) -> Vec<ColumnTruth> {
+pub fn column_truths<'a>(
+    initial_tables: impl IntoIterator<Item = &'a Table>,
+    layout: &CondLayout,
+) -> Vec<ColumnTruth> {
     let mut out = Vec::new();
-    for (client, table) in initial_tables.iter().enumerate() {
+    for (client, table) in initial_tables.into_iter().enumerate() {
         let mut local_offset = 0;
         for (ci, meta) in table.schema().columns().iter().enumerate() {
             let Some(k) = meta.kind.n_categories() else { continue };

@@ -51,9 +51,16 @@ pub struct StepAllocStats {
 }
 
 struct ClientState {
+    /// The raw local table as it was handed in — initial row order, the
+    /// only copy. The end-of-round shuffle never moves it: the sampler
+    /// reads it through [`GtvTrainer::current_to_initial`].
     table: Table,
     transformer: TableTransformer,
+    /// The encoded table — initial row order too, the only copy. A step
+    /// gathers the rows `current_to_initial[idx_p]` from it, or all of
+    /// `current_to_initial` where the whole table is uploaded.
     encoded: Tensor,
+    /// Indexes the table in current (shuffled) row order.
     sampler: Option<ClientCondSampler>,
     rng: StdRng,
 }
@@ -92,7 +99,6 @@ struct CondRound {
 pub struct GtvTrainer<T: Transport = Network> {
     config: GtvConfig,
     clients: Vec<ClientState>,
-    initial_tables: Vec<Table>,
     generator: SplitGenerator,
     discriminator: SplitDiscriminator,
     g_opt: Adam,
@@ -189,16 +195,19 @@ impl<T: Transport> GtvTrainer<T> {
         );
         let n_clients = tables.len();
         let mut rng = StdRng::seed_from_u64(config.seed);
+        let total_cols: usize = tables.iter().map(Table::n_cols).sum();
+        let ratios: Vec<f64> =
+            tables.iter().map(|t| t.n_cols() as f64 / total_cols as f64).collect();
 
         // Clients encode their local columns (Algorithm 1, step 1).
         let mut clients = Vec::with_capacity(n_clients);
-        for (i, table) in tables.iter().enumerate() {
+        for (i, table) in tables.into_iter().enumerate() {
             let transformer =
-                TableTransformer::fit(table, config.max_modes, config.seed.wrapping_add(i as u64));
-            let encoded = transformer.encode(table, config.seed.wrapping_add(1000 + i as u64));
-            let sampler = ClientCondSampler::from_table(table);
+                TableTransformer::fit(&table, config.max_modes, config.seed.wrapping_add(i as u64));
+            let encoded = transformer.encode(&table, config.seed.wrapping_add(1000 + i as u64));
+            let sampler = ClientCondSampler::from_table(&table);
             clients.push(ClientState {
-                table: table.clone(),
+                table,
                 transformer,
                 encoded,
                 sampler,
@@ -212,10 +221,6 @@ impl<T: Transport> GtvTrainer<T> {
                 .map(|c| c.sampler.as_ref().map_or(0, ClientCondSampler::width))
                 .collect(),
         );
-        let total_cols: usize = tables.iter().map(Table::n_cols).sum();
-        let ratios: Vec<f64> =
-            tables.iter().map(|t| t.n_cols() as f64 / total_cols as f64).collect();
-
         let client_widths: Vec<usize> = clients.iter().map(|c| c.transformer.width()).collect();
         let client_spans: Vec<Vec<gtv_encoders::Span>> =
             clients.iter().map(|c| c.transformer.spans()).collect();
@@ -246,7 +251,6 @@ impl<T: Transport> GtvTrainer<T> {
         let client_observers = (0..n_clients).map(|_| ClientIndexObserver::new(n_rows)).collect();
         Ok(Self {
             config,
-            initial_tables: tables,
             clients,
             generator,
             discriminator,
@@ -335,7 +339,7 @@ impl<T: Transport> GtvTrainer<T> {
 
     /// Ground truth (in initial row order) for the reconstruction analysis.
     pub fn column_truths(&self) -> Vec<ColumnTruth> {
-        column_truths(&self.initial_tables, &self.layout)
+        column_truths(self.clients.iter().map(|c| &c.table), &self.layout)
     }
 
     /// Enables/disables *training-with-shuffling* (enabled by default;
@@ -617,11 +621,14 @@ impl<T: Transport> GtvTrainer<T> {
             Some(c) => c.indices.clone(),
             None => (0..batch).map(|_| self.rng.gen_range(0..self.n_rows)).collect(),
         };
+        // `idx_p` names current (shuffled) positions; the rows behind them
+        // are found through the composed shuffle, not in a re-ordered copy.
+        let stored: Vec<usize> = indices.iter().map(|&i| self.current_to_initial[i]).collect();
         let mut real_rows: Vec<Tensor> = Vec::with_capacity(self.clients.len());
         let mut real_logits: Vec<Var> = Vec::with_capacity(self.clients.len());
         let mut uploads: Vec<(PartyId, PartyId, Message)> = Vec::with_capacity(self.clients.len());
         for i in 0..self.clients.len() {
-            let selected_rows = self.clients[i].encoded.select_rows(&indices);
+            let selected_rows = self.clients[i].encoded.select_rows(&stored);
             let is_p = cond.as_ref().is_none_or(|c| c.p == i);
             // In the peer-to-peer variant clients know idx_p and always
             // select locally; the full-table upload is the privacy price of
@@ -630,12 +637,13 @@ impl<T: Transport> GtvTrainer<T> {
                 && !is_p
                 && self.config.index_sharing == IndexSharing::Server;
             if full_upload {
-                // The client passes its *entire* table through D_i^b and the
-                // server selects the idx_p rows from the uploaded logits.
-                // Copied out of the recycling pool (this is its pooled clone),
-                // which the popped uploads below refill: a ~10 MB buffer per
-                // client that cycles instead of being mapped and unmapped.
-                let full = g.leaf(Tensor::concat_rows(&[&self.clients[i].encoded]));
+                // The client passes its *entire* table through D_i^b, in the
+                // shared shuffled order, and the server selects the idx_p
+                // rows from the uploaded logits. The table is gathered into
+                // a buffer of the recycling pool, which the popped uploads
+                // below refill: ~10 MB per client that cycles instead of
+                // being mapped and unmapped.
+                let full = g.leaf(self.clients[i].encoded.select_rows(&self.current_to_initial));
                 let logits_full = self.discriminator.client_forward(&ctx, i, full);
                 let logits_full = self.apply_dp_noise(&g, logits_full);
                 uploads.push((
@@ -670,12 +678,12 @@ impl<T: Transport> GtvTrainer<T> {
 
         // WGAN-GP gradient penalty on interpolates (per client slice + CV).
         let eps = Tensor::rand_uniform(batch, 1, 0.0, 1.0, &mut self.rng);
+        let one_minus = eps.map(|v| 1.0 - v);
         let mut hat_vars: Vec<Var> = Vec::with_capacity(self.clients.len());
         let mut hat_logits: Vec<Var> = Vec::with_capacity(self.clients.len());
         for i in 0..self.clients.len() {
-            let fake_v = g.value(fake_acts[i]);
-            let one_minus = eps.map(|v| 1.0 - v);
-            let hat = real_rows[i].mul(&eps).add(&fake_v.mul(&one_minus));
+            let hat = g
+                .with_value(fake_acts[i], |fake| real_rows[i].mul(&eps).add(&fake.mul(&one_minus)));
             let hat_var = g.leaf(hat);
             hat_vars.push(hat_var);
             hat_logits.push(self.discriminator.client_forward(&ctx, i, hat_var));
@@ -788,19 +796,27 @@ impl<T: Transport> GtvTrainer<T> {
 
     /// Step 23: every client shuffles its local data with the shared,
     /// server-hidden seed.
+    ///
+    /// The shuffle is an index, not a copy: nothing table-sized moves here.
+    /// The round's permutation is composed into `current_to_initial` (every
+    /// client can track it — it applies it; the server cannot), the raw and
+    /// the encoded tables stay in initial order, and each sampler is rebuilt
+    /// by reading its table through the composed order, which gives the
+    /// pools, probabilities and draws of the shuffled table (see
+    /// [`ClientCondSampler::from_table_in_order`]). The next round's steps
+    /// read the encoded rows through the same order (`d_step`): the `idx_p`
+    /// rows, or — where a whole table is uploaded — all of them, gathered
+    /// straight into the buffer that is uploaded.
     fn end_of_round_shuffle(&mut self) {
         if !self.shuffling_enabled {
             return;
         }
         let perm = self.shuffler.permutation(self.n_rows, self.round);
-        for client in &mut self.clients {
-            client.table = client.table.select_rows(&perm);
-            client.encoded = client.encoded.select_rows(&perm);
-            client.sampler = ClientCondSampler::from_table(&client.table);
-        }
-        // Every client can track the composed permutation (it applies it);
-        // the server cannot.
         self.current_to_initial = perm.iter().map(|&i| self.current_to_initial[i]).collect();
+        for client in &mut self.clients {
+            client.sampler =
+                ClientCondSampler::from_table_in_order(&client.table, &self.current_to_initial);
+        }
     }
 
     /// Runs one full round: `e` discriminator steps, one generator step and
@@ -1202,6 +1218,106 @@ mod tests {
         t.d_step().unwrap();
         assert!(touched(t.discriminator.params()));
         assert!(all_zero(t.generator.params()), "D-step wrote a generator gradient");
+    }
+
+    #[test]
+    fn composed_index_is_the_table_shuffled_round_by_round() {
+        for faithful_real_path in [false, true] {
+            let shards = two_client_shards(90);
+            let config = GtvConfig { faithful_real_path, ..GtvConfig::smoke() };
+            let mut t = GtvTrainer::new(shards.clone(), config);
+            let encoded: Vec<Tensor> = t.clients.iter().map(|c| c.encoded.clone()).collect();
+            // What each client would hold had it moved its table every round.
+            let mut moved = shards.clone();
+            for round in 0..3 {
+                t.train_round().unwrap();
+                let perm = t.shuffler.permutation(90, round);
+                for table in &mut moved {
+                    *table = table.select_rows(&perm);
+                }
+                for (i, client) in t.clients.iter().enumerate() {
+                    assert_eq!(client.table, shards[i], "the raw table stays as loaded");
+                    assert_eq!(shards[i].select_rows(&t.current_to_initial), moved[i]);
+                    assert_eq!(client.sampler, ClientCondSampler::from_table(&moved[i]));
+                    assert_eq!(client.encoded, encoded[i], "so does the encoded one");
+                }
+            }
+            assert_ne!(t.current_to_initial, (0..90).collect::<Vec<_>>(), "rounds do shuffle");
+        }
+    }
+
+    /// An in-process network that keeps a copy of every `RealLogits` payload
+    /// handed to it, with its sender.
+    struct Capturing {
+        inner: Network,
+        real_logits: std::cell::RefCell<Vec<(PartyId, MatrixPayload)>>,
+    }
+
+    impl Transport for Capturing {
+        fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
+            if let Message::RealLogits(m) = &msg {
+                self.real_logits.borrow_mut().push((from, m.clone()));
+            }
+            self.inner.send(from, to, msg)
+        }
+        fn try_recv(&self, party: PartyId) -> Result<(PartyId, Message), TransportError> {
+            self.inner.try_recv(party)
+        }
+        fn recv_timeout(
+            &self,
+            party: PartyId,
+            timeout: std::time::Duration,
+        ) -> Result<(PartyId, Message), TransportError> {
+            self.inner.recv_timeout(party, timeout)
+        }
+        fn recv_timeout_bound(&self) -> std::time::Duration {
+            self.inner.recv_timeout_bound()
+        }
+        fn set_recv_timeout(&self, timeout: std::time::Duration) {
+            self.inner.set_recv_timeout(timeout);
+        }
+        fn codec(&self) -> WireCodec {
+            self.inner.codec()
+        }
+        fn set_codec(&self, codec: WireCodec) {
+            self.inner.set_codec(codec);
+        }
+        fn begin_round(&self, round: u64) {
+            self.inner.begin_round(round);
+        }
+        fn stats(&self) -> NetStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&self) {
+            self.inner.reset_stats();
+        }
+    }
+
+    #[test]
+    fn whole_table_uploads_carry_the_rows_in_current_order() {
+        let config = GtvConfig { faithful_real_path: true, ..GtvConfig::smoke() };
+        // `D_i^b` has no blocks in this partition, so the logits a client
+        // uploads are its encoded rows themselves.
+        assert_eq!(config.partition.d_bottom, 0);
+        let network = Capturing { inner: Network::new(2), real_logits: Default::default() };
+        let mut t = GtvTrainer::with_transport(two_client_shards(90), config, network).unwrap();
+        let encoded: Vec<Tensor> = t.clients.iter().map(|c| c.encoded.clone()).collect();
+        for round in 0..3 {
+            // The order the round trains in; its own shuffle comes last.
+            let order = t.current_to_initial.clone();
+            t.train_round().unwrap();
+            let sent = t.network().real_logits.take();
+            // One D-step, two clients: the selected one sends its batch, the
+            // other its whole table.
+            let whole: Vec<_> = sent.iter().filter(|(_, m)| m.rows == 90).collect();
+            assert_eq!((sent.len(), whole.len()), (2, 1), "round {round}");
+            let (from, upload) = whole[0];
+            let PartyId::Client(i) = *from else { panic!("{from:?} uploaded real logits") };
+            let width = upload.cols as usize;
+            for (r, row) in upload.data.chunks_exact(width).enumerate() {
+                assert_eq!(row, encoded[i].row_slice(order[r]), "round {round}, row {r}");
+            }
+        }
     }
 
     #[test]

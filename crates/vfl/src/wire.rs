@@ -45,7 +45,9 @@ impl MatrixPayload {
     ///
     /// Panics if `data.len() != rows * cols`.
     pub fn new(rows: u32, cols: u32, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), (rows * cols) as usize, "payload shape mismatch");
+        // Widened before multiplying: in `u32`, 65 536 × 65 536 wraps to 0
+        // and an empty buffer would pass for a 16 GiB matrix.
+        assert_eq!(data.len(), rows as usize * cols as usize, "payload shape mismatch");
         Self { rows, cols, data }
     }
 
@@ -73,23 +75,43 @@ impl MatrixPayload {
     /// matrix: only when it is strictly smaller than the dense one, and the
     /// matrix is small enough for the decoder's allocation bound.
     pub fn adaptive_is_sparse(&self) -> bool {
-        self.data.len() <= MAX_SPARSE_DENSE_ENTRIES
-            && Self::sparse_encoded_len(self.stored_entries()) < self.encoded_len()
+        matches!(self.body(WireCodec::Adaptive), MatrixBody::Sparse { .. })
     }
 
     /// Encoded size in bytes under `codec`.
     pub fn encoded_len_with(&self, codec: WireCodec) -> usize {
-        match codec {
-            WireCodec::Dense => self.encoded_len(),
-            WireCodec::Adaptive => {
-                if self.adaptive_is_sparse() {
-                    Self::sparse_encoded_len(self.stored_entries())
-                } else {
-                    self.encoded_len()
-                }
+        self.body_len(self.body(codec))
+    }
+
+    /// The body `codec` gives this matrix. The one place that counts stored
+    /// entries: an encode decides here, once, and sizes and writes the
+    /// message from the answer.
+    fn body(&self, codec: WireCodec) -> MatrixBody {
+        if codec == WireCodec::Adaptive && self.data.len() <= MAX_SPARSE_DENSE_ENTRIES {
+            let nnz = self.stored_entries();
+            if Self::sparse_encoded_len(nnz) < self.encoded_len() {
+                return MatrixBody::Sparse { nnz };
             }
         }
+        MatrixBody::Dense
     }
+
+    fn body_len(&self, body: MatrixBody) -> usize {
+        match body {
+            MatrixBody::Dense => self.encoded_len(),
+            MatrixBody::Sparse { nnz } => Self::sparse_encoded_len(nnz),
+        }
+    }
+}
+
+/// The body chosen for one matrix of one encode (see [`MatrixPayload::body`]).
+#[derive(Debug, Clone, Copy)]
+enum MatrixBody {
+    Dense,
+    /// `(index, value)` pairs for the `nnz` stored entries.
+    Sparse {
+        nnz: usize,
+    },
 }
 
 /// Matrix body format tags (wire format v2).
@@ -208,37 +230,53 @@ impl Message {
     }
 
     /// Encodes to bytes, choosing each matrix body per `codec`.
+    ///
+    /// One pass: the body is chosen first, the buffer is allocated at the
+    /// exact encoded length, every value is written into it once and
+    /// `freeze` hands that same buffer on (DESIGN.md §10).
     pub fn encode_with(&self, codec: WireCodec) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u8(self.tag());
-        match self {
-            Message::RoundStart { round, selected } => {
-                buf.put_u64_le(*round);
-                buf.put_u32_le(*selected);
-            }
-            Message::CondUpload { cv, indices } => {
-                put_matrix(&mut buf, cv, codec);
-                debug_assert!(indices.len() <= u32::MAX as usize, "index count exceeds wire width");
-                buf.put_u32_le(indices.len() as u32);
-                for &i in indices {
-                    buf.put_u32_le(i);
-                }
-            }
+        const INDEX_COUNT: usize = 4;
+        let (matrix, tail) = match self {
+            Message::RoundStart { .. } => (None, 12),
+            Message::CondUpload { cv, indices } => (Some(cv), INDEX_COUNT + indices.len() * 4),
             Message::GenSlice(m)
             | Message::SynthLogits(m)
             | Message::RealLogits(m)
             | Message::GradLogits(m)
             | Message::GradGenSlice(m)
-            | Message::SyntheticShare(m) => put_matrix(&mut buf, m, codec),
-            Message::ShuffleSeedShare { share } => buf.put_u64_le(*share),
-            Message::IndexShare { indices } => {
+            | Message::SyntheticShare(m) => (Some(m), 0),
+            Message::ShuffleSeedShare { .. } => (None, 8),
+            Message::IndexShare { indices } => (None, INDEX_COUNT + indices.len() * 4),
+        };
+        let matrix = matrix.map(|m| (m, m.body(codec)));
+        let len = 1 + matrix.map_or(0, |(m, body)| m.body_len(body)) + tail;
+        let mut buf = BytesMut::with_capacity(len);
+        buf.put_u8(self.tag());
+        if let Some((m, body)) = matrix {
+            put_matrix(&mut buf, m, body);
+        }
+        match self {
+            Message::RoundStart { round, selected } => {
+                buf.put_u64_le(*round);
+                buf.put_u32_le(*selected);
+            }
+            Message::CondUpload { indices, .. } | Message::IndexShare { indices } => {
                 debug_assert!(indices.len() <= u32::MAX as usize, "index count exceeds wire width");
                 buf.put_u32_le(indices.len() as u32);
                 for &i in indices {
                     buf.put_u32_le(i);
                 }
             }
+            Message::ShuffleSeedShare { share } => buf.put_u64_le(*share),
+            // A matrix and nothing after it.
+            Message::GenSlice(_)
+            | Message::SynthLogits(_)
+            | Message::RealLogits(_)
+            | Message::GradLogits(_)
+            | Message::GradGenSlice(_)
+            | Message::SyntheticShare(_) => {}
         }
+        debug_assert_eq!(buf.len(), len, "the reserved length is the encoded length");
         buf.freeze()
     }
 
@@ -302,11 +340,10 @@ impl Message {
     }
 }
 
-fn put_matrix(buf: &mut BytesMut, m: &MatrixPayload, codec: WireCodec) {
-    if codec == WireCodec::Adaptive && m.adaptive_is_sparse() {
-        put_matrix_sparse(buf, m);
-    } else {
-        put_matrix_dense(buf, m);
+fn put_matrix(buf: &mut BytesMut, m: &MatrixPayload, body: MatrixBody) {
+    match body {
+        MatrixBody::Dense => put_matrix_dense(buf, m),
+        MatrixBody::Sparse { nnz } => put_matrix_sparse(buf, m, nnz),
     }
 }
 
@@ -314,38 +351,42 @@ fn put_matrix_dense(buf: &mut BytesMut, m: &MatrixPayload) {
     buf.put_u8(MATRIX_FORMAT_DENSE);
     buf.put_u32_le(m.rows);
     buf.put_u32_le(m.cols);
-    // Bulk body write: serialize every value into one scratch buffer and
-    // append it with a single `put_slice` instead of one reservation check
-    // per element. The wire format stays explicitly little-endian
-    // (`to_le_bytes`), so the encoding is identical on any host.
-    let mut body = vec![0u8; m.data.len() * 4];
-    for (chunk, &v) in body.chunks_exact_mut(4).zip(&m.data) {
-        chunk.copy_from_slice(&v.to_le_bytes());
+    // Values go straight into the message buffer, a block at a time: the
+    // block is converted on the stack (explicitly little-endian, so the
+    // encoding is identical on any host) and appended with one `put_slice`
+    // instead of one capacity check per element. The caller reserved the
+    // whole body, so no append reallocates.
+    const BLOCK: usize = 256;
+    let mut le = [0u8; BLOCK * 4];
+    for block in m.data.chunks(BLOCK) {
+        let le = &mut le[..block.len() * 4];
+        for (dst, v) in le.chunks_exact_mut(4).zip(block) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(le);
     }
-    buf.put_slice(&body);
 }
 
-fn put_matrix_sparse(buf: &mut BytesMut, m: &MatrixPayload) {
+fn put_matrix_sparse(buf: &mut BytesMut, m: &MatrixPayload, nnz: usize) {
     buf.put_u8(MATRIX_FORMAT_SPARSE);
     buf.put_u32_le(m.rows);
     buf.put_u32_le(m.cols);
-    let nnz = m.stored_entries();
     debug_assert!(nnz <= u32::MAX as usize, "sparse entry count exceeds wire width");
     buf.put_u32_le(nnz as u32);
     // One (index, value) pair per stored entry, in strictly increasing
     // index order — the canonical form the decoder enforces. The nonzero
     // test is on the *bit pattern*: -0.0, NaN, Inf and subnormals are all
     // stored explicitly, so decode is bit-identical to the dense body.
-    let mut body = Vec::with_capacity(nnz * 8);
     for (i, &v) in m.data.iter().enumerate() {
         if v.to_bits() == 0 {
             continue;
         }
         debug_assert!(i <= u32::MAX as usize, "sparse entry index exceeds wire width");
-        body.extend_from_slice(&(i as u32).to_le_bytes());
-        body.extend_from_slice(&v.to_le_bytes());
+        let mut pair = [0u8; 8];
+        pair[..4].copy_from_slice(&(i as u32).to_le_bytes());
+        pair[4..].copy_from_slice(&v.to_le_bytes());
+        buf.put_slice(&pair);
     }
-    buf.put_slice(&body);
 }
 
 fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
@@ -424,22 +465,10 @@ mod tests {
 
     #[test]
     fn roundtrip_all_variants() {
-        let msgs = vec![
-            Message::RoundStart { round: 42, selected: 1 },
-            Message::CondUpload { cv: demo_matrix(), indices: vec![3, 1, 4] },
-            Message::GenSlice(demo_matrix()),
-            Message::SynthLogits(demo_matrix()),
-            Message::RealLogits(demo_matrix()),
-            Message::GradLogits(demo_matrix()),
-            Message::GradGenSlice(demo_matrix()),
-            Message::SyntheticShare(demo_matrix()),
-            Message::ShuffleSeedShare { share: 0xdead_beef },
-            Message::IndexShare { indices: vec![9, 8, 7] },
-        ];
-        for m in msgs {
-            let enc = m.encode();
-            let dec = Message::decode(enc).unwrap();
-            assert_eq!(dec, m);
+        for m in golden_messages() {
+            for codec in [WireCodec::Dense, WireCodec::Adaptive] {
+                assert_eq!(Message::decode(m.encode_with(codec)).unwrap(), m, "{codec:?}");
+            }
         }
     }
 
@@ -542,6 +571,98 @@ mod tests {
         buf.put_u32_le(1);
         buf.put_f32_le(1.0);
         assert!(Message::decode(buf.freeze()).is_err());
+    }
+
+    /// One small message per variant. The matrix is 2×4 with two stored
+    /// entries (`-0.0` and `1.5`), so `Adaptive` gives it the sparse body
+    /// (13 + 16 < 9 + 32 bytes).
+    fn golden_messages() -> Vec<Message> {
+        let m = || MatrixPayload::new(2, 4, vec![0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.0]);
+        vec![
+            Message::RoundStart { round: 0x0102_0304_0506_0708, selected: 3 },
+            Message::CondUpload { cv: m(), indices: vec![7, 0x0a0b_0c0d] },
+            Message::GenSlice(m()),
+            Message::SynthLogits(m()),
+            Message::RealLogits(m()),
+            Message::GradLogits(m()),
+            Message::GradGenSlice(m()),
+            Message::SyntheticShare(m()),
+            Message::ShuffleSeedShare { share: 0xdead_beef_0bad_f00d },
+            Message::IndexShare { indices: vec![1, 2, 0xffff_ffff] },
+        ]
+    }
+
+    /// `(dense, adaptive)` encodings of [`golden_messages`] in hex, as the
+    /// encoder of commit cc9bbec (scratch body, growing buffer, copying
+    /// `freeze`) produced them. Wire format v2 is these bytes.
+    const GOLDEN_HEX: [(&str, &str); 10] = [
+        ("00080706050403020103000000", "00080706050403020103000000"),
+        (
+            "010002000000040000000000000000000080000000000000000000000000000000000000c03f00000000\
+             02000000070000000d0c0b0a",
+            "01010200000004000000020000000100000000000080060000000000c03f\
+             02000000070000000d0c0b0a",
+        ),
+        (
+            "020002000000040000000000000000000080000000000000000000000000000000000000c03f00000000",
+            "02010200000004000000020000000100000000000080060000000000c03f",
+        ),
+        (
+            "030002000000040000000000000000000080000000000000000000000000000000000000c03f00000000",
+            "03010200000004000000020000000100000000000080060000000000c03f",
+        ),
+        (
+            "040002000000040000000000000000000080000000000000000000000000000000000000c03f00000000",
+            "04010200000004000000020000000100000000000080060000000000c03f",
+        ),
+        (
+            "050002000000040000000000000000000080000000000000000000000000000000000000c03f00000000",
+            "05010200000004000000020000000100000000000080060000000000c03f",
+        ),
+        (
+            "060002000000040000000000000000000080000000000000000000000000000000000000c03f00000000",
+            "06010200000004000000020000000100000000000080060000000000c03f",
+        ),
+        (
+            "070002000000040000000000000000000080000000000000000000000000000000000000c03f00000000",
+            "07010200000004000000020000000100000000000080060000000000c03f",
+        ),
+        ("080df0ad0befbeadde", "080df0ad0befbeadde"),
+        ("09030000000100000002000000ffffffff", "09030000000100000002000000ffffffff"),
+    ];
+
+    #[test]
+    fn encodings_match_the_golden_bytes() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let msgs = golden_messages();
+        assert_eq!(msgs.len(), GOLDEN_HEX.len());
+        for (m, (dense, adaptive)) in msgs.iter().zip(GOLDEN_HEX) {
+            assert_eq!(hex(&m.encode_with(WireCodec::Dense)), dense, "{} dense", m.kind());
+            assert_eq!(hex(&m.encode_with(WireCodec::Adaptive)), adaptive, "{} adaptive", m.kind());
+            assert_eq!(hex(&m.encode()), dense, "{}: encode() is the dense codec", m.kind());
+        }
+    }
+
+    #[test]
+    fn dense_body_blocks_join_without_a_seam() {
+        // Sizes around the encoder's 256-value staging block: every value
+        // lands at byte 10 + 4·i whatever block it travelled in.
+        for n in [0u32, 1, 255, 256, 257, 512, 1000] {
+            let data: Vec<f32> = (0..n).map(|i| i as f32 - 0.5).collect();
+            let enc = Message::GenSlice(MatrixPayload::new(1, n, data.clone())).encode();
+            assert_eq!(enc.len(), 10 + 4 * n as usize);
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(enc[10 + 4 * i..14 + 4 * i], v.to_le_bytes(), "value {i} of {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "payload shape mismatch")]
+    fn payload_shape_check_does_not_wrap() {
+        // 65 536 × 65 536 is 0 in `u32`: unwidened, the empty buffer passes
+        // in release and debug dies of arithmetic overflow instead.
+        let _ = MatrixPayload::new(65_536, 65_536, Vec::new());
     }
 
     #[test]

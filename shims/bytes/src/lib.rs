@@ -76,9 +76,13 @@ pub trait BufMut {
 }
 
 /// Cheaply cloneable immutable byte buffer with a read cursor.
+///
+/// Like the real crate's, it takes over the allocation of the `Vec<u8>` or
+/// [`BytesMut`] it is made from: `Bytes::from(vec)` and [`BytesMut::freeze`]
+/// are O(1) and leave the bytes where they were written.
 #[derive(Debug, Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -132,7 +136,7 @@ impl Default for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Self { data: v.into(), start: 0, end }
+        Self { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -195,9 +199,22 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Makes room for at least `additional` more bytes, so that writing
+    /// them does not reallocate.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Converts into an immutable [`Bytes`] without copying: the result
+    /// views the buffer that was written.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
+    }
+}
+
+impl AsRef<[u8]> for BytesMut {
+    fn as_ref(&self) -> &[u8] {
+        &self.buf
     }
 }
 
@@ -240,6 +257,37 @@ mod tests {
     #[should_panic(expected = "slice out of bounds")]
     fn slice_rejects_overrun() {
         let _ = Bytes::from(vec![1, 2]).slice(0..3);
+    }
+
+    #[test]
+    fn freeze_keeps_the_buffer_where_it_was_written() {
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(&[1, 2, 3, 4]);
+        let written = b.as_ref().as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(frozen.as_ref().as_ptr(), written, "freeze must not copy");
+        assert_eq!(frozen.as_ref(), &[1, 2, 3, 4]);
+        // So does taking over a `Vec`, and clones and slices share it.
+        let v = vec![9u8; 32];
+        let at = v.as_ptr();
+        let bytes = Bytes::from(v);
+        assert_eq!(bytes.as_ref().as_ptr(), at, "From<Vec<u8>> must not copy");
+        assert_eq!(bytes.clone().as_ref().as_ptr(), at);
+        assert_eq!(bytes.slice(4..8).as_ref().as_ptr(), at.wrapping_add(4));
+    }
+
+    #[test]
+    fn writes_within_reserved_capacity_do_not_move_the_buffer() {
+        let mut b = BytesMut::with_capacity(1);
+        b.put_u8(7);
+        b.reserve(4096);
+        let at = b.as_ref().as_ptr();
+        for chunk in [[1u8; 1024], [2; 1024], [3; 1024], [4; 1024]] {
+            b.put_slice(&chunk);
+            assert_eq!(b.as_ref().as_ptr(), at, "put_slice within capacity reallocated");
+        }
+        assert_eq!(b.len(), 4097);
+        assert_eq!(b.freeze().as_ref().as_ptr(), at);
     }
 
     #[test]

@@ -45,6 +45,17 @@ rm target/gtv-lint.sarif.2
 step "cargo test -q"
 cargo test -q --workspace
 
+step "shim unit tests (shims/*)"
+# The offline stand-ins under shims/ are this repository's code: the wire
+# path relies on shims/bytes freezing without a copy, the trainer on
+# shims/rand's streams. No `members` entry names them — they ride in the
+# workspace run above only as path dependencies that happen to lie under the
+# workspace root — so each is also run by its own manifest here, and keeps
+# being run wherever it moves.
+for s in shims/*; do
+    cargo test --offline -q --manifest-path "$s/Cargo.toml"
+done
+
 step "gtvbench smoke (benchmark output checks at 1/50 size)"
 # The repo's one benchmark (BENCHMARK.json) is a package of its own that the
 # workspace run above does not see. Its unit tests include a pass over all
