@@ -107,6 +107,36 @@ impl ClientCondSampler {
         Self::build(table, order.iter().copied())
     }
 
+    /// Re-indexes in place after a shuffle: afterwards `self` equals
+    /// [`ClientCondSampler::from_table_in_order`]`(table, order)`, given that
+    /// `table` is the table the sampler was built from and `order` a
+    /// permutation of the order it was built (or last re-indexed) with.
+    ///
+    /// A permutation moves rows between positions and changes no count, so
+    /// the probabilities and frequencies stay as they are and every pool is
+    /// cleared and refilled inside the capacity it already has — nothing is
+    /// allocated, which is why the trainer's end-of-round shuffle calls this
+    /// instead of building a sampler per round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry of `order` is not a row of `table`, or if reading
+    /// through `order` changes how often a category occurs.
+    pub fn reindex_in_order(&mut self, table: &Table, order: &[usize]) {
+        for col in &mut self.columns {
+            let cells = table.column(col.column).as_cat();
+            col.pools.iter_mut().for_each(Vec::clear);
+            for (r, &row) in order.iter().enumerate() {
+                col.pools[cells[row] as usize].push(r);
+            }
+            assert!(
+                col.pools.iter().zip(&col.freqs).all(|(pool, &f)| pool.len() as f64 == f),
+                "reindex_in_order: the order changes the category counts of column {}",
+                col.column
+            );
+        }
+    }
+
     fn build(table: &Table, order: impl Iterator<Item = usize> + Clone) -> Option<Self> {
         let mut columns = Vec::new();
         let mut offset = 0usize;
@@ -439,6 +469,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "changes the category counts")]
+    fn reindexing_rejects_an_order_that_is_not_a_permutation() {
+        let t = demo_table();
+        let mut s = ClientCondSampler::from_table(&t).unwrap();
+        s.reindex_in_order(&t, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
     #[should_panic]
     fn order_must_name_rows_of_the_table() {
         let _ = ClientCondSampler::from_table_in_order(&demo_table(), &[0, 10]);
@@ -496,6 +534,29 @@ mod tests {
                 through.sample_batch_original(40, &mut a),
                 materialised.sample_batch_original(40, &mut b)
             );
+        }
+
+        /// Re-indexing in place through any sequence of permutations ends at
+        /// the sampler built from nothing with the last one.
+        #[test]
+        fn reindexing_in_place_equals_rebuilding(
+            (table, _) in table_and_order(),
+            seeds in proptest::collection::vec(any::<u64>(), 1..5),
+            seed in any::<u64>(),
+        ) {
+            let mut sampler = ClientCondSampler::from_table(&table).unwrap();
+            for &s in &seeds {
+                let order = Table::shuffle_permutation(table.n_rows(), s);
+                sampler.reindex_in_order(&table, &order);
+                let rebuilt = ClientCondSampler::from_table_in_order(&table, &order).unwrap();
+                prop_assert_eq!(&sampler, &rebuilt);
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                prop_assert_eq!(sampler.sample_batch(40, &mut a), rebuilt.sample_batch(40, &mut b));
+                prop_assert_eq!(
+                    sampler.sample_batch_original(40, &mut a),
+                    rebuilt.sample_batch_original(40, &mut b)
+                );
+            }
         }
 
         /// `from_table` is the identity-order case.

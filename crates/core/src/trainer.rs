@@ -800,10 +800,11 @@ impl<T: Transport> GtvTrainer<T> {
     /// The shuffle is an index, not a copy: nothing table-sized moves here.
     /// The round's permutation is composed into `current_to_initial` (every
     /// client can track it — it applies it; the server cannot), the raw and
-    /// the encoded tables stay in initial order, and each sampler is rebuilt
-    /// by reading its table through the composed order, which gives the
-    /// pools, probabilities and draws of the shuffled table (see
-    /// [`ClientCondSampler::from_table_in_order`]). The next round's steps
+    /// the encoded tables stay in initial order, and each sampler re-indexes
+    /// its row pools in place by reading its table through the composed
+    /// order, which gives the pools and draws of the shuffled table (see
+    /// [`ClientCondSampler::reindex_in_order`]; a permutation changes no
+    /// count, so the probabilities stand). The next round's steps
     /// read the encoded rows through the same order (`d_step`): the `idx_p`
     /// rows, or — where a whole table is uploaded — all of them, gathered
     /// straight into the buffer that is uploaded.
@@ -814,8 +815,9 @@ impl<T: Transport> GtvTrainer<T> {
         let perm = self.shuffler.permutation(self.n_rows, self.round);
         self.current_to_initial = perm.iter().map(|&i| self.current_to_initial[i]).collect();
         for client in &mut self.clients {
-            client.sampler =
-                ClientCondSampler::from_table_in_order(&client.table, &self.current_to_initial);
+            if let Some(sampler) = &mut client.sampler {
+                sampler.reindex_in_order(&client.table, &self.current_to_initial);
+            }
         }
     }
 

@@ -88,8 +88,9 @@ impl Adam {
 
     /// Applies one Adam update using each parameter's accumulated gradient.
     ///
-    /// The moments and the parameter are updated in place — the optimizer
-    /// allocates nothing in the training hot loop. The per-element
+    /// The moments and the parameter are updated in place, the parameter
+    /// under one write guard ([`Param::update`]) — the optimizer allocates
+    /// and copies nothing in the training hot loop. The per-element
     /// arithmetic (operand order included) matches the tensor-expression
     /// formulation it replaced, so trajectories are bit-identical.
     pub fn step(&mut self) {
@@ -98,26 +99,22 @@ impl Adam {
         let rb1 = 1.0 / (1.0 - c.beta1.powi(self.t as i32));
         let rb2 = 1.0 / (1.0 - c.beta2.powi(self.t as i32));
         for slot in &mut self.slots {
-            let grad = slot.param.grad();
-            let mut value = slot.param.value();
-            let gs = grad.as_slice();
-            let values = value.as_mut_slice();
-            let ms = slot.m.as_mut_slice();
-            let vs = slot.v.as_mut_slice();
-            for i in 0..gs.len() {
-                let mut g = gs[i];
-                if c.weight_decay != 0.0 {
-                    g += values[i] * c.weight_decay;
+            let moments = slot.m.as_mut_slice().iter_mut().zip(slot.v.as_mut_slice());
+            slot.param.update(|values, grads| {
+                // Zipped, not indexed: without a bounds check per element the
+                // loop vectorizes (sqrt and division included).
+                for ((value, &grad), (m, v)) in values.iter_mut().zip(grads).zip(moments) {
+                    let mut g = grad;
+                    if c.weight_decay != 0.0 {
+                        g += *value * c.weight_decay;
+                    }
+                    *m = *m * c.beta1 + g * (1.0 - c.beta1);
+                    *v = *v * c.beta2 + (g * g) * (1.0 - c.beta2);
+                    let m_hat = *m * rb1;
+                    let v_hat = *v * rb2;
+                    *value -= (m_hat / (v_hat.sqrt() + c.eps)) * c.lr;
                 }
-                let m = ms[i] * c.beta1 + g * (1.0 - c.beta1);
-                let v = vs[i] * c.beta2 + (g * g) * (1.0 - c.beta2);
-                ms[i] = m;
-                vs[i] = v;
-                let m_hat = m * rb1;
-                let v_hat = v * rb2;
-                values[i] -= (m_hat / (v_hat.sqrt() + c.eps)) * c.lr;
-            }
-            slot.param.set_value(value);
+            });
         }
     }
 
@@ -200,6 +197,63 @@ mod tests {
             opt.step();
         }
         assert!(p.value().item().abs() < 1e-3);
+    }
+
+    /// `Adam::step` as it was before it updated under one write guard:
+    /// copies of value and gradient out, the stepped value moved back in.
+    fn step_through_copies(params: &[Param], m: &mut [Tensor], v: &mut [Tensor], t: i32) {
+        let c = AdamConfig::default();
+        let rb1 = 1.0 / (1.0 - c.beta1.powi(t));
+        let rb2 = 1.0 / (1.0 - c.beta2.powi(t));
+        for (p, (m, v)) in params.iter().zip(m.iter_mut().zip(v.iter_mut())) {
+            let grad = p.grad();
+            let mut value = p.value();
+            let (ms, vs) = (m.as_mut_slice(), v.as_mut_slice());
+            for (i, x) in value.as_mut_slice().iter_mut().enumerate() {
+                let g = grad.as_slice()[i] + *x * c.weight_decay;
+                ms[i] = ms[i] * c.beta1 + g * (1.0 - c.beta1);
+                vs[i] = vs[i] * c.beta2 + (g * g) * (1.0 - c.beta2);
+                *x -= ((ms[i] * rb1) / ((vs[i] * rb2).sqrt() + c.eps)) * c.lr;
+            }
+            p.set_value(value);
+        }
+    }
+
+    #[test]
+    fn in_place_step_walks_the_trajectory_of_the_copying_one() {
+        let toy = || {
+            vec![
+                Param::new("w", Tensor::from_fn(3, 4, |r, c| 0.3 * r as f32 - 0.2 * c as f32)),
+                Param::new("b", Tensor::row(&[0.5, -1.5, 0.0, 2.0])),
+                Param::new("s", Tensor::scalar(-0.7)),
+            ]
+        };
+        let (stepped, reference) = (toy(), toy());
+        let mut opt = Adam::new(stepped.clone(), AdamConfig::default());
+        let mut m: Vec<Tensor> =
+            reference.iter().map(|p| Tensor::zeros(p.shape().0, p.shape().1)).collect();
+        let mut v = m.clone();
+        for t in 1..=6 {
+            for params in [&stepped, &reference] {
+                for (k, p) in params.iter().enumerate() {
+                    p.zero_grad();
+                    // A gradient that depends on where the trajectory has got to.
+                    p.accumulate_grad(&p.value().map(|x| (x + k as f32) * 0.37 - t as f32 * 0.11));
+                    if t % 2 == 0 {
+                        p.accumulate_grad(&Tensor::full(p.shape().0, p.shape().1, 0.25));
+                    }
+                }
+            }
+            opt.step();
+            step_through_copies(&reference, &mut m, &mut v, t);
+            for (a, b) in stepped.iter().zip(&reference) {
+                let bits = |p: &Param| {
+                    p.value().as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(a), bits(b), "{} diverged at step {t}", a.name());
+                assert_eq!(a.grad(), b.grad(), "step must leave the gradient alone");
+            }
+        }
     }
 
     #[test]

@@ -91,17 +91,23 @@ impl Param {
         inner.value = value;
     }
 
+    /// Runs `f` on the value and the accumulated gradient, as flat row-major
+    /// slices, under one write guard: how an optimizer steps in place,
+    /// without the copies [`Param::value`] and [`Param::grad`] make.
+    pub fn update(&self, f: impl FnOnce(&mut [f32], &[f32])) {
+        let inner = &mut *self.write();
+        f(inner.value.as_mut_slice(), inner.grad.as_slice());
+    }
+
     /// Adds `delta` to the stored gradient.
     pub fn accumulate_grad(&self, delta: &Tensor) {
         let mut inner = self.write();
         inner.grad = inner.grad.add(delta);
     }
 
-    /// Resets the stored gradient to zero.
+    /// Resets the stored gradient to zero, in its own buffer.
     pub fn zero_grad(&self) {
-        let mut inner = self.write();
-        let (r, c) = inner.value.shape();
-        inner.grad = Tensor::zeros(r, c);
+        self.write().grad.as_mut_slice().fill(0.0);
     }
 
     /// True when two handles refer to the same underlying parameter.

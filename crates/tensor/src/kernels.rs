@@ -34,12 +34,14 @@ use crate::simd;
 /// cache-resident while the packed RHS panels stream past it.
 const ROW_BLOCK: usize = 32;
 /// Share of a LHS row, as `(numerator, denominator)`, that has to be zero
-/// before the zero-skipping axpy beats the register tile. The measured
-/// crossover runs from 55% zeros (256 output columns) to 80% (64), and the
-/// rows training produces sit either side of it — 37.5–62.5% zero behind a
-/// dropout mask or ReLU, at least 87.5% zero when one-hot — so the cut lies
-/// in the gap between the two clusters and no product is split between the
-/// kernels row by row (DESIGN.md §8 has the table).
+/// before the zero-skipping axpy beats the register tile. The crossover
+/// measured at the x86-64-v3 build level runs from 72% zeros (256 output
+/// columns) through 79% (130) to 90% (64), and the rows training produces
+/// sit either side of it — 37.5–62.5% zero behind a dropout mask or ReLU,
+/// at least 87.5% zero when one-hot — so for the wide outputs that carry
+/// the FLOPs the cut lies in the gap between the two clusters and no such
+/// product is split between the kernels row by row (DESIGN.md §8 has the
+/// table, and what the cut costs narrow outputs).
 const AXPY_MIN_ZEROS: (usize, usize) = (3, 4);
 /// Elements per elementwise chunk (a multiple of [`simd::LANES`], so chunk
 /// cuts land on lane-group boundaries).

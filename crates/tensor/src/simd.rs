@@ -4,8 +4,15 @@
 //!
 //! Everything here is straight-line arithmetic over `[f32; 8]` lane arrays:
 //! no `std::simd`, no intrinsics, no `unsafe`. LLVM's autovectorizer turns
-//! each helper into packed SSE/AVX code while the source stays portable and
-//! the workspace-wide `unsafe_code = "forbid"` holds.
+//! each helper into packed code for whatever the build level offers — one
+//! 256-bit register per [`F32x8`] at the repository's x86-64-v3
+//! (`.cargo/config.toml`), two SSE registers in a baseline build — while
+//! the source stays portable and the workspace-wide
+//! `unsafe_code = "forbid"` holds. The register width changes how many
+//! instructions run, not what they compute: rustc never contracts a
+//! multiply and an add into an FMA, and every lane grouping and reduction
+//! order below is written out (`tests/target_invariance.rs` pins the bits
+//! of a baseline build, and CI runs it at both levels).
 //!
 //! Determinism contract (DESIGN.md §8):
 //!
@@ -25,7 +32,8 @@
 //!   scalar tails bit-identical to vector lanes *by construction*;
 //! * no helper uses a fused multiply-add: `mul_add`-shaped expressions are
 //!   written as two separately rounded operations, so results do not depend
-//!   on whether the target has FMA hardware.
+//!   on whether the target has FMA hardware — the v3 build level guarantees
+//!   the instruction and still never emits it.
 //!
 //! # Approximation accuracy
 //!
@@ -390,12 +398,16 @@ pub fn sum_squares(xs: &[f32]) -> f32 {
 
 // --- matmul micro-kernel --------------------------------------------------
 
-/// Output rows per register tile of the matmul micro-kernel. Two rows of
-/// two [`F32x8`] are eight SSE accumulators, which together with the four
-/// panel vectors and the broadcast fit baseline x86-64's sixteen registers;
-/// 3- and 4-row tiles measured no faster because LLVM spills their
-/// accumulators to the stack.
-pub const MR: usize = 2;
+/// Output rows per register tile of the matmul micro-kernel. Four rows of
+/// two [`F32x8`] are eight 256-bit accumulators, which with the two panel
+/// vectors and the broadcast take eleven of x86-64-v3's sixteen registers.
+/// Measured, not derived (DESIGN.md §8): at v3 the 2-row tile — four
+/// accumulators, a load per two products — leaves the FP ports a third
+/// idle; 4 rows run both paper-scale shapes a sixth faster (47.6 → 55.3 and
+/// 49.5 → 57.3 GFLOP/s), 6 rows no faster than 4. In a baseline build
+/// (sixteen SSE accumulators, some spilled) 4 rows run level with 2 and 6
+/// rows a tenth slower, so the override build loses nothing.
+pub const MR: usize = 4;
 /// Output columns per register tile: two [`F32x8`] accumulators per row,
 /// and the width of a packed RHS panel.
 pub const NR: usize = 2 * LANES;
@@ -466,8 +478,12 @@ pub fn tile(rows: usize, a: &[f32], k: usize, panel: &[f32], out: &mut [f32], m:
     match (rows, w <= LANES) {
         (1, false) => tile_rows::<1, 2>(a, k, panel, out, m, w),
         (2, false) => tile_rows::<2, 2>(a, k, panel, out, m, w),
+        (3, false) => tile_rows::<3, 2>(a, k, panel, out, m, w),
+        (4, false) => tile_rows::<4, 2>(a, k, panel, out, m, w),
         (1, true) => tile_rows::<1, 1>(a, k, panel, out, m, w),
         (2, true) => tile_rows::<2, 1>(a, k, panel, out, m, w),
+        (3, true) => tile_rows::<3, 1>(a, k, panel, out, m, w),
+        (4, true) => tile_rows::<4, 1>(a, k, panel, out, m, w),
         _ => panic!("tile height {rows} outside 1..={MR}"),
     }
 }

@@ -1,10 +1,34 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, clippy under the workspace deny-list, the
-# gtv-xtask protocol lints, and the test suite. Run from anywhere.
+# Local CI gate: the build level, formatting, clippy under the workspace
+# deny-list, the gtv-xtask protocol lints, and the test suite (the bit pins
+# at two build levels). Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s ==\n' "$*"; }
+
+step "build level (x86-64-v3 from .cargo/config.toml, and a host that runs it)"
+# The repository builds for x86-64-v3 (DESIGN.md §8). A `RUSTFLAGS` in the
+# environment silently replaces the checked-in flags, and every timing and
+# every "at the repository's level" pin below would then be of another
+# build — so ask the compiler what it was told. And a host without AVX2
+# would kill the first binary below with SIGILL; say so instead.
+if [ "$(uname -m)" = x86_64 ]; then
+    # Captured first: under `pipefail` a `grep -q` that exits at its match
+    # would turn cargo's SIGPIPE into a failure.
+    cfg="$(cargo rustc -q -p gtv-tensor --lib -- --print cfg)"
+    if ! grep -qx 'target_feature="avx2"' <<<"$cfg"; then
+        echo "ci: .cargo/config.toml did not take effect (gtv-tensor is not built with AVX2)." >&2
+        echo "    Is RUSTFLAGS set in the environment? It replaces the checked-in flags; unset it." >&2
+        exit 1
+    fi
+    if ! grep -qw avx2 /proc/cpuinfo; then
+        echo "ci: this CPU has no AVX2, so it cannot run the repository's x86-64-v3 build level." >&2
+        echo "    Build and test here at baseline with RUSTFLAGS=\"-C target-cpu=x86-64\" cargo test --workspace;" >&2
+        echo "    this gate checks the v3 level and needs a Haswell/Excavator-or-later host." >&2
+        exit 1
+    fi
+fi
 
 step "cargo fmt --check"
 cargo fmt --all --check
@@ -44,6 +68,18 @@ rm target/gtv-lint.sarif.2
 
 step "cargo test -q"
 cargo test -q --workspace
+
+step "bit pins at baseline x86-64 (two-level check)"
+# No output bit may depend on the build level (DESIGN.md §8): the same pins
+# that just passed at x86-64-v3 — kernel-output hashes taken on a baseline
+# build, the ULP sweeps and scalar-tail identities, matmul ≡ naive triple
+# loop, the trained-weights fingerprint — must pass in a baseline build of
+# the same tree. A target directory of its own, so neither build evicts the
+# other's artifacts.
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
+    -p gtv-tensor --test target_invariance --test simd_math --test prop
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
+    -p gtv --test step_work
 
 step "shim unit tests (shims/*)"
 # The offline stand-ins under shims/ are this repository's code: the wire
