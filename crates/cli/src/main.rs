@@ -511,4 +511,31 @@ mod tests {
         // Header preserved in original column order.
         assert!(text.starts_with("age,experience,income"));
     }
+
+    #[test]
+    fn non_finite_input_cell_is_reported_not_trained_on() {
+        // `NaN` parses as a number: before the CSV layer rejected it, this
+        // input trained to the end on a NaN encoder without any error.
+        let dir = std::env::temp_dir().join("gtv_cli_test_non_finite");
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("input.csv");
+        let mut text = String::from("x,label\n");
+        for i in 0..40 {
+            let x = if i == 7 { "NaN".to_string() } else { format!("{}.5", i % 9) };
+            text.push_str(&format!("{x},{}\n", if i % 2 == 0 { "yes" } else { "no" }));
+        }
+        std::fs::write(&input, text).unwrap();
+        for command in ["synth", "privacy"] {
+            let argv: Vec<String> = format!(
+                "{command} --input {} --target label --rounds 1 --out {}",
+                input.display(),
+                dir.join("out.csv").display()
+            )
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+            let err = run(&argv).unwrap_err();
+            assert!(err.contains("line 9") && err.contains("non-finite"), "{command}: {err}");
+        }
+    }
 }

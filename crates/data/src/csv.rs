@@ -69,8 +69,10 @@ impl std::error::Error for ParseCsvError {}
 /// # Errors
 ///
 /// Returns [`ParseCsvError`] if the header does not match the schema, a row
-/// has the wrong arity, a numeric cell fails to parse, or a categorical cell
-/// is not in the schema's vocabulary.
+/// has the wrong arity, a numeric cell fails to parse or is not finite
+/// (`NaN` and `inf` parse as `f64`, and one such cell would turn the
+/// column's encoder into NaN without any error), or a categorical cell is
+/// not in the schema's vocabulary.
 pub fn from_csv_string(text: &str, schema: &Schema) -> Result<Table, ParseCsvError> {
     let mut lines = text.lines();
     let header = lines.next().ok_or(ParseCsvError { line: 0, message: "empty input".into() })?;
@@ -117,13 +119,16 @@ pub fn from_csv_string(text: &str, schema: &Schema) -> Result<Table, ParseCsvErr
                     v.push(idx as u32);
                 }
                 (_, ColumnData::Float(v)) => {
-                    let val: f64 = cell.parse().map_err(|_| ParseCsvError {
-                        line: li + 2,
-                        message: format!(
-                            "invalid number '{cell}' in column '{}'",
-                            schema.column(ci).name
-                        ),
-                    })?;
+                    let val =
+                        cell.parse().ok().filter(|v: &f64| v.is_finite()).ok_or_else(|| {
+                            ParseCsvError {
+                                line: li + 2,
+                                message: format!(
+                                    "invalid or non-finite number '{cell}' in column '{}'",
+                                    schema.column(ci).name
+                                ),
+                            }
+                        })?;
                     v.push(val);
                 }
                 _ => unreachable!(),
@@ -143,13 +148,17 @@ pub fn from_csv_string(text: &str, schema: &Schema) -> Result<Table, ParseCsvErr
 /// # Errors
 ///
 /// Returns [`ParseCsvError`] on an empty input, ragged rows, an unknown
-/// `target` name, or a non-categorical target.
+/// `target` name, a non-categorical target, or a numeric column holding a
+/// non-finite cell (`NaN`, `inf`).
 pub fn infer_schema(text: &str, target: Option<&str>) -> Result<Schema, ParseCsvError> {
     let mut lines = text.lines();
     let header = lines.next().ok_or(ParseCsvError { line: 0, message: "empty input".into() })?;
     let names: Vec<&str> = header.split(',').collect();
     let n = names.len();
     let mut numeric = vec![true; n];
+    // Line and text of each column's first cell that parses to NaN or ±∞; an
+    // error only if the column stays numeric (as a label, "NaN" is fine).
+    let mut non_finite: Vec<Option<(usize, &str)>> = vec![None; n];
     let mut vocab: Vec<Vec<String>> = vec![Vec::new(); n];
     let mut numeric_counts: Vec<std::collections::HashMap<String, usize>> =
         vec![std::collections::HashMap::new(); n];
@@ -167,8 +176,12 @@ pub fn infer_schema(text: &str, target: Option<&str>) -> Result<Schema, ParseCsv
             });
         }
         for (ci, cell) in cells.iter().enumerate() {
-            if cell.parse::<f64>().is_err() {
-                numeric[ci] = false;
+            match cell.parse::<f64>() {
+                Err(_) => numeric[ci] = false,
+                Ok(v) if !v.is_finite() && non_finite[ci].is_none() => {
+                    non_finite[ci] = Some((li + 2, *cell));
+                }
+                Ok(_) => {}
             }
             if numeric[ci] {
                 *numeric_counts[ci].entry((*cell).to_string()).or_insert(0) += 1;
@@ -188,6 +201,15 @@ pub fn infer_schema(text: &str, target: Option<&str>) -> Result<Schema, ParseCsv
         })?),
         None => None,
     };
+    for (ci, name) in names.iter().enumerate() {
+        let stays_numeric = numeric[ci] && target_idx != Some(ci);
+        if let Some((line, cell)) = non_finite[ci].filter(|_| stays_numeric) {
+            return Err(ParseCsvError {
+                line,
+                message: format!("non-finite number '{cell}' in numeric column '{name}'"),
+            });
+        }
+    }
     let columns = names
         .iter()
         .enumerate()
@@ -282,6 +304,33 @@ mod tests {
         let err = from_csv_string("v,g\n1.0,zzz\n", t.schema()).unwrap_err();
         assert!(err.message.contains("unknown category"));
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn non_finite_numeric_cells_are_typed_errors_with_their_line() {
+        // `"NaN".parse::<f64>()` and `"inf"` succeed; left alone, the column
+        // is inferred continuous and its encoder fits to NaN.
+        let xg = Schema::new(
+            vec![
+                ColumnMeta::new("x", ColumnKind::Continuous),
+                ColumnMeta::new("g", ColumnKind::categorical(["a", "b"])),
+            ],
+            None,
+        );
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            let text = format!("x,g\n1.5,a\n{bad},b\n2.5,a\n");
+            let err = infer_schema(&text, None).unwrap_err();
+            assert_eq!(err.line, 3, "{bad}: {err}");
+            assert!(err.message.contains("non-finite") && err.message.contains("'x'"), "{err}");
+            let err = from_csv_string(&text, &xg).unwrap_err();
+            assert_eq!(err.line, 3, "{bad}: {err}");
+            assert!(err.message.contains("non-finite"), "{err}");
+        }
+        // As a label of a column that is categorical anyway — by its other
+        // cells or as the target — "NaN" is just a string.
+        let schema = infer_schema("g,y\nNaN,0\nb,NaN\nNaN,1\n", Some("y")).unwrap();
+        assert_eq!(schema.column(0).kind.n_categories(), Some(2));
+        assert_eq!(schema.column(1).kind.n_categories(), Some(3));
     }
 
     #[test]

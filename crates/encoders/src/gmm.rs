@@ -5,13 +5,27 @@
 //! mixture with `max_components` components and prune components whose
 //! weight collapses below a threshold, which reproduces VGM's key behaviour
 //! (only as many active modes as the data supports).
+//!
+//! The fit is the fixed cost every party pays before its first round, and
+//! nearly all of it is the E-step: `EM_ITERS` sweeps × rows × components
+//! exponentials. [`e_step`] therefore works on blocks of [`BLOCK`] rows in
+//! structure-of-arrays form and in the log domain, with the exponential
+//! and the moment sums in `gtv_tensor::simd` lanes (DESIGN.md §8).
 
+use gtv_tensor::simd::{self, WeightedMoments};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const WEIGHT_PRUNE_THRESHOLD: f64 = 0.005;
 const EM_ITERS: usize = 60;
 const MIN_STD_FRAC: f64 = 1e-4;
+/// Rows per E-step block: a multiple of the eight moment lanes, and small
+/// enough that the `(k + 2) × BLOCK` scratch (14 KB at `k = 5`) stays in L1
+/// across the block's three passes.
+const BLOCK: usize = 256;
+/// Posterior buffers up to this many components live on the stack in
+/// [`Gmm1d::sample_mode`] (CTGAN's own default is 10 modes).
+const STACK_MODES: usize = 16;
 
 /// A 1-D Gaussian mixture model.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,10 +43,13 @@ impl Gmm1d {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or `max_components == 0`.
+    /// Panics if `data` is empty or holds a NaN or an infinity, or if
+    /// `max_components == 0`.
     pub fn fit(data: &[f64], max_components: usize, seed: u64) -> Self {
         assert!(!data.is_empty(), "cannot fit a GMM to empty data");
         assert!(max_components > 0, "need at least one component");
+        // One NaN would come back as `w = [1.0], μ = [NaN]` without any error.
+        assert!(data.iter().all(|v| v.is_finite()), "cannot fit a GMM to non-finite data");
         let mut rng = StdRng::seed_from_u64(seed);
 
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -65,29 +82,19 @@ impl Gmm1d {
         let mut stds = vec![global_std / k as f64 + min_std; k];
         let mut weights = vec![1.0 / k as f64; k];
 
-        let mut resp = vec![0.0f64; k];
+        let mut scratch = vec![0.0f64; (k + 2) * BLOCK];
+        let n = data.len() as f64;
         for _ in 0..EM_ITERS {
-            // Accumulators.
-            let mut nk = vec![0.0f64; k];
-            let mut sum = vec![0.0f64; k];
-            let mut sq = vec![0.0f64; k];
-            for &x in data {
-                posterior(&weights, &means, &stds, x, &mut resp);
-                for j in 0..k {
-                    nk[j] += resp[j];
-                    sum[j] += resp[j] * x;
-                    sq[j] += resp[j] * x * x;
-                }
-            }
-            let n = data.len() as f64;
-            for j in 0..k {
-                if nk[j] < 1e-10 {
+            let moments = e_step(data, &weights, &means, &stds, &mut scratch);
+            for (j, m) in moments.iter().enumerate() {
+                let [nk, sum, sq] = m.totals();
+                if nk < 1e-10 {
                     weights[j] = 0.0;
                     continue;
                 }
-                weights[j] = nk[j] / n;
-                means[j] = sum[j] / nk[j];
-                let var = (sq[j] / nk[j] - means[j] * means[j]).max(min_std * min_std);
+                weights[j] = nk / n;
+                means[j] = sum / nk;
+                let var = (sq / nk - means[j] * means[j]).max(min_std * min_std);
                 stds[j] = var.sqrt();
             }
         }
@@ -150,7 +157,18 @@ impl Gmm1d {
     /// Samples a component from the posterior `p(component | x)` — the mode
     /// assignment CTGAN uses during encoding.
     pub fn sample_mode(&self, x: f64, rng: &mut StdRng) -> usize {
-        let resp = self.responsibilities(x);
+        // Called once per continuous cell of an encode: the posterior goes
+        // to the stack, not to a fresh `Vec` each time.
+        let k = self.n_components();
+        let mut stack = [0.0f64; STACK_MODES];
+        let mut heap = Vec::new();
+        let resp = if k <= STACK_MODES {
+            &mut stack[..k]
+        } else {
+            heap.resize(k, 0.0);
+            &mut heap[..]
+        };
+        posterior(&self.weights, &self.means, &self.stds, x, resp);
         let mut u = rng.gen::<f64>();
         for (i, &r) in resp.iter().enumerate() {
             u -= r;
@@ -189,6 +207,73 @@ fn gauss_pdf(x: f64, mean: f64, std: f64) -> f64 {
     (-0.5 * z * z).exp() / (std * (2.0 * std::f64::consts::PI).sqrt())
 }
 
+/// One E-step sweep: the posterior-weighted moments `Σr, Σr·x, Σr·x²` of
+/// every component, `r` being the responsibilities of the mixture
+/// `(weights, means, stds)`.
+///
+/// Per block of [`BLOCK`] rows, component by component: the exponents
+/// `e_j = ln w_j − ln(σ_j√2π) − ½((x−μ_j)/σ_j)²` and their row maximum,
+/// then `p_j = exp(e_j − max)` and the row total, then one reciprocal per
+/// row and the moments. Subtracting the maximum (log-sum-exp) makes the
+/// largest term of a row exactly 1, so the total is ≥ 1 however far the
+/// row lies from every mean: an outlier gets its true posterior where
+/// [`posterior`]'s product form underflows to its nearest-mean fallback. A
+/// dead component (`w_j = 0`) has `e_j = −∞` and `p_j = 0` throughout.
+///
+/// `scratch` is `(k + 2) × BLOCK` long: `k` rows of exponents, the row
+/// maxima, the row totals.
+fn e_step(
+    data: &[f64],
+    weights: &[f64],
+    means: &[f64],
+    stds: &[f64],
+    scratch: &mut [f64],
+) -> Vec<WeightedMoments> {
+    let k = weights.len();
+    let sqrt_2pi = (2.0 * std::f64::consts::PI).sqrt();
+    let offsets: Vec<f64> = (0..k).map(|j| weights[j].ln() - (stds[j] * sqrt_2pi).ln()).collect();
+    let inv_stds: Vec<f64> = stds.iter().map(|s| 1.0 / s).collect();
+    let mut moments = vec![WeightedMoments::default(); k];
+    let (exps, rest) = scratch.split_at_mut(k * BLOCK);
+    let (top, total) = rest.split_at_mut(BLOCK);
+    for x in data.chunks(BLOCK) {
+        let len = x.len();
+        let (top, total) = (&mut top[..len], &mut total[..len]);
+        top.fill(f64::NEG_INFINITY);
+        for (j, e) in exps.chunks_exact_mut(BLOCK).enumerate() {
+            let (offset, mean, inv_std) = (offsets[j], means[j], inv_stds[j]);
+            for ((e, t), &x) in e[..len].iter_mut().zip(top.iter_mut()).zip(x) {
+                let z = (x - mean) * inv_std;
+                *e = offset - 0.5 * z * z;
+                if *e > *t {
+                    *t = *e;
+                }
+            }
+        }
+        total.fill(0.0);
+        for e in exps.chunks_exact_mut(BLOCK) {
+            let e = &mut e[..len];
+            for (e, &t) in e.iter_mut().zip(top.iter()) {
+                *e -= t;
+            }
+            simd::exp_slice_f64(e);
+            for (s, &p) in total.iter_mut().zip(e.iter()) {
+                *s += p;
+            }
+        }
+        for s in total.iter_mut() {
+            *s = 1.0 / *s;
+        }
+        for (m, p) in moments.iter_mut().zip(exps.chunks_exact(BLOCK)) {
+            m.add_block(&p[..len], total, x);
+        }
+    }
+    moments
+}
+
+/// The posterior of one value in the product form `w_j·N(x; μ_j, σ_j)`,
+/// normalised — what [`Gmm1d::responsibilities`] and [`Gmm1d::sample_mode`]
+/// evaluate, so that a given mixture always encodes a cell the same way.
 fn posterior(weights: &[f64], means: &[f64], stds: &[f64], x: f64, out: &mut [f64]) {
     let mut total = 0.0;
     for j in 0..weights.len() {
@@ -309,6 +394,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mode = gmm.sample_mode(5.0, &mut rng);
         assert!((gmm.means()[mode] - 5.0).abs() < 1.5);
+    }
+
+    #[test]
+    fn rejects_non_finite_data_instead_of_fitting_nan() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = bimodal(500, 6);
+            data[123] = bad;
+            let panic = std::panic::catch_unwind(|| Gmm1d::fit(&data, 3, 0)).unwrap_err();
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("non-finite"), "{bad}: {message}");
+        }
     }
 
     #[test]

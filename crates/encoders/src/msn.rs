@@ -45,17 +45,19 @@ impl ModeSpecificNormalizer {
     /// Panics if `out.len() != width()`.
     pub fn encode_into(&self, x: f64, out: &mut [f32], rng: &mut StdRng) {
         assert_eq!(out.len(), self.width(), "output slice width mismatch");
-        let mode = self.gmm.sample_mode(x, rng);
-        let alpha = self.alpha_for(x, mode);
+        let (alpha, mode) = self.alpha_and_mode(x, rng);
         out.fill(0.0);
         out[0] = alpha;
         out[1 + mode] = 1.0;
     }
 
-    fn alpha_for(&self, x: f64, mode: usize) -> f32 {
+    /// Samples the mode of `x` from the GMM posterior (one `f64` draw) and
+    /// normalises `x` within it.
+    fn alpha_and_mode(&self, x: f64, rng: &mut StdRng) -> (f32, usize) {
+        let mode = self.gmm.sample_mode(x, rng);
         let mean = self.gmm.means()[mode];
         let std = self.gmm.stds()[mode].max(1e-12);
-        (((x - mean) / (4.0 * std)) as f32).clamp(-1.0, 1.0)
+        ((((x - mean) / (4.0 * std)) as f32).clamp(-1.0, 1.0), mode)
     }
 
     /// Decodes `[α, β…]` (β may be soft; decoded by argmax).
@@ -65,8 +67,13 @@ impl ModeSpecificNormalizer {
     /// Panics if `values.len() != width()`.
     pub fn decode(&self, values: &[f32]) -> f64 {
         assert_eq!(values.len(), self.width(), "input slice width mismatch");
-        let alpha = values[0].clamp(-1.0, 1.0) as f64;
-        let beta = &values[1..];
+        self.decode_parts(values[0], &values[1..])
+    }
+
+    /// Decodes `α` and the mode indicators `β` given apart — a mixed column
+    /// keeps its special-value indicators between the two.
+    fn decode_parts(&self, alpha: f32, beta: &[f32]) -> f64 {
+        let alpha = alpha.clamp(-1.0, 1.0) as f64;
         let mut mode = 0;
         for (i, &v) in beta.iter().enumerate() {
             if v > beta[mode] {
@@ -134,11 +141,9 @@ impl MixedEncoder {
             out[1 + si] = 1.0;
             return;
         }
-        let ns = self.specials.len();
-        let mut tmp = vec![0.0f32; self.msn.width()];
-        self.msn.encode_into(x, &mut tmp, rng);
-        out[0] = tmp[0];
-        out[1 + ns..].copy_from_slice(&tmp[1..]);
+        let (alpha, mode) = self.msn.alpha_and_mode(x, rng);
+        out[0] = alpha;
+        out[1 + self.specials.len() + mode] = 1.0;
     }
 
     /// Decodes `[α, specials…, modes…]`.
@@ -159,10 +164,7 @@ impl MixedEncoder {
         if best < ns {
             return self.specials[best];
         }
-        let mut tmp = vec![0.0f32; self.msn.width()];
-        tmp[0] = values[0];
-        tmp[1..].copy_from_slice(&values[1 + ns..]);
-        self.msn.decode(&tmp)
+        self.msn.decode_parts(values[0], &values[1 + ns..])
     }
 }
 
@@ -249,6 +251,132 @@ mod tests {
         enc.encode_into(10.2, &mut buf, &mut rng);
         let back = enc.decode(&buf);
         assert!((back - 10.2).abs() < 0.5, "back={back}");
+    }
+
+    /// The encode and decode of the commit before they stopped allocating
+    /// (a `Vec` of responsibilities per sampled mode, a `tmp` `Vec` per mixed
+    /// cell), kept as the reference the in-place forms are compared with.
+    mod allocating {
+        use super::*;
+        use rand::Rng;
+
+        pub fn sample_mode(gmm: &Gmm1d, x: f64, rng: &mut StdRng) -> usize {
+            let resp = gmm.responsibilities(x);
+            let mut u = rng.gen::<f64>();
+            for (i, &r) in resp.iter().enumerate() {
+                u -= r;
+                if u <= 0.0 {
+                    return i;
+                }
+            }
+            resp.len() - 1
+        }
+
+        pub fn msn_encode_into(
+            e: &ModeSpecificNormalizer,
+            x: f64,
+            out: &mut [f32],
+            rng: &mut StdRng,
+        ) {
+            let mode = sample_mode(&e.gmm, x, rng);
+            let mean = e.gmm.means()[mode];
+            let std = e.gmm.stds()[mode].max(1e-12);
+            out.fill(0.0);
+            out[0] = (((x - mean) / (4.0 * std)) as f32).clamp(-1.0, 1.0);
+            out[1 + mode] = 1.0;
+        }
+
+        pub fn mixed_encode_into(e: &MixedEncoder, x: f64, out: &mut [f32], rng: &mut StdRng) {
+            out.fill(0.0);
+            if let Some(si) = e.specials.iter().position(|s| close(*s, x)) {
+                out[1 + si] = 1.0;
+                return;
+            }
+            let ns = e.specials.len();
+            let mut tmp = vec![0.0f32; e.msn.width()];
+            msn_encode_into(&e.msn, x, &mut tmp, rng);
+            out[0] = tmp[0];
+            out[1 + ns..].copy_from_slice(&tmp[1..]);
+        }
+
+        pub fn mixed_decode(e: &MixedEncoder, values: &[f32]) -> f64 {
+            let ns = e.specials.len();
+            let indicators = &values[1..];
+            let mut best = 0;
+            for (i, &v) in indicators.iter().enumerate() {
+                if v > indicators[best] {
+                    best = i;
+                }
+            }
+            if best < ns {
+                return e.specials[best];
+            }
+            let mut tmp = vec![0.0f32; e.msn.width()];
+            tmp[0] = values[0];
+            tmp[1..].copy_from_slice(&values[1 + ns..]);
+            e.msn.decode(&tmp)
+        }
+    }
+
+    #[test]
+    fn in_place_encode_and_decode_match_the_allocating_forms_cell_for_cell() {
+        use gtv_data::{ColumnKind, Dataset};
+        use rand::Rng;
+        let (mut continuous, mut mixed, mut special_cells) = (0, 0, 0);
+        for ds in Dataset::all() {
+            let table = ds.generate(600, 3);
+            for (ci, meta) in table.schema().columns().iter().enumerate() {
+                let seed = 3 + ci as u64;
+                // One stream per side, cloned: any extra or missing draw
+                // shows in every later cell of the column.
+                let mut rng = StdRng::seed_from_u64(100 + seed);
+                let mut rng_ref = rng.clone();
+                // Soft generator-like rows for decode, besides the one-hot
+                // rows encode produces.
+                let mut soft = StdRng::seed_from_u64(200 + seed);
+                match &meta.kind {
+                    ColumnKind::Categorical { .. } => {}
+                    ColumnKind::Continuous => {
+                        let cells = table.column(ci).as_float();
+                        let enc = ModeSpecificNormalizer::fit(cells, 5, seed);
+                        let (mut got, mut want) = (vec![0.0; enc.width()], vec![0.0; enc.width()]);
+                        for &x in cells {
+                            enc.encode_into(x, &mut got, &mut rng);
+                            allocating::msn_encode_into(&enc, x, &mut want, &mut rng_ref);
+                            assert_eq!(got, want, "{ds} column {ci}, cell {x}");
+                        }
+                        assert_eq!(rng.gen::<u64>(), rng_ref.gen::<u64>(), "{ds} column {ci}");
+                        continuous += 1;
+                    }
+                    ColumnKind::Mixed { special_values } => {
+                        let cells = table.column(ci).as_float();
+                        let enc = MixedEncoder::fit(cells, special_values, 5, seed);
+                        let (mut got, mut want) = (vec![0.0; enc.width()], vec![0.0; enc.width()]);
+                        for &x in cells {
+                            enc.encode_into(x, &mut got, &mut rng);
+                            allocating::mixed_encode_into(&enc, x, &mut want, &mut rng_ref);
+                            assert_eq!(got, want, "{ds} column {ci}, cell {x}");
+                            special_cells += usize::from(got[0] == 0.0 && got[1] == 1.0);
+                            let back = enc.decode(&got);
+                            assert_eq!(
+                                back.to_bits(),
+                                allocating::mixed_decode(&enc, &got).to_bits()
+                            );
+                            let noisy: Vec<f32> =
+                                (0..enc.width()).map(|_| soft.gen_range(-1.5f32..1.5)).collect();
+                            assert_eq!(
+                                enc.decode(&noisy).to_bits(),
+                                allocating::mixed_decode(&enc, &noisy).to_bits(),
+                                "{ds} column {ci}, soft row {noisy:?}"
+                            );
+                        }
+                        assert_eq!(rng.gen::<u64>(), rng_ref.gen::<u64>(), "{ds} column {ci}");
+                        mixed += 1;
+                    }
+                }
+            }
+        }
+        assert!(continuous >= 40 && mixed >= 10 && special_cells >= 1_000, "{continuous} {mixed}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Portable f32x8 micro-kernels — the only sanctioned home for lane-level
 //! vectorization (the xtask L2 determinism lint flags `[f32; 8]` lane code
-//! anywhere else in the tree).
+//! anywhere else in the tree) — and, under the same rules, the `f64` lanes
+//! of the encoder fit: a four-lane [`exp_f64`] and the eight-lane
+//! [`WeightedMoments`] reduction.
 //!
 //! Everything here is straight-line arithmetic over `[f32; 8]` lane arrays:
 //! no `std::simd`, no intrinsics, no `unsafe`. LLVM's autovectorizer turns
@@ -394,6 +396,184 @@ pub fn sum_squares(xs: &[f32]) -> f32 {
         s += v * v;
     }
     s
+}
+
+// --- f64 lanes: exp and the weighted-moment reduction ---------------------
+//
+// The encoder fit (`gtv-encoders`, `Gmm1d::fit`) is `f64` throughout; its
+// E-step is exponentials and three running sums. Same rules as the `f32`
+// kernels above: lanewise-pure arithmetic on plain arrays, two rounded
+// operations where an FMA would fit, one written-out combine order. The
+// entry points are deliberately *not* `#[inline]`: they are called once per
+// 256-row block from another crate, and staying out of line keeps them
+// compiled with this crate's optimisation level in `cargo test` too.
+
+/// Lane width of the `f64` exp kernel: one 256-bit register at x86-64-v3.
+/// Eight lanes were measured no faster — LLVM turns an `[f64; 8]` through
+/// this kernel into stride-8 gathers with spills (DESIGN.md §8).
+const LANES_F64: usize = 4;
+type F64x4 = [f64; LANES_F64];
+/// Accumulator lanes of [`WeightedMoments`].
+const MOMENT_LANES: usize = 8;
+
+/// Asserted upper bound (in f64 ULP) on `|exp_f64(x) − libm exp(x)|` over
+/// the sweep of `[EXP_F64_FLUSH, ln f64::MAX]` in `tests/simd_math.rs`.
+pub const EXP_F64_MAX_ULP: u64 = 2;
+
+/// Inputs above this (`ln f64::MAX`) overflow: the kernel returns `+∞`.
+const EXP64_OVERFLOW: f64 = 709.782_712_893_384;
+/// Inputs below this are flushed to `+0.0`. `e^−708` is still a normal
+/// number, so the kernel never has to build a subnormal; libm's gradual
+/// underflow over `[−745.1, −708)` is the one place the two differ by more
+/// than [`EXP_F64_MAX_ULP`].
+pub const EXP_F64_FLUSH: f64 = -708.0;
+/// `1.5·2⁵²` — adding it rounds a double (|v| < 2⁵¹) to the nearest integer
+/// and leaves that integer, in two's complement, in the low mantissa bits.
+const EXP64_MAGIC: f64 = 6_755_399_441_055_744.0;
+/// `ln 2` split so that `n·LN2_HI` is exact for `|n| ≤ 2¹¹` (the low 21
+/// bits of the high part are zero) — fdlibm's Cody–Waite pair.
+const EXP64_LN2_HI: f64 = 6.931_471_803_691_238e-1;
+const EXP64_LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+/// Taylor coefficients `1/k!` of the degree-13 core, highest degree first,
+/// split by parity: `e^r = 1 + r + r²·(E(r²) + r·O(r²))` with `E` over
+/// `k = 12, 10, …, 2` and `O` over `k = 13, 11, …, 3`. On `|r| ≤ ln2/2` the
+/// truncation error is `r¹⁴/14! < 5e-18`, a twentieth of an ULP.
+const EXP64_EVEN: [f64; 6] =
+    [1.0 / 479_001_600.0, 1.0 / 3_628_800.0, 1.0 / 40_320.0, 1.0 / 720.0, 1.0 / 24.0, 0.5];
+const EXP64_ODD: [f64; 6] = [
+    1.0 / 6_227_020_800.0,
+    1.0 / 39_916_800.0,
+    1.0 / 362_880.0,
+    1.0 / 5_040.0,
+    1.0 / 120.0,
+    1.0 / 6.0,
+];
+
+/// Four-lane `e^x` in `f64`: Cody–Waite reduction `x = n·ln2 + r`,
+/// degree-13 Taylor core, exact power-of-two rescale. Lanewise pure.
+///
+/// The core runs as two Horner chains in `r²` rather than one in `r`: the
+/// single chain is 28 dependent operations, and with the few groups the
+/// scheduler keeps in flight the loop waits on latency instead of filling
+/// the ports (3.1 → 2.5 ns per element at x86-64-v3; no further from libm).
+/// There is no input clamp: a lane outside `[EXP_F64_FLUSH, ln f64::MAX]`
+/// computes garbage without trapping and the selects at the end replace it.
+#[inline(always)]
+fn exp4(x: F64x4) -> F64x4 {
+    use std::array::from_fn;
+    // n = round(x / ln 2) through the magic-number shift; for an in-range
+    // lane n ∈ [-1021, 1024].
+    let shifted: F64x4 = from_fn(|i| x[i] * std::f64::consts::LOG2_E + EXP64_MAGIC);
+    let n: F64x4 = from_fn(|i| shifted[i] - EXP64_MAGIC);
+    let r: F64x4 = from_fn(|i| (x[i] - n[i] * EXP64_LN2_HI) - n[i] * EXP64_LN2_LO);
+    let r2: F64x4 = from_fn(|i| r[i] * r[i]);
+    let mut even = [EXP64_EVEN[0]; LANES_F64];
+    let mut odd = [EXP64_ODD[0]; LANES_F64];
+    for (&ce, &co) in EXP64_EVEN[1..].iter().zip(&EXP64_ODD[1..]) {
+        even = from_fn(|i| even[i] * r2[i] + ce);
+        odd = from_fn(|i| odd[i] * r2[i] + co);
+    }
+    let q: F64x4 = from_fn(|i| odd[i] * r[i] + even[i]);
+    let p: F64x4 = from_fn(|i| (q[i] * r2[i] + r[i]) + 1.0);
+    // 2ⁿ⁻¹ straight from the shifted value: its low mantissa bits are `n`,
+    // so adding the bias less one and shifting left by 52 drops everything
+    // else and leaves `n + 1022 ∈ [1, 2046]` in the exponent field — a
+    // normal number at both ends of the range. Unsigned add and shift only:
+    // AVX2 has no 64-bit arithmetic shift, and one would scalarise the loop.
+    // `(2p)·2ⁿ⁻¹` is then exact, and overflows exactly when `p·2ⁿ` does.
+    let y: F64x4 = from_fn(|i| {
+        let scale = f64::from_bits(shifted[i].to_bits().wrapping_add(1022) << 52);
+        (p[i] * 2.0) * scale
+    });
+    // Saturate, flush and restore NaN lanes — three single-compare selects,
+    // as in `exp8`.
+    let y: F64x4 = from_fn(|i| if x[i] > EXP64_OVERFLOW { f64::INFINITY } else { y[i] });
+    let y: F64x4 = from_fn(|i| if x[i] < EXP_F64_FLUSH { 0.0 } else { y[i] });
+    from_fn(|i| if x[i].is_nan() { x[i] } else { y[i] })
+}
+
+/// Scalar `f64` exp — lane 0 of the four-lane kernel on a splat, so the
+/// tail of [`exp_slice_f64`] agrees with its lanes bit for bit. Within
+/// [`EXP_F64_MAX_ULP`] of libm on `[EXP_F64_FLUSH, ln f64::MAX]`; `+0.0`
+/// below, `+∞` above, NaN preserved.
+pub fn exp_f64(x: f64) -> f64 {
+    exp4([x; LANES_F64])[0]
+}
+
+/// `xs[i] ← e^{xs[i]}` in place: four-lane groups, then the ≤3-element tail
+/// through the splat path. Element `i` of the result depends on `xs[i]`
+/// alone.
+pub fn exp_slice_f64(xs: &mut [f64]) {
+    let mut groups = xs.chunks_exact_mut(LANES_F64);
+    for g in &mut groups {
+        let mut lanes = [0.0; LANES_F64];
+        lanes.copy_from_slice(g);
+        g.copy_from_slice(&exp4(lanes));
+    }
+    for v in groups.into_remainder() {
+        *v = exp_f64(*v);
+    }
+}
+
+/// Running `Σr`, `Σr·x`, `Σr·x²` with `r = p·scale` — the sufficient
+/// statistics of one Gaussian component under posterior weights. Rows go
+/// to eight fixed accumulator lanes by their position in the block (so
+/// every block but the last must be a multiple of eight long for the lanes
+/// to be those of the whole column), a ragged end of block is summed
+/// sequentially on its own, and [`WeightedMoments::totals`] combines the
+/// lanes in the one [`F32x8::hsum`] order before adding it: the rounding
+/// tree is a pure function of the block lengths.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WeightedMoments {
+    lanes: [[f64; MOMENT_LANES]; 3],
+    tail: [f64; 3],
+}
+
+impl WeightedMoments {
+    /// Adds one block of rows: `r[i] = p[i]·scale[i]`, then `r`, `r·x[i]`
+    /// and `(r·x[i])·x[i]`, each rounded separately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
+    pub fn add_block(&mut self, p: &[f64], scale: &[f64], x: &[f64]) {
+        assert!(
+            p.len() == scale.len() && p.len() == x.len(),
+            "moment block slices differ in length"
+        );
+        // Local copies: through `&mut self` the compiler must assume the
+        // accumulators alias the inputs and reloads them every group.
+        let [mut s0, mut s1, mut s2] = self.lanes;
+        let mut pg = p.chunks_exact(MOMENT_LANES);
+        let mut sg = scale.chunks_exact(MOMENT_LANES);
+        let mut xg = x.chunks_exact(MOMENT_LANES);
+        for ((pc, sc), xc) in (&mut pg).zip(&mut sg).zip(&mut xg) {
+            for l in 0..MOMENT_LANES {
+                let r = pc[l] * sc[l];
+                let rx = r * xc[l];
+                s0[l] += r;
+                s1[l] += rx;
+                s2[l] += rx * xc[l];
+            }
+        }
+        self.lanes = [s0, s1, s2];
+        for ((&pv, &sv), &xv) in pg.remainder().iter().zip(sg.remainder()).zip(xg.remainder()) {
+            let r = pv * sv;
+            let rx = r * xv;
+            self.tail[0] += r;
+            self.tail[1] += rx;
+            self.tail[2] += rx * xv;
+        }
+    }
+
+    /// `[Σr, Σr·x, Σr·x²]`: per moment
+    /// `(((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))) + tail`.
+    pub fn totals(&self) -> [f64; 3] {
+        std::array::from_fn(|m| {
+            let l = self.lanes[m];
+            (((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]))) + self.tail[m]
+        })
+    }
 }
 
 // --- matmul micro-kernel --------------------------------------------------

@@ -4,6 +4,10 @@
 //!   within the documented bounds ([`simd::TANH_MAX_ULP`] /
 //!   [`simd::SIGMOID_MAX_ULP`]) across a dense sweep of [-20, 20] plus the
 //!   IEEE edge inventory: ±0.0, subnormals, NaN, ±∞ and the clamp knees.
+//! * The **`f64` exp** of the encoder fit is held to libm within
+//!   [`simd::EXP_F64_MAX_ULP`] over its whole finite range, with its one
+//!   deliberate difference (flush to `+0` where libm goes subnormal) and
+//!   the slice form's lanes-equal-tail identity checked beside it.
 //! * **Bit-identity proptests** check that every vectorized kernel matches
 //!   its scalar form exactly — tails, lane boundaries and all — for
 //!   `GTV_THREADS` ∈ {1, 2, 8}. The scalar forms are defined as lane 0 of
@@ -131,6 +135,111 @@ fn edge_cases_match_libm_semantics() {
                 ulp_distance(s, 1.0 / (1.0 + (-x).exp())) <= u64::from(simd::SIGMOID_MAX_ULP),
                 "sigmoid({x:e})"
             );
+        }
+    }
+}
+
+/// [`ulp_distance`] on the `f64` lattice.
+fn ulp_distance_f64(a: f64, b: f64) -> u64 {
+    fn lattice(x: f64) -> i128 {
+        let bits = x.to_bits() as i64;
+        i128::from(if bits < 0 { i64::MIN.wrapping_sub(bits) } else { bits })
+    }
+    (lattice(a) - lattice(b)).unsigned_abs() as u64
+}
+
+/// Largest argument with a finite `e^x`: `ln f64::MAX`.
+const EXP_F64_LAST_FINITE: f64 = 709.782_712_893_384;
+
+#[test]
+fn exp_f64_stays_within_its_ulp_bound_of_libm() {
+    // 2M points over [-745, 709.8]: libm's whole non-trivial range, from
+    // its last subnormal result to just past the overflow.
+    let (lo, hi, steps) = (-745.0f64, 709.8f64, 2_000_000u32);
+    let mut worst = 0u64;
+    for i in 0..=steps {
+        let x = lo + f64::from(i) * ((hi - lo) / f64::from(steps));
+        let (got, want) = (simd::exp_f64(x), x.exp());
+        if x < simd::EXP_F64_FLUSH {
+            // Flushed where libm underflows gradually; e^-708 is 1.5× the
+            // smallest normal, so nothing above 2·MIN_POSITIVE is lost.
+            assert_eq!(got.to_bits(), 0, "exp_f64({x:e}) = {got:e} below the flush point");
+            assert!(want < 2.0 * f64::MIN_POSITIVE, "libm exp({x:e}) = {want:e}");
+        } else if x > EXP_F64_LAST_FINITE {
+            assert_eq!((got, want), (f64::INFINITY, f64::INFINITY), "exp({x:e})");
+        } else {
+            let d = ulp_distance_f64(got, want);
+            worst = worst.max(d);
+            assert!(
+                d <= simd::EXP_F64_MAX_ULP,
+                "exp_f64({x:e}) = {got:e}, libm {want:e}: {d} ULP > bound {}",
+                simd::EXP_F64_MAX_ULP
+            );
+        }
+    }
+    assert!(worst > 0, "a zero-ULP sweep means the comparison is broken");
+}
+
+#[test]
+fn exp_f64_edge_inventory() {
+    let next_up = |x: f64| f64::from_bits(if x < 0.0 { x.to_bits() - 1 } else { x.to_bits() + 1 });
+    let next_down =
+        |x: f64| f64::from_bits(if x < 0.0 { x.to_bits() + 1 } else { x.to_bits() - 1 });
+    // ±0 and subnormal arguments: exactly 1.
+    for x in [0.0, -0.0, f64::from_bits(1), -f64::from_bits(1), f64::MIN_POSITIVE, -1e-300] {
+        assert_eq!(simd::exp_f64(x).to_bits(), 1.0f64.to_bits(), "exp_f64({x:e})");
+    }
+    // The flush point itself is a normal number inside the bound; one step
+    // below it, and everywhere libm returns a subnormal, the result is +0.
+    let at_flush = simd::exp_f64(simd::EXP_F64_FLUSH);
+    assert!(at_flush >= f64::MIN_POSITIVE);
+    assert!(
+        ulp_distance_f64(at_flush, simd::EXP_F64_FLUSH.exp()) <= simd::EXP_F64_MAX_ULP,
+        "{at_flush:e}"
+    );
+    for x in [next_down(simd::EXP_F64_FLUSH), -708.4, -720.0, -744.9, -745.2, -1e9, f64::MIN] {
+        assert_eq!(simd::exp_f64(x).to_bits(), 0, "exp_f64({x:e}) must be +0");
+    }
+    // The overflow knee: the last finite result, then +∞.
+    let top = simd::exp_f64(EXP_F64_LAST_FINITE);
+    assert!(top.is_finite());
+    assert!(ulp_distance_f64(top, EXP_F64_LAST_FINITE.exp()) <= simd::EXP_F64_MAX_ULP, "{top:e}");
+    for x in [next_up(EXP_F64_LAST_FINITE), 710.0, 1e9, f64::MAX, f64::INFINITY] {
+        assert_eq!(simd::exp_f64(x), f64::INFINITY, "exp_f64({x:e})");
+    }
+    assert_eq!(simd::exp_f64(f64::NEG_INFINITY).to_bits(), 0);
+    assert!(simd::exp_f64(f64::NAN).is_nan());
+    // Lanes and tail: every position of a slice — four-lane groups and the
+    // splat tail of every length — gives the bits of the scalar form.
+    let edges = [
+        0.0,
+        -0.0,
+        -1e-300,
+        -0.3,
+        -37.5,
+        -707.9,
+        simd::EXP_F64_FLUSH,
+        next_down(simd::EXP_F64_FLUSH),
+        -745.0,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.0,
+        EXP_F64_LAST_FINITE,
+        710.0,
+        f64::INFINITY,
+    ];
+    for len in 0..=11 {
+        for start in 0..edges.len() {
+            let xs: Vec<f64> = (0..len).map(|i| edges[(start + i) % edges.len()]).collect();
+            let mut got = xs.clone();
+            simd::exp_slice_f64(&mut got);
+            for (i, (&x, &g)) in xs.iter().zip(&got).enumerate() {
+                let want = simd::exp_f64(x);
+                assert!(
+                    g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
+                    "len {len}, position {i}: exp({x:e}) = {g:e}, scalar form {want:e}"
+                );
+            }
         }
     }
 }
@@ -269,5 +378,50 @@ fn sum_lane_combine_order_is_pinned() {
             want += v;
         }
         assert_eq!(simd::sum(s).to_bits(), want.to_bits(), "len {len}");
+    }
+}
+
+/// The moment reduction of the encoder fit: eight lanes by row position,
+/// the one `hsum` order, the ragged end summed on its own and added last —
+/// computed by hand for every length 0..=40, and unchanged when the rows
+/// arrive in blocks that are multiples of eight.
+#[test]
+fn weighted_moments_combine_order_is_pinned() {
+    let p: Vec<f64> = (0..40).map(|i| f64::from(i * 37 % 17) * 0.37 + 0.01).collect();
+    let scale: Vec<f64> = (0..40).map(|i| 1.0 / (f64::from(i * 13 % 7) + 1.3)).collect();
+    let x: Vec<f64> = (0..40).map(|i| f64::from(i * 29 % 23) * 1.7 - 11.0).collect();
+    for len in 0..=40 {
+        let mut lanes = [[0.0f64; 8]; 3];
+        let mut tail = [0.0f64; 3];
+        for i in 0..len {
+            let r = p[i] * scale[i];
+            let rx = r * x[i];
+            let terms = [r, rx, rx * x[i]];
+            for (m, t) in terms.into_iter().enumerate() {
+                if i < len / 8 * 8 {
+                    lanes[m][i % 8] += t;
+                } else {
+                    tail[m] += t;
+                }
+            }
+        }
+        let want: Vec<u64> = (0..3)
+            .map(|m| {
+                let l = lanes[m];
+                ((((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]))) + tail[m])
+                    .to_bits()
+            })
+            .collect();
+        let mut whole = simd::WeightedMoments::default();
+        whole.add_block(&p[..len], &scale[..len], &x[..len]);
+        assert_eq!(whole.totals().map(f64::to_bits).to_vec(), want, "len {len}");
+        for cut in [8, 16, 32] {
+            if cut < len {
+                let mut blocks = simd::WeightedMoments::default();
+                blocks.add_block(&p[..cut], &scale[..cut], &x[..cut]);
+                blocks.add_block(&p[cut..len], &scale[cut..len], &x[cut..len]);
+                assert_eq!(blocks.totals(), whole.totals(), "len {len} cut at {cut}");
+            }
+        }
     }
 }

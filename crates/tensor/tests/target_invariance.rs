@@ -9,6 +9,9 @@
 //! output bits taken on a **baseline x86-64** build of the commit before
 //! the build level moved, and `tools/ci.sh` runs the file at both levels.
 //!
+//! (The `f64` lanes of the encoder fit came after the build level moved;
+//! their literals are of a baseline build of the commit that added them.)
+//!
 //! Inputs come from an integer hash through exact float arithmetic only —
 //! no libm call, whose result is the host's, not the build's. NaNs are
 //! folded onto one pattern before hashing: IEEE leaves a NaN result's sign
@@ -37,6 +40,18 @@ fn value(stream: u64, i: usize) -> f32 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     (z >> 40) as f32 * (1.0 / 8_388_608.0) - 1.0
+}
+
+/// [`fnv`] for `f64` values.
+fn fnv_f64(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        let bits = if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        for byte in bits.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 fn dense(stream: u64, rows: usize, cols: usize) -> Tensor {
@@ -184,6 +199,45 @@ fn transcendental_bits_are_the_baseline_builds() {
         fnv(wide.apply(UnaryOp::Exp).as_slice()),
     ];
     let want = [0xfaa8_309f_153b_5e97u64, 0xee1e_cead_1b4b_c1e6, 0xe4dd_4358_d48c_b26e];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
+#[test]
+fn f64_lane_bits_are_the_baseline_builds() {
+    // exp: 64 Ki points `-745 + i·91/4096` (exact) — from libm's last
+    // subnormal result, through the flush point, to past the overflow — then
+    // the edges; 65 551 elements, so the last three take the splat tail.
+    let mut xs: Vec<f64> = (0..65_536).map(|i| f64::from(i) * (91.0 / 4096.0) - 745.0).collect();
+    xs.extend([
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE,
+        simd::EXP_F64_FLUSH,
+        f64::from_bits(simd::EXP_F64_FLUSH.to_bits() + 1),
+        709.782_712_893_384,
+        709.782_712_893_384_1,
+        -1e300,
+        1e300,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ]);
+    simd::exp_slice_f64(&mut xs);
+    // Weighted moments: 1 003 rows in blocks of 256 — three full blocks and
+    // one of 235 rows, whose last three go to the sequential tail.
+    let column =
+        |stream: u64| -> Vec<f64> { (0..1_003).map(|i| f64::from(value(stream, i))).collect() };
+    let (p, scale, x) = (column(400), column(401), column(402));
+    let mut moments = simd::WeightedMoments::default();
+    for start in (0..p.len()).step_by(256) {
+        let end = (start + 256).min(p.len());
+        moments.add_block(&p[start..end], &scale[start..end], &x[start..end]);
+    }
+    let got = [fnv_f64(&xs), fnv_f64(&moments.totals())];
+    let want = [0x52f7_f159_a536_06f7u64, 0xc18d_1145_3e9f_d72c];
     assert_eq!(got, want, "got {got:#018x?}");
 }
 

@@ -873,9 +873,14 @@ fn lint_panic(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &mut Vec
     }
 }
 
+/// Spellings of a lane array or a lane-group walk: the `f32` kernels are
+/// eight wide, the `f64` ones four (exp) and eight (moment accumulators).
+const LANE_TOKENS: [&str; 7] =
+    ["[f32; 8]", "[f32;8]", "[f64; 4]", "[f64;4]", "[f64; 8]", "[f64;8]", "chunks_exact(8)"];
+
 /// L2: deny ambient randomness and wall-clock reads outside `crates/bench`,
 /// ad-hoc thread spawns outside the sanctioned worker pool, and hand-rolled
-/// f32 lane code outside the sanctioned SIMD module.
+/// lane code (f32 or f64) outside the sanctioned SIMD module.
 fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &mut Vec<Finding>) {
     if rel_str.starts_with("crates/bench/") {
         return;
@@ -890,14 +895,15 @@ fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &m
     // Lane-level SIMD lives in exactly one module: its fixed lane-combine
     // order and scalar-equals-lane-0 contract (DESIGN.md §8) are what keep
     // vectorized results bit-identical to the scalar forms. Hand-rolled
-    // 8-wide float code anywhere else would fork that contract silently.
+    // 8-wide `f32` or 4-/8-wide `f64` code anywhere else would fork that
+    // contract silently.
     let is_simd = rel_str == "crates/tensor/src/simd.rs";
     for (idx, line) in lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
         if !is_simd {
-            for token in ["[f32; 8]", "[f32;8]", "chunks_exact(8)"] {
+            for token in LANE_TOKENS {
                 if line.code.contains(token)
                     && !suppressed(lines, idx, Rule::Determinism, rel, findings)
                 {
@@ -906,7 +912,7 @@ fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &m
                         line: idx + 1,
                         rule: Rule::Determinism,
                         message: format!(
-                            "`{token}` looks like hand-rolled f32 lane code; lane-level SIMD is sanctioned only in `gtv_tensor::simd` (crates/tensor/src/simd.rs) (or `// gtv-lint: allow(determinism) -- why`)"
+                            "`{token}` looks like hand-rolled lane code; lane-level SIMD is sanctioned only in `gtv_tensor::simd` (crates/tensor/src/simd.rs) (or `// gtv-lint: allow(determinism) -- why`)"
                         ),
                     });
                 }

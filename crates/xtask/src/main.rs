@@ -30,7 +30,7 @@ fn usage() -> ExitCode {
          Runs the GTV protocol-invariant lints:\n  \
          L1 panic         no unwrap/expect/panic!/unreachable!/todo! in protocol paths\n  \
          L2 determinism   no thread_rng/from_entropy/SystemTime::now/Instant::now outside crates/bench;\n  \
-         \x20                 lane-level SIMD ([f32; 8], chunks_exact(8)) only in crates/tensor/src/simd.rs\n  \
+         \x20                 lane-level SIMD ([f32; 8], [f64; 4], [f64; 8], chunks_exact(8)) only in crates/tensor/src/simd.rs\n  \
          L3 float-eq      no ==/!= against float literals in crates/metrics, crates/ml\n  \
          L4 wire          every Message variant has encode and decode arms\n  \
          L5 allow-justification  every #[allow(clippy::...)] carries a trailing // justification\n  \

@@ -13,3 +13,9 @@ pub fn sum(xs: &[f32]) -> f32 {
     }
     acc.0.iter().sum::<f32>() + groups.remainder().iter().sum::<f32>()
 }
+
+pub fn exp4(x: [f64; 4]) -> [f64; 4] {
+    std::array::from_fn(|i| x[i] + 1.0)
+}
+
+pub struct Moments(pub [[f64; 8]; 3]);

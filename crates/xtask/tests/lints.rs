@@ -36,6 +36,7 @@ fn l2_flags_ambient_randomness_and_clocks_but_not_bench_or_tests() {
                 || f.file == Path::new("crates/vfl/src/worker.rs")
                 || f.file == Path::new("crates/tensor/src/kernels.rs")
                 || f.file == Path::new("crates/ml/src/hand_simd.rs")
+                || f.file == Path::new("crates/encoders/src/hand_lanes.rs")
         }),
         "crates/bench, the sanctioned pool and the sanctioned simd module must be exempt: {findings:?}"
     );
@@ -89,10 +90,24 @@ fn l2_flags_ambient_randomness_and_clocks_but_not_bench_or_tests() {
         .map(|f| f.line)
         .collect();
     assert_eq!(lanes, vec![4, 5], "{findings:?}");
+    // The f64 lanes of the encoder fit are held to the same home: `[f64; 4]`
+    // (line 3, once — a line with the token twice is one finding per token)
+    // and `[f64; 8]` (line 8) outside simd.rs; the 16-wide stack buffer, the
+    // #[cfg(test)] lanes and the same arrays inside the sanctioned module
+    // stay quiet.
+    let f64_lanes: Vec<usize> = findings
+        .iter()
+        .filter(|f| f.file == Path::new("crates/encoders/src/hand_lanes.rs"))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(f64_lanes, vec![3, 8], "{findings:?}");
     assert!(
         findings
             .iter()
-            .filter(|f| f.file == Path::new("crates/ml/src/hand_simd.rs"))
+            .filter(|f| {
+                f.file == Path::new("crates/ml/src/hand_simd.rs")
+                    || f.file == Path::new("crates/encoders/src/hand_lanes.rs")
+            })
             .all(|f| f.message.contains("gtv_tensor::simd")),
         "{findings:?}"
     );

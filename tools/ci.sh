@@ -72,12 +72,15 @@ cargo test -q --workspace
 step "bit pins at baseline x86-64 (two-level check)"
 # No output bit may depend on the build level (DESIGN.md §8): the same pins
 # that just passed at x86-64-v3 — kernel-output hashes taken on a baseline
-# build, the ULP sweeps and scalar-tail identities, matmul ≡ naive triple
-# loop, the trained-weights fingerprint — must pass in a baseline build of
-# the same tree. A target directory of its own, so neither build evicts the
-# other's artifacts.
+# build (the f32 kernels, the f64 exp and moment lanes, and the mixtures
+# `Gmm1d::fit` reaches through them), the ULP sweeps and scalar-tail
+# identities, matmul ≡ naive triple loop, the trained-weights fingerprint —
+# must pass in a baseline build of the same tree. A target directory of its
+# own, so neither build evicts the other's artifacts.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-tensor --test target_invariance --test simd_math --test prop
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
+    -p gtv-encoders --test target_invariance
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv --test step_work
 
