@@ -11,11 +11,12 @@
 //! | `fig12_13_clients` | Fig. 12, Fig. 13 and Table 3 — 2–5 clients, default/enlarged generator |
 //! | `fig5_6_privacy` | Fig. 5/6 — server reconstruction attack |
 //! | `ablation_comm` | §4.3.1 — communication overhead by partition |
+//! | `ablation_privacy` | §3.3 — membership inference, DP-noise trade-off, width boost |
 //!
 //! Scale is controlled by environment variables (`GTV_ROWS`, `GTV_ROUNDS`,
 //! `GTV_REPEATS`, `GTV_BATCH`) so the same binaries run as a quick smoke or
-//! a paper-scale reproduction. Criterion micro-benchmarks live in
-//! `benches/`.
+//! a paper-scale reproduction. Performance is measured by `gtvbench/` (the
+//! repository's one benchmark, `BENCHMARK.json`), not here.
 
 pub mod report;
 pub mod runner;

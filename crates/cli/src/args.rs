@@ -1,12 +1,12 @@
 //! Minimal `--flag value` argument parsing (no external dependency).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand plus `--key value` flags.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     command: String,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
 }
 
 /// Error from parsing or validating arguments.
@@ -34,18 +34,20 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error on a missing subcommand, a flag without a value, or
-    /// a token that is not a flag.
+    /// Returns an error on a missing subcommand, a flag without a value, a
+    /// flag given twice, or a token that is not a flag.
     pub fn parse(argv: &[String]) -> Result<Args, ParseArgsError> {
         let mut it = argv.iter();
         let command = it.next().ok_or_else(|| err("missing subcommand"))?.clone();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         while let Some(token) = it.next() {
             let key = token
                 .strip_prefix("--")
                 .ok_or_else(|| err(format!("expected a --flag, found '{token}'")))?;
             let value = it.next().ok_or_else(|| err(format!("flag --{key} needs a value")))?;
-            flags.insert(key.to_string(), value.clone());
+            if flags.insert(key.to_string(), value.clone()).is_some() {
+                return Err(err(format!("flag --{key} given more than once")));
+            }
         }
         Ok(Args { command, flags })
     }
@@ -53,6 +55,25 @@ impl Args {
     /// The subcommand.
     pub fn command(&self) -> &str {
         &self.command
+    }
+
+    /// Rejects every flag outside the `accepted` groups.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the unknown flags and the subcommand.
+    pub fn reject_unknown(&self, accepted: &[&[&str]]) -> Result<(), ParseArgsError> {
+        let unknown: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|k| !accepted.iter().any(|group| group.contains(&k.as_str())))
+            .map(|k| format!("--{k}"))
+            .collect();
+        if unknown.is_empty() {
+            Ok(())
+        } else {
+            Err(err(format!("unknown flag {} for '{}'", unknown.join(", "), self.command)))
+        }
     }
 
     /// A required string flag.

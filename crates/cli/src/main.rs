@@ -17,7 +17,7 @@ use gtv_data::{from_csv_string, infer_schema, to_csv_string, Dataset, Table};
 use gtv_metrics::similarity;
 use gtv_ml::utility_difference;
 use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};
-use gtv_vfl::{Endpoint, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport};
+use gtv_vfl::{Endpoint, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport, WireCodec};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -28,19 +28,57 @@ USAGE:
   gtv-cli demo     --dataset <loan|adult|covtype|intrusion|credit> [--rows N] [--seed S] --out FILE
   gtv-cli synth    --input FILE [--target COL] [--clients N] [--rounds R] [--batch B]
                    [--width W] [--partition d2g0|d2g2] [--seed S] [--threads T] --out FILE
-                   [--save-weights FILE] [--load-weights FILE] [--alloc-stats true]
-                   [--pipelined true|false] [--sparse-wire true] [--comms-stats true]
+                   [--save-weights FILE] [--load-weights FILE] [--sparse-wire true]
+                   [--comms-stats true]
   gtv-cli evaluate --real FILE --synth FILE --target COL [--seed S]
-  gtv-cli privacy  --input FILE [--rounds R] [--clients N]
+  gtv-cli privacy  --input FILE [--target COL] [--rounds R] [--clients N]
   gtv-cli serve-party  --party <server|public|CLIENT_IDX> --listen <host:port|unix:PATH>
   gtv-cli serve-server --input FILE --parties IDX=ENDPOINT[,IDX=ENDPOINT…] --out FILE
                        [--target COL] [--clients N] [--rounds R] [--batch B] [--width W]
-                       [--partition d2g0|d2g2] [--seed S] [--sparse-wire true]
+                       [--partition d2g0|d2g2] [--seed S] [--threads T] [--sparse-wire true]
   gtv-cli serve-synth  --input FILE --listen <host:port|unix:PATH> [--model NAME]
                        [--load-weights FILE] [--target COL] [--clients N] [--rounds R]
                        [--batch B] [--width W] [--partition d2g0|d2g2] [--seed S]
-                       [--queue-cap N] [--max-batch-rows N] [--max-replies N]
+                       [--threads T] [--queue-cap N] [--max-batch-rows N] [--max-replies N]
 ";
+
+/// The flags [`build_config`] reads, accepted by every subcommand that trains.
+const CONFIG_FLAGS: &[&str] = &["rounds", "batch", "width", "partition", "seed", "threads"];
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// A subcommand's handler and the flags it reads — exactly those `USAGE`
+/// lists for it.
+fn command(name: &str) -> Option<(Command, &'static [&'static [&'static str]])> {
+    let found: (Command, &[&[&str]]) = match name {
+        "demo" => (demo, &[&["dataset", "rows", "seed", "out"]]),
+        "synth" => (
+            synth,
+            &[
+                CONFIG_FLAGS,
+                &["input", "out", "target", "clients", "save-weights", "load-weights"],
+                &["sparse-wire", "comms-stats"],
+            ],
+        ),
+        "evaluate" => (evaluate, &[&["real", "synth", "target", "seed"]]),
+        "privacy" => (privacy, &[&["input", "target", "rounds", "clients"]]),
+        "serve-party" => (serve_party, &[&["party", "listen"]]),
+        "serve-server" => (
+            serve_server,
+            &[CONFIG_FLAGS, &["input", "parties", "out", "target", "clients", "sparse-wire"]],
+        ),
+        "serve-synth" => (
+            serve_synth,
+            &[
+                CONFIG_FLAGS,
+                &["input", "listen", "model", "load-weights", "target", "clients"],
+                &["queue-cap", "max-batch-rows", "max-replies"],
+            ],
+        ),
+        _ => return None,
+    };
+    Some(found)
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -55,16 +93,10 @@ fn main() -> ExitCode {
 
 fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv).map_err(|e| e.to_string())?;
-    match args.command() {
-        "demo" => demo(&args),
-        "synth" => synth(&args),
-        "evaluate" => evaluate(&args),
-        "privacy" => privacy(&args),
-        "serve-party" => serve_party(&args),
-        "serve-server" => serve_server(&args),
-        "serve-synth" => serve_synth(&args),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+    let (handler, accepted) = command(args.command())
+        .ok_or_else(|| format!("unknown subcommand '{}'", args.command()))?;
+    args.reject_unknown(accepted).map_err(|e| e.to_string())?;
+    handler(&args)
 }
 
 fn load_table(path: &str, target: Option<&str>) -> Result<Table, String> {
@@ -104,71 +136,68 @@ fn build_config(args: &Args) -> Result<GtvConfig, String> {
         block_width: args.parsed_or("width", 256usize).map_err(|e| e.to_string())?,
         seed: args.parsed_or("seed", 0u64).map_err(|e| e.to_string())?,
         threads: args.parsed_or("threads", 0usize).map_err(|e| e.to_string())?,
-        alloc_stats: args.parsed_or("alloc-stats", false).map_err(|e| e.to_string())?,
-        pipelined_rounds: args.parsed_or("pipelined", true).map_err(|e| e.to_string())?,
-        sparse_wire: args.parsed_or("sparse-wire", false).map_err(|e| e.to_string())?,
         ..GtvConfig::default()
     })
 }
 
-/// Prints the per-step allocation counters recorded during training
-/// (`--alloc-stats true`): warm-up step, steady-state allocator misses per
-/// step and the overall pool hit rate (DESIGN.md §9).
-fn print_alloc_stats(stats: &[gtv::StepAllocStats]) {
-    let Some(last) = stats.last() else {
-        println!("alloc stats: no steps recorded");
-        return;
-    };
-    let steps = stats.len() as u64;
-    let requests = last.pool_hits + last.pool_misses;
-    let hit_rate = if requests == 0 { 0.0 } else { last.pool_hits as f64 / requests as f64 };
-    // Steady state excludes the cold first step, which must populate the
-    // pool before anything can be recycled.
-    let warm_misses = if stats.len() > 1 {
-        (last.pool_misses - stats[0].pool_misses) as f64 / (steps - 1) as f64
-    } else {
-        last.pool_misses as f64
-    };
-    println!(
-        "alloc stats: {} steps | {} live graph nodes/step | cold-step misses {} | \
-         warm misses/step {:.1} | pool hit rate {:.3} | {:.1} MiB requested",
-        steps,
-        last.live_nodes,
-        stats[0].pool_misses,
-        warm_misses,
-        hit_rate,
-        last.bytes_requested as f64 / (1024.0 * 1024.0)
-    );
+/// `--sparse-wire true` selects [`WireCodec::Adaptive`] on the transport:
+/// fewer bytes on the wire, bit-identical decoded values.
+fn wire_codec(args: &Args) -> Result<WireCodec, String> {
+    let sparse = args.parsed_or("sparse-wire", false).map_err(|e| e.to_string())?;
+    Ok(if sparse { WireCodec::Adaptive } else { WireCodec::Dense })
 }
 
-/// Prints the per-round, per-party traffic windows recorded during training
+/// The buffer pool's behaviour in the last training round (DESIGN.md §9):
+/// graph nodes of its last step, allocator misses per step after its first
+/// step, and the hit rate and bytes requested since the process started.
+fn pool_line(stats: &[gtv::StepAllocStats]) -> String {
+    let (Some(first), Some(last)) = (stats.first(), stats.last()) else {
+        return "pool: no training steps".to_string();
+    };
+    let requests = last.pool_hits + last.pool_misses;
+    let hit_rate = if requests == 0 { 0.0 } else { last.pool_hits as f64 / requests as f64 };
+    let warm_steps = (stats.len() - 1).max(1) as f64;
+    format!(
+        "pool: last round {} steps, {} graph nodes at its end, {:.1} allocator misses/step \
+         after its first | since start: hit rate {:.3}, {:.1} MiB requested",
+        stats.len(),
+        last.live_nodes,
+        (last.pool_misses - first.pool_misses) as f64 / warm_steps,
+        hit_rate,
+        last.bytes_requested as f64 / (1024.0 * 1024.0)
+    )
+}
+
+/// The per-round, per-party traffic windows recorded during training
 /// (`--comms-stats true`): round totals for the first few measured rounds,
 /// then per-party averages over all of them (DESIGN.md §10).
-fn print_comms_stats(stats: &gtv_vfl::NetStats, n_clients: usize) {
-    use gtv_vfl::PartyId;
+fn comms_stats_text(stats: &gtv_vfl::NetStats, n_clients: usize, warm_up_excluded: bool) -> String {
+    use std::fmt::Write;
     if stats.rounds.is_empty() {
-        println!("comms stats: no rounds recorded");
-        return;
+        return "comms stats: no rounds recorded\n".to_string();
     }
+    let mut out = String::new();
     let shown = stats.rounds.len().min(8);
-    println!("comms stats ({} measured rounds, warm-up excluded):", stats.rounds.len());
+    let warm_up = if warm_up_excluded { "excluded" } else { "included" };
+    let _ =
+        writeln!(out, "comms stats ({} measured rounds, warm-up {warm_up}):", stats.rounds.len());
     for r in &stats.rounds[..shown] {
-        print!("  round {:>4}: {} msgs / {} B |", r.round, r.messages, r.bytes);
+        let _ = write!(out, "  round {:>4}: {} msgs / {} B |", r.round, r.messages, r.bytes);
         let (sm, sb) = r.sent_by(PartyId::Server);
-        print!(" server sent {sm}/{sb} B |");
+        let _ = write!(out, " server sent {sm}/{sb} B |");
         for i in 0..n_clients {
             let (cm, cb) = r.sent_by(PartyId::Client(i));
-            print!(" client{i} sent {cm}/{cb} B |");
+            let _ = write!(out, " client{i} sent {cm}/{cb} B |");
         }
-        println!();
+        out.push('\n');
     }
     if stats.rounds.len() > shown {
-        println!("  … {} more rounds", stats.rounds.len() - shown);
+        let _ = writeln!(out, "  … {} more rounds", stats.rounds.len() - shown);
     }
     let rounds = stats.rounds.len() as f64;
     let mut parties = vec![PartyId::Server];
     parties.extend((0..n_clients).map(PartyId::Client));
-    println!("  per-round averages:");
+    out.push_str("  per-round averages:\n");
     for p in parties {
         let (sm, sb) = stats
             .rounds
@@ -180,7 +209,8 @@ fn print_comms_stats(stats: &gtv_vfl::NetStats, n_clients: usize) {
             .iter()
             .map(|r| r.received_by(p))
             .fold((0u64, 0u64), |(m, b), (dm, db)| (m + dm, b + db));
-        println!(
+        let _ = writeln!(
+            out,
             "    {p}: sent {:.1} msgs / {:.0} B, received {:.1} msgs / {:.0} B",
             sm as f64 / rounds,
             sb as f64 / rounds,
@@ -188,6 +218,7 @@ fn print_comms_stats(stats: &gtv_vfl::NetStats, n_clients: usize) {
             rb as f64 / rounds
         );
     }
+    out
 }
 
 fn synth(args: &Args) -> Result<(), String> {
@@ -210,12 +241,14 @@ fn synth(args: &Args) -> Result<(), String> {
         table.n_cols()
     );
     let mut trainer = GtvTrainer::new(shards, config);
+    trainer.network().set_codec(wire_codec(args)?);
     if let Some(path) = args.optional("load-weights") {
         let dict = gtv_nn::StateDict::load(path).map_err(|e| e.to_string())?;
         trainer.load_weights(&dict).map_err(|e| e.to_string())?;
         println!("loaded weights from {path} — skipping training");
     } else {
-        if comms_stats && trainer.config().rounds > 1 {
+        let warm_up_excluded = comms_stats && trainer.config().rounds > 1;
+        if warm_up_excluded {
             // One warm-up round, then reset the counters so the per-round
             // report covers only steady-state rounds.
             trainer.train_round().map_err(|e| e.to_string())?;
@@ -226,11 +259,9 @@ fn synth(args: &Args) -> Result<(), String> {
         } else {
             trainer.train().map_err(|e| e.to_string())?;
         }
-        if trainer.config().alloc_stats {
-            print_alloc_stats(trainer.alloc_stats());
-        }
+        println!("{}", pool_line(trainer.alloc_stats()));
         if comms_stats {
-            print_comms_stats(&trainer.network_stats(), n_clients);
+            print!("{}", comms_stats_text(&trainer.network_stats(), n_clients, warm_up_excluded));
         }
     }
     if let Some(path) = args.optional("save-weights") {
@@ -362,6 +393,7 @@ fn serve_server(args: &Args) -> Result<(), String> {
     let shards = table.vertical_split(&groups);
     println!("connecting to {} remote parties ({} clients total)…", endpoints.len(), n_clients);
     let transport = SocketTransport::connect(n_clients, endpoints).map_err(|e| e.to_string())?;
+    transport.set_codec(wire_codec(args)?);
     println!(
         "training GTV over sockets (partition {}, {} rounds) on {} rows × {} cols…",
         config.partition,
@@ -421,7 +453,6 @@ fn serve_synth(args: &Args) -> Result<(), String> {
 
     // Steady-state serving runs entirely from recycled buffers; warming the
     // registry parks the first request's allocations up front.
-    gtv_tensor::pool_mem::set_enabled(true);
     let mut registry = ModelRegistry::new();
     let parked = registry.insert_warm(&model, synth).map_err(|e| e.to_string())?;
     let serve_config = ServeConfig {
@@ -478,10 +509,71 @@ mod tests {
         assert!(dataset_by_name("nope").is_err());
     }
 
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn unknown_subcommand_is_an_error() {
-        let argv: Vec<String> = vec!["frobnicate".into()];
-        assert!(run(&argv).is_err());
+        assert!(run(&argv("frobnicate")).is_err());
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_are_errors() {
+        // Flags are checked before the subcommand reads any file.
+        for (line, expected) in [
+            ("synth --pipelined false", "unknown flag --pipelined for 'synth'"),
+            ("synth --alloc-stats true", "unknown flag --alloc-stats for 'synth'"),
+            ("synth --round 5 --out y.csv", "unknown flag --round for 'synth'"),
+            ("privacy --input x.csv --out y.csv", "unknown flag --out for 'privacy'"),
+            ("synth --input x.csv --rounds 2 --rounds 3", "flag --rounds given more than once"),
+        ] {
+            assert_eq!(run(&argv(line)).unwrap_err(), expected, "{line}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        // Each `gtv-cli <command>` line of USAGE with its continuation lines.
+        let mut listed: Vec<(&str, std::collections::BTreeSet<&str>)> = Vec::new();
+        for line in USAGE.lines().skip_while(|l| !l.starts_with("USAGE:")).skip(1) {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"gtv-cli") {
+                let name = words.nth(1).expect("a subcommand follows gtv-cli");
+                listed.push((name, Default::default()));
+            }
+            let flags = &mut listed.last_mut().expect("USAGE opens with a command").1;
+            for word in line.split_whitespace() {
+                if let Some(flag) = word.trim_start_matches('[').strip_prefix("--") {
+                    flags.insert(flag.trim_end_matches(']'));
+                }
+            }
+        }
+        assert_eq!(listed.len(), 7);
+        for (name, flags) in listed {
+            let (_, accepted) = command(name).expect("USAGE names a known subcommand");
+            let accepted: std::collections::BTreeSet<&str> =
+                accepted.iter().flat_map(|group| group.iter().copied()).collect();
+            assert_eq!(flags, accepted, "{name}");
+            // So every listed flag gets past the check.
+            let line: String = flags.iter().map(|f| format!(" --{f} x")).collect();
+            let args = Args::parse(&argv(&format!("{name}{line}"))).unwrap();
+            assert!(args.reject_unknown(command(name).unwrap().1).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn comms_stats_header_says_whether_the_warm_up_was_excluded() {
+        let table = Dataset::Loan.generate(60, 0);
+        let n = table.n_cols();
+        let shards = table.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()]);
+        let mut trainer = GtvTrainer::new(shards, GtvConfig::smoke());
+        trainer.train_round().unwrap();
+        let stats = trainer.network_stats();
+        let included = comms_stats_text(&stats, 2, false);
+        assert!(included.starts_with("comms stats (1 measured rounds, warm-up included):\n"));
+        let excluded = comms_stats_text(&stats, 2, true);
+        assert!(excluded.starts_with("comms stats (1 measured rounds, warm-up excluded):\n"));
     }
 
     #[test]
@@ -489,27 +581,26 @@ mod tests {
         let dir = std::env::temp_dir().join("gtv_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let demo_path = dir.join("demo.csv");
-        let synth_path = dir.join("synth.csv");
-        let argv: Vec<String> =
-            format!("demo --dataset loan --rows 120 --out {}", demo_path.display())
-                .split_whitespace()
-                .map(String::from)
-                .collect();
-        run(&argv).unwrap();
-        let argv: Vec<String> = format!(
-            "synth --input {} --target personal_loan --rounds 2 --batch 16 --width 32 \
-             --alloc-stats true --sparse-wire true --comms-stats true --out {}",
-            demo_path.display(),
-            synth_path.display()
-        )
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-        run(&argv).unwrap();
-        let text = std::fs::read_to_string(&synth_path).unwrap();
-        assert!(text.lines().count() > 100);
-        // Header preserved in original column order.
-        assert!(text.starts_with("age,experience,income"));
+        run(&argv(&format!("demo --dataset loan --rows 120 --out {}", demo_path.display())))
+            .unwrap();
+        let mut written = Vec::new();
+        for (name, extra) in [("dense", ""), ("sparse", "--sparse-wire true")] {
+            let synth_path = dir.join(format!("synth_{name}.csv"));
+            run(&argv(&format!(
+                "synth --input {} --target personal_loan --rounds 2 --batch 16 --width 32 \
+                 --comms-stats true {extra} --out {}",
+                demo_path.display(),
+                synth_path.display()
+            )))
+            .unwrap();
+            let text = std::fs::read_to_string(&synth_path).unwrap();
+            assert!(text.lines().count() > 100);
+            // Header preserved in original column order.
+            assert!(text.starts_with("age,experience,income"));
+            written.push(text);
+        }
+        // The codec changes bytes on the wire, never decoded values.
+        assert_eq!(written[0], written[1], "--sparse-wire changed the synthetic table");
     }
 
     #[test]
@@ -525,16 +616,11 @@ mod tests {
             text.push_str(&format!("{x},{}\n", if i % 2 == 0 { "yes" } else { "no" }));
         }
         std::fs::write(&input, text).unwrap();
-        for command in ["synth", "privacy"] {
-            let argv: Vec<String> = format!(
-                "{command} --input {} --target label --rounds 1 --out {}",
-                input.display(),
-                dir.join("out.csv").display()
-            )
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-            let err = run(&argv).unwrap_err();
+        let out = format!("--out {}", dir.join("out.csv").display());
+        for (command, out) in [("synth", out.as_str()), ("privacy", "")] {
+            let line =
+                format!("{command} --input {} --target label --rounds 1 {out}", input.display());
+            let err = run(&argv(&line)).unwrap_err();
             assert!(err.contains("line 9") && err.contains("non-finite"), "{command}: {err}");
         }
     }

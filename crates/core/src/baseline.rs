@@ -66,12 +66,6 @@ impl CentralizedTrainer {
         self.inner.history()
     }
 
-    /// Per-step allocation snapshots (empty unless
-    /// [`GtvConfig::alloc_stats`] is on).
-    pub fn alloc_stats(&self) -> &[crate::StepAllocStats] {
-        self.inner.alloc_stats()
-    }
-
     /// Traffic counters of the degenerate single-client simulation,
     /// including the per-round windows opened by each training round —
     /// the baseline column of the communication-overhead comparison.

@@ -139,35 +139,6 @@ pub struct GtvConfig {
     /// setting — the pool's chunking depends only on problem size (see
     /// DESIGN.md §8) — so this is purely a throughput knob.
     pub threads: usize,
-    /// When `true` (the default), tensor storage freed by the end-of-step
-    /// [`Graph::reset`](gtv_tensor::Graph::reset) is recycled through the
-    /// shape-keyed buffer pool (DESIGN.md §9) instead of returned to the
-    /// allocator. Recycled buffers are bit-identical to fresh ones; this is
-    /// purely a throughput/allocator-pressure knob.
-    pub pool_recycling: bool,
-    /// When `true`, the trainer records a [`StepAllocStats`](crate::StepAllocStats)
-    /// snapshot (live graph nodes, pool hits/misses, bytes requested) at the
-    /// end of every training step, retrievable via
-    /// [`GtvTrainer::alloc_stats`](crate::GtvTrainer::alloc_stats). Off by
-    /// default — counters are always maintained, this only controls the
-    /// per-step history.
-    pub alloc_stats: bool,
-    /// When `true` (the default), each protocol phase fans out *all*
-    /// per-client messages before collecting any reply (payload encoding
-    /// runs on the deterministic worker pool), and replies are collected in
-    /// fixed party order. When `false`, every message waits for its reply
-    /// before the next party is contacted (lockstep). Both schedules visit
-    /// parties in the same order with the same data, so trained weights and
-    /// synthetic output are bit-identical either way (DESIGN.md §10); this
-    /// is purely a latency knob.
-    pub pipelined_rounds: bool,
-    /// When `true`, matrix payloads use [`WireCodec::Adaptive`](gtv_vfl::WireCodec):
-    /// a matrix is sent as explicit `(index, value)` pairs whenever that is
-    /// strictly smaller than the dense body (one-hot conditional vectors and
-    /// ReLU-sparse gradients compress heavily). Decoding is bit-exact, so
-    /// this only changes metered bytes, never trained values. Off by default
-    /// so metered traffic matches the paper's dense accounting.
-    pub sparse_wire: bool,
 }
 
 impl Default for GtvConfig {
@@ -189,10 +160,6 @@ impl Default for GtvConfig {
             client_width_multipliers: Vec::new(),
             faithful_real_path: false,
             threads: 0,
-            pool_recycling: true,
-            alloc_stats: false,
-            pipelined_rounds: true,
-            sparse_wire: false,
         }
     }
 }

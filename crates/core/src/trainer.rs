@@ -19,7 +19,7 @@ use gtv_nn::{Adam, Ctx};
 use gtv_tensor::{Graph, Tensor, Var};
 use gtv_vfl::{
     negotiate_seed, MatrixPayload, Message, NetStats, Network, PartyId, SharedShuffler, Transport,
-    TransportError, WireCodec,
+    TransportError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,10 +33,10 @@ pub struct TrainHistory {
     pub g_loss: Vec<f32>,
 }
 
-/// End-of-step allocation snapshot, recorded when
-/// [`GtvConfig::alloc_stats`] is on. Pool counters are *cumulative* for the
-/// calling thread; per-step deltas are differences between consecutive
-/// entries.
+/// End-of-step allocation snapshot, recorded at the end of every training
+/// step; [`GtvTrainer::alloc_stats`] holds those of the most recent round.
+/// Pool counters are *cumulative* for the calling thread; per-step deltas
+/// are differences between consecutive entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepAllocStats {
     /// Autograd nodes alive at the end of the step, released by
@@ -183,10 +183,8 @@ impl<T: Transport> GtvTrainer<T> {
     ) -> Result<Self, TransportError> {
         assert!(!tables.is_empty(), "need at least one client table");
         // Size the tensor worker pool before any hot-loop work; results are
-        // bit-identical for every thread count (DESIGN.md §8), and so is
-        // buffer recycling (DESIGN.md §9).
+        // bit-identical for every thread count (DESIGN.md §8).
         gtv_tensor::pool::set_threads(gtv_tensor::pool::resolve_threads(config.threads));
-        gtv_tensor::pool_mem::set_enabled(config.pool_recycling);
         let n_rows = tables[0].n_rows();
         assert!(n_rows > 0, "client tables must be non-empty");
         assert!(
@@ -239,9 +237,6 @@ impl<T: Transport> GtvTrainer<T> {
         let g_opt = Adam::new(gtv_nn::Module::params(&generator), config.adam);
         let d_opt = Adam::new(gtv_nn::Module::params(&discriminator), config.adam);
 
-        if config.sparse_wire {
-            network.set_codec(WireCodec::Adaptive);
-        }
         // Clients negotiate the shared shuffle seed peer-to-peer; the server
         // never observes it (§3.1.5).
         let seeds = negotiate_seed(&network, n_clients, config.seed.wrapping_add(7))?;
@@ -309,26 +304,24 @@ impl<T: Transport> GtvTrainer<T> {
         &self.history
     }
 
-    /// Per-step allocation snapshots (empty unless
-    /// [`GtvConfig::alloc_stats`] is on).
+    /// Allocation snapshots of the most recent round's steps: its
+    /// `d_steps` D-steps, then its G-step (empty before the first round).
     pub fn alloc_stats(&self) -> &[StepAllocStats] {
         &self.alloc_history
     }
 
-    /// End-of-step bookkeeping: optionally snapshot the allocation counters,
-    /// then return the step's graph storage to the recycling pool
-    /// (DESIGN.md §9). Leaf tensors — parameters and data bound into the
-    /// graph — are pinned and survive the reset untouched.
+    /// End-of-step bookkeeping: snapshot the allocation counters, then
+    /// return the step's graph storage to the recycling pool (DESIGN.md §9).
+    /// Leaf tensors — parameters and data bound into the graph — are pinned
+    /// and survive the reset untouched.
     fn finish_step(&mut self, g: &Graph) {
-        if self.config.alloc_stats {
-            let s = gtv_tensor::pool_mem::stats();
-            self.alloc_history.push(StepAllocStats {
-                live_nodes: g.len(),
-                pool_hits: s.hits,
-                pool_misses: s.misses,
-                bytes_requested: s.bytes_requested,
-            });
-        }
+        let s = gtv_tensor::pool_mem::stats();
+        self.alloc_history.push(StepAllocStats {
+            live_nodes: g.len(),
+            pool_hits: s.hits,
+            pool_misses: s.misses,
+            bytes_requested: s.bytes_requested,
+        });
         g.reset();
     }
 
@@ -358,53 +351,31 @@ impl<T: Transport> GtvTrainer<T> {
         Ok(self.network.recv_expect(to, expected)?.1)
     }
 
-    /// One server→clients fan-out phase (DESIGN.md §10). Pipelined: every
-    /// message is sent first (payloads encode concurrently on the tensor
-    /// worker pool), then each recipient pops its delivery in message order.
-    /// Lockstep: each message waits for its delivery before the next send.
-    /// Both schedules move the same bytes over the same links in the same
-    /// per-party order, so they are observation- and training-identical.
+    /// One server→clients fan-out phase (DESIGN.md §10): every message is
+    /// sent first (payloads encode concurrently on the tensor worker pool),
+    /// then each recipient pops its delivery in message order.
     fn dispatch(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
-        if self.config.pipelined_rounds {
-            let expects: Vec<(PartyId, &'static str)> =
-                msgs.iter().map(|&(_, to, ref m)| (to, m.kind())).collect();
-            self.network.send_all(msgs)?;
-            for (to, expected) in expects {
-                let _ = self.network.recv_expect(to, expected)?;
-            }
-        } else {
-            for (from, to, msg) in msgs {
-                let expected = msg.kind();
-                self.network.send(from, to, msg)?;
-                let _ = self.network.recv_expect(to, expected)?;
-            }
+        let expects: Vec<(PartyId, &'static str)> =
+            msgs.iter().map(|&(_, to, ref m)| (to, m.kind())).collect();
+        self.network.send_all(msgs)?;
+        for (to, expected) in expects {
+            let _ = self.network.recv_expect(to, expected)?;
         }
         Ok(())
     }
 
-    /// One clients→server fan-in phase (DESIGN.md §10). Pipelined: every
-    /// upload is sent first, then the receiver gathers the replies in fixed
-    /// sender order regardless of arrival order. Lockstep: each upload is
-    /// consumed before the next client sends. Same observation-identity
-    /// argument as [`GtvTrainer::dispatch`].
+    /// One clients→server fan-in phase (DESIGN.md §10): every upload is sent
+    /// first, then the receiver gathers the replies in fixed sender order
+    /// regardless of arrival order.
     fn fan_in(
         &self,
         msgs: Vec<(PartyId, PartyId, Message)>,
         expected: &'static str,
     ) -> Result<Vec<Message>, TransportError> {
-        if self.config.pipelined_rounds {
-            let senders: Vec<PartyId> = msgs.iter().map(|&(from, _, _)| from).collect();
-            let at = msgs.first().map_or(PartyId::Server, |&(_, to, _)| to);
-            self.network.send_all(msgs)?;
-            self.network.gather(at, &senders, expected)
-        } else {
-            let mut out = Vec::with_capacity(msgs.len());
-            for (from, to, msg) in msgs {
-                self.network.send(from, to, msg)?;
-                out.push(self.network.recv_expect(to, expected)?.1);
-            }
-            Ok(out)
-        }
+        let senders: Vec<PartyId> = msgs.iter().map(|&(from, _, _)| from).collect();
+        let at = msgs.first().map_or(PartyId::Server, |&(_, to, _)| to);
+        self.network.send_all(msgs)?;
+        self.network.gather(at, &senders, expected)
     }
 
     /// Server-side selection of the CV-constructing client `p ~ P_r` among
@@ -822,7 +793,8 @@ impl<T: Transport> GtvTrainer<T> {
     }
 
     /// Runs one full round: `e` discriminator steps, one generator step and
-    /// the end-of-round shuffle.
+    /// the end-of-round shuffle. The round's [`StepAllocStats`] replace the
+    /// previous round's.
     ///
     /// # Errors
     ///
@@ -830,6 +802,7 @@ impl<T: Transport> GtvTrainer<T> {
     /// (e.g. a dropped message under fault injection).
     pub fn train_round(&mut self) -> Result<(), TransportError> {
         self.network.begin_round(self.round);
+        self.alloc_history.clear();
         for _ in 0..self.config.d_steps {
             self.d_step()?;
         }
@@ -996,6 +969,7 @@ impl<T: Transport> GtvTrainer<T> {
 mod tests {
     use super::*;
     use gtv_data::Dataset;
+    use gtv_vfl::WireCodec;
 
     fn two_client_shards(rows: usize) -> Vec<Table> {
         let t = Dataset::Loan.generate(rows, 0);
@@ -1323,27 +1297,12 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_and_pipelined_schedules_are_bit_identical() {
-        let shards = two_client_shards(60);
-        let lockstep_cfg = GtvConfig { pipelined_rounds: false, ..GtvConfig::smoke() };
-        let mut lockstep = GtvTrainer::new(shards.clone(), lockstep_cfg);
-        let mut pipelined = GtvTrainer::new(shards, GtvConfig::smoke());
-        lockstep.train_round().unwrap();
-        pipelined.train_round().unwrap();
-        assert_eq!(lockstep.history().d_loss, pipelined.history().d_loss);
-        assert_eq!(lockstep.history().g_loss, pipelined.history().g_loss);
-        assert_eq!(lockstep.save_weights(), pipelined.save_weights());
-        // Same messages, same links, same bytes — only batching differs.
-        assert_eq!(lockstep.network_stats(), pipelined.network_stats());
-    }
-
-    #[test]
     fn sparse_wire_shrinks_traffic_without_changing_training() {
         let shards = two_client_shards(80);
         let mut dense = GtvTrainer::new(shards.clone(), GtvConfig::smoke());
         dense.train_round().unwrap();
-        let sparse_cfg = GtvConfig { sparse_wire: true, ..GtvConfig::smoke() };
-        let mut sparse = GtvTrainer::new(shards, sparse_cfg);
+        let mut sparse = GtvTrainer::new(shards, GtvConfig::smoke());
+        sparse.network().set_codec(WireCodec::Adaptive);
         sparse.train_round().unwrap();
         // Decoding is bit-exact, so the trained state cannot differ.
         assert_eq!(dense.history().d_loss, sparse.history().d_loss);

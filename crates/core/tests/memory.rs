@@ -6,7 +6,8 @@
 //! structurally identical graph (no conditional-vector subgraphs whose shape
 //! depends on sampled categories), run single-threaded so the thread-local
 //! pool counters are exact, and serialize on a mutex so they cannot observe
-//! each other's pool configuration.
+//! each other's pool configuration. The trainer keeps only its latest
+//! round's step snapshots, so the tests collect them after every round.
 
 use gtv::{GtvConfig, GtvTrainer, StepAllocStats};
 use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema, Table};
@@ -33,8 +34,18 @@ fn continuous_shards(rows: usize) -> Vec<Table> {
     vec![make(&["a1", "a2", "a3"], 0.0), make(&["b1", "b2"], 1.0)]
 }
 
-fn tiny_config(pool_recycling: bool) -> GtvConfig {
-    GtvConfig { threads: 1, pool_recycling, alloc_stats: true, ..GtvConfig::smoke() }
+fn tiny_config() -> GtvConfig {
+    GtvConfig { threads: 1, ..GtvConfig::smoke() }
+}
+
+/// Trains `rounds` rounds and returns every step's snapshot, in order.
+fn train_and_record(trainer: &mut GtvTrainer, rounds: usize) -> Vec<StepAllocStats> {
+    let mut stats = Vec::new();
+    for _ in 0..rounds {
+        trainer.train_round().unwrap();
+        stats.extend_from_slice(trainer.alloc_stats());
+    }
+    stats
 }
 
 #[test]
@@ -44,14 +55,15 @@ fn fifty_steps_of_training_plateau_in_nodes_and_pool_bytes() {
     pool_mem::reset_stats();
 
     // smoke() runs 1 d-step + 1 g-step per round: 26 rounds = 52 steps.
-    let mut trainer = GtvTrainer::new(continuous_shards(64), tiny_config(true));
+    let mut trainer = GtvTrainer::new(continuous_shards(64), tiny_config());
     let mut held_per_round = Vec::new();
+    let mut stats: Vec<StepAllocStats> = Vec::new();
     for _ in 0..26 {
-        trainer.train_round().unwrap();
+        stats.extend(train_and_record(&mut trainer, 1));
         held_per_round.push(pool_mem::stats().bytes_held);
     }
+    assert_eq!(trainer.alloc_stats().len(), 2, "the trainer keeps one round's steps");
 
-    let stats: &[StepAllocStats] = trainer.alloc_stats();
     assert!(stats.len() >= 50, "expected at least 50 recorded steps, got {}", stats.len());
 
     // Steps alternate d, g, d, g, … — with continuous-only data both graph
@@ -87,15 +99,14 @@ fn fifty_steps_of_training_plateau_in_nodes_and_pool_bytes() {
 fn recycling_cuts_per_step_allocations_at_least_five_fold() {
     let _guard = SERIAL.lock().unwrap();
 
-    // Returns the mean allocator misses per step over the post-warmup tail.
+    // Returns the mean allocator misses per step over the post-warmup tail;
+    // `set_enabled(false)` is the fresh-allocation reference.
     let misses_per_step = |recycling: bool| -> f64 {
+        pool_mem::set_enabled(recycling);
         pool_mem::clear();
         pool_mem::reset_stats();
-        let mut trainer = GtvTrainer::new(continuous_shards(64), tiny_config(recycling));
-        for _ in 0..8 {
-            trainer.train_round().unwrap();
-        }
-        let stats = trainer.alloc_stats();
+        let mut trainer = GtvTrainer::new(continuous_shards(64), tiny_config());
+        let stats = train_and_record(&mut trainer, 8);
         let tail = &stats[stats.len() - 9..];
         let steps = (tail.len() - 1) as f64;
         (tail[tail.len() - 1].pool_misses - tail[0].pool_misses) as f64 / steps

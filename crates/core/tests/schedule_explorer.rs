@@ -5,7 +5,7 @@
 //! Three properties are checked against the *real* trainer and transport,
 //! not models of them:
 //!
-//! 1. **Delivery-order insensitivity**: replaying the pipelined schedule
+//! 1. **Delivery-order insensitivity**: replaying the round schedule
 //!    with every `send_all` fan-out delivered in a seeded pseudo-random
 //!    order produces bit-identical weights and synthetic output at 2 and 3
 //!    parties — `gather` re-sorting replies into fixed sender order is the
@@ -55,13 +55,12 @@ fn config() -> GtvConfig {
         batch: 16,
         block_width: 32,
         embedding_dim: 8,
-        pipelined_rounds: true,
         threads: 0,
         ..GtvConfig::default()
     }
 }
 
-/// Trains 2 pipelined rounds and synthesizes, optionally permuting every
+/// Trains 2 rounds and synthesizes, optionally permuting every
 /// fan-out's delivery order; returns (weight bytes, synthetic table).
 fn run(parties: usize, permute_seed: Option<u64>) -> (Vec<u8>, Table) {
     let mut trainer = GtvTrainer::new(shards(parties, 48), config());

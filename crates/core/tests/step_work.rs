@@ -20,7 +20,7 @@ fn a_round_builds_exactly_the_pinned_number_of_nodes() {
     let table = Dataset::Loan.generate(200, 0);
     let n = table.n_cols();
     let shards = table.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()]);
-    let config = GtvConfig { threads: 1, alloc_stats: true, ..GtvConfig::smoke() };
+    let config = GtvConfig { threads: 1, ..GtvConfig::smoke() };
     let mut trainer = GtvTrainer::new(shards, config);
     trainer.train_round().expect("in-process transport is healthy");
     let nodes: Vec<usize> = trainer.alloc_stats().iter().map(|s| s.live_nodes).collect();

@@ -15,10 +15,11 @@
 //!
 //! The defaults are deliberately high. The pool's parallel path must
 //! snapshot its input into an `Arc` and move boxed closures through a
-//! channel; measured on the BENCH_tensor host, that tax exceeds the entire
-//! inline cost of a 1M-element elementwise op. Sub-threshold work therefore
-//! runs inline even when `GTV_THREADS > 1` — this is what fixed the
-//! `speedup_vs_1 < 1.0` rows for `elementwise_tanh_1m`/`reduction_sum_1m`.
+//! channel; measured on the CI host, that tax exceeds the entire inline
+//! cost of a 1M-element elementwise op. Sub-threshold work therefore runs
+//! inline even when `GTV_THREADS > 1` — this is what fixed the two-thread
+//! slowdowns of a 1M-element tanh and sum (DESIGN.md §8). `gtvbench`'s
+//! `tensor.matmul_2t_speedup` is where a threshold change shows today.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

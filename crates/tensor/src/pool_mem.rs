@@ -24,8 +24,10 @@
 //!   fresh allocation by construction, at any `GTV_THREADS` setting.
 //! * **Always instrumented.** Bytes requested and hit/miss counts are
 //!   tracked even when recycling is disabled via [`set_enabled`] — that is
-//!   what lets `bench_step` and the regression tests compare allocation
-//!   traffic with the pool on and off using the same counters.
+//!   what lets the regression tests compare allocation traffic with the
+//!   pool against fresh allocation using the same counters.
+//! * **Always on.** Recycling is on for every thread unless a test turns it
+//!   off with [`set_enabled`]; no configuration does.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -45,9 +47,10 @@ const MAX_SLACK_FACTOR: usize = 4;
 
 /// Requests below this many elements bypass recycling entirely: [`take`]
 /// allocates fresh and [`give`] drops the buffer. A 256-byte allocation is
-/// cheaper than the free-list lookup it would replace — BENCH_step showed
-/// `pool_recycling=true` *losing* steps/s to tiny-shape lookup overhead
-/// (scalars, bias rows, per-row norms) before this floor existed. Counted
+/// cheaper than the free-list lookup it would replace — a step benchmark
+/// showed recycling *losing* steps/s to fresh allocation through tiny-shape
+/// lookup overhead (scalars, bias rows, per-row norms) before this floor
+/// existed (DESIGN.md §9). Counted
 /// separately in [`PoolStats::small`], not as misses, so hit-rate numbers
 /// describe only the traffic the pool actually manages.
 const MIN_RECYCLE_LEN: usize = 64;
@@ -83,6 +86,9 @@ pub struct PoolStats {
 
 /// Turns recycling on or off for the calling thread. Counters keep running
 /// either way; disabling only forces every [`take`] to allocate fresh.
+///
+/// Only tests call this: off is the fresh-allocation reference that the
+/// recycling tests compare allocation traffic and bits against.
 pub fn set_enabled(enabled: bool) {
     ENABLED.with(|e| e.set(enabled));
     if !enabled {

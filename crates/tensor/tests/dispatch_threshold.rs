@@ -1,9 +1,10 @@
 //! Satellite regression for the size-keyed dispatch layer (DESIGN.md §8):
 //! with many workers configured, work below the parallel thresholds must
 //! run inline on the calling thread — the worker pool is never touched.
-//! This pins the fix for the negative thread-scaling seen in BENCH_tensor
-//! (e.g. `reduction_sum_1m` at 0.56× with 2 threads): fan-out cost on
-//! sub-threshold shapes used to *lose* time to the dispatch itself.
+//! This pins the fix for the negative thread-scaling a since-deleted sweep
+//! binary measured (a 1M-element sum at 0.56× with 2 threads; DESIGN.md
+//! §8): fan-out cost on sub-threshold shapes used to *lose* time to the
+//! dispatch itself.
 //!
 //! The observable is [`pool::dispatch_count`], which counts only real
 //! multi-chunk worker fan-outs. One test function, deliberately: the

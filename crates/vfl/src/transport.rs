@@ -470,9 +470,9 @@ pub trait Transport {
 
     /// Fan-in: pops one `expected`-variant message from each of `senders`
     /// at `at`'s inbox and returns them **in `senders` order**, regardless
-    /// of arrival order. This is what keeps the pipelined schedule
-    /// observation-identical to lockstep: the server processes replies in
-    /// fixed party order even if clients finished out of order.
+    /// of arrival order. This is what makes a round's fan-in independent
+    /// of delivery order: the server processes replies in fixed party
+    /// order even if clients finished out of order.
     ///
     /// # Errors
     ///

@@ -11,6 +11,7 @@ use gtv_data::{Dataset, Table};
 use gtv_vfl::socket::framing::{PROTOCOL_VERSION, WIRE_VERSION};
 use gtv_vfl::{
     Endpoint, Fault, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport, TransportError,
+    WireCodec,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -113,6 +114,36 @@ fn three_party_tcp_matches_in_process() {
 #[test]
 fn three_party_unix_matches_in_process() {
     assert_backends_equivalent(3, true, "uds3");
+}
+
+#[test]
+fn adaptive_codec_over_sockets_trains_the_same_weights_in_fewer_bytes() {
+    // The codec is set on the transport before the trainer is built, as
+    // `gtv-cli serve-server --sparse-wire true` does.
+    let train = |codec: WireCodec, tag: &str| {
+        let fleet = Fleet::spawn(2, true, tag);
+        let transport = SocketTransport::connect(2, fleet.endpoints.clone())
+            .expect("connect to loopback fleet");
+        transport.set_codec(codec);
+        let mut trainer = GtvTrainer::with_transport(shards(2), GtvConfig::smoke(), transport)
+            .expect("seed negotiation over sockets");
+        for _ in 0..2 {
+            trainer.train_round().expect("socket round");
+        }
+        let out = (trainer.save_weights(), trainer.network_stats());
+        fleet.shutdown();
+        out
+    };
+    let (dense_weights, dense_stats) = train(WireCodec::Dense, "dense");
+    let (sparse_weights, sparse_stats) = train(WireCodec::Adaptive, "sparse");
+    assert_eq!(dense_weights, sparse_weights, "decoding is bit-exact");
+    assert_eq!(dense_stats.messages, sparse_stats.messages);
+    assert!(
+        sparse_stats.bytes < dense_stats.bytes,
+        "{} sparse vs {} dense bytes",
+        sparse_stats.bytes,
+        dense_stats.bytes
+    );
 }
 
 #[test]

@@ -1,11 +1,21 @@
 #!/usr/bin/env bash
 # Local CI gate: the build level, formatting, clippy under the workspace
-# deny-list, the gtv-xtask protocol lints, and the test suite (the bit pins
-# at two build levels). Run from anywhere.
+# deny-list, the gtv-xtask protocol lints, the test suite (the bit pins at
+# two build levels), the shims and the gtvbench smoke pass; and the working
+# tree left as it was found. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s ==\n' "$*"; }
+
+# What git reports about the tree: each path's status and a hash of its
+# content, so a file that was already dirty and changes again counts too.
+tree_state() {
+    git status --porcelain --untracked-files=all | while IFS= read -r entry; do
+        printf '%s %s\n' "$entry" "$(git hash-object -- "${entry:3}" 2>/dev/null || echo -)"
+    done
+}
+tree_before="$(tree_state)"
 
 step "build level (x86-64-v3 from .cargo/config.toml, and a host that runs it)"
 # The repository builds for x86-64-v3 (DESIGN.md §8). A `RUSTFLAGS` in the
@@ -120,39 +130,13 @@ step "schedule explorer (protocol-conformance, dynamic half)"
 # each property it proved.
 cargo test -p gtv --test schedule_explorer
 
-step "tensor benchmark (BENCH_tensor.json)"
-# Hot-loop throughput sweep over pool sizes; the artifact records GFLOP/s,
-# per-op speedup vs 1 thread and the host's core count (interpret speedups
-# against it — a 1-core runner cannot show wall-clock gains).
-cargo build -q --release -p gtv-bench --bin bench_tensor
-GTV_BENCH_REPS="${GTV_BENCH_REPS:-2}" ./target/release/bench_tensor target/BENCH_tensor.json
-
-step "training-step benchmark (BENCH_step.json)"
-# Centralized and 2-client VFL training rounds with buffer recycling on and
-# off: steps/s, allocator misses per step and the pool hit rate
-# (DESIGN.md §9).
-cargo build -q --release -p gtv-bench --bin bench_step
-GTV_BENCH_REPS="${GTV_BENCH_REPS:-2}" ./target/release/bench_step target/BENCH_step.json
-
-step "comms benchmark (BENCH_comms.json)"
-# {lockstep, pipelined} x {dense, sparse} x parties {2, 3, 5}: bytes and
-# messages per round, bytes_ratio_vs_dense and speedup_vs_lockstep
-# (DESIGN.md §10). Pipelined byte counts must equal lockstep's.
-cargo build -q --release -p gtv-bench --bin bench_comms
-GTV_BENCH_REPS="${GTV_BENCH_REPS:-2}" ./target/release/bench_comms target/BENCH_comms.json
-
-step "serve benchmark (BENCH_serve.json)"
-# Closed-loop clients against the in-process synthesis service at rising
-# concurrency: rows/s, request p50/p99 latency, the coalesced batch-size
-# histogram and the tensor pool hit rate (DESIGN.md §14). Steady-state
-# serving must run from recycled buffers.
-cargo build -q --release -p gtv-bench --bin bench_serve
-GTV_BENCH_REPS="${GTV_BENCH_REPS:-2}" ./target/release/bench_serve target/BENCH_serve.json
-
-# Publish the benchmark artifacts at the repo root.
-cp target/BENCH_tensor.json BENCH_tensor.json
-cp target/BENCH_step.json BENCH_step.json
-cp target/BENCH_comms.json BENCH_comms.json
-cp target/BENCH_serve.json BENCH_serve.json
+step "working tree unchanged"
+# Nothing above may write into the tree outside the ignored build outputs.
+tree_after="$(tree_state)"
+if [ "$tree_before" != "$tree_after" ]; then
+    echo "ci: the run changed these paths (< before, > after):" >&2
+    diff <(printf '%s\n' "$tree_before") <(printf '%s\n' "$tree_after") | grep '^[<>]' >&2 || true
+    exit 1
+fi
 
 printf '\nci: all gates passed\n'
