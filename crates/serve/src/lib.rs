@@ -18,7 +18,9 @@
 //!   same-model batching, per-request results; [`SynthService::request`]
 //!   is the blocking in-process client handle;
 //! * [`SynthServer`] / [`ServeConn`] — the socket server and client
-//!   speaking [`ServeFrame`]s.
+//!   speaking [`ServeFrame`]s. `ServeFrame` is a codec on
+//!   `gtv_vfl::socket`, the one socket layer the party transport also
+//!   runs on; this crate adds no socket code of its own.
 
 mod engine;
 mod registry;
@@ -29,6 +31,6 @@ pub use engine::{RowsRequest, ServeConfig, ServeError, ServeStats, SynthService,
 pub use registry::ModelRegistry;
 pub use server::{ServeConn, SynthServer};
 pub use wire::{
-    decode_serve_body, encode_serve_frame, encode_serve_wire, ServeFrame, ServeFrameBuf, WireCond,
-    MAX_MODEL_NAME, MAX_REASON, MAX_SERVE_BODY, SERVE_PROTOCOL,
+    decode_serve_body, encode_serve_frame, serve_reject_reason, ServeFrame, WireCond,
+    MAX_MODEL_NAME, SERVE_PROTOCOL,
 };

@@ -1,202 +1,55 @@
 //! The serve-session socket surface: [`SynthServer`] and [`ServeConn`].
 //!
-//! Mirrors the party transport's socket discipline
-//! (`gtv_vfl::socket`): a non-blocking listener polled on a fixed tick
-//! so the stop flag is honored, accepted streams switched to blocking
-//! reads with a short timeout, and every frame carried length-delimited
-//! (wire-v2 style) with typed errors for every failure. Connections are
+//! Both run on `gtv_vfl::socket`, the socket layer the party transport
+//! uses: its listener (polled on a fixed tick so the stop flag is
+//! honored), dialer, frame buffer, reader and writer, with [`ServeFrame`]
+//! as the codec. This module holds only the session: the hello exchange,
+//! request admission and reply order, and its timeouts. Connections are
 //! served one at a time; *within* a connection requests may be pipelined,
 //! and the server drains every decodable request into the engine before
 //! pumping, so pipelined clients get their requests coalesced into
 //! batched forward passes.
 //!
-//! No wall clock is read anywhere: waits are counted in poll ticks
+//! No wall clock is read anywhere: waits are counted in idle read ticks
 //! (`read_timeout`-bounded reads), keeping the serving path under the
 //! same determinism lint as the training transport.
 
 use crate::engine::{RowsRequest, ServeError, SynthService};
-use crate::wire::{
-    encode_serve_wire, ServeFrame, ServeFrameBuf, WireCond, MAX_REASON, SERVE_PROTOCOL,
-};
+use crate::wire::{serve_reject_reason, ServeFrame, WireCond, SERVE_PROTOCOL};
 use gtv::{CondSpec, SynthSpec};
 use gtv_data::{to_csv_string, Table};
+use gtv_vfl::socket::framing::FrameBuf;
+use gtv_vfl::socket::{dial, read_frame, write_frame, Listener, Stream};
 use gtv_vfl::{Endpoint, PartyId, TransportError};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Accept-loop and per-read poll period (stop-flag latency).
+/// The read tick and accept-loop poll period (stop-flag latency).
 const SERVE_POLL: Duration = Duration::from_millis(20);
-/// Poll ticks a handshake may take before giving up (≈5 s).
+/// Idle ticks a handshake may take before giving up (≈5 s).
 const HANDSHAKE_POLLS: u32 = 250;
-/// Poll ticks a client waits for a reply frame (≈60 s).
+/// Idle ticks a client waits for a reply frame (≈60 s).
 const REPLY_POLLS: u32 = 3000;
-/// Initial-connect attempts (the server may still be starting up).
-const CONNECT_ATTEMPTS: u32 = 6;
-/// Base of the exponential redial backoff.
-const BACKOFF_BASE: Duration = Duration::from_millis(20);
 
 fn frame_err(detail: impl Into<String>) -> TransportError {
     TransportError::Frame { detail: detail.into() }
 }
 
-fn setup_failed(what: &str, e: std::io::Error) -> TransportError {
-    TransportError::HandshakeFailed { reason: format!("{what}: {e}") }
-}
-
-fn backoff(attempt: u32) -> Duration {
-    // attempt < CONNECT_ATTEMPTS <= 31, so the shift cannot overflow.
-    BACKOFF_BASE * (1u32 << attempt.min(10))
+/// The error for `peer` staying silent through `polls` idle ticks.
+fn silent(peer: PartyId, polls: u32) -> TransportError {
+    TransportError::Timeout {
+        party: peer,
+        waited: SERVE_POLL * polls,
+        round: None,
+        expecting: None,
+    }
 }
 
 /// Lossless on every supported target; counters saturate rather than trap.
 fn as_u64(v: usize) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
-}
-
-/// One accepted or dialed byte stream.
-#[derive(Debug)]
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(dur),
-            Stream::Unix(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(on),
-            Stream::Unix(s) => s.set_nonblocking(on),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Listener {
-    Tcp(TcpListener),
-    Unix { listener: UnixListener, path: PathBuf },
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Unix { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// What one bounded read produced.
-enum ReadOutcome {
-    /// Fresh bytes were appended to the frame buffer.
-    Data,
-    /// The poll tick elapsed with nothing to read.
-    Idle,
-    /// The peer closed the stream.
-    Disconnected,
-}
-
-/// One bounded read into `fb`; `WouldBlock`/`TimedOut` are a quiet tick,
-/// EOF is a disconnect, everything else drops the peer.
-fn read_chunk(
-    stream: &mut Stream,
-    fb: &mut ServeFrameBuf,
-    peer: PartyId,
-) -> Result<ReadOutcome, TransportError> {
-    let mut buf = [0u8; 65536];
-    match stream.read(&mut buf) {
-        Ok(0) => Ok(ReadOutcome::Disconnected),
-        Ok(n) => {
-            fb.extend(&buf[..n]);
-            Ok(ReadOutcome::Data)
-        }
-        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-            Ok(ReadOutcome::Idle)
-        }
-        Err(e) if e.kind() == ErrorKind::Interrupted => Ok(ReadOutcome::Idle),
-        Err(_) => Err(TransportError::PeerDisconnected { party: peer }),
-    }
-}
-
-/// Blocks until a complete frame arrives, bounded by `polls` read ticks.
-fn wait_frame(
-    stream: &mut Stream,
-    fb: &mut ServeFrameBuf,
-    polls: u32,
-    peer: PartyId,
-) -> Result<ServeFrame, TransportError> {
-    for _ in 0..polls {
-        if let Some(frame) = fb.next_frame()? {
-            return Ok(frame);
-        }
-        if let ReadOutcome::Disconnected = read_chunk(stream, fb, peer)? {
-            return Err(TransportError::PeerDisconnected { party: peer });
-        }
-    }
-    Err(TransportError::Timeout {
-        party: peer,
-        waited: SERVE_POLL * polls,
-        round: None,
-        expecting: None,
-    })
-}
-
-/// Writes one length-prefixed frame.
-fn write_serve(
-    stream: &mut Stream,
-    frame: &ServeFrame,
-    peer: PartyId,
-) -> Result<(), TransportError> {
-    let bytes = encode_serve_wire(frame)?;
-    stream
-        .write_all(&bytes)
-        .and_then(|()| stream.flush())
-        .map_err(|_| TransportError::PeerDisconnected { party: peer })
-}
-
-/// Clips an error reason to the wire bound on a char boundary.
-fn clip_reason(mut reason: String) -> String {
-    let mut cap = MAX_REASON.min(reason.len());
-    while !reason.is_char_boundary(cap) {
-        cap -= 1;
-    }
-    reason.truncate(cap);
-    reason
 }
 
 /// The response frame for one resolved request. Busy keeps its typed
@@ -208,7 +61,7 @@ fn reply_for(id: u64, outcome: Result<Table, ServeError>) -> ServeFrame {
         Err(ServeError::Busy { depth, retry_after_ticks }) => {
             ServeFrame::SynthBusy { id, depth: as_u64(depth), retry_after_ticks }
         }
-        Err(e) => ServeFrame::SynthErr { id, reason: clip_reason(e.to_string()) },
+        Err(e) => ServeFrame::SynthErr { id, reason: e.to_string() },
     }
 }
 
@@ -218,36 +71,19 @@ fn reply_for(id: u64, outcome: Result<Table, ServeError>) -> ServeFrame {
 pub struct SynthServer {
     service: Arc<SynthService>,
     listener: Listener,
-    endpoint: Endpoint,
     stop: Arc<AtomicBool>,
 }
 
 impl SynthServer {
-    /// Binds the listening socket (TCP port 0 picks a free port; a stale
-    /// Unix socket path is replaced).
+    /// Binds the listening socket (TCP port 0 picks a free port; only a
+    /// stale socket file at a Unix path is replaced).
     pub fn bind(service: Arc<SynthService>, endpoint: &Endpoint) -> Result<Self, TransportError> {
-        let (listener, resolved) = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr).map_err(|e| setup_failed("bind", e))?;
-                l.set_nonblocking(true).map_err(|e| setup_failed("listener", e))?;
-                let local = l.local_addr().map_err(|e| setup_failed("local_addr", e))?;
-                (Listener::Tcp(l), Endpoint::Tcp(local.to_string()))
-            }
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    let _ = std::fs::remove_file(path);
-                }
-                let l = UnixListener::bind(path).map_err(|e| setup_failed("bind", e))?;
-                l.set_nonblocking(true).map_err(|e| setup_failed("listener", e))?;
-                (Listener::Unix { listener: l, path: path.clone() }, Endpoint::Unix(path.clone()))
-            }
-        };
-        Ok(Self { service, listener, endpoint: resolved, stop: Arc::new(AtomicBool::new(false)) })
+        Ok(Self { service, listener: Listener::bind(endpoint)?, stop: Arc::default() })
     }
 
     /// The resolved listening endpoint (with any ephemeral port filled in).
     pub fn endpoint(&self) -> Endpoint {
-        self.endpoint.clone()
+        self.listener.endpoint()
     }
 
     /// The engine this server answers from.
@@ -271,66 +107,44 @@ impl SynthServer {
 
     /// Accepts and serves connections (one at a time) until the stop flag
     /// is raised or `max_replies` responses have been written. Returns
-    /// the number of responses written. Only listener-level failures are
+    /// the number of responses written, counting those written on a
+    /// connection that later failed. Only listener-level failures are
     /// fatal; anything a client does wrong drops that client.
     pub fn serve(&self, max_replies: Option<u64>) -> Result<u64, TransportError> {
         let mut total = 0u64;
-        while !self.stopped() {
-            let remaining = match max_replies {
-                Some(m) if total >= m => break,
-                Some(m) => Some(m - total),
-                None => None,
-            };
-            match self.accept()? {
-                Some(stream) => total += self.serve_conn(stream, remaining).unwrap_or(0),
+        while !self.stopped() && !matches!(max_replies, Some(m) if total >= m) {
+            match self.listener.accept(SERVE_POLL)? {
+                Some(stream) => {
+                    let _ = self.serve_conn(stream, &mut total, max_replies);
+                }
                 None => std::thread::sleep(SERVE_POLL),
             }
         }
         Ok(total)
     }
 
-    fn accept(&self) -> Result<Option<Stream>, TransportError> {
-        let accepted = match &self.listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            Listener::Unix { listener, .. } => listener.accept().map(|(s, _)| Stream::Unix(s)),
-        };
-        match accepted {
-            Ok(stream) => {
-                // The listener is non-blocking (to poll the stop flag); the
-                // accepted stream blocks with a short read timeout instead.
-                stream.set_nonblocking(false).map_err(|e| setup_failed("accepted stream", e))?;
-                stream
-                    .set_read_timeout(Some(SERVE_POLL))
-                    .map_err(|e| setup_failed("accepted stream", e))?;
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(setup_failed("accept", e)),
-        }
-    }
-
     /// Answers the opening `SynthHello`. The `(reply, accepted)` pair is
     /// built in one match so the session machine sees the accept path
     /// before the reject path.
-    fn handshake(&self, stream: &mut Stream, fb: &mut ServeFrameBuf) -> Result<(), TransportError> {
-        let frame = wait_frame(stream, fb, HANDSHAKE_POLLS, PartyId::Public)?;
+    fn handshake(
+        &self,
+        stream: &mut Stream,
+        fb: &mut FrameBuf<ServeFrame>,
+    ) -> Result<(), TransportError> {
+        let frame = read_frame(stream, fb, HANDSHAKE_POLLS, PartyId::Public, || {
+            silent(PartyId::Public, HANDSHAKE_POLLS)
+        })?;
         let (reply, accepted) = match frame {
-            ServeFrame::SynthHello { protocol } => {
-                if protocol == SERVE_PROTOCOL {
-                    (ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL }, true)
-                } else {
-                    let reason = format!(
-                        "serve protocol {protocol} not supported (this server speaks {SERVE_PROTOCOL})"
-                    );
-                    (ServeFrame::SynthErr { id: 0, reason }, false)
-                }
-            }
+            ServeFrame::SynthHello { protocol } => match serve_reject_reason(protocol) {
+                None => (ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL }, true),
+                Some(reason) => (ServeFrame::SynthErr { id: 0, reason }, false),
+            },
             other => {
                 let reason = format!("expected SynthHello, got {}", other.kind());
                 (ServeFrame::SynthErr { id: 0, reason }, false)
             }
         };
-        write_serve(stream, &reply, PartyId::Public)?;
+        write_frame(stream, &reply, PartyId::Public)?;
         if accepted {
             Ok(())
         } else {
@@ -364,13 +178,13 @@ impl SynthServer {
     }
 
     /// Writes a response for every head-of-line request whose result is
-    /// ready, preserving request order. Returns how many were written.
+    /// ready, preserving request order, counting each into `total`.
     fn flush_ready(
         &self,
         stream: &mut Stream,
         inflight: &mut VecDeque<(u64, Result<u64, ServeError>)>,
-    ) -> Result<u64, TransportError> {
-        let mut wrote = 0u64;
+        total: &mut u64,
+    ) -> Result<(), TransportError> {
         while let Some((id, admitted)) = inflight.front() {
             let outcome = match admitted {
                 Ok(ticket) => match self.service.try_take(*ticket) {
@@ -382,47 +196,52 @@ impl SynthServer {
             let id = *id;
             inflight.pop_front();
             let reply = reply_for(id, outcome);
-            write_serve(stream, &reply, PartyId::Public)?;
-            wrote += 1;
+            write_frame(stream, &reply, PartyId::Public)?;
+            *total += 1;
         }
-        Ok(wrote)
+        Ok(())
     }
 
-    /// Serves one connection until EOF, a malformed frame, or the stop
-    /// flag. Every decodable request is admitted before the engine is
-    /// pumped, so pipelined requests coalesce into one batched forward.
+    /// Serves one connection until EOF, a malformed frame, the stop flag,
+    /// or `max_replies` in `total`. Every decodable request is admitted
+    /// before the engine is pumped, so pipelined requests coalesce into
+    /// one batched forward.
     fn serve_conn(
         &self,
         mut stream: Stream,
+        total: &mut u64,
         max_replies: Option<u64>,
-    ) -> Result<u64, TransportError> {
-        let mut fb = ServeFrameBuf::new();
+    ) -> Result<(), TransportError> {
+        let mut fb = FrameBuf::new();
         self.handshake(&mut stream, &mut fb)?;
         let mut inflight: VecDeque<(u64, Result<u64, ServeError>)> = VecDeque::new();
-        let mut wrote = 0u64;
         loop {
             if self.stopped() {
-                return Ok(wrote);
+                return Ok(());
             }
-            let disconnected = matches!(
-                read_chunk(&mut stream, &mut fb, PartyId::Public)?,
-                ReadOutcome::Disconnected
-            );
+            let disconnected = match read_frame(&mut stream, &mut fb, 1, PartyId::Public, || {
+                silent(PartyId::Public, 1)
+            }) {
+                Ok(frame) => {
+                    inflight.push_back(self.admit(frame)?);
+                    false
+                }
+                // Nothing arrived this tick: pump and flush what is in flight.
+                Err(TransportError::Timeout { .. }) => false,
+                Err(TransportError::PeerDisconnected { .. }) => true,
+                Err(e) => return Err(e),
+            };
             while let Some(frame) = fb.next_frame()? {
-                let (id, admitted) = self.admit(frame)?;
-                inflight.push_back((id, admitted));
+                inflight.push_back(self.admit(frame)?);
             }
             if inflight.iter().any(|(_, admitted)| admitted.is_ok()) {
                 self.service.pump();
             }
-            wrote += self.flush_ready(&mut stream, &mut inflight)?;
-            if let Some(m) = max_replies {
-                if wrote >= m {
-                    return Ok(wrote);
-                }
-            }
-            if disconnected && inflight.is_empty() {
-                return Ok(wrote);
+            self.flush_ready(&mut stream, &mut inflight, total)?;
+            if matches!(max_replies, Some(m) if *total >= m)
+                || (disconnected && inflight.is_empty())
+            {
+                return Ok(());
             }
         }
     }
@@ -436,27 +255,31 @@ impl SynthServer {
 #[derive(Debug)]
 pub struct ServeConn {
     stream: Stream,
-    fb: ServeFrameBuf,
+    fb: FrameBuf<ServeFrame>,
     next_id: u64,
 }
 
 impl ServeConn {
     /// Dials `endpoint` (with startup backoff) and performs the serve
-    /// hello exchange.
+    /// hello exchange. Every failure of the exchange — a rejection, a peer
+    /// that hangs up or speaks another protocol, silence — is
+    /// [`TransportError::HandshakeFailed`].
     pub fn connect(endpoint: &Endpoint) -> Result<Self, TransportError> {
-        let mut stream = dial(endpoint)?;
-        let mut fb = ServeFrameBuf::new();
-        write_serve(
-            &mut stream,
-            &ServeFrame::SynthHello { protocol: SERVE_PROTOCOL },
-            PartyId::Server,
-        )?;
-        let reply = wait_frame(&mut stream, &mut fb, HANDSHAKE_POLLS, PartyId::Server)?;
-        match reply {
-            ServeFrame::SynthHelloAck { .. } => Ok(Self { stream, fb, next_id: 1 }),
-            ServeFrame::SynthErr { reason, .. } => Err(TransportError::HandshakeFailed { reason }),
-            other => Err(frame_err(format!("expected SynthHelloAck, got {}", other.kind()))),
-        }
+        let mut stream = dial(endpoint, SERVE_POLL)?;
+        let mut fb = FrameBuf::new();
+        let hello = ServeFrame::SynthHello { protocol: SERVE_PROTOCOL };
+        let reply = write_frame(&mut stream, &hello, PartyId::Server).and_then(|()| {
+            read_frame(&mut stream, &mut fb, HANDSHAKE_POLLS, PartyId::Server, || {
+                silent(PartyId::Server, HANDSHAKE_POLLS)
+            })
+        });
+        let reason = match reply {
+            Ok(ServeFrame::SynthHelloAck { .. }) => return Ok(Self { stream, fb, next_id: 1 }),
+            Ok(ServeFrame::SynthErr { reason, .. }) => reason,
+            Ok(other) => format!("expected SynthHelloAck from {endpoint}, got {}", other.kind()),
+            Err(e) => format!("serve hello to {endpoint}: {e}"),
+        };
+        Err(TransportError::HandshakeFailed { reason })
     }
 
     /// Requests `n` rows of `model` and blocks for the response.
@@ -479,8 +302,11 @@ impl ServeConn {
             cond,
             deadline_ticks: deadline_ticks.unwrap_or(u64::MAX),
         };
-        write_serve(&mut self.stream, &request, PartyId::Server)?;
-        let reply = wait_frame(&mut self.stream, &mut self.fb, REPLY_POLLS, PartyId::Server)?;
+        write_frame(&mut self.stream, &request, PartyId::Server)?;
+        let reply =
+            read_frame(&mut self.stream, &mut self.fb, REPLY_POLLS, PartyId::Server, || {
+                silent(PartyId::Server, REPLY_POLLS)
+            })?;
         match reply {
             ServeFrame::SynthRows { id: rid, csv } if rid == id => Ok(csv),
             ServeFrame::SynthBusy { id: rid, depth, retry_after_ticks } if rid == id => {
@@ -498,29 +324,4 @@ impl ServeConn {
             )))),
         }
     }
-}
-
-/// Dials with startup backoff, mirroring the party transport.
-fn dial(endpoint: &Endpoint) -> Result<Stream, TransportError> {
-    let mut last: Option<std::io::Error> = None;
-    for attempt in 0..CONNECT_ATTEMPTS {
-        if attempt > 0 {
-            std::thread::sleep(backoff(attempt));
-        }
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
-            Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-        };
-        match conn {
-            Ok(stream) => {
-                stream
-                    .set_read_timeout(Some(SERVE_POLL))
-                    .map_err(|e| setup_failed("dialed stream", e))?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    let detail = last.map_or_else(|| "no attempt made".to_string(), |e| e.to_string());
-    Err(TransportError::HandshakeFailed { reason: format!("could not reach {endpoint}: {detail}") })
 }

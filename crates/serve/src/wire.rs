@@ -1,33 +1,27 @@
 //! Serve-session wire frames: the byte surface of `gtv-cli serve-synth`.
 //!
-//! Frames ride the same discipline as the party transport's wire-v2
-//! framing (`gtv_vfl::socket::framing`): a little-endian `u32` length
-//! prefix followed by an opcode-tagged body, bounded by
-//! [`MAX_SERVE_BODY`], with every malformed input reported as a typed
-//! [`TransportError::Frame`] — never a panic. The serve session speaks its
-//! own opcode space so a synthesis client can never be confused with a
+//! [`ServeFrame`] is a `gtv_vfl::socket::framing::FrameCodec`: it rides the
+//! one socket layer the party transport uses — the same length prefix and
+//! body bound, reassembly buffer, reader and writers — so this module
+//! holds only the opcodes and field layout. Every malformed input is a
+//! typed [`TransportError::Frame`], never a panic. The serve session speaks
+//! its own opcode space so a synthesis client can never be confused with a
 //! training party: the first frame on a connection must be
-//! [`ServeFrame::SynthHello`], which a training node would reject as an
-//! unknown opcode (and vice versa).
+//! [`ServeFrame::SynthHello`], which a training node rejects as an unknown
+//! opcode (and vice versa).
 //!
 //! The session state machine over these frames is linted by gtv-xtask's
 //! L10 protocol-order pass (`SERVE_EDGES`); the variant set here is kept
 //! in bijection with that machine by the serve wire-drift check.
 
+use gtv_vfl::socket::framing::{put_short_str, put_u32, put_u64, Body, FrameCodec, MAX_REASON};
 use gtv_vfl::TransportError;
 
 /// Serve-session protocol version, negotiated by `SynthHello`.
 pub const SERVE_PROTOCOL: u32 = 1;
 
-/// Upper bound on one frame body (mirrors the transport's framing bound:
-/// a full gradient matrix plus header slack).
-pub const MAX_SERVE_BODY: usize = (1 << 30) + 4096;
-
 /// Longest accepted model name on the wire.
 pub const MAX_MODEL_NAME: usize = 256;
-
-/// Longest accepted error-reason string on the wire.
-pub const MAX_REASON: usize = 512;
 
 /// A conditional-vector choice carried by a request: one category of one
 /// categorical column owned by one client (CTGAN-style conditioning).
@@ -94,6 +88,7 @@ pub enum ServeFrame {
         retry_after_ticks: u64,
     },
     /// Server → client typed failure (bad request, expired deadline, …).
+    /// The reason is clipped to `MAX_REASON` bytes on a character boundary.
     SynthErr {
         /// Correlation id of the failed request (0 during handshake).
         id: u64,
@@ -116,6 +111,14 @@ impl ServeFrame {
     }
 }
 
+/// Why a `SynthHello` carrying `protocol` must be rejected, if at all.
+/// Pure so the rule is testable without a socket.
+pub fn serve_reject_reason(protocol: u32) -> Option<String> {
+    (protocol != SERVE_PROTOCOL).then(|| {
+        format!("serve protocol {protocol} not supported (this server speaks {SERVE_PROTOCOL})")
+    })
+}
+
 const OP_HELLO: u8 = 0x51;
 const OP_HELLO_ACK: u8 = 0x52;
 const OP_REQUEST: u8 = 0x53;
@@ -127,270 +130,127 @@ fn frame_err(detail: impl Into<String>) -> TransportError {
     TransportError::Frame { detail: detail.into() }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounded-length string/byte prefix: `u16` for names and reasons.
-fn put_short_bytes(
-    out: &mut Vec<u8>,
-    b: &[u8],
-    what: &str,
-    cap: usize,
-) -> Result<(), TransportError> {
-    if b.len() > cap {
-        return Err(frame_err(format!("{what} is {} bytes, cap {cap}", b.len())));
+impl FrameCodec for ServeFrame {
+    /// Fails with a typed [`TransportError::Frame`] when the model name
+    /// exceeds [`MAX_MODEL_NAME`] or the CSV length overflows its `u32`.
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), TransportError> {
+        match self {
+            ServeFrame::SynthHello { protocol } => {
+                out.push(OP_HELLO);
+                put_u32(out, *protocol);
+            }
+            ServeFrame::SynthHelloAck { protocol } => {
+                out.push(OP_HELLO_ACK);
+                put_u32(out, *protocol);
+            }
+            ServeFrame::SynthRequest { id, model, n, seed, cond, deadline_ticks } => {
+                // A clipped name would ask for another model: refuse instead.
+                if model.len() > MAX_MODEL_NAME {
+                    return Err(frame_err(format!(
+                        "model name is {} bytes, cap {MAX_MODEL_NAME}",
+                        model.len()
+                    )));
+                }
+                out.push(OP_REQUEST);
+                put_u64(out, *id);
+                put_u64(out, *n);
+                put_u64(out, *seed);
+                put_u64(out, *deadline_ticks);
+                match cond {
+                    Some(c) => {
+                        out.push(1);
+                        put_u64(out, c.client);
+                        put_u64(out, c.column);
+                        put_u64(out, c.category);
+                    }
+                    None => out.push(0),
+                }
+                put_short_str(out, model, MAX_MODEL_NAME);
+            }
+            ServeFrame::SynthRows { id, csv } => {
+                let len =
+                    u32::try_from(csv.len()).map_err(|_| frame_err("CSV length overflows u32"))?;
+                out.reserve(13 + csv.len());
+                out.push(OP_ROWS);
+                put_u64(out, *id);
+                put_u32(out, len);
+                out.extend_from_slice(csv);
+            }
+            ServeFrame::SynthBusy { id, depth, retry_after_ticks } => {
+                out.push(OP_BUSY);
+                put_u64(out, *id);
+                put_u64(out, *depth);
+                put_u64(out, *retry_after_ticks);
+            }
+            ServeFrame::SynthErr { id, reason } => {
+                out.push(OP_ERR);
+                put_u64(out, *id);
+                put_short_str(out, reason, MAX_REASON);
+            }
+        }
+        Ok(())
     }
-    let len =
-        u16::try_from(b.len()).map_err(|_| frame_err(format!("{what} length overflows u16")))?;
-    put_u16(out, len);
-    out.extend_from_slice(b);
-    Ok(())
+
+    fn decode_body(body: &[u8]) -> Result<Self, TransportError> {
+        let mut b = Body::new(body);
+        let frame = match b.u8("opcode")? {
+            OP_HELLO => ServeFrame::SynthHello { protocol: b.u32("protocol")? },
+            OP_HELLO_ACK => ServeFrame::SynthHelloAck { protocol: b.u32("protocol")? },
+            OP_REQUEST => {
+                let id = b.u64("id")?;
+                let n = b.u64("n")?;
+                let seed = b.u64("seed")?;
+                let deadline_ticks = b.u64("deadline")?;
+                let cond = match b.u8("cond tag")? {
+                    0 => None,
+                    1 => Some(WireCond {
+                        client: b.u64("cond client")?,
+                        column: b.u64("cond column")?,
+                        category: b.u64("cond category")?,
+                    }),
+                    tag => return Err(frame_err(format!("bad cond tag {tag}"))),
+                };
+                let model = b.short_str("model name", MAX_MODEL_NAME)?;
+                ServeFrame::SynthRequest { id, model, n, seed, cond, deadline_ticks }
+            }
+            OP_ROWS => {
+                let id = b.u64("id")?;
+                let len = b.u32("csv length")?;
+                let len =
+                    usize::try_from(len).map_err(|_| frame_err("csv length overflows usize"))?;
+                let csv = b.take(len, "csv payload")?.to_vec();
+                ServeFrame::SynthRows { id, csv }
+            }
+            OP_BUSY => ServeFrame::SynthBusy {
+                id: b.u64("id")?,
+                depth: b.u64("depth")?,
+                retry_after_ticks: b.u64("retry")?,
+            },
+            OP_ERR => {
+                let id = b.u64("id")?;
+                let reason = b.short_str("error reason", MAX_REASON)?;
+                ServeFrame::SynthErr { id, reason }
+            }
+            other => return Err(frame_err(format!("unknown serve opcode {other:#04x}"))),
+        };
+        b.finish(frame.kind())?;
+        Ok(frame)
+    }
 }
 
-/// Encodes one frame body (no length prefix; the stream writer adds it).
+/// Encodes one frame body (no length prefix; `write_frame` adds it).
 ///
 /// Fails with a typed [`TransportError::Frame`] when a field exceeds its
-/// wire bound (model name, reason string, CSV payload).
+/// wire bound.
 pub fn encode_serve_frame(frame: &ServeFrame) -> Result<Vec<u8>, TransportError> {
     let mut out = Vec::new();
-    match frame {
-        ServeFrame::SynthHello { protocol } => {
-            out.push(OP_HELLO);
-            put_u32(&mut out, *protocol);
-        }
-        ServeFrame::SynthHelloAck { protocol } => {
-            out.push(OP_HELLO_ACK);
-            put_u32(&mut out, *protocol);
-        }
-        ServeFrame::SynthRequest { id, model, n, seed, cond, deadline_ticks } => {
-            out.push(OP_REQUEST);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *n);
-            put_u64(&mut out, *seed);
-            put_u64(&mut out, *deadline_ticks);
-            match cond {
-                Some(c) => {
-                    out.push(1);
-                    put_u64(&mut out, c.client);
-                    put_u64(&mut out, c.column);
-                    put_u64(&mut out, c.category);
-                }
-                None => out.push(0),
-            }
-            put_short_bytes(&mut out, model.as_bytes(), "model name", MAX_MODEL_NAME)?;
-        }
-        ServeFrame::SynthRows { id, csv } => {
-            out.push(OP_ROWS);
-            put_u64(&mut out, *id);
-            if csv.len() > MAX_SERVE_BODY - 16 {
-                return Err(frame_err(format!(
-                    "CSV payload is {} bytes, cap {}",
-                    csv.len(),
-                    MAX_SERVE_BODY - 16
-                )));
-            }
-            let len =
-                u32::try_from(csv.len()).map_err(|_| frame_err("CSV length overflows u32"))?;
-            put_u32(&mut out, len);
-            out.extend_from_slice(csv);
-        }
-        ServeFrame::SynthBusy { id, depth, retry_after_ticks } => {
-            out.push(OP_BUSY);
-            put_u64(&mut out, *id);
-            put_u64(&mut out, *depth);
-            put_u64(&mut out, *retry_after_ticks);
-        }
-        ServeFrame::SynthErr { id, reason } => {
-            out.push(OP_ERR);
-            put_u64(&mut out, *id);
-            put_short_bytes(&mut out, reason.as_bytes(), "error reason", MAX_REASON)?;
-        }
-    }
+    frame.encode_body(&mut out)?;
     Ok(out)
-}
-
-/// Bounds-checked little-endian cursor over one frame body.
-struct Cur<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b, off: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TransportError> {
-        let end = self.off.checked_add(n).filter(|&e| e <= self.b.len()).ok_or_else(|| {
-            frame_err(format!("truncated frame: {what} needs {n} bytes at offset {}", self.off))
-        })?;
-        let s = &self.b[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, TransportError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, TransportError> {
-        let s = self.take(2, what)?;
-        let mut b = [0u8; 2];
-        b.copy_from_slice(s);
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, TransportError> {
-        let s = self.take(4, what)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, TransportError> {
-        let s = self.take(8, what)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn short_str(&mut self, what: &str, cap: usize) -> Result<String, TransportError> {
-        let len = usize::from(self.u16(what)?);
-        if len > cap {
-            return Err(frame_err(format!("{what} is {len} bytes, cap {cap}")));
-        }
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| frame_err(format!("{what} is not UTF-8")))
-    }
-
-    fn done(&self, kind: &str) -> Result<(), TransportError> {
-        if self.off == self.b.len() {
-            Ok(())
-        } else {
-            Err(frame_err(format!("{} trailing bytes after {kind}", self.b.len() - self.off)))
-        }
-    }
 }
 
 /// Decodes one frame body (everything after the length prefix).
 pub fn decode_serve_body(body: &[u8]) -> Result<ServeFrame, TransportError> {
-    let mut cur = Cur::new(body);
-    let op = cur.u8("opcode")?;
-    let frame = match op {
-        OP_HELLO => ServeFrame::SynthHello { protocol: cur.u32("protocol")? },
-        OP_HELLO_ACK => ServeFrame::SynthHelloAck { protocol: cur.u32("protocol")? },
-        OP_REQUEST => {
-            let id = cur.u64("id")?;
-            let n = cur.u64("n")?;
-            let seed = cur.u64("seed")?;
-            let deadline_ticks = cur.u64("deadline")?;
-            let cond = match cur.u8("cond tag")? {
-                0 => None,
-                1 => Some(WireCond {
-                    client: cur.u64("cond client")?,
-                    column: cur.u64("cond column")?,
-                    category: cur.u64("cond category")?,
-                }),
-                tag => return Err(frame_err(format!("bad cond tag {tag}"))),
-            };
-            let model = cur.short_str("model name", MAX_MODEL_NAME)?;
-            ServeFrame::SynthRequest { id, model, n, seed, cond, deadline_ticks }
-        }
-        OP_ROWS => {
-            let id = cur.u64("id")?;
-            let len = cur.u32("csv length")?;
-            let len = usize::try_from(len).map_err(|_| frame_err("csv length overflows usize"))?;
-            if len > MAX_SERVE_BODY {
-                return Err(frame_err(format!("csv length {len} exceeds body bound")));
-            }
-            let csv = cur.take(len, "csv payload")?.to_vec();
-            ServeFrame::SynthRows { id, csv }
-        }
-        OP_BUSY => ServeFrame::SynthBusy {
-            id: cur.u64("id")?,
-            depth: cur.u64("depth")?,
-            retry_after_ticks: cur.u64("retry")?,
-        },
-        OP_ERR => {
-            let id = cur.u64("id")?;
-            let reason = cur.short_str("error reason", MAX_REASON)?;
-            ServeFrame::SynthErr { id, reason }
-        }
-        other => return Err(frame_err(format!("unknown serve opcode {other:#04x}"))),
-    };
-    cur.done(frame.kind())?;
-    Ok(frame)
-}
-
-/// Incremental reassembly buffer for length-prefixed serve frames
-/// (mirrors the transport's `FrameBuf`): feed raw socket chunks with
-/// [`extend`](Self::extend), pull complete frames with
-/// [`next_frame`](Self::next_frame).
-#[derive(Debug, Default)]
-pub struct ServeFrameBuf {
-    buf: Vec<u8>,
-}
-
-impl ServeFrameBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw bytes read from the stream.
-    pub fn extend(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Bytes currently buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pops the next complete frame, `Ok(None)` when more bytes are
-    /// needed, or a typed error when the stream lost sync (oversized
-    /// length prefix, malformed body).
-    pub fn next_frame(&mut self) -> Result<Option<ServeFrame>, TransportError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let mut lb = [0u8; 4];
-        lb.copy_from_slice(&self.buf[..4]);
-        let body_len = usize::try_from(u32::from_le_bytes(lb))
-            .map_err(|_| frame_err("length prefix overflows usize"))?;
-        if body_len > MAX_SERVE_BODY {
-            return Err(frame_err(format!("length prefix {body_len} exceeds {MAX_SERVE_BODY}")));
-        }
-        if self.buf.len() < 4 + body_len {
-            return Ok(None);
-        }
-        let frame = decode_serve_body(&self.buf[4..4 + body_len])?;
-        self.buf.drain(..4 + body_len);
-        Ok(Some(frame))
-    }
-}
-
-/// Encodes `frame` with its `u32` little-endian length prefix, ready to
-/// write to a stream.
-pub fn encode_serve_wire(frame: &ServeFrame) -> Result<Vec<u8>, TransportError> {
-    let body = encode_serve_frame(frame)?;
-    if body.len() > MAX_SERVE_BODY {
-        return Err(frame_err(format!("frame body {} exceeds {MAX_SERVE_BODY}", body.len())));
-    }
-    let len = u32::try_from(body.len()).map_err(|_| frame_err("frame body overflows u32"))?;
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, len);
-    out.extend_from_slice(&body);
-    Ok(out)
+    ServeFrame::decode_body(body)
 }
 
 #[cfg(test)]
@@ -433,27 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_buf_reassembles_split_and_coalesced_chunks() {
-        let mut wire = Vec::new();
-        for frame in exemplars() {
-            wire.extend_from_slice(&encode_serve_wire(&frame).expect("encode"));
-        }
-        let mut fb = ServeFrameBuf::new();
-        let mut got = Vec::new();
-        // Feed in awkward 3-byte slivers so every length prefix and body
-        // is split across chunk boundaries at least once.
-        for chunk in wire.chunks(3) {
-            fb.extend(chunk);
-            while let Some(f) = fb.next_frame().expect("frame") {
-                got.push(f);
-            }
-        }
-        assert_eq!(got, exemplars());
-        assert_eq!(fb.buffered(), 0);
-    }
-
-    #[test]
-    fn oversized_fields_are_rejected_at_encode_time() {
+    fn oversized_names_are_rejected_and_reasons_clipped_at_encode_time() {
         let long_model = ServeFrame::SynthRequest {
             id: 1,
             model: "m".repeat(MAX_MODEL_NAME + 1),
@@ -464,7 +304,11 @@ mod tests {
         };
         assert!(encode_serve_frame(&long_model).is_err());
         let long_reason = ServeFrame::SynthErr { id: 1, reason: "r".repeat(MAX_REASON + 1) };
-        assert!(encode_serve_frame(&long_reason).is_err());
+        let body = encode_serve_frame(&long_reason).expect("reasons are clipped, not refused");
+        assert_eq!(
+            decode_serve_body(&body).expect("decode"),
+            ServeFrame::SynthErr { id: 1, reason: "r".repeat(MAX_REASON) }
+        );
     }
 
     #[test]
@@ -484,9 +328,5 @@ mod tests {
         let mut noisy = encode_serve_frame(&exemplars()[0]).expect("encode");
         noisy.push(0);
         assert!(matches!(decode_serve_body(&noisy), Err(TransportError::Frame { .. })));
-        // Oversized length prefix loses the stream.
-        let mut fb = ServeFrameBuf::new();
-        fb.extend(&u32::MAX.to_le_bytes());
-        assert!(matches!(fb.next_frame(), Err(TransportError::Frame { .. })));
     }
 }

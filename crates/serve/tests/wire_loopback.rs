@@ -1,15 +1,21 @@
 //! Socket loopback: the wire surface returns byte-identical rows to the
-//! in-process handle, over both TCP and Unix-domain endpoints, and
-//! remote failures arrive as typed error frames.
+//! in-process handle, over both TCP and Unix-domain endpoints, remote
+//! failures arrive as typed error frames, and the server's reply count
+//! survives a client that turns bad.
 
 mod common;
 
 use gtv::SynthSpec;
 use gtv_serve::{
-    ModelRegistry, RowsRequest, ServeConfig, ServeConn, ServeError, SynthServer, SynthService,
+    ModelRegistry, RowsRequest, ServeConfig, ServeConn, ServeError, ServeFrame, SynthServer,
+    SynthService, SERVE_PROTOCOL,
 };
-use gtv_vfl::Endpoint;
+use gtv_vfl::socket::framing::FrameBuf;
+use gtv_vfl::socket::{dial, read_frame, write_frame, Stream};
+use gtv_vfl::{Endpoint, PartyId, TransportError};
+use std::io::Write;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn service_with_loan() -> Arc<SynthService> {
     let mut registry = ModelRegistry::new();
@@ -69,4 +75,44 @@ fn unix_socket_round_trip_serves_rows() {
     let served = handle.join().expect("server thread").expect("serve loop");
     assert_eq!(served, 1);
     assert!(!path.exists(), "the listener removes its socket path on drop");
+}
+
+/// One frame from the server, on a raw client stream.
+fn reply(stream: &mut Stream, fb: &mut FrameBuf<ServeFrame>) -> ServeFrame {
+    read_frame(stream, fb, 500, PartyId::Server, || TransportError::HandshakeFailed {
+        reason: "the server went quiet".to_string(),
+    })
+    .expect("a reply frame")
+}
+
+#[test]
+fn serve_counts_the_replies_of_a_connection_that_later_fails() {
+    let server =
+        SynthServer::bind(service_with_loan(), &Endpoint::parse("127.0.0.1:0")).expect("bind tcp");
+    let endpoint = server.endpoint();
+    let handle = std::thread::spawn(move || server.serve(Some(2)));
+
+    // Client A: one good request, then garbage that loses the stream.
+    let mut a = dial(&endpoint, Duration::from_millis(20)).expect("dial");
+    let mut fb = FrameBuf::new();
+    let hello = ServeFrame::SynthHello { protocol: SERVE_PROTOCOL };
+    write_frame(&mut a, &hello, PartyId::Server).expect("hello");
+    assert!(matches!(reply(&mut a, &mut fb), ServeFrame::SynthHelloAck { .. }));
+    let request = ServeFrame::SynthRequest {
+        id: 1,
+        model: "loan".to_string(),
+        n: 3,
+        seed: 1,
+        cond: None,
+        deadline_ticks: u64::MAX,
+    };
+    write_frame(&mut a, &request, PartyId::Server).expect("request");
+    assert!(matches!(reply(&mut a, &mut fb), ServeFrame::SynthRows { id: 1, .. }));
+    a.write_all(&[0xff; 8]).expect("garbage");
+
+    // Client B: one reply, which must be the second one counted.
+    let mut b = ServeConn::connect(&endpoint).expect("connect");
+    b.synth("loan", 3, 2, None, None).expect("rows for B");
+    let served = handle.join().expect("server thread").expect("serve loop");
+    assert_eq!(served, 2, "A's reply counts although A's connection failed");
 }

@@ -8,7 +8,8 @@
 //!   implementations: [`InProcTransport`] (alias [`Network`]) over channels
 //!   with per-link byte metering, and [`SocketTransport`] speaking
 //!   length-delimited wire-v2 frames over TCP / Unix-domain sockets to
-//!   per-party [`PartyNode`] daemons;
+//!   per-party [`PartyNode`] daemons, on [`socket`] — the one socket layer,
+//!   which `gtv-serve`'s serving wire runs on too;
 //! * [`psi_align`] — hashed private-set-intersection row alignment;
 //! * [`negotiate_seed`] / [`SharedShuffler`] — the peer-to-peer shuffle-seed
 //!   agreement behind *training-with-shuffling* (the server never observes

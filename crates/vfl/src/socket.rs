@@ -1,11 +1,20 @@
-//! Socket [`Transport`] backend: length-delimited wire-v2 frames over TCP
-//! or Unix-domain sockets, so each party can run as its own OS process.
+//! The socket layer both wires run on, and the party transport built on it.
 //!
-//! The deployment shape mirrors the paper's: every party hosts a
-//! [`PartyNode`] — a small daemon owning that party's inbox — and the
-//! orchestrating process drives the protocol through a [`SocketTransport`]
-//! whose every message genuinely transits the socket as a framed exchange.
-//! Connection lifecycle is first-class:
+//! **One layer.** Every frame on every socket is a `u32`-little-endian
+//! length prefix and a body bounded by [`framing::MAX_FRAME_BODY`]. A wire
+//! is a [`FrameCodec`] — how one body is written and read — and everything
+//! else is shared: [`Stream`], [`Listener`] (bind, accept, unlink on drop),
+//! [`dial`] with bounded backoff, the reassembly buffer
+//! [`FrameBuf<F>`](FrameBuf), [`read_frame`] and [`write_frame`]. Two codecs
+//! implement it: the party transport's [`Frame`] and the synthesis
+//! session's `ServeFrame` in `gtv-serve`. Each session keeps its own
+//! handshake, opcode space, versions and timeouts.
+//!
+//! **The party transport.** Every party hosts a [`PartyNode`] — a small
+//! daemon owning that party's inbox — and the orchestrating process drives
+//! the protocol through a [`SocketTransport`] whose every message genuinely
+//! transits the socket as a framed exchange. Connection lifecycle is
+//! first-class:
 //!
 //! * a hello handshake negotiates protocol + wire version and rejects
 //!   mismatches with [`TransportError::HandshakeFailed`];
@@ -26,32 +35,50 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use framing::{Frame, FrameBuf};
+use framing::{encode_frame, Frame, FrameBuf, FrameCodec, PROTOCOL_VERSION, WIRE_VERSION};
 
 /// The frame layer: opcode-tagged bodies behind a `u32`-little-endian
 /// length prefix, with a hard bound on body size so a hostile or corrupt
 /// length prefix can never drive allocation.
 pub mod framing {
     use super::{Bytes, PartyId, TransportError};
+    use std::marker::PhantomData;
 
     /// Version of the framing/handshake protocol spoken on the socket.
     pub const PROTOCOL_VERSION: u32 = 1;
     /// Version of the message wire format carried in `Deliver`/`Msg`
     /// payloads (wire format v2: dense + adaptive-sparse matrix bodies).
     pub const WIRE_VERSION: u32 = 2;
-    /// Upper bound on a frame body. The largest legal wire message is a
-    /// dense matrix of `2^28` f32 entries (1 GiB) plus headers; anything
-    /// larger is rejected *before* any buffer is grown for it.
+    /// Upper bound on a frame body, for every codec. The largest legal wire
+    /// message is a dense matrix of `2^28` f32 entries (1 GiB) plus headers;
+    /// anything larger is rejected *before* any buffer is grown for it.
     pub const MAX_FRAME_BODY: usize = (1 << 30) + 4096;
-    /// Upper bound on a `HelloReject` reason string.
-    pub const MAX_REJECT_REASON: usize = 512;
+    /// Upper bound on a reject or error reason, on both wires.
+    pub const MAX_REASON: usize = 512;
 
-    /// One transport frame.
+    /// A wire's frame type: how one body is written and read. The length
+    /// prefix, its bound and reassembly belong to the layer.
+    pub trait FrameCodec: Sized {
+        /// Appends this frame's body (opcode and fields, no length prefix)
+        /// to `out`.
+        ///
+        /// # Errors
+        ///
+        /// [`TransportError::Frame`] when a field exceeds its wire bound.
+        fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), TransportError>;
+
+        /// Decodes one body (everything after the length prefix). Total:
+        /// every input yields a frame or a typed [`TransportError::Frame`].
+        fn decode_body(body: &[u8]) -> Result<Self, TransportError>;
+    }
+
+    /// One party-transport frame.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Frame {
         /// Connection opener: the dialer announces its versions and which
@@ -121,12 +148,29 @@ pub mod framing {
         None
     }
 
-    fn put_u32(out: &mut Vec<u8>, v: u32) {
+    fn put_u16(out: &mut Vec<u8>, v: u16) {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn put_u64(out: &mut Vec<u8>, v: u64) {
+    /// Appends a little-endian `u32`.
+    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
         out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a little-endian `u64`.
+    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends `s` behind a `u16` length, clipped to at most `cap` bytes on
+    /// a character boundary, so the bytes on the wire are always UTF-8.
+    pub fn put_short_str(out: &mut Vec<u8>, s: &str, cap: usize) {
+        let mut n = s.len().min(cap).min(usize::from(u16::MAX));
+        while !s.is_char_boundary(n) {
+            n -= 1;
+        }
+        put_u16(out, u16::try_from(n).unwrap_or(u16::MAX));
+        out.extend_from_slice(&s.as_bytes()[..n]);
     }
 
     fn put_party(out: &mut Vec<u8>, p: PartyId) {
@@ -148,166 +192,203 @@ pub mod framing {
         }
     }
 
-    /// Encodes one frame as `u32-le body length ++ body`.
-    pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-        let mut body = Vec::new();
-        match frame {
-            Frame::Hello { protocol, wire, party } => {
-                body.push(0);
-                put_u32(&mut body, *protocol);
-                put_u32(&mut body, *wire);
-                put_party(&mut body, *party);
-            }
-            Frame::HelloAck { protocol, wire } => {
-                body.push(1);
-                put_u32(&mut body, *protocol);
-                put_u32(&mut body, *wire);
-            }
-            Frame::HelloReject { reason } => {
-                body.push(2);
-                let bytes = reason.as_bytes();
-                let n = bytes.len().min(MAX_REJECT_REASON);
-                body.extend_from_slice(&(n as u16).to_le_bytes());
-                body.extend_from_slice(&bytes[..n]);
-            }
-            Frame::Deliver { from, payload } => {
-                body.push(3);
-                put_party(&mut body, *from);
-                body.extend_from_slice(payload);
-            }
-            Frame::DeliverAck => body.push(4),
-            Frame::RecvReq { timeout_ms } => {
-                body.push(5);
-                put_u64(&mut body, *timeout_ms);
-            }
-            Frame::TryRecvReq => body.push(6),
-            Frame::Msg { from, payload } => {
-                body.push(7);
-                put_party(&mut body, *from);
-                body.extend_from_slice(payload);
-            }
-            Frame::Empty => body.push(8),
-            Frame::TimedOut => body.push(9),
-        }
-        let mut out = Vec::with_capacity(4 + body.len());
-        // Wire messages are bounded well below MAX_FRAME_BODY < u32::MAX.
-        debug_assert!(body.len() <= MAX_FRAME_BODY, "internal frames stay under the bound");
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+    /// A `Deliver`/`Msg` body: opcode, sender, then the message bytes,
+    /// reserved in one step so a multi-megabyte payload grows the buffer once.
+    fn put_carried(out: &mut Vec<u8>, op: u8, from: PartyId, payload: &[u8]) {
+        out.reserve(6 + payload.len());
+        out.push(op);
+        put_party(out, from);
+        out.extend_from_slice(payload);
     }
 
     fn bad(detail: String) -> TransportError {
         TransportError::Frame { detail }
     }
 
-    struct Cur<'a> {
+    /// Bounds-checked little-endian reader over one frame body. Every error
+    /// is a [`TransportError::Frame`] naming the field that did not fit.
+    #[derive(Debug)]
+    pub struct Body<'a> {
         buf: &'a [u8],
         pos: usize,
     }
 
-    impl<'a> Cur<'a> {
-        fn take(&mut self, n: usize) -> Result<&'a [u8], TransportError> {
-            let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-            match end {
-                Some(end) => {
-                    let s = &self.buf[self.pos..end];
-                    self.pos = end;
-                    Ok(s)
-                }
-                None => Err(bad(format!(
-                    "truncated frame body: wanted {n} more bytes, {} left",
-                    self.buf.len() - self.pos
-                ))),
+    impl<'a> Body<'a> {
+        /// A reader at the start of `buf`.
+        pub fn new(buf: &'a [u8]) -> Self {
+            Self { buf, pos: 0 }
+        }
+
+        /// The next `n` bytes.
+        pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TransportError> {
+            let left = self.buf.len() - self.pos;
+            if n > left {
+                return Err(bad(format!("truncated frame: {what} needs {n} bytes, {left} left")));
             }
+            let s = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(s)
         }
 
-        fn u8(&mut self) -> Result<u8, TransportError> {
-            Ok(self.take(1)?[0])
+        fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TransportError> {
+            let mut a = [0u8; N];
+            a.copy_from_slice(self.take(N, what)?);
+            Ok(a)
         }
 
-        fn u16(&mut self) -> Result<u16, TransportError> {
-            let s = self.take(2)?;
-            Ok(u16::from_le_bytes([s[0], s[1]]))
+        /// One byte.
+        pub fn u8(&mut self, what: &str) -> Result<u8, TransportError> {
+            Ok(self.take(1, what)?[0])
         }
 
-        fn u32(&mut self) -> Result<u32, TransportError> {
-            let s = self.take(4)?;
-            Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+        fn u16(&mut self, what: &str) -> Result<u16, TransportError> {
+            self.array(what).map(u16::from_le_bytes)
         }
 
-        fn u64(&mut self) -> Result<u64, TransportError> {
-            let s = self.take(8)?;
-            Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
+        /// A little-endian `u32`.
+        pub fn u32(&mut self, what: &str) -> Result<u32, TransportError> {
+            self.array(what).map(u32::from_le_bytes)
         }
 
-        fn party(&mut self) -> Result<PartyId, TransportError> {
-            let tag = self.u8()?;
-            let idx = self.u32()?;
-            match tag {
-                0 => Ok(PartyId::Server),
-                1 => Ok(PartyId::Client(idx as usize)),
-                2 => Ok(PartyId::Public),
-                other => Err(bad(format!("unknown party tag {other}"))),
+        /// A little-endian `u64`.
+        pub fn u64(&mut self, what: &str) -> Result<u64, TransportError> {
+            self.array(what).map(u64::from_le_bytes)
+        }
+
+        /// A `u16`-prefixed UTF-8 string of at most `cap` bytes (the reader
+        /// half of [`put_short_str`]).
+        pub fn short_str(&mut self, what: &str, cap: usize) -> Result<String, TransportError> {
+            let n = usize::from(self.u16(what)?);
+            if n > cap {
+                return Err(bad(format!("{what} is {n} bytes, cap {cap}")));
             }
+            let bytes = self.take(n, what)?;
+            String::from_utf8(bytes.to_vec()).map_err(|_| bad(format!("{what} is not UTF-8")))
         }
 
-        fn rest(&mut self) -> Bytes {
-            let s = self.buf[self.pos..].to_vec();
+        /// Everything not yet read.
+        fn rest(&mut self) -> &'a [u8] {
+            let s = &self.buf[self.pos..];
             self.pos = self.buf.len();
-            Bytes::from(s)
+            s
         }
 
-        fn finish(self) -> Result<(), TransportError> {
-            if self.pos == self.buf.len() {
-                Ok(())
-            } else {
-                Err(bad(format!("{} trailing bytes after frame body", self.buf.len() - self.pos)))
+        /// Succeeds only if the whole body was read.
+        pub fn finish(self, what: &str) -> Result<(), TransportError> {
+            match self.buf.len() - self.pos {
+                0 => Ok(()),
+                extra => Err(bad(format!("{extra} trailing bytes after {what}"))),
             }
         }
     }
 
-    /// Decodes one frame body (everything after the length prefix). Total:
-    /// every input yields a `Frame` or a typed [`TransportError::Frame`].
-    pub fn decode_frame_body(body: &[u8]) -> Result<Frame, TransportError> {
-        let mut cur = Cur { buf: body, pos: 0 };
-        let frame = match cur.u8()? {
-            0 => Frame::Hello { protocol: cur.u32()?, wire: cur.u32()?, party: cur.party()? },
-            1 => Frame::HelloAck { protocol: cur.u32()?, wire: cur.u32()? },
-            2 => {
-                let n = cur.u16()? as usize;
-                if n > MAX_REJECT_REASON {
-                    return Err(bad(format!("reject reason of {n} bytes exceeds bound")));
+    fn party(b: &mut Body<'_>) -> Result<PartyId, TransportError> {
+        let tag = b.u8("party tag")?;
+        let idx = b.u32("party index")?;
+        match tag {
+            0 => Ok(PartyId::Server),
+            1 => Ok(PartyId::Client(idx as usize)),
+            2 => Ok(PartyId::Public),
+            other => Err(bad(format!("unknown party tag {other}"))),
+        }
+    }
+
+    impl FrameCodec for Frame {
+        fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), TransportError> {
+            match self {
+                Frame::Hello { protocol, wire, party } => {
+                    out.push(0);
+                    put_u32(out, *protocol);
+                    put_u32(out, *wire);
+                    put_party(out, *party);
                 }
-                let reason = String::from_utf8_lossy(cur.take(n)?).into_owned();
-                Frame::HelloReject { reason }
+                Frame::HelloAck { protocol, wire } => {
+                    out.push(1);
+                    put_u32(out, *protocol);
+                    put_u32(out, *wire);
+                }
+                Frame::HelloReject { reason } => {
+                    out.push(2);
+                    put_short_str(out, reason, MAX_REASON);
+                }
+                Frame::Deliver { from, payload } => put_carried(out, 3, *from, payload),
+                Frame::DeliverAck => out.push(4),
+                Frame::RecvReq { timeout_ms } => {
+                    out.push(5);
+                    put_u64(out, *timeout_ms);
+                }
+                Frame::TryRecvReq => out.push(6),
+                Frame::Msg { from, payload } => put_carried(out, 7, *from, payload),
+                Frame::Empty => out.push(8),
+                Frame::TimedOut => out.push(9),
             }
-            3 => Frame::Deliver { from: cur.party()?, payload: cur.rest() },
-            4 => Frame::DeliverAck,
-            5 => Frame::RecvReq { timeout_ms: cur.u64()? },
-            6 => Frame::TryRecvReq,
-            7 => Frame::Msg { from: cur.party()?, payload: cur.rest() },
-            8 => Frame::Empty,
-            9 => Frame::TimedOut,
-            other => return Err(bad(format!("unknown frame opcode {other}"))),
-        };
-        cur.finish()?;
-        Ok(frame)
+            Ok(())
+        }
+
+        fn decode_body(body: &[u8]) -> Result<Self, TransportError> {
+            let mut b = Body::new(body);
+            let frame = match b.u8("opcode")? {
+                0 => Frame::Hello {
+                    protocol: b.u32("protocol")?,
+                    wire: b.u32("wire")?,
+                    party: party(&mut b)?,
+                },
+                1 => Frame::HelloAck { protocol: b.u32("protocol")?, wire: b.u32("wire")? },
+                2 => Frame::HelloReject { reason: b.short_str("reject reason", MAX_REASON)? },
+                3 => {
+                    Frame::Deliver { from: party(&mut b)?, payload: Bytes::from(b.rest().to_vec()) }
+                }
+                4 => Frame::DeliverAck,
+                5 => Frame::RecvReq { timeout_ms: b.u64("timeout")? },
+                6 => Frame::TryRecvReq,
+                7 => Frame::Msg { from: party(&mut b)?, payload: Bytes::from(b.rest().to_vec()) },
+                8 => Frame::Empty,
+                9 => Frame::TimedOut,
+                other => return Err(bad(format!("unknown frame opcode {other}"))),
+            };
+            b.finish("frame body")?;
+            Ok(frame)
+        }
+    }
+
+    /// Encodes `frame` as `u32-le body length ++ body` in one buffer: the
+    /// body is written behind a reserved prefix, never copied.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Frame`] if a field exceeds its bound or the body
+    /// exceeds [`MAX_FRAME_BODY`].
+    pub fn encode_frame<F: FrameCodec>(frame: &F) -> Result<Vec<u8>, TransportError> {
+        let mut out = vec![0u8; 4];
+        frame.encode_body(&mut out)?;
+        let len = out.len() - 4;
+        if len > MAX_FRAME_BODY {
+            return Err(bad(format!("frame body of {len} bytes exceeds {MAX_FRAME_BODY}")));
+        }
+        out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(out)
     }
 
     /// Incremental frame decoder over a byte stream that may arrive in
     /// arbitrary splits. Feed chunks with [`FrameBuf::extend`], pull frames
     /// with [`FrameBuf::next_frame`]. A length prefix over
     /// [`MAX_FRAME_BODY`] errors *before* any buffer grows toward it.
-    #[derive(Debug, Default)]
-    pub struct FrameBuf {
+    #[derive(Debug)]
+    pub struct FrameBuf<F> {
         buf: Vec<u8>,
+        codec: PhantomData<fn() -> F>,
     }
 
-    impl FrameBuf {
+    impl<F> Default for FrameBuf<F> {
+        fn default() -> Self {
+            Self { buf: Vec::new(), codec: PhantomData }
+        }
+    }
+
+    impl<F: FrameCodec> FrameBuf<F> {
         /// An empty decoder.
         pub fn new() -> Self {
-            Self { buf: Vec::new() }
+            Self::default()
         }
 
         /// Appends received bytes.
@@ -328,32 +409,25 @@ pub mod framing {
         /// [`TransportError::Frame`] on an oversized length prefix or a
         /// malformed body; the decoder must be discarded afterwards (the
         /// stream has lost sync).
-        pub fn next_frame(&mut self) -> Result<Option<Frame>, TransportError> {
-            if self.buf.len() < 4 {
+        pub fn next_frame(&mut self) -> Result<Option<F>, TransportError> {
+            let Some(&[a, b, c, d]) = self.buf.get(..4) else {
                 return Ok(None);
-            }
-            let len =
-                u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+            };
+            let len = u32::from_le_bytes([a, b, c, d]) as usize;
             if len > MAX_FRAME_BODY {
                 return Err(bad(format!(
                     "length prefix {len} exceeds frame bound {MAX_FRAME_BODY}"
                 )));
             }
-            let Some(total) = len.checked_add(4) else {
-                return Err(bad(format!("length prefix {len} overflows")));
-            };
+            let total = 4 + len;
             if self.buf.len() < total {
                 return Ok(None);
             }
-            let frame = decode_frame_body(&self.buf[4..total])?;
+            let frame = F::decode_body(&self.buf[4..total])?;
             self.buf.drain(..total);
             Ok(Some(frame))
         }
     }
-
-    // encode_frame's body-length cast is covered by the decode-side bound:
-    // decode_frame_body never sees a body longer than MAX_FRAME_BODY.
-    // gtv-lint: allow(cast-safety) -- module-trailing marker (unused)
 }
 
 /// Where a party listens: a TCP address or a Unix-domain socket path.
@@ -385,7 +459,7 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// Initial-connect attempts (parties may still be starting up).
+/// Connect attempts per [`dial`] (the peer may still be starting up).
 const CONNECT_ATTEMPTS: u32 = 6;
 /// Base of the exponential redial backoff.
 const BACKOFF_BASE: Duration = Duration::from_millis(20);
@@ -402,40 +476,23 @@ const POLL_INTERVAL: Duration = Duration::from_millis(1);
 /// Accept-loop and per-connection read poll period (stop-flag latency).
 const SERVE_POLL: Duration = Duration::from_millis(20);
 
-fn backoff(attempt: u32) -> Duration {
-    // attempt < CONNECT_ATTEMPTS <= 31, so the shift cannot overflow.
-    BACKOFF_BASE * (1u32 << attempt.min(10))
-}
-
+/// One connected byte stream, TCP or Unix-domain. Reads block for at most
+/// the read timeout set at [`dial`]/[`Listener::accept`] — one *tick* of
+/// [`read_frame`].
 #[derive(Debug)]
-enum Stream {
+pub enum Stream {
+    /// A TCP connection.
     Tcp(TcpStream),
+    /// A Unix-domain connection.
     Unix(UnixStream),
 }
 
 impl Stream {
+    /// Sets the kernel read timeout, i.e. the length of a read tick.
     fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(dur),
             Stream::Unix(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-            Stream::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
         }
     }
 }
@@ -465,55 +522,203 @@ impl Write for Stream {
     }
 }
 
-fn dial(endpoint: &Endpoint) -> std::io::Result<Stream> {
-    match endpoint {
-        Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
-        Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-    }
-}
-
 fn setup_failed(what: &str, detail: impl fmt::Display) -> TransportError {
     TransportError::HandshakeFailed { reason: format!("{what}: {detail}") }
 }
 
-/// Writes one frame; a broken pipe reports the peer as disconnected.
-fn write_frame(stream: &mut Stream, frame: &Frame, party: PartyId) -> Result<(), TransportError> {
-    let bytes = framing::encode_frame(frame);
+/// Connects to `endpoint`, retrying up to 6 times with exponential
+/// backoff from 20 ms (the peer may still be starting up). The stream blocks, with `tick` as its read timeout.
+///
+/// # Errors
+///
+/// [`TransportError::HandshakeFailed`] naming the endpoint and the last
+/// connect error.
+pub fn dial(endpoint: &Endpoint, tick: Duration) -> Result<Stream, TransportError> {
+    let mut last_err = String::from("no dial attempted");
+    for attempt in 0..CONNECT_ATTEMPTS {
+        if attempt > 0 {
+            // attempt < CONNECT_ATTEMPTS <= 31, so the shift cannot overflow.
+            std::thread::sleep(BACKOFF_BASE * (1u32 << (attempt - 1)));
+        }
+        let conn = match endpoint {
+            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
+            Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
+        };
+        match conn {
+            Ok(stream) => {
+                stream
+                    .set_read_timeout(Some(tick))
+                    .map_err(|e| setup_failed("dialed stream", e))?;
+                return Ok(stream);
+            }
+            Err(e) => last_err = e.to_string(),
+        }
+    }
+    Err(TransportError::HandshakeFailed { reason: format!("dial {endpoint}: {last_err}") })
+}
+
+/// A bound, non-blocking listening socket (accept loops poll a stop flag
+/// between [`Listener::accept`] calls). A Unix listener unlinks its socket
+/// file on drop.
+#[derive(Debug)]
+pub struct Listener {
+    socket: ListenSocket,
+    endpoint: Endpoint,
+}
+
+#[derive(Debug)]
+enum ListenSocket {
+    Tcp(TcpListener),
+    Unix(UnixListener),
+}
+
+impl Listener {
+    /// Binds `endpoint`. A TCP port of `0` picks a free port (read it back
+    /// via [`Listener::endpoint`]). A socket file left at a Unix path by a
+    /// crashed listener is replaced; any other file there is left alone.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::HandshakeFailed`] if the endpoint cannot be bound,
+    /// naming the path when it holds something other than a socket.
+    pub fn bind(endpoint: &Endpoint) -> Result<Self, TransportError> {
+        let (socket, endpoint) = match endpoint {
+            Endpoint::Tcp(addr) => {
+                let l = TcpListener::bind(addr.as_str())
+                    .map_err(|e| setup_failed("bind tcp endpoint", e))?;
+                let local = l.local_addr().map_err(|e| setup_failed("bind tcp endpoint", e))?;
+                (ListenSocket::Tcp(l), Endpoint::Tcp(local.to_string()))
+            }
+            Endpoint::Unix(path) => {
+                remove_stale_socket(path)?;
+                let l =
+                    UnixListener::bind(path).map_err(|e| setup_failed("bind unix endpoint", e))?;
+                (ListenSocket::Unix(l), Endpoint::Unix(path.clone()))
+            }
+        };
+        // Built before the last fallible step, so a failure still unlinks.
+        let listener = Self { socket, endpoint };
+        match &listener.socket {
+            ListenSocket::Tcp(l) => l.set_nonblocking(true),
+            ListenSocket::Unix(l) => l.set_nonblocking(true),
+        }
+        .map_err(|e| setup_failed("listener setup", e))?;
+        Ok(listener)
+    }
+
+    /// The bound endpoint, with any OS-assigned TCP port resolved.
+    pub fn endpoint(&self) -> Endpoint {
+        self.endpoint.clone()
+    }
+
+    /// Accepts one waiting connection, `Ok(None)` if none is waiting. The
+    /// accepted stream blocks, with `tick` as its read timeout.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::HandshakeFailed`] if the listening socket failed.
+    pub fn accept(&self, tick: Duration) -> Result<Option<Stream>, TransportError> {
+        let accepted = match &self.socket {
+            ListenSocket::Tcp(l) => {
+                l.accept().and_then(|(s, _)| s.set_nonblocking(false).map(|()| Stream::Tcp(s)))
+            }
+            ListenSocket::Unix(l) => {
+                l.accept().and_then(|(s, _)| s.set_nonblocking(false).map(|()| Stream::Unix(s)))
+            }
+        };
+        match accepted {
+            Ok(stream) => {
+                stream
+                    .set_read_timeout(Some(tick))
+                    .map_err(|e| setup_failed("accepted stream", e))?;
+                Ok(Some(stream))
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(setup_failed("accept", e)),
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Endpoint::Unix(path) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Clears a Unix path for binding: a socket file (left by a crashed
+/// listener) is removed; anything else there is refused, never deleted.
+fn remove_stale_socket(path: &Path) -> Result<(), TransportError> {
+    match std::fs::symlink_metadata(path) {
+        Err(_) => Ok(()),
+        Ok(meta) if meta.file_type().is_socket() => {
+            std::fs::remove_file(path).map_err(|e| setup_failed("remove stale socket", e))
+        }
+        Ok(_) => Err(TransportError::HandshakeFailed {
+            reason: format!("bind unix endpoint: {} exists and is not a socket", path.display()),
+        }),
+    }
+}
+
+/// Writes one frame — prefix and body from one buffer. A failed write
+/// reports `peer` as disconnected.
+///
+/// # Errors
+///
+/// [`TransportError::Frame`] if the frame cannot be encoded,
+/// [`TransportError::PeerDisconnected`] if the write fails.
+pub fn write_frame<F: FrameCodec>(
+    stream: &mut Stream,
+    frame: &F,
+    peer: PartyId,
+) -> Result<(), TransportError> {
+    let bytes = encode_frame(frame)?;
     stream
         .write_all(&bytes)
         .and_then(|()| stream.flush())
-        .map_err(|_| TransportError::PeerDisconnected { party })
+        .map_err(|_| TransportError::PeerDisconnected { party: peer })
 }
 
-/// Reads one complete frame, honoring the stream's configured read
-/// timeout. EOF/reset reports [`TransportError::PeerDisconnected`]; an
-/// expired read deadline reports whatever `on_timeout` constructs.
-fn read_frame(
+/// Reads one complete frame. Each read blocks for at most one tick, the
+/// stream's read timeout; a read that returns bytes resets the idle count,
+/// and after `idle_ticks` consecutive idle ticks the error `on_timeout`
+/// builds is returned. No sleep and no clock on this path.
+///
+/// # Errors
+///
+/// `on_timeout()` when the peer stays silent; EOF or a reset is
+/// [`TransportError::PeerDisconnected`] naming `peer`; a malformed frame is
+/// [`TransportError::Frame`], after which `fb` has lost sync.
+pub fn read_frame<F: FrameCodec>(
     stream: &mut Stream,
-    fb: &mut FrameBuf,
-    party: PartyId,
-    on_timeout: impl Fn() -> TransportError,
-) -> Result<Frame, TransportError> {
+    fb: &mut FrameBuf<F>,
+    idle_ticks: u32,
+    peer: PartyId,
+    on_timeout: impl FnOnce() -> TransportError,
+) -> Result<F, TransportError> {
     let mut chunk = [0u8; 65536];
+    let mut idle = 0u32;
     loop {
         if let Some(frame) = fb.next_frame()? {
             return Ok(frame);
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return Err(TransportError::PeerDisconnected { party }),
-            Ok(n) => fb.extend(&chunk[..n]),
+            Ok(0) => return Err(TransportError::PeerDisconnected { party: peer }),
+            Ok(n) => {
+                fb.extend(&chunk[..n]);
+                idle = 0;
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Err(on_timeout())
+                idle += 1;
+                if idle >= idle_ticks {
+                    return Err(on_timeout());
+                }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(TransportError::PeerDisconnected { party }),
+            Err(_) => return Err(TransportError::PeerDisconnected { party: peer }),
         }
     }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix { listener: UnixListener, path: PathBuf },
 }
 
 /// A party's inbox daemon: binds one endpoint, serves framed
@@ -534,32 +739,16 @@ impl fmt::Debug for PartyNode {
 }
 
 impl PartyNode {
-    /// Binds `endpoint` for `party`. A TCP port of `0` picks a free port
-    /// (read it back via [`PartyNode::endpoint`]); a stale Unix socket file
-    /// from a crashed node is replaced.
+    /// Binds `endpoint` for `party` (see [`Listener::bind`]: TCP port `0`
+    /// picks a free port; only a stale socket file is replaced).
     ///
     /// # Errors
     ///
     /// [`TransportError::HandshakeFailed`] if the endpoint cannot be bound.
     pub fn bind(party: PartyId, endpoint: &Endpoint) -> Result<Self, TransportError> {
-        let listener = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr.as_str())
-                    .map_err(|e| setup_failed("bind tcp endpoint", e))?;
-                l.set_nonblocking(true).map_err(|e| setup_failed("listener setup", e))?;
-                Listener::Tcp(l)
-            }
-            Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                let l =
-                    UnixListener::bind(path).map_err(|e| setup_failed("bind unix endpoint", e))?;
-                l.set_nonblocking(true).map_err(|e| setup_failed("listener setup", e))?;
-                Listener::Unix { listener: l, path: path.clone() }
-            }
-        };
         Ok(Self {
             party,
-            listener,
+            listener: Listener::bind(endpoint)?,
             inbox: Mutex::new(VecDeque::new()),
             stop: AtomicBool::new(false),
         })
@@ -572,12 +761,7 @@ impl PartyNode {
 
     /// The bound endpoint, with any OS-assigned TCP port resolved.
     pub fn endpoint(&self) -> Endpoint {
-        match &self.listener {
-            Listener::Tcp(l) => Endpoint::Tcp(
-                l.local_addr().map_or_else(|_| "0.0.0.0:0".to_string(), |a| a.to_string()),
-            ),
-            Listener::Unix { path, .. } => Endpoint::Unix(path.clone()),
-        }
+        self.listener.endpoint()
     }
 
     /// Asks [`PartyNode::serve`] to return after its current poll tick
@@ -597,7 +781,7 @@ impl PartyNode {
     /// anything a peer does wrong is answered or dropped, never fatal.
     pub fn serve(&self) -> Result<(), TransportError> {
         while !self.stop.load(Ordering::SeqCst) {
-            match self.accept()? {
+            match self.listener.accept(SERVE_POLL)? {
                 Some(stream) => {
                     let _ = self.serve_conn(stream);
                 }
@@ -605,26 +789,6 @@ impl PartyNode {
             }
         }
         Ok(())
-    }
-
-    fn accept(&self) -> Result<Option<Stream>, TransportError> {
-        let accepted = match &self.listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            Listener::Unix { listener, .. } => listener.accept().map(|(s, _)| Stream::Unix(s)),
-        };
-        match accepted {
-            Ok(stream) => {
-                // The listener is non-blocking (to poll the stop flag); the
-                // accepted stream blocks with a short read timeout instead.
-                stream.set_nonblocking(false).map_err(|e| setup_failed("accepted stream", e))?;
-                stream
-                    .set_read_timeout(Some(SERVE_POLL))
-                    .map_err(|e| setup_failed("accepted stream", e))?;
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(setup_failed("accept", e)),
-        }
     }
 
     /// Serves one connection until EOF, a malformed frame, or a stop
@@ -638,7 +802,7 @@ impl PartyNode {
                 return Ok(());
             }
             let frame =
-                match read_frame(&mut stream, &mut fb, self.party, || TransportError::Timeout {
+                match read_frame(&mut stream, &mut fb, 1, self.party, || TransportError::Timeout {
                     party: self.party,
                     waited: SERVE_POLL,
                     round: None,
@@ -671,10 +835,7 @@ impl PartyNode {
                             greeted = true;
                             write_frame(
                                 &mut stream,
-                                &Frame::HelloAck {
-                                    protocol: framing::PROTOCOL_VERSION,
-                                    wire: framing::WIRE_VERSION,
-                                },
+                                &Frame::HelloAck { protocol: PROTOCOL_VERSION, wire: WIRE_VERSION },
                                 self.party,
                             )?;
                         }
@@ -736,17 +897,9 @@ impl PartyNode {
     }
 }
 
-impl Drop for PartyNode {
-    fn drop(&mut self) {
-        if let Listener::Unix { path, .. } = &self.listener {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
 struct Link {
     stream: Stream,
-    fb: FrameBuf,
+    fb: FrameBuf<Frame>,
 }
 
 struct RemoteParty {
@@ -793,12 +946,7 @@ impl SocketTransport {
         n_clients: usize,
         endpoints: HashMap<PartyId, Endpoint>,
     ) -> Result<Self, TransportError> {
-        Self::connect_with_versions(
-            n_clients,
-            endpoints,
-            framing::PROTOCOL_VERSION,
-            framing::WIRE_VERSION,
-        )
+        Self::connect_with_versions(n_clients, endpoints, PROTOCOL_VERSION, WIRE_VERSION)
     }
 
     /// [`SocketTransport::connect`] announcing custom handshake versions —
@@ -864,13 +1012,11 @@ impl SocketTransport {
         self.dead.lock().contains(&party)
     }
 
-    /// Severs `party`'s link: the socket (if any) is shut down, the local
+    /// Severs `party`'s link: the socket (if any) is closed, the local
     /// inbox (if any) is dropped, and the party is marked dead.
     fn sever(&self, party: PartyId) {
         if let Some(remote) = self.remotes.lock().get_mut(&party) {
-            if let Some(link) = remote.link.take() {
-                link.stream.shutdown();
-            }
+            remote.link = None;
         }
         self.local.lock().remove(&party);
         self.dead.lock().insert(party);
@@ -894,10 +1040,13 @@ impl SocketTransport {
     }
 
     /// One request/reply exchange on `party`'s link. A broken link redials
-    /// once (bounded backoff inside [`open_link`]); a second break marks the
-    /// party dead and reports [`TransportError::PeerDisconnected`]. Note a
-    /// retried `Deliver` whose first copy actually landed surfaces upstream
-    /// as a duplicate-message protocol violation — detected, not silent.
+    /// once (bounded backoff inside [`dial`]); a second break marks the
+    /// party dead and reports [`TransportError::PeerDisconnected`]. Any
+    /// other failure — our own read deadline included — drops the link
+    /// before it is reported: a reply that arrives late would otherwise
+    /// answer the next request. Note a retried `Deliver` whose first copy
+    /// actually landed surfaces upstream as a duplicate-message protocol
+    /// violation — detected, not silent.
     fn transact(
         &self,
         party: PartyId,
@@ -929,23 +1078,23 @@ impl SocketTransport {
                     .set_read_timeout(Some(read_timeout))
                     .map_err(|_| TransportError::PeerDisconnected { party })?;
                 write_frame(&mut link.stream, request, party)?;
-                read_frame(&mut link.stream, &mut link.fb, party, || {
+                read_frame(&mut link.stream, &mut link.fb, 1, party, || {
                     meter.timeout_error(party, read_timeout)
                 })
             })();
-            match exchange {
-                Ok(frame) => return Ok(frame),
-                Err(TransportError::PeerDisconnected { .. }) if attempt == 0 => {
-                    // Drop the broken link; the next loop iteration redials.
-                    remote.link = None;
-                }
-                Err(TransportError::PeerDisconnected { .. }) => {
-                    remote.link = None;
+            let Err(e) = exchange else {
+                return exchange;
+            };
+            remote.link = None;
+            match e {
+                // The next loop iteration redials.
+                TransportError::PeerDisconnected { .. } if attempt == 0 => {}
+                TransportError::PeerDisconnected { .. } => {
                     drop(remotes);
                     self.dead.lock().insert(party);
-                    return Err(TransportError::PeerDisconnected { party });
+                    return Err(e);
                 }
-                Err(e) => return Err(e),
+                e => return Err(e),
             }
         }
         self.dead.lock().insert(party);
@@ -981,64 +1130,42 @@ impl SocketTransport {
     }
 }
 
+/// Dials `endpoint` and runs the dialer's half of the hello exchange. A
+/// reachable node answers the hello at once, and a rejection is terminal
+/// (version mismatches don't heal by retrying), so every failure is
+/// [`TransportError::HandshakeFailed`].
 fn open_link(
     endpoint: &Endpoint,
     party: PartyId,
     protocol: u32,
     wire: u32,
 ) -> Result<Link, TransportError> {
-    let mut last_err = String::from("no dial attempted");
-    for attempt in 0..CONNECT_ATTEMPTS {
-        if attempt > 0 {
-            std::thread::sleep(backoff(attempt - 1));
-        }
-        match dial(endpoint) {
-            // A reachable node answers the hello immediately; rejection is
-            // terminal (version mismatches don't heal by retrying).
-            Ok(stream) => return handshake(stream, party, protocol, wire),
-            Err(e) => last_err = e.to_string(),
-        }
-    }
-    Err(TransportError::HandshakeFailed {
-        reason: format!("dial {endpoint} for {party}: {last_err}"),
-    })
-}
-
-/// The dialer's half of the hello exchange.
-fn handshake(
-    mut stream: Stream,
-    party: PartyId,
-    protocol: u32,
-    wire: u32,
-) -> Result<Link, TransportError> {
-    stream
-        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|e| setup_failed("socket setup", e))?;
-    write_frame(&mut stream, &Frame::Hello { protocol, wire, party }, party)?;
+    let mut stream = dial(endpoint, HANDSHAKE_TIMEOUT)?;
     let mut fb = FrameBuf::new();
-    let reply = read_frame(&mut stream, &mut fb, party, || TransportError::HandshakeFailed {
-        reason: format!("{party} did not answer the hello within {HANDSHAKE_TIMEOUT:?}"),
-    });
-    match reply {
+    let reply =
+        write_frame(&mut stream, &Frame::Hello { protocol, wire, party }, party).and_then(|()| {
+            read_frame(&mut stream, &mut fb, 1, party, || TransportError::HandshakeFailed {
+                reason: format!("{party} did not answer the hello within {HANDSHAKE_TIMEOUT:?}"),
+            })
+        });
+    let reason = match reply {
         Ok(Frame::HelloAck { protocol, wire })
-            if protocol == framing::PROTOCOL_VERSION && wire == framing::WIRE_VERSION =>
+            if protocol == PROTOCOL_VERSION && wire == WIRE_VERSION =>
         {
-            Ok(Link { stream, fb })
+            return Ok(Link { stream, fb });
         }
-        Ok(Frame::HelloAck { protocol, wire }) => Err(TransportError::HandshakeFailed {
-            reason: format!(
-                "{party} acknowledged incompatible versions (protocol {protocol}, wire {wire})"
-            ),
-        }),
-        Ok(Frame::HelloReject { reason }) => Err(TransportError::HandshakeFailed { reason }),
-        Ok(other) => Err(TransportError::HandshakeFailed {
-            reason: format!("expected HelloAck from {party}, got {other:?}"),
-        }),
-        Err(TransportError::PeerDisconnected { .. }) => Err(TransportError::HandshakeFailed {
-            reason: format!("{party} closed the connection during the handshake"),
-        }),
-        Err(e) => Err(e),
-    }
+        Ok(Frame::HelloAck { protocol, wire }) => {
+            format!("{party} acknowledged incompatible versions (protocol {protocol}, wire {wire})")
+        }
+        Ok(Frame::HelloReject { reason }) => reason,
+        Ok(other) => format!("expected HelloAck from {party}, got {other:?}"),
+        Err(TransportError::PeerDisconnected { .. }) => {
+            format!("{party} closed the connection during the handshake")
+        }
+        Err(TransportError::HandshakeFailed { reason }) => reason,
+        Err(e) => format!("hello exchange with {party} at {endpoint}: {e}"),
+    };
+    Err(TransportError::HandshakeFailed { reason })
 }
 
 impl Transport for SocketTransport {
@@ -1175,7 +1302,7 @@ impl Transport for SocketTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::framing::*;
+    use super::framing::handshake_reject_reason;
     use super::*;
     use crate::wire::MatrixPayload;
     use std::sync::Arc;
@@ -1189,60 +1316,6 @@ mod tests {
         assert_eq!(unix, Endpoint::Unix(PathBuf::from("/tmp/gtv.sock")));
         assert_eq!(unix.to_string(), "unix:/tmp/gtv.sock");
         assert_eq!(Endpoint::parse(&unix.to_string()), unix);
-    }
-
-    #[test]
-    fn frames_roundtrip_through_the_codec() {
-        let frames = vec![
-            Frame::Hello { protocol: 1, wire: 2, party: PartyId::Client(3) },
-            Frame::HelloAck { protocol: 1, wire: 2 },
-            Frame::HelloReject { reason: "nope".to_string() },
-            Frame::Deliver { from: PartyId::Server, payload: Bytes::from(vec![1, 2, 3]) },
-            Frame::DeliverAck,
-            Frame::RecvReq { timeout_ms: 1500 },
-            Frame::TryRecvReq,
-            Frame::Msg { from: PartyId::Public, payload: Bytes::from(vec![9]) },
-            Frame::Empty,
-            Frame::TimedOut,
-        ];
-        for frame in frames {
-            let encoded = encode_frame(&frame);
-            let mut fb = FrameBuf::new();
-            fb.extend(&encoded);
-            assert_eq!(fb.next_frame().unwrap(), Some(frame.clone()), "{frame:?}");
-            assert_eq!(fb.buffered(), 0);
-            assert_eq!(fb.next_frame().unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn framebuf_reassembles_split_reads() {
-        let a = encode_frame(&Frame::RecvReq { timeout_ms: 77 });
-        let b = encode_frame(&Frame::Deliver {
-            from: PartyId::Client(1),
-            payload: Bytes::from(vec![5; 100]),
-        });
-        let mut wire: Vec<u8> = Vec::new();
-        wire.extend_from_slice(&a);
-        wire.extend_from_slice(&b);
-        let mut fb = FrameBuf::new();
-        let mut out = Vec::new();
-        for byte in wire {
-            fb.extend(&[byte]);
-            while let Some(f) = fb.next_frame().unwrap() {
-                out.push(f);
-            }
-        }
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], Frame::RecvReq { timeout_ms: 77 });
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_buffering() {
-        let mut fb = FrameBuf::new();
-        fb.extend(&(u32::MAX).to_le_bytes());
-        let err = fb.next_frame().unwrap_err();
-        assert!(matches!(err, TransportError::Frame { .. }), "{err:?}");
     }
 
     #[test]

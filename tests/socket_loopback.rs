@@ -3,19 +3,22 @@
 //! — is *observationally identical* to the in-process backend. Same seed,
 //! same config ⇒ byte-identical trained weights and identical per-round
 //! byte accounting; and the failure modes the sockets add (version
-//! mismatch, peer crash mid-round) surface as typed [`TransportError`]s,
-//! never panics or hangs.
+//! mismatch, peer crash mid-round, a reply that comes too late) surface as
+//! typed [`TransportError`]s, never panics or hangs.
 
 use gtv::{GtvConfig, GtvTrainer};
 use gtv_data::{Dataset, Table};
-use gtv_vfl::socket::framing::{PROTOCOL_VERSION, WIRE_VERSION};
+use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};
+use gtv_vfl::socket::framing::{Frame, FrameBuf, PROTOCOL_VERSION, WIRE_VERSION};
+use gtv_vfl::socket::{read_frame, write_frame, Listener, Stream};
 use gtv_vfl::{
-    Endpoint, Fault, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport, TransportError,
-    WireCodec,
+    Endpoint, Fault, Message, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport,
+    TransportError, WireCodec,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 struct Fleet {
     nodes: Vec<Arc<PartyNode>>,
@@ -204,4 +207,89 @@ fn injected_disconnect_mid_round_surfaces_on_the_socket_backend() {
     let err = trainer.train_round().expect_err("the severed link must abort the round");
     assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(0) });
     fleet.shutdown();
+}
+
+#[test]
+fn binding_onto_a_regular_file_fails_and_leaves_it_intact() {
+    let path = std::env::temp_dir().join(format!("gtv-loopback-{}-data.csv", std::process::id()));
+    std::fs::write(&path, "a,b\n1,2\n").expect("write the data file");
+    let endpoint = Endpoint::Unix(path.clone());
+    let service = Arc::new(SynthService::new(ModelRegistry::new(), ServeConfig::default()));
+    for err in [
+        PartyNode::bind(PartyId::Client(0), &endpoint).expect_err("a CSV is not a stale socket"),
+        SynthServer::bind(service, &endpoint).expect_err("a CSV is not a stale socket"),
+    ] {
+        assert!(
+            matches!(&err, TransportError::HandshakeFailed { reason }
+                if reason.contains(&path.display().to_string())),
+            "{err:?}"
+        );
+    }
+    assert_eq!(std::fs::read_to_string(&path).expect("the file survives"), "a,b\n1,2\n");
+    std::fs::remove_file(&path).expect("clean up");
+
+    // A socket file left behind by a crashed listener is replaced.
+    drop(std::os::unix::net::UnixListener::bind(&path).expect("leave a stale socket"));
+    let node = PartyNode::bind(PartyId::Client(0), &endpoint).expect("a stale socket is replaced");
+    drop(node);
+    assert!(!path.exists(), "the node unlinks its socket on drop");
+}
+
+/// Accepts one dialer on a scripted node and answers its hello.
+fn greet(listener: &Listener) -> (Stream, FrameBuf<Frame>) {
+    let tick = Duration::from_millis(20);
+    let mut stream = loop {
+        match listener.accept(tick).expect("accept") {
+            Some(stream) => break stream,
+            None => std::thread::sleep(tick),
+        }
+    };
+    let mut fb = FrameBuf::new();
+    let hello = next_frame(&mut stream, &mut fb);
+    assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+    let ack = Frame::HelloAck { protocol: PROTOCOL_VERSION, wire: WIRE_VERSION };
+    write_frame(&mut stream, &ack, PartyId::Server).expect("ack the hello");
+    (stream, fb)
+}
+
+fn next_frame(stream: &mut Stream, fb: &mut FrameBuf<Frame>) -> Frame {
+    read_frame(stream, fb, 500, PartyId::Server, || TransportError::HandshakeFailed {
+        reason: "the dialer went quiet".to_string(),
+    })
+    .expect("a frame from the dialer")
+}
+
+#[test]
+fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
+    // A scripted node answers the first `RecvReq` only after the dialer's
+    // own deadline (a 0 ms node-side wait plus the 2 s margin), then serves
+    // the redial honestly.
+    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0")).expect("bind");
+    let endpoints = HashMap::from([(PartyId::Client(0), listener.endpoint())]);
+    let node = std::thread::spawn(move || {
+        let (mut first, mut fb) = greet(&listener);
+        let request = next_frame(&mut first, &mut fb);
+        assert!(matches!(request, Frame::RecvReq { .. }), "{request:?}");
+        std::thread::sleep(Duration::from_millis(2500));
+        let late = Frame::Msg {
+            from: PartyId::Server,
+            payload: Message::ShuffleSeedShare { share: 9 }.encode(),
+        };
+        // The dialer has hung up by now, so this write may fail; either way
+        // the reply must never reach the next exchange.
+        let _ = write_frame(&mut first, &late, PartyId::Server);
+        let (mut second, mut fb) = greet(&listener);
+        let deliver = next_frame(&mut second, &mut fb);
+        assert!(matches!(deliver, Frame::Deliver { .. }), "{deliver:?}");
+        write_frame(&mut second, &Frame::DeliverAck, PartyId::Server).expect("ack the delivery");
+    });
+    let transport = SocketTransport::connect(1, endpoints).expect("connect to the scripted node");
+    let err = transport
+        .recv_timeout(PartyId::Client(0), Duration::ZERO)
+        .expect_err("the reply comes after the deadline");
+    assert!(matches!(err, TransportError::Timeout { .. }), "{err:?}");
+    transport
+        .send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 1 })
+        .expect("the next exchange redials instead of reading the late reply");
+    node.join().expect("the scripted node saw the exchange it expected");
 }
