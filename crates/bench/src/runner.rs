@@ -159,6 +159,7 @@ fn score_run(
 
 /// Trains GTV on `dataset` with the given column groups and scores the
 /// result; averages over `scale.repeats` seeds.
+#[expect(clippy::disallowed_methods, reason = "the experiments report training wall time")]
 pub fn run_gtv(
     dataset: Dataset,
     groups: &[Vec<usize>],
@@ -200,6 +201,7 @@ pub fn run_gtv(
 }
 
 /// Trains the centralized baseline and scores it identically.
+#[expect(clippy::disallowed_methods, reason = "the experiments report training wall time")]
 pub fn run_centralized(dataset: Dataset, block_width: usize, scale: ExperimentScale) -> RunOutcome {
     let outcomes: Vec<RunOutcome> = (0..scale.repeats)
         .map(|rep| {

@@ -23,6 +23,8 @@
 //! The serving engine exploits this to coalesce concurrent requests into
 //! one forward pass while answering each byte-identically to a solo run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::config::GtvConfig;
 use crate::generator::SplitGenerator;
 use gtv_cond::{ClientCondSampler, CondChoice, CondLayout};

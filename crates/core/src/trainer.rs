@@ -8,6 +8,8 @@
 //! [`ServerObserver`] accumulates precisely the `(CV, idx_p)` pairs a
 //! semi-honest server sees, powering the Fig. 5/6 reconstruction analysis.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::config::{GtvConfig, IndexSharing};
 use crate::discriminator::SplitDiscriminator;
 use crate::generator::SplitGenerator;
@@ -152,11 +154,13 @@ impl GtvTrainer {
     ///
     /// Panics if `tables` is empty, row counts differ, or any table is
     /// empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "fresh in-process network, all inboxes open, no faults armed yet"
+    )]
     pub fn new(tables: Vec<Table>, config: GtvConfig) -> Self {
         let network = Network::new(tables.len());
-        Self::with_transport(tables, config, network)
-            // gtv-lint: allow(panic) -- fresh in-process network, all inboxes open, no faults armed yet
-            .expect("seed negotiation on a fresh network")
+        Self::with_transport(tables, config, network).expect("seed negotiation on a fresh network")
     }
 }
 
@@ -354,12 +358,14 @@ impl<T: Transport> GtvTrainer<T> {
     /// One server→clients fan-out phase (DESIGN.md §10): every message is
     /// sent first (payloads encode concurrently on the tensor worker pool),
     /// then each recipient pops its delivery in message order.
-    fn dispatch(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
+    /// Takes the network rather than `self`, so a caller can keep borrowing
+    /// one client's state across the fan-out.
+    fn dispatch(network: &T, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         let expects: Vec<(PartyId, &'static str)> =
             msgs.iter().map(|&(_, to, ref m)| (to, m.kind())).collect();
-        self.network.send_all(msgs)?;
+        network.send_all(msgs)?;
         for (to, expected) in expects {
-            let _ = self.network.recv_expect(to, expected)?;
+            let _ = network.recv_expect(to, expected)?;
         }
         Ok(())
     }
@@ -378,34 +384,24 @@ impl<T: Transport> GtvTrainer<T> {
         self.network.gather(at, &senders, expected)
     }
 
-    /// Server-side selection of the CV-constructing client `p ~ P_r` among
-    /// clients that own categorical columns.
-    fn select_p(&mut self) -> Option<usize> {
-        let eligible: Vec<usize> =
-            (0..self.clients.len()).filter(|&i| self.clients[i].sampler.is_some()).collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let total: f64 = eligible.iter().map(|&i| self.ratios[i]).sum();
-        let mut u = self.rng.gen::<f64>() * total;
-        for &i in &eligible {
-            u -= self.ratios[i];
-            if u <= 0.0 {
-                return Some(i);
-            }
-        }
-        eligible.last().copied()
-    }
-
     /// Steps 4/18 of Algorithm 1: CV construction by the selected client,
     /// upload of `(CV_p, idx_p)` to the server.
     fn sample_condition(&mut self) -> Result<Option<CondRound>, TransportError> {
-        let Some(p) = self.select_p() else {
+        let n_clients = self.clients.len();
+        // Server-side selection of `p` among clients that own categorical
+        // columns; the chosen client's sampler and stream come with it.
+        let eligible = self.clients.iter_mut().zip(&self.ratios).enumerate().filter_map(
+            |(i, (ClientState { sampler, rng, .. }, &ratio))| {
+                sampler.as_ref().map(|s| (ratio, (i, s, rng)))
+            },
+        );
+        let Some((p, sampler, client_rng)) = draw_constructor(eligible.collect(), &mut self.rng)
+        else {
             return Ok(None);
         };
         // Server notifies every client of the round and the selected
         // constructor (one fan-out phase).
-        let round_start: Vec<(PartyId, PartyId, Message)> = (0..self.clients.len())
+        let round_start: Vec<(PartyId, PartyId, Message)> = (0..n_clients)
             .map(|i| {
                 (
                     PartyId::Server,
@@ -414,15 +410,8 @@ impl<T: Transport> GtvTrainer<T> {
                 )
             })
             .collect();
-        self.dispatch(round_start)?;
-        let batch = self.config.batch;
-        let client = &mut self.clients[p];
-        let sampler = client
-            .sampler
-            .as_ref()
-            // gtv-lint: allow(panic) -- select_p only returns clients whose sampler is Some
-            .expect("selected client has a sampler");
-        let cond = sampler.sample_batch(batch, &mut client.rng);
+        Self::dispatch(&self.network, round_start)?;
+        let cond = sampler.sample_batch(self.config.batch, client_rng);
         let cv =
             sampler.materialize(&cond.choices, self.layout.offset(p), self.layout.total_width());
         let indices_u32: Vec<u32> = cond.row_indices.iter().map(|&i| i as u32).collect();
@@ -449,12 +438,15 @@ impl<T: Transport> GtvTrainer<T> {
                 // surface of Fig. 5).
                 let cv =
                     Tensor::from_vec(cv_recv.rows as usize, cv_recv.cols as usize, cv_recv.data);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "materialize() writes exactly one 1.0 per row, and f32 values round-trip bit-exactly through the wire"
+                )]
                 let bits: Vec<usize> = (0..cv.rows())
                     .map(|r| {
                         cv.row_slice(r)
                             .iter()
                             .position(|&v| v == 1.0)
-                            // gtv-lint: allow(panic) -- materialize() writes exactly one 1.0 per row, and f32 values round-trip bit-exactly through the wire
                             .expect("conditional vector row must have a hot bit")
                     })
                     .collect();
@@ -508,7 +500,10 @@ impl<T: Transport> GtvTrainer<T> {
     /// Synthetic forward pass shared by both phases: noise + CV through
     /// `G^t`, `Split`, per-client `G_i^b` and `D_i^b`. Returns
     /// `(slices, head_logits, activations, synth_d_logits)`.
-    #[allow(clippy::type_complexity)] // the 4-tuple mirrors Algorithm 1's named intermediates; a struct would be used once
+    #[expect(
+        clippy::type_complexity,
+        reason = "the 4-tuple mirrors Algorithm 1's named intermediates; a struct would be used once"
+    )]
     fn synthetic_path(
         &mut self,
         g: &Graph,
@@ -535,7 +530,7 @@ impl<T: Transport> GtvTrainer<T> {
                 )
             })
             .collect();
-        self.dispatch(gen_slices)?;
+        Self::dispatch(&self.network, gen_slices)?;
         // Phase 2: clients run `G_i^b` and `D_i^b` in fixed party order and
         // upload their logits; the server consumes the uploads in that same
         // order.
@@ -543,7 +538,7 @@ impl<T: Transport> GtvTrainer<T> {
         let mut activations = Vec::with_capacity(self.clients.len());
         let mut d_logits = Vec::with_capacity(self.clients.len());
         let mut uploads: Vec<(PartyId, PartyId, Message)> = Vec::with_capacity(self.clients.len());
-        #[allow(clippy::needless_range_loop)] // i is the client/protocol id
+        #[expect(clippy::needless_range_loop, reason = "i is the client/protocol id")]
         for i in 0..self.clients.len() {
             let (logits, act) = self.generator.client_forward(ctx, i, slices[i]);
             let act_for_d = if detach_for_d { g.detach(act) } else { act };
@@ -696,7 +691,7 @@ impl<T: Transport> GtvTrainer<T> {
                 )
             })
             .collect();
-        self.dispatch(grad_msgs)?;
+        Self::dispatch(&self.network, grad_msgs)?;
         self.d_opt.step();
         self.history.d_loss.push(g.value(d_loss).item());
         self.finish_step(&g);
@@ -758,7 +753,7 @@ impl<T: Transport> GtvTrainer<T> {
                 )
             })
             .collect();
-        self.dispatch(grad_msgs)?;
+        Self::dispatch(&self.network, grad_msgs)?;
         self.g_opt.step();
         self.history.g_loss.push(g.value(g_loss).item());
         self.finish_step(&g);
@@ -875,7 +870,7 @@ impl<T: Transport> GtvTrainer<T> {
             ));
             shares.push(share);
         }
-        self.dispatch(publications)?;
+        Self::dispatch(&self.network, publications)?;
         Ok(shares)
     }
 
@@ -945,24 +940,39 @@ impl<T: Transport> GtvTrainer<T> {
             return None;
         }
         // Pick a constructing client ~ P_r among eligible ones.
-        let eligible: Vec<usize> =
-            (0..self.clients.len()).filter(|&i| self.clients[i].sampler.is_some()).collect();
-        let total: f64 = eligible.iter().map(|&i| self.ratios[i]).sum();
-        let mut u = rng.gen::<f64>() * total;
-        // gtv-lint: allow(panic) -- total_width() > 0 implies at least one client contributed sampler width
-        let mut p = *eligible.last().expect("layout nonzero implies an eligible client");
-        for &i in &eligible {
-            u -= self.ratios[i];
-            if u <= 0.0 {
-                p = i;
-                break;
-            }
-        }
-        // gtv-lint: allow(panic) -- p is drawn from the eligible list, which filters on sampler.is_some()
-        let sampler = self.clients[p].sampler.as_ref().expect("eligible client has a sampler");
+        let eligible =
+            self.clients.iter().zip(&self.ratios).enumerate().filter_map(
+                |(i, (client, &ratio))| client.sampler.as_ref().map(|s| (ratio, (i, s))),
+            );
+        #[expect(
+            clippy::expect_used,
+            reason = "total_width() > 0 implies at least one client contributed sampler width"
+        )]
+        let (p, sampler) = draw_constructor(eligible.collect(), rng)
+            .expect("layout nonzero implies an eligible client");
         let choices = sampler.sample_batch_original(batch, rng);
         Some(sampler.materialize(&choices, self.layout.offset(p), self.layout.total_width()))
     }
+}
+
+/// Draws the CV-constructing client `p ~ P_r` (Algorithm 1, step 4) from
+/// `eligible`: `(ratio, client)` pairs, in client order, of the clients that
+/// own categorical columns. `None`, without a draw, when there are none.
+fn draw_constructor<C>(eligible: Vec<(f64, C)>, rng: &mut StdRng) -> Option<C> {
+    if eligible.is_empty() {
+        return None;
+    }
+    let total: f64 = eligible.iter().map(|&(ratio, _)| ratio).sum();
+    let mut u = rng.gen::<f64>() * total;
+    let mut chosen = None;
+    for (ratio, client) in eligible {
+        u -= ratio;
+        chosen = Some(client);
+        if u <= 0.0 {
+            break;
+        }
+    }
+    chosen
 }
 
 #[cfg(test)]

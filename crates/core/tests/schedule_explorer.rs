@@ -173,6 +173,7 @@ fn lock_order_inversion_is_reported_as_a_cycle() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the traced edge crosses threads")]
 fn channel_trace_records_the_send_to_recv_edge() {
     let _gate = serial();
     crossbeam::sched::enable();

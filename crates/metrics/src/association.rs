@@ -224,7 +224,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // (i, j) indexing mirrors the matrix symmetry being asserted
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "(i, j) indexing mirrors the matrix symmetry being asserted"
+    )]
     fn association_matrix_is_symmetric_unit_diagonal() {
         let t = demo_table();
         let m = associations(&t);

@@ -23,6 +23,8 @@
 //! assert!(report.avg_jsd < 0.2);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 mod association;
 mod divergence;
 mod mia;

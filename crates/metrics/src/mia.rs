@@ -71,6 +71,7 @@ fn min_distance(point: &[f64], cloud: &[Vec<f64>]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+#[expect(clippy::float_cmp, reason = "rank ties are exact equality by definition")]
 fn rank_auc(scores_pos: &[f64], scores_neg: &[f64]) -> f64 {
     // AUC = P(pos > neg), ties count half.
     let mut wins = 0.0;
@@ -145,6 +146,15 @@ mod tests {
             "independent synthetic data should score near chance, auc {}",
             report.auc
         );
+    }
+
+    #[test]
+    fn rank_ties_count_half() {
+        // Every pair tied: each counts half, so the statistic sits at chance.
+        assert_eq!(rank_auc(&[0.4, 0.4], &[0.4, 0.4, 0.4]), 0.5);
+        // Six pairs: 0.9 beats both, 0.5 ties 0.5 (half) and beats 0.1, 0.3
+        // beats only 0.1 — (1 + 1 + 0.5 + 1 + 0 + 1) / 6 = 0.75.
+        assert_eq!(rank_auc(&[0.9, 0.5, 0.3], &[0.5, 0.1]), 0.75);
     }
 
     #[test]

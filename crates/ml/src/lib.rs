@@ -26,6 +26,8 @@
 //! assert!(real_scores.accuracy > 0.5);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 mod features;
 mod forest;
 mod linear;

@@ -69,7 +69,7 @@ fn softmax(z: &mut [f64]) {
 }
 
 impl Classifier for LogisticRegression {
-    #[allow(clippy::needless_range_loop)] // indexed weight updates mirror the math
+    #[expect(clippy::needless_range_loop, reason = "indexed weight updates mirror the math")]
     fn fit(&mut self, x: &DMatrix, y: &[u32], n_classes: usize) {
         assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
         let d = x.cols();

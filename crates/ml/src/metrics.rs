@@ -47,6 +47,7 @@ pub fn macro_f1(pred: &[u32], truth: &[u32], n_classes: usize) -> f64 {
 
 /// ROC AUC for one class given per-sample scores (probability of that class)
 /// and binary relevance, computed via the rank statistic (ties averaged).
+#[expect(clippy::float_cmp, reason = "rank ties are exact equality by definition")]
 fn binary_auc(scores: &[f64], positive: &[bool]) -> Option<f64> {
     let n_pos = positive.iter().filter(|&&p| p).count();
     let n_neg = positive.len() - n_pos;

@@ -20,6 +20,8 @@
 //! deadlines are "expire unless picked up within `deadline_ticks`
 //! batches", and `retry_after` hints are denominated in ticks too.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::registry::ModelRegistry;
 use gtv::{SynthError, SynthSpec};
 use gtv_data::Table;

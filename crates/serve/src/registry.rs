@@ -16,6 +16,8 @@
 //! thread that will lead batches — with leader-combining that is any
 //! caller thread, each of which warms itself after its first batch.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use gtv::{SynthError, SynthSpec, Synthesizer};
 use gtv_tensor::pool_mem;
 use std::collections::BTreeMap;

@@ -14,6 +14,8 @@
 //! (`read_timeout`-bounded reads), keeping the serving path under the
 //! same determinism lint as the training transport.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::engine::{RowsRequest, ServeError, SynthService};
 use crate::wire::{serve_reject_reason, ServeFrame, WireCond, SERVE_PROTOCOL};
 use gtv::{CondSpec, SynthSpec};

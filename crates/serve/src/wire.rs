@@ -14,6 +14,8 @@
 //! L10 protocol-order pass (`SERVE_EDGES`); the variant set here is kept
 //! in bijection with that machine by the serve wire-drift check.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use gtv_vfl::socket::framing::{put_short_str, put_u32, put_u64, Body, FrameCodec, MAX_REASON};
 use gtv_vfl::TransportError;
 

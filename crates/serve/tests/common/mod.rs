@@ -1,7 +1,7 @@
 //! Shared fixture for the serve integration tests: one smoke-trained
 //! Loan model, rebuilt into a standalone [`Synthesizer`] through the
 //! `save_weights`/`load_weights` state-dict path.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses its own subset of the fixture")]
 
 use gtv::{GtvConfig, GtvTrainer, Synthesizer};
 use gtv_data::Dataset;

@@ -3,6 +3,8 @@
 //! failures arrive as typed error frames, and the server's reply count
 //! survives a client that turns bad.
 
+#![expect(clippy::disallowed_methods, reason = "each test serves its socket from a thread")]
+
 mod common;
 
 use gtv::SynthSpec;

@@ -494,7 +494,10 @@ fn dense_runs(sparse: &[bool], r0: usize, r1: usize, max: usize, mut f: impl FnM
 /// panel stays cache-resident across the block (a single output column
 /// takes [`simd::col_chains`] on `b` itself). Either way every output
 /// element is one ascending-`p` chain — see [`matmul`].
-#[allow(clippy::too_many_arguments)] // hot-loop kernel: slices + strides, a struct would obscure it
+#[expect(
+    clippy::too_many_arguments,
+    reason = "hot-loop kernel: slices + strides, a struct would obscure it"
+)]
 fn matmul_rows(
     a: &[f32],
     b: &[f32],

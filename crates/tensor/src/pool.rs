@@ -1,8 +1,10 @@
 //! Deterministic worker pool for the tensor hot loops.
 //!
 //! The pool is the **only** sanctioned source of data parallelism on the
-//! training path (the L2 determinism lint rejects ad-hoc `thread::spawn`
-//! elsewhere). Its contract, documented in DESIGN.md §8:
+//! training path: the root `clippy.toml` disallows `std::thread::spawn` and
+//! `std::thread::Builder::spawn`, and `spawn_worker` is the one library
+//! site that carries an `#[expect]` for it. Its contract, documented in
+//! DESIGN.md §8:
 //!
 //! * **Fixed partitioning** — chunk boundaries are a function of problem
 //!   size only, never of the worker count. `set_threads` changes how many
@@ -102,6 +104,10 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool is the sanctioned source of threads: chunking depends on problem size only"
+)]
 fn spawn_worker(index: usize, rx: Receiver<Job>) {
     let spawned = std::thread::Builder::new().name(format!("gtv-pool-{index}")).spawn(move || {
         while let Ok(job) = rx.recv() {

@@ -168,7 +168,10 @@ const TANH_BETA: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.8
 /// accuracy contract.
 #[inline]
 pub(crate) fn tanh8(x: F32x8) -> F32x8 {
-    #[allow(clippy::manual_clamp)] // max/min squash NaN lanes to a finite value; clamp keeps NaN
+    #[expect(
+        clippy::manual_clamp,
+        reason = "max/min squash NaN lanes to a finite value; clamp keeps NaN"
+    )]
     let xc = x.map(|v| v.max(-TANH_CLAMP).min(TANH_CLAMP));
     let x2 = xc.mul(xc);
     let mut p = F32x8::splat(TANH_ALPHA[0]);
@@ -208,7 +211,10 @@ const EXP_POLY: [f32; 6] = [1.0 / 5040.0, 1.0 / 720.0, 1.0 / 120.0, 1.0 / 24.0, 
 /// power-of-two rescale. Lanewise pure.
 #[inline]
 pub(crate) fn exp8(x: F32x8) -> F32x8 {
-    #[allow(clippy::manual_clamp)] // max/min squash NaN lanes to a finite value; clamp keeps NaN
+    #[expect(
+        clippy::manual_clamp,
+        reason = "max/min squash NaN lanes to a finite value; clamp keeps NaN"
+    )]
     let xc = x.map(|v| v.max(EXP_CLAMP_LO).min(EXP_CLAMP_HI));
     // n = round(x / ln 2) via the magic-number shift; n ∈ [-126, 128].
     let shifted = xc.mul_add_s(std::f32::consts::LOG2_E, EXP_MAGIC);

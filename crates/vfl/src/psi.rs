@@ -7,6 +7,8 @@
 //! canonical (hash-sorted) order. Only salted hashes are exchanged — raw
 //! identifiers never leave a client.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use std::collections::HashMap;
 
 /// Salted 64-bit hash (FNV-1a over the id and salt).

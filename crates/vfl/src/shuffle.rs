@@ -7,6 +7,8 @@
 //! server). Each round's permutation is derived from `(base_seed, round)`,
 //! so all clients apply the identical permutation and stay row-aligned.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::transport::{PartyId, Transport, TransportError};
 use crate::wire::Message;
 use gtv_data::Table;

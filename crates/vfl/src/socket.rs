@@ -27,6 +27,8 @@
 //! are a property of the medium, not the protocol — so [`NetStats`] from a
 //! socket run are comparable (and testably equal) to an in-process run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::transport::{Fault, Meter, NetStats, PartyId, Transport, TransportError};
 use crate::wire::{Message, WireCodec};
 use bytes::Bytes;
@@ -1301,6 +1303,7 @@ impl Transport for SocketTransport {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the tests host their peers on threads")]
 mod tests {
     use super::framing::handshake_reject_reason;
     use super::*;

@@ -17,6 +17,8 @@
 //! message body only (framing overhead is a property of the medium, not the
 //! protocol), through the same [`Meter`] bookkeeping.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::wire::{DecodeMessageError, Message, WireCodec};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -779,6 +781,10 @@ impl Transport for InProcTransport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests drive peers on threads and bound their waits in wall time"
+)]
 mod tests {
     use super::*;
     use crate::wire::MatrixPayload;

@@ -13,6 +13,8 @@
 //! smaller per message, which collapses the one-hot conditional-vector and
 //! ReLU-gradient payloads that dominate GTV's traffic.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// How matrix bodies are chosen at encode time (wire format v2).
@@ -404,11 +406,8 @@ fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
             }
             // Bulk body read: parse the contiguous little-endian body in one
             // pass over the underlying slice, then advance the cursor once.
-            let mut data = Vec::with_capacity(n);
-            data.extend(bytes.chunk()[..n * 4].chunks_exact(4).map(|c| {
-                // gtv-lint: allow(panic) -- chunks_exact(4) yields exactly 4 bytes
-                f32::from_le_bytes(c.try_into().expect("4-byte chunk"))
-            }));
+            let (words, _) = bytes.chunk()[..n * 4].as_chunks::<4>();
+            let data: Vec<f32> = words.iter().map(|&w| f32::from_le_bytes(w)).collect();
             bytes.advance(n * 4);
             Ok(MatrixPayload { rows, cols, data })
         }

@@ -1,30 +1,24 @@
-//! Source-level static analysis enforcing GTV's protocol invariants.
+//! Source-level static analysis enforcing the GTV protocol invariants that
+//! clippy cannot express.
 //!
 //! The GTV protocol's privacy argument (training-with-shuffling, §3.1.5 of
 //! the paper) holds only if every shuffle and sample draw is seeded and
 //! reproducible, and the VFL runtime only scales if protocol paths never
-//! panic mid-round. This crate is a dependency-free analyzer over the
-//! workspace sources that enforces those invariants as lint rules:
+//! panic mid-round. The name bans behind those two properties are compiler
+//! checks, resolved by type (DESIGN.md §7): the root `clippy.toml` disallows
+//! clock reads and thread spawns, the protocol files carry
+//! `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic,
+//! clippy::unreachable)]`, the metric crates `#![deny(clippy::float_cmp)]`,
+//! and every `#[allow]` needs a `reason` (`allow_attributes_without_reason`).
+//! This crate is a dependency-free analyzer over the workspace sources for
+//! the rest:
 //!
-//! * **L1 `panic`** — no `unwrap()` / `expect(` / `panic!` /
-//!   `unreachable!` / `todo!` in protocol/runtime paths
-//!   (`crates/vfl/src/{transport,socket,wire,shuffle,psi}.rs`,
-//!   `crates/core/src/{trainer,synth}.rs`, and the serving stack
-//!   `crates/serve/src/{engine,registry,server,wire}.rs`), outside
-//!   `#[cfg(test)]` code;
-//! * **L2 `determinism`** — no `thread_rng`, `from_entropy`,
-//!   `SystemTime::now`, `Instant::now` outside `crates/bench` and
-//!   `#[cfg(test)]` code, anywhere in the workspace; and no ad-hoc
-//!   `thread::spawn` / `thread::Builder` outside the deterministic worker
-//!   pool (`crates/tensor/src/pool.rs`), whose fixed problem-size-only
-//!   partitioning is the sanctioned source of parallelism;
-//! * **L3 `float-eq`** — no `==` / `!=` against float literals in
-//!   `crates/metrics` and `crates/ml` (literal-adjacent heuristic; exact
-//!   float equality breaks metric stability across backends);
+//! * **L2 `determinism`** — lane-level SIMD (`[f32; 8]`, `[f64; 4]`,
+//!   `[f64; 8]`, `chunks_exact(8)`) only in `crates/tensor/src/simd.rs`,
+//!   and no raw allocation (`Vec::with_capacity`, `vec![0.0`) in the
+//!   kernel hot path `crates/tensor/src/kernels.rs`;
 //! * **L4 `wire`** — every variant of `enum Message` in
 //!   `crates/vfl/src/wire.rs` has both an encode and a decode arm;
-//! * **L5 `allow-justification`** — every `#[allow(clippy::...)]` carries a
-//!   trailing `//` justification comment;
 //! * **L6 `privacy-flow`** — shuffle-seed material (the secret roots in
 //!   [`passes`]) is never reachable from server-side code and never routed
 //!   into a logging/IO sink outside the sanctioned client↔client path;
@@ -52,19 +46,14 @@
 //!   unordered `HashMap`/`HashSet` iteration must never flow into tensor
 //!   kernels, RNG seeds, or wire payloads.
 //!
-//! L1–L5 are line-lexer rules. L6–L12 run on the item-level engine: the
+//! L2 and L4 are line-lexer rules. L6–L12 run on the item-level engine: the
 //! [`parse`] module's recursive-descent parser extracts items (structs and
 //! enums with field types, fns with bodies, imports), [`model`] builds
 //! the type-containment and approximate call/reference graphs, and
 //! [`dataflow`] layers flow-sensitive per-function taint tracking with
 //! memoized interprocedural summaries on top (L6's sink half, L7, L11 and
 //! L12 are taint-driven; the name-registry halves of L6 remain as drift
-//! guards).
-//!
-//! Operationally, [`report`] renders findings as SARIF 2.1.0
-//! (`lint --sarif`) and implements the checked-in baseline file
-//! (`lint --baseline <path>` fails only on findings not in the baseline;
-//! `--update-baseline` regenerates it deterministically).
+//! guards). The rule numbers of the retired L1, L3 and L5 stay unused.
 //!
 //! A finding on line *N* is suppressed by an inline escape hatch on line
 //! *N* or *N−1*:
@@ -74,7 +63,8 @@
 //! ```
 //!
 //! The justification after `--` is mandatory; a justification-free
-//! `gtv-lint: allow` is itself reported. Analysis is line-based on
+//! `gtv-lint: allow` is itself reported. (Clippy rules are exempted with
+//! `#[expect(<lint>, reason = "…")]` instead.) Analysis is line-based on
 //! comment- and string-stripped source, so tokens inside string literals
 //! or comments never fire.
 
@@ -86,24 +76,16 @@ pub(crate) mod model;
 pub(crate) mod parse;
 pub(crate) mod passes;
 pub mod protocol;
-pub mod report;
 
-/// The lint rules, L1–L12.
+/// The lint rules that clippy cannot hold (L1, L3 and L5 moved to clippy).
 ///
-/// `Ord` follows declaration order (L1 first) and is part of the stable
-/// finding sort, so JSON output is byte-identical across runs.
+/// `Ord` follows declaration order and is part of the finding sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
-    /// L1: panic-freedom of protocol/runtime paths.
-    Panic,
-    /// L2: all randomness and time must be seeded/deterministic.
+    /// L2: lane-level SIMD and kernel buffers stay in their sanctioned homes.
     Determinism,
-    /// L3: no float equality in metric code.
-    FloatEq,
     /// L4: wire-format exhaustiveness.
     Wire,
-    /// L5: clippy `allow`s must be justified.
-    AllowJustification,
     /// L6: shuffle-seed material stays off server-side and logging paths.
     PrivacyFlow,
     /// L7: RNG seeds derive from named seed/round values.
@@ -124,11 +106,8 @@ impl Rule {
     /// The identifier used in `gtv-lint: allow(<id>)`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Panic => "panic",
             Rule::Determinism => "determinism",
-            Rule::FloatEq => "float-eq",
             Rule::Wire => "wire",
-            Rule::AllowJustification => "allow-justification",
             Rule::PrivacyFlow => "privacy-flow",
             Rule::RngProvenance => "rng-provenance",
             Rule::CastSafety => "cast-safety",
@@ -142,11 +121,8 @@ impl Rule {
     /// The L-number label used in reports.
     pub fn label(self) -> &'static str {
         match self {
-            Rule::Panic => "L1/panic",
             Rule::Determinism => "L2/determinism",
-            Rule::FloatEq => "L3/float-eq",
             Rule::Wire => "L4/wire",
-            Rule::AllowJustification => "L5/allow-justification",
             Rule::PrivacyFlow => "L6/privacy-flow",
             Rule::RngProvenance => "L7/rng-provenance",
             Rule::CastSafety => "L8/cast-safety",
@@ -154,45 +130,6 @@ impl Rule {
             Rule::ProtocolOrder => "L10/protocol-order",
             Rule::RawEgress => "L11/raw-egress",
             Rule::NondetFlow => "L12/nondet-flow",
-        }
-    }
-
-    /// Every rule, in L-number order (drives SARIF rule metadata and the
-    /// usage text; `Ord` matches this order).
-    pub const ALL: [Rule; 12] = [
-        Rule::Panic,
-        Rule::Determinism,
-        Rule::FloatEq,
-        Rule::Wire,
-        Rule::AllowJustification,
-        Rule::PrivacyFlow,
-        Rule::RngProvenance,
-        Rule::CastSafety,
-        Rule::Layering,
-        Rule::ProtocolOrder,
-        Rule::RawEgress,
-        Rule::NondetFlow,
-    ];
-
-    /// One-line rule description (SARIF `shortDescription`).
-    pub fn description(self) -> &'static str {
-        match self {
-            Rule::Panic => "no unwrap/expect/panic! in protocol paths",
-            Rule::Determinism => "all randomness, time and threads seeded/deterministic",
-            Rule::FloatEq => "no float-literal equality in metric code",
-            Rule::Wire => "every Message variant has encode and decode arms",
-            Rule::AllowJustification => "every clippy allow carries a justification",
-            Rule::PrivacyFlow => "shuffle-seed material stays off server and logging paths",
-            Rule::RngProvenance => "RNG seeds derive from a seed/round value",
-            Rule::CastSafety => "narrowing casts on wire paths carry bounds guards",
-            Rule::Layering => "crate imports respect the dependency DAG",
-            Rule::ProtocolOrder => "send/recv order follows the protocol machine",
-            Rule::RawEgress => {
-                "raw feature columns reach the wire only as sanctioned encoder activations"
-            }
-            Rule::NondetFlow => {
-                "env/time/thread-id/unordered-iteration values never reach kernels, seeds or wire"
-            }
         }
     }
 }
@@ -216,50 +153,10 @@ pub struct Finding {
     pub message: String,
 }
 
-impl Finding {
-    /// The finding as one line of JSON (for `lint --json` / CI annotations).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"label\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            self.rule.id(),
-            self.rule.label(),
-            json_escape(&self.file.display().to_string().replace('\\', "/")),
-            self.line,
-            json_escape(&self.message),
-        )
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: [{}] {}", self.file.display(), self.line, self.rule, self.message)
     }
-}
-
-/// Wall-time of one analysis pass (for the `lint` timing report).
-#[derive(Debug, Clone)]
-pub struct PassTiming {
-    /// Pass label (`L1/panic`, …, or `parse` for load+lex+parse).
-    pub label: &'static str,
-    /// Elapsed milliseconds.
-    pub millis: f64,
 }
 
 /// Error reading the workspace sources.
@@ -276,28 +173,6 @@ impl fmt::Display for LintError {
 }
 
 impl std::error::Error for LintError {}
-
-/// Files subject to the L1 panic-freedom rule (protocol/runtime paths).
-const L1_FILES: &[&str] = &[
-    "crates/vfl/src/transport.rs",
-    "crates/vfl/src/socket.rs",
-    "crates/vfl/src/wire.rs",
-    "crates/vfl/src/shuffle.rs",
-    "crates/vfl/src/psi.rs",
-    "crates/core/src/trainer.rs",
-    "crates/core/src/synth.rs",
-    "crates/serve/src/engine.rs",
-    "crates/serve/src/registry.rs",
-    "crates/serve/src/server.rs",
-    "crates/serve/src/wire.rs",
-];
-
-/// Tokens denied by L1 (matched on identifier boundaries).
-const L1_TOKENS: &[&str] =
-    &["unwrap", "expect", "panic!", "unreachable!", "todo!", "unimplemented!"];
-
-/// Tokens denied by L2.
-const L2_TOKENS: &[&str] = &["thread_rng", "from_entropy", "SystemTime::now", "Instant::now"];
 
 /// One source line after lexing: executable text, trailing comment, test flag.
 #[derive(Debug, Default, Clone)]
@@ -506,24 +381,6 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
     out
 }
 
-/// Whether `code` contains `token` on identifier boundaries.
-fn has_token(code: &str, token: &str) -> bool {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(token) {
-        let at = start + pos;
-        let before_ok = at == 0 || !ident(code[..at].chars().next_back().unwrap_or(' '));
-        let after = code[at + token.len()..].chars().next();
-        // `!`-terminated tokens are complete; identifiers must not continue.
-        let after_ok = token.ends_with('!') || !after.map(ident).unwrap_or(false);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + token.len();
-    }
-    false
-}
-
 /// Whether the escape hatch `gtv-lint: allow(<rule>) -- <why>` covers
 /// `rule` in this comment. Returns `Some(true)` if covered with a
 /// justification, `Some(false)` if the allow matches but lacks one,
@@ -580,76 +437,6 @@ pub(crate) fn suppressed(
     false
 }
 
-/// Whether the token ending at `code[..end]` looks like a float literal.
-fn float_on_left(code: &str, end: usize) -> bool {
-    let tok: String = code[..end]
-        .trim_end()
-        .chars()
-        .rev()
-        .take_while(|&c| c.is_ascii_alphanumeric() || c == '.' || c == '_')
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    looks_like_float(tok.trim_matches('_'))
-}
-
-/// Whether the token starting at `code[start..]` looks like a float literal.
-fn float_on_right(code: &str, start: usize) -> bool {
-    let rest = code[start..].trim_start();
-    let rest = rest.strip_prefix('-').unwrap_or(rest);
-    let tok: String =
-        rest.chars().take_while(|&c| c.is_ascii_alphanumeric() || c == '.' || c == '_').collect();
-    looks_like_float(&tok)
-}
-
-/// A numeric token with a decimal point, exponent, or f32/f64 suffix.
-fn looks_like_float(tok: &str) -> bool {
-    if tok.is_empty() || !tok.starts_with(|c: char| c.is_ascii_digit()) {
-        return false;
-    }
-    tok.contains('.')
-        || tok.ends_with("f32")
-        || tok.ends_with("f64")
-        || (tok.contains('e') && !tok.contains('x'))
-}
-
-/// Positions of `==` / `!=` comparison operators in `code`.
-fn eq_operator_positions(code: &str) -> Vec<usize> {
-    let b = code.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < b.len() {
-        let two = &b[i..i + 2];
-        if two == b"==" {
-            let prev = i.checked_sub(1).map(|p| b[p]);
-            let next = b.get(i + 2);
-            // Exclude <=, >=, !='s tail, ==='s tail, => and pattern guards.
-            if !matches!(
-                prev,
-                Some(b'<')
-                    | Some(b'>')
-                    | Some(b'!')
-                    | Some(b'=')
-                    | Some(b'+')
-                    | Some(b'-')
-                    | Some(b'*')
-                    | Some(b'/')
-            ) && next != Some(&b'=')
-            {
-                out.push(i);
-            }
-            i += 2;
-        } else if two == b"!=" && b.get(i + 2) != Some(&b'=') {
-            out.push(i);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
 /// Recursively collects `.rs` files under `dir` (sorted for determinism).
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -683,12 +470,6 @@ fn scan_set(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Runs every lint over the workspace at `root`; findings sorted by file
-/// then line.
-pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
-    run_lint_timed(root).map(|(findings, _)| findings)
-}
-
 /// Lexes and item-parses every file in the scan set rooted at `root`.
 pub(crate) fn load_units(root: &Path) -> Result<Vec<FileUnit>, LintError> {
     let mut units = Vec::new();
@@ -710,95 +491,32 @@ pub(crate) fn load_units(root: &Path) -> Result<Vec<FileUnit>, LintError> {
     Ok(units)
 }
 
-/// Runs one pass, recording its wall-time.
-fn timed(
-    label: &'static str,
-    timings: &mut Vec<PassTiming>,
-    findings: &mut Vec<Finding>,
-    pass: impl FnOnce(&mut Vec<Finding>),
-) {
-    // gtv-lint: allow(determinism) -- self-timing of the analyzer, reporting only
-    let start = std::time::Instant::now();
-    pass(findings);
-    timings.push(PassTiming { label, millis: start.elapsed().as_secs_f64() * 1000.0 });
-}
-
-/// Runs every lint over the workspace at `root`, returning findings (sorted
-/// by file then line) together with per-pass wall-times.
-pub fn run_lint_timed(root: &Path) -> Result<(Vec<Finding>, Vec<PassTiming>), LintError> {
+/// Runs every lint over the workspace at `root`; findings sorted by
+/// (file, line, rule, message).
+pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     if !root.is_dir() {
         // A typo'd --root must not read as "clean" in CI.
         return Err(LintError { message: format!("root {} is not a directory", root.display()) });
     }
-    let mut timings = Vec::new();
-    let mut findings = Vec::new();
-
-    // gtv-lint: allow(determinism) -- self-timing of the analyzer, reporting only
-    let load_start = std::time::Instant::now();
     let units = load_units(root)?;
-    timings
-        .push(PassTiming { label: "parse", millis: load_start.elapsed().as_secs_f64() * 1000.0 });
-
     // The taint engine (def-use chains + memoized interprocedural
-    // summaries) is built once, in its own timed slot, and shared by the
-    // flow-sensitive passes (L6 sink half, L7, L11, L12).
-    let mut engine_slot: Option<dataflow::TaintEngine> = None;
-    timed("dataflow", &mut timings, &mut findings, |_| {
-        engine_slot = Some(dataflow::TaintEngine::build(&units));
-    });
-    let engine = engine_slot.expect("dataflow pass always builds the engine");
-
-    timed("L1/panic", &mut timings, &mut findings, |f| {
-        for u in &units {
-            lint_panic(&u.rel, &u.rel_str, &u.lines, f);
+    // summaries) is built once and shared by the flow-sensitive passes
+    // (L6 sink half, L7, L11, L12).
+    let engine = dataflow::TaintEngine::build(&units);
+    let mut findings = Vec::new();
+    for u in &units {
+        lint_determinism(&u.rel, &u.rel_str, &u.lines, &mut findings);
+        if u.rel_str == "crates/vfl/src/wire.rs" {
+            lint_wire(&u.rel, &u.lines, &mut findings);
         }
-    });
-    timed("L2/determinism", &mut timings, &mut findings, |f| {
-        for u in &units {
-            lint_determinism(&u.rel, &u.rel_str, &u.lines, f);
-        }
-    });
-    timed("L3/float-eq", &mut timings, &mut findings, |f| {
-        for u in &units {
-            lint_float_eq(&u.rel, &u.rel_str, &u.lines, f);
-        }
-    });
-    timed("L4/wire", &mut timings, &mut findings, |f| {
-        for u in &units {
-            if u.rel_str == "crates/vfl/src/wire.rs" {
-                lint_wire(&u.rel, &u.lines, f);
-            }
-        }
-    });
-    timed("L5/allow-justification", &mut timings, &mut findings, |f| {
-        for u in &units {
-            lint_allow_justification(&u.rel, &u.lines, f);
-        }
-    });
-    timed("L6/privacy-flow", &mut timings, &mut findings, |f| {
-        passes::lint_privacy_flow(&units, &engine, f);
-    });
-    timed("L7/rng-provenance", &mut timings, &mut findings, |f| {
-        passes::lint_rng_provenance(&engine, f);
-    });
-    timed("L8/cast-safety", &mut timings, &mut findings, |f| {
-        passes::lint_cast_safety(&units, f);
-    });
-    timed("L9/layering", &mut timings, &mut findings, |f| {
-        passes::lint_layering(&units, f);
-    });
-    timed("L10/protocol-order", &mut timings, &mut findings, |f| {
-        protocol::lint_protocol_order(&units, f);
-    });
-    timed("L11/raw-egress", &mut timings, &mut findings, |f| {
-        dataflow::lint_raw_egress(&engine, f);
-    });
-    timed("L12/nondet-flow", &mut timings, &mut findings, |f| {
-        dataflow::lint_nondet_flow(&engine, f);
-    });
-
-    // Deterministic emission order: (file, line, rule, message). Two runs
-    // over the same tree must produce byte-identical `--json` output.
+    }
+    passes::lint_privacy_flow(&units, &engine, &mut findings);
+    passes::lint_rng_provenance(&engine, &mut findings);
+    passes::lint_cast_safety(&units, &mut findings);
+    passes::lint_layering(&units, &mut findings);
+    protocol::lint_protocol_order(&units, &mut findings);
+    dataflow::lint_raw_egress(&engine, &mut findings);
+    dataflow::lint_nondet_flow(&engine, &mut findings);
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -807,7 +525,7 @@ pub fn run_lint_timed(root: &Path) -> Result<(Vec<Finding>, Vec<PassTiming>), Li
             .then(a.message.cmp(&b.message))
     });
     findings.dedup();
-    Ok((findings, timings))
+    Ok(findings)
 }
 
 /// The variants of `enum Message` in `crates/vfl/src/wire.rs` under `root`,
@@ -842,52 +560,15 @@ pub fn serve_frame_variants(root: &Path) -> Result<Vec<String>, LintError> {
         .unwrap_or_default())
 }
 
-/// L1: deny panicking macros/methods in protocol paths.
-fn lint_panic(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &mut Vec<Finding>) {
-    if !L1_FILES.contains(&rel_str) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for token in L1_TOKENS {
-            let method_like = !token.ends_with('!');
-            let present = if method_like {
-                // Methods fire only as calls: `.unwrap()` / `.expect(`.
-                line.code.contains(&format!(".{token}("))
-            } else {
-                has_token(&line.code, token)
-            };
-            if present && !suppressed(lines, idx, Rule::Panic, rel, findings) {
-                findings.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    rule: Rule::Panic,
-                    message: format!(
-                        "`{token}` in protocol path; return a Result (or `// gtv-lint: allow(panic) -- why`)"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// Spellings of a lane array or a lane-group walk: the `f32` kernels are
 /// eight wide, the `f64` ones four (exp) and eight (moment accumulators).
 const LANE_TOKENS: [&str; 7] =
     ["[f32; 8]", "[f32;8]", "[f64; 4]", "[f64;4]", "[f64; 8]", "[f64;8]", "chunks_exact(8)"];
 
-/// L2: deny ambient randomness and wall-clock reads outside `crates/bench`,
-/// ad-hoc thread spawns outside the sanctioned worker pool, and hand-rolled
-/// lane code (f32 or f64) outside the sanctioned SIMD module.
+/// L2: deny hand-rolled lane code (f32 or f64) outside the sanctioned SIMD
+/// module and raw allocation in the kernel hot path. (Clock reads and
+/// thread spawns are `disallowed-methods` in the root `clippy.toml`.)
 fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &mut Vec<Finding>) {
-    if rel_str.starts_with("crates/bench/") {
-        return;
-    }
-    // The pool owns the workspace's data parallelism: its fixed, problem-
-    // size-only partitioning is what keeps results thread-count-invariant.
-    let is_pool = rel_str == "crates/tensor/src/pool.rs";
     // The tensor kernels are the training hot loop: every buffer must come
     // from the recycling pool (pool_mem), not the allocator, so the
     // step-scoped memory accounting of DESIGN.md §9 stays exact.
@@ -933,78 +614,6 @@ fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &m
                     });
                 }
             }
-        }
-        for token in L2_TOKENS {
-            if has_token(&line.code, token)
-                && !suppressed(lines, idx, Rule::Determinism, rel, findings)
-            {
-                findings.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    rule: Rule::Determinism,
-                    message: format!(
-                        "`{token}` breaks seeded reproducibility; derive from a seeded StdRng or move to crates/bench"
-                    ),
-                });
-            }
-        }
-        if is_pool {
-            continue;
-        }
-        for token in ["thread::spawn", "thread::Builder"] {
-            if has_token(&line.code, token)
-                && !suppressed(lines, idx, Rule::Determinism, rel, findings)
-            {
-                findings.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    rule: Rule::Determinism,
-                    message: format!(
-                        "ad-hoc `{token}` sidesteps the deterministic worker pool; route parallelism through `gtv_tensor::pool` (crates/tensor/src/pool.rs)"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// L3: deny float-literal equality comparisons in metric crates.
-fn lint_float_eq(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &mut Vec<Finding>) {
-    if !rel_str.starts_with("crates/metrics/") && !rel_str.starts_with("crates/ml/") {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for pos in eq_operator_positions(&line.code) {
-            if (float_on_left(&line.code, pos) || float_on_right(&line.code, pos + 2))
-                && !suppressed(lines, idx, Rule::FloatEq, rel, findings)
-            {
-                findings.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    rule: Rule::FloatEq,
-                    message: "exact float comparison; use a tolerance (or `// gtv-lint: allow(float-eq) -- why`)"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// L5: every clippy `allow` must carry a trailing justification comment.
-fn lint_allow_justification(rel: &Path, lines: &[LexedLine], findings: &mut Vec<Finding>) {
-    for (idx, line) in lines.iter().enumerate() {
-        let is_allow =
-            line.code.contains("#[allow(clippy::") || line.code.contains("#![allow(clippy::");
-        if is_allow && line.comment.trim_start_matches('/').trim().is_empty() {
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line: idx + 1,
-                rule: Rule::AllowJustification,
-                message: "clippy allow without trailing `// <justification>`".to_string(),
-            });
         }
     }
 }
@@ -1131,36 +740,16 @@ mod tests {
     }
 
     #[test]
-    fn token_matching_respects_boundaries() {
-        assert!(has_token("thread_rng()", "thread_rng"));
-        assert!(!has_token("my_thread_rng()", "thread_rng"));
-        assert!(!has_token("thread_rng_pool", "thread_rng"));
-        assert!(has_token("panic!(\"x\")", "panic!"));
-        assert!(!has_token("dont_panic!(", "panic!"));
-    }
-
-    #[test]
-    fn float_detection_is_literal_adjacent() {
-        let pos = eq_operator_positions("if v == 1.0 {");
-        assert_eq!(pos.len(), 1);
-        assert!(float_on_right("if v == 1.0 {", pos[0] + 2));
-        assert!(float_on_left("if 2.5 == v {", eq_operator_positions("if 2.5 == v {")[0]));
-        assert!(!float_on_right("if v == 1 {", 8));
-        assert!(eq_operator_positions("a <= b, c >= d, e => f").is_empty());
-        assert!(eq_operator_positions("x != 0.5").len() == 1);
-    }
-
-    #[test]
     fn doc_comment_allow_does_not_suppress() {
         // An allow quoted in a doc comment is documentation, not a directive.
         let lines = lex(
-            "/// gtv-lint: allow(determinism) -- doc text, not a directive\nlet t = thread_rng();\n",
+            "/// gtv-lint: allow(determinism) -- doc text, not a directive\nlet t: [f32; 8] = x;\n",
         );
         let mut extra = Vec::new();
         assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
         assert!(extra.is_empty(), "doc-comment allows are ignored, not reported as malformed");
-        let lines = lex("//! gtv-lint: allow(panic) -- inner doc\nx.unwrap();\n");
-        assert!(!suppressed(&lines, 1, Rule::Panic, Path::new("x.rs"), &mut extra));
+        let lines = lex("//! gtv-lint: allow(cast-safety) -- inner doc\nlet n = len as u32;\n");
+        assert!(!suppressed(&lines, 1, Rule::CastSafety, Path::new("x.rs"), &mut extra));
     }
 
     #[test]
@@ -1168,14 +757,14 @@ mod tests {
         // The lexer blanks string contents into `code`; they never become a
         // comment, so an allow inside a string binds nothing.
         let lines =
-            lex("let s = \"gtv-lint: allow(determinism) -- nope\";\nlet t = thread_rng();\n");
+            lex("let s = \"gtv-lint: allow(determinism) -- nope\";\nlet t: [f32; 8] = x;\n");
         let mut extra = Vec::new();
         assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
     }
 
     #[test]
     fn allow_binds_only_to_annotated_line_and_line_below() {
-        let src = "// gtv-lint: allow(determinism) -- two lines up\n\nlet t = thread_rng();\n";
+        let src = "// gtv-lint: allow(determinism) -- two lines up\n\nlet t: [f32; 8] = x;\n";
         let lines = lex(src);
         let mut extra = Vec::new();
         assert!(
@@ -1187,28 +776,14 @@ mod tests {
     }
 
     #[test]
-    fn finding_renders_as_json() {
-        let f = Finding {
-            file: PathBuf::from("crates/vfl/src/wire.rs"),
-            line: 7,
-            rule: Rule::CastSafety,
-            message: "a \"quoted\" message\\with escapes".to_string(),
-        };
-        assert_eq!(
-            f.to_json(),
-            "{\"rule\":\"cast-safety\",\"label\":\"L8/cast-safety\",\"path\":\"crates/vfl/src/wire.rs\",\"line\":7,\"message\":\"a \\\"quoted\\\" message\\\\with escapes\"}"
-        );
-    }
-
-    #[test]
     fn allow_requires_justification() {
         assert_eq!(
-            allow_covers("// gtv-lint: allow(panic) -- negotiated at startup", Rule::Panic),
+            allow_covers("// gtv-lint: allow(wire) -- negotiated at startup", Rule::Wire),
             Some(true)
         );
-        assert_eq!(allow_covers("// gtv-lint: allow(panic)", Rule::Panic), Some(false));
-        assert_eq!(allow_covers("// gtv-lint: allow(panic) --   ", Rule::Panic), Some(false));
-        assert_eq!(allow_covers("// unrelated", Rule::Panic), None);
-        assert_eq!(allow_covers("// gtv-lint: allow(float-eq) -- x", Rule::Panic), None);
+        assert_eq!(allow_covers("// gtv-lint: allow(wire)", Rule::Wire), Some(false));
+        assert_eq!(allow_covers("// gtv-lint: allow(wire) --   ", Rule::Wire), Some(false));
+        assert_eq!(allow_covers("// unrelated", Rule::Wire), None);
+        assert_eq!(allow_covers("// gtv-lint: allow(layering) -- x", Rule::Wire), None);
     }
 }

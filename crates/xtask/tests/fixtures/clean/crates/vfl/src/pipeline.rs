@@ -1,6 +1,6 @@
 //! Clean fixture: a pipelined fan-out that parallelizes through the
-//! sanctioned deterministic worker pool — L2 must stay quiet, and L9 must
-//! accept the vfl → tensor layering edge.
+//! deterministic worker pool — L9 must accept the vfl → tensor layering
+//! edge.
 
 /// Encodes every payload concurrently on the pool; results come back in
 /// input order regardless of worker count.

@@ -1,5 +1,7 @@
 //! End-to-end lint tests: each rule must fire on its known-bad fixture
-//! tree, stay quiet on clean code, and honor the escape hatch.
+//! tree, stay quiet on clean code, and honor the escape hatch. (The rules
+//! that moved to clippy are checked by `tools/ci.sh` against the
+//! `fixtures/clippy_bans` crate.)
 
 use std::path::{Path, PathBuf};
 
@@ -18,61 +20,17 @@ fn lines_for(findings: &[Finding], rule: Rule) -> Vec<usize> {
 }
 
 #[test]
-fn l1_flags_every_panic_token_and_honors_the_escape_hatch() {
-    let findings = lint("l1_panic");
-    assert!(findings.iter().all(|f| f.rule == Rule::Panic), "{findings:?}");
-    // unwrap, expect, panic!, unreachable!, todo! — one finding each; the
-    // suppressed unwrap (line 25) and the #[cfg(test)] unwrap are exempt.
-    assert_eq!(lines_for(&findings, Rule::Panic), vec![4, 8, 12, 16, 20], "{findings:?}");
-}
-
-#[test]
-fn l2_flags_ambient_randomness_and_clocks_but_not_bench_or_tests() {
+fn l2_flags_lane_code_and_kernel_allocation_outside_their_homes() {
     let findings = lint("l2_determinism");
     assert!(findings.iter().all(|f| f.rule == Rule::Determinism), "{findings:?}");
-    assert!(
-        findings.iter().all(|f| {
-            f.file == Path::new("crates/nn/src/layers.rs")
-                || f.file == Path::new("crates/vfl/src/worker.rs")
-                || f.file == Path::new("crates/tensor/src/kernels.rs")
-                || f.file == Path::new("crates/ml/src/hand_simd.rs")
-                || f.file == Path::new("crates/encoders/src/hand_lanes.rs")
-        }),
-        "crates/bench, the sanctioned pool and the sanctioned simd module must be exempt: {findings:?}"
-    );
-    // thread_rng, from_entropy, SystemTime::now, Instant::now.
-    let layers: Vec<usize> = findings
-        .iter()
-        .filter(|f| f.file == Path::new("crates/nn/src/layers.rs"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(layers, vec![4, 9, 13, 17], "{findings:?}");
-    // Ad-hoc thread::spawn, thread::Builder and a hand-rolled pipelined
-    // fan-out outside the pool; the identical spawns in
-    // crates/tensor/src/pool.rs stay quiet.
-    let worker: Vec<usize> = findings
-        .iter()
-        .filter(|f| f.file == Path::new("crates/vfl/src/worker.rs"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(worker, vec![4, 9, 17], "{findings:?}");
-    assert!(
-        findings
-            .iter()
-            .filter(|f| f.file == Path::new("crates/vfl/src/worker.rs"))
-            .all(|f| f.message.contains("deterministic worker pool")),
-        "{findings:?}"
-    );
+    let lines_in = |file: &str| -> Vec<usize> {
+        findings.iter().filter(|f| f.file == Path::new(file)).map(|f| f.line).collect()
+    };
     // Raw allocator calls in the tensor kernel hot path: Vec::with_capacity
     // and vec![0.0; n]. The escape-hatched cold-path alloc and the
     // #[cfg(test)] scratch buffer stay quiet, as does the string literal
     // mentioning both tokens.
-    let kernels: Vec<usize> = findings
-        .iter()
-        .filter(|f| f.file == Path::new("crates/tensor/src/kernels.rs"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(kernels, vec![4, 12], "{findings:?}");
+    assert_eq!(lines_in("crates/tensor/src/kernels.rs"), vec![4, 12], "{findings:?}");
     assert!(
         findings
             .iter()
@@ -84,46 +42,20 @@ fn l2_flags_ambient_randomness_and_clocks_but_not_bench_or_tests() {
     // line 5) outside crates/tensor/src/simd.rs; the escape-hatched
     // scratch table, the #[cfg(test)] lanes, the string literal and the
     // identical tokens inside the sanctioned simd module stay quiet.
-    let lanes: Vec<usize> = findings
-        .iter()
-        .filter(|f| f.file == Path::new("crates/ml/src/hand_simd.rs"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(lanes, vec![4, 5], "{findings:?}");
+    assert_eq!(lines_in("crates/ml/src/hand_simd.rs"), vec![4, 5], "{findings:?}");
     // The f64 lanes of the encoder fit are held to the same home: `[f64; 4]`
     // (line 3, once — a line with the token twice is one finding per token)
-    // and `[f64; 8]` (line 8) outside simd.rs; the 16-wide stack buffer, the
-    // #[cfg(test)] lanes and the same arrays inside the sanctioned module
-    // stay quiet.
-    let f64_lanes: Vec<usize> = findings
-        .iter()
-        .filter(|f| f.file == Path::new("crates/encoders/src/hand_lanes.rs"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(f64_lanes, vec![3, 8], "{findings:?}");
+    // and `[f64; 8]` (line 8) outside simd.rs; the 16-wide stack buffer and
+    // the #[cfg(test)] lanes stay quiet.
+    assert_eq!(lines_in("crates/encoders/src/hand_lanes.rs"), vec![3, 8], "{findings:?}");
     assert!(
         findings
             .iter()
-            .filter(|f| {
-                f.file == Path::new("crates/ml/src/hand_simd.rs")
-                    || f.file == Path::new("crates/encoders/src/hand_lanes.rs")
-            })
+            .filter(|f| f.file != Path::new("crates/tensor/src/kernels.rs"))
             .all(|f| f.message.contains("gtv_tensor::simd")),
         "{findings:?}"
     );
-}
-
-#[test]
-fn l3_flags_float_equality_only_in_metric_crates() {
-    let findings = lint("l3_float_eq");
-    assert!(findings.iter().all(|f| f.rule == Rule::FloatEq), "{findings:?}");
-    assert!(
-        findings.iter().all(|f| f.file == Path::new("crates/metrics/src/divergence.rs")),
-        "crates/core must be out of L3 scope: {findings:?}"
-    );
-    // `v == 1.0`, `0.5 == v`, `v != 2.0f32`; int compare and the
-    // suppressed sentinel compare are exempt.
-    assert_eq!(lines_for(&findings, Rule::FloatEq), vec![4, 8, 12], "{findings:?}");
+    assert_eq!(findings.len(), 6, "{findings:?}");
 }
 
 #[test]
@@ -144,14 +76,6 @@ fn l4_flags_message_variants_missing_encode_or_decode_arms() {
 }
 
 #[test]
-fn l5_flags_bare_clippy_allows_but_not_justified_ones() {
-    let findings = lint("l5_allow");
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, Rule::AllowJustification);
-    assert_eq!(findings[0].line, 3);
-}
-
-#[test]
 fn malformed_escape_hatch_does_not_suppress_and_is_reported() {
     let findings = lint("malformed_allow");
     // The justification-free allow is reported AND the unwrap it failed
@@ -160,7 +84,7 @@ fn malformed_escape_hatch_does_not_suppress_and_is_reported() {
     assert!(findings
         .iter()
         .any(|f| f.line == 5 && f.message.contains("without `-- <justification>`")));
-    assert!(findings.iter().any(|f| f.line == 6 && f.message.contains("`unwrap`")));
+    assert!(findings.iter().any(|f| f.line == 6 && f.message.contains("`[f32; 8]`")));
 }
 
 #[test]
@@ -256,16 +180,13 @@ fn l10_flags_out_of_order_direction_and_machine_drift() {
 }
 
 #[test]
-fn serve_sources_are_covered_by_panic_determinism_cast_and_protocol_rules() {
+fn serve_sources_are_covered_by_cast_and_protocol_rules() {
     let findings = lint("serve_rules");
     let locations: Vec<(&str, usize, Rule)> =
         findings.iter().map(|f| (f.file.to_str().unwrap(), f.line, f.rule)).collect();
     assert_eq!(
         locations,
         vec![
-            // The engine is an L1 protocol path and must stay tick-driven.
-            ("crates/serve/src/engine.rs", 5, Rule::Panic),
-            ("crates/serve/src/engine.rs", 9, Rule::Determinism),
             // Every serve source is in L8 scope, not just `wire.rs`.
             ("crates/serve/src/registry.rs", 5, Rule::CastSafety),
             // A reply before the handshake completes breaks the session NFA.
@@ -282,54 +203,15 @@ fn serve_sources_are_covered_by_panic_determinism_cast_and_protocol_rules() {
 }
 
 #[test]
-fn json_output_is_deterministic_and_sorted_across_runs() {
-    let render = |findings: &[Finding]| -> String {
-        findings.iter().map(Finding::to_json).collect::<Vec<_>>().join("\n")
-    };
+fn findings_are_deterministic_and_sorted_across_runs() {
     let first = lint("protocol_order");
-    let second = lint("protocol_order");
     assert!(!first.is_empty(), "the regression needs a fixture with findings");
-    assert_eq!(render(&first), render(&second), "two runs must be byte-identical");
-    let keys: Vec<(String, usize, &'static str)> =
-        first.iter().map(|f| (f.file.display().to_string(), f.line, f.rule.id())).collect();
+    assert_eq!(first, lint("protocol_order"), "two runs must agree");
+    let keys: Vec<(String, usize, Rule)> =
+        first.iter().map(|f| (f.file.display().to_string(), f.line, f.rule)).collect();
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted, "findings must be sorted by (file, line, rule)");
-}
-
-#[test]
-fn lint_reports_per_pass_timings_within_budget() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("xtask lives two levels below the workspace root")
-        .to_path_buf();
-    let (_, timings) = gtv_xtask::run_lint_timed(&root).expect("workspace should be readable");
-    let labels: Vec<&str> = timings.iter().map(|t| t.label).collect();
-    assert_eq!(
-        labels,
-        vec![
-            "parse",
-            "dataflow",
-            "L1/panic",
-            "L2/determinism",
-            "L3/float-eq",
-            "L4/wire",
-            "L5/allow-justification",
-            "L6/privacy-flow",
-            "L7/rng-provenance",
-            "L8/cast-safety",
-            "L9/layering",
-            "L10/protocol-order",
-            "L11/raw-egress",
-            "L12/nondet-flow",
-        ]
-    );
-    let total: f64 = timings.iter().map(|t| t.millis).sum();
-    assert!(total < 5000.0, "lint must stay inside the pre-commit budget: {total:.1} ms");
-    for t in &timings {
-        assert!(t.millis < 4000.0, "pass {} blew its per-pass budget: {:.1} ms", t.label, t.millis);
-    }
 }
 
 #[test]
@@ -354,42 +236,30 @@ fn l12_flags_nondeterminism_reaching_seeds_kernels_and_wire() {
 }
 
 #[test]
-fn sarif_output_is_byte_stable_across_runs() {
-    let sarif = gtv_xtask::report::to_sarif(&lint("l11_egress"));
-    assert_eq!(sarif, gtv_xtask::report::to_sarif(&lint("l11_egress")));
-    assert!(sarif.contains("\"ruleId\":\"raw-egress\""), "{sarif}");
-    assert!(sarif.contains("\"name\":\"L12/nondet-flow\""), "{sarif}");
-}
-
-#[test]
-fn baseline_round_trip_suppresses_known_findings_byte_stably() {
-    let findings = lint("l12_nondet");
-    let text = gtv_xtask::report::render_baseline(&findings);
-    assert_eq!(text, gtv_xtask::report::render_baseline(&lint("l12_nondet")));
-    let outcome = gtv_xtask::report::apply_baseline(&findings, &text);
-    assert!(outcome.fresh.is_empty(), "{:?}", outcome.fresh);
-    assert_eq!(outcome.matched, findings.len());
-    assert_eq!(outcome.stale, 0);
-}
-
-#[test]
 fn clean_tree_produces_no_findings() {
     let findings = lint("clean");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
-fn real_workspace_is_lint_clean() {
+#[expect(clippy::disallowed_methods, reason = "the pre-commit budget is wall time")]
+fn real_workspace_is_lint_clean_within_budget() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("xtask lives two levels below the workspace root")
         .to_path_buf();
+    let start = std::time::Instant::now();
     let findings = run_lint(&root).expect("workspace should be readable");
+    let elapsed = start.elapsed();
     assert!(
         findings.is_empty(),
         "workspace has lint findings:\n{}",
         findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
+    );
+    assert!(
+        elapsed.as_secs_f64() < 5.0,
+        "lint must stay inside the pre-commit budget: {elapsed:?}"
     );
 }
 

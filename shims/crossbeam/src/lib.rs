@@ -420,6 +420,10 @@ pub mod channel {
 
         /// Blocks until a message arrives, every sender is dropped, or
         /// `timeout` elapses — whichever happens first.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a receive timeout is wall time by definition; crossbeam's reads the same clock"
+        )]
         pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
             let deadline = std::time::Instant::now() + timeout;
             let mut q = lock(&self.chan);
@@ -529,6 +533,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a second thread is what the test exercises")]
     fn blocking_recv_across_threads() {
         let (tx, rx) = unbounded();
         let handle = std::thread::spawn(move || {

@@ -108,6 +108,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisoning needs a thread that panics")]
     fn survives_poisoning() {
         use std::sync::Arc;
         let m = Arc::new(Mutex::new(0));

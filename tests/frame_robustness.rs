@@ -343,6 +343,10 @@ fn long_multibyte_reasons_clip_to_a_valid_prefix() {
 const HANDSHAKE_BOUND: Duration = Duration::from_secs(7);
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "each server runs on a thread; the handshake bound is wall time"
+)]
 fn each_dialer_fails_typed_against_the_other_sessions_server() {
     let node = Arc::new(
         PartyNode::bind(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0")).expect("bind node"),

@@ -6,6 +6,8 @@
 //! mismatch, peer crash mid-round, a reply that comes too late) surface as
 //! typed [`TransportError`]s, never panics or hangs.
 
+#![expect(clippy::disallowed_methods, reason = "the tests host their peers on threads")]
+
 use gtv::{GtvConfig, GtvTrainer};
 use gtv_data::{Dataset, Table};
 use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};

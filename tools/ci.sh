@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: the build level, formatting, clippy under the workspace
-# deny-list, the gtv-xtask protocol lints, the test suite (the bit pins at
-# two build levels), the shims and the gtvbench smoke pass; and the working
+# deny-list and `clippy.toml` (and on the fixture that breaks each of its
+# bans), the gtv-xtask protocol lints, the test suite (the bit pins at two
+# build levels), the shims and the gtvbench smoke pass; and the working
 # tree left as it was found. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,35 +47,33 @@ cargo fmt --all --check
 step "cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "gtv-xtask lint"
-# Human-readable pass against the checked-in baseline; the wall-time budget
-# is split: 8 s total for the twelve passes plus the dataflow build, and no
-# single pass (the taint engine is the heaviest) may take more than 4 s.
-cargo run -q -p gtv-xtask -- lint --baseline tools/lint-baseline.json \
-    --max-ms 8000 --max-pass-ms 4000
-
-step "gtv-xtask lint --json"
-# Machine-readable annotations (one JSON object per finding, sorted and
-# byte-stable across runs). Stderr carries the timings record and goes to
-# its own log — swallowing it with 2>/dev/null would hide analyzer crashes.
-mkdir -p target
-if ! cargo run -q -p gtv-xtask -- lint --json --baseline tools/lint-baseline.json \
-        --max-ms 8000 --max-pass-ms 4000 \
-        2>target/gtv-lint.stderr.log | tee target/gtv-lint.json; then
-    echo "gtv-xtask lint --json failed; stderr follows" >&2
-    cat target/gtv-lint.stderr.log >&2
+step "clippy bans fire on their fixture"
+# The panic, clock/thread, float-eq and allow-reason rules are clippy
+# configuration (DESIGN.md §7). The fixture crate breaks each once, plus a
+# UFCS unwrap and a float `==` between two variables; clippy must fail on it
+# and report each lint as often as the fixture breaks it. Its own target
+# directory and checked-in lock file keep the tree as it was.
+bans=crates/xtask/tests/fixtures/clippy_bans
+if out="$(cargo clippy --offline -q --manifest-path "$bans/Cargo.toml" \
+        --target-dir target/clippy_bans -- -D warnings 2>&1)"; then
+    echo "ci: clippy passed $bans, so its bans no longer fire" >&2
     exit 1
 fi
+for expected in unwrap_used:2 expect_used:1 panic:1 unreachable:1 \
+        disallowed_methods:4 float_cmp:2 allow_attributes_without_reason:1; do
+    lint="${expected%:*}"
+    want="${expected#*:}"
+    got="$(grep -c "index.html#$lint\$" <<<"$out" || true)"
+    if [ "$got" != "$want" ]; then
+        printf '%s\n' "$out" >&2
+        echo "ci: clippy reported $lint $got time(s) on $bans, expected $want" >&2
+        exit 1
+    fi
+done
 
-step "gtv-xtask lint --sarif (determinism check)"
-# SARIF artifact for annotation tooling; two consecutive runs must be
-# byte-identical — any diff means nondeterminism crept into the analyzer.
-cargo run -q -p gtv-xtask -- lint --sarif --baseline tools/lint-baseline.json \
-    2>/dev/null >target/gtv-lint.sarif
-cargo run -q -p gtv-xtask -- lint --sarif --baseline tools/lint-baseline.json \
-    2>/dev/null >target/gtv-lint.sarif.2
-cmp target/gtv-lint.sarif target/gtv-lint.sarif.2
-rm target/gtv-lint.sarif.2
+step "gtv-xtask lint"
+# The protocol-invariant passes clippy cannot express (L2, L4, L6-L12).
+cargo run -q -p gtv-xtask -- lint
 
 step "cargo test -q"
 cargo test -q --workspace
@@ -112,23 +111,6 @@ step "gtvbench smoke (benchmark output checks at 1/50 size)"
 # reply ≡ in-process request bytes), so a change that breaks a check or a
 # public item the benchmark depends on fails here, not in the driver.
 cargo test --offline --manifest-path gtvbench/Cargo.toml
-
-step "socket loopback (transport-backend equivalence)"
-# Real TCP and Unix-domain PartyNodes behind SocketTransport must train to
-# byte-identical weights and identical byte accounting vs the in-process
-# backend, and handshake/crash failures must be typed errors (DESIGN.md
-# §13). Part of the workspace run above; re-run un-quieted so the gate
-# names each backend and party count it proved.
-cargo test -p gtv-suite --test socket_loopback
-
-step "schedule explorer (protocol-conformance, dynamic half)"
-# The loom-lite explorer over real trainer rounds (DESIGN.md §11): permuted
-# delivery order must leave weights/synthesis bit-identical at 2 and 3
-# parties, the happens-before trace must be clean, and the deadlock /
-# lock-inversion detectors must fire on the intentional fixtures. Already
-# part of the workspace test run above; re-run un-quieted so the gate names
-# each property it proved.
-cargo test -p gtv --test schedule_explorer
 
 step "working tree unchanged"
 # Nothing above may write into the tree outside the ignored build outputs.
