@@ -136,8 +136,12 @@ impl<T: Transport> std::fmt::Debug for GtvTrainer<T> {
     }
 }
 
+/// The wire payload of a tensor, copied once into pooled storage: the
+/// transport parks it again once the message is encoded (DESIGN.md §9).
 fn payload_of(t: &Tensor) -> MatrixPayload {
-    MatrixPayload::new(t.rows() as u32, t.cols() as u32, t.as_slice().to_vec())
+    let mut data = gtv_tensor::pool_mem::take(t.len());
+    data.extend_from_slice(t.as_slice());
+    MatrixPayload::new(t.rows() as u32, t.cols() as u32, data)
 }
 
 /// The wire payload of a graph node's value, copied once (straight from the
@@ -315,10 +319,11 @@ impl<T: Transport> GtvTrainer<T> {
     }
 
     /// End-of-step bookkeeping: snapshot the allocation counters, then
-    /// return the step's graph storage to the recycling pool (DESIGN.md §9).
+    /// return the step's graph storage and its conditional vector — the
+    /// decoded upload at the server — to the recycling pool (DESIGN.md §9).
     /// Leaf tensors — parameters and data bound into the graph — are pinned
     /// and survive the reset untouched.
-    fn finish_step(&mut self, g: &Graph) {
+    fn finish_step(&mut self, g: &Graph, cond: Option<CondRound>) {
         let s = gtv_tensor::pool_mem::stats();
         self.alloc_history.push(StepAllocStats {
             live_nodes: g.len(),
@@ -327,6 +332,9 @@ impl<T: Transport> GtvTrainer<T> {
             bytes_requested: s.bytes_requested,
         });
         g.reset();
+        if let Some(c) = cond {
+            c.cv.recycle();
+        }
     }
 
     /// The global conditional-vector layout.
@@ -356,8 +364,10 @@ impl<T: Transport> GtvTrainer<T> {
     }
 
     /// One server→clients fan-out phase (DESIGN.md §10): every message is
-    /// sent first (payloads encode concurrently on the tensor worker pool),
-    /// then each recipient pops its delivery in message order.
+    /// sent first ([`Transport::send_all`]; `InProcTransport` encodes the
+    /// payloads concurrently on the tensor worker pool, `SocketTransport`
+    /// one after another), then each recipient pops its delivery in message
+    /// order and its payload goes back to the tensor pool.
     /// Takes the network rather than `self`, so a caller can keep borrowing
     /// one client's state across the fan-out.
     fn dispatch(network: &T, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
@@ -365,7 +375,7 @@ impl<T: Transport> GtvTrainer<T> {
             msgs.iter().map(|&(_, to, ref m)| (to, m.kind())).collect();
         network.send_all(msgs)?;
         for (to, expected) in expects {
-            let _ = network.recv_expect(to, expected)?;
+            network.recv_expect(to, expected)?.1.recycle();
         }
         Ok(())
     }
@@ -462,11 +472,12 @@ impl<T: Transport> GtvTrainer<T> {
                 // The rejected alternative (§3.1.6): the CV still goes to
                 // the server (it feeds D^s), but the indices go peer-to-peer
                 // so clients can select rows locally.
-                let _ = self.route(
+                self.route(
                     PartyId::Client(p),
                     PartyId::Server,
                     Message::CondUpload { cv: payload_of(&cv), indices: Vec::new() },
-                )?;
+                )?
+                .recycle();
                 for j in 0..self.clients.len() {
                     if j == p {
                         continue;
@@ -553,19 +564,26 @@ impl<T: Transport> GtvTrainer<T> {
             activations.push(act_for_d);
             d_logits.push(dl);
         }
-        let _ = self.fan_in(uploads, "SynthLogits")?;
+        // The server works on the graph nodes; the popped copies go back to
+        // the pool.
+        self.fan_in(uploads, "SynthLogits")?.into_iter().for_each(Message::recycle);
         Ok((slices, head_logits, activations, d_logits))
     }
 
-    /// §3.3 protection knob: Gaussian noise on an uploaded logit matrix.
-    fn apply_dp_noise(&mut self, g: &Graph, logits: Var) -> Var {
+    /// §3.3 protection knob: the Gaussian noise for a `rows × cols` upload,
+    /// `None` when it is off.
+    fn dp_noise(&mut self, rows: usize, cols: usize) -> Option<Tensor> {
         let sigma = self.config.dp_noise_sigma;
-        if sigma <= 0.0 {
-            return logits;
-        }
+        (sigma > 0.0).then(|| Tensor::randn(rows, cols, &mut self.rng).mul_scalar(sigma))
+    }
+
+    /// [`Self::dp_noise`] added to an uploaded logit matrix in the graph.
+    fn apply_dp_noise(&mut self, g: &Graph, logits: Var) -> Var {
         let (rows, cols) = g.shape(logits);
-        let noise = Tensor::randn(rows, cols, &mut self.rng).mul_scalar(sigma);
-        g.add(logits, g.leaf(noise))
+        match self.dp_noise(rows, cols) {
+            Some(noise) => g.add(logits, g.leaf(noise)),
+            None => logits,
+        }
     }
 
     /// One discriminator step (Algorithm 1 steps 3–16).
@@ -602,13 +620,46 @@ impl<T: Transport> GtvTrainer<T> {
             let full_upload = self.config.faithful_real_path
                 && !is_p
                 && self.config.index_sharing == IndexSharing::Server;
-            if full_upload {
+            if full_upload && self.config.partition.d_bottom == 0 {
                 // The client passes its *entire* table through D_i^b, in the
                 // shared shuffled order, and the server selects the idx_p
-                // rows from the uploaded logits. The table is gathered into
-                // a buffer of the recycling pool, which the popped uploads
-                // below refill: ~10 MB per client that cycles instead of
-                // being mapped and unmapped.
+                // rows. With no bottom blocks D_i^b is the identity, so the
+                // upload is the gathered table itself: it moves into the
+                // payload uncopied (pooled storage, parked again once it is
+                // encoded). The upload's idx_p rows are `selected_rows` bit
+                // for bit, so the server's node is a batch-sized leaf of
+                // them, as on the default path — no table-sized leaf, no
+                // gather node; the gradients are the same.
+                let full = self.clients[i].encoded.select_rows(&self.current_to_initial);
+                let (full, rows) = match self.dp_noise(full.rows(), full.cols()) {
+                    // The noise is drawn for the whole table, as the
+                    // uploading client draws it, and the server's rows are
+                    // taken from the noisy upload.
+                    Some(noise) => {
+                        let noisy = full.add(&noise);
+                        full.recycle();
+                        noise.recycle();
+                        let rows = noisy.select_rows(&indices);
+                        (noisy, rows)
+                    }
+                    None => (full, selected_rows.clone()),
+                };
+                let (n, width) = full.shape();
+                uploads.push((
+                    PartyId::Client(i),
+                    PartyId::Server,
+                    Message::RealLogits(MatrixPayload::new(
+                        n as u32,
+                        width as u32,
+                        full.into_vec(),
+                    )),
+                ));
+                real_logits.push(g.leaf(rows));
+            } else if full_upload {
+                // With bottom blocks the whole table goes through them —
+                // dropout makes that forward differ from a forward of the
+                // selected rows alone — and the server's node gathers the
+                // idx_p rows of the table's logits node.
                 let full = g.leaf(self.clients[i].encoded.select_rows(&self.current_to_initial));
                 let logits_full = self.discriminator.client_forward(&ctx, i, full);
                 let logits_full = self.apply_dp_noise(&g, logits_full);
@@ -633,12 +684,8 @@ impl<T: Transport> GtvTrainer<T> {
         }
         // The server works on the graph nodes; the popped copies — a whole
         // table per non-`p` client on the faithful path — are parked for the
-        // next step's copies instead of being freed.
-        for upload in self.fan_in(uploads, "RealLogits")? {
-            if let Message::RealLogits(p) = upload {
-                Tensor::from_vec(p.rows as usize, p.cols as usize, p.data).recycle();
-            }
-        }
+        // next step's gathers and decodes instead of being freed.
+        self.fan_in(uploads, "RealLogits")?.into_iter().for_each(Message::recycle);
         let cv_real = cv_t.as_ref().map(|t| g.leaf(t.clone()));
         let y_real = self.discriminator.server_forward(&ctx, &real_logits, cv_real);
 
@@ -694,7 +741,9 @@ impl<T: Transport> GtvTrainer<T> {
         Self::dispatch(&self.network, grad_msgs)?;
         self.d_opt.step();
         self.history.d_loss.push(g.value(d_loss).item());
-        self.finish_step(&g);
+        // The step's pooled tensors outside the graph go back with it.
+        real_rows.into_iter().chain([eps, one_minus]).for_each(Tensor::recycle);
+        self.finish_step(&g, cond);
         Ok(())
     }
 
@@ -756,7 +805,7 @@ impl<T: Transport> GtvTrainer<T> {
         Self::dispatch(&self.network, grad_msgs)?;
         self.g_opt.step();
         self.history.g_loss.push(g.value(g_loss).item());
-        self.finish_step(&g);
+        self.finish_step(&g, cond);
         Ok(())
     }
 
@@ -1035,15 +1084,46 @@ mod tests {
     }
 
     #[test]
-    fn faithful_real_path_matches_row_counts() {
-        let shards = two_client_shards(60);
-        let config = GtvConfig { faithful_real_path: true, ..GtvConfig::smoke() };
-        let mut trainer = GtvTrainer::new(shards, config);
-        trainer.train_round().unwrap();
-        // RealLogits messages from non-selected clients carry the full table
-        // (60 rows), so the real-path traffic must exceed batch-only (32).
-        let stats = trainer.network_stats();
-        assert!(stats.bytes > 0);
+    fn faithful_real_path_adds_exactly_the_unselected_rows_to_the_wire() {
+        let (rows, batch) = (200, GtvConfig::smoke().batch);
+        for (d_steps, rounds) in [(1, 3), (2, 1)] {
+            let config = |faithful_real_path| GtvConfig {
+                threads: 1,
+                faithful_real_path,
+                d_steps,
+                ..GtvConfig::smoke()
+            };
+            let mut default = GtvTrainer::new(two_client_shards(rows), config(false));
+            let network = Capturing { inner: Network::new(2), real_logits: Default::default() };
+            let mut faithful =
+                GtvTrainer::with_transport(two_client_shards(rows), config(true), network).unwrap();
+            for _ in 0..rounds {
+                default.train_round().unwrap();
+                faithful.train_round().unwrap();
+            }
+            // Every D-step, each client but the CV constructor uploads its
+            // whole table where the default path uploads the batch:
+            // (rows − batch) × width × 4 bytes more, everything else equal.
+            let sent = faithful.network().real_logits.take();
+            let steps = d_steps * rounds;
+            assert_eq!(sent.len(), 2 * steps, "one upload per client and D-step");
+            let mut whole_uploads = 0;
+            let mut expected = 0;
+            for (from, upload) in &sent {
+                let PartyId::Client(j) = *from else { panic!("{from:?} uploaded real logits") };
+                if upload.rows as usize == rows {
+                    whole_uploads += 1;
+                    expected += (rows - batch) * faithful.clients[j].transformer.width() * 4;
+                }
+            }
+            assert_eq!(whole_uploads, steps, "one uploading client per D-step");
+            let extra = faithful.network_stats().bytes - default.network_stats().bytes;
+            assert_eq!(extra, expected as u64, "d_steps = {d_steps}");
+            if d_steps == 1 {
+                // The three rounds of `tests/step_work.rs`: 213 378 − 156 258.
+                assert_eq!(extra, 57_120);
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Step-scoped memory regression tests (DESIGN.md §9): a long training run
 //! must not leak graph nodes or pool bytes, and a warm recycling pool must
-//! cut per-step allocator traffic by well over the 5× the issue demands.
+//! cut per-step allocator traffic by well over five-fold; a whole-table
+//! upload of the faithful real path must cycle through the pool.
 //!
-//! Both tests use continuous-only tables so every training step builds a
-//! structurally identical graph (no conditional-vector subgraphs whose shape
-//! depends on sampled categories), run single-threaded so the thread-local
-//! pool counters are exact, and serialize on a mutex so they cannot observe
-//! each other's pool configuration. The trainer keeps only its latest
-//! round's step snapshots, so the tests collect them after every round.
+//! The first two tests use continuous-only tables so every training step
+//! builds a structurally identical graph (no conditional-vector subgraphs
+//! whose shape depends on sampled categories); the third compares the two
+//! real paths on the same categorical data, whose sampled conditions are the
+//! same on both. All run single-threaded so the thread-local pool counters
+//! are exact, and serialize on a mutex so they cannot observe each other's
+//! pool configuration. The trainer keeps only its latest round's step
+//! snapshots, so the tests collect them after every round.
 
 use gtv::{GtvConfig, GtvTrainer, StepAllocStats};
 use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema, Table};
@@ -123,4 +126,55 @@ fn recycling_cuts_per_step_allocations_at_least_five_fold() {
     assert!(without_pool > 50.0, "a training step allocates many buffers: {without_pool}");
     pool_mem::set_enabled(true);
     pool_mem::clear();
+}
+
+/// `(pool misses, pool bytes requested, wire bytes)` of rounds 2–4 of a
+/// two-client Loan smoke run started from a cold pool; rounds 0 and 1 warm
+/// it up, as `gtvbench` runs two rounds before it measures.
+fn warm_round_traffic(faithful_real_path: bool, rows: usize) -> (u64, u64, u64) {
+    pool_mem::clear();
+    pool_mem::reset_stats();
+    let table = gtv_data::Dataset::Loan.generate(rows, 0);
+    let n = table.n_cols();
+    let shards = table.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()]);
+    let mut trainer = GtvTrainer::new(shards, GtvConfig { faithful_real_path, ..tiny_config() });
+    for _ in 0..2 {
+        trainer.train_round().unwrap();
+    }
+    let (pool, wire) = (pool_mem::stats(), trainer.network_stats().bytes);
+    for _ in 0..3 {
+        trainer.train_round().unwrap();
+    }
+    let (pool_after, wire_after) = (pool_mem::stats(), trainer.network_stats().bytes);
+    pool_mem::clear();
+    (
+        pool_after.misses - pool.misses,
+        pool_after.bytes_requested - pool.bytes_requested,
+        wire_after - wire,
+    )
+}
+
+#[test]
+fn whole_table_uploads_cycle_through_the_pool() {
+    let _guard = SERIAL.lock().unwrap();
+    // The table (2 000 rows) dwarfs every batch-sized buffer of the smoke
+    // shape, so a table-sized allocation cannot hide in slack.
+    let (default_misses, default_requested, default_wire) = warm_round_traffic(false, 2000);
+    let (misses, requested, wire) = warm_round_traffic(true, 2000);
+    // Each whole-table upload is gathered into a pooled buffer and decoded
+    // into another, and both requests cover more than the rows the upload
+    // adds to the wire ...
+    let extra_wire = wire - default_wire;
+    assert!(extra_wire > 0, "non-selected clients upload whole tables");
+    assert!(
+        requested - default_requested >= 2 * extra_wire,
+        "the gather and the decode of every upload go through the pool: \
+         {requested} vs {default_requested} bytes requested, {extra_wire} extra on the wire"
+    );
+    // ... yet the steps build the same graph, and the faithful rounds miss
+    // no more often than the default ones: no table is allocated fresh.
+    assert!(
+        misses <= default_misses,
+        "faithful rounds allocate fresh: {misses} misses vs {default_misses} on the default path"
+    );
 }

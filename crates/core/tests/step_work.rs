@@ -6,25 +6,46 @@
 //! nodes come back — either way the change has to be looked at and the pin
 //! moved on purpose.
 
-use gtv::{GtvConfig, GtvTrainer};
+use gtv::{GtvConfig, GtvTrainer, NetPartition};
 use gtv_data::Dataset;
 
 /// Nodes of the D-step and of the G-step of the first round (smoke shape,
 /// Loan, two clients, seed of `GtvConfig::smoke`). Before the backward
-/// pass was demand-driven the same two steps built 464 and 710.
+/// pass was demand-driven the same two steps built 464 and 710. The
+/// faithful real path builds the same graph: with identity bottoms the
+/// server's node for a whole-table upload is a leaf of its `idx_p` rows,
+/// as on the default path (it was 416, a table-sized leaf and a gather).
 const D_STEP_NODES: usize = 415;
 const G_STEP_NODES: usize = 658;
 
-#[test]
-fn a_round_builds_exactly_the_pinned_number_of_nodes() {
+/// Trains `rounds` rounds of the shape above under `config` (one worker
+/// thread) and returns the first round's `[D-step, G-step]` live nodes and
+/// the FNV-1a of the weights at the end.
+fn train(config: GtvConfig, rounds: usize) -> (Vec<usize>, u64) {
     let table = Dataset::Loan.generate(200, 0);
     let n = table.n_cols();
     let shards = table.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()]);
-    let config = GtvConfig { threads: 1, ..GtvConfig::smoke() };
-    let mut trainer = GtvTrainer::new(shards, config);
-    trainer.train_round().expect("in-process transport is healthy");
-    let nodes: Vec<usize> = trainer.alloc_stats().iter().map(|s| s.live_nodes).collect();
-    assert_eq!(nodes, [D_STEP_NODES, G_STEP_NODES], "[D-step, G-step] live nodes");
+    let mut trainer = GtvTrainer::new(shards, GtvConfig { threads: 1, ..config });
+    let mut nodes = Vec::new();
+    for round in 0..rounds {
+        trainer.train_round().expect("in-process transport is healthy");
+        if round == 0 {
+            nodes = trainer.alloc_stats().iter().map(|s| s.live_nodes).collect();
+        }
+    }
+    (nodes, fnv64(&trainer.save_weights().to_bytes()))
+}
+
+#[test]
+fn a_round_builds_exactly_the_pinned_number_of_nodes() {
+    for faithful_real_path in [false, true] {
+        let (nodes, _) = train(GtvConfig { faithful_real_path, ..GtvConfig::smoke() }, 1);
+        assert_eq!(
+            nodes,
+            [D_STEP_NODES, G_STEP_NODES],
+            "faithful_real_path = {faithful_real_path}: [D-step, G-step] live nodes"
+        );
+    }
 }
 
 /// FNV-1a, 64 bit.
@@ -46,18 +67,42 @@ const WEIGHTS_AFTER_3_ROUNDS: u64 = 0x335b_6baf_2bef_df2b;
 #[test]
 fn three_rounds_train_exactly_the_pinned_weights() {
     for faithful_real_path in [false, true] {
-        let table = Dataset::Loan.generate(200, 0);
-        let n = table.n_cols();
-        let shards = table.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()]);
-        let config = GtvConfig { threads: 1, faithful_real_path, ..GtvConfig::smoke() };
-        let mut trainer = GtvTrainer::new(shards, config);
-        for _ in 0..3 {
-            trainer.train_round().expect("in-process transport is healthy");
-        }
-        let fingerprint = fnv64(&trainer.save_weights().to_bytes());
+        let (_, fingerprint) = train(GtvConfig { faithful_real_path, ..GtvConfig::smoke() }, 3);
         assert_eq!(
             fingerprint, WEIGHTS_AFTER_3_ROUNDS,
             "faithful_real_path = {faithful_real_path}: {fingerprint:#018x}"
         );
     }
+}
+
+/// The faithful real path where the whole-table upload is not the table
+/// itself: one `D_i^b` block per client (`D_1^1 G_2^0`), so every client
+/// runs its entire table through its bottom block and the server gathers
+/// the `idx_p` rows of those logits. Weights and nodes as the trainer of
+/// commit 39eaeda built them.
+#[test]
+fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
+    let config = GtvConfig {
+        faithful_real_path: true,
+        partition: NetPartition::new(1, 1, 0, 2),
+        ..GtvConfig::smoke()
+    };
+    let (nodes, fingerprint) = train(config, 3);
+    assert_eq!(nodes, [451, 758], "[D-step, G-step] live nodes");
+    assert_eq!(fingerprint, 0xfb77_ea2e_5097_06d1, "{fingerprint:#018x}");
+}
+
+/// The faithful real path with DP noise on the uploads: the noise for a
+/// whole-table upload is drawn at the table's shape in the same client
+/// order, and the server's rows are the `idx_p` rows of the noisy table.
+/// Weights as commit 39eaeda trained them; its D-step built 424 nodes (a
+/// table-sized leaf, a noise leaf, their sum and a gather per uploading
+/// client), this one builds 421 (a single batch-sized leaf per uploading
+/// client).
+#[test]
+fn faithful_path_with_dp_noise_trains_the_pinned_weights() {
+    let config = GtvConfig { faithful_real_path: true, dp_noise_sigma: 0.5, ..GtvConfig::smoke() };
+    let (nodes, fingerprint) = train(config, 3);
+    assert_eq!(nodes, [421, 752], "[D-step, G-step] live nodes");
+    assert_eq!(fingerprint, 0x7a45_c566_81a2_1bff, "{fingerprint:#018x}");
 }

@@ -28,6 +28,9 @@
 //!   pool against fresh allocation using the same counters.
 //! * **Always on.** Recycling is on for every thread unless a test turns it
 //!   off with [`set_enabled`]; no configuration does.
+//! * **Not only tensors.** [`take`], [`take_zeroed`] and [`give`] are public
+//!   so the wire layer (`gtv_vfl`) can decode matrix bodies into pooled
+//!   storage and park a payload once it is encoded (DESIGN.md §10).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -182,7 +185,7 @@ fn try_take(len: usize) -> Option<Vec<f32>> {
 /// available and recycling is enabled, a fresh allocation otherwise.
 /// Requests below [`MIN_RECYCLE_LEN`] always allocate fresh (see the
 /// constant's docs) and count as `small` rather than misses.
-pub(crate) fn take(len: usize) -> Vec<f32> {
+pub fn take(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
@@ -202,7 +205,7 @@ pub(crate) fn take(len: usize) -> Vec<f32> {
 }
 
 /// [`take`] followed by a zero fill to length `len`.
-pub(crate) fn take_zeroed(len: usize) -> Vec<f32> {
+pub fn take_zeroed(len: usize) -> Vec<f32> {
     take_filled(len, 0.0)
 }
 
@@ -216,7 +219,7 @@ pub(crate) fn take_filled(len: usize, v: f32) -> Vec<f32> {
 /// Parks `buf`'s storage for reuse. No-op when recycling is disabled, the
 /// buffer is below the [`MIN_RECYCLE_LEN`] floor, or the per-thread budgets
 /// are exhausted (the buffer is then simply dropped).
-pub(crate) fn give(mut buf: Vec<f32>) {
+pub fn give(mut buf: Vec<f32>) {
     let cap = buf.capacity();
     if cap < MIN_RECYCLE_LEN || !enabled() {
         return;

@@ -1189,6 +1189,7 @@ impl Transport for SocketTransport {
             return Err(TransportError::UnknownRecipient(to));
         }
         let encoded = msg.encode_with(self.meter.codec());
+        msg.recycle();
         self.meter.record(from, to, encoded.len());
         if fault == Some(Fault::Drop) {
             return Ok(());

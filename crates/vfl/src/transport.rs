@@ -660,6 +660,7 @@ impl InProcTransport {
         // actually serialized.
         let delivered = Message::decode(encoded)?;
         if fault == Some(Fault::Drop) {
+            delivered.recycle();
             return Ok(());
         }
         let inboxes = self.inboxes.lock();
@@ -674,31 +675,40 @@ impl InProcTransport {
 impl Transport for InProcTransport {
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
         let encoded = msg.encode_with(self.meter.codec());
+        msg.recycle();
         self.deliver(from, to, encoded)
     }
 
     /// Every payload is encoded concurrently on the deterministic
     /// `gtv_tensor::pool` workers (serialization cost is per-byte, and
-    /// independent per message), then metered and delivered in input order.
+    /// independent per message), handed back to the tensor pool, then
+    /// metered and delivered in input order — so each delivery's decode can
+    /// reuse a payload's storage.
     /// Under [`InProcTransport::permute_deliveries`] the delivery order is
     /// a seeded permutation instead; per-message bytes are unchanged.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         let codec = self.meter.codec();
+        let links: Vec<(PartyId, PartyId)> = msgs.iter().map(|&(from, to, _)| (from, to)).collect();
         let msgs = Arc::new(msgs);
         let encoder = Arc::clone(&msgs);
         let encoded =
             gtv_tensor::pool::run_ordered(msgs.len(), move |i| encoder[i].2.encode_with(codec));
-        let order: Option<Vec<usize>> = self.permuter.lock().as_mut().map(|p| p.order(msgs.len()));
+        // A worker may still hold its task's handle for a moment; the
+        // messages are then dropped instead of parked.
+        if let Ok(msgs) = Arc::try_unwrap(msgs) {
+            msgs.into_iter().for_each(|(_, _, msg)| msg.recycle());
+        }
+        let order: Option<Vec<usize>> = self.permuter.lock().as_mut().map(|p| p.order(links.len()));
         match order {
             None => {
-                for (&(from, to, _), bytes) in msgs.iter().zip(encoded) {
+                for (&(from, to), bytes) in links.iter().zip(encoded) {
                     self.deliver(from, to, bytes)?;
                 }
             }
             Some(order) => {
                 let mut slots: Vec<Option<Bytes>> = encoded.into_iter().map(Some).collect();
                 for i in order {
-                    let (from, to, _) = msgs[i];
+                    let (from, to) = links[i];
                     if let Some(bytes) = slots[i].take() {
                         self.deliver(from, to, bytes)?;
                     }

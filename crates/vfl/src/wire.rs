@@ -226,6 +226,26 @@ impl Message {
         }
     }
 
+    /// Parks the message's matrix storage, if it has any, in the calling
+    /// thread's tensor pool ([`gtv_tensor::pool_mem`]), where the next
+    /// decode or tensor of a compatible size picks it up: a sender calls
+    /// this once the message is encoded, a receiver on a message it drops
+    /// unread.
+    pub fn recycle(self) {
+        match self {
+            Message::CondUpload { cv: m, .. }
+            | Message::GenSlice(m)
+            | Message::SynthLogits(m)
+            | Message::RealLogits(m)
+            | Message::GradLogits(m)
+            | Message::GradGenSlice(m)
+            | Message::SyntheticShare(m) => gtv_tensor::pool_mem::give(m.data),
+            Message::RoundStart { .. }
+            | Message::ShuffleSeedShare { .. }
+            | Message::IndexShare { .. } => {}
+        }
+    }
+
     /// Encodes to bytes with every matrix body dense ([`WireCodec::Dense`]).
     pub fn encode(&self) -> Bytes {
         self.encode_with(WireCodec::Dense)
@@ -406,8 +426,11 @@ fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
             }
             // Bulk body read: parse the contiguous little-endian body in one
             // pass over the underlying slice, then advance the cursor once.
+            // The values land in pooled storage, which `take` hands out
+            // empty: every entry is written here before it can be read.
             let (words, _) = bytes.chunk()[..n * 4].as_chunks::<4>();
-            let data: Vec<f32> = words.iter().map(|&w| f32::from_le_bytes(w)).collect();
+            let mut data = gtv_tensor::pool_mem::take(n);
+            data.extend(words.iter().map(|&w| f32::from_le_bytes(w)));
             bytes.advance(n * 4);
             Ok(MatrixPayload { rows, cols, data })
         }
@@ -425,7 +448,9 @@ fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
             if bytes.remaining() < nnz * 8 {
                 return Err(err("truncated sparse matrix body"));
             }
-            let mut data = vec![0.0f32; n];
+            // Zero-filled before any stored entry lands: a pooled buffer
+            // never shows what it held before.
+            let mut data = gtv_tensor::pool_mem::take_zeroed(n);
             let mut prev: Option<u32> = None;
             // gtv-lint: allow(determinism) -- 8-byte (u32 idx, f32 val) wire records, not f32 lanes
             for chunk in bytes.chunk()[..nnz * 8].chunks_exact(8) {

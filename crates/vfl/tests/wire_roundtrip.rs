@@ -1,7 +1,8 @@
 //! Property tests: every `Message` variant survives an encode→decode
-//! round-trip bit-exactly — under both wire codecs — and the encoded
-//! length matches the meter.
+//! round-trip bit-exactly — under both wire codecs, also when the decode
+//! lands in recycled storage — and the encoded length matches the meter.
 
+use gtv_tensor::pool_mem;
 use gtv_vfl::{MatrixPayload, Message, WireCodec};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -31,7 +32,13 @@ fn tricky_f32() -> impl Strategy<Value = f32> {
 /// Mostly-zero matrices with adversarial entry values — the payloads the
 /// adaptive codec actually picks the sparse body for.
 fn sparse_matrix() -> impl Strategy<Value = MatrixPayload> {
-    (vec((tricky_f32(), 0u32..100), 0..48usize), 1usize..5).prop_map(|(entries, cols)| {
+    sparse_matrix_of(0..48)
+}
+
+/// [`sparse_matrix`] drawn from `entries` values (the last row's remainder
+/// is cut).
+fn sparse_matrix_of(entries: std::ops::Range<usize>) -> impl Strategy<Value = MatrixPayload> {
+    (vec((tricky_f32(), 0u32..100), entries), 1usize..5).prop_map(|(entries, cols)| {
         // ~20% of entries survive; the rest collapse to +0.0.
         let data: Vec<f32> =
             entries.iter().map(|&(v, keep)| if keep < 20 { v } else { 0.0 }).collect();
@@ -150,6 +157,26 @@ proptest! {
         let adaptive = Message::decode(msg.encode_with(WireCodec::Adaptive))
             .expect("adaptive encoding must decode");
         assert_bits_equal(payload_of(&dense), payload_of(&adaptive));
+    }
+
+    #[test]
+    fn decodes_into_dirty_pooled_buffers_stay_bit_exact(m in sparse_matrix_of(67..160)) {
+        // At least 64 entries after the cut: the tensor pool recycles no
+        // smaller buffer. Storage a decode may reuse holds NaNs from its
+        // last life: the dense body must overwrite every entry, the sparse
+        // body must zero-fill before it stores its pairs, or a stale NaN
+        // shows.
+        let n = m.data.len();
+        for codec in [WireCodec::Dense, WireCodec::Adaptive] {
+            pool_mem::clear();
+            pool_mem::give(vec![f32::NAN; n]);
+            let hits = pool_mem::stats().hits;
+            let decoded = Message::decode(Message::GenSlice(m.clone()).encode_with(codec))
+                .expect("self-encoded message must decode");
+            prop_assert_eq!(pool_mem::stats().hits, hits + 1, "the decode reused the buffer");
+            assert_bits_equal(payload_of(&decoded), &m);
+        }
+        pool_mem::clear();
     }
 
     #[test]
