@@ -147,9 +147,10 @@ fn wire_codec(args: &Args) -> Result<WireCodec, String> {
     Ok(if sparse { WireCodec::Adaptive } else { WireCodec::Dense })
 }
 
-/// The buffer pool's behaviour in the last training round (DESIGN.md §9):
+/// The buffer pools' behaviour in the last training round (DESIGN.md §9):
 /// graph nodes of its last step, allocator misses per step after its first
-/// step, and the hit rate and bytes requested since the process started.
+/// step, and the hit rate and bytes requested since the process started,
+/// then the byte pool's (wire frames') hits and misses since the start.
 fn pool_line(stats: &[gtv::StepAllocStats]) -> String {
     let (Some(first), Some(last)) = (stats.first(), stats.last()) else {
         return "pool: no training steps".to_string();
@@ -159,12 +160,15 @@ fn pool_line(stats: &[gtv::StepAllocStats]) -> String {
     let warm_steps = (stats.len() - 1).max(1) as f64;
     format!(
         "pool: last round {} steps, {} graph nodes at its end, {:.1} allocator misses/step \
-         after its first | since start: hit rate {:.3}, {:.1} MiB requested",
+         after its first | since start: hit rate {:.3}, {:.1} MiB requested | frames: {} hits, \
+         {} misses",
         stats.len(),
         last.live_nodes,
         (last.pool_misses - first.pool_misses) as f64 / warm_steps,
         hit_rate,
-        last.bytes_requested as f64 / (1024.0 * 1024.0)
+        last.bytes_requested as f64 / (1024.0 * 1024.0),
+        last.byte_hits,
+        last.byte_misses
     )
 }
 

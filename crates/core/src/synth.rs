@@ -318,9 +318,6 @@ impl Synthesizer {
             let rows: Vec<usize> = (done..done + take).collect();
             let chunk = g_in_all.select_rows(&rows);
             let g = Graph::new();
-            // Inference graphs own every leaf (param clones, noise, the
-            // chunk input below), so their storage recycles with the rest.
-            g.set_recycle_leaves(true);
             let ctx = Ctx::eval_rows(&g, seeds_all[done..done + take].to_vec());
             let chunk = g.leaf(chunk);
             let slices = self.generator.top_forward(&ctx, chunk);

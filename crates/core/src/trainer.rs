@@ -20,8 +20,8 @@ use gtv_encoders::TableTransformer;
 use gtv_nn::{Adam, Ctx};
 use gtv_tensor::{Graph, Tensor, Var};
 use gtv_vfl::{
-    negotiate_seed, MatrixPayload, Message, NetStats, Network, PartyId, SharedShuffler, Transport,
-    TransportError,
+    negotiate_seed, DenseFrame, MatrixPayload, Message, NetStats, Network, PartyId, SharedShuffler,
+    Transport, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,6 +50,11 @@ pub struct StepAllocStats {
     pub pool_misses: u64,
     /// Cumulative bytes requested from the pool.
     pub bytes_requested: u64,
+    /// Cumulative byte-pool hits (wire frames and encode targets served
+    /// from recycled storage).
+    pub byte_hits: u64,
+    /// Cumulative byte-pool misses.
+    pub byte_misses: u64,
 }
 
 struct ClientState {
@@ -319,10 +324,9 @@ impl<T: Transport> GtvTrainer<T> {
     }
 
     /// End-of-step bookkeeping: snapshot the allocation counters, then
-    /// return the step's graph storage and its conditional vector — the
-    /// decoded upload at the server — to the recycling pool (DESIGN.md §9).
-    /// Leaf tensors — parameters and data bound into the graph — are pinned
-    /// and survive the reset untouched.
+    /// return the step's graph storage — leaves included — and its
+    /// conditional vector, the decoded upload at the server, to the
+    /// recycling pool (DESIGN.md §9).
     fn finish_step(&mut self, g: &Graph, cond: Option<CondRound>) {
         let s = gtv_tensor::pool_mem::stats();
         self.alloc_history.push(StepAllocStats {
@@ -330,6 +334,8 @@ impl<T: Transport> GtvTrainer<T> {
             pool_hits: s.hits,
             pool_misses: s.misses,
             bytes_requested: s.bytes_requested,
+            byte_hits: s.byte_hits,
+            byte_misses: s.byte_misses,
         });
         g.reset();
         if let Some(c) = cond {
@@ -429,11 +435,9 @@ impl<T: Transport> GtvTrainer<T> {
             IndexSharing::Server => {
                 // idx_p is shared only between client p and the server
                 // (§3.1.4).
-                let delivered = self.route(
-                    PartyId::Client(p),
-                    PartyId::Server,
-                    Message::CondUpload { cv: payload_of(&cv), indices: indices_u32 },
-                )?;
+                let upload = Message::CondUpload { cv: payload_of(&cv), indices: indices_u32 };
+                cv.recycle();
+                let delivered = self.route(PartyId::Client(p), PartyId::Server, upload)?;
                 let (cv_recv, indices) = match delivered {
                     Message::CondUpload { cv, indices } => (cv, indices),
                     got => {
@@ -446,8 +450,8 @@ impl<T: Transport> GtvTrainer<T> {
                 };
                 // The server records what it just observed (the attack
                 // surface of Fig. 5).
-                let cv =
-                    Tensor::from_vec(cv_recv.rows as usize, cv_recv.cols as usize, cv_recv.data);
+                let (rows, cols) = (cv_recv.rows as usize, cv_recv.cols as usize);
+                let cv = Tensor::from_vec(rows, cols, cv_recv.into_values());
                 #[expect(
                     clippy::expect_used,
                     reason = "materialize() writes exactly one 1.0 per row, and f32 values round-trip bit-exactly through the wire"
@@ -525,7 +529,11 @@ impl<T: Transport> GtvTrainer<T> {
     ) -> Result<(Vec<Var>, Vec<Var>, Vec<Var>, Vec<Var>), TransportError> {
         let z = Tensor::randn(batch, self.config.embedding_dim, &mut self.rng);
         let g_in = match cv {
-            Some(cv) => Tensor::concat_cols(&[&z, cv]),
+            Some(cv) => {
+                let g_in = Tensor::concat_cols(&[&z, cv]);
+                z.recycle();
+                g_in
+            }
             None => z,
         };
         let g_in = g.leaf(g_in);
@@ -593,11 +601,10 @@ impl<T: Transport> GtvTrainer<T> {
         self.step += 1;
         let batch = self.config.batch;
         let cond = self.sample_condition()?;
-        let cv_t = cond.as_ref().map(|c| c.cv.clone());
+        let cv_t = cond.as_ref().map(|c| &c.cv);
 
-        let (_, _, fake_acts, synth_logits) =
-            self.synthetic_path(&g, &ctx, cv_t.as_ref(), batch, true)?;
-        let cv_fake = cv_t.as_ref().map(|t| g.leaf(t.clone()));
+        let (_, _, fake_acts, synth_logits) = self.synthetic_path(&g, &ctx, cv_t, batch, true)?;
+        let cv_fake = cv_t.map(|t| g.leaf(t.clone()));
         let y_fake = self.discriminator.server_forward(&ctx, &synth_logits, cv_fake);
 
         // Real path: all clients contribute rows idx_p (steps 9–14).
@@ -609,7 +616,9 @@ impl<T: Transport> GtvTrainer<T> {
         // are found through the composed shuffle, not in a re-ordered copy.
         let stored: Vec<usize> = indices.iter().map(|&i| self.current_to_initial[i]).collect();
         let mut real_rows: Vec<Tensor> = Vec::with_capacity(self.clients.len());
-        let mut real_logits: Vec<Var> = Vec::with_capacity(self.clients.len());
+        // A client's real-path node, or `None` where the server reads it out
+        // of the client's upload.
+        let mut real_nodes: Vec<Option<Var>> = Vec::with_capacity(self.clients.len());
         let mut uploads: Vec<(PartyId, PartyId, Message)> = Vec::with_capacity(self.clients.len());
         for i in 0..self.clients.len() {
             let selected_rows = self.clients[i].encoded.select_rows(&stored);
@@ -624,37 +633,30 @@ impl<T: Transport> GtvTrainer<T> {
                 // The client passes its *entire* table through D_i^b, in the
                 // shared shuffled order, and the server selects the idx_p
                 // rows. With no bottom blocks D_i^b is the identity, so the
-                // upload is the gathered table itself: it moves into the
-                // payload uncopied (pooled storage, parked again once it is
-                // encoded). The upload's idx_p rows are `selected_rows` bit
-                // for bit, so the server's node is a batch-sized leaf of
-                // them, as on the default path — no table-sized leaf, no
-                // gather node; the gradients are the same.
-                let full = self.clients[i].encoded.select_rows(&self.current_to_initial);
-                let (full, rows) = match self.dp_noise(full.rows(), full.cols()) {
-                    // The noise is drawn for the whole table, as the
-                    // uploading client draws it, and the server's rows are
-                    // taken from the noisy upload.
+                // upload is the table itself: its rows are written once,
+                // straight into the message's wire frame. With DP noise the
+                // noise is drawn for the whole table, as the uploading client
+                // draws it, and each value is written noisy.
+                let width = self.clients[i].encoded.cols();
+                let noise = self.dp_noise(self.n_rows, width);
+                let encoded = &self.clients[i].encoded;
+                let mut frame =
+                    DenseFrame::new(Message::RealLogits, self.n_rows as u32, width as u32);
+                match noise {
                     Some(noise) => {
-                        let noisy = full.add(&noise);
-                        full.recycle();
+                        for (r, &row) in self.current_to_initial.iter().enumerate() {
+                            frame.push_row_sum(encoded.row_slice(row), noise.row_slice(r));
+                        }
                         noise.recycle();
-                        let rows = noisy.select_rows(&indices);
-                        (noisy, rows)
                     }
-                    None => (full, selected_rows.clone()),
-                };
-                let (n, width) = full.shape();
-                uploads.push((
-                    PartyId::Client(i),
-                    PartyId::Server,
-                    Message::RealLogits(MatrixPayload::new(
-                        n as u32,
-                        width as u32,
-                        full.into_vec(),
-                    )),
-                ));
-                real_logits.push(g.leaf(rows));
+                    None => {
+                        for &row in &self.current_to_initial {
+                            frame.push_row(encoded.row_slice(row));
+                        }
+                    }
+                }
+                uploads.push((PartyId::Client(i), PartyId::Server, frame.finish()));
+                real_nodes.push(None);
             } else if full_upload {
                 // With bottom blocks the whole table goes through them —
                 // dropout makes that forward differ from a forward of the
@@ -668,7 +670,7 @@ impl<T: Transport> GtvTrainer<T> {
                     PartyId::Server,
                     Message::RealLogits(payload_of_var(&g, logits_full)),
                 ));
-                real_logits.push(g.select_rows(logits_full, &indices));
+                real_nodes.push(Some(g.select_rows(logits_full, &indices)));
             } else {
                 let leaf = g.leaf(selected_rows.clone());
                 let logits = self.discriminator.client_forward(&ctx, i, leaf);
@@ -678,15 +680,40 @@ impl<T: Transport> GtvTrainer<T> {
                     PartyId::Server,
                     Message::RealLogits(payload_of_var(&g, logits)),
                 ));
-                real_logits.push(logits);
+                real_nodes.push(Some(logits));
             }
             real_rows.push(selected_rows);
         }
-        // The server works on the graph nodes; the popped copies — a whole
-        // table per non-`p` client on the faithful path — are parked for the
-        // next step's gathers and decodes instead of being freed.
-        self.fan_in(uploads, "RealLogits")?.into_iter().for_each(Message::recycle);
-        let cv_real = cv_t.as_ref().map(|t| g.leaf(t.clone()));
+        // The server's node for a whole-table upload is a batch-sized leaf
+        // of the idx_p rows it reads out of what it received — only those
+        // rows are parsed. Every other upload it pops is parked unread: the
+        // server works on the graph nodes.
+        let delivered = self.fan_in(uploads, "RealLogits")?;
+        let mut real_logits: Vec<Var> = Vec::with_capacity(self.clients.len());
+        for (i, (node, msg)) in real_nodes.into_iter().zip(delivered).enumerate() {
+            match (node, msg) {
+                (Some(node), msg) => {
+                    msg.recycle();
+                    real_logits.push(node);
+                }
+                (None, Message::RealLogits(upload))
+                    if upload.cols as usize == self.clients[i].encoded.cols() =>
+                {
+                    let rows = upload.gather_rows(&indices).map_err(TransportError::Decode)?;
+                    let cols = upload.cols as usize;
+                    upload.recycle();
+                    real_logits.push(g.leaf(Tensor::from_vec(indices.len(), cols, rows)));
+                }
+                (None, got) => {
+                    return Err(TransportError::UnexpectedMessage {
+                        from: PartyId::Client(i),
+                        context: "whole-table upload",
+                        got,
+                    })
+                }
+            }
+        }
+        let cv_real = cv_t.map(|t| g.leaf(t.clone()));
         let y_real = self.discriminator.server_forward(&ctx, &real_logits, cv_real);
 
         // WGAN-GP gradient penalty on interpolates (per client slice + CV).
@@ -695,13 +722,18 @@ impl<T: Transport> GtvTrainer<T> {
         let mut hat_vars: Vec<Var> = Vec::with_capacity(self.clients.len());
         let mut hat_logits: Vec<Var> = Vec::with_capacity(self.clients.len());
         for i in 0..self.clients.len() {
-            let hat = g
-                .with_value(fake_acts[i], |fake| real_rows[i].mul(&eps).add(&fake.mul(&one_minus)));
+            let hat = g.with_value(fake_acts[i], |fake| {
+                let (real, fake) = (real_rows[i].mul(&eps), fake.mul(&one_minus));
+                let hat = real.add(&fake);
+                real.recycle();
+                fake.recycle();
+                hat
+            });
             let hat_var = g.leaf(hat);
             hat_vars.push(hat_var);
             hat_logits.push(self.discriminator.client_forward(&ctx, i, hat_var));
         }
-        let cv_hat = cv_t.as_ref().map(|t| g.leaf(t.clone()));
+        let cv_hat = cv_t.map(|t| g.leaf(t.clone()));
         let y_hat = self.discriminator.server_forward(&ctx, &hat_logits, cv_hat);
         let mut gp_wrt = hat_vars.clone();
         if let Some(cvh) = cv_hat {
@@ -754,11 +786,11 @@ impl<T: Transport> GtvTrainer<T> {
         self.step += 1;
         let batch = self.config.batch;
         let cond = self.sample_condition()?;
-        let cv_t = cond.as_ref().map(|c| c.cv.clone());
+        let cv_t = cond.as_ref().map(|c| &c.cv);
 
         let (slices, head_logits, _, synth_logits) =
-            self.synthetic_path(&g, &ctx, cv_t.as_ref(), batch, false)?;
-        let cv_var = cv_t.as_ref().map(|t| g.leaf(t.clone()));
+            self.synthetic_path(&g, &ctx, cv_t, batch, false)?;
+        let cv_var = cv_t.map(|t| g.leaf(t.clone()));
         let y_fake = self.discriminator.server_forward(&ctx, &synth_logits, cv_var);
         let mut g_loss = g.neg(g.mean_all(y_fake));
 
@@ -886,8 +918,13 @@ impl<T: Transport> GtvTrainer<T> {
             let take = batch.min(n - produced);
             let cv = self.generation_cv(take, &mut rng);
             let z = Tensor::randn(take, self.config.embedding_dim, &mut rng);
-            let g_in = match &cv {
-                Some(cv) => Tensor::concat_cols(&[&z, cv]),
+            let g_in = match cv {
+                Some(cv) => {
+                    let g_in = Tensor::concat_cols(&[&z, &cv]);
+                    z.recycle();
+                    cv.recycle();
+                    g_in
+                }
                 None => z,
             };
             let g = Graph::new();
@@ -908,16 +945,22 @@ impl<T: Transport> GtvTrainer<T> {
         let mut shares = Vec::with_capacity(self.clients.len());
         let mut publications: Vec<(PartyId, PartyId, Message)> =
             Vec::with_capacity(self.clients.len());
-        for (i, chunks) in per_client.iter().enumerate() {
+        for (i, chunks) in per_client.into_iter().enumerate() {
             let refs: Vec<&Tensor> = chunks.iter().collect();
-            let matrix = Tensor::concat_rows(&refs).select_rows(&perm);
-            let share = self.clients[i].transformer.decode(&matrix);
+            let joined = Tensor::concat_rows(&refs);
+            drop(refs);
+            chunks.into_iter().for_each(Tensor::recycle);
+            let matrix = joined.select_rows(&perm);
+            joined.recycle();
+            shares.push(self.clients[i].transformer.decode(&matrix));
+            // The share moves into its message; the transport parks it.
+            let (rows, cols) = matrix.shape();
+            let payload = MatrixPayload::new(rows as u32, cols as u32, matrix.into_vec());
             publications.push((
                 PartyId::Client(i),
                 PartyId::Public,
-                Message::SyntheticShare(payload_of(&matrix)),
+                Message::SyntheticShare(payload),
             ));
-            shares.push(share);
         }
         Self::dispatch(&self.network, publications)?;
         Ok(shares)
@@ -1094,7 +1137,7 @@ mod tests {
                 ..GtvConfig::smoke()
             };
             let mut default = GtvTrainer::new(two_client_shards(rows), config(false));
-            let network = Capturing { inner: Network::new(2), real_logits: Default::default() };
+            let network = Capturing::new(2);
             let mut faithful =
                 GtvTrainer::with_transport(two_client_shards(rows), config(true), network).unwrap();
             for _ in 0..rounds {
@@ -1313,14 +1356,45 @@ mod tests {
     }
 
     /// An in-process network that keeps a copy of every `RealLogits` payload
-    /// handed to it, with its sender.
+    /// handed to it, with its sender — and, for `flip_rows: Some(n)`, flips
+    /// one value of every `n`-row upload on its way: the first value of the
+    /// row the step's first `idx_p` names.
     struct Capturing {
         inner: Network,
         real_logits: std::cell::RefCell<Vec<(PartyId, MatrixPayload)>>,
+        flip_rows: Option<u32>,
+        first_index: std::cell::Cell<usize>,
+    }
+
+    impl Capturing {
+        fn new(n_clients: usize) -> Self {
+            Self::flipping(n_clients, None)
+        }
+
+        fn flipping(n_clients: usize, flip_rows: Option<u32>) -> Self {
+            Self {
+                inner: Network::new(n_clients),
+                real_logits: Default::default(),
+                flip_rows,
+                first_index: Default::default(),
+            }
+        }
     }
 
     impl Transport for Capturing {
         fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
+            let msg = match msg {
+                Message::CondUpload { ref indices, .. } => {
+                    self.first_index.set(indices[0] as usize);
+                    msg
+                }
+                Message::RealLogits(m) if Some(m.rows) == self.flip_rows => {
+                    let mut values = m.values().into_owned();
+                    values[self.first_index.get() * m.cols as usize] += 1.0;
+                    Message::RealLogits(MatrixPayload::new(m.rows, m.cols, values))
+                }
+                msg => msg,
+            };
             if let Message::RealLogits(m) = &msg {
                 self.real_logits.borrow_mut().push((from, m.clone()));
             }
@@ -1365,7 +1439,7 @@ mod tests {
         // `D_i^b` has no blocks in this partition, so the logits a client
         // uploads are its encoded rows themselves.
         assert_eq!(config.partition.d_bottom, 0);
-        let network = Capturing { inner: Network::new(2), real_logits: Default::default() };
+        let network = Capturing::new(2);
         let mut t = GtvTrainer::with_transport(two_client_shards(90), config, network).unwrap();
         let encoded: Vec<Tensor> = t.clients.iter().map(|c| c.encoded.clone()).collect();
         for round in 0..3 {
@@ -1380,10 +1454,30 @@ mod tests {
             let (from, upload) = whole[0];
             let PartyId::Client(i) = *from else { panic!("{from:?} uploaded real logits") };
             let width = upload.cols as usize;
-            for (r, row) in upload.data.chunks_exact(width).enumerate() {
+            for (r, row) in upload.values().chunks_exact(width).enumerate() {
                 assert_eq!(row, encoded[i].row_slice(order[r]), "round {round}, row {r}");
             }
         }
+    }
+
+    #[test]
+    fn the_server_reads_its_rows_out_of_the_whole_table_upload() {
+        // One value of an idx_p row, changed in the upload on the wire,
+        // must reach the server's real-path rows and with them the loss.
+        let rows = 90;
+        let config = GtvConfig { faithful_real_path: true, ..GtvConfig::smoke() };
+        let train = |flip_rows| {
+            let network = Capturing::flipping(2, flip_rows);
+            let mut t =
+                GtvTrainer::with_transport(two_client_shards(rows), config.clone(), network)
+                    .unwrap();
+            t.train_round().unwrap();
+            t.history().d_loss.clone()
+        };
+        let mut default = GtvTrainer::new(two_client_shards(rows), GtvConfig::smoke());
+        default.train_round().unwrap();
+        assert_eq!(train(None), default.history().d_loss, "an intact upload trains as the default");
+        assert_ne!(train(Some(rows as u32)), train(None), "the server ignored the upload");
     }
 
     #[test]

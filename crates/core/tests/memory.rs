@@ -1,11 +1,12 @@
 //! Step-scoped memory regression tests (DESIGN.md §9): a long training run
-//! must not leak graph nodes or pool bytes, and a warm recycling pool must
-//! cut per-step allocator traffic by well over five-fold; a whole-table
-//! upload of the faithful real path must cycle through the pool.
+//! must not leak graph nodes or pool bytes — a warm round gives back exactly
+//! what it takes — and a warm recycling pool must cut per-step allocator
+//! traffic by well over five-fold; a whole-table upload of the faithful real
+//! path must be written once, into a frame that cycles through the pool.
 //!
-//! The first two tests use continuous-only tables so every training step
+//! The first three tests use continuous-only tables so every training step
 //! builds a structurally identical graph (no conditional-vector subgraphs
-//! whose shape depends on sampled categories); the third compares the two
+//! whose shape depends on sampled categories); the fourth compares the two
 //! real paths on the same categorical data, whose sampled conditions are the
 //! same on both. All run single-threaded so the thread-local pool counters
 //! are exact, and serialize on a mutex so they cannot observe each other's
@@ -81,11 +82,9 @@ fn fifty_steps_of_training_plateau_in_nodes_and_pool_bytes() {
     }
 
     // The pool's parked bytes must plateau once every step shape has been
-    // seen. The balance is not bit-exact round to round — leaf and optimizer
-    // tensors take from the pool but are dropped (pinned) rather than
-    // parked, so slack matching lets capacities migrate between buckets —
-    // but it must stay bounded: a genuine leak (parking duplicates every
-    // step) would grow linearly, ~25× over this run, not within 2×.
+    // seen (the next test holds them exactly level): a genuine leak (parking
+    // duplicates every step) would grow linearly, ~25× over this run, not
+    // within 2×.
     let steady = held_per_round[2];
     assert!(steady > 0, "a warm pool must retain recycled step storage");
     for (round, &held) in held_per_round.iter().enumerate().skip(2) {
@@ -95,6 +94,30 @@ fn fifty_steps_of_training_plateau_in_nodes_and_pool_bytes() {
              ({held_per_round:?})"
         );
     }
+    pool_mem::clear();
+}
+
+/// The pool holds exactly what it held: every buffer a warm round takes —
+/// parameter and data bindings, gradient-penalty temporaries, the CV — it
+/// gives back, so `bytes_held` after 2N rounds equals `bytes_held` after N.
+/// (While leaves were pinned, what a reset dropped was made up by fresh
+/// allocations whose capacities drifted, and the pool grew.)
+#[test]
+fn pool_bytes_after_twice_the_rounds_equal_those_after_the_first_half() {
+    let _guard = SERIAL.lock().unwrap();
+    pool_mem::clear();
+    let mut trainer = GtvTrainer::new(continuous_shards(64), tiny_config());
+    let rounds = 20;
+    for _ in 0..rounds {
+        trainer.train_round().unwrap();
+    }
+    let after_n = pool_mem::stats();
+    for _ in 0..rounds {
+        trainer.train_round().unwrap();
+    }
+    let after_2n = pool_mem::stats();
+    assert_eq!(after_2n.bytes_held, after_n.bytes_held);
+    assert_eq!(after_2n.misses, after_n.misses, "a warm round allocates nothing fresh");
     pool_mem::clear();
 }
 
@@ -128,10 +151,17 @@ fn recycling_cuts_per_step_allocations_at_least_five_fold() {
     pool_mem::clear();
 }
 
-/// `(pool misses, pool bytes requested, wire bytes)` of rounds 2–4 of a
-/// two-client Loan smoke run started from a cold pool; rounds 0 and 1 warm
-/// it up, as `gtvbench` runs two rounds before it measures.
-fn warm_round_traffic(faithful_real_path: bool, rows: usize) -> (u64, u64, u64) {
+/// Pool counters and wire bytes of rounds 2–4 of a two-client Loan smoke run
+/// started from a cold pool; rounds 0 and 1 warm it up, as `gtvbench` runs
+/// two rounds before it measures.
+struct WarmRounds {
+    misses: u64,
+    requested: u64,
+    byte_misses: u64,
+    wire: u64,
+}
+
+fn warm_round_traffic(faithful_real_path: bool, rows: usize) -> WarmRounds {
     pool_mem::clear();
     pool_mem::reset_stats();
     let table = gtv_data::Dataset::Loan.generate(rows, 0);
@@ -145,13 +175,16 @@ fn warm_round_traffic(faithful_real_path: bool, rows: usize) -> (u64, u64, u64) 
     for _ in 0..3 {
         trainer.train_round().unwrap();
     }
-    let (pool_after, wire_after) = (pool_mem::stats(), trainer.network_stats().bytes);
+    let (after, wire_after) = (pool_mem::stats(), trainer.network_stats().bytes);
+    let last = *trainer.alloc_stats().last().unwrap();
+    assert_eq!((last.byte_hits, last.byte_misses), (after.byte_hits, after.byte_misses));
     pool_mem::clear();
-    (
-        pool_after.misses - pool.misses,
-        pool_after.bytes_requested - pool.bytes_requested,
-        wire_after - wire,
-    )
+    WarmRounds {
+        misses: after.misses - pool.misses,
+        requested: after.bytes_requested - pool.bytes_requested,
+        byte_misses: after.byte_misses - pool.byte_misses,
+        wire: wire_after - wire,
+    }
 }
 
 #[test]
@@ -159,22 +192,28 @@ fn whole_table_uploads_cycle_through_the_pool() {
     let _guard = SERIAL.lock().unwrap();
     // The table (2 000 rows) dwarfs every batch-sized buffer of the smoke
     // shape, so a table-sized allocation cannot hide in slack.
-    let (default_misses, default_requested, default_wire) = warm_round_traffic(false, 2000);
-    let (misses, requested, wire) = warm_round_traffic(true, 2000);
-    // Each whole-table upload is gathered into a pooled buffer and decoded
-    // into another, and both requests cover more than the rows the upload
-    // adds to the wire ...
-    let extra_wire = wire - default_wire;
+    let default = warm_round_traffic(false, 2000);
+    let faithful = warm_round_traffic(true, 2000);
+    // Three rounds, one whole-table upload each.
+    let extra_wire = faithful.wire - default.wire;
     assert!(extra_wire > 0, "non-selected clients upload whole tables");
+    let table_bytes = extra_wire / 3;
+    // The upload is written once, straight into its frame, and the server
+    // parses only its idx_p rows: no table of `f32` storage is gathered or
+    // decoded beside it ...
     assert!(
-        requested - default_requested >= 2 * extra_wire,
-        "the gather and the decode of every upload go through the pool: \
-         {requested} vs {default_requested} bytes requested, {extra_wire} extra on the wire"
+        faithful.requested < default.requested + table_bytes,
+        "a whole-table upload takes f32 storage: {} vs {} bytes requested, {table_bytes} a table",
+        faithful.requested,
+        default.requested
     );
-    // ... yet the steps build the same graph, and the faithful rounds miss
-    // no more often than the default ones: no table is allocated fresh.
+    // ... and its frame cycles through the byte pool: written into a
+    // recycled buffer, parked again once the server has read it.
+    assert_eq!(faithful.byte_misses, 0, "a warm round allocates a frame fresh");
     assert!(
-        misses <= default_misses,
-        "faithful rounds allocate fresh: {misses} misses vs {default_misses} on the default path"
+        faithful.misses <= default.misses,
+        "faithful rounds allocate fresh: {} misses vs {} on the default path",
+        faithful.misses,
+        default.misses
     );
 }

@@ -88,7 +88,7 @@ impl Param {
     pub fn set_value(&self, value: Tensor) {
         let mut inner = self.write();
         assert_eq!(inner.value.shape(), value.shape(), "set_value shape mismatch");
-        inner.value = value;
+        std::mem::replace(&mut inner.value, value).recycle();
     }
 
     /// Runs `f` on the value and the accumulated gradient, as flat row-major
@@ -99,10 +99,19 @@ impl Param {
         f(inner.value.as_mut_slice(), inner.grad.as_slice());
     }
 
-    /// Adds `delta` to the stored gradient.
+    /// Adds `delta` to the stored gradient, in the gradient's own buffer
+    /// (the same IEEE sums `Tensor::add` makes), so a backward pass takes
+    /// nothing from the pool for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` is not shaped like the parameter.
     pub fn accumulate_grad(&self, delta: &Tensor) {
         let mut inner = self.write();
-        inner.grad = inner.grad.add(delta);
+        assert_eq!(inner.grad.shape(), delta.shape(), "gradient shape mismatch");
+        for (g, d) in inner.grad.as_mut_slice().iter_mut().zip(delta.as_slice()) {
+            *g += d;
+        }
     }
 
     /// Resets the stored gradient to zero, in its own buffer.

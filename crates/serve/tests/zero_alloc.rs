@@ -48,3 +48,24 @@ fn steady_state_requests_allocate_nothing_fresh() {
     assert!(stats.pool_hit_rate() > 0.999, "hit rate {}", stats.pool_hit_rate());
     assert_eq!(stats.completed, 12);
 }
+
+/// The pool holds exactly what it held: a warm request gives back every
+/// buffer it takes — parameter clones included — so `bytes_held` after 2N
+/// requests equals `bytes_held` after N. (While inference graphs parked
+/// parameter copies made outside the pool, it grew by every request's.)
+#[test]
+fn pool_bytes_after_twice_the_requests_equal_those_after_the_first_half() {
+    pool_mem::set_enabled(true);
+    let mut registry = ModelRegistry::new();
+    registry.insert_warm("loan", common::trained_synth()).expect("warm insert");
+    let service = SynthService::new(registry, ServeConfig::default());
+    let requests = 24;
+    for seed in 0..requests {
+        service.request(&req(seed)).expect("request");
+    }
+    let after_n = pool_mem::stats().bytes_held;
+    for seed in requests..2 * requests {
+        service.request(&req(seed)).expect("request");
+    }
+    assert_eq!(pool_mem::stats().bytes_held, after_n);
+}

@@ -83,7 +83,7 @@ impl Graph {
         let live = self.reaches(wrt, limit);
         let live = |v: Var| live[v.0];
         let mut adj: Vec<Option<Var>> = vec![None; limit];
-        let seed = self.constant(Tensor::ones(y_shape.0, y_shape.1));
+        let seed = self.leaf(Tensor::ones(y_shape.0, y_shape.1));
         adj[y.0] = Some(seed);
 
         for i in (0..limit).rev() {
@@ -98,7 +98,7 @@ impl Graph {
             }
             let out_var = Var(i);
             match op {
-                Op::Leaf | Op::Const => {}
+                Op::Leaf => {}
                 Op::Add(a, b) => {
                     if live(a) {
                         let (ar, ac) = self.shape(a);
@@ -246,13 +246,13 @@ impl Graph {
                     // Mask is a constant w.r.t. further differentiation
                     // (d²/dx² relu = 0 almost everywhere).
                     let mask = self.with_value(x, |t| t.apply(UnaryOp::ReluMask));
-                    let mask = self.constant(mask);
+                    let mask = self.leaf(mask);
                     let gx = self.mul(g_out, mask);
                     self.accumulate(&mut adj, x.0, gx);
                 }
                 Op::LeakyRelu(x, alpha) => {
                     let mask = self.with_value(x, |t| t.apply(UnaryOp::LeakyReluMask(alpha)));
-                    let mask = self.constant(mask);
+                    let mask = self.leaf(mask);
                     let gx = self.mul(g_out, mask);
                     self.accumulate(&mut adj, x.0, gx);
                 }
@@ -306,13 +306,13 @@ impl Graph {
                         }
                         FusedAct::Relu => {
                             let mask = self.with_value(out_var, |t| t.apply(UnaryOp::ReluMask));
-                            let mask = self.constant(mask);
+                            let mask = self.leaf(mask);
                             self.mul(g_out, mask)
                         }
                         FusedAct::LeakyRelu(alpha) => {
                             let mask = self
                                 .with_value(out_var, |t| t.apply(UnaryOp::LeakyReluMask(alpha)));
-                            let mask = self.constant(mask);
+                            let mask = self.leaf(mask);
                             self.mul(g_out, mask)
                         }
                     };
@@ -356,7 +356,7 @@ impl Graph {
                 Some(g) => g,
                 None => {
                     let (r, c) = self.shape(*v);
-                    self.constant(Tensor::zeros(r, c))
+                    self.leaf(Tensor::zeros(r, c))
                 }
             })
             .collect()

@@ -35,14 +35,11 @@ pub struct Var(pub(crate) usize);
 /// The operation that produced a node. Used to build backward passes.
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
-    /// Input node: parameter, constant, or detached value. Pinned by
-    /// [`Graph::reset`] — its storage is never recycled, because the value
-    /// conceptually belongs to the caller (parameters, data batches).
+    /// Input or gradient-cut node: parameter binding, data, detached value,
+    /// backward mask, gradient seed or zero-gradient placeholder. The graph
+    /// owns its value ([`Graph::leaf`] takes it by value), so
+    /// [`Graph::reset`] parks it like every other node.
     Leaf,
-    /// Internal gradient-cut node (backward masks, gradient seeds,
-    /// zero-gradient placeholders). Behaves exactly like [`Op::Leaf`] under
-    /// differentiation but is graph-owned, so [`Graph::reset`] recycles it.
-    Const,
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
@@ -93,7 +90,7 @@ impl Op {
     /// True if `pred` holds for at least one input of the op.
     pub(crate) fn any_input(&self, mut pred: impl FnMut(Var) -> bool) -> bool {
         match self {
-            Op::Leaf | Op::Const => false,
+            Op::Leaf => false,
             Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
                 pred(*a) || pred(*b)
             }
@@ -138,10 +135,6 @@ pub(crate) struct Node {
 #[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: RefCell<Vec<Node>>,
-    /// When set, [`Graph::reset`] recycles leaf storage too — the inference
-    /// fast path, where every leaf is a graph-owned copy with no caller
-    /// alias. Off by default: training loops may hand out leaf values.
-    recycle_leaves: std::cell::Cell<bool>,
 }
 
 impl std::fmt::Debug for Graph {
@@ -173,47 +166,24 @@ impl Graph {
     }
 
     /// Creates an input node holding `value`. Gradients can flow *to* leaves
-    /// but not through them. Leaf storage is pinned across [`Graph::reset`].
+    /// but not through them.
     pub fn leaf(&self, value: Tensor) -> Var {
         self.push(value, Op::Leaf)
     }
 
-    /// Creates an internal gradient-cut node (same differentiation behavior
-    /// as [`Graph::leaf`]) whose storage the graph owns and may recycle.
-    pub(crate) fn constant(&self, value: Tensor) -> Var {
-        self.push(value, Op::Const)
-    }
-
-    /// Opts this graph into recycling [`Op::Leaf`] storage on
-    /// [`Graph::reset`]. Sound whenever every leaf is a graph-owned copy
-    /// ([`Graph::leaf`] takes its tensor by value and parameter bindings
-    /// clone), which is always true on the inference path — steady-state
-    /// serving relies on it to keep pool misses at zero. The default
-    /// (off) preserves the training-loop convention of pinning leaves
-    /// out of the allocator's fast path.
-    pub fn set_recycle_leaves(&self, on: bool) {
-        self.recycle_leaves.set(on);
-    }
-
-    /// Ends a training step: drains the arena, parking every non-pinned
-    /// node's storage in the thread-local recycling pool
-    /// ([`crate::pool_mem`]) so the next step's allocations are pool hits.
-    /// [`Op::Leaf`] values (parameters, data batches, detached values —
-    /// anything the *caller* created) are dropped without recycling by
-    /// default, so a tensor the caller still holds a clone of is never fed
-    /// back into the allocator's fast path; opt in to recycling them with
-    /// [`Graph::set_recycle_leaves`]. Optimizer state lives outside the
+    /// Ends a training step: drains the arena, parking every node's storage
+    /// in the thread-local recycling pool ([`crate::pool_mem`]) so the next
+    /// step's allocations are pool hits. Leaves are parked too: the graph
+    /// owns every value it holds, and a leaf bound from a caller's tensor
+    /// (a parameter, a data batch) is a pooled clone of it, so what a step
+    /// takes from the pool it gives back. Optimizer state lives outside the
     /// graph and is untouched. Returns the number of nodes released. All
     /// `Var` handles into this graph are invalidated.
     pub fn reset(&self) -> usize {
         let nodes = std::mem::take(&mut *self.nodes.borrow_mut());
         let count = nodes.len();
-        let recycle_leaves = self.recycle_leaves.get();
         for node in nodes {
-            match node.op {
-                Op::Leaf if !recycle_leaves => drop(node.value),
-                _ => node.value.recycle(),
-            }
+            node.value.recycle();
         }
         count
     }
@@ -486,7 +456,7 @@ impl Graph {
             }
             m
         });
-        let mx = self.constant(rowmax);
+        let mx = self.leaf(rowmax);
         let shifted = self.sub(x, mx);
         let e = self.exp(shifted);
         let denom = self.sum_cols(e);

@@ -29,8 +29,11 @@
 //! * **Always on.** Recycling is on for every thread unless a test turns it
 //!   off with [`set_enabled`]; no configuration does.
 //! * **Not only tensors.** [`take`], [`take_zeroed`] and [`give`] are public
-//!   so the wire layer (`gtv_vfl`) can decode matrix bodies into pooled
-//!   storage and park a payload once it is encoded (DESIGN.md §10).
+//!   so the wire layer (`gtv_vfl`) can read matrix bodies into pooled
+//!   storage and park a payload once it is encoded, and a second, byte-typed
+//!   pool ([`take_bytes`], [`give_bytes`]) with the same rules and budgets
+//!   holds the wire frames: encode targets and received messages go back to
+//!   it once they are read (DESIGN.md §9–10).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -40,34 +43,116 @@ use std::collections::BTreeMap;
 /// step's worth of same-shaped node storage at once.
 const MAX_BUFS_PER_BUCKET: usize = 4096;
 
-/// Upper bound on bytes parked in one thread's pool; beyond it, [`give`]
-/// drops buffers instead of parking them.
+/// Upper bound on bytes parked in one thread's pool — each of the two, the
+/// `f32` one and the byte one; beyond it, a give drops the buffer instead of
+/// parking it.
 const MAX_POOLED_BYTES: usize = 256 << 20;
 
 /// A parked buffer may serve a request up to this factor smaller than its
 /// capacity.
 const MAX_SLACK_FACTOR: usize = 4;
 
-/// Requests below this many elements bypass recycling entirely: [`take`]
-/// allocates fresh and [`give`] drops the buffer. A 256-byte allocation is
+/// Requests below this many bytes bypass recycling entirely: a take
+/// allocates fresh and a give drops the buffer. A 256-byte allocation is
 /// cheaper than the free-list lookup it would replace — a step benchmark
 /// showed recycling *losing* steps/s to fresh allocation through tiny-shape
 /// lookup overhead (scalars, bias rows, per-row norms) before this floor
-/// existed (DESIGN.md §9). Counted
-/// separately in [`PoolStats::small`], not as misses, so hit-rate numbers
-/// describe only the traffic the pool actually manages.
-const MIN_RECYCLE_LEN: usize = 64;
+/// existed (DESIGN.md §9). Counted separately in [`PoolStats::small`], not
+/// as misses, so hit-rate numbers describe only the traffic the pool
+/// actually manages.
+const MIN_RECYCLE_BYTES: usize = 256;
 
-thread_local! {
+/// One thread's free lists for buffers of `T`, with their counters.
+struct FreeLists<T> {
     /// Capacity → stack of parked buffers. Buckets are removed when they
     /// empty, so every key in the map has at least one buffer.
-    static POOL: RefCell<BTreeMap<usize, Vec<Vec<f32>>>> = const { RefCell::new(BTreeMap::new()) };
+    buckets: BTreeMap<usize, Vec<Vec<T>>>,
+    hits: u64,
+    misses: u64,
+    bytes_requested: u64,
+    bytes_held: usize,
+    small: u64,
+}
+
+impl<T> FreeLists<T> {
+    const fn new() -> Self {
+        Self {
+            buckets: BTreeMap::new(),
+            hits: 0,
+            misses: 0,
+            bytes_requested: 0,
+            bytes_held: 0,
+            small: 0,
+        }
+    }
+
+    fn bytes(len: usize) -> usize {
+        len * std::mem::size_of::<T>()
+    }
+
+    /// A buffer with capacity ≥ `len` (see [`take`]); a parked one still
+    /// holds what it held — callers clear it or overwrite it.
+    fn take(&mut self, len: usize) -> Vec<T> {
+        if len == 0 {
+            return Vec::new();
+        }
+        self.bytes_requested += Self::bytes(len) as u64;
+        if Self::bytes(len) < MIN_RECYCLE_BYTES {
+            self.small += 1;
+            return Vec::with_capacity(len);
+        }
+        if enabled() {
+            let slack = len.saturating_mul(MAX_SLACK_FACTOR);
+            if let Some(cap) = self.buckets.range(len..=slack).next().map(|(&c, _)| c) {
+                if let Some(bucket) = self.buckets.get_mut(&cap) {
+                    if let Some(buf) = bucket.pop() {
+                        if bucket.is_empty() {
+                            self.buckets.remove(&cap);
+                        }
+                        self.bytes_held = self.bytes_held.saturating_sub(Self::bytes(cap));
+                        self.hits += 1;
+                        return buf;
+                    }
+                }
+            }
+        }
+        self.misses += 1;
+        Vec::with_capacity(len)
+    }
+
+    /// Parks `buf`'s storage, or drops it (see [`give`]). Returns whether
+    /// it was parked.
+    fn give(&mut self, buf: Vec<T>) -> bool {
+        let cap = buf.capacity();
+        if Self::bytes(cap) < MIN_RECYCLE_BYTES
+            || !enabled()
+            || self.bytes_held + Self::bytes(cap) > MAX_POOLED_BYTES
+        {
+            return false;
+        }
+        let bucket = self.buckets.entry(cap).or_default();
+        if bucket.len() >= MAX_BUFS_PER_BUCKET {
+            return false;
+        }
+        bucket.push(buf);
+        self.bytes_held += Self::bytes(cap);
+        true
+    }
+
+    fn clear(&mut self) {
+        self.buckets.clear();
+        self.bytes_held = 0;
+    }
+
+    fn reset_stats(&mut self) {
+        (self.hits, self.misses, self.bytes_requested, self.small) = (0, 0, 0, 0);
+    }
+}
+
+thread_local! {
+    static POOL: RefCell<FreeLists<f32>> = const { RefCell::new(FreeLists::new()) };
+    static BYTE_POOL: RefCell<FreeLists<u8>> = const { RefCell::new(FreeLists::new()) };
     static ENABLED: Cell<bool> = const { Cell::new(true) };
-    static HITS: Cell<u64> = const { Cell::new(0) };
-    static MISSES: Cell<u64> = const { Cell::new(0) };
-    static BYTES_REQUESTED: Cell<u64> = const { Cell::new(0) };
-    static BYTES_HELD: Cell<usize> = const { Cell::new(0) };
-    static SMALL: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of this thread's allocation counters.
@@ -85,10 +170,17 @@ pub struct PoolStats {
     /// Requests below the recycling floor, served by fresh allocation
     /// regardless of pool state (neither hits nor misses).
     pub small: u64,
+    /// Byte-pool ([`take_bytes`]) requests served from a parked buffer.
+    pub byte_hits: u64,
+    /// Byte-pool requests that fell through to a fresh allocation.
+    pub byte_misses: u64,
+    /// Bytes currently parked in this thread's byte pool.
+    pub byte_bytes_held: usize,
 }
 
-/// Turns recycling on or off for the calling thread. Counters keep running
-/// either way; disabling only forces every [`take`] to allocate fresh.
+/// Turns recycling on or off for the calling thread, for both pools.
+/// Counters keep running either way; disabling only forces every take to
+/// allocate fresh.
 ///
 /// Only tests call this: off is the fresh-allocation reference that the
 /// recycling tests compare allocation traffic and bits against.
@@ -106,28 +198,36 @@ pub fn enabled() -> bool {
 
 /// Reads this thread's counters.
 pub fn stats() -> PoolStats {
-    PoolStats {
-        hits: HITS.with(Cell::get),
-        misses: MISSES.with(Cell::get),
-        bytes_requested: BYTES_REQUESTED.with(Cell::get),
-        bytes_held: BYTES_HELD.with(Cell::get),
-        small: SMALL.with(Cell::get),
-    }
+    let (byte_hits, byte_misses, byte_bytes_held) = BYTE_POOL.with(|p| {
+        let p = p.borrow();
+        (p.hits, p.misses, p.bytes_held)
+    });
+    POOL.with(|p| {
+        let p = p.borrow();
+        PoolStats {
+            hits: p.hits,
+            misses: p.misses,
+            bytes_requested: p.bytes_requested,
+            bytes_held: p.bytes_held,
+            small: p.small,
+            byte_hits,
+            byte_misses,
+            byte_bytes_held,
+        }
+    })
 }
 
-/// Zeroes this thread's hit/miss/small/bytes-requested counters (parked
-/// buffers and `bytes_held` are untouched).
+/// Zeroes this thread's request counters, for both pools (parked buffers
+/// and the bytes they hold are untouched).
 pub fn reset_stats() {
-    HITS.with(|c| c.set(0));
-    MISSES.with(|c| c.set(0));
-    BYTES_REQUESTED.with(|c| c.set(0));
-    SMALL.with(|c| c.set(0));
+    POOL.with(|p| p.borrow_mut().reset_stats());
+    BYTE_POOL.with(|p| p.borrow_mut().reset_stats());
 }
 
-/// Drops every parked buffer on the calling thread.
+/// Drops every parked buffer of both pools on the calling thread.
 pub fn clear() {
     POOL.with(|p| p.borrow_mut().clear());
-    BYTES_HELD.with(|b| b.set(0));
+    BYTE_POOL.with(|p| p.borrow_mut().clear());
 }
 
 /// Pre-parks `count` buffers of capacity `len` so a serving hot loop's first
@@ -140,68 +240,21 @@ pub fn clear() {
 /// model, `reserve` its step shapes, and steady-state requests run at ~zero
 /// fresh allocations (asserted by the `crates/serve` zero-alloc test).
 pub fn reserve(len: usize, count: usize) -> usize {
-    if len < MIN_RECYCLE_LEN || !enabled() {
-        return 0;
-    }
-    let mut parked = 0;
-    for _ in 0..count {
-        let held = BYTES_HELD.with(Cell::get);
-        if held + len * 4 > MAX_POOLED_BYTES {
-            break;
-        }
-        let full = POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            let bucket = pool.entry(len).or_default();
-            if bucket.len() >= MAX_BUFS_PER_BUCKET {
-                return true;
-            }
-            bucket.push(Vec::with_capacity(len));
-            false
-        });
-        if full {
-            break;
-        }
-        BYTES_HELD.with(|b| b.set(b.get() + len * 4));
-        parked += 1;
-    }
-    parked
-}
-
-fn try_take(len: usize) -> Option<Vec<f32>> {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        let cap = pool.range(len..=len.saturating_mul(MAX_SLACK_FACTOR)).next().map(|(&c, _)| c)?;
-        let bucket = pool.get_mut(&cap)?;
-        let buf = bucket.pop()?;
-        if bucket.is_empty() {
-            pool.remove(&cap);
-        }
-        BYTES_HELD.with(|b| b.set(b.get().saturating_sub(cap * 4)));
-        Some(buf)
+        (0..count).take_while(|_| pool.give(Vec::with_capacity(len))).count()
     })
 }
 
-/// Hands out an *empty* buffer with capacity ≥ `len`: a parked one when
-/// available and recycling is enabled, a fresh allocation otherwise.
-/// Requests below [`MIN_RECYCLE_LEN`] always allocate fresh (see the
-/// constant's docs) and count as `small` rather than misses.
+/// Hands out an *empty* buffer with capacity ≥ `len`: the smallest parked
+/// one with capacity in `len ..= 4·len` when recycling is enabled, a fresh
+/// allocation otherwise. Requests below the 64-element floor always
+/// allocate fresh (see [`MIN_RECYCLE_BYTES`]) and count as `small` rather
+/// than misses.
 pub fn take(len: usize) -> Vec<f32> {
-    if len == 0 {
-        return Vec::new();
-    }
-    BYTES_REQUESTED.with(|b| b.set(b.get() + (len as u64) * 4));
-    if len < MIN_RECYCLE_LEN {
-        SMALL.with(|c| c.set(c.get() + 1));
-        return Vec::with_capacity(len);
-    }
-    if enabled() {
-        if let Some(buf) = try_take(len) {
-            HITS.with(|c| c.set(c.get() + 1));
-            return buf;
-        }
-    }
-    MISSES.with(|c| c.set(c.get() + 1));
-    Vec::with_capacity(len)
+    let mut buf = POOL.with(|p| p.borrow_mut().take(len));
+    buf.clear();
+    buf
 }
 
 /// [`take`] followed by a zero fill to length `len`.
@@ -217,30 +270,43 @@ pub(crate) fn take_filled(len: usize, v: f32) -> Vec<f32> {
 }
 
 /// Parks `buf`'s storage for reuse. No-op when recycling is disabled, the
-/// buffer is below the [`MIN_RECYCLE_LEN`] floor, or the per-thread budgets
-/// are exhausted (the buffer is then simply dropped).
-pub fn give(mut buf: Vec<f32>) {
-    let cap = buf.capacity();
-    if cap < MIN_RECYCLE_LEN || !enabled() {
-        return;
-    }
-    if BYTES_HELD.with(Cell::get) + cap * 4 > MAX_POOLED_BYTES {
-        return;
-    }
+/// buffer is below the recycling floor, or the per-thread budgets are
+/// exhausted (the buffer is then simply dropped).
+pub fn give(buf: Vec<f32>) {
+    POOL.with(|p| p.borrow_mut().give(buf));
+}
+
+/// [`take`] for the byte pool: an empty byte buffer with capacity ≥ `len`,
+/// under the same floor (256 bytes), slack and budgets.
+pub fn take_bytes(len: usize) -> Vec<u8> {
+    let mut buf = BYTE_POOL.with(|p| p.borrow_mut().take(len));
     buf.clear();
-    POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        let bucket = pool.entry(cap).or_default();
-        if bucket.len() < MAX_BUFS_PER_BUCKET {
-            bucket.push(buf);
-            BYTES_HELD.with(|b| b.set(b.get() + cap * 4));
-        }
-    });
+    buf
+}
+
+/// A byte buffer of length `len` for a caller that overwrites every byte
+/// before any is read (a `DenseFrame` in the wire layer): a parked buffer
+/// keeps the bytes of its last life, and only bytes past its old length are
+/// zeroed, so no pass is spent clearing what is about to be written.
+/// Counted like [`take_bytes`].
+pub fn take_bytes_to_overwrite(len: usize) -> Vec<u8> {
+    let mut buf = BYTE_POOL.with(|p| p.borrow_mut().take(len));
+    buf.resize(len, 0);
+    buf
+}
+
+/// [`give`] for the byte pool. The buffer keeps its bytes while parked
+/// (see [`take_bytes_to_overwrite`]).
+pub fn give_bytes(buf: Vec<u8>) {
+    BYTE_POOL.with(|p| p.borrow_mut().give(buf));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recycling floor in `f32` elements.
+    const MIN_RECYCLE_LEN: usize = MIN_RECYCLE_BYTES / 4;
 
     /// The pool and its counters are thread-local, so each test runs in its
     /// own sandbox only if tests on the same thread reset state first.
@@ -333,6 +399,24 @@ mod tests {
         assert_eq!(reserve(MIN_RECYCLE_LEN - 1, 4), 0, "sub-floor reserve is a no-op");
         set_enabled(false);
         assert_eq!(reserve(256, 4), 0, "reserve is a no-op while recycling is off");
+        fresh();
+    }
+
+    #[test]
+    fn the_byte_pool_hands_out_empty_or_full_length_buffers() {
+        fresh();
+        give_bytes(vec![7u8; 300]);
+        let ptr = {
+            let buf = take_bytes(300);
+            assert!(buf.is_empty() && buf.capacity() >= 300, "take_bytes hands out empty");
+            let ptr = buf.as_ptr();
+            give_bytes(buf);
+            ptr
+        };
+        let buf = take_bytes_to_overwrite(280);
+        assert_eq!((buf.as_ptr(), buf.len()), (ptr, 280), "the parked buffer, at full length");
+        let s = stats();
+        assert_eq!((s.byte_hits, s.byte_misses, s.hits, s.misses), (2, 0, 0, 0), "{s:?}");
         fresh();
     }
 

@@ -22,11 +22,22 @@ use std::fmt;
 /// let c = a.matmul(&b);
 /// assert_eq!(c, a);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// A clone is a copy into pooled storage ([`crate::pool_mem`]), so a clone
+/// bound into a graph — a parameter, a data batch — is parked at
+/// `Graph::reset` where its storage came from.
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let mut data = pool_mem::take(self.data.len());
+        data.extend_from_slice(&self.data);
+        Self { rows: self.rows, cols: self.cols, data }
+    }
 }
 
 impl fmt::Debug for Tensor {

@@ -2,8 +2,8 @@
 //! storage are bit-identical to tensors built from fresh allocations, for
 //! every tested `GTV_THREADS` value, even when the pool is pre-seeded with
 //! NaN-filled garbage. Plus the step-scope mechanics of `Graph::reset`:
-//! non-leaf storage is parked, leaf storage is pinned, and repeated
-//! identical steps stop allocating after the first.
+//! every node's storage is parked, leaves included, and repeated identical
+//! steps stop allocating after the first.
 
 use gtv_tensor::{pool, pool_mem, Graph, Tensor};
 use proptest::prelude::*;
@@ -86,7 +86,7 @@ proptest! {
 /// thread no matter what another test sets the worker count to, which makes
 /// the thread-local counters exact.
 #[test]
-fn graph_reset_parks_non_leaf_storage_and_pins_leaves() {
+fn graph_reset_parks_every_node_and_a_bound_clone_balances() {
     pool_mem::set_enabled(true);
     pool_mem::clear();
     pool_mem::reset_stats();
@@ -100,11 +100,31 @@ fn graph_reset_parks_non_leaf_storage_and_pins_leaves() {
     assert_eq!(released, 3, "reset reports every node it released");
     assert_eq!(g.len(), 0, "the arena must be empty after reset");
 
-    // Two non-leaf nodes of 64 f32s each were parked; the leaf's 64 were
-    // dropped, not parked. 2 × 64 × 4 bytes = 512. (64 elements is exactly
-    // the recycling floor — anything smaller would bypass the pool.)
-    assert_eq!(pool_mem::stats().bytes_held, 512, "only non-leaf storage may be recycled");
+    // Three nodes of 64 f32s each, the leaf among them, were parked:
+    // 3 × 64 × 4 bytes = 768. (64 elements is exactly the recycling floor —
+    // anything smaller would bypass the pool.)
+    assert_eq!(pool_mem::stats().bytes_held, 768, "every node is recycled");
     let _ = (c, d);
+
+    // A caller's tensor bound by clone, as a parameter is: the clone takes
+    // pooled storage and the reset gives it back, so the pool holds what it
+    // held before the step.
+    let param = Tensor::full(128, 1, 0.5);
+    let held = pool_mem::stats().bytes_held;
+    for _ in 0..3 {
+        let g = Graph::new();
+        let p = g.leaf(param.clone());
+        let _ = g.mul_scalar(p, 2.0);
+        g.reset();
+    }
+    let s = pool_mem::stats();
+    assert_eq!(s.bytes_held, held + 2 * 128 * 4, "clone and product of the first step park");
+    let misses = s.misses;
+    let g = Graph::new();
+    let _ = g.mul_scalar(g.leaf(param.clone()), 2.0);
+    g.reset();
+    assert_eq!(pool_mem::stats().misses, misses, "a warm step takes its clone from the pool");
+    assert_eq!(pool_mem::stats().bytes_held, held + 2 * 128 * 4);
     pool_mem::clear();
 }
 
@@ -126,7 +146,7 @@ fn identical_steps_stop_allocating_after_the_first() {
         let h = g.leaky_relu(g.matmul(x, w), 0.2);
         let y = g.mean_all(g.mul(h, h));
         let dw = g.grad(y, &[w])[0];
-        let out = g.value(dw).as_slice().to_vec();
+        let out = g.with_value(dw, |t| t.as_slice().to_vec());
         g.reset();
         out
     };

@@ -47,4 +47,4 @@ pub use socket::{Endpoint, PartyNode, SocketTransport};
 pub use transport::{
     Fault, InProcTransport, NetStats, Network, PartyId, RoundStats, Transport, TransportError,
 };
-pub use wire::{DecodeMessageError, MatrixPayload, Message, WireCodec};
+pub use wire::{DecodeMessageError, DenseFrame, MatrixPayload, Message, WireCodec};

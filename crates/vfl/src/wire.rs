@@ -12,10 +12,19 @@
 //! bit-identical dense matrix; [`WireCodec::Adaptive`] picks whichever is
 //! smaller per message, which collapses the one-hot conditional-vector and
 //! ReLU-gradient payloads that dominate GTV's traffic.
+//!
+//! A dense body is written once and parsed only where it is read
+//! (DESIGN.md §10): [`Message::decode`] validates its header and length and
+//! keeps the bytes, [`MatrixPayload::gather_rows`] and
+//! [`MatrixPayload::into_values`] parse what they return, and a payload
+//! nobody reads goes back to the byte pool unparsed. [`DenseFrame`] writes
+//! a matrix message's rows straight into its frame, and encoding that
+//! message hands the frame on.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::borrow::Cow;
 
 /// How matrix bodies are chosen at encode time (wire format v2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,14 +39,30 @@ pub enum WireCodec {
 }
 
 /// A dense f32 matrix payload.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its values are either parsed (a payload built from a `Vec`) or still on
+/// the wire (a decoded dense body, or one [`DenseFrame`] wrote): then they
+/// are parsed where they are read, by [`MatrixPayload::gather_rows`],
+/// [`MatrixPayload::into_values`] or [`MatrixPayload::values`]. Equality
+/// compares the values' bits, whatever holds them.
+#[derive(Clone)]
 pub struct MatrixPayload {
     /// Number of rows.
     pub rows: u32,
     /// Number of columns.
     pub cols: u32,
+    values: Values,
+}
+
+/// Where a payload's values are.
+#[derive(Clone)]
+enum Values {
     /// Row-major values (`rows * cols` entries).
-    pub data: Vec<f32>,
+    Parsed(Vec<f32>),
+    /// A validated dense body: `rows * cols` little-endian values from
+    /// `frame[at..]`. `frame` is the whole message it came in (or was
+    /// written as), so encoding that message again can hand it on.
+    Wire { frame: Bytes, at: usize },
 }
 
 impl MatrixPayload {
@@ -50,13 +75,102 @@ impl MatrixPayload {
         // Widened before multiplying: in `u32`, 65 536 × 65 536 wraps to 0
         // and an empty buffer would pass for a 16 GiB matrix.
         assert_eq!(data.len(), rows as usize * cols as usize, "payload shape mismatch");
-        Self { rows, cols, data }
+        Self { rows, cols, values: Values::Parsed(data) }
+    }
+
+    /// Number of entries, `rows * cols`.
+    pub fn len(&self) -> usize {
+        self.rows as usize * self.cols as usize
+    }
+
+    /// Whether the matrix has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The values, row-major: borrowed when parsed, parsed into a fresh
+    /// buffer when still on the wire.
+    pub fn values(&self) -> Cow<'_, [f32]> {
+        match &self.values {
+            Values::Parsed(data) => Cow::Borrowed(data),
+            Values::Wire { .. } => {
+                let mut data = Vec::with_capacity(self.len());
+                data.extend(self.bits().map(f32::from_bits));
+                Cow::Owned(data)
+            }
+        }
+    }
+
+    /// The values, row-major, in pooled storage
+    /// ([`gtv_tensor::pool_mem`]): a parsed payload's own buffer, or a wire
+    /// body parsed once, after which its frame goes back to the byte pool.
+    pub fn into_values(self) -> Vec<f32> {
+        match self.values {
+            Values::Parsed(data) => data,
+            Values::Wire { ref frame, at } => {
+                let mut data = gtv_tensor::pool_mem::take(self.len());
+                data.extend(le_words(&frame[at..at + 4 * self.len()]).map(f32::from_bits));
+                self.recycle();
+                data
+            }
+        }
+    }
+
+    /// The given rows (in order, repeats allowed), row-major, in pooled
+    /// storage: only these rows are parsed.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeMessageError`] if a row index is out of range.
+    pub fn gather_rows(&self, rows: &[usize]) -> Result<Vec<f32>, DecodeMessageError> {
+        let width = self.cols as usize;
+        if let Some(&r) = rows.iter().find(|&&r| r >= self.rows as usize) {
+            return Err(err(&format!("row {r} out of range for {} rows", self.rows)));
+        }
+        let mut out = gtv_tensor::pool_mem::take(rows.len() * width);
+        match &self.values {
+            Values::Parsed(data) => {
+                for &r in rows {
+                    out.extend_from_slice(&data[r * width..(r + 1) * width]);
+                }
+            }
+            Values::Wire { frame, at } => {
+                for &r in rows {
+                    let row = &frame[at + 4 * r * width..at + 4 * (r + 1) * width];
+                    out.extend(le_words(row).map(f32::from_bits));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Parks the payload's storage: parsed values in the tensor pool, a
+    /// frame nobody else holds in the byte pool ([`gtv_tensor::pool_mem`]).
+    pub fn recycle(self) {
+        match self.values {
+            Values::Parsed(data) => gtv_tensor::pool_mem::give(data),
+            Values::Wire { frame, .. } => {
+                if let Ok(buf) = frame.try_into_mut() {
+                    gtv_tensor::pool_mem::give_bytes(buf.into());
+                }
+            }
+        }
+    }
+
+    /// The values' bit patterns, row-major, parsed on the fly from a wire
+    /// body.
+    fn bits(&self) -> impl Iterator<Item = u32> + '_ {
+        let (parsed, wire): (&[f32], &[u8]) = match &self.values {
+            Values::Parsed(data) => (data, &[]),
+            Values::Wire { frame, at } => (&[], &frame[*at..*at + 4 * self.len()]),
+        };
+        parsed.iter().map(|v| v.to_bits()).chain(le_words(wire))
     }
 
     /// Encoded size in bytes of the dense body (format byte, 8-byte header,
     /// 4 bytes per entry).
     pub fn encoded_len(&self) -> usize {
-        9 + self.data.len() * 4
+        9 + self.len() * 4
     }
 
     /// Entries whose bit pattern is not `+0.0` — the only value the sparse
@@ -64,7 +178,7 @@ impl MatrixPayload {
     /// subnormals all have nonzero bits and are stored explicitly, keeping
     /// sparse round-trips bit-exact.
     pub fn stored_entries(&self) -> usize {
-        self.data.iter().filter(|v| v.to_bits() != 0).count()
+        self.bits().filter(|&b| b != 0).count()
     }
 
     /// Encoded size in bytes of the sparse body for `nnz` stored entries
@@ -89,7 +203,7 @@ impl MatrixPayload {
     /// entries: an encode decides here, once, and sizes and writes the
     /// message from the answer.
     fn body(&self, codec: WireCodec) -> MatrixBody {
-        if codec == WireCodec::Adaptive && self.data.len() <= MAX_SPARSE_DENSE_ENTRIES {
+        if codec == WireCodec::Adaptive && self.len() <= MAX_SPARSE_DENSE_ENTRIES {
             let nnz = self.stored_entries();
             if Self::sparse_encoded_len(nnz) < self.encoded_len() {
                 return MatrixBody::Sparse { nnz };
@@ -103,6 +217,111 @@ impl MatrixPayload {
             MatrixBody::Dense => self.encoded_len(),
             MatrixBody::Sparse { nnz } => Self::sparse_encoded_len(nnz),
         }
+    }
+
+    /// The frame this payload's dense body already is, if `tag` names the
+    /// message it was decoded from or written as and nothing follows the
+    /// body: encoding that message again is this frame.
+    fn own_frame(&self, tag: u8) -> Option<&Bytes> {
+        match &self.values {
+            Values::Wire { frame, at }
+                if *at == 10 && frame.len() == 10 + 4 * self.len() && frame[0] == tag =>
+            {
+                Some(frame)
+            }
+            _ => None,
+        }
+    }
+}
+
+impl PartialEq for MatrixPayload {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.bits().eq(other.bits())
+    }
+}
+
+impl std::fmt::Debug for MatrixPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MatrixPayload")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.values())
+            .finish()
+    }
+}
+
+/// Little-endian `u32` words of `bytes` (whose length is a multiple of 4).
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.as_chunks::<4>().0.iter().map(|&w| u32::from_le_bytes(w))
+}
+
+/// A matrix message written straight into its wire frame, row by row — the
+/// one pass a table-sized upload makes (DESIGN.md §10). The frame comes from
+/// the byte pool; [`DenseFrame::finish`] makes the message whose dense body
+/// it is, and encoding that message hands the frame on uncopied.
+#[derive(Debug)]
+pub struct DenseFrame {
+    /// The whole frame at its final length, from
+    /// [`gtv_tensor::pool_mem::take_bytes_to_overwrite`]: every byte is
+    /// written before `finish` hands it on, so none is cleared first.
+    buf: BytesMut,
+    /// Bytes written so far; rows land here.
+    filled: usize,
+    kind: fn(MatrixPayload) -> Message,
+    rows: u32,
+    cols: u32,
+}
+
+impl DenseFrame {
+    /// Starts a `rows × cols` dense `kind` message (a matrix variant's
+    /// constructor, e.g. `Message::RealLogits`).
+    pub fn new(kind: fn(MatrixPayload) -> Message, rows: u32, cols: u32) -> Self {
+        let len = 10 + 4 * rows as usize * cols as usize;
+        let mut buf = BytesMut::from(gtv_tensor::pool_mem::take_bytes_to_overwrite(len));
+        let header = &mut buf.as_mut()[..10];
+        header[0] = kind(MatrixPayload::new(0, 0, Vec::new())).tag();
+        header[1] = MATRIX_FORMAT_DENSE;
+        header[2..6].copy_from_slice(&rows.to_le_bytes());
+        header[6..].copy_from_slice(&cols.to_le_bytes());
+        Self { buf, filled: 10, kind, rows, cols }
+    }
+
+    /// Writes the next row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is not `cols` wide, or past the last row.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.cols as usize, "row width");
+        self.put(row.iter().copied());
+    }
+
+    /// Writes the next row as `row + noise`, one IEEE single add per value
+    /// (the sums `Tensor::add` makes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either is not `cols` wide, or past the last row.
+    pub fn push_row_sum(&mut self, row: &[f32], noise: &[f32]) {
+        assert_eq!((row.len(), noise.len()), (self.cols as usize, self.cols as usize), "row width");
+        self.put(row.iter().zip(noise).map(|(v, n)| v + n));
+    }
+
+    fn put(&mut self, values: impl Iterator<Item = f32>) {
+        let end = self.filled + 4 * self.cols as usize;
+        write_values(&mut self.buf.as_mut()[self.filled..end], values);
+        self.filled = end;
+    }
+
+    /// The message: its payload's dense body is the frame just written.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly `rows` rows were written.
+    pub fn finish(self) -> Message {
+        assert_eq!(self.filled, self.buf.len(), "a dense frame needs every row");
+        let values = Values::Wire { frame: self.buf.freeze(), at: 10 };
+        (self.kind)(MatrixPayload { rows: self.rows, cols: self.cols, values })
     }
 }
 
@@ -227,10 +446,10 @@ impl Message {
     }
 
     /// Parks the message's matrix storage, if it has any, in the calling
-    /// thread's tensor pool ([`gtv_tensor::pool_mem`]), where the next
-    /// decode or tensor of a compatible size picks it up: a sender calls
-    /// this once the message is encoded, a receiver on a message it drops
-    /// unread.
+    /// thread's pools ([`MatrixPayload::recycle`]), where the next read,
+    /// tensor, frame or encode of a compatible size picks it up: a sender
+    /// calls this once the message is encoded, a receiver once it has read
+    /// what it needs, or on a message it drops unread.
     pub fn recycle(self) {
         match self {
             Message::CondUpload { cv: m, .. }
@@ -239,7 +458,7 @@ impl Message {
             | Message::RealLogits(m)
             | Message::GradLogits(m)
             | Message::GradGenSlice(m)
-            | Message::SyntheticShare(m) => gtv_tensor::pool_mem::give(m.data),
+            | Message::SyntheticShare(m) => m.recycle(),
             Message::RoundStart { .. }
             | Message::ShuffleSeedShare { .. }
             | Message::IndexShare { .. } => {}
@@ -253,9 +472,11 @@ impl Message {
 
     /// Encodes to bytes, choosing each matrix body per `codec`.
     ///
-    /// One pass: the body is chosen first, the buffer is allocated at the
-    /// exact encoded length, every value is written into it once and
-    /// `freeze` hands that same buffer on (DESIGN.md §10).
+    /// One pass: the body is chosen first, the buffer is taken from the byte
+    /// pool at the exact encoded length, every value is written into it once
+    /// and `freeze` hands that same buffer on (DESIGN.md §10). A matrix
+    /// message whose dense body is already its frame — decoded, or written
+    /// by a [`DenseFrame`] — is that frame: no pass at all.
     pub fn encode_with(&self, codec: WireCodec) -> Bytes {
         const INDEX_COUNT: usize = 4;
         let (matrix, tail) = match self {
@@ -271,8 +492,13 @@ impl Message {
             Message::IndexShare { indices } => (None, INDEX_COUNT + indices.len() * 4),
         };
         let matrix = matrix.map(|m| (m, m.body(codec)));
+        if let Some((m, MatrixBody::Dense)) = matrix {
+            if let Some(frame) = m.own_frame(self.tag()) {
+                return frame.clone();
+            }
+        }
         let len = 1 + matrix.map_or(0, |(m, body)| m.body_len(body)) + tail;
-        let mut buf = BytesMut::with_capacity(len);
+        let mut buf = BytesMut::from(gtv_tensor::pool_mem::take_bytes(len));
         buf.put_u8(self.tag());
         if let Some((m, body)) = matrix {
             put_matrix(&mut buf, m, body);
@@ -302,12 +528,17 @@ impl Message {
         buf.freeze()
     }
 
-    /// Decodes from bytes.
+    /// Decodes from bytes. Every check is made here — a malformed message is
+    /// an error now, never at a later read — but a dense matrix body is not
+    /// parsed: the payload keeps `bytes` and reads its values out of them
+    /// when asked (see [`MatrixPayload`]).
     ///
     /// # Errors
     ///
     /// Returns [`DecodeMessageError`] on truncated or malformed input.
-    pub fn decode(mut bytes: Bytes) -> Result<Self, DecodeMessageError> {
+    pub fn decode(bytes: Bytes) -> Result<Self, DecodeMessageError> {
+        let frame = bytes.clone();
+        let mut bytes = bytes;
         if bytes.remaining() < 1 {
             return Err(err("empty message"));
         }
@@ -320,7 +551,7 @@ impl Message {
                 Message::RoundStart { round: bytes.get_u64_le(), selected: bytes.get_u32_le() }
             }
             1 => {
-                let cv = get_matrix(&mut bytes)?;
+                let cv = get_matrix(&mut bytes, &frame)?;
                 if bytes.remaining() < 4 {
                     return Err(err("truncated index count"));
                 }
@@ -331,12 +562,12 @@ impl Message {
                 let indices = (0..n).map(|_| bytes.get_u32_le()).collect();
                 Message::CondUpload { cv, indices }
             }
-            2 => Message::GenSlice(get_matrix(&mut bytes)?),
-            3 => Message::SynthLogits(get_matrix(&mut bytes)?),
-            4 => Message::RealLogits(get_matrix(&mut bytes)?),
-            5 => Message::GradLogits(get_matrix(&mut bytes)?),
-            6 => Message::GradGenSlice(get_matrix(&mut bytes)?),
-            7 => Message::SyntheticShare(get_matrix(&mut bytes)?),
+            2 => Message::GenSlice(get_matrix(&mut bytes, &frame)?),
+            3 => Message::SynthLogits(get_matrix(&mut bytes, &frame)?),
+            4 => Message::RealLogits(get_matrix(&mut bytes, &frame)?),
+            5 => Message::GradLogits(get_matrix(&mut bytes, &frame)?),
+            6 => Message::GradGenSlice(get_matrix(&mut bytes, &frame)?),
+            7 => Message::SyntheticShare(get_matrix(&mut bytes, &frame)?),
             8 => {
                 if bytes.remaining() < 8 {
                     return Err(err("truncated ShuffleSeedShare"));
@@ -373,19 +604,32 @@ fn put_matrix_dense(buf: &mut BytesMut, m: &MatrixPayload) {
     buf.put_u8(MATRIX_FORMAT_DENSE);
     buf.put_u32_le(m.rows);
     buf.put_u32_le(m.cols);
-    // Values go straight into the message buffer, a block at a time: the
-    // block is converted on the stack (explicitly little-endian, so the
-    // encoding is identical on any host) and appended with one `put_slice`
-    // instead of one capacity check per element. The caller reserved the
-    // whole body, so no append reallocates.
+    match &m.values {
+        Values::Parsed(data) => put_values(buf, data),
+        // Already little-endian: one copy.
+        Values::Wire { frame, at } => buf.put_slice(&frame[*at..*at + 4 * m.len()]),
+    }
+}
+
+/// Appends `values` little-endian, a block at a time: each block is
+/// converted on the stack and appended with one `put_slice`, so the buffer
+/// is written once. Callers reserve the whole body, so no append
+/// reallocates.
+fn put_values(buf: &mut BytesMut, values: &[f32]) {
     const BLOCK: usize = 256;
     let mut le = [0u8; BLOCK * 4];
-    for block in m.data.chunks(BLOCK) {
+    for block in values.chunks(BLOCK) {
         let le = &mut le[..block.len() * 4];
-        for (dst, v) in le.chunks_exact_mut(4).zip(block) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
+        write_values(le, block.iter().copied());
         buf.put_slice(le);
+    }
+}
+
+/// Writes `values` into `dst`, little-endian (explicitly, so the encoding is
+/// identical on any host), each into its place.
+fn write_values(dst: &mut [u8], values: impl Iterator<Item = f32>) {
+    for (dst, v) in dst.as_chunks_mut::<4>().0.iter_mut().zip(values) {
+        *dst = v.to_le_bytes();
     }
 }
 
@@ -399,19 +643,20 @@ fn put_matrix_sparse(buf: &mut BytesMut, m: &MatrixPayload, nnz: usize) {
     // index order — the canonical form the decoder enforces. The nonzero
     // test is on the *bit pattern*: -0.0, NaN, Inf and subnormals are all
     // stored explicitly, so decode is bit-identical to the dense body.
-    for (i, &v) in m.data.iter().enumerate() {
-        if v.to_bits() == 0 {
+    for (i, bits) in m.bits().enumerate() {
+        if bits == 0 {
             continue;
         }
         debug_assert!(i <= u32::MAX as usize, "sparse entry index exceeds wire width");
         let mut pair = [0u8; 8];
         pair[..4].copy_from_slice(&(i as u32).to_le_bytes());
-        pair[4..].copy_from_slice(&v.to_le_bytes());
+        pair[4..].copy_from_slice(&bits.to_le_bytes());
         buf.put_slice(&pair);
     }
 }
 
-fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
+/// Decodes the matrix at `bytes`' cursor, a view into `frame`.
+fn get_matrix(bytes: &mut Bytes, frame: &Bytes) -> Result<MatrixPayload, DecodeMessageError> {
     if bytes.remaining() < 9 {
         return Err(err("truncated matrix header"));
     }
@@ -424,15 +669,11 @@ fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
             if bytes.remaining() < n * 4 {
                 return Err(err("truncated matrix body"));
             }
-            // Bulk body read: parse the contiguous little-endian body in one
-            // pass over the underlying slice, then advance the cursor once.
-            // The values land in pooled storage, which `take` hands out
-            // empty: every entry is written here before it can be read.
-            let (words, _) = bytes.chunk()[..n * 4].as_chunks::<4>();
-            let mut data = gtv_tensor::pool_mem::take(n);
-            data.extend(words.iter().map(|&w| f32::from_le_bytes(w)));
+            // The body is checked, not parsed: the payload keeps the frame
+            // and reads its values where they are read.
+            let at = frame.len() - bytes.remaining();
             bytes.advance(n * 4);
-            Ok(MatrixPayload { rows, cols, data })
+            Ok(MatrixPayload { rows, cols, values: Values::Wire { frame: frame.clone(), at } })
         }
         MATRIX_FORMAT_SPARSE => {
             if n > MAX_SPARSE_DENSE_ENTRIES {
@@ -473,7 +714,7 @@ fn get_matrix(bytes: &mut Bytes) -> Result<MatrixPayload, DecodeMessageError> {
                 prev = Some(idx);
             }
             bytes.advance(nnz * 8);
-            Ok(MatrixPayload { rows, cols, data })
+            Ok(MatrixPayload::new(rows, cols, data))
         }
         f => Err(err(&format!("unknown matrix format {f}"))),
     }
@@ -550,7 +791,7 @@ mod tests {
             panic!("variant must survive");
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back.data), bits(&m.data));
+        assert_eq!(bits(&back.values()), bits(&m.values()));
     }
 
     #[test]
@@ -679,6 +920,98 @@ mod tests {
                 assert_eq!(enc[10 + 4 * i..14 + 4 * i], v.to_le_bytes(), "value {i} of {n}");
             }
         }
+    }
+
+    #[test]
+    fn a_decoded_dense_message_re_encodes_as_its_own_frame() {
+        let enc = Message::SynthLogits(demo_matrix()).encode();
+        let decoded = Message::decode(enc.clone()).unwrap();
+        let again = decoded.encode();
+        assert_eq!(again, enc);
+        assert_eq!(again.as_ptr(), enc.as_ptr(), "re-encoding a decoded message copies nothing");
+        // Moved into another variant the body is copied, under its new tag.
+        let Message::SynthLogits(m) = decoded else { panic!("variant must survive") };
+        let moved = Message::GradLogits(m).encode();
+        assert_eq!((moved[0], &moved[1..]), (5, &enc[1..]));
+        assert_ne!(moved.as_ptr(), enc.as_ptr());
+    }
+
+    #[test]
+    fn a_dense_frame_is_the_encoding_of_its_rows() {
+        let m = demo_matrix();
+        let noise = [0.5, -0.25, 1.0];
+        for noisy in [false, true] {
+            // The frame's buffer holds another message's bytes: every one
+            // must be overwritten.
+            gtv_tensor::pool_mem::clear();
+            gtv_tensor::pool_mem::give_bytes(vec![0xAA; 256]);
+            let mut frame = DenseFrame::new(Message::RealLogits, 2, 3);
+            let mut sums = Vec::new();
+            for row in m.values().chunks_exact(3) {
+                if noisy {
+                    frame.push_row_sum(row, &noise);
+                    sums.extend(row.iter().zip(&noise).map(|(v, n)| v + n));
+                } else {
+                    frame.push_row(row);
+                    sums.extend_from_slice(row);
+                }
+            }
+            let msg = frame.finish();
+            let reference = Message::RealLogits(MatrixPayload::new(2, 3, sums));
+            assert_eq!(msg, reference);
+            let enc = msg.encode();
+            assert_eq!(enc, reference.encode(), "noisy = {noisy}");
+            assert_eq!(msg.encode().as_ptr(), enc.as_ptr(), "the frame is the encoding");
+            assert_eq!(
+                msg.encode_with(WireCodec::Adaptive),
+                reference.encode_with(WireCodec::Adaptive)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a dense frame needs every row")]
+    fn a_short_dense_frame_does_not_finish() {
+        let mut frame = DenseFrame::new(Message::RealLogits, 2, 3);
+        frame.push_row(&[1.0, 2.0, 3.0]);
+        let _ = frame.finish();
+    }
+
+    #[test]
+    fn rows_are_read_out_of_the_body_and_range_checked() {
+        let m = demo_matrix();
+        let Message::GenSlice(wire) =
+            Message::decode(Message::GenSlice(m.clone()).encode()).unwrap()
+        else {
+            panic!("variant must survive")
+        };
+        for payload in [&m, &wire] {
+            assert_eq!(
+                payload.gather_rows(&[1, 0, 1]).unwrap(),
+                [0.0, 7.25, -0.5, 1.0, -2.0, 3.5, 0.0, 7.25, -0.5]
+            );
+            assert!(payload.gather_rows(&[0, 2]).is_err(), "row 2 of 2");
+        }
+        assert_eq!(wire.clone().into_values(), m.clone().into_values());
+    }
+
+    #[test]
+    fn a_frame_read_and_recycled_goes_back_to_the_byte_pool() {
+        gtv_tensor::pool_mem::clear();
+        let n = 128;
+        let msg = Message::RealLogits(MatrixPayload::new(1, n, vec![1.5; n as usize]));
+        let decoded = Message::decode(msg.encode()).unwrap();
+        decoded.recycle();
+        let held = gtv_tensor::pool_mem::stats().byte_bytes_held;
+        assert!(held >= 10 + 4 * n as usize, "the unique frame is parked: {held}");
+        let before = gtv_tensor::pool_mem::stats().byte_hits;
+        let _ = msg.encode();
+        assert_eq!(
+            gtv_tensor::pool_mem::stats().byte_hits,
+            before + 1,
+            "the next encode reuses it"
+        );
+        gtv_tensor::pool_mem::clear();
     }
 
     #[test]

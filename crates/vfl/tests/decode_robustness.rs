@@ -1,8 +1,10 @@
 //! Property tests: `Message::decode` is *total* on arbitrary input. Any
 //! byte buffer — random garbage, a truncated prefix of a valid encoding, or
 //! a valid encoding with one byte flipped — must return `Err` or a valid
-//! message, never panic. Complements the round-trip suite in
-//! `wire_roundtrip.rs`, which only exercises the happy path.
+//! message, never panic; and since a dense body is only parsed where it is
+//! read, a body of the wrong length must fail in `decode` itself, never at a
+//! later read. Complements the round-trip suite in `wire_roundtrip.rs`,
+//! which only exercises the happy path.
 
 use bytes::Bytes;
 use gtv_vfl::{MatrixPayload, Message, WireCodec};
@@ -10,12 +12,22 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Decode must be total: never panic, and anything it accepts must survive
-/// an encode→decode round-trip back to the same message.
+/// an encode→decode round-trip back to the same message, with every value
+/// readable.
 fn assert_decode_total(bytes: &[u8]) {
     if let Ok(msg) = Message::decode(Bytes::from(bytes.to_vec())) {
         let re = msg.encode();
         let again = Message::decode(re).expect("re-encoded message must decode");
         assert_eq!(again, msg, "accepted input must round-trip stably");
+        if let Message::GenSlice(m) | Message::GradLogits(m) | Message::CondUpload { cv: m, .. } =
+            again
+        {
+            let all: Vec<usize> = (0..m.rows as usize).collect();
+            assert_eq!(
+                m.gather_rows(&all).expect("every row of a decoded body reads").len(),
+                m.len()
+            );
+        }
     }
 }
 
@@ -74,6 +86,31 @@ proptest! {
             bytes[at] ^= flip;
         }
         assert_decode_total(&bytes);
+    }
+
+    #[test]
+    fn a_dense_body_of_the_wrong_length_fails_in_decode(
+        m in matrix(),
+        pick in 0u8..6,
+        cut in any::<usize>(),
+        extra in vec(any::<u8>(), 1..9usize),
+    ) {
+        // The matrix variants: nothing follows the body, so every byte short
+        // of it or past it is a length error the decoder must report.
+        let msg = match pick {
+            0 => Message::GenSlice(m),
+            1 => Message::SynthLogits(m),
+            2 => Message::RealLogits(m),
+            3 => Message::GradLogits(m),
+            4 => Message::GradGenSlice(m),
+            _ => Message::SyntheticShare(m),
+        };
+        let encoded = msg.encode().to_vec();
+        let short = &encoded[..cut % encoded.len()];
+        prop_assert!(Message::decode(Bytes::from(short.to_vec())).is_err(), "{} of {} bytes", short.len(), encoded.len());
+        let mut long = encoded.clone();
+        long.extend_from_slice(&extra);
+        prop_assert!(Message::decode(Bytes::from(long)).is_err(), "{} extra bytes", extra.len());
     }
 
     #[test]

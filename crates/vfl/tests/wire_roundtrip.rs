@@ -1,6 +1,8 @@
 //! Property tests: every `Message` variant survives an encode→decode
-//! round-trip bit-exactly — under both wire codecs, also when the decode
-//! lands in recycled storage — and the encoded length matches the meter.
+//! round-trip bit-exactly — under both wire codecs, also when the values
+//! read out of it land in recycled storage — a decoded message re-encodes to
+//! the same bytes, rows read out of a dense body are the source's rows bit
+//! for bit, and the encoded length matches the meter.
 
 use gtv_tensor::pool_mem;
 use gtv_vfl::{MatrixPayload, Message, WireCodec};
@@ -51,8 +53,8 @@ fn sparse_matrix_of(entries: std::ops::Range<usize>) -> impl Strategy<Value = Ma
 /// `NaN == NaN`, hiding exactly the cases the sparse body must preserve.
 fn assert_bits_equal(a: &MatrixPayload, b: &MatrixPayload) {
     assert_eq!((a.rows, a.cols), (b.rows, b.cols));
-    let ab: Vec<u32> = a.data.iter().map(|v| v.to_bits()).collect();
-    let bb: Vec<u32> = b.data.iter().map(|v| v.to_bits()).collect();
+    let ab: Vec<u32> = a.values().iter().map(|v| v.to_bits()).collect();
+    let bb: Vec<u32> = b.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(ab, bb, "decoded entries must be bit-identical");
 }
 
@@ -160,23 +162,63 @@ proptest! {
     }
 
     #[test]
-    fn decodes_into_dirty_pooled_buffers_stay_bit_exact(m in sparse_matrix_of(67..160)) {
+    fn reads_into_dirty_pooled_buffers_stay_bit_exact(m in sparse_matrix_of(67..160)) {
         // At least 64 entries after the cut: the tensor pool recycles no
-        // smaller buffer. Storage a decode may reuse holds NaNs from its
-        // last life: the dense body must overwrite every entry, the sparse
-        // body must zero-fill before it stores its pairs, or a stale NaN
+        // smaller buffer. Storage a read may reuse holds NaNs from its last
+        // life: a dense body read must overwrite every entry, the sparse
+        // decode must zero-fill before it stores its pairs, or a stale NaN
         // shows.
-        let n = m.data.len();
+        let n = m.len();
         for codec in [WireCodec::Dense, WireCodec::Adaptive] {
             pool_mem::clear();
             pool_mem::give(vec![f32::NAN; n]);
             let hits = pool_mem::stats().hits;
             let decoded = Message::decode(Message::GenSlice(m.clone()).encode_with(codec))
                 .expect("self-encoded message must decode");
-            prop_assert_eq!(pool_mem::stats().hits, hits + 1, "the decode reused the buffer");
-            assert_bits_equal(payload_of(&decoded), &m);
+            let values = payload_of(&decoded).clone().into_values();
+            prop_assert_eq!(pool_mem::stats().hits, hits + 1, "the read reused the buffer");
+            assert_bits_equal(&MatrixPayload::new(m.rows, m.cols, values), &m);
         }
         pool_mem::clear();
+    }
+
+    #[test]
+    fn a_decoded_message_re_encodes_to_the_same_bytes(m in sparse_matrix(), indices in vec(any::<u32>(), 0..8usize)) {
+        for msg in [Message::RealLogits(m.clone()), Message::CondUpload { cv: m.clone(), indices: indices.clone() }] {
+            for codec in [WireCodec::Dense, WireCodec::Adaptive] {
+                let bytes = msg.encode_with(codec);
+                let decoded = Message::decode(bytes.clone()).expect("self-encoded message must decode");
+                prop_assert_eq!(decoded.encode_with(codec), bytes.clone(), "{:?}", codec);
+                prop_assert_eq!(decoded.encode_with(WireCodec::Dense), msg.encode(), "{:?}", codec);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_read_out_of_a_dense_body_are_the_source_rows(
+        m in sparse_matrix_of(1..160),
+        picks in vec(any::<usize>(), 0..24usize),
+    ) {
+        // Tricky values (±0, NaN payloads, subnormals, ±∞) and repeated rows.
+        let Message::RealLogits(wire) = Message::decode(Message::RealLogits(m.clone()).encode())
+            .expect("self-encoded message must decode") else { panic!("variant must survive") };
+        let rows = m.rows as usize;
+        let width = m.cols as usize;
+        let picks: Vec<usize> = picks.iter().map(|&p| p % rows.max(1)).collect();
+        if rows > 0 {
+            let got = wire.gather_rows(&picks).expect("in-range rows");
+            let source = m.values();
+            let want: Vec<u32> = picks
+                .iter()
+                .flat_map(|&r| source[r * width..(r + 1) * width].iter().map(|v| v.to_bits()))
+                .collect();
+            prop_assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        }
+        // A row past the end is a typed error, on either storage.
+        let mut out_of_range = picks.clone();
+        out_of_range.push(rows);
+        prop_assert!(wire.gather_rows(&out_of_range).is_err());
+        prop_assert!(m.gather_rows(&out_of_range).is_err());
     }
 
     #[test]

@@ -125,6 +125,21 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
+
+    /// Converts into a [`BytesMut`] holding the view, without copying, if
+    /// this is the only handle to the allocation; otherwise returns `self`.
+    /// How a finished buffer is reclaimed for reuse.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Self { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut buf) => {
+                buf.truncate(end);
+                buf.drain(..start);
+                Ok(BytesMut { buf })
+            }
+            Err(data) => Err(Self { data, start, end }),
+        }
+    }
 }
 
 impl Default for Bytes {
@@ -212,13 +227,36 @@ impl BytesMut {
     }
 }
 
+/// Takes the vector over: its bytes are the buffer's contents and its
+/// capacity is the buffer's.
+impl From<Vec<u8>> for BytesMut {
+    fn from(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+}
+
+/// Hands the buffer's allocation back as a vector, without copying.
+impl From<BytesMut> for Vec<u8> {
+    fn from(b: BytesMut) -> Self {
+        b.buf
+    }
+}
+
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.buf
     }
 }
 
+impl AsMut<[u8]> for BytesMut {
+    #[inline]
+    fn as_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+}
+
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
@@ -288,6 +326,26 @@ mod tests {
         }
         assert_eq!(b.len(), 4097);
         assert_eq!(b.freeze().as_ref().as_ptr(), at);
+    }
+
+    #[test]
+    fn a_unique_handle_gives_its_allocation_back() {
+        let mut b = BytesMut::from(Vec::with_capacity(64));
+        b.put_slice(&[1, 2, 3, 4]);
+        let at = b.as_ref().as_ptr();
+        let frozen = b.freeze();
+        let shared = frozen.clone();
+        let frozen = frozen.try_into_mut().expect_err("a second handle keeps it shared");
+        drop(shared);
+        let back = Vec::from(frozen.try_into_mut().expect("the last handle owns it"));
+        assert_eq!((back.as_ptr(), back.capacity(), back.as_slice()), (at, 64, &[1, 2, 3, 4][..]));
+        // A view keeps only its own bytes.
+        let view = {
+            let mut whole = Bytes::from(vec![0, 1, 2, 3, 4, 5]);
+            whole.advance(2);
+            whole.slice(0..3)
+        };
+        assert_eq!(Vec::from(view.try_into_mut().expect("unique")), vec![2, 3, 4]);
     }
 
     #[test]

@@ -75,8 +75,13 @@ fn shards(n_clients: usize) -> Vec<Table> {
 /// Train the same data/config/seed over both backends and demand
 /// bit-identical weights and identical byte accounting.
 fn assert_backends_equivalent(n_clients: usize, unix: bool, tag: &str) {
+    assert_equivalent_under(GtvConfig::smoke(), n_clients, unix, tag);
+}
+
+/// [`assert_backends_equivalent`] under `config`.
+fn assert_equivalent_under(config: GtvConfig, n_clients: usize, unix: bool, tag: &str) {
     let rounds = 2;
-    let mut inproc = GtvTrainer::new(shards(n_clients), GtvConfig::smoke());
+    let mut inproc = GtvTrainer::new(shards(n_clients), config.clone());
     for _ in 0..rounds {
         inproc.train_round().expect("in-process round");
     }
@@ -84,7 +89,7 @@ fn assert_backends_equivalent(n_clients: usize, unix: bool, tag: &str) {
     let fleet = Fleet::spawn(n_clients, unix, tag);
     let transport = SocketTransport::connect(n_clients, fleet.endpoints.clone())
         .expect("connect to loopback fleet");
-    let mut socketed = GtvTrainer::with_transport(shards(n_clients), GtvConfig::smoke(), transport)
+    let mut socketed = GtvTrainer::with_transport(shards(n_clients), config, transport)
         .expect("seed negotiation over sockets");
     for _ in 0..rounds {
         socketed.train_round().expect("socket round");
@@ -119,6 +124,17 @@ fn three_party_tcp_matches_in_process() {
 #[test]
 fn three_party_unix_matches_in_process() {
     assert_backends_equivalent(3, true, "uds3");
+}
+
+#[test]
+fn faithful_three_party_unix_matches_in_process() {
+    // The privacy-preserving real path: every non-selected client uploads
+    // its whole table, written straight into the frame the server reads its
+    // idx_p rows out of — with and without DP noise on the upload.
+    for (dp_noise_sigma, tag) in [(0.0, "faithful"), (0.5, "faithful-dp")] {
+        let config = GtvConfig { faithful_real_path: true, dp_noise_sigma, ..GtvConfig::smoke() };
+        assert_equivalent_under(config, 3, true, tag);
+    }
 }
 
 #[test]
