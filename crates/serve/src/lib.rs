@@ -22,6 +22,11 @@
 //!   `gtv_vfl::socket`, the one socket layer the party transport also
 //!   runs on; this crate adds no socket code of its own.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
+)]
+
 mod engine;
 mod registry;
 mod server;

@@ -28,6 +28,10 @@
 //! socket run are comparable (and testably equal) to an in-process run.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
+)]
 
 use crate::transport::{Fault, Meter, NetStats, PartyId, Transport, TransportError};
 use crate::wire::{Message, WireCodec};
@@ -175,32 +179,39 @@ pub mod framing {
         out.extend_from_slice(&s.as_bytes()[..n]);
     }
 
-    fn put_party(out: &mut Vec<u8>, p: PartyId) {
+    fn put_party(out: &mut Vec<u8>, p: PartyId) -> Result<(), TransportError> {
         match p {
             PartyId::Server => {
                 out.push(0);
                 put_u32(out, 0);
             }
             PartyId::Client(i) => {
+                let idx = u32::try_from(i)
+                    .map_err(|_| bad(format!("client index {i} exceeds the wire's u32")))?;
                 out.push(1);
-                // debug_assert!(i <= u32::MAX as usize): rosters are tiny.
-                debug_assert!(u32::try_from(i).is_ok(), "client index fits the wire");
-                put_u32(out, i as u32);
+                put_u32(out, idx);
             }
             PartyId::Public => {
                 out.push(2);
                 put_u32(out, 0);
             }
         }
+        Ok(())
     }
 
     /// A `Deliver`/`Msg` body: opcode, sender, then the message bytes,
     /// reserved in one step so a multi-megabyte payload grows the buffer once.
-    fn put_carried(out: &mut Vec<u8>, op: u8, from: PartyId, payload: &[u8]) {
+    fn put_carried(
+        out: &mut Vec<u8>,
+        op: u8,
+        from: PartyId,
+        payload: &[u8],
+    ) -> Result<(), TransportError> {
         out.reserve(6 + payload.len());
         out.push(op);
-        put_party(out, from);
+        put_party(out, from)?;
         out.extend_from_slice(payload);
+        Ok(())
     }
 
     fn bad(detail: String) -> TransportError {
@@ -302,7 +313,7 @@ pub mod framing {
                     out.push(0);
                     put_u32(out, *protocol);
                     put_u32(out, *wire);
-                    put_party(out, *party);
+                    put_party(out, *party)?;
                 }
                 Frame::HelloAck { protocol, wire } => {
                     out.push(1);
@@ -313,14 +324,14 @@ pub mod framing {
                     out.push(2);
                     put_short_str(out, reason, MAX_REASON);
                 }
-                Frame::Deliver { from, payload } => put_carried(out, 3, *from, payload),
+                Frame::Deliver { from, payload } => put_carried(out, 3, *from, payload)?,
                 Frame::DeliverAck => out.push(4),
                 Frame::RecvReq { timeout_ms } => {
                     out.push(5);
                     put_u64(out, *timeout_ms);
                 }
                 Frame::TryRecvReq => out.push(6),
-                Frame::Msg { from, payload } => put_carried(out, 7, *from, payload),
+                Frame::Msg { from, payload } => put_carried(out, 7, *from, payload)?,
                 Frame::Empty => out.push(8),
                 Frame::TimedOut => out.push(9),
             }
@@ -364,10 +375,10 @@ pub mod framing {
         let mut out = vec![0u8; 4];
         frame.encode_body(&mut out)?;
         let len = out.len() - 4;
-        if len > MAX_FRAME_BODY {
-            return Err(bad(format!("frame body of {len} bytes exceeds {MAX_FRAME_BODY}")));
+        match u32::try_from(len) {
+            Ok(prefix) if len <= MAX_FRAME_BODY => out[..4].copy_from_slice(&prefix.to_le_bytes()),
+            _ => return Err(bad(format!("frame body of {len} bytes exceeds {MAX_FRAME_BODY}"))),
         }
-        out[..4].copy_from_slice(&(len as u32).to_le_bytes());
         Ok(out)
     }
 
@@ -1230,14 +1241,13 @@ impl Transport for SocketTransport {
         if self.is_dead(party) {
             return Err(TransportError::PeerDisconnected { party });
         }
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
         if self.local.lock().contains_key(&party) {
             // Sleep-poll in 1 ms ticks instead of reading a wall clock
-            // (denied on library paths by the determinism lint). Local
-            // inboxes are filled by this process's own sends, so the first
-            // check succeeds in the healthy case.
-            let millis = timeout.as_millis();
-            let mut remaining =
-                if millis > u128::from(u64::MAX) { u64::MAX } else { millis as u64 };
+            // (denied on library paths by `clippy.toml`'s `disallowed-methods`).
+            // Local inboxes are filled by this process's own sends, so the
+            // first check succeeds in the healthy case.
+            let mut remaining = timeout_ms;
             loop {
                 if let Some(inbox) = self.local.lock().get_mut(&party) {
                     if let Some(entry) = inbox.pop_front() {
@@ -1257,8 +1267,6 @@ impl Transport for SocketTransport {
         if !self.remotes.lock().contains_key(&party) {
             return Err(TransportError::UnknownParty(party));
         }
-        let millis = timeout.as_millis();
-        let timeout_ms = if millis > u128::from(u64::MAX) { u64::MAX } else { millis as u64 };
         // The node waits `timeout_ms` then answers `TimedOut`; our own read
         // deadline only fires if the node itself stopped responding.
         match self.transact(

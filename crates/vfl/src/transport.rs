@@ -18,6 +18,10 @@
 //! protocol), through the same [`Meter`] bookkeeping.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
+)]
 
 use crate::wire::{DecodeMessageError, Message, WireCodec};
 use bytes::Bytes;
@@ -548,6 +552,7 @@ impl Permuter {
         let mut state = self.seed ^ self.calls.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut idx: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
+            #[expect(clippy::cast_possible_truncation, reason = "the remainder is at most `i`")]
             let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
             idx.swap(i, j);
         }

@@ -22,6 +22,10 @@
 //! message hands the frame on.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
+)]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::borrow::Cow;
@@ -510,6 +514,10 @@ impl Message {
             }
             Message::CondUpload { indices, .. } | Message::IndexShare { indices } => {
                 debug_assert!(indices.len() <= u32::MAX as usize, "index count exceeds wire width");
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "an index list names rows of one table, far fewer than 2^32"
+                )]
                 buf.put_u32_le(indices.len() as u32);
                 for &i in indices {
                     buf.put_u32_le(i);
@@ -638,6 +646,10 @@ fn put_matrix_sparse(buf: &mut BytesMut, m: &MatrixPayload, nnz: usize) {
     buf.put_u32_le(m.rows);
     buf.put_u32_le(m.cols);
     debug_assert!(nnz <= u32::MAX as usize, "sparse entry count exceeds wire width");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "nnz counts entries of a matrix, far fewer than 2^32 (16 GiB dense)"
+    )]
     buf.put_u32_le(nnz as u32);
     // One (index, value) pair per stored entry, in strictly increasing
     // index order — the canonical form the decoder enforces. The nonzero
@@ -649,6 +661,10 @@ fn put_matrix_sparse(buf: &mut BytesMut, m: &MatrixPayload, nnz: usize) {
         }
         debug_assert!(i <= u32::MAX as usize, "sparse entry index exceeds wire width");
         let mut pair = [0u8; 8];
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "i indexes a matrix, far fewer than 2^32 entries (16 GiB dense)"
+        )]
         pair[..4].copy_from_slice(&(i as u32).to_le_bytes());
         pair[4..].copy_from_slice(&bits.to_le_bytes());
         buf.put_slice(&pair);
@@ -838,12 +854,12 @@ mod tests {
         assert!(Message::decode(buf.freeze()).is_err());
     }
 
-    /// One small message per variant. The matrix is 2×4 with two stored
-    /// entries (`-0.0` and `1.5`), so `Adaptive` gives it the sparse body
-    /// (13 + 16 < 9 + 32 bytes).
+    /// One small message per variant, each at its [`golden_index`]. The
+    /// matrix is 2×4 with two stored entries (`-0.0` and `1.5`), so
+    /// `Adaptive` gives it the sparse body (13 + 16 < 9 + 32 bytes).
     fn golden_messages() -> Vec<Message> {
         let m = || MatrixPayload::new(2, 4, vec![0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.0]);
-        vec![
+        let msgs = vec![
             Message::RoundStart { round: 0x0102_0304_0506_0708, selected: 3 },
             Message::CondUpload { cv: m(), indices: vec![7, 0x0a0b_0c0d] },
             Message::GenSlice(m()),
@@ -854,7 +870,30 @@ mod tests {
             Message::SyntheticShare(m()),
             Message::ShuffleSeedShare { share: 0xdead_beef_0bad_f00d },
             Message::IndexShare { indices: vec![1, 2, 0xffff_ffff] },
-        ]
+        ];
+        for (i, msg) in msgs.iter().enumerate() {
+            assert_eq!(golden_index(msg), i, "golden message {i} is a {}", msg.kind());
+        }
+        msgs
+    }
+
+    /// Where `m`'s variant sits in [`golden_messages`] and [`GOLDEN_HEX`].
+    /// No wildcard: a new variant does not compile until it has an arm
+    /// here, a golden message and golden bytes, and `roundtrip_all_variants`
+    /// then fails until it has a decode arm.
+    fn golden_index(m: &Message) -> usize {
+        match m {
+            Message::RoundStart { .. } => 0,
+            Message::CondUpload { .. } => 1,
+            Message::GenSlice(_) => 2,
+            Message::SynthLogits(_) => 3,
+            Message::RealLogits(_) => 4,
+            Message::GradLogits(_) => 5,
+            Message::GradGenSlice(_) => 6,
+            Message::SyntheticShare(_) => 7,
+            Message::ShuffleSeedShare { .. } => 8,
+            Message::IndexShare { .. } => 9,
+        }
     }
 
     /// `(dense, adaptive)` encodings of [`golden_messages`] in hex, as the

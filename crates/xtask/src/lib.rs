@@ -1,5 +1,5 @@
 //! Source-level static analysis enforcing the GTV protocol invariants that
-//! clippy cannot express.
+//! the compiler cannot express.
 //!
 //! The GTV protocol's privacy argument (training-with-shuffling, §3.1.5 of
 //! the paper) holds only if every shuffle and sample draw is seeded and
@@ -10,26 +10,21 @@
 //! `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic,
 //! clippy::unreachable)]`, the metric crates `#![deny(clippy::float_cmp)]`,
 //! and every `#[allow]` needs a `reason` (`allow_attributes_without_reason`).
-//! This crate is a dependency-free analyzer over the workspace sources for
-//! the rest:
+//! The wire files and `gtv-serve` deny clippy's cast lints, the wire tests
+//! match every `Message` variant with no wildcard, and the Cargo manifests
+//! are the crate layering. This crate is a dependency-free analyzer over the
+//! workspace sources for the rest:
 //!
 //! * **L2 `determinism`** — lane-level SIMD (`[f32; 8]`, `[f64; 4]`,
 //!   `[f64; 8]`, `chunks_exact(8)`) only in `crates/tensor/src/simd.rs`,
 //!   and no raw allocation (`Vec::with_capacity`, `vec![0.0`) in the
 //!   kernel hot path `crates/tensor/src/kernels.rs`;
-//! * **L4 `wire`** — every variant of `enum Message` in
-//!   `crates/vfl/src/wire.rs` has both an encode and a decode arm;
 //! * **L6 `privacy-flow`** — shuffle-seed material (the secret roots in
 //!   [`passes`]) is never reachable from server-side code and never routed
 //!   into a logging/IO sink outside the sanctioned client↔client path;
 //! * **L7 `rng-provenance`** — every `seed_from_u64` / `from_seed` call
 //!   outside tests and `crates/bench` derives its argument from a value
 //!   named `seed`/`round`, never a literal or ambient source;
-//! * **L8 `cast-safety`** — narrowing `as` casts on wire/transport paths
-//!   (including every `crates/serve/src/` source) carry an adjacent bounds
-//!   guard or a justified allow;
-//! * **L9 `layering`** — the crate dependency DAG is enforced at the
-//!   `use`-statement (and qualified-path) level;
 //! * **L10 `protocol-order`** — every send/recv sequence extracted from
 //!   `crates/core/src/trainer.rs` and `crates/vfl/src/{transport,socket}.rs`
 //!   is a path through the declared round machine in [`protocol`], every
@@ -46,14 +41,15 @@
 //!   unordered `HashMap`/`HashSet` iteration must never flow into tensor
 //!   kernels, RNG seeds, or wire payloads.
 //!
-//! L2 and L4 are line-lexer rules. L6–L12 run on the item-level engine: the
+//! L2 is a line-lexer rule. L6–L12 run on the item-level engine: the
 //! [`parse`] module's recursive-descent parser extracts items (structs and
-//! enums with field types, fns with bodies, imports), [`model`] builds
-//! the type-containment and approximate call/reference graphs, and
+//! enums with field types, fns with bodies), [`model`] builds the
+//! type-containment and approximate call/reference graphs, and
 //! [`dataflow`] layers flow-sensitive per-function taint tracking with
 //! memoized interprocedural summaries on top (L6's sink half, L7, L11 and
 //! L12 are taint-driven; the name-registry halves of L6 remain as drift
-//! guards). The rule numbers of the retired L1, L3 and L5 stay unused.
+//! guards). The rule numbers of the retired L1, L3, L4, L5, L8 and L9 stay
+//! unused: the compiler holds those properties (DESIGN.md §7).
 //!
 //! A finding on line *N* is suppressed by an inline escape hatch on line
 //! *N* or *N−1*:
@@ -77,23 +73,18 @@ pub(crate) mod parse;
 pub(crate) mod passes;
 pub mod protocol;
 
-/// The lint rules that clippy cannot hold (L1, L3 and L5 moved to clippy).
+/// The lint rules the compiler cannot hold (L1, L3, L4, L5, L8 and L9 moved
+/// to rustc and clippy).
 ///
 /// `Ord` follows declaration order and is part of the finding sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// L2: lane-level SIMD and kernel buffers stay in their sanctioned homes.
     Determinism,
-    /// L4: wire-format exhaustiveness.
-    Wire,
     /// L6: shuffle-seed material stays off server-side and logging paths.
     PrivacyFlow,
     /// L7: RNG seeds derive from named seed/round values.
     RngProvenance,
-    /// L8: narrowing casts on wire paths carry bounds guards.
-    CastSafety,
-    /// L9: the crate dependency DAG admits no upward references.
-    Layering,
     /// L10: trainer/transport send/recv order follows the protocol machine.
     ProtocolOrder,
     /// L11: raw feature columns never reach a wire sink unencoded.
@@ -107,11 +98,8 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::Determinism => "determinism",
-            Rule::Wire => "wire",
             Rule::PrivacyFlow => "privacy-flow",
             Rule::RngProvenance => "rng-provenance",
-            Rule::CastSafety => "cast-safety",
-            Rule::Layering => "layering",
             Rule::ProtocolOrder => "protocol-order",
             Rule::RawEgress => "raw-egress",
             Rule::NondetFlow => "nondet-flow",
@@ -122,11 +110,8 @@ impl Rule {
     pub fn label(self) -> &'static str {
         match self {
             Rule::Determinism => "L2/determinism",
-            Rule::Wire => "L4/wire",
             Rule::PrivacyFlow => "L6/privacy-flow",
             Rule::RngProvenance => "L7/rng-provenance",
-            Rule::CastSafety => "L8/cast-safety",
-            Rule::Layering => "L9/layering",
             Rule::ProtocolOrder => "L10/protocol-order",
             Rule::RawEgress => "L11/raw-egress",
             Rule::NondetFlow => "L12/nondet-flow",
@@ -201,7 +186,7 @@ pub(crate) struct FileUnit {
     pub(crate) crate_ident: String,
     /// Lexed source lines.
     pub(crate) lines: Vec<LexedLine>,
-    /// Parsed items (imports, types, fns).
+    /// Parsed items (types, fns).
     pub(crate) ast: parse::FileAst,
 }
 
@@ -506,14 +491,9 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     let mut findings = Vec::new();
     for u in &units {
         lint_determinism(&u.rel, &u.rel_str, &u.lines, &mut findings);
-        if u.rel_str == "crates/vfl/src/wire.rs" {
-            lint_wire(&u.rel, &u.lines, &mut findings);
-        }
     }
     passes::lint_privacy_flow(&units, &engine, &mut findings);
     passes::lint_rng_provenance(&engine, &mut findings);
-    passes::lint_cast_safety(&units, &mut findings);
-    passes::lint_layering(&units, &mut findings);
     protocol::lint_protocol_order(&units, &mut findings);
     dataflow::lint_raw_egress(&engine, &mut findings);
     dataflow::lint_nondet_flow(&engine, &mut findings);
@@ -532,30 +512,26 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
 /// in declaration order. Public so the protocol-machine drift test can tie
 /// [`protocol::PROTOCOL_EDGES`] to the real wire format.
 pub fn message_variants(root: &Path) -> Result<Vec<String>, LintError> {
-    let path = root.join("crates/vfl/src/wire.rs");
-    let source = std::fs::read_to_string(&path)
-        .map_err(|e| LintError { message: format!("cannot read {}: {e}", path.display()) })?;
-    let ast = parse::parse_file(&lex(&source));
-    Ok(ast
-        .types
-        .iter()
-        .find(|t| t.is_enum && t.name == "Message")
-        .map(|t| t.variants.clone())
-        .unwrap_or_default())
+    enum_variants(&root.join("crates/vfl/src/wire.rs"), "Message")
 }
 
 /// The variants of `enum ServeFrame` in `crates/serve/src/wire.rs` under
 /// `root`, in declaration order. Public so the protocol-machine drift test
 /// can tie [`protocol::SERVE_EDGES`] to the real serving wire format.
 pub fn serve_frame_variants(root: &Path) -> Result<Vec<String>, LintError> {
-    let path = root.join("crates/serve/src/wire.rs");
-    let source = std::fs::read_to_string(&path)
+    enum_variants(&root.join("crates/serve/src/wire.rs"), "ServeFrame")
+}
+
+/// The variants of `enum <name>` in the source file at `path`, in
+/// declaration order (empty if the file declares no such enum).
+fn enum_variants(path: &Path, name: &str) -> Result<Vec<String>, LintError> {
+    let source = std::fs::read_to_string(path)
         .map_err(|e| LintError { message: format!("cannot read {}: {e}", path.display()) })?;
     let ast = parse::parse_file(&lex(&source));
     Ok(ast
         .types
         .iter()
-        .find(|t| t.is_enum && t.name == "ServeFrame")
+        .find(|t| t.is_enum && t.name == name)
         .map(|t| t.variants.clone())
         .unwrap_or_default())
 }
@@ -618,98 +594,6 @@ fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &m
     }
 }
 
-/// L4: every `Message` variant must appear in both `encode` and `decode`.
-fn lint_wire(rel: &Path, lines: &[LexedLine], findings: &mut Vec<Finding>) {
-    // Collect variant names from the `enum Message { .. }` body.
-    let mut variants: Vec<(String, usize)> = Vec::new();
-    let mut i = 0;
-    let mut in_enum = false;
-    let mut enum_depth = 0i64;
-    let mut depth = 0i64;
-    while i < lines.len() {
-        let code = &lines[i].code;
-        if !in_enum && code.contains("enum Message") {
-            in_enum = true;
-            enum_depth = depth + 1;
-        }
-        for c in code.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    if in_enum && depth == enum_depth {
-                        in_enum = false;
-                    }
-                    depth -= 1;
-                }
-                _ => {}
-            }
-        }
-        if in_enum && depth == enum_depth {
-            let trimmed = code.trim_start();
-            let name: String =
-                trimmed.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !name.is_empty()
-                && name.chars().next().map(|c| c.is_ascii_uppercase()).unwrap_or(false)
-                && trimmed[name.len()..].trim_start().starts_with(['(', '{', ','])
-            {
-                variants.push((name, i));
-            }
-        }
-        i += 1;
-    }
-    if variants.is_empty() {
-        return;
-    }
-    // Extract the bodies of `fn encode` and `fn decode` by brace matching.
-    let body_of = |needle: &str| -> String {
-        let mut out = String::new();
-        let mut d = 0i64;
-        let mut active = false;
-        let mut started = false;
-        for line in lines {
-            if !active && !started && line.code.contains(needle) {
-                active = true;
-            }
-            if active {
-                out.push_str(&line.code);
-                out.push('\n');
-                for c in line.code.chars() {
-                    match c {
-                        '{' => {
-                            d += 1;
-                            started = true;
-                        }
-                        '}' => d -= 1,
-                        _ => {}
-                    }
-                }
-                if started && d == 0 {
-                    break;
-                }
-            }
-        }
-        out
-    };
-    // Wire format v2 splits encoding into a `encode` convenience wrapper
-    // delegating to a codec-parameterized `encode_with`; the variant match
-    // may live in either, so exhaustiveness checks their union.
-    let encode_body = format!("{}\n{}", body_of("fn encode("), body_of("fn encode_with("));
-    let decode_body = body_of("fn decode(");
-    for (variant, idx) in &variants {
-        let qualified = format!("Message::{variant}");
-        for (body, fn_name) in [(&encode_body, "encode"), (&decode_body, "decode")] {
-            if !body.contains(&qualified) && !suppressed(lines, *idx, Rule::Wire, rel, findings) {
-                findings.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    rule: Rule::Wire,
-                    message: format!("`Message::{variant}` has no arm in `{fn_name}`"),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,8 +632,8 @@ mod tests {
         let mut extra = Vec::new();
         assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
         assert!(extra.is_empty(), "doc-comment allows are ignored, not reported as malformed");
-        let lines = lex("//! gtv-lint: allow(cast-safety) -- inner doc\nlet n = len as u32;\n");
-        assert!(!suppressed(&lines, 1, Rule::CastSafety, Path::new("x.rs"), &mut extra));
+        let lines = lex("//! gtv-lint: allow(determinism) -- inner doc\nlet t: [f64; 4] = x;\n");
+        assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
     }
 
     #[test]
@@ -777,13 +661,14 @@ mod tests {
 
     #[test]
     fn allow_requires_justification() {
+        let rule = Rule::RawEgress;
         assert_eq!(
-            allow_covers("// gtv-lint: allow(wire) -- negotiated at startup", Rule::Wire),
+            allow_covers("// gtv-lint: allow(raw-egress) -- encoded upstream", rule),
             Some(true)
         );
-        assert_eq!(allow_covers("// gtv-lint: allow(wire)", Rule::Wire), Some(false));
-        assert_eq!(allow_covers("// gtv-lint: allow(wire) --   ", Rule::Wire), Some(false));
-        assert_eq!(allow_covers("// unrelated", Rule::Wire), None);
-        assert_eq!(allow_covers("// gtv-lint: allow(layering) -- x", Rule::Wire), None);
+        assert_eq!(allow_covers("// gtv-lint: allow(raw-egress)", rule), Some(false));
+        assert_eq!(allow_covers("// gtv-lint: allow(raw-egress) --   ", rule), Some(false));
+        assert_eq!(allow_covers("// unrelated", rule), None);
+        assert_eq!(allow_covers("// gtv-lint: allow(nondet-flow) -- x", rule), None);
     }
 }

@@ -4,7 +4,7 @@
 //! cargo run -p gtv-xtask -- lint [--root <path>]
 //! ```
 //!
-//! `lint` runs the GTV static-analysis passes (the rules clippy cannot
+//! `lint` runs the GTV static-analysis passes (the rules the compiler cannot
 //! hold, see the crate docs) over the workspace and exits non-zero on any
 //! finding, printing one line per finding sorted by (file, line, rule).
 
@@ -16,19 +16,18 @@ const USAGE_EXIT: u8 = 2;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gtv-xtask lint [--root <path>]\n\n\
-         Runs the GTV protocol-invariant lints that clippy cannot hold:\n  \
+         Runs the GTV protocol-invariant lints that the compiler cannot hold:\n  \
          L2 determinism   lane-level SIMD ([f32; 8], [f64; 4], [f64; 8], chunks_exact(8)) only in\n  \
          \x20                 crates/tensor/src/simd.rs; no raw allocation in crates/tensor/src/kernels.rs\n  \
-         L4 wire          every Message variant has encode and decode arms\n  \
          L6 privacy-flow  shuffle-seed secrets unreachable from server code and logging sinks\n  \
          L7 rng-provenance  seed_from_u64/from_seed args derive from a seed/round value\n  \
-         L8 cast-safety   narrowing casts on wire/transport paths carry a bounds guard\n  \
-         L9 layering      crate imports respect the dependency DAG\n  \
          L10 protocol-order  trainer/transport and serve-session send-recv order follows the declared machines\n  \
          L11 raw-egress   raw partition columns never reach Message/wire encode unencoded\n  \
          L12 nondet-flow  env/time/thread-id/unordered-iteration values never reach kernels, seeds, wire\n\n\
-         Panics in protocol files, clock reads, thread spawns, float == in the metric crates\n\
-         and reason-less #[allow]s are clippy's: see clippy.toml and DESIGN.md §7.\n\n\
+         Panics in protocol files, clock reads, thread spawns, float == in the metric crates,\n\
+         reason-less #[allow]s and narrowing casts on the wire are clippy's, wire\n\
+         exhaustiveness is a wildcard-free match, layering is the Cargo manifests:\n\
+         see clippy.toml and DESIGN.md §7.\n\n\
          Suppress a finding with: // gtv-lint: allow(<rule>) -- <justification>"
     );
     ExitCode::from(USAGE_EXIT)

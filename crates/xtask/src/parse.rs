@@ -1,8 +1,8 @@
 //! Item-level recursive-descent parser over lexed source.
 //!
 //! Consumes the comment/string-stripped [`LexedLine`]s produced by the
-//! lexer and extracts the item structure the semantic passes (L6–L9) need:
-//! `use` imports, structs/enums with field types, and functions with their
+//! lexer and extracts the item structure the semantic passes need:
+//! structs/enums with field types, and functions with their
 //! parameter names, `impl` self-type, module path and full body token
 //! stream. The parser is best-effort and infallible: unrecognized syntax is
 //! skipped token-by-token, so a partially understood file still yields
@@ -44,17 +44,6 @@ impl Token {
     pub fn is_ident(&self, text: &str) -> bool {
         self.kind == TokKind::Ident && self.text == text
     }
-}
-
-/// A `use` declaration (all path idents in order, group braces flattened).
-#[derive(Debug, Clone)]
-pub struct Import {
-    /// Every identifier in the use path, in source order.
-    pub segments: Vec<String>,
-    /// 1-based line of the `use` keyword.
-    pub line: usize,
-    /// Whether the import sits inside a `#[cfg(test)]` item.
-    pub in_test: bool,
 }
 
 /// One struct field or enum-variant field.
@@ -120,8 +109,6 @@ impl FnItem {
 /// The parsed items of one source file.
 #[derive(Debug, Clone, Default)]
 pub struct FileAst {
-    /// `use` declarations.
-    pub imports: Vec<Import>,
     /// Struct/enum definitions.
     pub types: Vec<TypeItem>,
     /// Function items (free fns, impl methods, trait defaults).
@@ -299,7 +286,7 @@ impl Parser<'_> {
         while self.i < end {
             match self.text() {
                 "#" => self.skip_attr(),
-                "use" => self.parse_use(end),
+                "use" => self.skip_to_semi(end),
                 "mod" => self.parse_mod(end, module, self_type),
                 "fn" => self.parse_fn(end, module, self_type),
                 "struct" | "enum" | "union" => self.parse_type(end),
@@ -326,25 +313,6 @@ impl Parser<'_> {
             }
         }
         self.i = end;
-    }
-
-    fn parse_use(&mut self, end: usize) {
-        let line = self.t[self.i].line;
-        let in_test = self.t[self.i].in_test;
-        self.i += 1; // 'use'
-        let mut segments = Vec::new();
-        while self.i < end && self.text() != ";" {
-            if self.t[self.i].kind == TokKind::Ident {
-                segments.push(self.t[self.i].text.clone());
-            }
-            self.i += 1;
-        }
-        if self.i < end {
-            self.i += 1; // ';'
-        }
-        if !segments.is_empty() {
-            self.out.imports.push(Import { segments, line, in_test });
-        }
     }
 
     fn parse_mod(&mut self, end: usize, module: &[String], self_type: Option<&str>) {
@@ -840,12 +808,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_use_paths_including_groups() {
-        let ast = parse("use gtv_vfl::{negotiate_seed, Network};\nuse gtv_data::Table;\n");
-        assert_eq!(ast.imports.len(), 2);
-        assert_eq!(ast.imports[0].segments[0], "gtv_vfl");
-        assert!(ast.imports[0].segments.iter().any(|s| s == "negotiate_seed"));
-        assert_eq!(ast.imports[1].segments, vec!["gtv_data", "Table"]);
+    fn use_items_are_skipped_whole() {
+        let ast = parse("use gtv_vfl::{negotiate_seed, Network};\nfn after() {}\n");
+        assert_eq!(ast.fns.len(), 1);
+        assert_eq!(ast.fns[0].name, "after");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Semantic passes L6–L9, built on the item-level engine.
+//! Semantic passes L6 and L7, built on the item-level engine.
 //!
 //! These passes consume parsed items and the workspace graphs rather than
 //! raw lines, so they can reason about *where data flows*: which functions
-//! can reach shuffle-seed material, where RNG seeds come from, which casts
-//! sit on the wire path, and which crates may depend on which.
+//! can reach shuffle-seed material, and where RNG seeds come from.
 
 use crate::dataflow::{Sink, Taint, TaintEngine};
 use crate::model::secret_carriers;
-use crate::parse::{FnItem, TokKind, Token};
+use crate::parse::FnItem;
 use crate::{suppressed, FileUnit, Finding, Rule};
 
 // ---------------------------------------------------------------------------
@@ -37,52 +36,6 @@ pub(crate) const SINK_MACROS: &[&str] = &[
     "println", "print", "eprintln", "eprint", "write", "writeln", "dbg", "info", "warn", "error",
     "debug", "trace",
 ];
-
-/// Narrowing integer cast targets policed by L8 on wire/transport paths.
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Tokens that mark a line as a bounds guard for a nearby cast.
-const GUARD_MARKERS: &[&str] =
-    &["<", ">", "MAX", "try_from", "min", "debug_assert", "assert", "checked_mul", "checked_add"];
-
-/// How many lines above a cast a bounds guard may sit.
-const GUARD_WINDOW: usize = 8;
-
-/// The crate dependency DAG, enforced at the `use`/path level by L9.
-/// `"*"` marks a top-layer crate that may depend on everything.
-pub const LAYERS: &[(&str, &[&str])] = &[
-    ("gtv_tensor", &[]),
-    ("gtv_data", &[]),
-    ("gtv_nn", &["gtv_tensor"]),
-    ("gtv_encoders", &["gtv_data", "gtv_tensor"]),
-    ("gtv_metrics", &["gtv_data"]),
-    // The transport's pipelined fan-out encodes payloads on the sanctioned
-    // deterministic worker pool, so the VFL layer sits above the tensor
-    // runtime.
-    ("gtv_vfl", &["gtv_data", "gtv_tensor"]),
-    ("gtv_ml", &["gtv_data", "gtv_tensor", "gtv_nn"]),
-    ("gtv_cond", &["gtv_data", "gtv_encoders", "gtv_tensor"]),
-    ("gtv", &["gtv_tensor", "gtv_nn", "gtv_data", "gtv_encoders", "gtv_cond", "gtv_vfl"]),
-    // Serving sits above the umbrella: it loads trained synthesizers and
-    // re-uses the transport's endpoint/error vocabulary, but no lower
-    // layer may know about request coalescing.
-    ("gtv_serve", &["gtv", "gtv_tensor", "gtv_data", "gtv_vfl"]),
-    ("gtv_cli", &["*"]),
-    ("gtv_bench", &["*"]),
-    ("gtv_suite", &["*"]),
-    ("gtv_examples", &["*"]),
-    ("gtv_xtask", &[]),
-];
-
-/// Whether crate `owner` may reference crate `dep` under the layer DAG.
-/// `None` if `owner` is not in the registry (unknown crates are exempt).
-pub fn layer_allows(owner: &str, dep: &str) -> Option<bool> {
-    let (_, allowed) = LAYERS.iter().find(|(c, _)| *c == owner)?;
-    if owner == dep || allowed.contains(&"*") {
-        return Some(true);
-    }
-    Some(allowed.contains(&dep))
-}
 
 // ---------------------------------------------------------------------------
 // Scope helpers
@@ -305,247 +258,5 @@ pub fn lint_rng_provenance(engine: &TaintEngine, findings: &mut Vec<Finding>) {
                 ),
             });
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L8 cast-safety
-// ---------------------------------------------------------------------------
-
-/// L8: narrowing `as` casts on wire/transport encode/decode paths need an
-/// adjacent bounds guard (comparison, `MAX` check, `try_from`, clamp or
-/// assert naming the cast operand) or a justified allow.
-pub fn lint_cast_safety(units: &[FileUnit], findings: &mut Vec<Finding>) {
-    for unit in units {
-        if !unit.rel_str.starts_with("crates/") {
-            continue;
-        }
-        let stem = file_stem(unit);
-        // The serving crate is wire-adjacent end to end (frames in, frames
-        // out), so every one of its sources is in scope, not just `wire.rs`.
-        let serve = unit.rel_str.starts_with("crates/serve/src/");
-        if !serve
-            && !stem.contains("wire")
-            && !stem.contains("transport")
-            && !stem.contains("socket")
-        {
-            continue;
-        }
-        for f in &unit.ast.fns {
-            if f.in_test {
-                continue;
-            }
-            let body = &f.body;
-            for i in 0..body.len() {
-                if !(body[i].is_ident("as")
-                    && body
-                        .get(i + 1)
-                        .map(|n| NARROW_TARGETS.contains(&n.text.as_str()))
-                        .unwrap_or(false))
-                {
-                    continue;
-                }
-                let target = &body[i + 1].text;
-                let Some(root) = cast_operand_root(body, i) else {
-                    // Literal casts (`1 as u8`) are compile-time checked.
-                    continue;
-                };
-                let line = body[i].line;
-                if has_adjacent_guard(body, &root, line) {
-                    continue;
-                }
-                if !suppressed(&unit.lines, line - 1, Rule::CastSafety, &unit.rel, findings) {
-                    findings.push(Finding {
-                        file: unit.rel.clone(),
-                        line,
-                        rule: Rule::CastSafety,
-                        message: format!(
-                            "narrowing `as {target}` of `{root}` on a wire/transport path without an adjacent bounds guard; guard the range or `// gtv-lint: allow(cast-safety) -- why`"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Walks left from the `as` token over a postfix chain
-/// (`root.method().field as u32`) and returns the chain's root identifier.
-fn cast_operand_root(body: &[Token], as_idx: usize) -> Option<String> {
-    let mut j = as_idx;
-    let mut root: Option<String> = None;
-    while j > 0 {
-        j -= 1;
-        match body[j].text.as_str() {
-            ")" | "]" => {
-                // Skip the balanced group backwards.
-                let close = body[j].text.clone();
-                let open = if close == ")" { "(" } else { "[" };
-                let mut d = 1i64;
-                while j > 0 && d > 0 {
-                    j -= 1;
-                    if body[j].text == close {
-                        d += 1;
-                    } else if body[j].text == open {
-                        d -= 1;
-                    }
-                }
-            }
-            "." | "?" => {}
-            "*" | "&" => break, // deref/ref prefix ends the chain leftwards
-            _ => {
-                if body[j].kind == TokKind::Ident {
-                    root = Some(body[j].text.clone());
-                    // Keep walking: `a.b.c as u32` roots at `a`.
-                    if j == 0 || !matches!(body[j - 1].text.as_str(), "." | ":") {
-                        break;
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-    root
-}
-
-/// Whether a guard line naming `root` appears within the window above
-/// (or on) the cast line inside this body.
-fn has_adjacent_guard(body: &[Token], root: &str, cast_line: usize) -> bool {
-    let low = cast_line.saturating_sub(GUARD_WINDOW);
-    let mut lines_with_root = std::collections::HashSet::new();
-    let mut lines_with_marker = std::collections::HashSet::new();
-    for (i, t) in body.iter().enumerate() {
-        if t.line < low || t.line > cast_line {
-            continue;
-        }
-        if t.is_ident(root) {
-            lines_with_root.insert(t.line);
-        }
-        // `<`/`>` count as comparison guards only standalone: the `>` of a
-        // match arm `=>` or return type `->`, and shift halves (`<<`, `>>`),
-        // are not bounds checks.
-        let angle_as_comparison = (t.text == "<" || t.text == ">")
-            && !(i > 0 && matches!(body[i - 1].text.as_str(), "=" | "-" | "<" | ">"))
-            && !(body.get(i + 1).map(|n| n.text == "<" || n.text == ">").unwrap_or(false));
-        let non_angle_marker = t.text != "<"
-            && t.text != ">"
-            && (GUARD_MARKERS.contains(&t.text.as_str())
-                || (t.kind == TokKind::Ident && t.text.starts_with("debug_assert")));
-        if angle_as_comparison || non_angle_marker {
-            lines_with_marker.insert(t.line);
-        }
-    }
-    lines_with_root.iter().any(|l| lines_with_marker.contains(l) && *l < cast_line)
-        || (lines_with_root.contains(&cast_line)
-            && lines_with_marker.contains(&cast_line)
-            && body.iter().any(|t| {
-                t.line == cast_line
-                    && (t.text.starts_with("debug_assert")
-                        || t.text == "try_from"
-                        || t.text == "min")
-            }))
-}
-
-// ---------------------------------------------------------------------------
-// L9 layering
-// ---------------------------------------------------------------------------
-
-/// L9: the crate dependency DAG is enforced at the `use`-statement (and
-/// qualified-path) level — no lower layer may reference an upper one.
-pub fn lint_layering(units: &[FileUnit], findings: &mut Vec<Finding>) {
-    for unit in units {
-        let owner = unit.crate_ident.clone();
-        if owner.is_empty() {
-            continue;
-        }
-        let check = |dep: &str, line: usize, findings: &mut Vec<Finding>| {
-            if !(dep == "gtv" || dep.starts_with("gtv_")) {
-                return;
-            }
-            match layer_allows(&owner, dep) {
-                Some(true) | None => {}
-                Some(false) => {
-                    if !suppressed(&unit.lines, line - 1, Rule::Layering, &unit.rel, findings) {
-                        findings.push(Finding {
-                            file: unit.rel.clone(),
-                            line,
-                            rule: Rule::Layering,
-                            message: format!(
-                                "`{dep}` is not below `{owner}` in the layer DAG (tensor/data ← nn/encoders/metrics/vfl ← ml/cond ← core ← cli/bench); invert the dependency or move the code down"
-                            ),
-                        });
-                    }
-                }
-            }
-        };
-        for import in &unit.ast.imports {
-            if import.in_test {
-                // cfg(test) imports may use dev-dependencies, which sit
-                // outside the runtime layer DAG.
-                continue;
-            }
-            if let Some(first) = import.segments.first() {
-                check(first, import.line, findings);
-            }
-        }
-        for f in &unit.ast.fns {
-            if f.in_test {
-                continue;
-            }
-            for t in &f.body {
-                if t.kind == TokKind::Ident && (t.text == "gtv" || t.text.starts_with("gtv_")) {
-                    check(&t.text, t.line, findings);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn layer_registry_is_a_dag() {
-        // Kahn's algorithm over the registry; `*` entries depend on all
-        // non-`*` crates. A cycle would make the lint unsatisfiable.
-        let names: Vec<&str> = LAYERS.iter().map(|(n, _)| *n).collect();
-        let deps_of = |name: &str| -> Vec<&str> {
-            let (_, allowed) = LAYERS.iter().find(|(n, _)| *n == name).unwrap_or(&("", &[]));
-            if allowed.contains(&"*") {
-                names
-                    .iter()
-                    .filter(|n| {
-                        **n != name && !LAYERS.iter().any(|(c, a)| c == *n && a.contains(&"*"))
-                    })
-                    .copied()
-                    .collect()
-            } else {
-                allowed.to_vec()
-            }
-        };
-        let mut resolved: Vec<&str> = Vec::new();
-        let mut remaining: Vec<&str> = names.clone();
-        while !remaining.is_empty() {
-            let before = remaining.len();
-            remaining.retain(|name| {
-                let ready = deps_of(name).iter().all(|d| resolved.contains(d));
-                if ready {
-                    resolved.push(name);
-                }
-                !ready
-            });
-            assert!(remaining.len() < before, "layer registry has a cycle: {remaining:?}");
-        }
-    }
-
-    #[test]
-    fn layer_allows_follows_the_registry() {
-        assert_eq!(layer_allows("gtv_nn", "gtv_tensor"), Some(true));
-        assert_eq!(layer_allows("gtv_tensor", "gtv_nn"), Some(false));
-        assert_eq!(layer_allows("gtv_cli", "gtv"), Some(true), "top layer may use everything");
-        assert_eq!(layer_allows("gtv", "gtv_ml"), Some(false), "core may not reach up to ml");
-        assert_eq!(layer_allows("not_a_crate", "gtv"), None);
     }
 }

@@ -1,6 +1,5 @@
 //! Clean fixture: a pipelined fan-out that parallelizes through the
-//! deterministic worker pool — L9 must accept the vfl → tensor layering
-//! edge.
+//! deterministic worker pool — no nondeterminism reaches the payloads.
 
 /// Encodes every payload concurrently on the pool; results come back in
 /// input order regardless of worker count.

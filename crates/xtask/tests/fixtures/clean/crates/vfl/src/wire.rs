@@ -1,8 +1,8 @@
 //! Clean fixture: exhaustive wire handling, no denied tokens. Mirrors the
 //! wire-format-v2 shape: `encode` is a thin wrapper and the variant match
-//! lives in the codec-parameterized `encode_with` — L4 must accept the
-//! union of both bodies. The enum carries the full protocol vocabulary so
-//! the L10 drift check (machine ↔ wire bijection) stays quiet.
+//! lives in the codec-parameterized `encode_with`. The enum carries the
+//! full protocol vocabulary so the L10 drift check (machine ↔ wire
+//! bijection) stays quiet.
 
 pub enum Codec {
     Dense,

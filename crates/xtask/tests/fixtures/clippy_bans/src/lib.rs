@@ -56,6 +56,18 @@ pub mod metrics {
     }
 }
 
+/// L8, declared the way the wire files and `gtv-serve` declare it.
+pub mod wire_path {
+    #![cfg_attr(
+        not(test),
+        deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
+    )]
+
+    pub fn length_prefix(body: &[u8]) -> u32 {
+        body.len() as u32
+    }
+}
+
 /// L5: an `allow` without a `reason`.
 #[allow(clippy::needless_range_loop)]
 pub fn total(xs: &[f64]) -> f64 {

@@ -1,6 +1,6 @@
 //! Known-bad fixture for the L10 drift check: `MaskedUpload` (the Sun et
-//! al. masked-payload extension) has encode/decode arms — L4 is satisfied —
-//! but no edge in the declared protocol machine.
+//! al. masked-payload extension) has encode/decode arms but no edge in the
+//! declared protocol machine.
 
 pub enum Message {
     RoundStart { round: u64 },

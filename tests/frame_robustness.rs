@@ -217,45 +217,88 @@ proptest! {
     }
 }
 
+/// `exemplars`, checked to exemplify every variant in declaration order:
+/// `variant` is a match with no wildcard giving each frame's place, so a new
+/// variant does not compile until it has an arm, an exemplar and a golden
+/// hex pin.
+fn every_variant<F: Debug>(exemplars: Vec<F>, variant: fn(&F) -> usize) -> Vec<F> {
+    let mut seen: Vec<usize> = exemplars.iter().map(variant).collect();
+    seen.dedup();
+    assert_eq!(seen, (0..seen.len()).collect::<Vec<_>>(), "{exemplars:?}");
+    exemplars
+}
+
+fn party_variant(f: &Frame) -> usize {
+    match f {
+        Frame::Hello { .. } => 0,
+        Frame::HelloAck { .. } => 1,
+        Frame::HelloReject { .. } => 2,
+        Frame::Deliver { .. } => 3,
+        Frame::DeliverAck => 4,
+        Frame::RecvReq { .. } => 5,
+        Frame::TryRecvReq => 6,
+        Frame::Msg { .. } => 7,
+        Frame::Empty => 8,
+        Frame::TimedOut => 9,
+    }
+}
+
+fn serve_variant(f: &ServeFrame) -> usize {
+    match f {
+        ServeFrame::SynthHello { .. } => 0,
+        ServeFrame::SynthHelloAck { .. } => 1,
+        ServeFrame::SynthRequest { .. } => 2,
+        ServeFrame::SynthRows { .. } => 3,
+        ServeFrame::SynthBusy { .. } => 4,
+        ServeFrame::SynthErr { .. } => 5,
+    }
+}
+
 fn party_exemplars() -> Vec<Frame> {
-    vec![
-        Frame::Hello { protocol: 1, wire: 2, party: PartyId::Client(3) },
-        Frame::HelloAck { protocol: 1, wire: 2 },
-        Frame::HelloReject { reason: "nope".to_string() },
-        Frame::Deliver { from: PartyId::Server, payload: Bytes::from(vec![1, 2, 3]) },
-        Frame::DeliverAck,
-        Frame::RecvReq { timeout_ms: 1500 },
-        Frame::TryRecvReq,
-        Frame::Msg { from: PartyId::Public, payload: Bytes::from(vec![9]) },
-        Frame::Empty,
-        Frame::TimedOut,
-    ]
+    every_variant(
+        vec![
+            Frame::Hello { protocol: 1, wire: 2, party: PartyId::Client(3) },
+            Frame::HelloAck { protocol: 1, wire: 2 },
+            Frame::HelloReject { reason: "nope".to_string() },
+            Frame::Deliver { from: PartyId::Server, payload: Bytes::from(vec![1, 2, 3]) },
+            Frame::DeliverAck,
+            Frame::RecvReq { timeout_ms: 1500 },
+            Frame::TryRecvReq,
+            Frame::Msg { from: PartyId::Public, payload: Bytes::from(vec![9]) },
+            Frame::Empty,
+            Frame::TimedOut,
+        ],
+        party_variant,
+    )
 }
 
 fn serve_exemplars() -> Vec<ServeFrame> {
-    vec![
-        ServeFrame::SynthHello { protocol: SERVE_PROTOCOL },
-        ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL },
-        ServeFrame::SynthRequest {
-            id: 7,
-            model: "loan".to_string(),
-            n: 128,
-            seed: 42,
-            cond: Some(WireCond { client: 1, column: 3, category: 2 }),
-            deadline_ticks: 16,
-        },
-        ServeFrame::SynthRequest {
-            id: 8,
-            model: "adult".to_string(),
-            n: 1,
-            seed: 0,
-            cond: None,
-            deadline_ticks: u64::MAX,
-        },
-        ServeFrame::SynthRows { id: 7, csv: b"a,b\n1,2\n".to_vec() },
-        ServeFrame::SynthBusy { id: 9, depth: 256, retry_after_ticks: 2 },
-        ServeFrame::SynthErr { id: 9, reason: "unknown model \"x\"".to_string() },
-    ]
+    every_variant(
+        vec![
+            ServeFrame::SynthHello { protocol: SERVE_PROTOCOL },
+            ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL },
+            ServeFrame::SynthRequest {
+                id: 7,
+                model: "loan".to_string(),
+                n: 128,
+                seed: 42,
+                cond: Some(WireCond { client: 1, column: 3, category: 2 }),
+                deadline_ticks: 16,
+            },
+            ServeFrame::SynthRequest {
+                id: 8,
+                model: "adult".to_string(),
+                n: 1,
+                seed: 0,
+                cond: None,
+                deadline_ticks: u64::MAX,
+            },
+            ServeFrame::SynthRows { id: 7, csv: b"a,b\n1,2\n".to_vec() },
+            ServeFrame::SynthBusy { id: 9, depth: 256, retry_after_ticks: 2 },
+            ServeFrame::SynthErr { id: 9, reason: "unknown model \"x\"".to_string() },
+        ],
+        serve_variant,
+    )
 }
 
 /// Wire bytes (length prefix included) of [`party_exemplars`], taken from

@@ -48,7 +48,7 @@ step "cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "clippy bans fire on their fixture"
-# The panic, clock/thread, float-eq and allow-reason rules are clippy
+# The panic, clock/thread, float-eq, cast and allow-reason rules are clippy
 # configuration (DESIGN.md §7). The fixture crate breaks each once, plus a
 # UFCS unwrap and a float `==` between two variables; clippy must fail on it
 # and report each lint as often as the fixture breaks it. Its own target
@@ -60,7 +60,8 @@ if out="$(cargo clippy --offline -q --manifest-path "$bans/Cargo.toml" \
     exit 1
 fi
 for expected in unwrap_used:2 expect_used:1 panic:1 unreachable:1 \
-        disallowed_methods:4 float_cmp:2 allow_attributes_without_reason:1; do
+        disallowed_methods:4 float_cmp:2 cast_possible_truncation:1 \
+        allow_attributes_without_reason:1; do
     lint="${expected%:*}"
     want="${expected#*:}"
     got="$(grep -c "index.html#$lint\$" <<<"$out" || true)"
@@ -72,7 +73,8 @@ for expected in unwrap_used:2 expect_used:1 panic:1 unreachable:1 \
 done
 
 step "gtv-xtask lint"
-# The protocol-invariant passes clippy cannot express (L2, L4, L6-L12).
+# The protocol-invariant passes the compiler cannot express (L2, L6, L7,
+# L10-L12).
 cargo run -q -p gtv-xtask -- lint
 
 step "cargo test -q"
