@@ -1071,12 +1071,34 @@ fn draw_constructor<C>(eligible: Vec<(f64, C)>, rng: &mut StdRng) -> Option<C> {
 mod tests {
     use super::*;
     use gtv_data::Dataset;
-    use gtv_vfl::WireCodec;
+    use gtv_vfl::{Edge, RoundState, WireCodec};
 
     fn two_client_shards(rows: usize) -> Vec<Table> {
         let t = Dataset::Loan.generate(rows, 0);
         let n = t.n_cols();
         t.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()])
+    }
+
+    /// Two 50-row shards with no categorical column anywhere: no CV, no
+    /// `D^s`, no conditional loss.
+    fn continuous_shards() -> Vec<Table> {
+        use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema};
+        let make = |names: &[&str], seed: u64| {
+            let metas = names.iter().map(|n| ColumnMeta::new(*n, ColumnKind::Continuous)).collect();
+            let cols = names
+                .iter()
+                .enumerate()
+                .map(|(i, _)| {
+                    ColumnData::Float(
+                        (0..50)
+                            .map(|r| ((r as f64) * 0.1 + i as f64 + seed as f64).sin())
+                            .collect(),
+                    )
+                })
+                .collect();
+            Table::new(Schema::new(metas, None), cols)
+        };
+        vec![make(&["x1", "x2"], 0), make(&["y1", "y2", "y3"], 1)]
     }
 
     #[test]
@@ -1232,26 +1254,7 @@ mod tests {
 
     #[test]
     fn pure_continuous_tables_train_unconditioned() {
-        // No categorical columns anywhere: no CV, no D^s, no cond loss.
-        use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema, Table};
-        let make = |names: &[&str], seed: u64| {
-            let metas = names.iter().map(|n| ColumnMeta::new(*n, ColumnKind::Continuous)).collect();
-            let cols = names
-                .iter()
-                .enumerate()
-                .map(|(i, _)| {
-                    ColumnData::Float(
-                        (0..50)
-                            .map(|r| ((r as f64) * 0.1 + i as f64 + seed as f64).sin())
-                            .collect(),
-                    )
-                })
-                .collect();
-            Table::new(Schema::new(metas, None), cols)
-        };
-        let a = make(&["x1", "x2"], 0);
-        let b = make(&["y1", "y2", "y3"], 1);
-        let mut t = GtvTrainer::new(vec![a, b], GtvConfig::smoke());
+        let mut t = GtvTrainer::new(continuous_shards(), GtvConfig::smoke());
         t.train().unwrap();
         assert_eq!(t.observer().observations(), 0, "no conditions can be observed");
         let synth = t.synthesize(20, 0).unwrap();
@@ -1355,12 +1358,18 @@ mod tests {
         }
     }
 
-    /// An in-process network that keeps a copy of every `RealLogits` payload
-    /// handed to it, with its sender — and, for `flip_rows: Some(n)`, flips
-    /// one value of every `n`-row upload on its way: the first value of the
-    /// row the step's first `idx_p` names.
+    /// One sent message as the round machine sees it: sender, recipient,
+    /// kind and edge.
+    type Sent = (PartyId, PartyId, &'static str, Edge);
+
+    /// An in-process network that records every message it sends
+    /// ([`Sent`]) and keeps a copy of every `RealLogits` payload handed to
+    /// it, with its sender — and, for `flip_rows: Some(n)`, flips one value
+    /// of every `n`-row upload on its way: the first value of the row the
+    /// step's first `idx_p` names.
     struct Capturing {
         inner: Network,
+        trace: std::cell::RefCell<Vec<Sent>>,
         real_logits: std::cell::RefCell<Vec<(PartyId, MatrixPayload)>>,
         flip_rows: Option<u32>,
         first_index: std::cell::Cell<usize>,
@@ -1374,6 +1383,7 @@ mod tests {
         fn flipping(n_clients: usize, flip_rows: Option<u32>) -> Self {
             Self {
                 inner: Network::new(n_clients),
+                trace: Default::default(),
                 real_logits: Default::default(),
                 flip_rows,
                 first_index: Default::default(),
@@ -1385,7 +1395,10 @@ mod tests {
         fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
             let msg = match msg {
                 Message::CondUpload { ref indices, .. } => {
-                    self.first_index.set(indices[0] as usize);
+                    // Peer-to-peer, the upload carries no indices.
+                    if let Some(&first) = indices.first() {
+                        self.first_index.set(first as usize);
+                    }
                     msg
                 }
                 Message::RealLogits(m) if Some(m.rows) == self.flip_rows => {
@@ -1398,7 +1411,10 @@ mod tests {
             if let Message::RealLogits(m) = &msg {
                 self.real_logits.borrow_mut().push((from, m.clone()));
             }
-            self.inner.send(from, to, msg)
+            let (kind, edge) = (msg.kind(), msg.edge());
+            self.inner.send(from, to, msg)?;
+            self.trace.borrow_mut().push((from, to, kind, edge));
+            Ok(())
         }
         fn try_recv(&self, party: PartyId) -> Result<(PartyId, Message), TransportError> {
             self.inner.try_recv(party)
@@ -1431,6 +1447,76 @@ mod tests {
         fn reset_stats(&self) {
             self.inner.reset_stats();
         }
+    }
+
+    /// Walks `trace` through the round machine from `Idle` and returns the
+    /// state it ends in. A message of the kind just sent belongs to the same
+    /// fan-out (or fan-in) and does not advance the state.
+    fn walk(trace: &[Sent], what: &str) -> RoundState {
+        let mut state = RoundState::Idle;
+        let mut prev = None;
+        for (i, &(from, to, kind, edge)) in trace.iter().enumerate() {
+            if prev == Some(kind) {
+                continue;
+            }
+            state = edge.next(state).unwrap_or_else(|| {
+                panic!(
+                    "{what}: message {i}, {kind} from {from} to {to}, cannot be sent in {state:?}"
+                )
+            });
+            prev = Some(kind);
+        }
+        state
+    }
+
+    #[test]
+    fn the_trainers_traffic_is_a_path_through_the_round_machine() {
+        let mut kinds = std::collections::BTreeSet::new();
+        let configs = [
+            ("default", two_client_shards(90), GtvConfig::smoke()),
+            (
+                "faithful real path",
+                two_client_shards(90),
+                GtvConfig { faithful_real_path: true, ..GtvConfig::smoke() },
+            ),
+            (
+                "peer-to-peer indices",
+                two_client_shards(90),
+                GtvConfig { index_sharing: IndexSharing::PeerToPeer, ..GtvConfig::smoke() },
+            ),
+            ("two D-steps", two_client_shards(90), GtvConfig { d_steps: 2, ..GtvConfig::smoke() }),
+            ("pure continuous", continuous_shards(), GtvConfig::smoke()),
+        ];
+        for (name, shards, config) in configs {
+            let mut t = GtvTrainer::with_transport(shards, config, Capturing::new(2)).unwrap();
+            let mut check = |t: &GtvTrainer<Capturing>, phase: &str| {
+                let trace = t.network().trace.take();
+                let what = format!("{name}, {phase}");
+                assert!(!trace.is_empty(), "{what}: nothing was sent");
+                assert_eq!(walk(&trace, &what), RoundState::Idle, "{what} ends mid-step");
+                kinds.extend(trace.iter().map(|&(_, _, kind, _)| kind));
+            };
+            check(&t, "seed negotiation");
+            for _ in 0..2 {
+                t.train_round().unwrap();
+            }
+            check(&t, "two rounds");
+            t.synthesize_shares(10, 0).unwrap();
+            check(&t, "publication");
+        }
+        let all = [
+            "CondUpload",
+            "GenSlice",
+            "GradGenSlice",
+            "GradLogits",
+            "IndexShare",
+            "RealLogits",
+            "RoundStart",
+            "ShuffleSeedShare",
+            "SynthLogits",
+            "SyntheticShare",
+        ];
+        assert_eq!(kinds.into_iter().collect::<Vec<_>>(), all, "every message kind is sent");
     }
 
     #[test]

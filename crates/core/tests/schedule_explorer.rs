@@ -1,6 +1,6 @@
 //! Loom-lite schedule explorer over the GTV round choreography
-//! (DESIGN.md §11) — the dynamic counterpart of the static L10
-//! protocol-order lint.
+//! (DESIGN.md §11): the round machine fixes the order messages are sent
+//! in; this checks what delivery order and blocking do to a round.
 //!
 //! Three properties are checked against the *real* trainer and transport,
 //! not models of them:

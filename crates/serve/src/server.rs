@@ -125,9 +125,9 @@ impl SynthServer {
         Ok(total)
     }
 
-    /// Answers the opening `SynthHello`. The `(reply, accepted)` pair is
-    /// built in one match so the session machine sees the accept path
-    /// before the reject path.
+    /// Answers the opening frame: a `SynthHello` of this protocol gets a
+    /// `SynthHelloAck`; anything else gets a `SynthErr`, and the
+    /// connection is dropped.
     fn handshake(
         &self,
         stream: &mut Stream,
@@ -136,22 +136,18 @@ impl SynthServer {
         let frame = read_frame(stream, fb, HANDSHAKE_POLLS, PartyId::Public, || {
             silent(PartyId::Public, HANDSHAKE_POLLS)
         })?;
-        let (reply, accepted) = match frame {
+        let reason = match frame {
             ServeFrame::SynthHello { protocol } => match serve_reject_reason(protocol) {
-                None => (ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL }, true),
-                Some(reason) => (ServeFrame::SynthErr { id: 0, reason }, false),
+                None => {
+                    let ack = ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL };
+                    return write_frame(stream, &ack, PartyId::Public);
+                }
+                Some(reason) => reason,
             },
-            other => {
-                let reason = format!("expected SynthHello, got {}", other.kind());
-                (ServeFrame::SynthErr { id: 0, reason }, false)
-            }
+            other => format!("expected SynthHello, got {}", other.kind()),
         };
-        write_frame(stream, &reply, PartyId::Public)?;
-        if accepted {
-            Ok(())
-        } else {
-            Err(TransportError::HandshakeFailed { reason: "serve hello rejected".to_string() })
-        }
+        write_frame(stream, &ServeFrame::SynthErr { id: 0, reason }, PartyId::Public)?;
+        Err(TransportError::HandshakeFailed { reason: "serve hello rejected".to_string() })
     }
 
     /// Decodes one pipelined request and admits it into the engine,

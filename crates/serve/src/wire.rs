@@ -10,9 +10,10 @@
 //! [`ServeFrame::SynthHello`], which a training node rejects as an unknown
 //! opcode (and vice versa).
 //!
-//! The session state machine over these frames is linted by gtv-xtask's
-//! L10 protocol-order pass (`SERVE_EDGES`); the variant set here is kept
-//! in bijection with that machine by the serve wire-drift check.
+//! The session order is the code that serves it: `SynthServer::handshake`
+//! and `ServeConn::connect` accept only the hello exchange, and
+//! `SynthServer::admit` and `ServeConn::synth` only a request and its
+//! answer (DESIGN.md §14).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -100,7 +101,7 @@ pub enum ServeFrame {
 }
 
 impl ServeFrame {
-    /// The variant name, as used by protocol-order diagnostics.
+    /// The variant name, as named in session-error reasons.
     pub fn kind(&self) -> &'static str {
         match self {
             ServeFrame::SynthHello { .. } => "SynthHello",

@@ -1,7 +1,8 @@
 //! Socket loopback: the wire surface returns byte-identical rows to the
 //! in-process handle, over both TCP and Unix-domain endpoints, remote
-//! failures arrive as typed error frames, and the server's reply count
-//! survives a client that turns bad.
+//! failures arrive as typed error frames, the server's reply count
+//! survives a client that turns bad, and a session out of order is dropped
+//! without stopping the server.
 
 #![expect(clippy::disallowed_methods, reason = "each test serves its socket from a thread")]
 
@@ -117,4 +118,59 @@ fn serve_counts_the_replies_of_a_connection_that_later_fails() {
     b.synth("loan", 3, 2, None, None).expect("rows for B");
     let served = handle.join().expect("server thread").expect("serve loop");
     assert_eq!(served, 2, "A's reply counts although A's connection failed");
+}
+
+/// Asserts the server closed `stream`: the next read meets end of stream.
+fn assert_closed(stream: &mut Stream, fb: &mut FrameBuf<ServeFrame>) {
+    let err = read_frame(stream, fb, 500, PartyId::Server, || TransportError::HandshakeFailed {
+        reason: "the server kept the connection open".to_string(),
+    })
+    .expect_err("the server closes the connection");
+    assert!(matches!(err, TransportError::PeerDisconnected { .. }), "{err:?}");
+}
+
+#[test]
+fn out_of_order_sessions_are_refused_and_the_server_serves_on() {
+    let server =
+        SynthServer::bind(service_with_loan(), &Endpoint::parse("127.0.0.1:0")).expect("bind tcp");
+    let endpoint = server.endpoint();
+    let handle = std::thread::spawn(move || server.serve(Some(1)));
+    let tick = Duration::from_millis(20);
+    let request = ServeFrame::SynthRequest {
+        id: 1,
+        model: "loan".to_string(),
+        n: 3,
+        seed: 1,
+        cond: None,
+        deadline_ticks: u64::MAX,
+    };
+
+    // A request before any hello: a `SynthErr`, then the server hangs up.
+    let mut a = dial(&endpoint, tick).expect("dial");
+    let mut fb = FrameBuf::new();
+    write_frame(&mut a, &request, PartyId::Server).expect("request first");
+    match reply(&mut a, &mut fb) {
+        ServeFrame::SynthErr { id: 0, reason } => {
+            assert!(reason.contains("expected SynthHello"), "{reason}")
+        }
+        other => panic!("expected SynthErr, got {other:?}"),
+    }
+    assert_closed(&mut a, &mut fb);
+
+    // After the hello exchange only a request is admitted: a client-sent
+    // `SynthRows` drops the connection unanswered.
+    let mut b = dial(&endpoint, tick).expect("dial");
+    let mut fb = FrameBuf::new();
+    let hello = ServeFrame::SynthHello { protocol: SERVE_PROTOCOL };
+    write_frame(&mut b, &hello, PartyId::Server).expect("hello");
+    assert!(matches!(reply(&mut b, &mut fb), ServeFrame::SynthHelloAck { .. }));
+    let rows = ServeFrame::SynthRows { id: 1, csv: b"a\n1\n".to_vec() };
+    write_frame(&mut b, &rows, PartyId::Server).expect("rows from the client");
+    assert_closed(&mut b, &mut fb);
+
+    // The same server still serves an honest session.
+    let mut c = ServeConn::connect(&endpoint).expect("connect");
+    c.synth("loan", 3, 2, None, None).expect("rows for the honest client");
+    let served = handle.join().expect("server thread").expect("serve loop");
+    assert_eq!(served, 1, "only the honest request was answered");
 }

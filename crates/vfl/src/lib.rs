@@ -4,6 +4,9 @@
 //!
 //! * [`wire`](crate::Message) — a byte-exact encoding of every protocol
 //!   message, so communication volume is measured from real serialization;
+//! * [`RoundState`] / [`Message::edge`] — the round machine: the state each
+//!   message may be sent in, the state it leads to, and the [`Dir`] every
+//!   transport checks before it sends;
 //! * [`Transport`] — the backend-agnostic transport seam, with two
 //!   implementations: [`InProcTransport`] (alias [`Network`]) over channels
 //!   with per-link byte metering, and [`SocketTransport`] speaking
@@ -34,6 +37,7 @@
 //! ```
 
 mod partition;
+mod protocol;
 mod psi;
 mod shuffle;
 pub mod socket;
@@ -41,6 +45,7 @@ mod transport;
 mod wire;
 
 pub use partition::{ratio_vector, split_widths, PartitionError, PartitionPlan};
+pub use protocol::{Dir, Edge, RoundState};
 pub use psi::{psi_align, PsiAlignment};
 pub use shuffle::{negotiate_seed, round_seed, SharedShuffler};
 pub use socket::{Endpoint, PartyNode, SocketTransport};

@@ -33,7 +33,9 @@
     deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
 )]
 
-use crate::transport::{Fault, Meter, NetStats, PartyId, Transport, TransportError};
+use crate::transport::{
+    check_direction, Fault, Meter, NetStats, PartyId, Transport, TransportError,
+};
 use crate::wire::{Message, WireCodec};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -1183,6 +1185,7 @@ fn open_link(
 
 impl Transport for SocketTransport {
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
+        check_direction(from, to, &msg)?;
         if self.is_dead(to) {
             return Err(TransportError::PeerDisconnected { party: to });
         }
@@ -1364,13 +1367,9 @@ mod tests {
         // Byte accounting is identical across backends.
         assert_eq!(socket.stats(), inproc.stats());
         // Local (server-hosted) inboxes work alongside the remote one.
-        socket
-            .send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 7 })
-            .unwrap();
-        assert_eq!(
-            socket.try_recv(PartyId::Server).unwrap().1,
-            Message::ShuffleSeedShare { share: 7 }
-        );
+        let upload = Message::SynthLogits(MatrixPayload::new(1, 1, vec![7.0]));
+        socket.send(PartyId::Client(0), PartyId::Server, upload.clone()).unwrap();
+        assert_eq!(socket.try_recv(PartyId::Server).unwrap().1, upload);
         node.request_stop();
         handle.join().unwrap();
     }
@@ -1398,7 +1397,11 @@ mod tests {
         let socket = SocketTransport::connect(1, endpoints).unwrap();
         socket.inject_fault(PartyId::Server, PartyId::Client(0), Fault::Disconnect);
         let err = socket
-            .send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 1 })
+            .send(
+                PartyId::Server,
+                PartyId::Client(0),
+                Message::RoundStart { round: 1, selected: 0 },
+            )
             .unwrap_err();
         assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(0) });
         assert_eq!(
@@ -1410,19 +1413,62 @@ mod tests {
     }
 
     #[test]
+    fn misdirected_sends_never_reach_the_socket() {
+        let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
+        let socket = SocketTransport::connect(1, endpoints).unwrap();
+        let seed = || Message::ShuffleSeedShare { share: 7 };
+        let index = || Message::IndexShare { indices: vec![1, 2] };
+        let logits = Message::SynthLogits(MatrixPayload::new(1, 1, vec![1.0]));
+        for (from, to, msg) in [
+            (PartyId::Client(0), PartyId::Server, seed()),
+            (PartyId::Server, PartyId::Client(0), seed()),
+            (PartyId::Client(0), PartyId::Server, index()),
+            (PartyId::Server, PartyId::Client(0), index()),
+            (PartyId::Server, PartyId::Client(0), logits),
+        ] {
+            let kind = msg.kind();
+            assert_eq!(
+                socket.send(from, to, msg),
+                Err(TransportError::Misdirected { from, to, kind }),
+                "{kind} from {from} to {to}"
+            );
+        }
+        assert_eq!(socket.stats(), NetStats::default(), "a refused send is not metered");
+        assert_eq!(
+            socket.try_recv(PartyId::Server),
+            Err(TransportError::InboxEmpty(PartyId::Server))
+        );
+        assert_eq!(
+            socket.try_recv(PartyId::Client(0)),
+            Err(TransportError::InboxEmpty(PartyId::Client(0)))
+        );
+        node.request_stop();
+        handle.join().unwrap();
+    }
+
+    #[test]
     fn dead_node_surfaces_as_peer_disconnected_not_a_hang() {
         let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
         let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
         let socket = SocketTransport::connect(1, endpoints).unwrap();
         socket
-            .send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 1 })
+            .send(
+                PartyId::Server,
+                PartyId::Client(0),
+                Message::RoundStart { round: 1, selected: 0 },
+            )
             .unwrap();
         // Kill the node (listener included), then talk to the corpse.
         node.request_stop();
         handle.join().unwrap();
         drop(node);
         let err = socket
-            .send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 2 })
+            .send(
+                PartyId::Server,
+                PartyId::Client(0),
+                Message::RoundStart { round: 2, selected: 0 },
+            )
             .unwrap_err();
         assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(0) });
     }

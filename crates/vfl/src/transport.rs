@@ -90,6 +90,18 @@ pub enum TransportError {
         /// The message itself.
         got: Message,
     },
+    /// A send whose `(from, to)` pair the message's direction does not
+    /// admit ([`Dir::admits`](crate::Dir::admits)), such as a shuffle-seed
+    /// share addressed to or from the server. Refused before the message is
+    /// encoded, metered or delivered.
+    Misdirected {
+        /// The sending party.
+        from: PartyId,
+        /// The addressed party.
+        to: PartyId,
+        /// The refused message's variant ([`Message::kind`]).
+        kind: &'static str,
+    },
     /// A protocol step expected one message variant and received another —
     /// a desynchronized (or tampered-with) peer, never to be silently
     /// consumed as an ack.
@@ -144,6 +156,9 @@ impl fmt::Display for TransportError {
             TransportError::Frame { detail } => write!(f, "malformed transport frame: {detail}"),
             TransportError::UnexpectedMessage { from, context, got } => {
                 write!(f, "unexpected message from {from} during {context}: {got:?}")
+            }
+            TransportError::Misdirected { from, to, kind } => {
+                write!(f, "{kind} may not travel from {from} to {to}")
             }
             TransportError::ProtocolViolation { from, expected, got } => {
                 write!(f, "protocol violation: expected {expected} from {from}, got {got:?}")
@@ -350,6 +365,21 @@ pub enum Fault {
     Disconnect,
 }
 
+/// Refuses `msg` on `(from, to)` unless its direction in the round machine
+/// admits that pair (DESIGN.md §11). Every backend's send path calls this
+/// before it encodes, meters or delivers anything.
+pub(crate) fn check_direction(
+    from: PartyId,
+    to: PartyId,
+    msg: &Message,
+) -> Result<(), TransportError> {
+    if msg.edge().dir.admits(from, to) {
+        Ok(())
+    } else {
+        Err(TransportError::Misdirected { from, to, kind: msg.kind() })
+    }
+}
+
 /// Default bound on how long [`Transport::recv`] waits for a message.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(1);
 
@@ -364,7 +394,9 @@ pub trait Transport {
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::UnknownRecipient`] if `to` has no inbox,
+    /// Returns [`TransportError::Misdirected`] if the message may not travel
+    /// from `from` to `to` (checked first: nothing is encoded, metered or
+    /// delivered), [`TransportError::UnknownRecipient`] if `to` has no inbox,
     /// [`TransportError::PeerDisconnected`] if the link to either end is
     /// closed, or [`TransportError::Decode`] if the message fails to
     /// round-trip through its own wire encoding.
@@ -424,9 +456,11 @@ pub trait Transport {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Transport::send`]; delivery stops at the first
-    /// failing message.
+    /// Same conditions as [`Transport::send`]; a misdirected message refuses
+    /// the whole fan-out before any of it is sent, and otherwise delivery
+    /// stops at the first failing message.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
+        msgs.iter().try_for_each(|(from, to, msg)| check_direction(*from, *to, msg))?;
         for (from, to, msg) in msgs {
             self.send(from, to, msg)?;
         }
@@ -679,6 +713,7 @@ impl InProcTransport {
 
 impl Transport for InProcTransport {
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
+        check_direction(from, to, &msg)?;
         let encoded = msg.encode_with(self.meter.codec());
         msg.recycle();
         self.deliver(from, to, encoded)
@@ -692,6 +727,7 @@ impl Transport for InProcTransport {
     /// Under [`InProcTransport::permute_deliveries`] the delivery order is
     /// a seeded permutation instead; per-message bytes are unchanged.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
+        msgs.iter().try_for_each(|(from, to, msg)| check_direction(*from, *to, msg))?;
         let codec = self.meter.codec();
         let links: Vec<(PartyId, PartyId)> = msgs.iter().map(|&(from, to, _)| (from, to)).collect();
         let msgs = Arc::new(msgs);
@@ -804,6 +840,16 @@ mod tests {
     use super::*;
     use crate::wire::MatrixPayload;
 
+    /// A 1×1 synthetic-logits upload: client → server filler traffic.
+    fn logits(v: u8) -> Message {
+        Message::SynthLogits(MatrixPayload::new(1, 1, vec![f32::from(v)]))
+    }
+
+    /// A round opening: server → client filler traffic.
+    fn start(round: u64) -> Message {
+        Message::RoundStart { round, selected: 0 }
+    }
+
     #[test]
     fn send_recv_and_metering() {
         let net = Network::new(2);
@@ -856,7 +902,7 @@ mod tests {
                     PartyId::Client(1),
                     Message::GenSlice(MatrixPayload::new(1, 3, vec![1.0, 0.0, 0.0])),
                 ),
-                (PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 9 }),
+                (PartyId::Client(0), PartyId::Server, logits(9)),
             ]
         };
         let seq = Network::new(2);
@@ -877,13 +923,7 @@ mod tests {
     fn permute_deliveries_reorders_deterministically_without_changing_traffic() {
         let fan = || {
             (0..4usize)
-                .map(|i| {
-                    (
-                        PartyId::Client(i),
-                        PartyId::Server,
-                        Message::ShuffleSeedShare { share: i as u64 },
-                    )
-                })
+                .map(|i| (PartyId::Client(i), PartyId::Server, logits(i as u8)))
                 .collect::<Vec<_>>()
         };
         let drain = |net: &Network| {
@@ -913,56 +953,46 @@ mod tests {
     #[test]
     fn recv_expect_flags_a_wrong_variant() {
         let net = Network::new(1);
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 3 })
-            .unwrap();
-        let err = net.recv_expect(PartyId::Server, "SynthLogits").unwrap_err();
+        net.send(PartyId::Client(0), PartyId::Server, logits(3)).unwrap();
+        let err = net.recv_expect(PartyId::Server, "RealLogits").unwrap_err();
         match err {
             TransportError::ProtocolViolation { from, expected, got } => {
                 assert_eq!(from, PartyId::Client(0));
-                assert_eq!(expected, "SynthLogits");
-                assert_eq!(got, Message::ShuffleSeedShare { share: 3 });
+                assert_eq!(expected, "RealLogits");
+                assert_eq!(got, logits(3));
             }
             other => panic!("expected ProtocolViolation, got {other:?}"),
         }
         // A matching variant passes through.
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 4 })
-            .unwrap();
-        assert!(net.recv_expect(PartyId::Server, "ShuffleSeedShare").is_ok());
+        net.send(PartyId::Client(0), PartyId::Server, logits(4)).unwrap();
+        assert!(net.recv_expect(PartyId::Server, "SynthLogits").is_ok());
     }
 
     #[test]
     fn gather_returns_fixed_party_order_regardless_of_arrival() {
         let net = Network::new(2);
         // Client 1's reply lands first.
-        net.send(PartyId::Client(1), PartyId::Server, Message::ShuffleSeedShare { share: 11 })
-            .unwrap();
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 10 })
-            .unwrap();
+        net.send(PartyId::Client(1), PartyId::Server, logits(11)).unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(10)).unwrap();
         let got = net
-            .gather(PartyId::Server, &[PartyId::Client(0), PartyId::Client(1)], "ShuffleSeedShare")
+            .gather(PartyId::Server, &[PartyId::Client(0), PartyId::Client(1)], "SynthLogits")
             .unwrap();
-        assert_eq!(
-            got,
-            vec![Message::ShuffleSeedShare { share: 10 }, Message::ShuffleSeedShare { share: 11 }]
-        );
+        assert_eq!(got, vec![logits(10), logits(11)]);
     }
 
     #[test]
     fn gather_rejects_outsiders_and_duplicates() {
         let net = Network::new(3);
-        net.send(PartyId::Client(2), PartyId::Server, Message::ShuffleSeedShare { share: 1 })
-            .unwrap();
+        net.send(PartyId::Client(2), PartyId::Server, logits(1)).unwrap();
         let err = net
-            .gather(PartyId::Server, &[PartyId::Client(0), PartyId::Client(1)], "ShuffleSeedShare")
+            .gather(PartyId::Server, &[PartyId::Client(0), PartyId::Client(1)], "SynthLogits")
             .unwrap_err();
         assert!(matches!(err, TransportError::UnexpectedMessage { from: PartyId::Client(2), .. }));
         let net = Network::new(2);
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 1 })
-            .unwrap();
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 2 })
-            .unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(1)).unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(2)).unwrap();
         let err = net
-            .gather(PartyId::Server, &[PartyId::Client(0), PartyId::Client(1)], "ShuffleSeedShare")
+            .gather(PartyId::Server, &[PartyId::Client(0), PartyId::Client(1)], "SynthLogits")
             .unwrap_err();
         assert!(matches!(err, TransportError::UnexpectedMessage { from: PartyId::Client(0), .. }));
     }
@@ -971,16 +1001,12 @@ mod tests {
     fn begin_round_opens_per_round_windows() {
         let net = Network::new(1);
         // Pre-round traffic counts only toward the cumulative totals.
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 0 })
-            .unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(0)).unwrap();
         net.begin_round(0);
-        net.send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 1 })
-            .unwrap();
-        net.send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 2 })
-            .unwrap();
+        net.send(PartyId::Server, PartyId::Client(0), start(1)).unwrap();
+        net.send(PartyId::Server, PartyId::Client(0), start(2)).unwrap();
         net.begin_round(1);
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 3 })
-            .unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(3)).unwrap();
         let stats = net.stats();
         assert_eq!(stats.messages, 4);
         assert_eq!(stats.rounds.len(), 2);
@@ -990,7 +1016,9 @@ mod tests {
         assert_eq!(stats.rounds[0].received_by(PartyId::Client(0)).0, 2);
         assert_eq!(stats.rounds[1].sent_by(PartyId::Server).0, 0);
         assert_eq!(
-            stats.rounds[0].bytes + stats.rounds[1].bytes + 9, // 9 = pre-round message
+            // 14 = the pre-round message: tag, matrix format byte,
+            // 8-byte header, one f32.
+            stats.rounds[0].bytes + stats.rounds[1].bytes + 14,
             stats.bytes
         );
     }
@@ -998,14 +1026,12 @@ mod tests {
     #[test]
     fn inboxes_are_fifo_per_party() {
         let net = Network::new(1);
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 1 })
-            .unwrap();
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 2 })
-            .unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(1)).unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(2)).unwrap();
         let (_, m1) = net.recv(PartyId::Server).unwrap();
         let (_, m2) = net.recv(PartyId::Server).unwrap();
-        assert_eq!(m1, Message::ShuffleSeedShare { share: 1 });
-        assert_eq!(m2, Message::ShuffleSeedShare { share: 2 });
+        assert_eq!(m1, logits(1));
+        assert_eq!(m2, logits(2));
         assert!(net.try_recv(PartyId::Server).is_err());
     }
 
@@ -1019,10 +1045,42 @@ mod tests {
     }
 
     #[test]
+    fn misdirected_sends_are_refused_before_the_wire() {
+        let net = Network::new(2);
+        net.send(PartyId::Server, PartyId::Client(0), start(0)).unwrap();
+        let before = net.stats();
+        let seed = || Message::ShuffleSeedShare { share: 7 };
+        let index = || Message::IndexShare { indices: vec![1, 2] };
+        for (from, to, msg) in [
+            (PartyId::Client(0), PartyId::Server, seed()),
+            (PartyId::Server, PartyId::Client(1), seed()),
+            (PartyId::Client(0), PartyId::Server, index()),
+            (PartyId::Server, PartyId::Client(1), index()),
+            (PartyId::Server, PartyId::Client(1), logits(1)),
+        ] {
+            let kind = msg.kind();
+            assert_eq!(
+                net.send(from, to, msg),
+                Err(TransportError::Misdirected { from, to, kind }),
+                "{kind} from {from} to {to}"
+            );
+        }
+        // One misdirected message refuses the whole fan-out.
+        let fan = vec![
+            (PartyId::Server, PartyId::Client(1), start(1)),
+            (PartyId::Client(1), PartyId::Server, seed()),
+        ];
+        assert!(matches!(net.send_all(fan), Err(TransportError::Misdirected { .. })));
+        assert_eq!(net.stats(), before, "a refused send is not metered");
+        assert!(net.try_recv(PartyId::Server).is_err());
+        assert!(net.try_recv(PartyId::Client(1)).is_err());
+        assert_eq!(net.try_recv(PartyId::Client(0)).unwrap().1, start(0));
+    }
+
+    #[test]
     fn reset_clears_counters() {
         let net = Network::new(1);
-        net.send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 0 })
-            .unwrap();
+        net.send(PartyId::Server, PartyId::Client(0), start(0)).unwrap();
         net.reset_stats();
         assert_eq!(net.stats().messages, 0);
     }
@@ -1031,12 +1089,10 @@ mod tests {
     fn injected_drop_leaves_inbox_empty() {
         let net = Network::new(1);
         net.inject_fault(PartyId::Server, PartyId::Client(0), Fault::Drop);
-        net.send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 1 })
-            .unwrap();
+        net.send(PartyId::Server, PartyId::Client(0), start(1)).unwrap();
         assert!(net.try_recv(PartyId::Client(0)).is_err(), "dropped message must not arrive");
         // Fault is one-shot.
-        net.send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 2 })
-            .unwrap();
+        net.send(PartyId::Server, PartyId::Client(0), start(2)).unwrap();
         assert!(net.try_recv(PartyId::Client(0)).is_ok());
     }
 
@@ -1044,8 +1100,7 @@ mod tests {
     fn injected_duplicate_delivers_twice() {
         let net = Network::new(1);
         net.inject_fault(PartyId::Client(0), PartyId::Server, Fault::Duplicate);
-        net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 3 })
-            .unwrap();
+        net.send(PartyId::Client(0), PartyId::Server, logits(3)).unwrap();
         assert!(net.try_recv(PartyId::Server).is_ok());
         assert!(net.try_recv(PartyId::Server).is_ok());
         assert!(net.try_recv(PartyId::Server).is_err());
@@ -1056,20 +1111,18 @@ mod tests {
         let net = Network::new(2);
         net.inject_fault(PartyId::Server, PartyId::Client(1), Fault::Disconnect);
         let before = net.stats().bytes;
-        let err = net
-            .send(PartyId::Server, PartyId::Client(1), Message::ShuffleSeedShare { share: 1 })
-            .unwrap_err();
+        let err = net.send(PartyId::Server, PartyId::Client(1), start(1)).unwrap_err();
         assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(1) });
         // The severed message never reached the wire.
         assert_eq!(net.stats().bytes, before);
         // The link stays dead: sends to, sends from, and receives at the
         // crashed party all keep reporting the disconnect.
         assert_eq!(
-            net.send(PartyId::Server, PartyId::Client(1), Message::ShuffleSeedShare { share: 2 }),
+            net.send(PartyId::Server, PartyId::Client(1), start(2)),
             Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
         );
         assert_eq!(
-            net.send(PartyId::Client(1), PartyId::Server, Message::ShuffleSeedShare { share: 3 }),
+            net.send(PartyId::Client(1), PartyId::Server, logits(3)),
             Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
         );
         assert_eq!(
@@ -1081,17 +1134,14 @@ mod tests {
             Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
         );
         // Unrelated links keep working.
-        net.send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 4 })
-            .unwrap();
+        net.send(PartyId::Server, PartyId::Client(0), start(4)).unwrap();
         assert!(net.try_recv(PartyId::Client(0)).is_ok());
     }
 
     #[test]
     fn send_to_unknown_party_errors() {
         let net = Network::new(1);
-        let err = net
-            .send(PartyId::Server, PartyId::Client(5), Message::ShuffleSeedShare { share: 1 })
-            .unwrap_err();
+        let err = net.send(PartyId::Server, PartyId::Client(5), start(1)).unwrap_err();
         assert_eq!(err, TransportError::UnknownRecipient(PartyId::Client(5)));
     }
 
@@ -1173,13 +1223,12 @@ mod tests {
         let n2 = Arc::clone(&net);
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            n2.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 4 })
-                .unwrap();
+            n2.send(PartyId::Client(0), PartyId::Server, logits(4)).unwrap();
         });
         // The message is in flight, not dropped: recv must ride out the gap.
         let (from, m) = net.recv(PartyId::Server).unwrap();
         assert_eq!(from, PartyId::Client(0));
-        assert_eq!(m, Message::ShuffleSeedShare { share: 4 });
+        assert_eq!(m, logits(4));
         handle.join().unwrap();
     }
 
@@ -1189,11 +1238,10 @@ mod tests {
         let net = Arc::new(Network::new(1));
         let n2 = Arc::clone(&net);
         let handle = std::thread::spawn(move || {
-            n2.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 9 })
-                .unwrap();
+            n2.send(PartyId::Client(0), PartyId::Server, logits(9)).unwrap();
         });
         handle.join().unwrap();
         let (_, m) = net.recv(PartyId::Server).unwrap();
-        assert_eq!(m, Message::ShuffleSeedShare { share: 9 });
+        assert_eq!(m, logits(9));
     }
 }

@@ -737,7 +737,7 @@ fn get_matrix(bytes: &mut Bytes, frame: &Bytes) -> Result<MatrixPayload, DecodeM
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn demo_matrix() -> MatrixPayload {
@@ -857,7 +857,7 @@ mod tests {
     /// One small message per variant, each at its [`golden_index`]. The
     /// matrix is 2×4 with two stored entries (`-0.0` and `1.5`), so
     /// `Adaptive` gives it the sparse body (13 + 16 < 9 + 32 bytes).
-    fn golden_messages() -> Vec<Message> {
+    pub(crate) fn golden_messages() -> Vec<Message> {
         let m = || MatrixPayload::new(2, 4, vec![0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.0]);
         let msgs = vec![
             Message::RoundStart { round: 0x0102_0304_0506_0708, selected: 3 },

@@ -10,7 +10,7 @@
 //! expression. Expressions are evaluated left-to-right over the same
 //! tokens; calls into the workspace resolve through [`RefGraph`] and apply
 //! a memoized per-callee summary (return taint and parameter→sink flows,
-//! inlining depth ≤ 8, mirroring the L10 machinery), so a raw column
+//! inlining depth ≤ 8), so a raw column
 //! laundered through `let hidden = pick(table);` is still seen at the
 //! wire sink.
 //!
@@ -43,7 +43,10 @@ use crate::passes::{SECRET_ROOT_FNS, SECRET_ROOT_VARIANTS, SINK_MACROS};
 use crate::{suppressed, FileUnit, Finding, Rule};
 use std::collections::{HashMap, HashSet};
 
-/// Maximum summary inlining depth, matching `protocol::MAX_DEPTH`.
+/// Maximum summary inlining depth: twice the trainer's deepest call chain
+/// (`train` → `train_round` → `d_step` → `sample_condition`), so every
+/// protocol path is summarized in full while a long or recursive chain
+/// stays bounded.
 const MAX_DEPTH: usize = 8;
 
 /// Raw-data roots: column accessors on partition tables (L11).

@@ -25,13 +25,6 @@
 //! * **L7 `rng-provenance`** — every `seed_from_u64` / `from_seed` call
 //!   outside tests and `crates/bench` derives its argument from a value
 //!   named `seed`/`round`, never a literal or ambient source;
-//! * **L10 `protocol-order`** — every send/recv sequence extracted from
-//!   `crates/core/src/trainer.rs` and `crates/vfl/src/{transport,socket}.rs`
-//!   is a path through the declared round machine in [`protocol`], every
-//!   `ServeFrame` sequence in `crates/serve/src/{server,engine}.rs` is a
-//!   path through the serving-session machine, both wire enums stay in
-//!   bijection with their machines (drift checks), and no party sends a
-//!   variant the machine reserves for the other direction;
 //! * **L11 `raw-egress`** — raw feature-column data (partition table
 //!   column accessors) must never reach `Message` construction or a wire
 //!   `encode` sink except through the sanctioned
@@ -41,15 +34,16 @@
 //!   unordered `HashMap`/`HashSet` iteration must never flow into tensor
 //!   kernels, RNG seeds, or wire payloads.
 //!
-//! L2 is a line-lexer rule. L6–L12 run on the item-level engine: the
+//! L2 is a line-lexer rule. L6, L7, L11 and L12 run on the item-level engine: the
 //! [`parse`] module's recursive-descent parser extracts items (structs and
 //! enums with field types, fns with bodies), [`model`] builds the
 //! type-containment and approximate call/reference graphs, and
 //! [`dataflow`] layers flow-sensitive per-function taint tracking with
 //! memoized interprocedural summaries on top (L6's sink half, L7, L11 and
 //! L12 are taint-driven; the name-registry halves of L6 remain as drift
-//! guards). The rule numbers of the retired L1, L3, L4, L5, L8 and L9 stay
-//! unused: the compiler holds those properties (DESIGN.md §7).
+//! guards). The rule numbers of the retired L1, L3, L4, L5, L8, L9 and L10
+//! stay unused: the compiler and `gtv-vfl`'s round machine hold those
+//! properties (DESIGN.md §7).
 //!
 //! A finding on line *N* is suppressed by an inline escape hatch on line
 //! *N* or *N−1*:
@@ -71,10 +65,9 @@ pub(crate) mod dataflow;
 pub(crate) mod model;
 pub(crate) mod parse;
 pub(crate) mod passes;
-pub mod protocol;
 
 /// The lint rules the compiler cannot hold (L1, L3, L4, L5, L8 and L9 moved
-/// to rustc and clippy).
+/// to rustc and clippy, L10 to `gtv-vfl`'s round machine).
 ///
 /// `Ord` follows declaration order and is part of the finding sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,8 +78,6 @@ pub enum Rule {
     PrivacyFlow,
     /// L7: RNG seeds derive from named seed/round values.
     RngProvenance,
-    /// L10: trainer/transport send/recv order follows the protocol machine.
-    ProtocolOrder,
     /// L11: raw feature columns never reach a wire sink unencoded.
     RawEgress,
     /// L12: nondeterministic values never reach kernels, seeds, or wire.
@@ -100,7 +91,6 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::PrivacyFlow => "privacy-flow",
             Rule::RngProvenance => "rng-provenance",
-            Rule::ProtocolOrder => "protocol-order",
             Rule::RawEgress => "raw-egress",
             Rule::NondetFlow => "nondet-flow",
         }
@@ -112,7 +102,6 @@ impl Rule {
             Rule::Determinism => "L2/determinism",
             Rule::PrivacyFlow => "L6/privacy-flow",
             Rule::RngProvenance => "L7/rng-provenance",
-            Rule::ProtocolOrder => "L10/protocol-order",
             Rule::RawEgress => "L11/raw-egress",
             Rule::NondetFlow => "L12/nondet-flow",
         }
@@ -170,8 +159,8 @@ pub(crate) struct LexedLine {
     pub(crate) in_test: bool,
     /// Contents of string literals that open *and* close on this line, in
     /// order of appearance. Kept out of `code` so structural scans never see
-    /// literal text; L10 reads them to resolve expected-kind arguments like
-    /// `gather(.., "SynthLogits")`. Multi-line literals are not captured.
+    /// literal text; L12 reads them to recognise the sanctioned
+    /// `env::var("GTV_THREADS")`. Multi-line literals are not captured.
     pub(crate) strings: Vec<String>,
 }
 
@@ -494,7 +483,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     }
     passes::lint_privacy_flow(&units, &engine, &mut findings);
     passes::lint_rng_provenance(&engine, &mut findings);
-    protocol::lint_protocol_order(&units, &mut findings);
     dataflow::lint_raw_egress(&engine, &mut findings);
     dataflow::lint_nondet_flow(&engine, &mut findings);
     findings.sort_by(|a, b| {
@@ -506,34 +494,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     });
     findings.dedup();
     Ok(findings)
-}
-
-/// The variants of `enum Message` in `crates/vfl/src/wire.rs` under `root`,
-/// in declaration order. Public so the protocol-machine drift test can tie
-/// [`protocol::PROTOCOL_EDGES`] to the real wire format.
-pub fn message_variants(root: &Path) -> Result<Vec<String>, LintError> {
-    enum_variants(&root.join("crates/vfl/src/wire.rs"), "Message")
-}
-
-/// The variants of `enum ServeFrame` in `crates/serve/src/wire.rs` under
-/// `root`, in declaration order. Public so the protocol-machine drift test
-/// can tie [`protocol::SERVE_EDGES`] to the real serving wire format.
-pub fn serve_frame_variants(root: &Path) -> Result<Vec<String>, LintError> {
-    enum_variants(&root.join("crates/serve/src/wire.rs"), "ServeFrame")
-}
-
-/// The variants of `enum <name>` in the source file at `path`, in
-/// declaration order (empty if the file declares no such enum).
-fn enum_variants(path: &Path, name: &str) -> Result<Vec<String>, LintError> {
-    let source = std::fs::read_to_string(path)
-        .map_err(|e| LintError { message: format!("cannot read {}: {e}", path.display()) })?;
-    let ast = parse::parse_file(&lex(&source));
-    Ok(ast
-        .types
-        .iter()
-        .find(|t| t.is_enum && t.name == name)
-        .map(|t| t.variants.clone())
-        .unwrap_or_default())
 }
 
 /// Spellings of a lane array or a lane-group walk: the `f32` kernels are

@@ -1,6 +1,5 @@
-//! Clean fixture: a full d-step/g-step round in declared protocol order,
-//! every send with machine-conformant endpoints, recv sites via
-//! expected-kind strings — L10 must stay quiet.
+//! Clean fixture: a protocol step that uploads encoded activations — the
+//! wire sends L11 polices, with no raw column in them.
 
 use gtv_vfl::{Message, Network, PartyId, TransportError};
 
@@ -10,38 +9,10 @@ pub struct Round {
 }
 
 impl Round {
-    fn fan_in(&self, expected: &str) -> Result<Vec<Message>, TransportError> {
-        let senders: Vec<PartyId> = (0..self.clients).map(PartyId::Client).collect();
-        self.net.gather(PartyId::Server, &senders, expected)
-    }
-
-    pub fn d_step(&self, cv: Vec<f32>) -> Result<(), TransportError> {
+    pub fn upload(&self, activations: Vec<f32>) -> Result<(), TransportError> {
         for i in 0..self.clients {
-            self.net.send(
-                PartyId::Server,
-                PartyId::Client(i),
-                Message::RoundStart { round: 0 },
-            )?;
-        }
-        self.net.send(PartyId::Client(0), PartyId::Server, Message::CondUpload { cv })?;
-        for i in 0..self.clients {
-            self.net.send(PartyId::Server, PartyId::Client(i), Message::GenSlice(Vec::new()))?;
-        }
-        let _synth = self.fan_in("SynthLogits")?;
-        let _real = self.fan_in("RealLogits")?;
-        for i in 0..self.clients {
-            self.net.send(PartyId::Server, PartyId::Client(i), Message::GradLogits(Vec::new()))?;
-        }
-        Ok(())
-    }
-
-    pub fn publish(&self) -> Result<(), TransportError> {
-        for i in 0..self.clients {
-            self.net.send(
-                PartyId::Client(i),
-                PartyId::Public,
-                Message::SyntheticShare(Vec::new()),
-            )?;
+            let msg = Message::SynthLogits(activations.clone());
+            self.net.send(PartyId::Client(i), PartyId::Server, msg)?;
         }
         Ok(())
     }

@@ -1,8 +1,7 @@
 //! Clean fixture: exhaustive wire handling, no denied tokens. Mirrors the
 //! wire-format-v2 shape: `encode` is a thin wrapper and the variant match
-//! lives in the codec-parameterized `encode_with`. The enum carries the
-//! full protocol vocabulary so the L10 drift check (machine ↔ wire
-//! bijection) stays quiet.
+//! lives in the codec-parameterized `encode_with`. The enum keeps
+//! `ShuffleSeedShare.share`, so L6's registry-drift guard stays quiet.
 
 pub enum Codec {
     Dense,
@@ -11,15 +10,9 @@ pub enum Codec {
 
 pub enum Message {
     RoundStart { round: u64 },
-    CondUpload { cv: Vec<f32> },
     GenSlice(Vec<f32>),
     SynthLogits(Vec<f32>),
-    RealLogits(Vec<f32>),
-    GradLogits(Vec<f32>),
-    GradGenSlice(Vec<f32>),
-    SyntheticShare(Vec<f32>),
     ShuffleSeedShare { share: u64 },
-    IndexShare { indices: Vec<u64> },
 }
 
 fn put_floats(out: &mut Vec<u8>, values: &[f32]) {
@@ -44,10 +37,6 @@ impl Message {
                 out.push(0);
                 out.extend_from_slice(&round.to_le_bytes());
             }
-            Message::CondUpload { cv } => {
-                out.push(1);
-                put_floats(&mut out, cv);
-            }
             Message::GenSlice(m) => {
                 out.push(2);
                 put_floats(&mut out, m);
@@ -56,31 +45,9 @@ impl Message {
                 out.push(3);
                 put_floats(&mut out, m);
             }
-            Message::RealLogits(m) => {
-                out.push(4);
-                put_floats(&mut out, m);
-            }
-            Message::GradLogits(m) => {
-                out.push(5);
-                put_floats(&mut out, m);
-            }
-            Message::GradGenSlice(m) => {
-                out.push(6);
-                put_floats(&mut out, m);
-            }
-            Message::SyntheticShare(m) => {
-                out.push(7);
-                put_floats(&mut out, m);
-            }
             Message::ShuffleSeedShare { share } => {
                 out.push(8);
                 out.extend_from_slice(&share.to_le_bytes());
-            }
-            Message::IndexShare { indices } => {
-                out.push(9);
-                for idx in indices {
-                    out.extend_from_slice(&idx.to_le_bytes());
-                }
             }
         }
         out
@@ -93,18 +60,12 @@ impl Message {
                 let round = u64::from_le_bytes(bytes.get(2..10)?.try_into().ok()?);
                 Some(Message::RoundStart { round })
             }
-            1 => Some(Message::CondUpload { cv: Vec::new() }),
             2 => Some(Message::GenSlice(Vec::new())),
             3 => Some(Message::SynthLogits(Vec::new())),
-            4 => Some(Message::RealLogits(Vec::new())),
-            5 => Some(Message::GradLogits(Vec::new())),
-            6 => Some(Message::GradGenSlice(Vec::new())),
-            7 => Some(Message::SyntheticShare(Vec::new())),
             8 => {
                 let share = u64::from_le_bytes(bytes.get(2..10)?.try_into().ok()?);
                 Some(Message::ShuffleSeedShare { share })
             }
-            9 => Some(Message::IndexShare { indices: Vec::new() }),
             _ => None,
         }
     }

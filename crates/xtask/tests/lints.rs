@@ -110,63 +110,11 @@ fn l7_flags_literal_and_unnamed_seeds_but_not_bench_or_tests() {
 }
 
 #[test]
-fn l10_flags_out_of_order_direction_and_machine_drift() {
-    let findings = lint("protocol_order");
-    assert!(findings.iter().all(|f| f.rule == Rule::ProtocolOrder), "{findings:?}");
-    let locations: Vec<(&str, usize)> =
-        findings.iter().map(|f| (f.file.to_str().unwrap(), f.line)).collect();
-    assert_eq!(
-        locations,
-        vec![
-            // RoundStart sent after the GenSlice fan-out.
-            ("crates/core/src/trainer.rs", 15),
-            // The server sending the client-only condition upload.
-            ("crates/core/src/trainer.rs", 21),
-            // Gathering SynthLogits straight after RoundStart (recv side).
-            ("crates/core/src/trainer.rs", 29),
-            // MaskedUpload has wire arms but no edge in the machine.
-            ("crates/vfl/src/wire.rs", 16),
-        ],
-        "{findings:?}"
-    );
-    assert!(findings.iter().any(|f| f.message.contains("`RoundStart` cannot follow `GenSlice`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`server` must not send `Message::CondUpload`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("`SynthLogits` cannot follow `RoundStart`")));
-    assert!(findings.iter().any(|f| f
-        .message
-        .contains("`Message::MaskedUpload` has no edge in the protocol machine")));
-}
-
-#[test]
-fn serve_sources_are_covered_by_the_protocol_rule() {
-    let findings = lint("serve_rules");
-    let locations: Vec<(&str, usize, Rule)> =
-        findings.iter().map(|f| (f.file.to_str().unwrap(), f.line, f.rule)).collect();
-    assert_eq!(
-        locations,
-        vec![
-            // A reply before the handshake completes breaks the session NFA.
-            ("crates/serve/src/server.rs", 9, Rule::ProtocolOrder),
-            // A frame variant with no edge in the serving machine.
-            ("crates/serve/src/wire.rs", 11, Rule::ProtocolOrder),
-        ],
-        "{findings:?}"
-    );
-    assert!(findings.iter().any(|f| f.message.contains("`SynthRows` cannot follow `SynthHello`")));
-    assert!(findings.iter().any(|f| f
-        .message
-        .contains("`ServeFrame::SynthCancel` has no edge in the serving machine")));
-}
-
-#[test]
 fn findings_are_deterministic_and_sorted_across_runs() {
-    let first = lint("protocol_order");
-    assert!(!first.is_empty(), "the regression needs a fixture with findings");
-    assert_eq!(first, lint("protocol_order"), "two runs must agree");
+    // Six findings over three files, two lines in each.
+    let first = lint("l2_determinism");
+    assert!(first.len() > 1, "the regression needs a fixture with findings on several lines");
+    assert_eq!(first, lint("l2_determinism"), "two runs must agree");
     let keys: Vec<(String, usize, Rule)> =
         first.iter().map(|f| (f.file.display().to_string(), f.line, f.rule)).collect();
     let mut sorted = keys.clone();

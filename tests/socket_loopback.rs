@@ -183,7 +183,7 @@ fn version_mismatch_is_a_typed_handshake_failure() {
     let transport = SocketTransport::connect(1, fleet.endpoints.clone())
         .expect("honest handshake after rejected ones");
     transport
-        .send(PartyId::Server, PartyId::Client(0), gtv_vfl::Message::ShuffleSeedShare { share: 3 })
+        .send(PartyId::Server, PartyId::Client(0), Message::RoundStart { round: 3, selected: 0 })
         .expect("the link works");
     fleet.shutdown();
 }
@@ -291,7 +291,7 @@ fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
         std::thread::sleep(Duration::from_millis(2500));
         let late = Frame::Msg {
             from: PartyId::Server,
-            payload: Message::ShuffleSeedShare { share: 9 }.encode(),
+            payload: Message::RoundStart { round: 9, selected: 0 }.encode(),
         };
         // The dialer has hung up by now, so this write may fail; either way
         // the reply must never reach the next exchange.
@@ -307,7 +307,7 @@ fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
         .expect_err("the reply comes after the deadline");
     assert!(matches!(err, TransportError::Timeout { .. }), "{err:?}");
     transport
-        .send(PartyId::Server, PartyId::Client(0), Message::ShuffleSeedShare { share: 1 })
+        .send(PartyId::Server, PartyId::Client(0), Message::RoundStart { round: 1, selected: 0 })
         .expect("the next exchange redials instead of reading the late reply");
     node.join().expect("the scripted node saw the exchange it expected");
 }

@@ -74,7 +74,7 @@ done
 
 step "gtv-xtask lint"
 # The protocol-invariant passes the compiler cannot express (L2, L6, L7,
-# L10-L12).
+# L11, L12).
 cargo run -q -p gtv-xtask -- lint
 
 step "cargo test -q"
