@@ -38,6 +38,10 @@ impl ExperimentScale {
 
     /// Reads `GTV_ROWS`, `GTV_ROUNDS`, `GTV_BATCH`, `GTV_REPEATS` (and
     /// `GTV_QUICK=1` for the smoke preset) over the defaults.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "experiment drivers take their scale from the environment; seeds stay in code"
+    )]
     pub fn from_env() -> Self {
         let mut s = if std::env::var("GTV_QUICK").is_ok_and(|v| v == "1") {
             Self::quick()

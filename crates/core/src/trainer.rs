@@ -252,8 +252,7 @@ impl<T: Transport> GtvTrainer<T> {
 
         // Clients negotiate the shared shuffle seed peer-to-peer; the server
         // never observes it (§3.1.5).
-        let seeds = negotiate_seed(&network, n_clients, config.seed.wrapping_add(7))?;
-        let shuffler = SharedShuffler::new(seeds[0]);
+        let shuffler = negotiate_seed(&network, n_clients, config.seed.wrapping_add(7))?[0];
 
         let observer = ServerObserver::new(n_rows, layout.total_width());
         let client_observers = (0..n_clients).map(|_| ClientIndexObserver::new(n_rows)).collect();
@@ -1071,7 +1070,7 @@ fn draw_constructor<C>(eligible: Vec<(f64, C)>, rng: &mut StdRng) -> Option<C> {
 mod tests {
     use super::*;
     use gtv_data::Dataset;
-    use gtv_vfl::{Edge, RoundState, WireCodec};
+    use gtv_vfl::{Edge, RoundState, SeedShare, WireCodec};
 
     fn two_client_shards(rows: usize) -> Vec<Table> {
         let t = Dataset::Loan.generate(rows, 0);
@@ -1298,13 +1297,17 @@ mod tests {
         let mut trainer = GtvTrainer::new(shards, GtvConfig::smoke());
         trainer
             .network()
-            .send(PartyId::Client(1), PartyId::Client(0), Message::ShuffleSeedShare { share: 99 })
+            .send(
+                PartyId::Client(1),
+                PartyId::Client(0),
+                Message::ShuffleSeedShare { share: SeedShare::from(99) },
+            )
             .unwrap();
         let err = trainer.train_round().unwrap_err();
         match err {
             TransportError::ProtocolViolation { expected, got, .. } => {
                 assert_eq!(expected, "RoundStart");
-                assert_eq!(got, Message::ShuffleSeedShare { share: 99 });
+                assert_eq!(got, Message::ShuffleSeedShare { share: SeedShare::from(99) });
             }
             other => panic!("expected ProtocolViolation, got {other:?}"),
         }

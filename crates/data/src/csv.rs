@@ -140,7 +140,8 @@ pub fn from_csv_string(text: &str, schema: &Schema) -> Result<Table, ParseCsvErr
 
 /// Infers a schema from CSV text: a column whose every cell parses as a
 /// number becomes continuous — or [`ColumnKind::Mixed`] when one numeric
-/// value accounts for ≥ 25% of the cells (a point mass, e.g. `Mortgage = 0`)
+/// value accounts for ≥ 25% of the cells (a point mass, e.g. `Mortgage = 0`;
+/// when two values tie for the most cells, the one that appears first)
 /// — and any other column becomes categorical with the observed vocabulary
 /// (in first-appearance order). `target`, if given, names the target column
 /// and forces it categorical.
@@ -216,9 +217,16 @@ pub fn infer_schema(text: &str, target: Option<&str>) -> Result<Schema, ParseCsv
         .map(|(ci, name)| {
             let force_categorical = target_idx == Some(ci);
             let kind = if numeric[ci] && !force_categorical {
-                let heaviest = numeric_counts[ci].iter().max_by_key(|(_, &c)| c);
+                // `vocab` is in first-appearance order and `max_by_key` keeps
+                // the last of equal maxima, so walking it backwards gives a
+                // tie to the value that appears first.
+                let heaviest = vocab[ci]
+                    .iter()
+                    .rev()
+                    .map(|v| (v, numeric_counts[ci][v]))
+                    .max_by_key(|&(_, c)| c);
                 match heaviest {
-                    Some((v, &c)) if c >= 3 && c * 4 >= rows && vocab[ci].len() > 1 => {
+                    Some((v, c)) if c >= 3 && c * 4 >= rows && vocab[ci].len() > 1 => {
                         ColumnKind::Mixed {
                             special_values: vec![v
                                 .parse::<f64>()
@@ -284,6 +292,18 @@ mod tests {
         let table = from_csv_string(text, &schema).unwrap();
         assert_eq!(table.n_rows(), 4);
         assert_eq!(table.column(2).as_float()[1], 120.5);
+    }
+
+    #[test]
+    fn a_tied_point_mass_goes_to_the_value_that_appears_first() {
+        // `5` and `0` each fill 40% of the rows: the first to appear is the
+        // point mass, on every call.
+        let text = "x\n5\n0\n5\n0\n1\n5\n0\n2\n5\n0\n";
+        let first = infer_schema(text, None).unwrap();
+        assert_eq!(first.column(0).kind, ColumnKind::Mixed { special_values: vec![5.0] });
+        for _ in 0..50 {
+            assert_eq!(infer_schema(text, None).unwrap(), first);
+        }
     }
 
     #[test]

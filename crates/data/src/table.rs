@@ -6,7 +6,7 @@ use crate::schema::{ColumnKind, Schema};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The data of a single column.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,14 +238,11 @@ impl Table {
         let mut test_idx: Vec<usize> = Vec::new();
         let mut train_idx: Vec<usize> = Vec::new();
         if let Some(labels) = self.target_labels() {
-            let mut by_class: HashMap<u32, Vec<usize>> = HashMap::new();
+            let mut by_class: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
             for (i, &l) in labels.iter().enumerate() {
                 by_class.entry(l).or_default().push(i);
             }
-            let mut classes: Vec<u32> = by_class.keys().copied().collect();
-            classes.sort_unstable();
-            for c in classes {
-                let mut idx = by_class.remove(&c).unwrap();
+            for mut idx in by_class.into_values() {
                 idx.shuffle(&mut rng);
                 let n_test = ((idx.len() as f64) * test_frac).round() as usize;
                 test_idx.extend_from_slice(&idx[..n_test]);
@@ -275,14 +272,11 @@ impl Table {
         let frac = n as f64 / self.n_rows as f64;
         let mut chosen: Vec<usize> = Vec::with_capacity(n);
         if let Some(labels) = self.target_labels() {
-            let mut by_class: HashMap<u32, Vec<usize>> = HashMap::new();
+            let mut by_class: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
             for (i, &l) in labels.iter().enumerate() {
                 by_class.entry(l).or_default().push(i);
             }
-            let mut classes: Vec<u32> = by_class.keys().copied().collect();
-            classes.sort_unstable();
-            for c in classes {
-                let mut idx = by_class.remove(&c).unwrap();
+            for mut idx in by_class.into_values() {
                 idx.shuffle(&mut rng);
                 let k = ((idx.len() as f64) * frac).round().max(1.0) as usize;
                 chosen.extend_from_slice(&idx[..k.min(idx.len())]);

@@ -63,6 +63,10 @@ fn pool() -> &'static Pool {
 
 /// Worker count used when `set_threads` has not been called: `GTV_THREADS`
 /// if set and parseable, otherwise the machine's available parallelism.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the worker count is the one ambient input: chunking depends on problem size only"
+)]
 fn default_threads() -> usize {
     let configured = std::env::var("GTV_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
     let fallback =

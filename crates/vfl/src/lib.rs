@@ -24,13 +24,12 @@
 //! # Examples
 //!
 //! ```
-//! use gtv_vfl::{negotiate_seed, Network, SharedShuffler, Transport};
+//! use gtv_vfl::{negotiate_seed, Network, Transport};
 //!
 //! let net = Network::new(2);
-//! let seeds = negotiate_seed(&net, 2, 42).expect("transport is healthy");
-//! assert_eq!(seeds[0], seeds[1]);
-//! let shuffler = SharedShuffler::new(seeds[0]);
-//! let p = shuffler.permutation(10, 0);
+//! let shufflers = negotiate_seed(&net, 2, 42).expect("transport is healthy");
+//! assert_eq!(shufflers[0], shufflers[1]);
+//! let p = shufflers[0].permutation(10, 0);
 //! assert_eq!(p.len(), 10);
 //! // The server saw none of the seed traffic.
 //! assert_eq!(net.stats().server_bytes(), 0);
@@ -47,9 +46,9 @@ mod wire;
 pub use partition::{ratio_vector, split_widths, PartitionError, PartitionPlan};
 pub use protocol::{Dir, Edge, RoundState};
 pub use psi::{psi_align, PsiAlignment};
-pub use shuffle::{negotiate_seed, round_seed, SharedShuffler};
+pub use shuffle::{negotiate_seed, SharedShuffler};
 pub use socket::{Endpoint, PartyNode, SocketTransport};
 pub use transport::{
     Fault, InProcTransport, NetStats, Network, PartyId, RoundStats, Transport, TransportError,
 };
-pub use wire::{DecodeMessageError, DenseFrame, MatrixPayload, Message, WireCodec};
+pub use wire::{DecodeMessageError, DenseFrame, MatrixPayload, Message, SeedShare, WireCodec};

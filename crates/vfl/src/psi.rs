@@ -53,7 +53,7 @@ pub fn psi_align(client_ids: &[Vec<u64>], salt: u64) -> PsiAlignment {
         maps.push(m);
     }
     // Intersect hash sets.
-    let mut shared: Vec<u64> = maps[0].keys().copied().collect();
+    let mut shared: Vec<u64> = client_ids[0].iter().map(|&id| salted_hash(id, salt)).collect();
     shared.retain(|h| maps[1..].iter().all(|m| m.contains_key(h)));
     shared.sort_unstable(); // canonical order known to every client
     let row_orders = maps.iter().map(|m| shared.iter().map(|h| m[h]).collect()).collect();

@@ -6,11 +6,15 @@
 //! paper's requirement that the shuffle function is isolated from the
 //! server). Each round's permutation is derived from `(base_seed, round)`,
 //! so all clients apply the identical permutation and stay row-aligned.
+//!
+//! Outside this crate the seed is never a number: a share travels as a
+//! [`SeedShare`], the agreed seed as a [`SharedShuffler`], and neither has a
+//! `Display` or a public accessor, while `Debug` prints no digit of either.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::transport::{PartyId, Transport, TransportError};
-use crate::wire::Message;
+use crate::wire::{Message, SeedShare};
 use gtv_data::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +23,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// Each client draws a random share and sends it to every *other client*
 /// (never to the server); every client XORs all shares into the same base
-/// seed. Returns the per-client agreed seeds (all equal).
+/// seed. Returns each client's shuffler (all equal).
 ///
 /// # Errors
 ///
@@ -34,7 +38,7 @@ pub fn negotiate_seed<T: Transport>(
     net: &T,
     n_clients: usize,
     rng_seed: u64,
-) -> Result<Vec<u64>, TransportError> {
+) -> Result<Vec<SharedShuffler>, TransportError> {
     assert!(n_clients > 0, "need at least one client");
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let shares: Vec<u64> = (0..n_clients).map(|_| rng.gen()).collect();
@@ -45,7 +49,7 @@ pub fn negotiate_seed<T: Transport>(
                 net.send(
                     PartyId::Client(i),
                     PartyId::Client(j),
-                    Message::ShuffleSeedShare { share },
+                    Message::ShuffleSeedShare { share: SeedShare(share) },
                 )?;
             }
         }
@@ -57,7 +61,7 @@ pub fn negotiate_seed<T: Transport>(
             for _ in 0..n_clients - 1 {
                 let (from, msg) = net.recv(PartyId::Client(j))?;
                 match (from, msg) {
-                    (PartyId::Client(_), Message::ShuffleSeedShare { share }) => seed ^= share,
+                    (PartyId::Client(_), Message::ShuffleSeedShare { share }) => seed ^= share.0,
                     (from, got) => {
                         return Err(TransportError::UnexpectedMessage {
                             from,
@@ -67,13 +71,13 @@ pub fn negotiate_seed<T: Transport>(
                     }
                 }
             }
-            Ok(seed)
+            Ok(SharedShuffler::new(seed))
         })
         .collect()
 }
 
 /// Derives the round-`r` permutation seed from the negotiated base seed.
-pub fn round_seed(base_seed: u64, round: u64) -> u64 {
+fn round_seed(base_seed: u64, round: u64) -> u64 {
     // SplitMix64-style mix; all clients compute the same value.
     let mut z = base_seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -81,10 +85,31 @@ pub fn round_seed(base_seed: u64, round: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-client shuffler used at the end of every training round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The per-client shuffler used at the end of every training round. It
+/// prints as `SharedShuffler { .. }` and has no `Display`:
+///
+/// ```compile_fail
+/// println!("{}", gtv_vfl::SharedShuffler::new(7));
+/// ```
+///
+/// and no public way back to its seed:
+///
+/// ```compile_fail
+/// let seed: u64 = gtv_vfl::SharedShuffler::new(7).base_seed;
+/// ```
+///
+/// ```compile_fail
+/// let seed = u64::from(gtv_vfl::SharedShuffler::new(7));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SharedShuffler {
     base_seed: u64,
+}
+
+impl std::fmt::Debug for SharedShuffler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedShuffler").finish_non_exhaustive()
+    }
 }
 
 impl SharedShuffler {
@@ -113,9 +138,26 @@ mod tests {
     #[test]
     fn negotiation_yields_identical_seeds() {
         let net = Network::new(3);
-        let seeds = negotiate_seed(&net, 3, 42).unwrap();
-        assert_eq!(seeds[0], seeds[1]);
-        assert_eq!(seeds[1], seeds[2]);
+        let shufflers = negotiate_seed(&net, 3, 42).unwrap();
+        assert_eq!(shufflers[0], shufflers[1]);
+        assert_eq!(shufflers[1], shufflers[2]);
+    }
+
+    #[test]
+    fn debug_output_hides_the_seed() {
+        // A seed whose decimal and hex spellings are long: none of their
+        // digits, nor any other digit, may show.
+        let seed = 0x1234_5678_9abc_def0;
+        let printed = [
+            format!("{:?}", SharedShuffler::new(seed)),
+            format!("{:?}", SeedShare::from(seed)),
+            format!("{:?}", Message::ShuffleSeedShare { share: SeedShare::from(seed) }),
+        ];
+        assert_eq!(printed[0], "SharedShuffler { .. }");
+        assert_eq!(printed[1], "SeedShare(..)");
+        for p in &printed {
+            assert!(!p.chars().any(|c| c.is_ascii_digit()), "{p}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::transport::{
 use crate::wire::{Message, WireCodec};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -955,8 +955,8 @@ impl SocketTransport {
     /// # Errors
     ///
     /// [`TransportError::HandshakeFailed`] if a party cannot be reached or
-    /// rejects the handshake, [`TransportError::UnknownParty`] if
-    /// `endpoints` names a party outside the roster.
+    /// rejects the handshake, [`TransportError::UnknownParty`] naming the
+    /// smallest party in `endpoints` that is outside the roster.
     pub fn connect(
         n_clients: usize,
         endpoints: HashMap<PartyId, Endpoint>,
@@ -975,10 +975,10 @@ impl SocketTransport {
     ) -> Result<Self, TransportError> {
         let mut roster = vec![PartyId::Server, PartyId::Public];
         roster.extend((0..n_clients).map(PartyId::Client));
-        for p in endpoints.keys() {
-            if !roster.contains(p) {
-                return Err(TransportError::UnknownParty(*p));
-            }
+        // In party order, so the error names the same party on every run.
+        let endpoints: BTreeMap<PartyId, Endpoint> = endpoints.into_iter().collect();
+        if let Some(&p) = endpoints.keys().find(|p| !roster.contains(p)) {
+            return Err(TransportError::UnknownParty(p));
         }
         let mut local = HashMap::new();
         let mut remotes = HashMap::new();
@@ -1319,7 +1319,7 @@ impl Transport for SocketTransport {
 mod tests {
     use super::framing::handshake_reject_reason;
     use super::*;
-    use crate::wire::MatrixPayload;
+    use crate::wire::{MatrixPayload, SeedShare};
     use std::sync::Arc;
 
     #[test]
@@ -1375,6 +1375,23 @@ mod tests {
     }
 
     #[test]
+    fn unknown_party_error_names_the_smallest() {
+        // Two unknown parties: a hash map's visiting order differs from one
+        // map to the next, the error must not.
+        for _ in 0..20 {
+            let endpoints = HashMap::from([
+                (PartyId::Client(9), Endpoint::parse("127.0.0.1:1")),
+                (PartyId::Client(7), Endpoint::parse("127.0.0.1:1")),
+            ]);
+            match SocketTransport::connect(2, endpoints) {
+                Err(TransportError::UnknownParty(p)) => assert_eq!(p, PartyId::Client(7)),
+                Err(other) => panic!("expected UnknownParty, got {other:?}"),
+                Ok(_) => panic!("an endpoint outside the roster must be refused"),
+            }
+        }
+    }
+
+    #[test]
     fn version_mismatch_yields_handshake_failed() {
         let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
         let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
@@ -1417,7 +1434,7 @@ mod tests {
         let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
         let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
         let socket = SocketTransport::connect(1, endpoints).unwrap();
-        let seed = || Message::ShuffleSeedShare { share: 7 };
+        let seed = || Message::ShuffleSeedShare { share: SeedShare::from(7) };
         let index = || Message::IndexShare { indices: vec![1, 2] };
         let logits = Message::SynthLogits(MatrixPayload::new(1, 1, vec![1.0]));
         for (from, to, msg) in [

@@ -370,6 +370,38 @@ fn err(msg: &str) -> DecodeMessageError {
     DecodeMessageError { message: msg.into() }
 }
 
+/// One client's contribution to the shared shuffle seed: 8 bytes on the
+/// wire, readable only inside this crate (the negotiation XORs it in, the
+/// codec writes it). It prints as `SeedShare(..)` and has no `Display`:
+///
+/// ```compile_fail
+/// println!("{}", gtv_vfl::SeedShare::from(7));
+/// ```
+///
+/// and no public way back to its value:
+///
+/// ```compile_fail
+/// let raw: u64 = gtv_vfl::SeedShare::from(7).0;
+/// ```
+///
+/// ```compile_fail
+/// let raw = u64::from(gtv_vfl::SeedShare::from(7));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SeedShare(pub(crate) u64);
+
+impl From<u64> for SeedShare {
+    fn from(share: u64) -> Self {
+        Self(share)
+    }
+}
+
+impl std::fmt::Debug for SeedShare {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SeedShare(..)")
+    }
+}
+
 /// Every message type of the GTV protocol (Algorithm 1 plus publication).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -404,7 +436,7 @@ pub enum Message {
     /// routed through the server).
     ShuffleSeedShare {
         /// The client's random contribution.
-        share: u64,
+        share: SeedShare,
     },
     /// Client → client: the selected data indices, in the *alternative*
     /// peer-to-peer design of §3.1.6 (the paper rejects it because curious
@@ -523,7 +555,7 @@ impl Message {
                     buf.put_u32_le(i);
                 }
             }
-            Message::ShuffleSeedShare { share } => buf.put_u64_le(*share),
+            Message::ShuffleSeedShare { share } => buf.put_u64_le(share.0),
             // A matrix and nothing after it.
             Message::GenSlice(_)
             | Message::SynthLogits(_)
@@ -580,7 +612,7 @@ impl Message {
                 if bytes.remaining() < 8 {
                     return Err(err("truncated ShuffleSeedShare"));
                 }
-                Message::ShuffleSeedShare { share: bytes.get_u64_le() }
+                Message::ShuffleSeedShare { share: SeedShare(bytes.get_u64_le()) }
             }
             9 => {
                 if bytes.remaining() < 4 {
@@ -764,7 +796,7 @@ pub(crate) mod tests {
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut enc = Message::ShuffleSeedShare { share: 1 }.encode().to_vec();
+        let mut enc = Message::ShuffleSeedShare { share: SeedShare::from(1) }.encode().to_vec();
         enc.push(0);
         assert!(Message::decode(Bytes::from(enc)).is_err());
     }
@@ -868,7 +900,7 @@ pub(crate) mod tests {
             Message::GradLogits(m()),
             Message::GradGenSlice(m()),
             Message::SyntheticShare(m()),
-            Message::ShuffleSeedShare { share: 0xdead_beef_0bad_f00d },
+            Message::ShuffleSeedShare { share: SeedShare::from(0xdead_beef_0bad_f00d) },
             Message::IndexShare { indices: vec![1, 2, 0xffff_ffff] },
         ];
         for (i, msg) in msgs.iter().enumerate() {
@@ -1065,6 +1097,9 @@ pub(crate) mod tests {
     fn kind_names_every_variant() {
         assert_eq!(Message::RoundStart { round: 0, selected: 0 }.kind(), "RoundStart");
         assert_eq!(Message::GenSlice(demo_matrix()).kind(), "GenSlice");
-        assert_eq!(Message::ShuffleSeedShare { share: 0 }.kind(), "ShuffleSeedShare");
+        assert_eq!(
+            Message::ShuffleSeedShare { share: SeedShare::from(0) }.kind(),
+            "ShuffleSeedShare"
+        );
     }
 }

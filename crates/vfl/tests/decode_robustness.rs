@@ -7,7 +7,7 @@
 //! which only exercises the happy path.
 
 use bytes::Bytes;
-use gtv_vfl::{MatrixPayload, Message, WireCodec};
+use gtv_vfl::{MatrixPayload, Message, SeedShare, WireCodec};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -58,7 +58,7 @@ fn message() -> impl Strategy<Value = Message> {
             0 => Message::RoundStart { round: word, selected: word as u32 },
             1 => Message::CondUpload { cv: m, indices },
             2 => Message::GenSlice(m),
-            3 => Message::ShuffleSeedShare { share: word },
+            3 => Message::ShuffleSeedShare { share: SeedShare::from(word) },
             4 => Message::IndexShare { indices },
             _ => Message::GradLogits(m),
         },

@@ -5,7 +5,7 @@
 //! for bit, and the encoded length matches the meter.
 
 use gtv_tensor::pool_mem;
-use gtv_vfl::{MatrixPayload, Message, WireCodec};
+use gtv_vfl::{MatrixPayload, Message, SeedShare, WireCodec};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -114,7 +114,7 @@ proptest! {
 
     #[test]
     fn shuffle_seed_share_roundtrips(share in any::<u64>()) {
-        roundtrip(&Message::ShuffleSeedShare { share });
+        roundtrip(&Message::ShuffleSeedShare { share: SeedShare::from(share) });
     }
 
     #[test]

@@ -20,17 +20,14 @@
 //!   `Table`/partition column accessors, killed only by the sanctioned
 //!   encoder path (`TableTransformer::encode` / `*transformer*.encode`),
 //!   must never reach `Message` construction or a wire `encode` sink.
-//! * `NONDET` — ambient nondeterminism (L12 `nondet-flow`): rooted at
-//!   `std::env` reads (except `GTV_THREADS` inside the sanctioned thread
-//!   resolution), wall clocks, thread ids and unordered `HashMap`/
-//!   `HashSet` iteration; killed by `sort*`; must never reach tensor
-//!   kernels, RNG seed ctors, or wire payloads.
-//! * `SECRET` — shuffle-seed material (L6 sink half): rooted at the
-//!   [`passes`] secret registries; must never reach a logging macro.
 //! * `SEED` — positive seed/round provenance (L7): rooted at any name
 //!   containing `seed`/`round` and propagated through flows, so
 //!   `let s = cfg.seed; seed_from_u64(s)` now passes where the old
 //!   name-co-occurrence rule required the name at the call site.
+//!
+//! Ambient nondeterminism (L12) is clippy's `disallowed-methods` and
+//! `iter_over_hash_type`, and keeping the shuffle seed out of logs is
+//! `gtv-vfl`'s unprintable seed types (DESIGN.md §7).
 //!
 //! Soundness caveats are documented in DESIGN.md §12: the call graph is
 //! an under-approximation (ambiguous names add no edge), struct fields
@@ -39,9 +36,8 @@
 
 use crate::model::RefGraph;
 use crate::parse::{TokKind, Token};
-use crate::passes::{SECRET_ROOT_FNS, SECRET_ROOT_VARIANTS, SINK_MACROS};
 use crate::{suppressed, FileUnit, Finding, Rule};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Maximum summary inlining depth: twice the trainer's deepest call chain
 /// (`train` → `train_round` → `d_step` → `sample_condition`), so every
@@ -61,55 +57,11 @@ pub const SANCTIONED_ENCODER_TYPES: &[&str] = &["TableTransformer"];
 /// call is method-style (`transformer.encode(..)`).
 const SANCTIONED_ENCODER_RECV: &[&str] = &["transformer", "encoder"];
 
-/// Functions allowed to read `GTV_THREADS` / probe host parallelism: the
-/// deterministic pool's thread-count resolution (thread count never
-/// changes results — DESIGN.md §8).
-pub const SANCTIONED_ENV_FNS: &[&str] = &["resolve_threads", "default_threads"];
-
-/// The one environment variable the sanctioned fns may read.
-const SANCTIONED_ENV_VAR: &str = "GTV_THREADS";
-
-/// Types whose iteration order is nondeterministic.
-const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Iteration methods that expose unordered-container order.
-const UNORDERED_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_keys",
-    "into_values",
-];
-
-/// Methods that impose a total order, killing `NONDET` on their receiver.
-const ORDER_SANITIZERS: &[&str] = &[
-    "sort",
-    "sort_unstable",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-];
-
-/// RNG seeding constructors (the L7/L12 seed sink).
+/// RNG seeding constructors (the L7 seed sink).
 const SEED_CTORS: &[&str] = &["seed_from_u64", "from_seed"];
 
-/// The field of each secret wire/plan variant that actually holds seed
-/// material (mirrors the `lint_registry_drift` contract): pattern-matching
-/// `RandomEven { n_clients, seed }` taints only the `seed` binding.
-const SECRET_VARIANT_FIELDS: &[(&str, &str)] =
-    &[("ShuffleSeedShare", "share"), ("RandomEven", "seed")];
-
-/// Files whose functions form the tensor-kernel hot loop (the L12 kernel
-/// sink): a nondeterministic operand would make training runs diverge.
-const KERNEL_FILES: &[&str] = &["crates/tensor/src/kernels.rs"];
-
-/// Wire-serialization methods (the L11/L12 wire sink when not the
-/// sanctioned encoder).
+/// Wire-serialization methods (the L11 wire sink when not the sanctioned
+/// encoder).
 const WIRE_ENCODE_METHODS: &[&str] = &["encode", "encode_with"];
 
 /// Statement keywords that must never be treated as assignment targets or
@@ -132,12 +84,8 @@ impl Taint {
     pub(crate) const NONE: Taint = Taint(0);
     /// Raw feature-column data (L11).
     pub(crate) const RAW: Taint = Taint(1);
-    /// Ambient nondeterminism (L12).
-    pub(crate) const NONDET: Taint = Taint(1 << 1);
-    /// Shuffle-seed secret material (L6).
-    pub(crate) const SECRET: Taint = Taint(1 << 2);
     /// Positive seed/round provenance (L7).
-    pub(crate) const SEED: Taint = Taint(1 << 3);
+    pub(crate) const SEED: Taint = Taint(1 << 1);
 
     const KIND_MASK: u32 = 0xff;
     const PARAM_BASE: u32 = 8;
@@ -156,10 +104,6 @@ impl Taint {
     /// Whether every bit of `other` (non-empty) is present.
     pub(crate) fn contains(self, other: Taint) -> bool {
         other.0 != 0 && self.0 & other.0 == other.0
-    }
-
-    fn without(self, other: Taint) -> Taint {
-        Taint(self.0 & !other.0)
     }
 
     /// Parameter indices whose bits are set.
@@ -183,10 +127,6 @@ pub(crate) enum Sink {
     Wire,
     /// An RNG seeding constructor argument.
     Seed,
-    /// A call into the tensor kernel hot loop.
-    Kernel,
-    /// A logging/IO macro.
-    Log,
 }
 
 /// One sink observation: what kind of sink, where, and with what taint.
@@ -196,8 +136,8 @@ pub(crate) struct Hit {
     /// 1-based line of the sink (the call line for summarized flows).
     pub(crate) line: usize,
     pub(crate) taint: Taint,
-    /// Sink description (`Message::CondUpload`, `.encode_with`, macro or
-    /// callee name, or the rendered seed-ctor call for L7 messages).
+    /// Sink description (`Message::CondUpload`, `.encode_with`, or the
+    /// rendered seed-ctor call for L7 messages).
     pub(crate) detail: String,
     /// The summarized callee the flow passed through, if interprocedural.
     pub(crate) via: Option<String>,
@@ -254,8 +194,6 @@ impl<'a> TaintEngine<'a> {
 struct FnState {
     /// Current taint of each local name (strong updates overwrite).
     env: HashMap<String, Taint>,
-    /// Locals bound to unordered containers (`HashMap`/`HashSet`).
-    unordered: HashSet<String>,
     hits: Vec<Hit>,
     notes: Vec<(u32, String)>,
 }
@@ -393,18 +331,9 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             if let Some((eq, _)) = find_assign_eq(body, lo + 1, hi) {
                 let pat_end = top_level_colon(body, lo + 1, eq).unwrap_or(eq);
                 let taint = self.eval(st, idx, eq + 1, hi, false);
-                let unordered = (lo..hi).any(|k| {
-                    body[k].kind == TokKind::Ident
-                        && UNORDERED_TYPES.contains(&body[k].text.as_str())
-                });
                 for t in &body[lo + 1..pat_end] {
                     if t.kind == TokKind::Ident && binding_name(&t.text) {
                         st.env.insert(t.text.clone(), taint);
-                        if unordered {
-                            st.unordered.insert(t.text.clone());
-                        } else {
-                            st.unordered.remove(&t.text);
-                        }
                     }
                 }
             }
@@ -432,16 +361,7 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             let simple = eq == lo + 1 && !compound;
             let root = first.text.clone();
             if simple {
-                st.env.insert(root.clone(), taint);
-                let unordered = (eq + 1..hi).any(|k| {
-                    body[k].kind == TokKind::Ident
-                        && UNORDERED_TYPES.contains(&body[k].text.as_str())
-                });
-                if unordered {
-                    st.unordered.insert(root);
-                } else {
-                    st.unordered.remove(&root);
-                }
+                st.env.insert(root, taint);
             } else {
                 let cur = st.env.get(&root).copied().unwrap_or(Taint::NONE);
                 st.env.insert(root, cur.union(taint));
@@ -449,19 +369,11 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             return whole;
         }
         // Method-call statements mutate their receiver: `v.push(x)` makes
-        // `v` at least as tainted as `x`; `v.sort*()` imposes an order,
-        // killing NONDET (the pattern every real unordered read uses:
-        // collect keys, sort, then use).
+        // `v` at least as tainted as `x`.
         if hi > lo + 1 && body[lo + 1].is(".") {
             let root = first.text.clone();
-            let sorts = (lo + 1..hi).any(|k| {
-                body[k].kind == TokKind::Ident
-                    && ORDER_SANITIZERS.contains(&body[k].text.as_str())
-                    && body.get(k + 1).map(|n| n.is("(")).unwrap_or(false)
-            });
             let cur = st.env.get(&root).copied().unwrap_or(Taint::NONE);
-            let updated = if sorts { cur.without(Taint::NONDET) } else { cur.union(whole) };
-            st.env.insert(root, updated);
+            st.env.insert(root, cur.union(whole));
         }
         whole
     }
@@ -482,22 +394,10 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             }
             let next = if i + 1 < hi { Some(body[i + 1].text.as_str()) } else { None };
             match next {
-                // Macro invocation: evaluate args plus format-string
-                // `{ident}` interpolations; logging macros are L6 sinks.
+                // Macro invocation: evaluate its arguments.
                 Some("!") if i + 2 < hi && matches!(body[i + 2].text.as_str(), "(" | "[" | "{") => {
                     let close = balanced(body, i + 2, hi);
-                    let mut at = self.eval(st, idx, i + 3, close, record);
-                    at = at.union(self.interpolation_taint(st, idx, i + 2, close));
-                    if record && SINK_MACROS.contains(&tok.text.as_str()) {
-                        st.hits.push(Hit {
-                            kind: Sink::Log,
-                            line: tok.line,
-                            taint: at,
-                            detail: tok.text.clone(),
-                            via: None,
-                        });
-                    }
-                    taint = taint.union(at);
+                    taint = taint.union(self.eval(st, idx, i + 3, close, record));
                     i = close + 1;
                 }
                 Some("(") => {
@@ -505,34 +405,14 @@ impl<'g, 'a> Analyzer<'g, 'a> {
                     taint = taint.union(at);
                     i = close + 1;
                 }
-                // Struct literal / struct pattern `Name { .. }`.
+                // Struct literal `Name { .. }` (a match-arm or `if let`
+                // pattern, followed by `=`, binds nothing tainted).
                 Some("{") if camel_case(&tok.text) => {
                     let close = balanced(body, i + 1, hi);
                     let pattern = body.get(close + 1).map(|t| t.is("=")).unwrap_or(false);
-                    if pattern {
-                        // Match-arm or `if let` pattern: only the registered
-                        // secret *field* binding exposes seed material —
-                        // `RandomEven { n_clients, seed }` taints `seed`, not
-                        // `n_clients`.
-                        if SECRET_ROOT_VARIANTS.contains(&tok.text.as_str()) {
-                            st.note(Taint::SECRET, || tok.text.clone());
-                            bind_secret_fields(st, body, &tok.text, i + 2, close);
-                        }
-                    } else {
-                        let mut at = self.eval(st, idx, i + 2, close, record);
-                        let qual = qualifier(body, i);
-                        if SECRET_ROOT_VARIANTS.contains(&tok.text.as_str()) {
-                            st.note(Taint::SECRET, || tok.text.clone());
-                            at = at.union(Taint::SECRET);
-                        } else {
-                            // Containment is not content: constructing a
-                            // struct that *holds* secret state (e.g. the
-                            // trainer with its shuffler field) does not make
-                            // every later projection of it seed material —
-                            // the L6 carrier half polices containment.
-                            at = at.without(Taint::SECRET);
-                        }
-                        if qual == Some("Message") && record {
+                    if !pattern {
+                        let at = self.eval(st, idx, i + 2, close, record);
+                        if qualifier(body, i) == Some("Message") && record {
                             st.hits.push(Hit {
                                 kind: Sink::Wire,
                                 line: tok.line,
@@ -565,8 +445,7 @@ impl<'g, 'a> Analyzer<'g, 'a> {
         record: bool,
     ) -> (Taint, usize) {
         let graph = self.graph;
-        let (unit, f) = graph.fns[idx];
-        let body: &[Token] = &f.body;
+        let body: &[Token] = &graph.fns[idx].1.body;
         let tok = &body[name_idx];
         let name = tok.text.as_str();
         let line = tok.line;
@@ -588,17 +467,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
         if qual == Some("Message") && camel_case(name) {
             let pattern = body.get(close + 1).map(|t| t.is("=")).unwrap_or(false);
             if pattern {
-                if SECRET_ROOT_VARIANTS.contains(&name) {
-                    st.note(Taint::SECRET, || name.to_string());
-                    for &(alo, ahi) in &args {
-                        for t in &body[alo..ahi] {
-                            if t.kind == TokKind::Ident && binding_name(&t.text) {
-                                let cur = st.read(&t.text);
-                                st.env.insert(t.text.clone(), cur.union(Taint::SECRET));
-                            }
-                        }
-                    }
-                }
                 return (Taint::NONE, close);
             }
             let at = eval_args(self, st).into_iter().fold(Taint::NONE, Taint::union);
@@ -614,12 +482,8 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             return (at, close);
         }
 
-        // RNG seed constructors: the L7/L12 seed sink, and the SECRET
-        // declassification boundary — the seed is *consumed* here, and the
-        // PRNG stream it produces (permutations, samples) is exactly what
-        // the protocol legitimately shares, so SECRET does not survive the
-        // ctor. NONDET does: a nondeterministic seed yields a
-        // nondeterministic stream (the L12 env-seed flow).
+        // RNG seed constructors: the L7 seed sink. The stream they return
+        // carries seed provenance.
         if SEED_CTORS.contains(&name) {
             let at = eval_args(self, st).into_iter().fold(Taint::NONE, Taint::union);
             if record {
@@ -631,43 +495,7 @@ impl<'g, 'a> Analyzer<'g, 'a> {
                     via: None,
                 });
             }
-            let stream = Taint::SEED.union(Taint(at.0 & Taint::NONDET.0));
-            return (stream, close);
-        }
-
-        // std::env reads: nondeterministic unless the sanctioned
-        // GTV_THREADS resolution.
-        if matches!(name, "var" | "var_os" | "vars") && qual == Some("env") {
-            if self.sanctioned_env_read(unit, f.name.as_str(), line) {
-                return (Taint::NONE, close);
-            }
-            st.note(Taint::NONDET, || format!("`std::env::{name}` at line {line}"));
-            return (Taint::NONDET, close);
-        }
-        if name == "available_parallelism" {
-            if SANCTIONED_ENV_FNS.contains(&f.name.as_str()) {
-                return (Taint::NONE, close);
-            }
-            st.note(Taint::NONDET, || format!("`available_parallelism` at line {line}"));
-            return (Taint::NONDET, close);
-        }
-
-        // Wall clocks and thread ids.
-        if name == "now" && matches!(qual, Some("SystemTime") | Some("Instant")) {
-            st.note(Taint::NONDET, || format!("`{}::now` at line {line}", qual.unwrap_or("")));
-            return (Taint::NONDET, close);
-        }
-        if name == "current" && qual == Some("thread") {
-            st.note(Taint::NONDET, || format!("`thread::current` at line {line}"));
-            return (Taint::NONDET, close);
-        }
-
-        // Secret roots: the shuffle-seed negotiation surface.
-        if SECRET_ROOT_FNS.contains(&name) || qual == Some("SharedShuffler") {
-            let root = if SECRET_ROOT_FNS.contains(&name) { name } else { "SharedShuffler" };
-            st.note(Taint::SECRET, || root.to_string());
-            let at = eval_args(self, st).into_iter().fold(Taint::NONE, Taint::union);
-            return (at.union(Taint::SECRET), close);
+            return (Taint::SEED, close);
         }
 
         // Sanctioned encoder: output is activation-space, not raw data.
@@ -709,45 +537,17 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             return (at.union(Taint::RAW), close);
         }
 
-        // Unordered-container iteration: order-dependent values.
-        if UNORDERED_ITER_METHODS.contains(&name) && method {
-            if let Some(root) = receiver_root(body, name_idx - 1) {
-                if st.unordered.contains(&root) {
-                    st.note(Taint::NONDET, || {
-                        format!("unordered iteration of `{root}` at line {line}")
-                    });
-                    return (recv_taint.union(Taint::NONDET), close);
-                }
-            }
-        }
-
-        // Sorting in expression position returns unit.
-        if ORDER_SANITIZERS.contains(&name) && method {
-            eval_args(self, st);
-            return (Taint::NONE, close);
-        }
-
         // Workspace call with a memoized summary: translate parameter bits
         // through the argument taints (and report the callee's
         // parameter-mediated sinks at this call site).
         if let Some(callee) = graph.resolve_call_at(idx, name_idx) {
             if callee != idx {
-                let callee_unit = graph.fns[callee].0;
                 let callee_fn = graph.fns[callee].1;
                 let mut ats: Vec<Taint> = Vec::new();
                 if method && callee_fn.params.first().map(|p| p == "self").unwrap_or(false) {
                     ats.push(recv_taint);
                 }
                 ats.extend(eval_args(self, st));
-                if record && KERNEL_FILES.contains(&callee_unit.rel_str.as_str()) {
-                    st.hits.push(Hit {
-                        kind: Sink::Kernel,
-                        line,
-                        taint: ats.iter().copied().fold(Taint::NONE, Taint::union),
-                        detail: callee_fn.name.clone(),
-                        via: None,
-                    });
-                }
                 if let Some((sret, param_hits)) = self.summary(callee) {
                     let translate = |t: Taint| -> Taint {
                         t.params()
@@ -781,37 +581,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
         let at = eval_args(self, st).into_iter().fold(recv_taint, Taint::union);
         (at, close)
     }
-
-    /// Whether an env read at `line` of `fn_name` is the sanctioned
-    /// `GTV_THREADS` resolution.
-    fn sanctioned_env_read(&self, unit: &FileUnit, fn_name: &str, line: usize) -> bool {
-        SANCTIONED_ENV_FNS.contains(&fn_name)
-            && unit
-                .lines
-                .get(line - 1)
-                .map(|l| l.strings.iter().any(|s| s == SANCTIONED_ENV_VAR))
-                .unwrap_or(false)
-    }
-
-    /// Taint flowing through `{ident}` interpolations in the string
-    /// literals of a macro-argument group (the lexer blanks literal text
-    /// out of `code` but keeps it in `strings`).
-    fn interpolation_taint(&self, st: &FnState, idx: usize, open: usize, close: usize) -> Taint {
-        let (unit, f) = self.graph.fns[idx];
-        let body: &[Token] = &f.body;
-        let Some(first) = body.get(open) else { return Taint::NONE };
-        let last_line = body.get(close).map(|t| t.line).unwrap_or(first.line);
-        let mut taint = Taint::NONE;
-        for line in first.line..=last_line {
-            let Some(lexed) = unit.lines.get(line - 1) else { continue };
-            for s in &lexed.strings {
-                for name in interpolated_idents(s) {
-                    taint = taint.union(st.read(&name));
-                }
-            }
-        }
-        taint
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -824,31 +593,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
 fn camel_case(name: &str) -> bool {
     name.starts_with(|c: char| c.is_ascii_uppercase())
         && name.chars().any(|c| c.is_ascii_lowercase())
-}
-
-/// Marks SECRET on the bindings of a secret variant's registered seed
-/// field inside the pattern tokens `[lo, hi)`: the shorthand `{ seed }`
-/// binds `seed`, the rename `{ seed: s }` binds `s`; unrelated fields
-/// (`n_clients`) stay clean.
-fn bind_secret_fields(st: &mut FnState, body: &[Token], variant: &str, lo: usize, hi: usize) {
-    let fields: Vec<&str> = SECRET_VARIANT_FIELDS
-        .iter()
-        .filter(|(v, _)| *v == variant)
-        .map(|(_, field)| *field)
-        .collect();
-    let mut k = lo;
-    while k < hi {
-        let t = &body[k];
-        if t.kind == TokKind::Ident && fields.contains(&t.text.as_str()) {
-            let renamed = body.get(k + 1).filter(|n| n.is(":")).and_then(|_| {
-                body.get(k + 2).filter(|n| n.kind == TokKind::Ident && binding_name(&n.text))
-            });
-            let bound = renamed.unwrap_or(t);
-            let cur = st.read(&bound.text);
-            st.env.insert(bound.text.clone(), cur.union(Taint::SECRET));
-        }
-        k += 1;
-    }
 }
 
 /// Whether an identifier may bind in a pattern (lowercase, not a keyword
@@ -1021,42 +765,11 @@ fn top_level_colon(body: &[Token], lo: usize, hi: usize) -> Option<usize> {
     None
 }
 
-/// `{ident}` / `{ident:spec}` interpolation names in a format string
-/// (`{{` escapes skipped, positional `{0}` ignored).
-fn interpolated_idents(s: &str) -> Vec<String> {
-    let cs: Vec<char> = s.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < cs.len() {
-        if cs[i] != '{' {
-            i += 1;
-            continue;
-        }
-        if cs.get(i + 1) == Some(&'{') {
-            i += 2;
-            continue;
-        }
-        let mut j = i + 1;
-        let mut name = String::new();
-        while j < cs.len() && (cs[j].is_alphanumeric() || cs[j] == '_') {
-            name.push(cs[j]);
-            j += 1;
-        }
-        let terminated = matches!(cs.get(j), Some('}') | Some(':'));
-        let named = !name.is_empty() && !name.starts_with(|c: char| c.is_ascii_digit());
-        if terminated && named {
-            out.push(name);
-        }
-        i = j.max(i + 1);
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// L11 / L12 passes
+// L11 pass
 // ---------------------------------------------------------------------------
 
-/// Whether L11/L12 police this function (protocol-party code only).
+/// Whether L11 polices this function (protocol-party code only).
 fn in_flow_scope(unit: &FileUnit, in_test: bool) -> bool {
     !in_test && unit.rel_str.starts_with("crates/") && !unit.rel_str.starts_with("crates/bench/")
 }
@@ -1089,45 +802,6 @@ pub(crate) fn lint_raw_egress(engine: &TaintEngine, findings: &mut Vec<Finding>)
                 rule: Rule::RawEgress,
                 message: format!(
                     "raw column data ({root}) {flow}; raw features may leave a party only as `TableTransformer::encode` activations (or `// gtv-lint: allow(raw-egress) -- why`)"
-                ),
-            });
-        }
-    }
-}
-
-/// L12 `nondet-flow`: env/time/thread-id/unordered-iteration values must
-/// never flow into tensor kernels, RNG seeds, or wire payloads.
-pub(crate) fn lint_nondet_flow(engine: &TaintEngine, findings: &mut Vec<Finding>) {
-    for (idx, (unit, f)) in engine.graph.fns.iter().enumerate() {
-        if !in_flow_scope(unit, f.in_test) {
-            continue;
-        }
-        let analysis = &engine.analyses[idx];
-        for hit in &analysis.hits {
-            if hit.kind == Sink::Log || !hit.taint.contains(Taint::NONDET) {
-                continue;
-            }
-            if suppressed(&unit.lines, hit.line - 1, Rule::NondetFlow, &unit.rel, findings) {
-                continue;
-            }
-            let root =
-                analysis.note(Taint::NONDET).unwrap_or("a nondeterministic source").to_string();
-            let sink = match hit.kind {
-                Sink::Wire => format!("wire sink `{}`", hit.detail),
-                Sink::Seed => format!("RNG seed `{}`", hit.detail),
-                Sink::Kernel => format!("tensor kernel `{}`", hit.detail),
-                Sink::Log => unreachable!("Log hits are filtered above"),
-            };
-            let flow = match &hit.via {
-                Some(v) => format!("reaches {sink} through `{v}`"),
-                None => format!("reaches {sink}"),
-            };
-            findings.push(Finding {
-                file: unit.rel.clone(),
-                line: hit.line,
-                rule: Rule::NondetFlow,
-                message: format!(
-                    "nondeterministic value ({root}) {flow}; derive it from the config seed or round counter (or `// gtv-lint: allow(nondet-flow) -- why`)"
                 ),
             });
         }
@@ -1210,39 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_kills_nondet_and_unordered_iteration_roots_it() {
-        let units = vec![unit(
-            "crates/nn/src/x.rs",
-            "pub fn bad() -> Message {\n\
-             \x20   let m = HashMap::new();\n\
-             \x20   let mut out = Vec::new();\n\
-             \x20   for k in m.keys() {\n\
-             \x20       out.push(k);\n\
-             \x20   }\n\
-             \x20   Message::GenSlice(out)\n\
-             }\n\
-             pub fn good() -> Message {\n\
-             \x20   let m = HashMap::new();\n\
-             \x20   let mut out = Vec::new();\n\
-             \x20   for k in m.keys() {\n\
-             \x20       out.push(k);\n\
-             \x20   }\n\
-             \x20   out.sort_unstable();\n\
-             \x20   Message::GenSlice(out)\n\
-             }\n",
-        )];
-        let engine = TaintEngine::build(&units);
-        let bad = analysis_of(&engine, "bad");
-        assert!(bad.hits.iter().any(|h| h.kind == Sink::Wire && h.taint.contains(Taint::NONDET)));
-        let good = analysis_of(&engine, "good");
-        assert!(
-            good.hits.iter().all(|h| h.kind != Sink::Wire || !h.taint.contains(Taint::NONDET)),
-            "{:?}",
-            good.hits
-        );
-    }
-
-    #[test]
     fn sanctioned_encoder_launders_raw_taint() {
         let units = vec![unit(
             "crates/cond/src/x.rs",
@@ -1256,24 +897,6 @@ mod tests {
         let clean = analysis_of(&engine, "clean");
         let wire: Vec<&Hit> = clean.hits.iter().filter(|h| h.kind == Sink::Wire).collect();
         assert!(!wire[0].taint.contains(Taint::RAW), "{wire:?}");
-    }
-
-    #[test]
-    fn format_interpolation_reaches_log_sink() {
-        let units = vec![unit(
-            "crates/cond/src/x.rs",
-            "pub fn announce() -> u64 {\n\
-             \x20   let s = SharedShuffler::state_digest();\n\
-             \x20   println!(\"digest: {s}\");\n\
-             \x20   s\n\
-             }\n",
-        )];
-        let engine = TaintEngine::build(&units);
-        let a = analysis_of(&engine, "announce");
-        let log: Vec<&Hit> = a.hits.iter().filter(|h| h.kind == Sink::Log).collect();
-        assert_eq!(log.len(), 1);
-        assert!(log[0].taint.contains(Taint::SECRET), "{log:?}");
-        assert!(a.ret.contains(Taint::SECRET), "tail return: {:?}", a.ret);
     }
 
     #[test]
@@ -1291,11 +914,5 @@ mod tests {
         let seed: Vec<&Hit> = a.hits.iter().filter(|h| h.kind == Sink::Seed).collect();
         assert_eq!(seed.len(), 1);
         assert!(seed[0].taint.contains(Taint::SEED), "{seed:?}");
-    }
-
-    #[test]
-    fn interpolated_ident_parsing() {
-        assert_eq!(interpolated_idents("a {x} b {y:>8.2} {{esc}} {0}"), vec!["x", "y"]);
-        assert!(interpolated_idents("no holes").is_empty());
     }
 }

@@ -6,9 +6,10 @@
 //! reproducible, and the VFL runtime only scales if protocol paths never
 //! panic mid-round. The name bans behind those two properties are compiler
 //! checks, resolved by type (DESIGN.md §7): the root `clippy.toml` disallows
-//! clock reads and thread spawns, the protocol files carry
-//! `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic,
-//! clippy::unreachable)]`, the metric crates `#![deny(clippy::float_cmp)]`,
+//! clock reads, thread spawns, environment and thread-id reads and
+//! hash-order iteration (`iter_over_hash_type` covers `for` loops), the
+//! protocol files carry `#![deny(clippy::unwrap_used, clippy::expect_used,
+//! clippy::panic, clippy::unreachable)]`, the metric crates `#![deny(clippy::float_cmp)]`,
 //! and every `#[allow]` needs a `reason` (`allow_attributes_without_reason`).
 //! The wire files and `gtv-serve` deny clippy's cast lints, the wire tests
 //! match every `Message` variant with no wildcard, and the Cargo manifests
@@ -20,30 +21,27 @@
 //!   and no raw allocation (`Vec::with_capacity`, `vec![0.0`) in the
 //!   kernel hot path `crates/tensor/src/kernels.rs`;
 //! * **L6 `privacy-flow`** — shuffle-seed material (the secret roots in
-//!   [`passes`]) is never reachable from server-side code and never routed
-//!   into a logging/IO sink outside the sanctioned client↔client path;
+//!   [`passes`]) is never reachable from server-side code, nor held there
+//!   in a type that contains it (that it never reaches a log is a type
+//!   fact: `gtv-vfl`'s seed types cannot be printed);
 //! * **L7 `rng-provenance`** — every `seed_from_u64` / `from_seed` call
 //!   outside tests and `crates/bench` derives its argument from a value
 //!   named `seed`/`round`, never a literal or ambient source;
 //! * **L11 `raw-egress`** — raw feature-column data (partition table
 //!   column accessors) must never reach `Message` construction or a wire
 //!   `encode` sink except through the sanctioned
-//!   `TableTransformer::encode` → activation path (paper §3.1.4);
-//! * **L12 `nondet-flow`** — values from `std::env` (except `GTV_THREADS`
-//!   via the sanctioned thread resolution), wall clocks, thread ids and
-//!   unordered `HashMap`/`HashSet` iteration must never flow into tensor
-//!   kernels, RNG seeds, or wire payloads.
+//!   `TableTransformer::encode` → activation path (paper §3.1.4).
 //!
-//! L2 is a line-lexer rule. L6, L7, L11 and L12 run on the item-level engine: the
+//! L2 is a line-lexer rule. L6, L7 and L11 run on the item-level engine: the
 //! [`parse`] module's recursive-descent parser extracts items (structs and
 //! enums with field types, fns with bodies), [`model`] builds the
 //! type-containment and approximate call/reference graphs, and
 //! [`dataflow`] layers flow-sensitive per-function taint tracking with
-//! memoized interprocedural summaries on top (L6's sink half, L7, L11 and
-//! L12 are taint-driven; the name-registry halves of L6 remain as drift
-//! guards). The rule numbers of the retired L1, L3, L4, L5, L8, L9 and L10
-//! stay unused: the compiler and `gtv-vfl`'s round machine hold those
-//! properties (DESIGN.md §7).
+//! memoized interprocedural summaries on top (L7 and L11 are taint-driven;
+//! L6's name registries remain as drift guards). The rule numbers of the
+//! retired L1, L3, L4, L5, L8, L9, L10 and L12 stay unused: the compiler,
+//! clippy and `gtv-vfl`'s round machine hold those properties (DESIGN.md
+//! §7).
 //!
 //! A finding on line *N* is suppressed by an inline escape hatch on line
 //! *N* or *N−1*:
@@ -66,8 +64,8 @@ pub(crate) mod model;
 pub(crate) mod parse;
 pub(crate) mod passes;
 
-/// The lint rules the compiler cannot hold (L1, L3, L4, L5, L8 and L9 moved
-/// to rustc and clippy, L10 to `gtv-vfl`'s round machine).
+/// The lint rules the compiler cannot hold (L1, L3, L4, L5, L8, L9 and L12
+/// moved to rustc and clippy, L10 to `gtv-vfl`'s round machine).
 ///
 /// `Ord` follows declaration order and is part of the finding sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -80,8 +78,6 @@ pub enum Rule {
     RngProvenance,
     /// L11: raw feature columns never reach a wire sink unencoded.
     RawEgress,
-    /// L12: nondeterministic values never reach kernels, seeds, or wire.
-    NondetFlow,
 }
 
 impl Rule {
@@ -92,7 +88,6 @@ impl Rule {
             Rule::PrivacyFlow => "privacy-flow",
             Rule::RngProvenance => "rng-provenance",
             Rule::RawEgress => "raw-egress",
-            Rule::NondetFlow => "nondet-flow",
         }
     }
 
@@ -103,7 +98,6 @@ impl Rule {
             Rule::PrivacyFlow => "L6/privacy-flow",
             Rule::RngProvenance => "L7/rng-provenance",
             Rule::RawEgress => "L11/raw-egress",
-            Rule::NondetFlow => "L12/nondet-flow",
         }
     }
 }
@@ -157,11 +151,6 @@ pub(crate) struct LexedLine {
     pub(crate) comment: String,
     /// Whether the line sits inside a `#[cfg(test)]` item.
     pub(crate) in_test: bool,
-    /// Contents of string literals that open *and* close on this line, in
-    /// order of appearance. Kept out of `code` so structural scans never see
-    /// literal text; L12 reads them to recognise the sanctioned
-    /// `env::var("GTV_THREADS")`. Multi-line literals are not captured.
-    pub(crate) strings: Vec<String>,
 }
 
 /// One scanned source file: lexed lines plus the parsed item structure the
@@ -198,22 +187,13 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
     let mut depth: i64 = 0;
     let mut pending_test_attr = false;
     let mut test_depth: Option<i64> = None;
-    // Accumulates the current string literal; captured per line only when
-    // the literal opened on the same line it closes.
-    let mut str_buf = String::new();
-    let mut str_opened_this_line = false;
 
     for raw in source.lines() {
         let bytes: Vec<char> = raw.chars().collect();
         let mut code = String::with_capacity(raw.len());
         let mut comment = String::new();
-        let mut strings = Vec::new();
         let mut i = 0;
         let in_test_at_start = test_depth.is_some();
-        if matches!(mode, Mode::Str | Mode::RawStr(_)) {
-            // The open literal spans lines; spanning literals aren't captured.
-            str_opened_this_line = false;
-        }
         // Pre-scan so `#[cfg(test)] mod t {` on one line still registers
         // before its own `{` is processed.
         if mode == Mode::Code && raw.contains("#[cfg(test)]") {
@@ -238,20 +218,12 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
                 }
                 Mode::Str => {
                     if bytes[i] == '\\' {
-                        str_buf.push(bytes[i]);
-                        if let Some(&next) = bytes.get(i + 1) {
-                            str_buf.push(next);
-                        }
                         i += 2;
-                    } else if bytes[i] == '"' {
-                        mode = Mode::Code;
-                        code.push('"');
-                        if str_opened_this_line {
-                            strings.push(std::mem::take(&mut str_buf));
-                        }
-                        i += 1;
                     } else {
-                        str_buf.push(bytes[i]);
+                        if bytes[i] == '"' {
+                            mode = Mode::Code;
+                            code.push('"');
+                        }
                         i += 1;
                     }
                     continue;
@@ -263,12 +235,8 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
                     {
                         mode = Mode::Code;
                         code.push('"');
-                        if str_opened_this_line {
-                            strings.push(std::mem::take(&mut str_buf));
-                        }
                         i += 1 + hashes;
                     } else {
-                        str_buf.push(bytes[i]);
                         i += 1;
                     }
                     continue;
@@ -288,8 +256,6 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
                 '"' => {
                     code.push('"');
                     mode = Mode::Str;
-                    str_buf.clear();
-                    str_opened_this_line = true;
                     i += 1;
                 }
                 'r' if bytes.get(i + 1) == Some(&'"')
@@ -299,8 +265,6 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
                     let hashes = bytes[i + 1..].iter().take_while(|&&x| x == '#').count();
                     code.push('"');
                     mode = Mode::RawStr(hashes);
-                    str_buf.clear();
-                    str_opened_this_line = true;
                     i += 2 + hashes;
                 }
                 '\'' => {
@@ -349,7 +313,6 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
             code,
             comment,
             in_test: in_test_at_start || test_depth.is_some() || pending_test_attr,
-            strings,
         });
     }
     out
@@ -474,8 +437,8 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     }
     let units = load_units(root)?;
     // The taint engine (def-use chains + memoized interprocedural
-    // summaries) is built once and shared by the flow-sensitive passes
-    // (L6 sink half, L7, L11, L12).
+    // summaries) is built once and shared by the passes on it (L6's call
+    // graph, L7, L11).
     let engine = dataflow::TaintEngine::build(&units);
     let mut findings = Vec::new();
     for u in &units {
@@ -484,7 +447,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     passes::lint_privacy_flow(&units, &engine, &mut findings);
     passes::lint_rng_provenance(&engine, &mut findings);
     dataflow::lint_raw_egress(&engine, &mut findings);
-    dataflow::lint_nondet_flow(&engine, &mut findings);
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -629,6 +591,6 @@ mod tests {
         assert_eq!(allow_covers("// gtv-lint: allow(raw-egress)", rule), Some(false));
         assert_eq!(allow_covers("// gtv-lint: allow(raw-egress) --   ", rule), Some(false));
         assert_eq!(allow_covers("// unrelated", rule), None);
-        assert_eq!(allow_covers("// gtv-lint: allow(nondet-flow) -- x", rule), None);
+        assert_eq!(allow_covers("// gtv-lint: allow(rng-provenance) -- x", rule), None);
     }
 }

@@ -19,12 +19,12 @@ fn usage() -> ExitCode {
          Runs the GTV protocol-invariant lints that the compiler cannot hold:\n  \
          L2 determinism   lane-level SIMD ([f32; 8], [f64; 4], [f64; 8], chunks_exact(8)) only in\n  \
          \x20                 crates/tensor/src/simd.rs; no raw allocation in crates/tensor/src/kernels.rs\n  \
-         L6 privacy-flow  shuffle-seed secrets unreachable from server code and logging sinks\n  \
+         L6 privacy-flow  shuffle-seed secrets unreachable from server code\n  \
          L7 rng-provenance  seed_from_u64/from_seed args derive from a seed/round value\n  \
-         L11 raw-egress   raw partition columns never reach Message/wire encode unencoded\n  \
-         L12 nondet-flow  env/time/thread-id/unordered-iteration values never reach kernels, seeds, wire\n\n\
-         Panics in protocol files, clock reads, thread spawns, float == in the metric crates,\n\
-         reason-less #[allow]s and narrowing casts on the wire are clippy's, wire\n\
+         L11 raw-egress   raw partition columns never reach Message/wire encode unencoded\n\n\
+         Panics in protocol files, clock, environment and thread-id reads, thread spawns,\n\
+         hash-order iteration, float == in the metric crates, reason-less #[allow]s and\n\
+         narrowing casts on the wire are clippy's, the seed types cannot be printed, wire\n\
          exhaustiveness is a wildcard-free match, layering is the Cargo manifests, and\n\
          message order and direction are gtv-vfl's round machine (Message::edge):\n\
          see clippy.toml and DESIGN.md §7.\n\n\

@@ -15,7 +15,7 @@
 
 use crate::parse::{FnItem, TokKind};
 use crate::FileUnit;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Maps a workspace-relative path to the crate identifier its code compiles
 /// into (`crates/core` is the `gtv` package; the umbrella `src/` is
@@ -169,8 +169,8 @@ impl<'a> RefGraph<'a> {
 /// Type names that transitively *contain* one of `root_types` by field —
 /// the type-containment closure (e.g. a struct holding a `SharedShuffler`
 /// field is itself a secret carrier).
-pub fn secret_carriers(units: &[FileUnit], root_types: &[&str]) -> HashSet<String> {
-    let mut carriers: HashSet<String> = root_types.iter().map(|s| s.to_string()).collect();
+pub fn secret_carriers(units: &[FileUnit], root_types: &[&str]) -> BTreeSet<String> {
+    let mut carriers: BTreeSet<String> = root_types.iter().map(|s| s.to_string()).collect();
     loop {
         let mut grew = false;
         for unit in units {

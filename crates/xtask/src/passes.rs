@@ -25,18 +25,6 @@ pub const SECRET_ROOT_TYPES: &[&str] = &["SharedShuffler"];
 /// (`PartitionPlan::RandomEven.seed`).
 pub const SECRET_ROOT_VARIANTS: &[&str] = &["ShuffleSeedShare", "RandomEven"];
 
-/// Files forming the sanctioned client↔client shuffle path: the wire codec
-/// and the peer-to-peer negotiation itself. Secret roots may appear here
-/// freely; everywhere else they are constrained by L6.
-pub const SANCTIONED_SINK_FILES: &[&str] = &["crates/vfl/src/shuffle.rs", "crates/vfl/src/wire.rs"];
-
-/// Logging/IO macros treated as L6 sinks: seed material reaching one of
-/// these would leave the protocol's trust boundary.
-pub(crate) const SINK_MACROS: &[&str] = &[
-    "println", "print", "eprintln", "eprint", "write", "writeln", "dbg", "info", "warn", "error",
-    "debug", "trace",
-];
-
 // ---------------------------------------------------------------------------
 // Scope helpers
 // ---------------------------------------------------------------------------
@@ -46,10 +34,6 @@ fn in_l6_scope(unit: &FileUnit) -> bool {
     // driver. `examples/` and the umbrella are demo drivers that print
     // run configuration by design.
     unit.rel_str.starts_with("crates/") && !unit.rel_str.starts_with("crates/bench/")
-}
-
-fn sanctioned(unit: &FileUnit) -> bool {
-    SANCTIONED_SINK_FILES.contains(&unit.rel_str.as_str())
 }
 
 pub(crate) fn file_stem(unit: &FileUnit) -> &str {
@@ -129,14 +113,10 @@ fn lint_registry_drift(units: &[FileUnit], findings: &mut Vec<Finding>) {
 
 /// L6: shuffle-seed material must stay on the client↔client path — no
 /// server-side function may reach a secret root (directly or through the
-/// call graph), and no function outside the sanctioned path may route seed
-/// material into a logging/IO sink.
-///
-/// The server-reachability and type-containment halves are name-registry
-/// checks (kept as drift guards); the sink half runs on the taint engine:
-/// a logging macro fires only when SECRET-tainted data actually flows into
-/// it (including through `{ident}` format-string interpolation), not
-/// merely when a secret root is named somewhere in the same function.
+/// call graph) or hold a type that contains one. Both halves are
+/// name-registry checks, kept as drift guards. That the seed never reaches
+/// a log is `gtv-vfl`'s to hold: `SharedShuffler` and `SeedShare` have no
+/// `Display`, no public accessor, and a `Debug` that prints no digit of it.
 pub fn lint_privacy_flow(units: &[FileUnit], engine: &TaintEngine, findings: &mut Vec<Finding>) {
     lint_registry_drift(units, findings);
     let graph = &engine.graph;
@@ -191,30 +171,6 @@ pub fn lint_privacy_flow(units: &[FileUnit], engine: &TaintEngine, findings: &mu
                     });
                 }
             }
-        }
-        // Sink check, on taint flows: a logging macro is a finding only
-        // when SECRET-tainted data actually reaches it.
-        if sanctioned(unit) {
-            continue;
-        }
-        let analysis = &engine.analyses[idx];
-        for hit in &analysis.hits {
-            if hit.kind != Sink::Log || !hit.taint.contains(Taint::SECRET) {
-                continue;
-            }
-            if suppressed(&unit.lines, hit.line - 1, Rule::PrivacyFlow, &unit.rel, findings) {
-                continue;
-            }
-            let root = analysis.note(Taint::SECRET).unwrap_or("shuffle-seed material");
-            findings.push(Finding {
-                file: unit.rel.clone(),
-                line: hit.line,
-                rule: Rule::PrivacyFlow,
-                message: format!(
-                    "`{}!` inside `{}`, which handles shuffle-seed material (`{root}`); seed material must never reach logging/IO",
-                    hit.detail, f.name
-                ),
-            });
         }
     }
 }

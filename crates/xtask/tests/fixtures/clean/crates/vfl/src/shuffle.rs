@@ -1,5 +1,5 @@
-//! Clean fixture: the sanctioned client↔client shuffle path. Secret roots
-//! may live here freely — this file is in L6's sanctioned-sink registry.
+//! Clean fixture: the client↔client shuffle path. Secret roots may live
+//! here freely — L6 polices only server-side code.
 
 pub struct SharedShuffler {
     seed: u64,

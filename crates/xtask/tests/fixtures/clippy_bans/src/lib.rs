@@ -1,6 +1,7 @@
 //! Negative fixture for the rules that moved from `gtv-xtask` into clippy:
 //! one violation of each, plus two forms the old line rules could not see
-//! (a UFCS unwrap and a float `==` with no literal on either side).
+//! (a UFCS unwrap and a float `==` with no literal on either side), and the
+//! three flows the old L12 taint rule was written against.
 //! `tools/ci.sh` requires `cargo clippy` on this crate to fail and to name
 //! every expected lint.
 
@@ -40,6 +41,35 @@ pub fn clocks_and_threads() {
     let _ = std::time::SystemTime::now();
     let _ = std::thread::spawn(|| {});
     let _ = std::thread::Builder::new().spawn(|| {});
+}
+
+/// L12: an environment-derived seed.
+pub fn env_seed() -> u64 {
+    let knob = std::env::var("GTV_EXPERIMENT").unwrap_or_default();
+    knob.len() as u64
+}
+
+/// L12: a thread id passed into a kernel call.
+pub fn thread_scaled(m: &mut [f32]) {
+    let id = std::thread::current().id();
+    scale_rows(m, format!("{id:?}").len());
+}
+
+fn scale_rows(m: &mut [f32], factor: usize) {
+    for v in m {
+        *v *= factor as f32;
+    }
+}
+
+/// L12: a `for` over a `HashMap` feeding a payload — both the loop
+/// (`iter_over_hash_type`) and the `iter` call (`disallowed-methods`) fire.
+pub fn unordered_payload(counts: &std::collections::HashMap<String, u32>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (name, n) in counts.iter() {
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+    out
 }
 
 /// L3, declared the way the metric crates declare it.

@@ -28,6 +28,11 @@
 /// `Drop`, momentarily *before* the underlying mutex unlocks: conservative
 /// for inversion detection, which only consumes nesting (acquire-while-
 /// holding) edges.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test-only tracer: the opt-in reads the environment, events are keyed by thread id, \
+              and every map iteration is sorted before it reaches a report"
+)]
 pub mod sched {
     use std::collections::{HashMap, HashSet, VecDeque};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

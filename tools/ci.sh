@@ -48,9 +48,11 @@ step "cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "clippy bans fire on their fixture"
-# The panic, clock/thread, float-eq, cast and allow-reason rules are clippy
-# configuration (DESIGN.md §7). The fixture crate breaks each once, plus a
-# UFCS unwrap and a float `==` between two variables; clippy must fail on it
+# The panic, clock/thread, environment, hash-order, float-eq, cast and
+# allow-reason rules are clippy configuration (DESIGN.md §7). The fixture
+# crate breaks each once, plus a UFCS unwrap, a float `==` between two
+# variables and the old L12 flows (an env-derived seed, a thread id into a
+# kernel, a `for` over a `HashMap` into a payload); clippy must fail on it
 # and report each lint as often as the fixture breaks it. Its own target
 # directory and checked-in lock file keep the tree as it was.
 bans=crates/xtask/tests/fixtures/clippy_bans
@@ -60,8 +62,8 @@ if out="$(cargo clippy --offline -q --manifest-path "$bans/Cargo.toml" \
     exit 1
 fi
 for expected in unwrap_used:2 expect_used:1 panic:1 unreachable:1 \
-        disallowed_methods:4 float_cmp:2 cast_possible_truncation:1 \
-        allow_attributes_without_reason:1; do
+        disallowed_methods:7 iter_over_hash_type:1 float_cmp:2 \
+        cast_possible_truncation:1 allow_attributes_without_reason:1; do
     lint="${expected%:*}"
     want="${expected#*:}"
     got="$(grep -c "index.html#$lint\$" <<<"$out" || true)"
@@ -74,7 +76,7 @@ done
 
 step "gtv-xtask lint"
 # The protocol-invariant passes the compiler cannot express (L2, L6, L7,
-# L11, L12).
+# L11).
 cargo run -q -p gtv-xtask -- lint
 
 step "cargo test -q"
