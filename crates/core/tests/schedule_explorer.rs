@@ -13,7 +13,7 @@
 //! 2. **Trace hygiene**: the happens-before graph recorded by
 //!    `crossbeam::sched` over full trainer rounds is acyclic (every edge
 //!    points forward in event-id order), with no deadlock and no
-//!    lock-order inversion among the transport and pool locks.
+//!    lock-order inversion among the transport locks.
 //! 3. **Detector sensitivity**: the same instrumentation *does* flag an
 //!    intentionally-deadlocking fixture (all parties blocked in `recv`
 //!    with nothing in flight) and an intentional lock-order inversion —
@@ -105,7 +105,7 @@ fn pipelined_rounds_are_insensitive_to_delivery_order() {
             );
             assert!(
                 report.lock_cycles.is_empty(),
-                "transport/pool locks must nest consistently: {:?}",
+                "transport locks must nest consistently: {:?}",
                 report.lock_cycles
             );
         }
@@ -114,6 +114,7 @@ fn pipelined_rounds_are_insensitive_to_delivery_order() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the deadlocked parties run on scoped threads")]
 fn all_parties_blocked_in_recv_is_reported_as_deadlock() {
     let _gate = serial();
     // Intentionally-deadlocking fixture: server and client each wait for a

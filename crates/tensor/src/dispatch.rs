@@ -13,12 +13,12 @@
 //!   threshold an op lands on — which is also why the test-only overrides
 //!   below cannot break determinism.
 //!
-//! The defaults are deliberately high. The pool's parallel path must
-//! snapshot its input into an `Arc` and move boxed closures through a
-//! channel; measured on the CI host, that tax exceeds the entire inline
-//! cost of a 1M-element elementwise op. Sub-threshold work therefore runs
-//! inline even when `GTV_THREADS > 1` — this is what fixed the two-thread
-//! slowdowns of a 1M-element tanh and sum (DESIGN.md §8). `gtvbench`'s
+//! The defaults are deliberately high. The parallel path spawns and joins a
+//! scoped thread per extra worker and stitches the chunk outputs; measured
+//! on a two-vCPU host, a matmul has to reach about 4 Mi multiply-adds before
+//! two workers beat one. Sub-threshold work therefore runs inline even when
+//! `GTV_THREADS > 1` — this is what fixed the two-thread slowdowns of a
+//! 1M-element tanh and sum (DESIGN.md §8). `gtvbench`'s
 //! `tensor.matmul_2t_speedup` is where a threshold change shows today.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,8 +30,9 @@ pub const ELEM_PAR_MIN: usize = 1 << 22;
 /// row norms) is dispatched to the worker pool (4 Mi elements).
 pub const REDUCE_PAR_MIN: usize = 1 << 22;
 /// Default minimum multiply-accumulate count (`n·k·m`) before a matmul is
-/// dispatched to the worker pool.
-pub const MATMUL_PAR_MIN: usize = 1 << 18;
+/// dispatched to the worker pool (4 Mi multiply-adds, near the break-even
+/// measured at two workers on two vCPUs; unmeasured at more workers).
+pub const MATMUL_PAR_MIN: usize = 1 << 22;
 
 static ELEM: AtomicUsize = AtomicUsize::new(ELEM_PAR_MIN);
 static REDUCE: AtomicUsize = AtomicUsize::new(REDUCE_PAR_MIN);

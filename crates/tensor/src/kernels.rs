@@ -22,8 +22,6 @@
 //! matmul register tile. This module owns chunking, dispatch, and buffer
 //! plumbing only.
 
-use std::sync::Arc;
-
 use crate::dispatch;
 use crate::pool;
 use crate::pool_mem;
@@ -52,7 +50,7 @@ const ELEM_BLOCK: usize = 8_192;
 const REDUCE_BLOCK: usize = 4_096;
 
 /// Elementwise unary kernels. An enum (rather than a closure) so the op is
-/// `Copy + Send` and can cross the worker-pool boundary.
+/// `Copy` and can be matched to its lane kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UnaryOp {
     /// `-x`
@@ -188,32 +186,31 @@ impl BinaryOp {
     }
 }
 
-/// Splits `0..len` into `ELEM_BLOCK`-sized ranges (last one ragged).
-fn elem_chunks(len: usize) -> usize {
-    len.div_ceil(ELEM_BLOCK)
-}
-
-/// Elementwise unary map. Sub-threshold inputs run inline (no pool handoff
-/// — the parallel path's input snapshot and closure dispatch cost more than
-/// small ops themselves); larger inputs are chunked over the pool. Each
-/// element's value never depends on its chunk, so any execution order is
-/// bitwise identical.
-pub(crate) fn unary(data: &[f32], op: UnaryOp) -> Vec<f32> {
-    let len = data.len();
+/// An elementwise map over `len` elements, where `fill(lo, hi, out)`
+/// appends outputs `lo..hi`. Sub-threshold maps run inline in one pass (the
+/// parallel path's thread spawn and stitch cost more than small ops
+/// themselves); larger ones are cut into `ELEM_BLOCK`-element chunks over
+/// the pool. Each element's value never depends on its chunk, so any
+/// execution order is bitwise identical.
+fn map_elems(len: usize, fill: impl Fn(usize, usize, &mut Vec<f32>) + Sync) -> Vec<f32> {
     if pool::threads() == 1 || len < dispatch::elem_par_min() {
         let mut out = pool_mem::take(len);
-        op.apply_slice(data, &mut out);
+        fill(0, len, &mut out);
         return out;
     }
-    let shared: Arc<Vec<f32>> = Arc::new(data.to_vec());
-    let chunks = pool::run_chunks(elem_chunks(len), move |i| {
+    let chunks = pool::run_ordered(len.div_ceil(ELEM_BLOCK), |i| {
         let lo = i * ELEM_BLOCK;
         let hi = (lo + ELEM_BLOCK).min(len);
         let mut out = pool_mem::take(hi - lo);
-        op.apply_slice(&shared[lo..hi], &mut out);
+        fill(lo, hi, &mut out);
         out
     });
     stitch(chunks, len)
+}
+
+/// Elementwise unary map ([`map_elems`]).
+pub(crate) fn unary(data: &[f32], op: UnaryOp) -> Vec<f32> {
+    map_elems(data.len(), |lo, hi, out| op.apply_slice(&data[lo..hi], out))
 }
 
 /// Applies a binary op across equal-length slices through the eight-lane
@@ -229,26 +226,10 @@ fn zip_op(a: &[f32], b: &[f32], out: &mut Vec<f32>, op: BinaryOp) {
     }
 }
 
-/// Elementwise binary map over equal-length buffers; same dispatch rule as
-/// [`unary`].
+/// Elementwise binary map over equal-length buffers ([`map_elems`]).
 pub(crate) fn binary(a: &[f32], b: &[f32], op: BinaryOp) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());
-    let len = a.len();
-    if pool::threads() == 1 || len < dispatch::elem_par_min() {
-        let mut out = pool_mem::take(len);
-        zip_op(a, b, &mut out, op);
-        return out;
-    }
-    let a: Arc<Vec<f32>> = Arc::new(a.to_vec());
-    let b: Arc<Vec<f32>> = Arc::new(b.to_vec());
-    let chunks = pool::run_chunks(elem_chunks(len), move |i| {
-        let lo = i * ELEM_BLOCK;
-        let hi = (lo + ELEM_BLOCK).min(len);
-        let mut out = pool_mem::take(hi - lo);
-        zip_op(&a[lo..hi], &b[lo..hi], &mut out, op);
-        out
-    });
-    stitch(chunks, len)
+    map_elems(a.len(), |lo, hi, out| zip_op(&a[lo..hi], &b[lo..hi], out, op))
 }
 
 /// How the narrower operand of a broadcasting binary op lines up against
@@ -350,31 +331,26 @@ fn tree_fold(mut partials: Vec<f32>) -> f32 {
     partials[0]
 }
 
+/// Runs a reduction's `task` over its chunks `0..n`, on the pool when the
+/// input holds at least [`dispatch::reduce_par_min`] elements and inline in
+/// index order otherwise: the same closure either way, so the threshold
+/// picks where the chunks run and nothing else.
+fn reduce_chunks<R: Send>(n: usize, len: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if len < dispatch::reduce_par_min() {
+        (0..n).map(task).collect()
+    } else {
+        pool::run_ordered(n, task)
+    }
+}
+
 /// Chunked deterministic reduction: sequential leaf sums over
 /// `REDUCE_BLOCK`-element chunks, combined by [`tree_fold`]. `leaf` must be
 /// a pure function of its slice.
 fn reduce(data: &[f32], leaf: fn(&[f32]) -> f32) -> f32 {
     let len = data.len();
-    if len == 0 {
-        return 0.0;
-    }
-    let n_chunks = len.div_ceil(REDUCE_BLOCK);
-    let bounds = move |i: usize| (i * REDUCE_BLOCK, ((i + 1) * REDUCE_BLOCK).min(len));
-    let partials: Vec<f32> = if pool::threads() == 1 || len < dispatch::reduce_par_min() {
-        (0..n_chunks)
-            .map(|i| {
-                let (lo, hi) = bounds(i);
-                leaf(&data[lo..hi])
-            })
-            .collect()
-    } else {
-        let shared: Arc<Vec<f32>> = Arc::new(data.to_vec());
-        pool::run_chunks(n_chunks, move |i| {
-            let (lo, hi) = bounds(i);
-            leaf(&shared[lo..hi])
-        })
-    };
-    tree_fold(partials)
+    tree_fold(reduce_chunks(len.div_ceil(REDUCE_BLOCK), len, |i| {
+        leaf(&data[i * REDUCE_BLOCK..((i + 1) * REDUCE_BLOCK).min(len)])
+    }))
 }
 
 fn leaf_sum(chunk: &[f32]) -> f32 {
@@ -409,25 +385,15 @@ pub(crate) fn col_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         return pool_mem::take_zeroed(cols);
     }
     let block = rows_per_chunk(cols);
-    let n_chunks = rows.div_ceil(block);
-    let accumulate = move |i: usize, data: &[f32]| {
-        let lo = i * block;
-        let hi = ((i + 1) * block).min(rows);
+    let mut partials = reduce_chunks(rows.div_ceil(block), data.len(), |i| {
         let mut acc = pool_mem::take_zeroed(cols);
-        for r in lo..hi {
-            for (a, v) in acc.iter_mut().zip(&data[r * cols..(r + 1) * cols]) {
+        for row in data[i * block * cols..((i + 1) * block).min(rows) * cols].chunks_exact(cols) {
+            for (a, v) in acc.iter_mut().zip(row) {
                 *a += v;
             }
         }
         acc
-    };
-    let mut partials: Vec<Vec<f32>> =
-        if pool::threads() == 1 || data.len() < dispatch::reduce_par_min() {
-            (0..n_chunks).map(|i| accumulate(i, data)).collect()
-        } else {
-            let shared: Arc<Vec<f32>> = Arc::new(data.to_vec());
-            pool::run_chunks(n_chunks, move |i| accumulate(i, &shared))
-        };
+    });
     while partials.len() > 1 {
         partials = partials
             .chunks_mut(2)
@@ -446,6 +412,25 @@ pub(crate) fn col_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     partials.swap_remove(0)
 }
 
+/// `per_row(row)` for every row of a row-major `rows×cols` buffer
+/// (`cols > 0`), in the row blocks of [`rows_per_chunk`].
+fn map_rows(
+    data: &[f32],
+    rows: usize,
+    cols: usize,
+    per_row: impl Fn(&[f32]) -> f32 + Sync,
+) -> Vec<f32> {
+    let block = rows_per_chunk(cols);
+    let chunks = reduce_chunks(rows.div_ceil(block), data.len(), |i| {
+        let lo = i * block;
+        let hi = ((i + 1) * block).min(rows);
+        let mut out = pool_mem::take(hi - lo);
+        out.extend(data[lo * cols..hi * cols].chunks_exact(cols).map(&per_row));
+        out
+    });
+    stitch(chunks, rows)
+}
+
 /// Row sums of a row-major `rows×cols` buffer → `rows` values. Each row is
 /// summed sequentially (rows are short on the training path); row blocks
 /// run on the pool when the buffer is large.
@@ -453,23 +438,7 @@ pub(crate) fn row_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     if rows == 0 || cols == 0 {
         return pool_mem::take_zeroed(rows);
     }
-    let block = rows_per_chunk(cols);
-    let n_chunks = rows.div_ceil(block);
-    let accumulate = move |i: usize, data: &[f32]| {
-        let lo = i * block;
-        let hi = ((i + 1) * block).min(rows);
-        let mut out = pool_mem::take(hi - lo);
-        out.extend((lo..hi).map(|r| leaf_sum(&data[r * cols..(r + 1) * cols])));
-        out
-    };
-    if pool::threads() == 1 || data.len() < dispatch::reduce_par_min() {
-        let chunks: Vec<Vec<f32>> = (0..n_chunks).map(|i| accumulate(i, data)).collect();
-        stitch(chunks, rows)
-    } else {
-        let shared: Arc<Vec<f32>> = Arc::new(data.to_vec());
-        let chunks = pool::run_chunks(n_chunks, move |i| accumulate(i, &shared));
-        stitch(chunks, rows)
-    }
+    map_rows(data, rows, cols, leaf_sum)
 }
 
 /// Calls `f(i, r)` for every maximal run of dense rows in `r0..r1`, cut
@@ -574,29 +543,24 @@ pub(crate) fn matmul(n: usize, k: usize, m: usize, a: &[f32], b: &[f32]) -> Vec<
     }
 
     let n_blocks = n.div_ceil(ROW_BLOCK);
-    let bounds = move |i: usize| (i * ROW_BLOCK, ((i + 1) * ROW_BLOCK).min(n));
-    if pool::threads() == 1 || n_blocks == 1 || n * k * m < dispatch::matmul_par_min() {
+    let bounds = |i: usize| (i * ROW_BLOCK, ((i + 1) * ROW_BLOCK).min(n));
+    let out = if pool::threads() == 1 || n_blocks == 1 || n * k * m < dispatch::matmul_par_min() {
         let mut out = pool_mem::take_zeroed(n * m);
         for (r0, r1) in (0..n_blocks).map(bounds) {
             matmul_rows(a, b, &panels, &row_sparse, k, m, r0, r1, &mut out[r0 * m..r1 * m]);
         }
-        pool_mem::give(panels);
-        return out;
-    }
-    // Pool jobs are `'static`: snapshot the LHS, share the packed panels as
-    // they are, and copy `b` only when some row reads it unpacked.
-    let a: Arc<Vec<f32>> = Arc::new(a.to_vec());
-    let unpacked = m == 1 || row_sparse.contains(&true);
-    let b: Arc<Vec<f32>> = Arc::new(if unpacked { b.to_vec() } else { Vec::new() });
-    let panels: Arc<Vec<f32>> = Arc::new(panels);
-    let flags: Arc<Vec<bool>> = Arc::new(row_sparse);
-    let chunks = pool::run_chunks(n_blocks, move |i| {
-        let (r0, r1) = bounds(i);
-        let mut out = pool_mem::take_zeroed((r1 - r0) * m);
-        matmul_rows(&a, &b, &panels, &flags, k, m, r0, r1, &mut out);
         out
-    });
-    stitch(chunks, n * m)
+    } else {
+        let chunks = pool::run_ordered(n_blocks, |i| {
+            let (r0, r1) = bounds(i);
+            let mut out = pool_mem::take_zeroed((r1 - r0) * m);
+            matmul_rows(a, b, &panels, &row_sparse, k, m, r0, r1, &mut out);
+            out
+        });
+        stitch(chunks, n * m)
+    };
+    pool_mem::give(panels);
+    out
 }
 
 /// Fused affine + activation: `act(x @ w + bias)` for a row-major `n×k`
@@ -661,25 +625,7 @@ pub(crate) fn row_norm_eps(data: &[f32], rows: usize, cols: usize, eps: f32) -> 
         // Empty rows sum to 0, so every norm is √eps — same as unfused.
         return pool_mem::take_filled(rows, eps.sqrt());
     }
-    let block = rows_per_chunk(cols);
-    let n_chunks = rows.div_ceil(block);
-    let accumulate = move |i: usize, data: &[f32]| {
-        let lo = i * block;
-        let hi = ((i + 1) * block).min(rows);
-        let mut out = pool_mem::take(hi - lo);
-        out.extend(
-            (lo..hi).map(|r| (leaf_sum_squares(&data[r * cols..(r + 1) * cols]) + eps).sqrt()),
-        );
-        out
-    };
-    if pool::threads() == 1 || data.len() < dispatch::reduce_par_min() {
-        let chunks: Vec<Vec<f32>> = (0..n_chunks).map(|i| accumulate(i, data)).collect();
-        stitch(chunks, rows)
-    } else {
-        let shared: Arc<Vec<f32>> = Arc::new(data.to_vec());
-        let chunks = pool::run_chunks(n_chunks, move |i| accumulate(i, &shared));
-        stitch(chunks, rows)
-    }
+    map_rows(data, rows, cols, |row| (leaf_sum_squares(row) + eps).sqrt())
 }
 
 #[cfg(test)]

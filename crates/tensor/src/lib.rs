@@ -15,9 +15,9 @@
 //!   is what makes the WGAN-GP gradient penalty (a second-order construct)
 //!   expressible without any special casing.
 //!
-//! Hot loops (matmul, elementwise kernels, reductions) run on a
-//! deterministic worker pool ([`pool`]): chunk boundaries depend only on
-//! problem size, so results are **bit-identical** for any `GTV_THREADS`
+//! Hot loops (matmul, elementwise kernels, reductions) fan out over scoped
+//! threads that borrow their inputs ([`pool`]): chunk boundaries depend only
+//! on problem size, so results are **bit-identical** for any `GTV_THREADS`
 //! setting — see DESIGN.md §8 for the full contract. The inner loops are
 //! portable 8-lane SIMD micro-kernels ([`simd`] — vectorized tanh /
 //! sigmoid / exp with documented ULP bounds and bit-identical scalar

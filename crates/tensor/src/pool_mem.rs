@@ -10,10 +10,10 @@
 //! Design points (DESIGN.md §9 has the full memory model):
 //!
 //! * **Thread-local.** Each thread owns its own free lists and counters, so
-//!   the pool needs no locks and worker threads recycle their own chunk
-//!   buffers. Buffers may migrate between threads (a worker-allocated chunk
-//!   is stitched — and later [`give`]n back — on the dispatching thread);
-//!   migration only moves capacity around, never correctness.
+//!   the pool needs no locks. Buffers may migrate between threads (a chunk
+//!   a scoped worker allocated is stitched — and [`give`]n back — on the
+//!   dispatching thread, whose pool outlives the worker); migration only
+//!   moves capacity around, never correctness.
 //! * **Capacity-keyed with bounded slack.** A request for `len` elements is
 //!   served by the smallest parked buffer whose capacity lies in
 //!   `len ..= 4·len`; anything larger would waste too much memory on a

@@ -29,7 +29,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A transport-layer failure.
@@ -731,26 +730,23 @@ impl Transport for InProcTransport {
         self.deliver(from, to, encoded)
     }
 
-    /// Every payload is encoded concurrently on the deterministic
-    /// `gtv_tensor::pool` workers (serialization cost is per-byte, and
-    /// independent per message), handed back to the tensor pool, then
-    /// metered and delivered in input order — so each delivery's decode can
-    /// reuse a payload's storage.
+    /// Every payload is encoded concurrently through `gtv_tensor::pool`
+    /// (serialization cost is per-byte, and independent per message),
+    /// handed back to the tensor pool, then metered and delivered in input
+    /// order — so each delivery's decode can reuse a payload's storage.
     /// Under [`InProcTransport::permute_deliveries`] the delivery order is
     /// a seeded permutation instead; per-message bytes are unchanged.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         msgs.iter().try_for_each(|(from, to, msg)| check_direction(*from, *to, msg))?;
         let codec = self.meter.codec();
-        let links: Vec<(PartyId, PartyId)> = msgs.iter().map(|&(from, to, _)| (from, to)).collect();
-        let msgs = Arc::new(msgs);
-        let encoder = Arc::clone(&msgs);
-        let encoded =
-            gtv_tensor::pool::run_ordered(msgs.len(), move |i| encoder[i].2.encode_with(codec));
-        // A worker may still hold its task's handle for a moment; the
-        // messages are then dropped instead of parked.
-        if let Ok(msgs) = Arc::try_unwrap(msgs) {
-            msgs.into_iter().for_each(|(_, _, msg)| msg.recycle());
-        }
+        let encoded = gtv_tensor::pool::run_ordered(msgs.len(), |i| msgs[i].2.encode_with(codec));
+        let links: Vec<(PartyId, PartyId)> = msgs
+            .into_iter()
+            .map(|(from, to, msg)| {
+                msg.recycle();
+                (from, to)
+            })
+            .collect();
         let order: Option<Vec<usize>> = self.permuter.lock().as_mut().map(|p| p.order(links.len()));
         match order {
             None => {
@@ -915,20 +911,41 @@ mod tests {
                     Message::GenSlice(MatrixPayload::new(1, 3, vec![1.0, 0.0, 0.0])),
                 ),
                 (PartyId::Client(0), PartyId::Server, logits(9)),
+                // Above the recycling floor, to see it parked.
+                (
+                    PartyId::Server,
+                    PartyId::Client(1),
+                    Message::GenSlice(MatrixPayload::new(1, 64, vec![0.5; 64])),
+                ),
             ]
         };
-        let seq = Network::new(2);
-        seq.set_codec(WireCodec::Adaptive);
-        for (f, t, m) in msgs() {
-            seq.send(f, t, m).unwrap();
+        // At two workers half the payloads are encoded off the calling
+        // thread; either way every one comes back to the calling thread's
+        // pool once it is encoded. The worker count is process-wide, but
+        // results do not depend on it, so tests running alongside see the
+        // same bits.
+        let before = gtv_tensor::pool::threads();
+        for threads in [1, 2] {
+            gtv_tensor::pool::set_threads(threads);
+            let seq = Network::new(2);
+            seq.set_codec(WireCodec::Adaptive);
+            for (f, t, m) in msgs() {
+                seq.send(f, t, m).unwrap();
+            }
+            let all = Network::new(2);
+            all.set_codec(WireCodec::Adaptive);
+            let held = gtv_tensor::pool_mem::stats().bytes_held;
+            all.send_all(msgs()).unwrap();
+            assert!(
+                gtv_tensor::pool_mem::stats().bytes_held >= held + 64 * 4,
+                "the encoded payloads must be parked at {threads} threads"
+            );
+            assert_eq!(seq.stats(), all.stats());
+            // FIFO order per inbox is preserved.
+            let (_, a) = all.recv(PartyId::Client(0)).unwrap();
+            assert_eq!(a, Message::GenSlice(MatrixPayload::new(1, 3, vec![0.0, 2.0, 0.0])));
         }
-        let all = Network::new(2);
-        all.set_codec(WireCodec::Adaptive);
-        all.send_all(msgs()).unwrap();
-        assert_eq!(seq.stats(), all.stats());
-        // FIFO order per inbox is preserved.
-        let (_, a) = all.recv(PartyId::Client(0)).unwrap();
-        assert_eq!(a, Message::GenSlice(MatrixPayload::new(1, 3, vec![0.0, 2.0, 0.0])));
+        gtv_tensor::pool::set_threads(before);
     }
 
     #[test]

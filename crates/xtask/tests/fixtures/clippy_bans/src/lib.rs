@@ -41,6 +41,10 @@ pub fn clocks_and_threads() {
     let _ = std::time::SystemTime::now();
     let _ = std::thread::spawn(|| {});
     let _ = std::thread::Builder::new().spawn(|| {});
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+        let _ = std::thread::Builder::new().spawn_scoped(s, || {});
+    });
 }
 
 /// L12: an environment-derived seed.
