@@ -17,7 +17,7 @@ use gtv_data::{from_csv_string, infer_schema, to_csv_string, Dataset, Table};
 use gtv_metrics::similarity;
 use gtv_ml::utility_difference;
 use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};
-use gtv_vfl::{Endpoint, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport, WireCodec};
+use gtv_vfl::{Endpoint, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -28,14 +28,13 @@ USAGE:
   gtv-cli demo     --dataset <loan|adult|covtype|intrusion|credit> [--rows N] [--seed S] --out FILE
   gtv-cli synth    --input FILE [--target COL] [--clients N] [--rounds R] [--batch B]
                    [--width W] [--partition d2g0|d2g2] [--seed S] [--threads T] --out FILE
-                   [--save-weights FILE] [--load-weights FILE] [--sparse-wire true]
-                   [--comms-stats true]
+                   [--save-weights FILE] [--load-weights FILE] [--comms-stats true]
   gtv-cli evaluate --real FILE --synth FILE --target COL [--seed S]
   gtv-cli privacy  --input FILE [--target COL] [--rounds R] [--clients N]
   gtv-cli serve-party  --party <server|public|CLIENT_IDX> --listen <host:port|unix:PATH>
   gtv-cli serve-server --input FILE --parties IDX=ENDPOINT[,IDX=ENDPOINT…] --out FILE
                        [--target COL] [--clients N] [--rounds R] [--batch B] [--width W]
-                       [--partition d2g0|d2g2] [--seed S] [--threads T] [--sparse-wire true]
+                       [--partition d2g0|d2g2] [--seed S] [--threads T]
   gtv-cli serve-synth  --input FILE --listen <host:port|unix:PATH> [--model NAME]
                        [--load-weights FILE] [--target COL] [--clients N] [--rounds R]
                        [--batch B] [--width W] [--partition d2g0|d2g2] [--seed S]
@@ -57,16 +56,15 @@ fn command(name: &str) -> Option<(Command, &'static [&'static [&'static str]])> 
             &[
                 CONFIG_FLAGS,
                 &["input", "out", "target", "clients", "save-weights", "load-weights"],
-                &["sparse-wire", "comms-stats"],
+                &["comms-stats"],
             ],
         ),
         "evaluate" => (evaluate, &[&["real", "synth", "target", "seed"]]),
         "privacy" => (privacy, &[&["input", "target", "rounds", "clients"]]),
         "serve-party" => (serve_party, &[&["party", "listen"]]),
-        "serve-server" => (
-            serve_server,
-            &[CONFIG_FLAGS, &["input", "parties", "out", "target", "clients", "sparse-wire"]],
-        ),
+        "serve-server" => {
+            (serve_server, &[CONFIG_FLAGS, &["input", "parties", "out", "target", "clients"]])
+        }
         "serve-synth" => (
             serve_synth,
             &[
@@ -138,13 +136,6 @@ fn build_config(args: &Args) -> Result<GtvConfig, String> {
         threads: args.parsed_or("threads", 0usize).map_err(|e| e.to_string())?,
         ..GtvConfig::default()
     })
-}
-
-/// `--sparse-wire true` selects [`WireCodec::Adaptive`] on the transport:
-/// fewer bytes on the wire, bit-identical decoded values.
-fn wire_codec(args: &Args) -> Result<WireCodec, String> {
-    let sparse = args.parsed_or("sparse-wire", false).map_err(|e| e.to_string())?;
-    Ok(if sparse { WireCodec::Adaptive } else { WireCodec::Dense })
 }
 
 /// The buffer pools' behaviour in the last training round (DESIGN.md §9):
@@ -245,7 +236,6 @@ fn synth(args: &Args) -> Result<(), String> {
         table.n_cols()
     );
     let mut trainer = GtvTrainer::new(shards, config);
-    trainer.network().set_codec(wire_codec(args)?);
     if let Some(path) = args.optional("load-weights") {
         let dict = gtv_nn::StateDict::load(path).map_err(|e| e.to_string())?;
         trainer.load_weights(&dict).map_err(|e| e.to_string())?;
@@ -397,7 +387,6 @@ fn serve_server(args: &Args) -> Result<(), String> {
     let shards = table.vertical_split(&groups);
     println!("connecting to {} remote parties ({} clients total)…", endpoints.len(), n_clients);
     let transport = SocketTransport::connect(n_clients, endpoints).map_err(|e| e.to_string())?;
-    transport.set_codec(wire_codec(args)?);
     println!(
         "training GTV over sockets (partition {}, {} rounds) on {} rows × {} cols…",
         config.partition,
@@ -528,6 +517,8 @@ mod tests {
         for (line, expected) in [
             ("synth --pipelined false", "unknown flag --pipelined for 'synth'"),
             ("synth --alloc-stats true", "unknown flag --alloc-stats for 'synth'"),
+            ("synth --sparse-wire true", "unknown flag --sparse-wire for 'synth'"),
+            ("serve-server --sparse-wire true", "unknown flag --sparse-wire for 'serve-server'"),
             ("synth --round 5 --out y.csv", "unknown flag --round for 'synth'"),
             ("privacy --input x.csv --out y.csv", "unknown flag --out for 'privacy'"),
             ("synth --input x.csv --rounds 2 --rounds 3", "flag --rounds given more than once"),
@@ -587,24 +578,18 @@ mod tests {
         let demo_path = dir.join("demo.csv");
         run(&argv(&format!("demo --dataset loan --rows 120 --out {}", demo_path.display())))
             .unwrap();
-        let mut written = Vec::new();
-        for (name, extra) in [("dense", ""), ("sparse", "--sparse-wire true")] {
-            let synth_path = dir.join(format!("synth_{name}.csv"));
-            run(&argv(&format!(
-                "synth --input {} --target personal_loan --rounds 2 --batch 16 --width 32 \
-                 --comms-stats true {extra} --out {}",
-                demo_path.display(),
-                synth_path.display()
-            )))
-            .unwrap();
-            let text = std::fs::read_to_string(&synth_path).unwrap();
-            assert!(text.lines().count() > 100);
-            // Header preserved in original column order.
-            assert!(text.starts_with("age,experience,income"));
-            written.push(text);
-        }
-        // The codec changes bytes on the wire, never decoded values.
-        assert_eq!(written[0], written[1], "--sparse-wire changed the synthetic table");
+        let synth_path = dir.join("synth.csv");
+        run(&argv(&format!(
+            "synth --input {} --target personal_loan --rounds 2 --batch 16 --width 32 \
+             --comms-stats true --out {}",
+            demo_path.display(),
+            synth_path.display()
+        )))
+        .unwrap();
+        let text = std::fs::read_to_string(&synth_path).unwrap();
+        assert!(text.lines().count() > 100);
+        // Header preserved in original column order.
+        assert!(text.starts_with("age,experience,income"));
     }
 
     #[test]

@@ -1070,7 +1070,7 @@ fn draw_constructor<C>(eligible: Vec<(f64, C)>, rng: &mut StdRng) -> Option<C> {
 mod tests {
     use super::*;
     use gtv_data::Dataset;
-    use gtv_vfl::{Edge, RoundState, SeedShare, WireCodec};
+    use gtv_vfl::{Edge, RoundState, SeedShare};
 
     fn two_client_shards(rows: usize) -> Vec<Table> {
         let t = Dataset::Loan.generate(rows, 0);
@@ -1435,12 +1435,6 @@ mod tests {
         fn set_recv_timeout(&self, timeout: std::time::Duration) {
             self.inner.set_recv_timeout(timeout);
         }
-        fn codec(&self) -> WireCodec {
-            self.inner.codec()
-        }
-        fn set_codec(&self, codec: WireCodec) {
-            self.inner.set_codec(codec);
-        }
         fn begin_round(&self, round: u64) {
             self.inner.begin_round(round);
         }
@@ -1567,21 +1561,6 @@ mod tests {
         default.train_round().unwrap();
         assert_eq!(train(None), default.history().d_loss, "an intact upload trains as the default");
         assert_ne!(train(Some(rows as u32)), train(None), "the server ignored the upload");
-    }
-
-    #[test]
-    fn sparse_wire_shrinks_traffic_without_changing_training() {
-        let shards = two_client_shards(80);
-        let mut dense = GtvTrainer::new(shards.clone(), GtvConfig::smoke());
-        dense.train_round().unwrap();
-        let mut sparse = GtvTrainer::new(shards, GtvConfig::smoke());
-        sparse.network().set_codec(WireCodec::Adaptive);
-        sparse.train_round().unwrap();
-        // Decoding is bit-exact, so the trained state cannot differ.
-        assert_eq!(dense.history().d_loss, sparse.history().d_loss);
-        assert_eq!(dense.save_weights(), sparse.save_weights());
-        // The one-hot CV uploads alone guarantee a strict byte win.
-        assert!(sparse.network_stats().bytes < dense.network_stats().bytes);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! of commit 98e3689 trained. The literals below are that lockstep
 //! schedule's, single-threaded: FNV-1a of `save_weights().to_bytes()` and of
 //! the synthetic table's CSV, and the `NetStats` message and byte totals.
-//! They must hold for every worker-pool size and, except the byte total,
-//! for every wire codec. Each run covers two full rounds, so every exchange
-//! type is exercised, including the WGAN-GP gradient-penalty double backward
-//! inside `d_step`.
+//! They must hold for every worker-pool size. Each run covers two full
+//! rounds, so every exchange type is exercised, including the WGAN-GP
+//! gradient-penalty double backward inside `d_step`.
 //!
 //! Worker-pool size is process-global state, so the whole sweep runs inside
 //! one test (Rust's harness runs separate tests concurrently).
@@ -18,7 +17,6 @@
 use gtv::{GtvConfig, GtvTrainer};
 use gtv_data::{to_csv_string, Dataset, Table};
 use gtv_tensor::pool;
-use gtv_vfl::{Transport, WireCodec};
 
 /// What one run left behind.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,8 +27,8 @@ struct Pin {
     bytes: u64,
 }
 
-/// `(parties, dense pin, bytes under WireCodec::Adaptive)`.
-const PINS: [(usize, Pin, u64); 2] = [
+/// `(parties, pin)`.
+const PINS: [(usize, Pin); 2] = [
     (
         2,
         Pin {
@@ -39,7 +37,6 @@ const PINS: [(usize, Pin, u64); 2] = [
             messages: 48,
             bytes: 53_606,
         },
-        44_478,
     ),
     (
         3,
@@ -49,7 +46,6 @@ const PINS: [(usize, Pin, u64); 2] = [
             messages: 73,
             bytes: 53_864,
         },
-        44_056,
     ),
 ];
 
@@ -73,7 +69,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Trains 2 rounds and synthesizes 20 rows.
-fn run(parties: usize, codec: WireCodec, threads: usize) -> Pin {
+fn run(parties: usize, threads: usize) -> Pin {
     let config = GtvConfig {
         rounds: 2,
         d_steps: 1,
@@ -87,7 +83,6 @@ fn run(parties: usize, codec: WireCodec, threads: usize) -> Pin {
         ..GtvConfig::default()
     };
     let mut trainer = GtvTrainer::new(shards(parties, 48), config);
-    trainer.network().set_codec(codec);
     pool::set_threads(threads);
     trainer.train().expect("transport is healthy");
     let synth = trainer.synthesize(20, 7).expect("transport is healthy");
@@ -101,18 +96,10 @@ fn run(parties: usize, codec: WireCodec, threads: usize) -> Pin {
 }
 
 #[test]
-fn rounds_train_the_lockstep_pins_for_all_thread_party_and_codec_choices() {
-    for (parties, dense, adaptive_bytes) in PINS {
-        // The sparse codec changes bytes on the wire, never decoded values.
-        let adaptive = Pin { bytes: adaptive_bytes, ..dense };
-        for (codec, pin) in [(WireCodec::Dense, &dense), (WireCodec::Adaptive, &adaptive)] {
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    run(parties, codec, threads),
-                    *pin,
-                    "parties={parties}, codec={codec:?}, threads={threads}"
-                );
-            }
+fn rounds_train_the_lockstep_pins_for_all_thread_and_party_choices() {
+    for (parties, pin) in PINS {
+        for threads in [1usize, 2, 8] {
+            assert_eq!(run(parties, threads), pin, "parties={parties}, threads={threads}");
         }
     }
     pool::set_threads(1);

@@ -21,7 +21,7 @@ fn sub_threshold_work_never_reaches_the_worker_pool() {
     // Phase 1 — production thresholds. Typical training-step shapes for
     // this codebase (hundreds-of-rows minibatches) sit far below the
     // elementwise/reduction minimums (4Mi elements) and the matmul minimum
-    // (256Ki MACs): all of it must stay inline even with 8 workers.
+    // (4Mi MACs): all of it must stay inline even with 8 workers.
     let a = Tensor::from_fn(96, 96, |r, c| (r as f32) * 0.25 - (c as f32) * 0.5);
     let b = Tensor::from_fn(96, 96, |r, c| (c as f32) * 0.125 - (r as f32) * 0.75);
     let x = Tensor::from_fn(48, 40, |r, c| (r as f32) * 0.1 + (c as f32) * 0.01);
@@ -32,7 +32,7 @@ fn sub_threshold_work_never_reaches_the_worker_pool() {
     let _ = a.sum_all();
     let _ = a.sum_rows();
     let _ = a.sum_cols();
-    let _ = x.matmul(&w); // 48·40·36 = 69_120 MACs < 256Ki.
+    let _ = x.matmul(&w); // 48·40·36 = 69_120 MACs < 4Mi.
     assert_eq!(
         pool::dispatch_count(),
         before,

@@ -10,7 +10,7 @@
 //! * [`Transport`] — the backend-agnostic transport seam, with two
 //!   implementations: [`InProcTransport`] (alias [`Network`]) over channels
 //!   with per-link byte metering, and [`SocketTransport`] speaking
-//!   length-delimited wire-v2 frames over TCP / Unix-domain sockets to
+//!   length-delimited frames of wire-v3 messages over TCP / Unix-domain sockets to
 //!   per-party [`PartyNode`] daemons, on [`socket`] — the one socket layer,
 //!   which `gtv-serve`'s serving wire runs on too;
 //! * [`psi_align`] — hashed private-set-intersection row alignment;

@@ -17,7 +17,9 @@
 //! first-class:
 //!
 //! * a hello handshake negotiates protocol + wire version and rejects
-//!   mismatches with [`TransportError::HandshakeFailed`];
+//!   mismatches with [`TransportError::HandshakeFailed`] — a wire v2 peer,
+//!   which could send matrix bodies v3 no longer decodes, is refused here
+//!   rather than mid-round;
 //! * broken links redial with bounded exponential backoff;
 //! * peer crash / EOF surfaces as [`TransportError::PeerDisconnected`],
 //!   never a panic or an indefinite block (every read is deadline-bounded).
@@ -36,7 +38,7 @@
 use crate::transport::{
     check_direction, Fault, Meter, NetStats, PartyId, Transport, TransportError,
 };
-use crate::wire::{Message, WireCodec};
+use crate::wire::Message;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -61,8 +63,10 @@ pub mod framing {
     /// Version of the framing/handshake protocol spoken on the socket.
     pub const PROTOCOL_VERSION: u32 = 1;
     /// Version of the message wire format carried in `Deliver`/`Msg`
-    /// payloads (wire format v2: dense + adaptive-sparse matrix bodies).
-    pub const WIRE_VERSION: u32 = 2;
+    /// payloads (wire format v3: every matrix body dense). A peer on another
+    /// version is refused at the handshake: v2 could send sparse bodies,
+    /// which a v3 decoder rejects.
+    pub const WIRE_VERSION: u32 = 3;
     /// Upper bound on a frame body, for every codec. The largest legal wire
     /// message is a dense matrix of `2^28` f32 entries (1 GiB) plus headers;
     /// anything larger is rejected *before* any buffer is grown for it.
@@ -1202,7 +1206,7 @@ impl Transport for SocketTransport {
         if !self.local.lock().contains_key(&to) && !self.remotes.lock().contains_key(&to) {
             return Err(TransportError::UnknownRecipient(to));
         }
-        let encoded = msg.encode_with(self.meter.codec());
+        let encoded = msg.encode();
         msg.recycle();
         self.meter.record(from, to, encoded.len());
         if fault == Some(Fault::Drop) {
@@ -1291,14 +1295,6 @@ impl Transport for SocketTransport {
 
     fn set_recv_timeout(&self, timeout: Duration) {
         self.meter.set_recv_timeout(timeout);
-    }
-
-    fn codec(&self) -> WireCodec {
-        self.meter.codec()
-    }
-
-    fn set_codec(&self, codec: WireCodec) {
-        self.meter.set_codec(codec);
     }
 
     fn begin_round(&self, round: u64) {

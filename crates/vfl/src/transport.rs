@@ -278,13 +278,12 @@ impl NetStats {
 }
 
 /// Shared metering/configuration state used by every [`Transport`] backend:
-/// cumulative and per-round traffic counters, the wire codec in effect and
-/// the bounded-receive deadline. Keeping this in one struct is what makes
+/// cumulative and per-round traffic counters and the bounded-receive
+/// deadline. Keeping this in one struct is what makes
 /// the backend-equivalence argument mechanical — both backends account
 /// bytes through the exact same code.
 pub(crate) struct Meter {
     stats: Mutex<NetStats>,
-    codec: Mutex<WireCodec>,
     recv_timeout: Mutex<Duration>,
 }
 
@@ -299,7 +298,6 @@ impl Meter {
     pub(crate) fn new() -> Self {
         Self {
             stats: Mutex::new(NetStats::default()),
-            codec: Mutex::new(WireCodec::Dense),
             recv_timeout: Mutex::new(DEFAULT_RECV_TIMEOUT),
         }
     }
@@ -337,14 +335,6 @@ impl Meter {
 
     pub(crate) fn reset(&self) {
         *self.stats.lock() = NetStats::default();
-    }
-
-    pub(crate) fn codec(&self) -> WireCodec {
-        *self.codec.lock()
-    }
-
-    pub(crate) fn set_codec(&self, codec: WireCodec) {
-        *self.codec.lock() = codec;
     }
 
     pub(crate) fn recv_timeout_bound(&self) -> Duration {
@@ -442,12 +432,14 @@ pub trait Transport {
     /// [`TransportError::Timeout`].
     fn set_recv_timeout(&self, timeout: Duration);
 
-    /// The wire codec in effect.
-    fn codec(&self) -> WireCodec;
+    /// The wire codec in effect: [`WireCodec::Dense`], the only one.
+    fn codec(&self) -> WireCodec {
+        WireCodec::Dense
+    }
 
-    /// Selects how matrix payloads are encoded on the wire (default
-    /// [`WireCodec::Dense`]). Lossless either way — only byte counts change.
-    fn set_codec(&self, codec: WireCodec);
+    /// Selects the wire codec. [`WireCodec::Dense`] is the only one, so
+    /// this does nothing.
+    fn set_codec(&self, _codec: WireCodec) {}
 
     /// Opens a new per-round traffic window labelled `round`: all traffic
     /// until the next call accumulates into one [`RoundStats`] entry of
@@ -725,7 +717,7 @@ impl InProcTransport {
 impl Transport for InProcTransport {
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
         check_direction(from, to, &msg)?;
-        let encoded = msg.encode_with(self.meter.codec());
+        let encoded = msg.encode();
         msg.recycle();
         self.deliver(from, to, encoded)
     }
@@ -738,8 +730,7 @@ impl Transport for InProcTransport {
     /// a seeded permutation instead; per-message bytes are unchanged.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         msgs.iter().try_for_each(|(from, to, msg)| check_direction(*from, *to, msg))?;
-        let codec = self.meter.codec();
-        let encoded = gtv_tensor::pool::run_ordered(msgs.len(), |i| msgs[i].2.encode_with(codec));
+        let encoded = gtv_tensor::pool::run_ordered(msgs.len(), |i| msgs[i].2.encode());
         let links: Vec<(PartyId, PartyId)> = msgs
             .into_iter()
             .map(|(from, to, msg)| {
@@ -818,14 +809,6 @@ impl Transport for InProcTransport {
         self.meter.set_recv_timeout(timeout);
     }
 
-    fn codec(&self) -> WireCodec {
-        self.meter.codec()
-    }
-
-    fn set_codec(&self, codec: WireCodec) {
-        self.meter.set_codec(codec);
-    }
-
     fn begin_round(&self, round: u64) {
         self.meter.begin_round(round);
     }
@@ -875,28 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_codec_shrinks_sparse_traffic_losslessly() {
-        let sparse_payload = MatrixPayload::new(2, 8, {
-            let mut v = vec![0.0f32; 16];
-            v[3] = 1.0;
-            v
-        });
-        let dense_net = Network::new(1);
-        dense_net
-            .send(PartyId::Client(0), PartyId::Server, Message::SynthLogits(sparse_payload.clone()))
-            .unwrap();
-        let adaptive_net = Network::new(1);
-        adaptive_net.set_codec(WireCodec::Adaptive);
-        adaptive_net
-            .send(PartyId::Client(0), PartyId::Server, Message::SynthLogits(sparse_payload.clone()))
-            .unwrap();
-        assert!(adaptive_net.stats().bytes < dense_net.stats().bytes);
-        // The recipient still decodes the bit-identical dense matrix.
-        let (_, got) = adaptive_net.recv(PartyId::Server).unwrap();
-        assert_eq!(got, Message::SynthLogits(sparse_payload));
-    }
-
-    #[test]
     fn send_all_matches_sequential_sends_byte_for_byte() {
         let msgs = || {
             vec![
@@ -928,12 +889,10 @@ mod tests {
         for threads in [1, 2] {
             gtv_tensor::pool::set_threads(threads);
             let seq = Network::new(2);
-            seq.set_codec(WireCodec::Adaptive);
             for (f, t, m) in msgs() {
                 seq.send(f, t, m).unwrap();
             }
             let all = Network::new(2);
-            all.set_codec(WireCodec::Adaptive);
             let held = gtv_tensor::pool_mem::stats().bytes_held;
             all.send_all(msgs()).unwrap();
             assert!(
