@@ -15,7 +15,10 @@ use gtv_data::Dataset;
 /// faithful real path builds the same graph: with identity bottoms the
 /// server's node for a whole-table upload is a leaf of its `idx_p` rows,
 /// as on the default path (it was 416, a table-sized leaf and a gather).
-const D_STEP_NODES: usize = 415;
+/// With identity bottoms no client owns a critic parameter, so the D-step
+/// builds no gradient of the clients' logits (it was 415 while it sent
+/// them back as `GradLogits`).
+const D_STEP_NODES: usize = 411;
 const G_STEP_NODES: usize = 658;
 
 /// Trains `rounds` rounds of the shape above under `config` (one worker
@@ -97,12 +100,12 @@ fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
 /// order, and the server's rows are the `idx_p` rows of the noisy table.
 /// Weights as commit 39eaeda trained them; its D-step built 424 nodes (a
 /// table-sized leaf, a noise leaf, their sum and a gather per uploading
-/// client), this one builds 421 (a single batch-sized leaf per uploading
-/// client).
+/// client), then 421 (a single batch-sized leaf per uploading client), and
+/// 417 since it builds no `GradLogits`.
 #[test]
 fn faithful_path_with_dp_noise_trains_the_pinned_weights() {
     let config = GtvConfig { faithful_real_path: true, dp_noise_sigma: 0.5, ..GtvConfig::smoke() };
     let (nodes, fingerprint) = train(config, 3);
-    assert_eq!(nodes, [421, 752], "[D-step, G-step] live nodes");
+    assert_eq!(nodes, [417, 752], "[D-step, G-step] live nodes");
     assert_eq!(fingerprint, 0x7a45_c566_81a2_1bff, "{fingerprint:#018x}");
 }

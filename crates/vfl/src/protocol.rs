@@ -6,11 +6,18 @@
 //! conditional vector (`CondUpload`, plus the client→client `IndexShare`
 //! when index sharing is peer-to-peer); the server fans out the generator
 //! slices (`GenSlice`) and the clients answer with `SynthLogits`. A D-step
-//! adds the real path (`RealLogits` → `GradLogits`), a G-step closes with
-//! `GradGenSlice`. A step with no categorical column to condition on has
-//! no `RoundStart` and opens with `GenSlice`. Between steps the clients
-//! agree on the shuffle seed (`ShuffleSeedShare`) and publish synthetic
-//! shares (`SyntheticShare`).
+//! adds the real path (`RealLogits`); where the clients own critic
+//! parameters (`d_bottom > 0`) the server answers with `GradLogits`, and
+//! otherwise the step closes at `RealScored`
+//! ([`RoundState::closes_step`]). A G-step closes with `GradGenSlice`. A
+//! step with no categorical column to condition on has no `RoundStart` and
+//! opens with `GenSlice`. Between steps the clients agree on the shuffle
+//! seed (`ShuffleSeedShare`) and publish synthetic shares
+//! (`SyntheticShare`).
+//!
+//! ```text
+//! Idle → RoundOpen → Conditioned → SlicesSent → SynthScored → RealScored [→ Idle]
+//! ```
 //!
 //! [`Message::edge`] is one `match` with no wildcard, so a new variant does
 //! not compile until it has an edge. Both transports refuse a message whose
@@ -37,6 +44,16 @@ pub enum RoundState {
     SynthScored,
     /// The server holds the real logits.
     RealScored,
+}
+
+impl RoundState {
+    /// Whether a step may close in this state, so that what may be sent
+    /// from `Idle` may be sent here too: `Idle`, and `RealScored`, where a
+    /// D-step ends when no client owns a critic parameter (`d_bottom = 0`)
+    /// and no `GradLogits` goes back.
+    pub fn closes_step(self) -> bool {
+        matches!(self, RoundState::Idle | RoundState::RealScored)
+    }
 }
 
 /// Who may send a message.
@@ -76,9 +93,11 @@ pub struct Edge {
 
 impl Edge {
     /// The state after sending the message in `state`, or `None` if it
-    /// cannot be sent there.
+    /// cannot be sent there. A state that closes a step
+    /// ([`RoundState::closes_step`]) falls back to `Idle`'s step.
     pub fn next(&self, state: RoundState) -> Option<RoundState> {
-        self.steps.iter().find(|&&(from, _)| from == state).map(|&(_, to)| to)
+        let step = |state| self.steps.iter().find(|&&(from, _)| from == state).map(|&(_, to)| to);
+        step(state).or_else(|| state.closes_step().then(|| step(RoundState::Idle)).flatten())
     }
 }
 
@@ -178,6 +197,23 @@ mod tests {
             (PartyId::Client(0), PartyId::Public),
         ] {
             assert!(!seed.admits(from, to), "{from} → {to}");
+        }
+    }
+
+    #[test]
+    fn a_d_step_may_close_with_the_real_logits() {
+        use RoundState::{Idle, RealScored};
+        let closing: Vec<RoundState> = STATES.into_iter().filter(|s| s.closes_step()).collect();
+        assert_eq!(closing, [Idle, RealScored]);
+        // What opens from `Idle` opens from `RealScored` too; `GradLogits`
+        // still closes a D-step whose clients own critic parameters.
+        for msg in golden_messages() {
+            let edge = msg.edge();
+            let expected = match msg {
+                Message::GradLogits(_) => Some(Idle),
+                _ => edge.next(Idle),
+            };
+            assert_eq!(edge.next(RealScored), expected, "{} out of RealScored", msg.kind());
         }
     }
 

@@ -355,7 +355,8 @@ pub enum Message {
     SynthLogits(MatrixPayload),
     /// Client → server: `D_i^b(T_i)` logits for the real path.
     RealLogits(MatrixPayload),
-    /// Server → client: gradient w.r.t. the client's uploaded logits.
+    /// Server → client: gradient w.r.t. the client's uploaded logits. Sent
+    /// only where the client owns critic parameters (`d_bottom > 0`).
     GradLogits(MatrixPayload),
     /// Server → client: gradient w.r.t. the `G^t` slice the client received.
     GradGenSlice(MatrixPayload),
