@@ -17,9 +17,11 @@ use gtv_data::Dataset;
 /// as on the default path (it was 416, a table-sized leaf and a gather).
 /// With identity bottoms no client owns a critic parameter, so the D-step
 /// builds no gradient of the clients' logits (it was 415 while it sent
-/// them back as `GradLogits`).
-const D_STEP_NODES: usize = 411;
-const G_STEP_NODES: usize = 658;
+/// them back as `GradLogits`). Since the backward products read their
+/// transposed operand in place, neither step builds a transpose node (they
+/// were 411 and 658 with them).
+const D_STEP_NODES: usize = 382;
+const G_STEP_NODES: usize = 643;
 
 /// Trains `rounds` rounds of the shape above under `config` (one worker
 /// thread) and returns the first round's `[D-step, G-step]` live nodes and
@@ -81,8 +83,9 @@ fn three_rounds_train_exactly_the_pinned_weights() {
 /// The faithful real path where the whole-table upload is not the table
 /// itself: one `D_i^b` block per client (`D_1^1 G_2^0`), so every client
 /// runs its entire table through its bottom block and the server gathers
-/// the `idx_p` rows of those logits. Weights and nodes as the trainer of
-/// commit 39eaeda built them.
+/// the `idx_p` rows of those logits. Weights as the trainer of commit
+/// 39eaeda built them; nodes since the backward pass builds no transpose
+/// (451 and 758 before).
 #[test]
 fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
     let config = GtvConfig {
@@ -91,7 +94,7 @@ fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
         ..GtvConfig::smoke()
     };
     let (nodes, fingerprint) = train(config, 3);
-    assert_eq!(nodes, [451, 758], "[D-step, G-step] live nodes");
+    assert_eq!(nodes, [418, 742], "[D-step, G-step] live nodes");
     assert_eq!(fingerprint, 0xfb77_ea2e_5097_06d1, "{fingerprint:#018x}");
 }
 
@@ -100,12 +103,13 @@ fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
 /// order, and the server's rows are the `idx_p` rows of the noisy table.
 /// Weights as commit 39eaeda trained them; its D-step built 424 nodes (a
 /// table-sized leaf, a noise leaf, their sum and a gather per uploading
-/// client), then 421 (a single batch-sized leaf per uploading client), and
-/// 417 since it builds no `GradLogits`.
+/// client), then 421 (a single batch-sized leaf per uploading client), 417
+/// once it built no `GradLogits`, and 388 since it builds no transpose (the
+/// G-step 752 → 737).
 #[test]
 fn faithful_path_with_dp_noise_trains_the_pinned_weights() {
     let config = GtvConfig { faithful_real_path: true, dp_noise_sigma: 0.5, ..GtvConfig::smoke() };
     let (nodes, fingerprint) = train(config, 3);
-    assert_eq!(nodes, [417, 752], "[D-step, G-step] live nodes");
+    assert_eq!(nodes, [388, 737], "[D-step, G-step] live nodes");
     assert_eq!(fingerprint, 0x7a45_c566_81a2_1bff, "{fingerprint:#018x}");
 }

@@ -8,7 +8,7 @@
 //! differentiated again — this is what powers the WGAN-GP gradient penalty.
 
 use crate::graph::{Graph, Op, Var};
-use crate::kernels::{FusedAct, UnaryOp};
+use crate::kernels::{FusedAct, Layout, UnaryOp};
 use crate::Tensor;
 
 impl Graph {
@@ -59,7 +59,7 @@ impl Graph {
     ///
     /// The pass is **demand-driven**: a vector–Jacobian product is built
     /// only towards an input from which some `wrt` var is reachable, so
-    /// `grad(y, &[x])` on `y = x·w` builds neither `xᵀ·g` nor its transpose,
+    /// `grad(y, &[x])` on `y = x·w` builds no `xᵀ·g`,
     /// and nothing upstream of an interior `wrt` var is visited unless
     /// another `wrt` var lies there. Asking for fewer vars never changes a
     /// returned gradient: the surviving contributions to every adjoint are
@@ -160,21 +160,28 @@ impl Graph {
                     let gx = self.neg(g_out);
                     self.accumulate(&mut adj, x.0, gx);
                 }
-                Op::MatMul(a, b) => {
+                Op::MatMul(a, b, layout) => {
+                    // Every adjoint product reads its transposed operand in
+                    // place, so no transpose node is built. Each element is
+                    // the chain transpose + matmul would walk, its products
+                    // commuted (exact in IEEE), so first and second order
+                    // keep their bits.
+                    let (ga, gb) = match layout {
+                        // c = a·b: (g·bᵀ, aᵀ·g)
+                        Layout::Plain => ((g_out, b, Layout::TransB), (a, g_out, Layout::TransA)),
+                        // c = a·bᵀ: (g·b, gᵀ·a)
+                        Layout::TransB => ((g_out, b, Layout::Plain), (g_out, a, Layout::TransA)),
+                        // c = aᵀ·b: (b·gᵀ, a·g)
+                        Layout::TransA => ((b, g_out, Layout::TransB), (a, g_out, Layout::Plain)),
+                    };
                     if live(a) {
-                        let bt = self.transpose(b);
-                        let ga = self.matmul(g_out, bt);
+                        let ga = self.matmul_layout(ga.0, ga.1, ga.2);
                         self.accumulate(&mut adj, a.0, ga);
                     }
                     if live(b) {
-                        let at = self.transpose(a);
-                        let gb = self.matmul(at, g_out);
+                        let gb = self.matmul_layout(gb.0, gb.1, gb.2);
                         self.accumulate(&mut adj, b.0, gb);
                     }
-                }
-                Op::Transpose(x) => {
-                    let gx = self.transpose(g_out);
-                    self.accumulate(&mut adj, x.0, gx);
                 }
                 Op::SumAll(x) => {
                     let (r, c) = self.shape(x);
@@ -323,13 +330,11 @@ impl Graph {
                         self.accumulate(&mut adj, b.0, gb);
                     }
                     if live(x) {
-                        let wt = self.transpose(w);
-                        let gx = self.matmul(g_s, wt);
+                        let gx = self.matmul_layout(g_s, w, Layout::TransB);
                         self.accumulate(&mut adj, x.0, gx);
                     }
                     if live(w) {
-                        let xt = self.transpose(x);
-                        let gw = self.matmul(xt, g_s);
+                        let gw = self.matmul_layout(x, g_s, Layout::TransA);
                         self.accumulate(&mut adj, w.0, gw);
                     }
                 }
@@ -645,13 +650,12 @@ mod tests {
         let y = g.sum_all(g.matmul(x, w));
         let forward = g.len();
         let dx = g.grad(y, &[x])[0];
-        // seed, its broadcast, wᵀ, g·wᵀ — and nothing towards `w`.
-        assert_eq!(g.len() - forward, 4);
+        // seed, its broadcast, g·wᵀ read in place — and nothing towards `w`.
+        assert_eq!(g.len() - forward, 3);
         assert_eq!(count(&g, forward, "MatMul"), 1);
-        assert_eq!(count(&g, forward, "Transpose"), 1);
         let both = g.len();
         let grads = g.grad(y, &[x, w]);
-        assert_eq!(g.len() - both, 6);
+        assert_eq!(g.len() - both, 4);
         assert_eq!(g.value(grads[0]), g.value(dx));
     }
 
@@ -668,7 +672,7 @@ mod tests {
         // seed, its broadcast, 1 − tanh², their product: nothing of the
         // affine layer upstream of `h` is differentiated.
         assert_eq!(g.len() - forward, 4);
-        assert_eq!(count(&g, forward, "MatMul") + count(&g, forward, "Transpose"), 0);
+        assert_eq!(count(&g, forward, "MatMul"), 0);
         assert_eq!(g.shape(dh), (4, 3));
     }
 

@@ -21,7 +21,7 @@
 //! assert_eq!(g.value(d2y).item(), 2.0);
 //! ```
 
-use crate::kernels::{self, FusedAct, UnaryOp};
+use crate::kernels::{self, FusedAct, Layout, UnaryOp};
 use crate::Tensor;
 use std::cell::RefCell;
 
@@ -45,8 +45,8 @@ pub(crate) enum Op {
     Mul(Var, Var),
     Div(Var, Var),
     Neg(Var),
-    MatMul(Var, Var),
-    Transpose(Var),
+    /// Product in the given layout (either operand read transposed).
+    MatMul(Var, Var, Layout),
     SumAll(Var),
     SumRows(Var),
     SumCols(Var),
@@ -91,11 +91,10 @@ impl Op {
     pub(crate) fn any_input(&self, mut pred: impl FnMut(Var) -> bool) -> bool {
         match self {
             Op::Leaf => false,
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b, _) => {
                 pred(*a) || pred(*b)
             }
             Op::Neg(x)
-            | Op::Transpose(x)
             | Op::SumAll(x)
             | Op::SumRows(x)
             | Op::SumCols(x)
@@ -250,12 +249,14 @@ impl Graph {
 
     /// Matrix product.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        self.binary(a, b, |x, y| x.matmul(y), Op::MatMul(a, b))
+        self.matmul_layout(a, b, Layout::Plain)
     }
 
-    /// Transpose.
-    pub fn transpose(&self, x: Var) -> Var {
-        self.unary(x, |t| t.transpose(), Op::Transpose(x))
+    /// Matrix product with either operand read transposed, in place
+    /// ([`Tensor::matmul_layout`]). The backward pass builds its products
+    /// over transposes this way, so it builds no transpose node.
+    pub fn matmul_layout(&self, a: Var, b: Var, layout: Layout) -> Var {
+        self.binary(a, b, |x, y| x.matmul_layout(y, layout), Op::MatMul(a, b, layout))
     }
 
     /// Sum of all elements (`1×1`).
@@ -428,13 +429,15 @@ impl Graph {
             x,
             |t| {
                 assert_eq!(t.rows(), indices.len(), "scatter_rows index count mismatch");
-                let mut out = Tensor::zeros(total_rows, t.cols());
+                let cols = t.cols();
+                let mut out = Tensor::zeros(total_rows, cols);
+                // Row slices added in place, in index order: duplicate
+                // positions accumulate in that order.
                 for (r, &dst) in indices.iter().enumerate() {
                     assert!(dst < total_rows, "scatter position {dst} out of bounds");
-                    let src = t.row_slice(r).to_vec();
-                    for (c, v) in src.iter().enumerate() {
-                        let cur = out.at(dst, c);
-                        out.set(dst, c, cur + v);
+                    let row = &mut out.as_mut_slice()[dst * cols..(dst + 1) * cols];
+                    for (o, &v) in row.iter_mut().zip(t.row_slice(r)) {
+                        *o += v;
                     }
                 }
                 out

@@ -18,9 +18,10 @@
 //! Together these make results bit-identical for any `GTV_THREADS` value.
 //!
 //! The inner loops live in [`crate::simd`]: f32x8 lane kernels for the
-//! transcendentals, elementwise maps, fixed-shape reductions and the
+//! transcendentals, activations and masks, fixed-shape reductions and the
 //! matmul register tile. This module owns chunking, dispatch, and buffer
-//! plumbing only.
+//! plumbing, and the elementwise ops of one IEEE operation per element,
+//! which are plain loops the compiler vectorises on its own.
 
 use crate::dispatch;
 use crate::pool;
@@ -118,11 +119,13 @@ impl UnaryOp {
         }
     }
 
-    /// Applies the op across a slice, appending to `out`. Ops with a lane
-    /// kernel run eight-wide through [`simd::map_slice`]; the rest fall back
-    /// to a scalar loop over [`UnaryOp::eval`]. Either way element `i` of
-    /// the result depends on `src[i]` alone, so the caller may cut `src`
-    /// into chunks at any boundary without changing a single output bit.
+    /// Applies the op across a slice, appending to `out`. Ops with real
+    /// lane math (and the masks) run eight-wide through
+    /// [`simd::map_slice`]; the rest are one IEEE operation per element, a
+    /// plain loop over the slice that the compiler vectorises, with the op
+    /// matched once outside it. Either way element `i` of the result is
+    /// [`UnaryOp::eval`] of `src[i]` alone, so the caller may cut `src` into
+    /// chunks at any boundary without changing a single output bit.
     #[inline]
     pub(crate) fn apply_slice(self, src: &[f32], out: &mut Vec<f32>) {
         match self {
@@ -137,7 +140,12 @@ impl UnaryOp {
             }
             UnaryOp::TanhGrad => simd::map_slice(src, out, simd::tanh_grad8),
             UnaryOp::SigmoidGrad => simd::map_slice(src, out, simd::sigmoid_grad8),
-            _ => out.extend(src.iter().map(|&v| self.eval(v))),
+            UnaryOp::Neg => out.extend(src.iter().map(|&v| -v)),
+            UnaryOp::Ln => out.extend(src.iter().map(|&v| v.ln())),
+            UnaryOp::Sqrt => out.extend(src.iter().map(|&v| v.sqrt())),
+            UnaryOp::MulScalar(c) => out.extend(src.iter().map(|&v| v * c)),
+            UnaryOp::AddScalar(c) => out.extend(src.iter().map(|&v| v + c)),
+            UnaryOp::PowScalar(p) => out.extend(src.iter().map(|&v| v.powf(p))),
         }
     }
 }
@@ -213,16 +221,23 @@ pub(crate) fn unary(data: &[f32], op: UnaryOp) -> Vec<f32> {
     map_elems(data.len(), |lo, hi, out| op.apply_slice(&data[lo..hi], out))
 }
 
-/// Applies a binary op across equal-length slices through the eight-lane
-/// [`simd::zip_slice`] kernel. Lanewise pure, so chunk cuts are
+/// Appends `f(a[i], b[i])` for equal-length slices: one IEEE operation per
+/// element in a loop the compiler vectorises, so chunk cuts are
 /// unobservable — the same argument as [`UnaryOp::apply_slice`].
+#[inline]
+fn zip_into(a: &[f32], b: &[f32], out: &mut Vec<f32>, f: impl Fn(f32, f32) -> f32) {
+    debug_assert_eq!(a.len(), b.len());
+    out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y)));
+}
+
+/// [`zip_into`] with the op matched once, outside the loop.
 #[inline]
 fn zip_op(a: &[f32], b: &[f32], out: &mut Vec<f32>, op: BinaryOp) {
     match op {
-        BinaryOp::Add => simd::zip_slice(a, b, out, |x, y| x.add(y)),
-        BinaryOp::Sub => simd::zip_slice(a, b, out, |x, y| x.sub(y)),
-        BinaryOp::Mul => simd::zip_slice(a, b, out, |x, y| x.mul(y)),
-        BinaryOp::Div => simd::zip_slice(a, b, out, |x, y| x.div(y)),
+        BinaryOp::Add => zip_into(a, b, out, |x, y| x + y),
+        BinaryOp::Sub => zip_into(a, b, out, |x, y| x - y),
+        BinaryOp::Mul => zip_into(a, b, out, |x, y| x * y),
+        BinaryOp::Div => zip_into(a, b, out, |x, y| x / y),
     }
 }
 
@@ -243,8 +258,8 @@ pub(crate) enum Broadcast {
 }
 
 /// One monomorphic row loop per op for [`binary_broadcast`]: a row vector
-/// zips against every row of `full`, a column vector contributes one splat
-/// per row. `f8` always sees the operands in the caller's order.
+/// zips against every row of `full`, a column vector contributes one value
+/// per row. `f` always sees the operands in the caller's order.
 #[inline]
 fn broadcast_rows(
     full: &[f32],
@@ -253,19 +268,19 @@ fn broadcast_rows(
     along: Broadcast,
     vec_first: bool,
     out: &mut Vec<f32>,
-    f8: impl Fn(simd::F32x8, simd::F32x8) -> simd::F32x8 + Copy,
+    f: impl Fn(f32, f32) -> f32 + Copy,
 ) {
     for (r, row) in full.chunks_exact(cols).enumerate() {
         match (along, vec_first) {
-            (Broadcast::Row, false) => simd::zip_slice(row, vec, out, f8),
-            (Broadcast::Row, true) => simd::zip_slice(vec, row, out, f8),
+            (Broadcast::Row, false) => zip_into(row, vec, out, f),
+            (Broadcast::Row, true) => zip_into(vec, row, out, f),
             (Broadcast::Col, false) => {
-                let splat = simd::F32x8::splat(vec[r]);
-                simd::map_slice(row, out, |x| f8(x, splat));
+                let s = vec[r];
+                out.extend(row.iter().map(|&x| f(x, s)));
             }
             (Broadcast::Col, true) => {
-                let splat = simd::F32x8::splat(vec[r]);
-                simd::map_slice(row, out, |x| f8(splat, x));
+                let s = vec[r];
+                out.extend(row.iter().map(|&x| f(s, x)));
             }
         }
     }
@@ -273,9 +288,9 @@ fn broadcast_rows(
 
 /// Broadcasting binary map of a row-major `rows×cols` buffer `full` with a
 /// row or column vector `vec` (`vec ⊕ full` when `vec_first`, else
-/// `full ⊕ vec`), row by row through the lane kernels. Each element is the
-/// same single `op` on the same two values the generic broadcasting loop
-/// pairs up, so the results are bit-identical to it.
+/// `full ⊕ vec`), row by row. Each element is the same single `op` on the
+/// same two values the generic broadcasting loop pairs up, so the results
+/// are bit-identical to it.
 pub(crate) fn binary_broadcast(
     full: &[f32],
     vec: &[f32],
@@ -288,16 +303,16 @@ pub(crate) fn binary_broadcast(
     if !full.is_empty() {
         match op {
             BinaryOp::Add => {
-                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.add(y))
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x + y)
             }
             BinaryOp::Sub => {
-                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.sub(y))
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x - y)
             }
             BinaryOp::Mul => {
-                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.mul(y))
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x * y)
             }
             BinaryOp::Div => {
-                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x.div(y))
+                broadcast_rows(full, vec, cols, along, vec_first, &mut out, |x, y| x / y)
             }
         }
     }
@@ -456,68 +471,91 @@ fn dense_runs(sparse: &[bool], r0: usize, r1: usize, max: usize, mut f: impl FnM
     }
 }
 
+/// Which operand of a product is read transposed — in place, never copied.
+/// The product is `n×m` with contraction length `k` in every layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `a·b` for a row-major `n×k` `a` and `k×m` `b`.
+    Plain,
+    /// `a·bᵀ` for a row-major `n×k` `a` and `m×k` `b`.
+    TransB,
+    /// `aᵀ·b` for a row-major `k×n` `a` and `k×m` `b`.
+    TransA,
+}
+
+/// One product's operands as [`matmul_rows`] reads them.
+struct Product<'a> {
+    lhs: simd::Lhs<'a>,
+    /// The RHS as stored: read by the zero-skipping rows (`k×m`, only in the
+    /// layouts whose RHS is not transposed) and by [`simd::col_chains`]
+    /// (the `k` values of the single column, contiguous in every layout).
+    b: &'a [f32],
+    /// The RHS packed by [`simd::pack_panels`].
+    panels: &'a [f32],
+    /// Per output row: skips its zero terms.
+    sparse: &'a [bool],
+    k: usize,
+    m: usize,
+}
+
 /// Output rows `r0..r1` of the product into the zeroed `out`
 /// (`(r1 - r0)·m` elements). Rows flagged `sparse` take the zero-skipping
 /// axpy over the unpacked `b`; runs of dense rows take the register-tiled
-/// micro-kernel over the packed `panels`, panel by panel so one `k×NR`
+/// micro-kernel over the packed panels, panel by panel so one `k×NR`
 /// panel stays cache-resident across the block (a single output column
 /// takes [`simd::col_chains`] on `b` itself). Either way every output
 /// element is one ascending-`p` chain — see [`matmul`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "hot-loop kernel: slices + strides, a struct would obscure it"
-)]
-fn matmul_rows(
-    a: &[f32],
-    b: &[f32],
-    panels: &[f32],
-    sparse: &[bool],
-    k: usize,
-    m: usize,
-    r0: usize,
-    r1: usize,
-    out: &mut [f32],
-) {
-    for i in (r0..r1).filter(|&i| sparse[i]) {
+fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
+    let (k, m) = (op.k, op.m);
+    for i in (r0..r1).filter(|&i| op.sparse[i]) {
         let out_row = &mut out[(i - r0) * m..(i - r0 + 1) * m];
-        for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+        let lhs = op.lhs.strided_row(i, k);
+        for (p, &av) in lhs.iter().step_by(op.lhs.step).enumerate() {
             if av == 0.0 {
                 continue;
             }
-            for (o, &bv) in out_row.iter_mut().zip(&b[p * m..(p + 1) * m]) {
+            for (o, &bv) in out_row.iter_mut().zip(&op.b[p * m..(p + 1) * m]) {
                 *o += av * bv;
             }
         }
     }
     if m == 1 {
-        dense_runs(sparse, r0, r1, simd::COL_ROWS, |i, r| {
-            simd::col_chains(r, &a[i * k..(i + r) * k], k, b, &mut out[i - r0..]);
+        dense_runs(op.sparse, r0, r1, simd::COL_ROWS, |i, r| {
+            simd::col_chains(r, op.lhs.skip_rows(i), k, op.b, &mut out[i - r0..]);
         });
         return;
     }
-    for (q, panel) in panels.chunks_exact(k * simd::NR).enumerate() {
+    for (q, panel) in op.panels.chunks_exact(k * simd::NR).enumerate() {
         let j0 = q * simd::NR;
         let w = simd::NR.min(m - j0);
-        dense_runs(sparse, r0, r1, simd::MR, |i, r| {
-            simd::tile(r, &a[i * k..(i + r) * k], k, panel, &mut out[(i - r0) * m + j0..], m, w);
+        dense_runs(op.sparse, r0, r1, simd::MR, |i, r| {
+            simd::tile(r, op.lhs.skip_rows(i), k, panel, &mut out[(i - r0) * m + j0..], m, w);
         });
     }
 }
 
-/// Matrix product of row-major `n×k` and `k×m` buffers, **bit-identical to
-/// the naive triple loop**: every `c[i][j]` is the single chain
-/// `((0 + a[i][0]·b[0][j]) + a[i][1]·b[1][j]) + …` in ascending `p`, with
-/// multiply and add rounded separately. Tile shape, ragged edges, row
-/// blocks, the thread count and the rows sharing a batch (which is what
-/// lets the serving engine coalesce and split request batches, DESIGN.md
-/// §14) are therefore all unobservable in the output bits.
+/// Matrix product in one of the three [`Layout`]s, **bit-identical to the
+/// naive triple loop** over the operands as the layout reads them: every
+/// `c[i][j]` is the single chain `((0 + a(i,0)·b(0,j)) + a(i,1)·b(1,j)) + …`
+/// in ascending `p`, with multiply and add rounded separately. Tile shape,
+/// ragged edges, row blocks, the thread count and the rows sharing a batch
+/// (which is what lets the serving engine coalesce and split request
+/// batches, DESIGN.md §14) are therefore all unobservable in the output
+/// bits — and so is the layout itself: `a·bᵀ` equals the product with a
+/// transposed copy of `b` bit for bit, because IEEE multiplication
+/// commutes and the chain order is the same.
 ///
-/// So is kernel choice, made **per output row** from the measured
-/// crossover (DESIGN.md §8): a row at least [`AXPY_MIN_ZEROS`] zero against
-/// a finite RHS more than one panel wide — one-hot and condition-vector
-/// rows on the encode path — skips its zero terms; each is an exact `±0.0`
-/// added to an accumulator that is never `-0.0`, so skipping changes
-/// nothing. Every other row takes the register-tiled kernel over the RHS
+/// The layout decides how the tile reads LHS rows (a stride pair, see
+/// [`simd::Lhs`]: a transposed LHS is read as contiguous values of one row
+/// of `a`) and where the RHS panels are packed from (`b` or `bᵀ`).
+///
+/// Kernel choice is made **per output row** from the measured crossover
+/// (DESIGN.md §8): a row at least [`AXPY_MIN_ZEROS`] zero against a finite
+/// RHS more than one panel wide — one-hot and condition-vector rows on the
+/// encode path — skips its zero terms; each is an exact `±0.0` added to an
+/// accumulator that is never `-0.0`, so skipping changes nothing. The axpy
+/// walks rows of the RHS, so only the layouts that do not transpose it
+/// offer it. Every other row takes the register-tiled kernel over the RHS
 /// packed once per call ([`simd::col_chains`] for a single column): rows
 /// behind a dropout mask or a ReLU, half zero give or take, where a
 /// mispredicted branch per element costs the axpy more than the skipped
@@ -526,35 +564,60 @@ fn matmul_rows(
 /// non-finite RHS, so `0·NaN`/`0·∞` still poison the output as IEEE
 /// demands. Work runs in `ROW_BLOCK`-row blocks, on the pool above
 /// [`dispatch::matmul_par_min`].
-pub(crate) fn matmul(n: usize, k: usize, m: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+pub(crate) fn matmul(
+    n: usize,
+    k: usize,
+    m: usize,
+    a: &[f32],
+    b: &[f32],
+    layout: Layout,
+) -> Vec<f32> {
     if n == 0 || k == 0 || m == 0 {
         return pool_mem::take_zeroed(n * m);
     }
-    let axpy_allowed = m > simd::NR && b.iter().all(|v| v.is_finite());
+    let lhs = match layout {
+        Layout::TransA => simd::Lhs { data: a, row: 1, step: n },
+        Layout::Plain | Layout::TransB => simd::Lhs { data: a, row: k, step: 1 },
+    };
+    let axpy_allowed = layout != Layout::TransB && m > simd::NR && b.iter().all(|v| v.is_finite());
     let (num, den) = AXPY_MIN_ZEROS;
-    let row_sparse: Vec<bool> = a
-        .chunks_exact(k)
-        .map(|row| axpy_allowed && den * row.iter().filter(|&&v| v == 0.0).count() >= num * k)
-        .collect();
+    let sparse_at = |zeros: usize| den * zeros >= num * k;
+    let row_sparse: Vec<bool> = match layout {
+        _ if !axpy_allowed => vec![false; n],
+        Layout::TransA => {
+            let mut zeros = vec![0usize; n];
+            for row in a.chunks_exact(n) {
+                for (z, &v) in zeros.iter_mut().zip(row) {
+                    *z += usize::from(v == 0.0);
+                }
+            }
+            zeros.into_iter().map(sparse_at).collect()
+        }
+        Layout::Plain | Layout::TransB => a
+            .chunks_exact(k)
+            .map(|row| sparse_at(row.iter().filter(|&&v| v == 0.0).count()))
+            .collect(),
+    };
     let mut panels = Vec::new();
     if m > 1 && row_sparse.contains(&false) {
         panels = pool_mem::take(k * m.next_multiple_of(simd::NR));
-        simd::pack_panels(b, k, m, &mut panels);
+        simd::pack_panels(b, k, m, layout == Layout::TransB, &mut panels);
     }
+    let op = Product { lhs, b, panels: &panels, sparse: &row_sparse, k, m };
 
     let n_blocks = n.div_ceil(ROW_BLOCK);
     let bounds = |i: usize| (i * ROW_BLOCK, ((i + 1) * ROW_BLOCK).min(n));
     let out = if pool::threads() == 1 || n_blocks == 1 || n * k * m < dispatch::matmul_par_min() {
         let mut out = pool_mem::take_zeroed(n * m);
         for (r0, r1) in (0..n_blocks).map(bounds) {
-            matmul_rows(a, b, &panels, &row_sparse, k, m, r0, r1, &mut out[r0 * m..r1 * m]);
+            matmul_rows(&op, r0, r1, &mut out[r0 * m..r1 * m]);
         }
         out
     } else {
         let chunks = pool::run_ordered(n_blocks, |i| {
             let (r0, r1) = bounds(i);
             let mut out = pool_mem::take_zeroed((r1 - r0) * m);
-            matmul_rows(a, b, &panels, &row_sparse, k, m, r0, r1, &mut out);
+            matmul_rows(&op, r0, r1, &mut out);
             out
         });
         stitch(chunks, n * m)
@@ -583,7 +646,7 @@ pub(crate) fn affine_act(
     act: FusedAct,
 ) -> Vec<f32> {
     debug_assert_eq!(bias.len(), m);
-    let mut out = matmul(n, k, m, x, w);
+    let mut out = matmul(n, k, m, x, w, Layout::Plain);
     if m > 0 {
         match act {
             FusedAct::Relu => bias_act_rows(&mut out, m, bias, simd::relu8),
@@ -660,18 +723,29 @@ mod tests {
                 .collect();
             let b: Vec<f32> = (0..k * m).map(|i| ((i * 37 % 101) as f32) * 0.137 - 6.9).collect();
             let mut panels = Vec::new();
-            simd::pack_panels(&b, k, m, &mut panels);
-            let rows = |flags: &[bool]| {
-                let mut out = vec![0.0; n * m];
-                matmul_rows(&a, &b, &panels, flags, k, m, 0, n, &mut out);
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            let mixed: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
-            assert_eq!(rows(&vec![true; n]), rows(&vec![false; n]), "{n}x{k}x{m}");
-            assert_eq!(rows(&mixed), rows(&vec![false; n]), "{n}x{k}x{m} mixed");
-            // And the selection `matmul` itself makes lands on those bits.
-            let picked: Vec<u32> = matmul(n, k, m, &a, &b).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(picked, rows(&vec![false; n]), "{n}x{k}x{m} as selected");
+            simd::pack_panels(&b, k, m, false, &mut panels);
+            // The LHS read in place (`a`) and through its stored transpose.
+            let at: Vec<f32> = (0..k * n).map(|i| a[(i % n) * k + i / n]).collect();
+            let views = [
+                (Layout::Plain, simd::Lhs { data: &a[..], row: k, step: 1 }),
+                (Layout::TransA, simd::Lhs { data: &at[..], row: 1, step: n }),
+            ];
+            for (layout, lhs) in views {
+                let rows = |flags: &[bool]| {
+                    let mut out = vec![0.0; n * m];
+                    let op = Product { lhs, b: &b, panels: &panels, sparse: flags, k, m };
+                    matmul_rows(&op, 0, n, &mut out);
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let mixed: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
+                let dense = rows(&vec![false; n]);
+                assert_eq!(rows(&vec![true; n]), dense, "{n}x{k}x{m} {layout:?}");
+                assert_eq!(rows(&mixed), dense, "{n}x{k}x{m} {layout:?} mixed");
+                // And the selection `matmul` itself makes lands on those bits.
+                let picked: Vec<u32> =
+                    matmul(n, k, m, lhs.data, &b, layout).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(picked, dense, "{n}x{k}x{m} {layout:?} as selected");
+            }
         }
     }
 
@@ -689,7 +763,7 @@ mod tests {
         let packs = |zeros: usize, m: usize| {
             let b = vec![0.5; k * m];
             let before = pool_mem::stats().bytes_requested;
-            let _ = matmul(n, k, m, &lhs(zeros), &b);
+            let _ = matmul(n, k, m, &lhs(zeros), &b, Layout::Plain);
             let asked = (pool_mem::stats().bytes_requested - before) as usize;
             asked > n * m * 4
         };
@@ -714,9 +788,9 @@ mod tests {
             (0..k).map(|i| if i == 4 { 1.5 } else { 0.0 }).collect(),
             (0..k).map(|i| if i % 2 == 0 { 0.0 } else { 0.7 }).collect(),
         ];
-        let batched: Vec<f32> = matmul(3, k, m, &rows.concat(), &b);
+        let batched: Vec<f32> = matmul(3, k, m, &rows.concat(), &b, Layout::Plain);
         for (r, row) in rows.iter().enumerate() {
-            let solo = matmul(1, k, m, row, &b);
+            let solo = matmul(1, k, m, row, &b, Layout::Plain);
             assert_eq!(&batched[r * m..(r + 1) * m], &solo[..], "row {r} depends on batch-mates");
         }
     }

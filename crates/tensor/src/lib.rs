@@ -55,5 +55,5 @@ pub mod simd;
 mod tensor;
 
 pub use graph::{Graph, Var};
-pub use kernels::{BinaryOp, FusedAct, UnaryOp};
+pub use kernels::{BinaryOp, FusedAct, Layout, UnaryOp};
 pub use tensor::Tensor;

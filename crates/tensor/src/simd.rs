@@ -332,26 +332,6 @@ pub(crate) fn map_slice(src: &[f32], out: &mut Vec<f32>, f8: impl Fn(F32x8) -> F
     }
 }
 
-/// Elementwise binary map over equal-length slices with the lane kernel
-/// `f8`; same tail discipline as [`map_slice`].
-#[inline]
-pub(crate) fn zip_slice(
-    a: &[f32],
-    b: &[f32],
-    out: &mut Vec<f32>,
-    f8: impl Fn(F32x8, F32x8) -> F32x8,
-) {
-    debug_assert_eq!(a.len(), b.len());
-    let mut ag = a.chunks_exact(LANES);
-    let mut bg = b.chunks_exact(LANES);
-    for (ac, bc) in (&mut ag).zip(&mut bg) {
-        out.extend_from_slice(&f8(F32x8::load(ac), F32x8::load(bc)).0);
-    }
-    for (&x, &y) in ag.remainder().iter().zip(bg.remainder()) {
-        out.push(f8(F32x8::splat(x), F32x8::splat(y)).0[0]);
-    }
-}
-
 /// Fused bias + activation over one output row: `row[j] = f8(row[j] +
 /// bias[j])` with eight-lane groups and the splat tail. The arithmetic per
 /// element is exactly `act(v + b)` — identical to the unfused broadcast-add
@@ -601,15 +581,51 @@ pub const NR: usize = 2 * LANES;
 /// to cover the add latency when the output is a single column.
 pub(crate) const COL_ROWS: usize = 16;
 
-/// Packs the row-major `k×m` matrix `b` into `⌈m/NR⌉` column panels,
-/// appended to `out`: panel `q` is the contiguous `k×NR` block of columns
-/// `q·NR ..`, the last one zero-padded to full width, so the micro-kernel
-/// streams one panel with unit stride and never sees a ragged row.
-pub fn pack_panels(b: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
+/// A LHS read in place: element `(r, p)` — row `r`, contraction index `p` —
+/// is `data[r·row + p·step]`. A row-major `n×k` matrix is `(row, step) =
+/// (k, 1)`; its transpose, read without a copy, is `(1, n)`, so the values a
+/// tile broadcasts at one `p` are contiguous. A broadcast load costs the same
+/// at any stride, so one kernel serves both.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lhs<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) row: usize,
+    pub(crate) step: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// The view with its first `i` rows skipped.
+    #[inline(always)]
+    pub(crate) fn skip_rows(self, i: usize) -> Lhs<'a> {
+        Lhs { data: &self.data[i * self.row..], ..self }
+    }
+
+    /// Row `r` of length `k` (`k > 0`) as the slice from its first to its
+    /// last element: element `p` is at `p·step`. Every row of a view has
+    /// the same slice length, so a kernel indexing several rows at one `p`
+    /// pays one bounds check, not one per row.
+    #[inline(always)]
+    pub(crate) fn strided_row(self, r: usize, k: usize) -> &'a [f32] {
+        let start = r * self.row;
+        &self.data[start..start + (k - 1) * self.step + 1]
+    }
+}
+
+/// Packs the `k×m` RHS into `⌈m/NR⌉` column panels, appended to `out`:
+/// panel `q` is the contiguous `k×NR` block of columns `q·NR ..`, the last
+/// one zero-padded to full width, so the micro-kernel streams one panel
+/// with unit stride and never sees a ragged row. The RHS is the row-major
+/// `k×m` matrix `b`, or — `transposed` — `bᵀ` for a row-major `m×k` `b`,
+/// read in place.
+pub(crate) fn pack_panels(b: &[f32], k: usize, m: usize, transposed: bool, out: &mut Vec<f32>) {
     for j0 in (0..m).step_by(NR) {
         let w = NR.min(m - j0);
         for p in 0..k {
-            out.extend_from_slice(&b[p * m + j0..p * m + j0 + w]);
+            if transposed {
+                out.extend((j0..j0 + w).map(|j| b[j * k + p]));
+            } else {
+                out.extend_from_slice(&b[p * m + j0..p * m + j0 + w]);
+            }
             out.resize(out.len() + NR - w, 0.0);
         }
     }
@@ -621,19 +637,20 @@ pub fn pack_panels(b: &[f32], k: usize, m: usize, out: &mut Vec<f32>) {
 /// reads only the left half of each panel row.
 #[inline(always)]
 fn tile_rows<const R: usize, const NV: usize>(
-    a: &[f32],
+    a: Lhs,
     k: usize,
     panel: &[f32],
     out: &mut [f32],
     m: usize,
     w: usize,
 ) {
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let rows: [&[f32]; R] = std::array::from_fn(|r| a.strided_row(r, k));
     let mut acc = [[F32x8::splat(0.0); NV]; R];
     for (p, bp) in panel[..k * NR].chunks_exact(NR).enumerate() {
         let b: [F32x8; NV] = std::array::from_fn(|v| F32x8::load(&bp[v * LANES..]));
+        let at = p * a.step;
         for r in 0..R {
-            let av = F32x8::splat(rows[r][p]);
+            let av = F32x8::splat(rows[r][at]);
             for v in 0..NV {
                 acc[r][v] = acc[r][v].add(av.mul(b[v]));
             }
@@ -648,19 +665,27 @@ fn tile_rows<const R: usize, const NV: usize>(
     }
 }
 
-/// Matmul micro-kernel: `out[r·m + j] = Σ_p a[r·k + p]·panel[p·NR + j]` for
-/// `r < rows ≤ MR` and `j < w ≤ NR`, where `a` holds `rows` LHS rows of
-/// length `k` read in place, `panel` is one [`pack_panels`] panel and `out`
-/// starts at the tile's first element inside an output of row stride `m`.
-/// Each sum is a single chain in ascending `p` — equal to the naive triple
-/// loop bit for bit whatever `rows` and `w` are. A tile at most [`LANES`]
-/// wide (a ragged last panel, a narrow output) runs one accumulator per
-/// row instead of two.
+/// Matmul micro-kernel: `out[r·m + j] = Σ_p a(r, p)·panel[p·NR + j]` for
+/// `r < rows ≤ MR` and `j < w ≤ NR`, where `a` holds the tile's `rows` LHS
+/// rows of length `k`, read in place, `panel` is one [`pack_panels`] panel
+/// and `out` starts at the tile's first element inside an output of row
+/// stride `m`. Each sum is a single chain in ascending `p` — equal to the
+/// naive triple loop bit for bit whatever `rows`, `w` and the LHS strides
+/// are. A tile at most [`LANES`] wide (a ragged last panel, a narrow
+/// output) runs one accumulator per row instead of two.
 ///
 /// # Panics
 ///
 /// Panics if `rows` is 0 or exceeds [`MR`], or a slice is too short.
-pub fn tile(rows: usize, a: &[f32], k: usize, panel: &[f32], out: &mut [f32], m: usize, w: usize) {
+pub(crate) fn tile(
+    rows: usize,
+    a: Lhs,
+    k: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    m: usize,
+    w: usize,
+) {
     match (rows, w <= LANES) {
         (1, false) => tile_rows::<1, 2>(a, k, panel, out, m, w),
         (2, false) => tile_rows::<2, 2>(a, k, panel, out, m, w),
@@ -674,20 +699,18 @@ pub fn tile(rows: usize, a: &[f32], k: usize, panel: &[f32], out: &mut [f32], m:
     }
 }
 
-/// Single-column product (`m = 1`): `out[r] = Σ_p a[r·k + p]·b[p]` for
+/// Single-column product (`m = 1`): `out[r] = Σ_p a(r, p)·b[p]` for
 /// `r < rows ≤ COL_ROWS`. A one-wide tile would leave a single add chain in
 /// flight; here the lanes are the *rows*, each still its own ascending-`p`
 /// chain, so the result equals [`tile`]'s and the naive loop's. A short
 /// group recomputes its last row in the spare lanes and discards them.
-pub(crate) fn col_chains(rows: usize, a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
-    let lhs: [&[f32]; COL_ROWS] = std::array::from_fn(|r| {
-        let r = r.min(rows - 1);
-        &a[r * k..(r + 1) * k]
-    });
+pub(crate) fn col_chains(rows: usize, a: Lhs, k: usize, b: &[f32], out: &mut [f32]) {
+    let lhs: [&[f32]; COL_ROWS] = std::array::from_fn(|r| a.strided_row(r.min(rows - 1), k));
     let mut acc = [0.0; COL_ROWS];
     for (p, &bv) in b[..k].iter().enumerate() {
+        let at = p * a.step;
         for r in 0..COL_ROWS {
-            acc[r] += lhs[r][p] * bv;
+            acc[r] += lhs[r][at] * bv;
         }
     }
     out[..rows].copy_from_slice(&acc[..rows]);

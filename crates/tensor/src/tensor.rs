@@ -5,7 +5,7 @@
 //! dimensions: scalars are `1×1`, row vectors `1×n`, column vectors `n×1`.
 //! Broadcasting follows NumPy semantics restricted to those shapes.
 
-use crate::kernels::{self, BinaryOp, Broadcast, UnaryOp};
+use crate::kernels::{self, BinaryOp, Broadcast, Layout, UnaryOp};
 use crate::pool_mem;
 use rand::Rng;
 use std::fmt;
@@ -398,44 +398,47 @@ impl Tensor {
     /// loop**: each output element is one chain
     /// `((0 + a₀·b₀) + a₁·b₁) + …` in ascending contraction index, multiply
     /// and add rounded separately (no FMA). The register-tiled, panel-packed
-    /// kernel behind it ([`crate::simd::tile`], DESIGN.md §8) only changes
-    /// how fast that chain is walked, so results do not depend on the
-    /// `GTV_THREADS` setting, on tile or block remainders, or on which
-    /// other rows share the batch. Mostly-zero rows skip their zero terms
-    /// only when the RHS is entirely finite, so IEEE non-finite propagation
-    /// (`0·NaN = NaN`, `0·∞ = NaN`) is preserved and a diverged training
-    /// run surfaces as NaNs instead of being masked as zeros.
+    /// kernel behind it (DESIGN.md §8) only changes how fast that chain is
+    /// walked, so results do not depend on the `GTV_THREADS` setting, on
+    /// tile or block remainders, or on which other rows share the batch.
+    /// Mostly-zero rows skip their zero terms only when the RHS is entirely
+    /// finite, so IEEE non-finite propagation (`0·NaN = NaN`, `0·∞ = NaN`)
+    /// is preserved and a diverged training run surfaces as NaNs instead of
+    /// being masked as zeros.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        Self::from_vec(n, m, kernels::matmul(n, k, m, &self.data, &other.data))
+        self.matmul_layout(other, Layout::Plain)
     }
 
-    /// Transpose, moved in 16×16 blocks so both the strided reads and the
-    /// contiguous writes of a block stay within a few cache lines.
-    pub fn transpose(&self) -> Self {
-        const BLOCK: usize = 16;
-        let (rows, cols) = self.shape();
-        let mut data = pool_mem::take_zeroed(self.data.len());
-        for r0 in (0..rows).step_by(BLOCK) {
-            let r1 = (r0 + BLOCK).min(rows);
-            for c0 in (0..cols).step_by(BLOCK) {
-                for c in c0..(c0 + BLOCK).min(cols) {
-                    for r in r0..r1 {
-                        data[c * rows + r] = self.data[r * cols + c];
-                    }
-                }
-            }
-        }
-        Self::from_vec(cols, rows, data)
+    /// The product of `self` and `other` with either operand read
+    /// transposed, in place: `self·other` ([`Layout::Plain`]),
+    /// `self·otherᵀ` ([`Layout::TransB`]) or `selfᵀ·other`
+    /// ([`Layout::TransA`]). The same kernel and the same contract as
+    /// [`Tensor::matmul`]: each output element is the naive loop's
+    /// ascending chain over the operands as the layout reads them, so the
+    /// result equals the plain product with a transposed copy bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the contraction lengths the layout pairs up differ.
+    pub fn matmul_layout(&self, other: &Self, layout: Layout) -> Self {
+        let (n, k) = match layout {
+            Layout::TransA => (self.cols, self.rows),
+            Layout::Plain | Layout::TransB => (self.rows, self.cols),
+        };
+        let (k2, m) = match layout {
+            Layout::TransB => (other.cols, other.rows),
+            Layout::Plain | Layout::TransA => (other.rows, other.cols),
+        };
+        assert_eq!(
+            k, k2,
+            "matmul shape mismatch: {}x{} @ {}x{} ({layout:?})",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        Self::from_vec(n, m, kernels::matmul(n, k, m, &self.data, &other.data, layout))
     }
 
     /// Sum of all elements as a `1×1` tensor (fixed-shape tree reduction,
@@ -479,7 +482,16 @@ impl Tensor {
         if self.shape() == (rows, cols) {
             return self.clone();
         }
-        Self::from_fn(rows, cols, |r, c| self.broadcast_index(r, c))
+        let mut data = pool_mem::take(rows * cols);
+        for r in 0..rows {
+            let src = if self.rows == 1 { 0 } else { r };
+            if self.cols == cols {
+                data.extend_from_slice(self.row_slice(src));
+            } else {
+                data.resize(data.len() + cols, self.data[src]);
+            }
+        }
+        Self::from_vec(rows, cols, data)
     }
 
     /// Horizontal concatenation of tensors with equal row counts.
@@ -668,10 +680,23 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Tensor::randn(3, 5, &mut rng);
-        assert_eq!(a.transpose().transpose(), a);
+    fn matmul_layouts_read_either_operand_transposed() {
+        let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let b = Tensor::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let at_b = Tensor::from_rows(&[&[26.0, 30.0], &[38.0, 44.0]]);
+        let a_bt = Tensor::from_rows(&[&[17.0, 23.0], &[39.0, 53.0]]);
+        assert_eq!(a.matmul_layout(&b, Layout::TransA), at_b);
+        assert_eq!(a.matmul_layout(&b, Layout::TransB), a_bt);
+        // A 1×3 row against a 2×3 matrix read as its 3×2 transpose.
+        let r = Tensor::row(&[1.0, 0.0, -1.0]);
+        let m = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        assert_eq!(r.matmul_layout(&m, Layout::TransB), Tensor::row(&[-2.0, -2.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_layout_rejects_mismatch() {
+        let _ = Tensor::zeros(2, 3).matmul_layout(&Tensor::zeros(3, 2), Layout::TransA);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! gradient with respect to any subset of the inputs equals the matching
 //! entries of the gradient with respect to all of them, bit for bit.
 
-use gtv_tensor::{FusedAct, Graph, Tensor, Var};
+use gtv_tensor::{FusedAct, Graph, Layout, Tensor, Var};
 use proptest::prelude::*;
 
 const ROWS: usize = 5;
@@ -74,7 +74,7 @@ fn build(g: &Graph, seed: u64, wide_first: bool) -> Built {
             11 => g.mul(a, g.sum_cols(b)),
             12 => g.sqrt(g.add_scalar(g.exp(g.mul_scalar(a, 0.3)), 1.0)),
             13 => g.ln(g.add_scalar(g.pow_scalar(g.square(a), 1.5), 1.0)),
-            14 => g.matmul(a, g.matmul(g.transpose(b), a)),
+            14 => g.matmul_layout(a, g.matmul_layout(b, a, Layout::TransA), Layout::TransB),
             _ => g.pad_cols(g.slice_cols(g.softmax_rows(a), 1, 2), 1, DIM),
         };
         if splitmix(&mut state) & 3 == 0 {

@@ -6,7 +6,7 @@
 //! test — the override is process-global) to force the multi-threaded runs
 //! across the pool for real.
 
-use gtv_tensor::{dispatch, pool, BinaryOp, Graph, Tensor, UnaryOp};
+use gtv_tensor::{dispatch, pool, BinaryOp, Graph, Layout, Tensor, UnaryOp};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -116,19 +116,28 @@ proptest! {
         w0 in tensor_strategy(32, 16)
     ) {
         // The WGAN-GP shape: a norm of a first-order gradient,
-        // differentiated again with respect to the weights.
-        assert_bit_identical(|| {
-            let g = Graph::new();
-            let x = g.leaf(x0.clone());
-            let w = g.leaf(w0.clone());
-            let act = g.tanh(g.matmul(x, w));
-            let s = g.sum_all(act);
-            let gx = g.grad(s, &[x])[0];
-            let norm = g.l2_norm_rows(gx, 1e-12);
-            let shifted = g.add_scalar(norm, -1.0);
-            let pen = g.mean_all(g.mul(shifted, shifted));
-            let dw = g.grad(pen, &[w])[0];
-            bits(&g.value(dw))
-        });
+        // differentiated again with respect to the weights — with the
+        // forward product in each layout, so every layout's backward
+        // products (and theirs) run.
+        let transposed = |t: &Tensor| Tensor::from_fn(t.cols(), t.rows(), |r, c| t.at(c, r));
+        for (layout, xs, ws) in [
+            (Layout::Plain, x0.clone(), w0.clone()),
+            (Layout::TransB, x0.clone(), transposed(&w0)),
+            (Layout::TransA, transposed(&x0), w0.clone()),
+        ] {
+            assert_bit_identical(|| {
+                let g = Graph::new();
+                let x = g.leaf(xs.clone());
+                let w = g.leaf(ws.clone());
+                let act = g.tanh(g.matmul_layout(x, w, layout));
+                let s = g.sum_all(act);
+                let gx = g.grad(s, &[x])[0];
+                let norm = g.l2_norm_rows(gx, 1e-12);
+                let shifted = g.add_scalar(norm, -1.0);
+                let pen = g.mean_all(g.mul(shifted, shifted));
+                let dw = g.grad(pen, &[w])[0];
+                bits(&g.value(dw))
+            });
+        }
     }
 }

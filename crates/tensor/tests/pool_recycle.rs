@@ -33,7 +33,8 @@ fn dirty_pool() {
 fn workload(a: &Tensor, b: &Tensor) -> Vec<u32> {
     let mut out = bits(&a.matmul(b));
     out.extend(bits(&a.apply(gtv_tensor::UnaryOp::Tanh)));
-    out.extend(bits(&a.add(&a.transpose().transpose())));
+    out.extend(bits(&a.matmul_layout(a, gtv_tensor::Layout::TransB)));
+    out.extend(bits(&a.matmul_layout(a, gtv_tensor::Layout::TransA)));
     out.extend(bits(&a.sum_rows()));
     out.extend(bits(&a.sum_cols()));
     out.extend(bits(&Tensor::concat_cols(&[a, a]).slice_cols(3, 7)));

@@ -1,6 +1,6 @@
 //! Property-based tests for tensor algebra and autograd invariants.
 
-use gtv_tensor::{dispatch, pool, BinaryOp, Graph, Tensor};
+use gtv_tensor::{dispatch, pool, BinaryOp, Graph, Layout, Tensor, UnaryOp};
 use proptest::prelude::*;
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -62,13 +62,42 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
 }
 
+/// The stored transpose of `t`, by the definition.
+fn transposed(t: &Tensor) -> Tensor {
+    Tensor::from_fn(t.cols(), t.rows(), |r, c| t.at(c, r))
+}
+
+/// Every unary op, each parameterised one with a value that is not special.
+const UNARY_OPS: [UnaryOp; 15] = [
+    UnaryOp::Neg,
+    UnaryOp::Exp,
+    UnaryOp::Ln,
+    UnaryOp::Sqrt,
+    UnaryOp::Tanh,
+    UnaryOp::Sigmoid,
+    UnaryOp::Relu,
+    UnaryOp::LeakyRelu(0.2),
+    UnaryOp::MulScalar(-1.5),
+    UnaryOp::AddScalar(0.75),
+    UnaryOp::PowScalar(1.5),
+    UnaryOp::ReluMask,
+    UnaryOp::LeakyReluMask(0.2),
+    UnaryOp::TanhGrad,
+    UnaryOp::SigmoidGrad,
+];
+
+const BINARY_OPS: [BinaryOp; 4] = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The matmul contract (DESIGN.md §8): the product is the naive triple
-    /// loop, bit for bit — whatever the shape does to the tiling (ragged
-    /// `n % MR`, `m % NR`, the single-column kernel, empty dimensions),
-    /// whichever rows skip their zeros, and at any thread count.
+    /// loop, bit for bit — in every layout, whatever the shape does to the
+    /// tiling (ragged `n % MR`, `m % NR`, the single-column kernel, empty
+    /// dimensions), whichever rows skip their zeros, and at any thread
+    /// count. The operands are drawn as the product reads them and stored
+    /// transposed where the layout says so, so a LHS row keeps its zero
+    /// share whichever way it is stored.
     #[test]
     fn matmul_equals_naive_triple_loop(
         n in dim_strategy(),
@@ -85,48 +114,67 @@ proptest! {
             (0..k).for_each(|p| acc += a.at(i, p) * b.at(p, j));
             acc
         });
+        let (at, bt) = (transposed(&a), transposed(&b));
         // Lowered so these shapes cross the pool; left lowered, as in
         // `parallel_determinism` (the override is process-global and the
         // other properties here do not care where their chunks run).
         dispatch::set_par_mins(1_024, 1_024, 2_048);
-        for threads in [1, 2, 8] {
-            pool::set_threads(threads);
-            let got = a.matmul(&b);
-            prop_assert_eq!(got.shape(), (n, m));
-            prop_assert_eq!(bits(&got), bits(&want), "{}x{}x{} at {} threads", n, k, m, threads);
+        for (layout, lhs, rhs) in
+            [(Layout::Plain, &a, &b), (Layout::TransB, &a, &bt), (Layout::TransA, &at, &b)]
+        {
+            for threads in [1, 2, 8] {
+                pool::set_threads(threads);
+                let got = lhs.matmul_layout(rhs, layout);
+                prop_assert_eq!(got.shape(), (n, m));
+                prop_assert_eq!(
+                    bits(&got), bits(&want), "{}x{}x{} {:?} at {} threads", n, k, m, layout, threads
+                );
+            }
         }
         pool::set_threads(1);
     }
 
-    /// The row- and column-broadcast fast paths of `zip_op` do the generic
-    /// broadcasting loop's arithmetic element for element, in both operand
-    /// orders and for every op (division by the salted-in zeros included).
+    /// Every elementwise form is its scalar definition, element for
+    /// element: each unary op against `UnaryOp::eval`, each binary op
+    /// same-shape and against a row or a column vector (both operand
+    /// orders) against `BinaryOp::eval` on the broadcast pair, and
+    /// `broadcast_to` against the broadcast index — on the awkward values,
+    /// non-finite ones included, at lengths that are mostly not a multiple
+    /// of the lane width.
     #[test]
-    fn broadcast_fast_paths_match_generic_zip(
+    fn elementwise_forms_equal_their_scalar_definitions(
         n in dim_strategy(),
         m in dim_strategy(),
         seed in any::<u64>()
     ) {
         let mut state = seed;
-        let full = messy(n, m, &mut state, false);
-        let row = messy(1, m, &mut state, false);
-        let col = messy(n, 1, &mut state, false);
-        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
-            for (x, y) in [(&full, &row), (&row, &full), (&full, &col), (&col, &full)] {
-                let want = x.zip(y, |p, q| op.eval(p, q));
+        let full = messy(n, m, &mut state, true);
+        let other = messy(n, m, &mut state, true);
+        let row = messy(1, m, &mut state, true);
+        let col = messy(n, 1, &mut state, true);
+        for op in UNARY_OPS {
+            let want = full.map(|v| op.eval(v));
+            prop_assert_eq!(bits(&full.apply(op)), bits(&want), "{:?} {}x{}", op, n, m);
+        }
+        // The broadcast partner of `(r, c)` in a `1×m`, `n×1` or `n×m` operand.
+        let at = |t: &Tensor, r: usize, c: usize| {
+            t.at(if t.rows() == 1 { 0 } else { r }, if t.cols() == 1 { 0 } else { c })
+        };
+        for op in BINARY_OPS {
+            for (x, y) in [(&full, &other), (&full, &row), (&row, &full), (&full, &col), (&col, &full)] {
+                let want = Tensor::from_fn(n, m, |r, c| op.eval(at(x, r, c), at(y, r, c)));
                 prop_assert_eq!(bits(&x.zip_op(y, op)), bits(&want), "{:?} {:?} {:?}", op, x.shape(), y.shape());
             }
         }
-    }
-
-    /// The blocked transpose moves every element to its mirrored position,
-    /// block remainders included.
-    #[test]
-    fn transpose_mirrors_every_element(n in dim_strategy(), m in dim_strategy(), seed in any::<u64>()) {
-        let mut state = seed;
-        let a = messy(n, m, &mut state, true);
-        let want = Tensor::from_fn(m, n, |r, c| a.at(c, r));
-        prop_assert_eq!(bits(&a.transpose()), bits(&want));
+        for v in [&row, &col, &full] {
+            let want = Tensor::from_fn(n, m, |r, c| at(v, r, c));
+            prop_assert_eq!(bits(&v.broadcast_to(n, m)), bits(&want), "{:?} to {}x{}", v.shape(), n, m);
+        }
+        if n > 0 && m > 0 {
+            let one = messy(1, 1, &mut state, true);
+            let want = Tensor::from_fn(n, m, |_, _| one.item());
+            prop_assert_eq!(bits(&one.broadcast_to(n, m)), bits(&want));
+        }
     }
 }
 
@@ -156,13 +204,6 @@ proptest! {
         let left = a.matmul(&b.add(&c));
         let right = a.matmul(&b).add(&a.matmul(&c));
         prop_assert!(left.max_abs_diff(&right) < 1e-2);
-    }
-
-    #[test]
-    fn transpose_swaps_matmul(a in tensor_strategy(2, 3), b in tensor_strategy(3, 4)) {
-        let left = a.matmul(&b).transpose();
-        let right = b.transpose().matmul(&a.transpose());
-        prop_assert!(left.max_abs_diff(&right) < 1e-3);
     }
 
     #[test]
