@@ -141,7 +141,8 @@ fn build_config(args: &Args) -> Result<GtvConfig, String> {
 /// The buffer pools' behaviour in the last training round (DESIGN.md §9):
 /// graph nodes of its last step, allocator misses per step after its first
 /// step, and the hit rate and bytes requested since the process started,
-/// then the byte pool's (wire frames') hits and misses since the start.
+/// then the byte pool's (wire frames' and matmul row flags') hits and misses
+/// since the start.
 fn pool_line(stats: &[gtv::StepAllocStats]) -> String {
     let (Some(first), Some(last)) = (stats.first(), stats.last()) else {
         return "pool: no training steps".to_string();
@@ -151,7 +152,7 @@ fn pool_line(stats: &[gtv::StepAllocStats]) -> String {
     let warm_steps = (stats.len() - 1).max(1) as f64;
     format!(
         "pool: last round {} steps, {} graph nodes at its end, {:.1} allocator misses/step \
-         after its first | since start: hit rate {:.3}, {:.1} MiB requested | frames: {} hits, \
+         after its first | since start: hit rate {:.3}, {:.1} MiB requested | byte pool: {} hits, \
          {} misses",
         stats.len(),
         last.live_nodes,

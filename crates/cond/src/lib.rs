@@ -335,6 +335,7 @@ impl CondLayout {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema};

@@ -161,6 +161,7 @@ impl gtv_nn::Stateful for SplitDiscriminator {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use gtv_tensor::{Graph, Tensor};

@@ -187,6 +187,7 @@ impl gtv_nn::Stateful for SplitGenerator {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use gtv_tensor::{Graph, Tensor};

@@ -181,6 +181,10 @@ impl Synthesizer {
         let client_spans = transformers.iter().map(TableTransformer::spans).collect();
         let g_input = config.embedding_dim + layout.total_width();
         // The init RNG only seeds parameters that load_state overwrites.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`config.seed`; load_state overwrites every parameter it initialises"
+        )]
         let mut rng = StdRng::seed_from_u64(config.seed);
         let generator =
             SplitGenerator::new(config, g_input, &ratios, &client_widths, client_spans, &mut rng);
@@ -372,6 +376,7 @@ impl Synthesizer {
 
     /// Materializes a validated request's inputs from its own seed streams.
     fn plan(&self, spec: &SynthSpec) -> Plan {
+        #[expect(clippy::disallowed_methods, reason = "the request's `spec.seed`")]
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let cv = if self.layout.total_width() == 0 {
             None

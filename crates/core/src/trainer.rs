@@ -50,8 +50,8 @@ pub struct StepAllocStats {
     pub pool_misses: u64,
     /// Cumulative bytes requested from the pool.
     pub bytes_requested: u64,
-    /// Cumulative byte-pool hits (wire frames and encode targets served
-    /// from recycled storage).
+    /// Cumulative byte-pool hits (wire frames, encode targets and matmul
+    /// row flags served from recycled storage).
     pub byte_hits: u64,
     /// Cumulative byte-pool misses.
     pub byte_misses: u64,
@@ -205,6 +205,7 @@ impl<T: Transport> GtvTrainer<T> {
             "client tables must be row-aligned (same row count)"
         );
         let n_clients = tables.len();
+        #[expect(clippy::disallowed_methods, reason = "`config.seed`")]
         let mut rng = StdRng::seed_from_u64(config.seed);
         let total_cols: usize = tables.iter().map(Table::n_cols).sum();
         let ratios: Vec<f64> =
@@ -222,6 +223,7 @@ impl<T: Transport> GtvTrainer<T> {
                 transformer,
                 encoded,
                 sampler,
+                #[expect(clippy::disallowed_methods, reason = "`config.seed`, offset per client")]
                 rng: StdRng::seed_from_u64(config.seed.wrapping_add(2000 + i as u64)),
             });
         }
@@ -915,6 +917,7 @@ impl<T: Transport> GtvTrainer<T> {
     /// Returns a [`TransportError`] if publishing a share to the public
     /// board fails.
     pub fn synthesize_shares(&self, n: usize, seed: u64) -> Result<Vec<Table>, TransportError> {
+        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
         let mut rng = StdRng::seed_from_u64(seed);
         let batch = self.config.batch.max(1);
         let mut per_client: Vec<Vec<Tensor>> = vec![Vec::new(); self.clients.len()];

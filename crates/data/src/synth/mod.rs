@@ -141,6 +141,10 @@ fn sample_normal(rng: &mut StdRng) -> f64 {
 
 impl SynthSpec {
     fn build_model(&self) -> Model {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the spec's `model_seed`, a constant of each dataset: the generating model belongs to the dataset, not to a run"
+        )]
         let mut rng = StdRng::seed_from_u64(self.model_seed);
         let k = self.n_factors;
         let class_means = (0..self.class_priors.len())
@@ -184,6 +188,7 @@ impl SynthSpec {
         assert!(!self.columns.is_empty(), "spec has no columns");
         assert!(!self.class_priors.is_empty(), "spec has no class priors");
         let model = self.build_model();
+        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
         let mut rng = StdRng::seed_from_u64(seed);
         let k = self.n_factors;
         let n_classes = self.class_priors.len();

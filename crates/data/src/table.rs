@@ -186,6 +186,10 @@ impl Table {
     /// `Shuffle` of the GTV protocol.
     pub fn shuffle_permutation(n_rows: usize, seed: u64) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..n_rows).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the caller's `seed`, shared by every party that must shuffle alike"
+        )]
         let mut rng = StdRng::seed_from_u64(seed);
         perm.shuffle(&mut rng);
         perm
@@ -234,6 +238,7 @@ impl Table {
     /// Splits into `(train, test)` with `test_frac` of rows in the test set,
     /// stratified by the target column when one exists.
     pub fn train_test_split(&self, test_frac: f64, seed: u64) -> (Table, Table) {
+        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
         let mut rng = StdRng::seed_from_u64(seed);
         let mut test_idx: Vec<usize> = Vec::new();
         let mut train_idx: Vec<usize> = Vec::new();
@@ -268,6 +273,7 @@ impl Table {
     /// Panics if `n > n_rows`.
     pub fn stratified_sample(&self, n: usize, seed: u64) -> Table {
         assert!(n <= self.n_rows, "cannot sample {n} rows from {}", self.n_rows);
+        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
         let mut rng = StdRng::seed_from_u64(seed);
         let frac = n as f64 / self.n_rows as f64;
         let mut chosen: Vec<usize> = Vec::with_capacity(n);

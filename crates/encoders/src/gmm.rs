@@ -50,6 +50,7 @@ impl Gmm1d {
         assert!(max_components > 0, "need at least one component");
         // One NaN would come back as `w = [1.0], μ = [NaN]` without any error.
         assert!(data.iter().all(|v| v.is_finite()), "cannot fit a GMM to non-finite data");
+        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
         let mut rng = StdRng::seed_from_u64(seed);
 
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -297,6 +298,7 @@ fn posterior(weights: &[f64], means: &[f64], stds: &[f64], x: f64, out: &mut [f6
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
 

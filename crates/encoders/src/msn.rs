@@ -173,6 +173,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use rand::SeedableRng;

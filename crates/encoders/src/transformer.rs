@@ -209,6 +209,7 @@ impl TableTransformer {
     pub fn encode(&self, table: &Table, seed: u64) -> Tensor {
         assert_eq!(table.schema(), &self.schema, "table schema differs from fitted schema");
         let n = table.n_rows();
+        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = Tensor::zeros(n, self.width);
         let data = out.as_mut_slice();

@@ -14,6 +14,11 @@
 //! column, and [`Underflow::NearestMean`] — the parent commit's behaviour —
 //! wherever its fallback never fired.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their fixtures with literals and generated seeds"
+)]
+
 use gtv_data::{ColumnKind, Dataset};
 use gtv_encoders::Gmm1d;
 use proptest::prelude::*;

@@ -1,5 +1,7 @@
 //! Property-based tests of the feature-engineering invariants.
 
+#![expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
+
 use gtv_encoders::{Gmm1d, MixedEncoder, ModeSpecificNormalizer, OneHotEncoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

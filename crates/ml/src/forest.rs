@@ -50,6 +50,7 @@ impl Classifier for RandomForest {
         assert!(x.rows() > 0, "cannot fit on empty data");
         self.n_classes = n_classes;
         self.trees.clear();
+        #[expect(clippy::disallowed_methods, reason = "`self.config.seed`")]
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let n = x.rows();
         let max_features = (x.cols() as f64).sqrt().ceil() as usize;

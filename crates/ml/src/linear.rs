@@ -74,6 +74,7 @@ impl Classifier for LogisticRegression {
         assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
         let d = x.cols();
         self.w = vec![vec![0.0; d + 1]; n_classes];
+        #[expect(clippy::disallowed_methods, reason = "`self.config.seed`")]
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut order: Vec<usize> = (0..x.rows()).collect();
         for _ in 0..self.config.epochs {
@@ -149,6 +150,7 @@ impl Classifier for LinearSvm {
         assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
         let d = x.cols();
         self.w = vec![vec![0.0; d + 1]; n_classes];
+        #[expect(clippy::disallowed_methods, reason = "`self.config.seed`")]
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut order: Vec<usize> = (0..x.rows()).collect();
         for _ in 0..self.config.epochs {

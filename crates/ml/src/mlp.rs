@@ -65,6 +65,7 @@ impl Classifier for MlpClassifier {
         assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
         assert!(x.rows() > 0, "cannot fit on empty data");
         self.n_classes = n_classes;
+        #[expect(clippy::disallowed_methods, reason = "`self.config.seed`")]
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let l1 =
             Linear::new("mlp.l1", x.cols(), self.config.hidden, Init::KaimingUniform, &mut rng);

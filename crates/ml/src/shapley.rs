@@ -68,6 +68,10 @@ pub fn shapley_importance(table: &Table, config: ShapleyConfig) -> Vec<f64> {
 
     let spans = f.spans().to_vec();
     let n_feat_cols = spans.len();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`config.seed`, offset so the permutations differ from the model's own draws"
+    )]
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
     let mut rows: Vec<usize> = (0..x.rows()).collect();
     rows.shuffle(&mut rng);

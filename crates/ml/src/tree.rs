@@ -172,6 +172,7 @@ impl Classifier for DecisionTree {
         self.n_classes = n_classes;
         self.nodes.clear();
         let idx: Vec<usize> = (0..x.rows()).collect();
+        #[expect(clippy::disallowed_methods, reason = "`self.config.seed`")]
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         self.build(x, y, &idx, 0, &mut rng);
     }

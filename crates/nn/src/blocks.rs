@@ -113,6 +113,7 @@ impl Module for FnBlock {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use gtv_tensor::{Graph, Tensor};

@@ -36,6 +36,7 @@ impl fmt::Debug for Ctx<'_> {
 
 impl<'g> Ctx<'g> {
     /// Creates a training-mode context.
+    #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
     pub fn train(g: &'g Graph, seed: u64) -> Self {
         Self {
             g,
@@ -48,6 +49,7 @@ impl<'g> Ctx<'g> {
 
     /// Creates an inference-mode context (dropout off, batch-norm uses
     /// running statistics).
+    #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
     pub fn eval(g: &'g Graph, seed: u64) -> Self {
         Self {
             g,
@@ -64,6 +66,10 @@ impl<'g> Ctx<'g> {
     /// every stochastic site, so batches can be coalesced or split without
     /// changing any row's output (the serving engine relies on this for
     /// bit-reproducible request coalescing).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller's first row seed; an empty batch seeds it with the literal 0, and a draw whose row count misses the substreams then reads a stream no request seed chose"
+    )]
     pub fn eval_rows(g: &'g Graph, row_seeds: Vec<u64>) -> Self {
         Self {
             g,

@@ -39,6 +39,7 @@ impl Init {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

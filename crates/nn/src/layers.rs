@@ -214,6 +214,7 @@ impl Dropout {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use gtv_tensor::Graph;

@@ -248,6 +248,7 @@ impl Stateful for crate::blocks::FnBlock {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use crate::init::Init;

@@ -1,6 +1,8 @@
 //! Cross-module NN tests: end-to-end layer stacks, boundary-gradient
 //! extraction and optimizer interplay.
 
+#![expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
+
 use gtv_nn::{
     Adam, AdamConfig, BatchNorm1d, Ctx, FnBlock, Init, Linear, Module, Param, ParamBinder,
     ResidualBlock,

@@ -4,6 +4,8 @@
 //! serve-side mirror of `pipeline_equivalence.rs`. Cases are generated
 //! proptest-style from a seeded RNG.
 
+#![expect(clippy::disallowed_methods, reason = "the case generator is seeded with a literal")]
+
 mod common;
 
 use gtv::{CondSpec, SynthSpec};

@@ -284,13 +284,13 @@ impl Graph {
                     let gx = self.slice_cols(g_out, start, w);
                     self.accumulate(&mut adj, x.0, gx);
                 }
-                Op::SelectRows(x, idx) => {
+                Op::SelectRows(x, at) => {
                     let (rows, _) = self.shape(x);
-                    let gx = self.scatter_rows(g_out, &idx, rows);
+                    let gx = self.scatter_rows_at(g_out, at, rows);
                     self.accumulate(&mut adj, x.0, gx);
                 }
-                Op::ScatterRows(x, idx) => {
-                    let gx = self.select_rows(g_out, &idx);
+                Op::ScatterRows(x, at) => {
+                    let gx = self.select_rows_at(g_out, at);
                     self.accumulate(&mut adj, x.0, gx);
                 }
                 Op::AffineAct(x, w, b, act) => {
@@ -369,6 +369,7 @@ impl Graph {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -24,6 +24,7 @@
 use crate::kernels::{self, FusedAct, Layout, UnaryOp};
 use crate::Tensor;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Handle to a node in a [`Graph`].
 ///
@@ -75,11 +76,13 @@ pub(crate) enum Op {
     SliceCols(Var, usize),
     /// Input embedded at column `start` of a zero tensor with `total` cols.
     PadCols(Var, usize),
-    /// Gather of the given input rows (rows may repeat).
-    SelectRows(Var, std::rc::Rc<Vec<usize>>),
+    /// Gather of the input rows listed at this range of
+    /// [`Graph::indices`] (rows may repeat).
+    SelectRows(Var, Range<usize>),
     /// Scatter-add of the input's rows into a zero tensor with `total_rows`
-    /// rows at the given positions (adjoint of `SelectRows`).
-    ScatterRows(Var, std::rc::Rc<Vec<usize>>),
+    /// rows at the positions listed at this range of [`Graph::indices`]
+    /// (adjoint of `SelectRows`).
+    ScatterRows(Var, Range<usize>),
     /// Fused `act(x @ w + b)` with `b` a `1×m` bias row.
     AffineAct(Var, Var, Var, FusedAct),
     /// Fused row-wise `sqrt(Σ_cols x² + eps)` (`n×m → n×1`).
@@ -134,6 +137,9 @@ pub(crate) struct Node {
 #[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: RefCell<Vec<Node>>,
+    /// The row indices of every gather and scatter node, end to end; a node
+    /// holds its range, and a backward node shares its forward node's.
+    pub(crate) indices: RefCell<Vec<usize>>,
 }
 
 impl std::fmt::Debug for Graph {
@@ -184,6 +190,8 @@ impl Graph {
         for node in nodes {
             node.value.recycle();
         }
+        // Cleared, not dropped: the next step's indices reuse the storage.
+        self.indices.borrow_mut().clear();
         count
     }
 
@@ -411,8 +419,23 @@ impl Graph {
     ///
     /// Panics if an index is out of bounds.
     pub fn select_rows(&self, x: Var, indices: &[usize]) -> Var {
-        let idx = std::rc::Rc::new(indices.to_vec());
-        self.unary(x, |t| t.select_rows(indices), Op::SelectRows(x, idx))
+        let at = self.push_indices(indices);
+        self.select_rows_at(x, at)
+    }
+
+    /// Appends `indices` to [`Graph::indices`], returning where they lie.
+    fn push_indices(&self, indices: &[usize]) -> Range<usize> {
+        let mut all = self.indices.borrow_mut();
+        let start = all.len();
+        all.extend_from_slice(indices);
+        start..all.len()
+    }
+
+    /// [`Graph::select_rows`] of the indices at `at` in [`Graph::indices`].
+    pub(crate) fn select_rows_at(&self, x: Var, at: Range<usize>) -> Var {
+        let all = self.indices.borrow();
+        let indices = &all[at.clone()];
+        self.unary(x, |t| t.select_rows(indices), Op::SelectRows(x, at))
     }
 
     /// Scatter-adds the rows of `x` into a `total_rows`-row zero tensor at
@@ -424,7 +447,15 @@ impl Graph {
     /// Panics if `indices.len()` differs from `x`'s row count or a position
     /// is out of bounds.
     pub fn scatter_rows(&self, x: Var, indices: &[usize], total_rows: usize) -> Var {
-        let idx = std::rc::Rc::new(indices.to_vec());
+        let at = self.push_indices(indices);
+        self.scatter_rows_at(x, at, total_rows)
+    }
+
+    /// [`Graph::scatter_rows`] to the positions at `at` in
+    /// [`Graph::indices`].
+    pub(crate) fn scatter_rows_at(&self, x: Var, at: Range<usize>, total_rows: usize) -> Var {
+        let all = self.indices.borrow();
+        let indices = &all[at.clone()];
         self.unary(
             x,
             |t| {
@@ -442,7 +473,7 @@ impl Graph {
                 }
                 out
             },
-            Op::ScatterRows(x, idx),
+            Op::ScatterRows(x, at),
         )
     }
 

@@ -42,6 +42,9 @@ const ROW_BLOCK: usize = 32;
 /// product is split between the kernels row by row (DESIGN.md §8 has the
 /// table, and what the cut costs narrow outputs).
 const AXPY_MIN_ZEROS: (usize, usize) = (3, 4);
+/// Rows of a transposed LHS whose zeros [`matmul`] counts in one pass over
+/// `a`, so the counters fit on the stack.
+const ZERO_COUNT_STRIP: usize = 256;
 /// Elements per elementwise chunk (a multiple of [`simd::LANES`], so chunk
 /// cuts land on lane-group boundaries).
 const ELEM_BLOCK: usize = 8_192;
@@ -330,32 +333,54 @@ fn stitch(chunks: Vec<Vec<f32>>, len: usize) -> Vec<f32> {
     out
 }
 
-/// Folds partials pairwise in a fixed-shape tree: `((p0+p1)+(p2+p3))+…`.
-/// The shape depends only on `partials.len()`, which depends only on the
-/// input length — never on scheduling.
-fn tree_fold(mut partials: Vec<f32>) -> f32 {
-    if partials.is_empty() {
-        return 0.0;
+/// Folds `partials`, a run of `width`-value slots, pairwise into its first
+/// slot in a fixed-shape tree: `((p0+p1)+(p2+p3))+…`, elementwise, with an
+/// odd slot carried up a level as it is. The shape depends only on the
+/// number of slots, which depends only on the input length — never on
+/// scheduling — and the fold reuses the slots, so it allocates nothing.
+fn tree_fold(partials: &mut [f32], width: usize) {
+    let n = partials.len() / width;
+    let mut stride = 1;
+    while stride < n {
+        for i in (0..n - stride).step_by(2 * stride) {
+            let (head, tail) = partials.split_at_mut((i + stride) * width);
+            for (a, b) in head[i * width..].iter_mut().zip(&tail[..width]) {
+                *a += *b;
+            }
+        }
+        stride *= 2;
     }
-    while partials.len() > 1 {
-        partials = partials
-            .chunks(2)
-            .map(|pair| if pair.len() == 2 { pair[0] + pair[1] } else { pair[0] })
-            .collect();
-    }
-    partials[0]
 }
 
-/// Runs a reduction's `task` over its chunks `0..n`, on the pool when the
-/// input holds at least [`dispatch::reduce_par_min`] elements and inline in
-/// index order otherwise: the same closure either way, so the threshold
-/// picks where the chunks run and nothing else.
-fn reduce_chunks<R: Send>(n: usize, len: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if len < dispatch::reduce_par_min() {
-        (0..n).map(task).collect()
+/// Runs a reduction's `task(i, slot)` over its chunks `0..n`, each writing
+/// `width` values into its own slot of one pooled buffer, which it returns.
+/// Chunks run on the pool when the input holds at least
+/// [`dispatch::reduce_par_min`] elements and inline in index order
+/// otherwise: the same closure either way, so the threshold picks where the
+/// chunks run and nothing else.
+fn reduce_chunks(
+    n: usize,
+    width: usize,
+    len: usize,
+    task: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<f32> {
+    let mut slots = pool_mem::take_zeroed(n * width);
+    if pool::threads() == 1 || len < dispatch::reduce_par_min() {
+        for (i, slot) in slots.chunks_exact_mut(width).enumerate() {
+            task(i, slot);
+        }
     } else {
-        pool::run_ordered(n, task)
+        let parts = pool::run_ordered(n, |i| {
+            let mut part = pool_mem::take_zeroed(width);
+            task(i, &mut part);
+            part
+        });
+        for (slot, part) in slots.chunks_exact_mut(width).zip(parts) {
+            slot.copy_from_slice(&part);
+            pool_mem::give(part);
+        }
     }
+    slots
 }
 
 /// Chunked deterministic reduction: sequential leaf sums over
@@ -363,9 +388,13 @@ fn reduce_chunks<R: Send>(n: usize, len: usize, task: impl Fn(usize) -> R + Sync
 /// a pure function of its slice.
 fn reduce(data: &[f32], leaf: fn(&[f32]) -> f32) -> f32 {
     let len = data.len();
-    tree_fold(reduce_chunks(len.div_ceil(REDUCE_BLOCK), len, |i| {
-        leaf(&data[i * REDUCE_BLOCK..((i + 1) * REDUCE_BLOCK).min(len)])
-    }))
+    let mut partials = reduce_chunks(len.div_ceil(REDUCE_BLOCK), 1, len, |i, slot| {
+        slot[0] = leaf(&data[i * REDUCE_BLOCK..((i + 1) * REDUCE_BLOCK).min(len)]);
+    });
+    tree_fold(&mut partials, 1);
+    let total = partials.first().copied().unwrap_or(0.0);
+    pool_mem::give(partials);
+    total
 }
 
 fn leaf_sum(chunk: &[f32]) -> f32 {
@@ -393,50 +422,45 @@ fn rows_per_chunk(cols: usize) -> usize {
 }
 
 /// Column sums of a row-major `rows×cols` buffer → `cols` values.
-/// Rows are accumulated sequentially inside fixed row blocks; block
-/// partial vectors combine in a fixed pairwise tree.
+/// Rows are accumulated sequentially inside fixed row blocks, each into its
+/// own `cols`-wide slot of one pooled buffer; the slots combine in the
+/// pairwise tree of [`tree_fold`].
 pub(crate) fn col_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     if rows == 0 || cols == 0 {
         return pool_mem::take_zeroed(cols);
     }
     let block = rows_per_chunk(cols);
-    let mut partials = reduce_chunks(rows.div_ceil(block), data.len(), |i| {
-        let mut acc = pool_mem::take_zeroed(cols);
+    let mut partials = reduce_chunks(rows.div_ceil(block), cols, data.len(), |i, acc| {
         for row in data[i * block * cols..((i + 1) * block).min(rows) * cols].chunks_exact(cols) {
             for (a, v) in acc.iter_mut().zip(row) {
                 *a += v;
             }
         }
-        acc
     });
-    while partials.len() > 1 {
-        partials = partials
-            .chunks_mut(2)
-            .map(|pair| {
-                let mut merged = std::mem::take(&mut pair[0]);
-                if pair.len() == 2 {
-                    for (a, b) in merged.iter_mut().zip(pair[1].iter()) {
-                        *a += *b;
-                    }
-                    pool_mem::give(std::mem::take(&mut pair[1]));
-                }
-                merged
-            })
-            .collect();
-    }
-    partials.swap_remove(0)
+    tree_fold(&mut partials, cols);
+    let mut out = pool_mem::take(cols);
+    out.extend_from_slice(&partials[..cols]);
+    pool_mem::give(partials);
+    out
 }
 
 /// `per_row(row)` for every row of a row-major `rows×cols` buffer
-/// (`cols > 0`), in the row blocks of [`rows_per_chunk`].
+/// (`cols > 0`). A row's value never depends on which rows share its
+/// chunk, so below [`dispatch::reduce_par_min`] one pass fills the output,
+/// and above it the row blocks of [`rows_per_chunk`] run on the pool.
 fn map_rows(
     data: &[f32],
     rows: usize,
     cols: usize,
     per_row: impl Fn(&[f32]) -> f32 + Sync,
 ) -> Vec<f32> {
+    if pool::threads() == 1 || data.len() < dispatch::reduce_par_min() {
+        let mut out = pool_mem::take(rows);
+        out.extend(data.chunks_exact(cols).map(&per_row));
+        return out;
+    }
     let block = rows_per_chunk(cols);
-    let chunks = reduce_chunks(rows.div_ceil(block), data.len(), |i| {
+    let chunks = pool::run_ordered(rows.div_ceil(block), |i| {
         let lo = i * block;
         let hi = ((i + 1) * block).min(rows);
         let mut out = pool_mem::take(hi - lo);
@@ -458,14 +482,14 @@ pub(crate) fn row_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 
 /// Calls `f(i, r)` for every maximal run of dense rows in `r0..r1`, cut
 /// into pieces of at most `max` rows starting at row `i`.
-fn dense_runs(sparse: &[bool], r0: usize, r1: usize, max: usize, mut f: impl FnMut(usize, usize)) {
+fn dense_runs(sparse: &[u8], r0: usize, r1: usize, max: usize, mut f: impl FnMut(usize, usize)) {
     let mut i = r0;
     while i < r1 {
-        if sparse[i] {
+        if sparse[i] != 0 {
             i += 1;
             continue;
         }
-        let r = sparse[i..r1.min(i + max)].iter().take_while(|&&s| !s).count();
+        let r = sparse[i..r1.min(i + max)].iter().take_while(|&&s| s == 0).count();
         f(i, r);
         i += r;
     }
@@ -492,8 +516,8 @@ struct Product<'a> {
     b: &'a [f32],
     /// The RHS packed by [`simd::pack_panels`].
     panels: &'a [f32],
-    /// Per output row: skips its zero terms.
-    sparse: &'a [bool],
+    /// Per output row: nonzero where the row skips its zero terms.
+    sparse: &'a [u8],
     k: usize,
     m: usize,
 }
@@ -507,7 +531,7 @@ struct Product<'a> {
 /// element is one ascending-`p` chain — see [`matmul`].
 fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
     let (k, m) = (op.k, op.m);
-    for i in (r0..r1).filter(|&i| op.sparse[i]) {
+    for i in (r0..r1).filter(|&i| op.sparse[i] != 0) {
         let out_row = &mut out[(i - r0) * m..(i - r0 + 1) * m];
         let lhs = op.lhs.strided_row(i, k);
         for (p, &av) in lhs.iter().step_by(op.lhs.step).enumerate() {
@@ -582,24 +606,31 @@ pub(crate) fn matmul(
     let axpy_allowed = layout != Layout::TransB && m > simd::NR && b.iter().all(|v| v.is_finite());
     let (num, den) = AXPY_MIN_ZEROS;
     let sparse_at = |zeros: usize| den * zeros >= num * k;
-    let row_sparse: Vec<bool> = match layout {
-        _ if !axpy_allowed => vec![false; n],
+    // One flag per output row, from the byte pool.
+    let mut row_sparse = pool_mem::take_bytes(n);
+    match layout {
+        _ if !axpy_allowed => row_sparse.resize(n, 0),
         Layout::TransA => {
-            let mut zeros = vec![0usize; n];
-            for row in a.chunks_exact(n) {
-                for (z, &v) in zeros.iter_mut().zip(row) {
-                    *z += usize::from(v == 0.0);
+            // An LHS row is a column of `a`: its zeros are counted a strip
+            // of rows at a time, with the counters on the stack.
+            for i0 in (0..n).step_by(ZERO_COUNT_STRIP) {
+                let strip = ZERO_COUNT_STRIP.min(n - i0);
+                let mut zeros = [0usize; ZERO_COUNT_STRIP];
+                for row in a.chunks_exact(n) {
+                    for (z, &v) in zeros.iter_mut().zip(&row[i0..i0 + strip]) {
+                        *z += usize::from(v == 0.0);
+                    }
                 }
+                row_sparse.extend(zeros[..strip].iter().map(|&z| u8::from(sparse_at(z))));
             }
-            zeros.into_iter().map(sparse_at).collect()
         }
-        Layout::Plain | Layout::TransB => a
-            .chunks_exact(k)
-            .map(|row| sparse_at(row.iter().filter(|&&v| v == 0.0).count()))
-            .collect(),
-    };
+        Layout::Plain | Layout::TransB => row_sparse.extend(
+            a.chunks_exact(k)
+                .map(|row| u8::from(sparse_at(row.iter().filter(|&&v| v == 0.0).count()))),
+        ),
+    }
     let mut panels = Vec::new();
-    if m > 1 && row_sparse.contains(&false) {
+    if m > 1 && row_sparse.contains(&0) {
         panels = pool_mem::take(k * m.next_multiple_of(simd::NR));
         simd::pack_panels(b, k, m, layout == Layout::TransB, &mut panels);
     }
@@ -623,6 +654,7 @@ pub(crate) fn matmul(
         stitch(chunks, n * m)
     };
     pool_mem::give(panels);
+    pool_mem::give_bytes(row_sparse);
     out
 }
 
@@ -731,15 +763,15 @@ mod tests {
                 (Layout::TransA, simd::Lhs { data: &at[..], row: 1, step: n }),
             ];
             for (layout, lhs) in views {
-                let rows = |flags: &[bool]| {
+                let rows = |flags: &[u8]| {
                     let mut out = vec![0.0; n * m];
                     let op = Product { lhs, b: &b, panels: &panels, sparse: flags, k, m };
                     matmul_rows(&op, 0, n, &mut out);
                     out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
                 };
-                let mixed: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
-                let dense = rows(&vec![false; n]);
-                assert_eq!(rows(&vec![true; n]), dense, "{n}x{k}x{m} {layout:?}");
+                let mixed: Vec<u8> = (0..n).map(|i| u8::from(i % 3 == 1)).collect();
+                let dense = rows(&vec![0; n]);
+                assert_eq!(rows(&vec![1; n]), dense, "{n}x{k}x{m} {layout:?}");
                 assert_eq!(rows(&mixed), dense, "{n}x{k}x{m} {layout:?} mixed");
                 // And the selection `matmul` itself makes lands on those bits.
                 let picked: Vec<u32> =

@@ -33,7 +33,8 @@
 //!   storage and park a payload once it is encoded, and a second, byte-typed
 //!   pool ([`take_bytes`], [`give_bytes`]) with the same rules and budgets
 //!   holds the wire frames: encode targets and received messages go back to
-//!   it once they are read (DESIGN.md §9–10).
+//!   it once they are read (DESIGN.md §9–10). Matmul takes its per-row
+//!   kernel flags from it too.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

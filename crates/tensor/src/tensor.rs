@@ -613,6 +613,7 @@ impl Tensor {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests seed their fixtures with literals")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -170,6 +170,7 @@ impl PartitionPlan {
                     });
                 }
                 let mut cols: Vec<usize> = (0..n_cols).collect();
+                #[expect(clippy::disallowed_methods, reason = "the plan's `seed`")]
                 let mut rng = StdRng::seed_from_u64(*seed);
                 cols.shuffle(&mut rng);
                 let mut groups = vec![Vec::new(); *n_clients];

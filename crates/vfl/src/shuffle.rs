@@ -40,6 +40,10 @@ pub fn negotiate_seed<T: Transport>(
     rng_seed: u64,
 ) -> Result<Vec<SharedShuffler>, TransportError> {
     assert!(n_clients > 0, "need at least one client");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller's `rng_seed`, which draws this party's secret share"
+    )]
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let shares: Vec<u64> = (0..n_clients).map(|_| rng.gen()).collect();
     // Broadcast each share to the other clients, peer to peer.

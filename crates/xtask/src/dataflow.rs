@@ -14,20 +14,15 @@
 //! laundered through `let hidden = pick(table);` is still seen at the
 //! wire sink.
 //!
-//! Taint kinds and the lints they power:
+//! One taint kind, `RAW`, powers L11 `raw-egress`: raw feature-column
+//! data, rooted at `Table`/partition column accessors and killed only by
+//! the sanctioned encoder path (`TableTransformer::encode` /
+//! `*transformer*.encode`), must never reach `Message` construction or a
+//! wire `encode` sink.
 //!
-//! * `RAW` — raw feature-column data (L11 `raw-egress`): rooted at
-//!   `Table`/partition column accessors, killed only by the sanctioned
-//!   encoder path (`TableTransformer::encode` / `*transformer*.encode`),
-//!   must never reach `Message` construction or a wire `encode` sink.
-//! * `SEED` — positive seed/round provenance (L7): rooted at any name
-//!   containing `seed`/`round` and propagated through flows, so
-//!   `let s = cfg.seed; seed_from_u64(s)` now passes where the old
-//!   name-co-occurrence rule required the name at the call site.
-//!
-//! Ambient nondeterminism (L12) is clippy's `disallowed-methods` and
-//! `iter_over_hash_type`, and keeping the shuffle seed out of logs is
-//! `gtv-vfl`'s unprintable seed types (DESIGN.md §7).
+//! Ambient nondeterminism (L12) and seed provenance (L7) are clippy's
+//! `disallowed-methods` and `iter_over_hash_type`, and keeping the shuffle
+//! seed out of logs is `gtv-vfl`'s unprintable seed types (DESIGN.md §7).
 //!
 //! Soundness caveats are documented in DESIGN.md §12: the call graph is
 //! an under-approximation (ambiguous names add no edge), struct fields
@@ -36,7 +31,7 @@
 
 use crate::model::RefGraph;
 use crate::parse::{TokKind, Token};
-use crate::{suppressed, FileUnit, Finding, Rule};
+use crate::{FileUnit, Finding, Rule};
 use std::collections::HashMap;
 
 /// Maximum summary inlining depth: twice the trainer's deepest call chain
@@ -57,9 +52,6 @@ pub const SANCTIONED_ENCODER_TYPES: &[&str] = &["TableTransformer"];
 /// call is method-style (`transformer.encode(..)`).
 const SANCTIONED_ENCODER_RECV: &[&str] = &["transformer", "encoder"];
 
-/// RNG seeding constructors (the L7 seed sink).
-const SEED_CTORS: &[&str] = &["seed_from_u64", "from_seed"];
-
 /// Wire-serialization methods (the L11 wire sink when not the sanctioned
 /// encoder).
 const WIRE_ENCODE_METHODS: &[&str] = &["encode", "encode_with"];
@@ -73,7 +65,7 @@ const STMT_KEYWORDS: &[&str] =
 // Taint lattice
 // ---------------------------------------------------------------------------
 
-/// A taint value: a union of kind bits (low byte) and parameter-origin
+/// A taint value: a union of the kind bit (low byte) and parameter-origin
 /// bits (`PARAM(i)`, used while computing summaries). The lattice is the
 /// powerset of bits ordered by inclusion; `union` is join, strong updates
 /// are the only kills.
@@ -84,8 +76,6 @@ impl Taint {
     pub(crate) const NONE: Taint = Taint(0);
     /// Raw feature-column data (L11).
     pub(crate) const RAW: Taint = Taint(1);
-    /// Positive seed/round provenance (L7).
-    pub(crate) const SEED: Taint = Taint(1 << 1);
 
     const KIND_MASK: u32 = 0xff;
     const PARAM_BASE: u32 = 8;
@@ -120,24 +110,14 @@ impl Taint {
 // Sinks and per-function analysis results
 // ---------------------------------------------------------------------------
 
-/// The sink classes the engine observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Sink {
-    /// `Message::Variant` construction or a `.encode`/`.encode_with` call.
-    Wire,
-    /// An RNG seeding constructor argument.
-    Seed,
-}
-
-/// One sink observation: what kind of sink, where, and with what taint.
+/// One wire-sink observation — `Message::Variant` construction or a
+/// `.encode`/`.encode_with` call: where, and with what taint.
 #[derive(Debug, Clone)]
 pub(crate) struct Hit {
-    pub(crate) kind: Sink,
     /// 1-based line of the sink (the call line for summarized flows).
     pub(crate) line: usize,
     pub(crate) taint: Taint,
-    /// Sink description (`Message::CondUpload`, `.encode_with`, or the
-    /// rendered seed-ctor call for L7 messages).
+    /// Sink description (`Message::CondUpload`, `.encode_with`).
     pub(crate) detail: String,
     /// The summarized callee the flow passed through, if interprocedural.
     pub(crate) via: Option<String>,
@@ -152,15 +132,8 @@ pub(crate) struct Analysis {
     pub(crate) ret: Taint,
     /// Sink observations, in body order.
     pub(crate) hits: Vec<Hit>,
-    /// First root description per taint-kind bit, for finding messages.
-    notes: Vec<(u32, String)>,
-}
-
-impl Analysis {
-    /// The recorded root description for a taint kind, if any.
-    pub(crate) fn note(&self, kind: Taint) -> Option<&str> {
-        self.notes.iter().find(|(b, _)| *b & kind.0 != 0).map(|(_, d)| d.as_str())
-    }
+    /// Where the body first reads a raw column, for finding messages.
+    pub(crate) raw_root: Option<String>,
 }
 
 /// The workspace-wide taint engine: the call graph plus one [`Analysis`]
@@ -195,23 +168,12 @@ struct FnState {
     /// Current taint of each local name (strong updates overwrite).
     env: HashMap<String, Taint>,
     hits: Vec<Hit>,
-    notes: Vec<(u32, String)>,
+    raw_root: Option<String>,
 }
 
 impl FnState {
-    fn note(&mut self, kind: Taint, desc: impl FnOnce() -> String) {
-        if !self.notes.iter().any(|(b, _)| *b == kind.0) {
-            self.notes.push((kind.0, desc()));
-        }
-    }
-
     fn read(&self, name: &str) -> Taint {
-        let mut t = self.env.get(name).copied().unwrap_or(Taint::NONE);
-        let lower = name.to_lowercase();
-        if lower.contains("seed") || lower.contains("round") {
-            t = t.union(Taint::SEED);
-        }
-        t
+        self.env.get(name).copied().unwrap_or(Taint::NONE)
     }
 }
 
@@ -315,7 +277,7 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             }
             i = j + 1;
         }
-        Analysis { ret, hits: st.hits, notes: st.notes }
+        Analysis { ret, hits: st.hits, raw_root: st.raw_root }
     }
 
     /// Processes one statement: records sinks, applies binding/assignment
@@ -414,7 +376,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
                         let at = self.eval(st, idx, i + 2, close, record);
                         if qualifier(body, i) == Some("Message") && record {
                             st.hits.push(Hit {
-                                kind: Sink::Wire,
                                 line: tok.line,
                                 taint: at,
                                 detail: format!("Message::{}", tok.text),
@@ -472,7 +433,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
             let at = eval_args(self, st).into_iter().fold(Taint::NONE, Taint::union);
             if record {
                 st.hits.push(Hit {
-                    kind: Sink::Wire,
                     line,
                     taint: at,
                     detail: format!("Message::{name}"),
@@ -480,22 +440,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
                 });
             }
             return (at, close);
-        }
-
-        // RNG seed constructors: the L7 seed sink. The stream they return
-        // carries seed provenance.
-        if SEED_CTORS.contains(&name) {
-            let at = eval_args(self, st).into_iter().fold(Taint::NONE, Taint::union);
-            if record {
-                st.hits.push(Hit {
-                    kind: Sink::Seed,
-                    line,
-                    taint: at,
-                    detail: format!("{name}({})", arg_preview(body, name_idx + 1, close)),
-                    via: None,
-                });
-            }
-            return (Taint::SEED, close);
         }
 
         // Sanctioned encoder: output is activation-space, not raw data.
@@ -519,20 +463,14 @@ impl<'g, 'a> Analyzer<'g, 'a> {
         if WIRE_ENCODE_METHODS.contains(&name) && method {
             let at = eval_args(self, st).into_iter().fold(recv_taint, Taint::union);
             if record {
-                st.hits.push(Hit {
-                    kind: Sink::Wire,
-                    line,
-                    taint: at,
-                    detail: format!(".{name}"),
-                    via: None,
-                });
+                st.hits.push(Hit { line, taint: at, detail: format!(".{name}"), via: None });
             }
             return (at, close);
         }
 
         // Raw column accessors: the L11 roots.
         if RAW_ROOT_METHODS.contains(&name) && method {
-            st.note(Taint::RAW, || format!("`.{name}(..)` at line {line}"));
+            st.raw_root.get_or_insert_with(|| format!("`.{name}(..)` at line {line}"));
             let at = eval_args(self, st).into_iter().fold(recv_taint, Taint::union);
             return (at.union(Taint::RAW), close);
         }
@@ -559,7 +497,6 @@ impl<'g, 'a> Analyzer<'g, 'a> {
                             let mapped = translate(h.taint);
                             if mapped != Taint::NONE {
                                 st.hits.push(Hit {
-                                    kind: h.kind,
                                     line,
                                     taint: mapped,
                                     detail: h.detail,
@@ -662,17 +599,6 @@ fn split_args(body: &[Token], lo: usize, close: usize) -> Vec<(usize, usize)> {
         out.push((start, close));
     }
     out
-}
-
-/// The argument tokens rendered as the old L7 message did: everything
-/// inside the outer parens except `(`, space-joined.
-fn arg_preview(body: &[Token], open: usize, close: usize) -> String {
-    body[open + 1..close]
-        .iter()
-        .filter(|t| t.text != "(")
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 /// Walks left from the `.` at `dot_idx` over a postfix chain and returns
@@ -785,13 +711,10 @@ pub(crate) fn lint_raw_egress(engine: &TaintEngine, findings: &mut Vec<Finding>)
         }
         let analysis = &engine.analyses[idx];
         for hit in &analysis.hits {
-            if hit.kind != Sink::Wire || !hit.taint.contains(Taint::RAW) {
+            if !hit.taint.contains(Taint::RAW) {
                 continue;
             }
-            if suppressed(&unit.lines, hit.line - 1, Rule::RawEgress, &unit.rel, findings) {
-                continue;
-            }
-            let root = analysis.note(Taint::RAW).unwrap_or("a raw column accessor").to_string();
+            let root = analysis.raw_root.as_deref().unwrap_or("a raw column accessor");
             let flow = match &hit.via {
                 Some(v) => format!("reaches wire sink `{}` through `{v}`", hit.detail),
                 None => format!("reaches wire sink `{}`", hit.detail),
@@ -801,7 +724,7 @@ pub(crate) fn lint_raw_egress(engine: &TaintEngine, findings: &mut Vec<Finding>)
                 line: hit.line,
                 rule: Rule::RawEgress,
                 message: format!(
-                    "raw column data ({root}) {flow}; raw features may leave a party only as `TableTransformer::encode` activations (or `// gtv-lint: allow(raw-egress) -- why`)"
+                    "raw column data ({root}) {flow}; raw features may leave a party only as `TableTransformer::encode` activations"
                 ),
             });
         }
@@ -816,14 +739,11 @@ mod tests {
     use std::path::PathBuf;
 
     fn unit(rel: &str, src: &str) -> FileUnit {
-        let lines = lex(src);
-        let ast = parse::parse_file(&lines);
         FileUnit {
             rel: PathBuf::from(rel),
             rel_str: rel.to_string(),
             crate_ident: crate_ident(rel),
-            lines,
-            ast,
+            ast: parse::parse_file(&lex(src)),
         }
     }
 
@@ -850,10 +770,10 @@ mod tests {
         )];
         let engine = TaintEngine::build(&units);
         let f = analysis_of(&engine, "f");
-        let wire: Vec<&Hit> = f.hits.iter().filter(|h| h.kind == Sink::Wire).collect();
+        let wire = &f.hits;
         assert!(wire[0].taint.contains(Taint::RAW), "rebinding must carry taint: {wire:?}");
         let g = analysis_of(&engine, "g");
-        let wire: Vec<&Hit> = g.hits.iter().filter(|h| h.kind == Sink::Wire).collect();
+        let wire = &g.hits;
         assert!(!wire[0].taint.contains(Taint::RAW), "strong update must kill taint: {wire:?}");
     }
 
@@ -895,24 +815,7 @@ mod tests {
         )];
         let engine = TaintEngine::build(&units);
         let clean = analysis_of(&engine, "clean");
-        let wire: Vec<&Hit> = clean.hits.iter().filter(|h| h.kind == Sink::Wire).collect();
+        let wire = &clean.hits;
         assert!(!wire[0].taint.contains(Taint::RAW), "{wire:?}");
-    }
-
-    #[test]
-    fn seed_name_provenance_flows_through_locals() {
-        let units = vec![unit(
-            "crates/nn/src/x.rs",
-            "pub fn derive(cfg: &Config) -> StdRng {\n\
-             \x20   let s = cfg.seed;\n\
-             \x20   let t = s * 3;\n\
-             \x20   StdRng::seed_from_u64(t)\n\
-             }\n",
-        )];
-        let engine = TaintEngine::build(&units);
-        let a = analysis_of(&engine, "derive");
-        let seed: Vec<&Hit> = a.hits.iter().filter(|h| h.kind == Sink::Seed).collect();
-        assert_eq!(seed.len(), 1);
-        assert!(seed[0].taint.contains(Taint::SEED), "{seed:?}");
     }
 }

@@ -6,7 +6,8 @@
 //! reproducible, and the VFL runtime only scales if protocol paths never
 //! panic mid-round. The name bans behind those two properties are compiler
 //! checks, resolved by type (DESIGN.md §7): the root `clippy.toml` disallows
-//! clock reads, thread spawns, environment and thread-id reads and
+//! clock reads, thread spawns, environment, process-id and thread-id reads,
+//! RNG seeding without an `#[expect]` that names the seed's source, and
 //! hash-order iteration (`iter_over_hash_type` covers `for` loops), the
 //! protocol files carry `#![deny(clippy::unwrap_used, clippy::expect_used,
 //! clippy::panic, clippy::unreachable)]`, the metric crates `#![deny(clippy::float_cmp)]`,
@@ -16,45 +17,27 @@
 //! are the crate layering. This crate is a dependency-free analyzer over the
 //! workspace sources for the rest:
 //!
-//! * **L2 `determinism`** — lane-level SIMD (`[f32; 8]`, `[f64; 4]`,
-//!   `[f64; 8]`, `chunks_exact(8)`) only in `crates/tensor/src/simd.rs`,
-//!   and no raw allocation (`Vec::with_capacity`, `vec![0.0`) in the
-//!   kernel hot path `crates/tensor/src/kernels.rs`;
 //! * **L6 `privacy-flow`** — shuffle-seed material (the secret roots in
 //!   [`passes`]) is never reachable from server-side code, nor held there
 //!   in a type that contains it (that it never reaches a log is a type
 //!   fact: `gtv-vfl`'s seed types cannot be printed);
-//! * **L7 `rng-provenance`** — every `seed_from_u64` / `from_seed` call
-//!   outside tests and `crates/bench` derives its argument from a value
-//!   named `seed`/`round`, never a literal or ambient source;
 //! * **L11 `raw-egress`** — raw feature-column data (partition table
 //!   column accessors) must never reach `Message` construction or a wire
 //!   `encode` sink except through the sanctioned
 //!   `TableTransformer::encode` → activation path (paper §3.1.4).
 //!
-//! L2 is a line-lexer rule. L6, L7 and L11 run on the item-level engine: the
-//! [`parse`] module's recursive-descent parser extracts items (structs and
-//! enums with field types, fns with bodies), [`model`] builds the
-//! type-containment and approximate call/reference graphs, and
+//! Both run on the item-level engine: the [`parse`] module's
+//! recursive-descent parser extracts items (structs and enums with field
+//! types, fns with bodies) from comment- and string-stripped source, so
+//! tokens inside string literals or comments never count; [`model`] builds
+//! the type-containment and approximate call/reference graphs, and
 //! [`dataflow`] layers flow-sensitive per-function taint tracking with
-//! memoized interprocedural summaries on top (L7 and L11 are taint-driven;
-//! L6's name registries remain as drift guards). The rule numbers of the
-//! retired L1, L3, L4, L5, L8, L9, L10 and L12 stay unused: the compiler,
-//! clippy and `gtv-vfl`'s round machine hold those properties (DESIGN.md
-//! §7).
-//!
-//! A finding on line *N* is suppressed by an inline escape hatch on line
-//! *N* or *N−1*:
-//!
-//! ```text
-//! // gtv-lint: allow(<rule>) -- <justification>
-//! ```
-//!
-//! The justification after `--` is mandatory; a justification-free
-//! `gtv-lint: allow` is itself reported. (Clippy rules are exempted with
-//! `#[expect(<lint>, reason = "…")]` instead.) Analysis is line-based on
-//! comment- and string-stripped source, so tokens inside string literals
-//! or comments never fire.
+//! memoized interprocedural summaries on top (L11 is taint-driven; L6's
+//! name registries remain as drift guards). The rule numbers of the retired
+//! L1–L5, L7–L10 and L12 stay unused: the compiler, clippy, `gtv-vfl`'s
+//! round machine and the `tools/kernel_allocs` allocation test hold those
+//! properties (DESIGN.md §7). A finding cannot be waved away by a comment:
+//! there is no inline escape hatch.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -64,39 +47,23 @@ pub(crate) mod model;
 pub(crate) mod parse;
 pub(crate) mod passes;
 
-/// The lint rules the compiler cannot hold (L1, L3, L4, L5, L8, L9 and L12
-/// moved to rustc and clippy, L10 to `gtv-vfl`'s round machine).
+/// The lint rules the compiler cannot hold (the others moved to rustc,
+/// clippy, `gtv-vfl`'s round machine and an allocation test).
 ///
 /// `Ord` follows declaration order and is part of the finding sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
-    /// L2: lane-level SIMD and kernel buffers stay in their sanctioned homes.
-    Determinism,
-    /// L6: shuffle-seed material stays off server-side and logging paths.
+    /// L6: shuffle-seed material stays off server-side paths.
     PrivacyFlow,
-    /// L7: RNG seeds derive from named seed/round values.
-    RngProvenance,
     /// L11: raw feature columns never reach a wire sink unencoded.
     RawEgress,
 }
 
 impl Rule {
-    /// The identifier used in `gtv-lint: allow(<id>)`.
-    pub fn id(self) -> &'static str {
-        match self {
-            Rule::Determinism => "determinism",
-            Rule::PrivacyFlow => "privacy-flow",
-            Rule::RngProvenance => "rng-provenance",
-            Rule::RawEgress => "raw-egress",
-        }
-    }
-
     /// The L-number label used in reports.
     pub fn label(self) -> &'static str {
         match self {
-            Rule::Determinism => "L2/determinism",
             Rule::PrivacyFlow => "L6/privacy-flow",
-            Rule::RngProvenance => "L7/rng-provenance",
             Rule::RawEgress => "L11/raw-egress",
         }
     }
@@ -142,19 +109,16 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// One source line after lexing: executable text, trailing comment, test flag.
+/// One source line after lexing: executable text and test flag.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct LexedLine {
     /// The line with comments and string/char literal *contents* blanked.
     pub(crate) code: String,
-    /// Text of any `//` comment on the line (block comments excluded).
-    pub(crate) comment: String,
     /// Whether the line sits inside a `#[cfg(test)]` item.
     pub(crate) in_test: bool,
 }
 
-/// One scanned source file: lexed lines plus the parsed item structure the
-/// semantic passes consume.
+/// One scanned source file: the parsed item structure the passes consume.
 pub(crate) struct FileUnit {
     /// Workspace-relative path.
     pub(crate) rel: PathBuf,
@@ -162,8 +126,6 @@ pub(crate) struct FileUnit {
     pub(crate) rel_str: String,
     /// Crate identifier the file compiles into ([`model::crate_ident`]).
     pub(crate) crate_ident: String,
-    /// Lexed source lines.
-    pub(crate) lines: Vec<LexedLine>,
     /// Parsed items (types, fns).
     pub(crate) ast: parse::FileAst,
 }
@@ -191,7 +153,6 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
     for raw in source.lines() {
         let bytes: Vec<char> = raw.chars().collect();
         let mut code = String::with_capacity(raw.len());
-        let mut comment = String::new();
         let mut i = 0;
         let in_test_at_start = test_depth.is_some();
         // Pre-scan so `#[cfg(test)] mod t {` on one line still registers
@@ -245,10 +206,7 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
             }
             let c = bytes[i];
             match c {
-                '/' if bytes.get(i + 1) == Some(&'/') => {
-                    comment = raw[raw.char_indices().nth(i).map_or(0, |(b, _)| b)..].to_string();
-                    break;
-                }
+                '/' if bytes.get(i + 1) == Some(&'/') => break,
                 '/' if bytes.get(i + 1) == Some(&'*') => {
                     mode = Mode::Block(1);
                     i += 2;
@@ -311,67 +269,10 @@ pub(crate) fn lex(source: &str) -> Vec<LexedLine> {
         }
         out.push(LexedLine {
             code,
-            comment,
             in_test: in_test_at_start || test_depth.is_some() || pending_test_attr,
         });
     }
     out
-}
-
-/// Whether the escape hatch `gtv-lint: allow(<rule>) -- <why>` covers
-/// `rule` in this comment. Returns `Some(true)` if covered with a
-/// justification, `Some(false)` if the allow matches but lacks one,
-/// `None` if no allow for this rule is present.
-fn allow_covers(comment: &str, rule: Rule) -> Option<bool> {
-    let marker = format!("gtv-lint: allow({})", rule.id());
-    let pos = comment.find(&marker)?;
-    let rest = &comment[pos + marker.len()..];
-    let justified = rest.find("--").map(|p| !rest[p + 2..].trim().is_empty()).unwrap_or(false);
-    Some(justified)
-}
-
-/// Applies the escape hatch for (file, line) and records malformed allows.
-///
-/// Only an ordinary `//` comment binds: doc comments (`///`, `//!`) are
-/// documentation *text*, not directives, so an allow spelled inside one —
-/// e.g. a doc example quoting the escape hatch — suppresses nothing.
-/// String literals never reach here at all (the lexer routes them into
-/// `code`, with contents blanked, never into `comment`).
-pub(crate) fn suppressed(
-    lines: &[LexedLine],
-    idx: usize,
-    rule: Rule,
-    file: &Path,
-    extra: &mut Vec<Finding>,
-) -> bool {
-    for look in [idx, idx.saturating_sub(1)] {
-        let comment = lines[look].comment.trim_start();
-        if comment.starts_with("///") || comment.starts_with("//!") {
-            if look == 0 {
-                break;
-            }
-            continue;
-        }
-        if let Some(cov) = allow_covers(comment, rule) {
-            if cov {
-                return true;
-            }
-            extra.push(Finding {
-                file: file.to_path_buf(),
-                line: look + 1,
-                rule,
-                message: format!(
-                    "gtv-lint: allow({}) without `-- <justification>`; findings stay in force",
-                    rule.id()
-                ),
-            });
-            return false;
-        }
-        if look == 0 {
-            break;
-        }
-    }
-    false
 }
 
 /// Recursively collects `.rs` files under `dir` (sorted for determinism).
@@ -414,14 +315,12 @@ pub(crate) fn load_units(root: &Path) -> Result<Vec<FileUnit>, LintError> {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         let source = std::fs::read_to_string(&path)
             .map_err(|e| LintError { message: format!("cannot read {}: {e}", path.display()) })?;
-        let lines = lex(&source);
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let ast = parse::parse_file(&lines);
+        let ast = parse::parse_file(&lex(&source));
         units.push(FileUnit {
             rel,
             rel_str: rel_str.clone(),
             crate_ident: model::crate_ident(&rel_str),
-            lines,
             ast,
         });
     }
@@ -437,15 +336,11 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     }
     let units = load_units(root)?;
     // The taint engine (def-use chains + memoized interprocedural
-    // summaries) is built once and shared by the passes on it (L6's call
-    // graph, L7, L11).
+    // summaries) is built once and shared by both passes (L6's call graph,
+    // L11's flows).
     let engine = dataflow::TaintEngine::build(&units);
     let mut findings = Vec::new();
-    for u in &units {
-        lint_determinism(&u.rel, &u.rel_str, &u.lines, &mut findings);
-    }
     passes::lint_privacy_flow(&units, &engine, &mut findings);
-    passes::lint_rng_provenance(&engine, &mut findings);
     dataflow::lint_raw_egress(&engine, &mut findings);
     findings.sort_by(|a, b| {
         a.file
@@ -458,64 +353,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Finding>, LintError> {
     Ok(findings)
 }
 
-/// Spellings of a lane array or a lane-group walk: the `f32` kernels are
-/// eight wide, the `f64` ones four (exp) and eight (moment accumulators).
-const LANE_TOKENS: [&str; 7] =
-    ["[f32; 8]", "[f32;8]", "[f64; 4]", "[f64;4]", "[f64; 8]", "[f64;8]", "chunks_exact(8)"];
-
-/// L2: deny hand-rolled lane code (f32 or f64) outside the sanctioned SIMD
-/// module and raw allocation in the kernel hot path. (Clock reads and
-/// thread spawns are `disallowed-methods` in the root `clippy.toml`.)
-fn lint_determinism(rel: &Path, rel_str: &str, lines: &[LexedLine], findings: &mut Vec<Finding>) {
-    // The tensor kernels are the training hot loop: every buffer must come
-    // from the recycling pool (pool_mem), not the allocator, so the
-    // step-scoped memory accounting of DESIGN.md §9 stays exact.
-    let is_kernels = rel_str == "crates/tensor/src/kernels.rs";
-    // Lane-level SIMD lives in exactly one module: its fixed lane-combine
-    // order and scalar-equals-lane-0 contract (DESIGN.md §8) are what keep
-    // vectorized results bit-identical to the scalar forms. Hand-rolled
-    // 8-wide `f32` or 4-/8-wide `f64` code anywhere else would fork that
-    // contract silently.
-    let is_simd = rel_str == "crates/tensor/src/simd.rs";
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if !is_simd {
-            for token in LANE_TOKENS {
-                if line.code.contains(token)
-                    && !suppressed(lines, idx, Rule::Determinism, rel, findings)
-                {
-                    findings.push(Finding {
-                        file: rel.to_path_buf(),
-                        line: idx + 1,
-                        rule: Rule::Determinism,
-                        message: format!(
-                            "`{token}` looks like hand-rolled lane code; lane-level SIMD is sanctioned only in `gtv_tensor::simd` (crates/tensor/src/simd.rs) (or `// gtv-lint: allow(determinism) -- why`)"
-                        ),
-                    });
-                }
-            }
-        }
-        if is_kernels {
-            for token in ["Vec::with_capacity", "vec![0.0"] {
-                if line.code.contains(token)
-                    && !suppressed(lines, idx, Rule::Determinism, rel, findings)
-                {
-                    findings.push(Finding {
-                        file: rel.to_path_buf(),
-                        line: idx + 1,
-                        rule: Rule::Determinism,
-                        message: format!(
-                            "`{token}` allocates in the kernel hot path; take the buffer from `pool_mem::take`/`take_zeroed` (or `// gtv-lint: allow(determinism) -- why`)"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,8 +360,7 @@ mod tests {
     #[test]
     fn lexer_strips_strings_and_comments() {
         let lines = lex("let x = \"panic!\"; // panic! in comment\nlet y = 1;");
-        assert!(!lines[0].code.contains("panic!"));
-        assert!(lines[0].comment.contains("panic!"));
+        assert_eq!(lines[0].code, "let x = \"\"; ");
         assert_eq!(lines[1].code, "let y = 1;");
     }
 
@@ -543,54 +379,5 @@ mod tests {
         assert!(!lines.iter().any(|l| l.code.contains("panic!")));
         assert!(lines[1].code.contains("'static"));
         assert!(!lines[2].code.contains('y'));
-    }
-
-    #[test]
-    fn doc_comment_allow_does_not_suppress() {
-        // An allow quoted in a doc comment is documentation, not a directive.
-        let lines = lex(
-            "/// gtv-lint: allow(determinism) -- doc text, not a directive\nlet t: [f32; 8] = x;\n",
-        );
-        let mut extra = Vec::new();
-        assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
-        assert!(extra.is_empty(), "doc-comment allows are ignored, not reported as malformed");
-        let lines = lex("//! gtv-lint: allow(determinism) -- inner doc\nlet t: [f64; 4] = x;\n");
-        assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
-    }
-
-    #[test]
-    fn string_literal_allow_does_not_suppress() {
-        // The lexer blanks string contents into `code`; they never become a
-        // comment, so an allow inside a string binds nothing.
-        let lines =
-            lex("let s = \"gtv-lint: allow(determinism) -- nope\";\nlet t: [f32; 8] = x;\n");
-        let mut extra = Vec::new();
-        assert!(!suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
-    }
-
-    #[test]
-    fn allow_binds_only_to_annotated_line_and_line_below() {
-        let src = "// gtv-lint: allow(determinism) -- two lines up\n\nlet t: [f32; 8] = x;\n";
-        let lines = lex(src);
-        let mut extra = Vec::new();
-        assert!(
-            !suppressed(&lines, 2, Rule::Determinism, Path::new("x.rs"), &mut extra),
-            "an allow two lines above must not suppress"
-        );
-        assert!(suppressed(&lines, 1, Rule::Determinism, Path::new("x.rs"), &mut extra));
-        assert!(suppressed(&lines, 0, Rule::Determinism, Path::new("x.rs"), &mut extra));
-    }
-
-    #[test]
-    fn allow_requires_justification() {
-        let rule = Rule::RawEgress;
-        assert_eq!(
-            allow_covers("// gtv-lint: allow(raw-egress) -- encoded upstream", rule),
-            Some(true)
-        );
-        assert_eq!(allow_covers("// gtv-lint: allow(raw-egress)", rule), Some(false));
-        assert_eq!(allow_covers("// gtv-lint: allow(raw-egress) --   ", rule), Some(false));
-        assert_eq!(allow_covers("// unrelated", rule), None);
-        assert_eq!(allow_covers("// gtv-lint: allow(rng-provenance) -- x", rule), None);
     }
 }

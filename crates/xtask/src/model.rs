@@ -203,14 +203,11 @@ mod tests {
     use std::path::PathBuf;
 
     fn unit(rel: &str, src: &str) -> FileUnit {
-        let lines = lex(src);
-        let ast = parse::parse_file(&lines);
         FileUnit {
             rel: PathBuf::from(rel),
             rel_str: rel.to_string(),
             crate_ident: crate_ident(rel),
-            lines,
-            ast,
+            ast: parse::parse_file(&lex(src)),
         }
     }
 

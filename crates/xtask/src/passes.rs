@@ -1,13 +1,13 @@
-//! Semantic passes L6 and L7, built on the item-level engine.
+//! Semantic pass L6, built on the item-level engine.
 //!
-//! These passes consume parsed items and the workspace graphs rather than
-//! raw lines, so they can reason about *where data flows*: which functions
-//! can reach shuffle-seed material, and where RNG seeds come from.
+//! It consumes parsed items and the workspace graphs rather than raw lines,
+//! so it can reason about *where data flows*: which functions can reach
+//! shuffle-seed material.
 
-use crate::dataflow::{Sink, Taint, TaintEngine};
+use crate::dataflow::TaintEngine;
 use crate::model::secret_carriers;
 use crate::parse::FnItem;
-use crate::{suppressed, FileUnit, Finding, Rule};
+use crate::{FileUnit, Finding, Rule};
 
 // ---------------------------------------------------------------------------
 // Registries
@@ -134,85 +134,38 @@ pub fn lint_privacy_flow(units: &[FileUnit], engine: &TaintEngine, findings: &mu
                 let Some((root, _)) = direct_secret_ref(rf) else {
                     continue;
                 };
-                if !suppressed(&unit.lines, f.line - 1, Rule::PrivacyFlow, &unit.rel, findings) {
-                    let message = if reached == idx {
-                        format!(
-                            "server-side `{}` references secret root `{root}`; the server must never observe shuffle-seed material (§3.1.5)",
-                            f.name
-                        )
-                    } else {
-                        format!(
-                            "server-side `{}` reaches `{}`, which references secret root `{root}`; the server must never observe shuffle-seed material (§3.1.5)",
-                            f.name, rf.name
-                        )
-                    };
-                    findings.push(Finding {
-                        file: unit.rel.clone(),
-                        line: f.line,
-                        rule: Rule::PrivacyFlow,
-                        message,
-                    });
-                }
+                let message = if reached == idx {
+                    format!(
+                        "server-side `{}` references secret root `{root}`; the server must never observe shuffle-seed material (§3.1.5)",
+                        f.name
+                    )
+                } else {
+                    format!(
+                        "server-side `{}` reaches `{}`, which references secret root `{root}`; the server must never observe shuffle-seed material (§3.1.5)",
+                        f.name, rf.name
+                    )
+                };
+                findings.push(Finding {
+                    file: unit.rel.clone(),
+                    line: f.line,
+                    rule: Rule::PrivacyFlow,
+                    message,
+                });
                 break;
             }
             // Type containment: holding a type that contains a
             // SharedShuffler is as bad as holding the shuffler.
             if let Some(carrier) = carriers.iter().find(|c| f.references(c)).cloned() {
-                let line = f.reference_line(&carrier).unwrap_or(f.line);
-                if !suppressed(&unit.lines, line - 1, Rule::PrivacyFlow, &unit.rel, findings) {
-                    findings.push(Finding {
-                        file: unit.rel.clone(),
-                        line,
-                        rule: Rule::PrivacyFlow,
-                        message: format!(
-                            "server-side `{}` references `{carrier}`, which contains secret shuffle state (type-containment closure of `SharedShuffler`)",
-                            f.name
-                        ),
-                    });
-                }
+                findings.push(Finding {
+                    file: unit.rel.clone(),
+                    line: f.reference_line(&carrier).unwrap_or(f.line),
+                    rule: Rule::PrivacyFlow,
+                    message: format!(
+                        "server-side `{}` references `{carrier}`, which contains secret shuffle state (type-containment closure of `SharedShuffler`)",
+                        f.name
+                    ),
+                });
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L7 rng-provenance
-// ---------------------------------------------------------------------------
-
-/// L7: every RNG seeding call outside tests/bench must derive its seed
-/// from a seed/round value. Provenance is taint-based: the SEED bit roots
-/// at any name containing `seed`/`round` and propagates through lets,
-/// assignments and function returns, so `let s = cfg.seed; seed_from_u64(s)`
-/// passes where the old name-at-the-call-site rule could not see the flow.
-/// Strictly more precise than the registry check: every previously
-/// accepted call still passes (a seed-named arg roots SEED directly).
-pub fn lint_rng_provenance(engine: &TaintEngine, findings: &mut Vec<Finding>) {
-    for (idx, (unit, f)) in engine.graph.fns.iter().enumerate() {
-        if unit.rel_str.starts_with("crates/bench/") || f.in_test {
-            continue;
-        }
-        let analysis = &engine.analyses[idx];
-        for hit in &analysis.hits {
-            // `via` hits are a callee's ctor reported at our call site; the
-            // callee judges its own call under its own parameters.
-            if hit.kind != Sink::Seed || hit.via.is_some() {
-                continue;
-            }
-            if hit.taint.contains(Taint::SEED) {
-                continue;
-            }
-            if suppressed(&unit.lines, hit.line - 1, Rule::RngProvenance, &unit.rel, findings) {
-                continue;
-            }
-            findings.push(Finding {
-                file: unit.rel.clone(),
-                line: hit.line,
-                rule: Rule::RngProvenance,
-                message: format!(
-                    "`{}` does not derive from a seed/round value; thread a config `seed` or round counter through (or `// gtv-lint: allow(rng-provenance) -- why`)",
-                    hit.detail
-                ),
-            });
         }
     }
 }

@@ -1,12 +1,6 @@
-//! Clean fixture: exhaustive wire handling, no denied tokens. Mirrors the
-//! wire-format-v2 shape: `encode` is a thin wrapper and the variant match
-//! lives in the codec-parameterized `encode_with`. The enum keeps
-//! `ShuffleSeedShare.share`, so L6's registry-drift guard stays quiet.
-
-pub enum Codec {
-    Dense,
-    Adaptive,
-}
+//! Clean fixture: wire encoding of payloads that are not raw columns. The
+//! enum keeps `ShuffleSeedShare.share`, so L6's registry-drift guard stays
+//! quiet.
 
 pub enum Message {
     RoundStart { round: u64 },
@@ -23,15 +17,7 @@ fn put_floats(out: &mut Vec<u8>, values: &[f32]) {
 
 impl Message {
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(&Codec::Dense)
-    }
-
-    pub fn encode_with(&self, codec: &Codec) -> Vec<u8> {
-        let marker = match codec {
-            Codec::Dense => 0u8,
-            Codec::Adaptive => 1u8,
-        };
-        let mut out = vec![marker];
+        let mut out = vec![0u8];
         match self {
             Message::RoundStart { round } => {
                 out.push(0);

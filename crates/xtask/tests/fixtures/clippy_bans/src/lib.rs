@@ -1,7 +1,8 @@
 //! Negative fixture for the rules that moved from `gtv-xtask` into clippy:
 //! one violation of each, plus two forms the old line rules could not see
 //! (a UFCS unwrap and a float `==` with no literal on either side), and the
-//! three flows the old L12 taint rule was written against.
+//! three flows the old L12 taint rule was written against, and the seeding
+//! calls the old L7 rule flagged.
 //! `tools/ci.sh` requires `cargo clippy` on this crate to fail and to name
 //! every expected lint.
 
@@ -74,6 +75,33 @@ pub fn unordered_payload(counts: &std::collections::HashMap<String, u32>) -> Vec
         out.extend_from_slice(&n.to_le_bytes());
     }
     out
+}
+
+/// L7's flagged calls: seeding from a literal, from a value mangled by a
+/// constant and from a loop counter. Clippy rejects every call that has no
+/// `#[expect]` naming where its seed comes from; the old rule's fourth
+/// case, `SmallRng::from_seed([0u8; 32])`, cannot be written at all, since
+/// the `rand` shim has no `from_seed`.
+pub mod seeding {
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    pub fn init_weights() -> u64 {
+        StdRng::seed_from_u64(42).next_u64()
+    }
+
+    pub fn init_biases(x: u64) -> u64 {
+        StdRng::seed_from_u64(x ^ 17).next_u64()
+    }
+
+    pub fn block_rng(block: usize) -> u64 {
+        StdRng::seed_from_u64(block as u64).next_u64()
+    }
+}
+
+/// An ambient value the old L7 rule let through as a seed.
+pub fn process_seed() -> u64 {
+    u64::from(std::process::id())
 }
 
 /// L3, declared the way the metric crates declare it.

@@ -42,8 +42,8 @@ pub fn clean_rebound_after_encode(table: &Table, transformer: &TableTransformer)
     Message::GenSlice(col)
 }
 
-pub fn suppressed_debug_dump(table: &Table) -> Message {
+pub fn commented_debug_dump(table: &Table) -> Message {
     let col = table.column(9);
-    // gtv-lint: allow(raw-egress) -- offline debugging CLI, never reaches a client socket
+    // gtv-lint: allow(raw-egress) -- a comment no longer waves a finding away
     Message::GenSlice(col)
 }

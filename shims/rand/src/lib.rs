@@ -228,6 +228,7 @@ pub mod seq {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the seeding is what these tests check")]
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;

@@ -1,6 +1,11 @@
 //! Cross-crate property tests: invariants that must hold for arbitrary
 //! (small) tables and partitions.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests seed their fixtures with literals and generated seeds"
+)]
+
 use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Dataset, Schema, Table};
 use gtv_encoders::TableTransformer;
 use gtv_vfl::{ratio_vector, split_widths, PartitionPlan, SharedShuffler};

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: the build level, formatting, clippy under the workspace
 # deny-list and `clippy.toml` (and on the fixture that breaks each of its
-# bans), the gtv-xtask protocol lints, the test suite (the bit pins at two
-# build levels), the shims and the gtvbench smoke pass; and the working
-# tree left as it was found. Run from anywhere.
+# bans), the gtv-xtask privacy lints, the test suite (the bit pins at two
+# build levels), the kernels' allocation count, the shims and the gtvbench
+# smoke pass; and the working tree left as it was found. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,16 +43,19 @@ fi
 
 step "cargo fmt --check"
 cargo fmt --all --check
+cargo fmt --check --manifest-path tools/kernel_allocs/Cargo.toml
 
 step "cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "clippy bans fire on their fixture"
-# The panic, clock/thread, environment, hash-order, float-eq, cast and
-# allow-reason rules are clippy configuration (DESIGN.md §7). The fixture
-# crate breaks each once, plus a UFCS unwrap, a float `==` between two
-# variables and the old L12 flows (an env-derived seed, a thread id into a
-# kernel, a `for` over a `HashMap` into a payload); clippy must fail on it
+# The panic, clock/thread, environment, process-id, seeding, hash-order,
+# float-eq, cast and allow-reason rules are clippy configuration (DESIGN.md
+# §7). The fixture crate breaks each once, plus a UFCS unwrap, a float `==`
+# between two variables, the old L12 flows (an env-derived seed, a thread id
+# into a kernel, a `for` over a `HashMap` into a payload) and the old L7
+# calls (a seed from a literal, from `x ^ 17`, from a loop counter); clippy
+# must fail on it
 # and report each lint as often as the fixture breaks it. Its own target
 # directory and checked-in lock file keep the tree as it was.
 bans=crates/xtask/tests/fixtures/clippy_bans
@@ -62,7 +65,7 @@ if out="$(cargo clippy --offline -q --manifest-path "$bans/Cargo.toml" \
     exit 1
 fi
 for expected in unwrap_used:2 expect_used:1 panic:1 unreachable:1 \
-        disallowed_methods:9 iter_over_hash_type:1 float_cmp:2 \
+        disallowed_methods:13 iter_over_hash_type:1 float_cmp:2 \
         cast_possible_truncation:1 allow_attributes_without_reason:1; do
     lint="${expected%:*}"
     want="${expected#*:}"
@@ -75,8 +78,8 @@ for expected in unwrap_used:2 expect_used:1 panic:1 unreachable:1 \
 done
 
 step "gtv-xtask lint"
-# The protocol-invariant passes the compiler cannot express (L2, L6, L7,
-# L11).
+# The two privacy passes the compiler cannot express: L6 (no server path
+# reaches the shuffle seed) and L11 (no raw column reaches the wire).
 cargo run -q -p gtv-xtask -- lint
 
 step "cargo test -q"
@@ -96,6 +99,14 @@ RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-encoders --test target_invariance
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv --test step_work
+
+step "kernel allocations (tools/kernel_allocs)"
+# Once warm, a kernel call takes every buffer the recycling pool would
+# recycle from the pool (DESIGN.md §9): a counting global allocator, which
+# needs the `unsafe` every workspace crate forbids, so a package of its own
+# with a checked-in lock file and its own target directory.
+cargo test --offline -q --manifest-path tools/kernel_allocs/Cargo.toml \
+    --target-dir target/kernel_allocs
 
 step "shim unit tests (shims/*)"
 # The offline stand-ins under shims/ are this repository's code: the wire
