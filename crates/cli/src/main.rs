@@ -17,7 +17,7 @@ use gtv_data::{from_csv_string, infer_schema, to_csv_string, Dataset, Table};
 use gtv_metrics::similarity;
 use gtv_ml::utility_difference;
 use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};
-use gtv_vfl::{Endpoint, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport};
+use gtv_vfl::{Endpoint, Network, PartitionPlan, PartyId, PartyNode, Transport};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -346,7 +346,7 @@ fn parse_party(spec: &str) -> Result<PartyId, String> {
 }
 
 /// Parses `--parties 0=127.0.0.1:7000,1=unix:/tmp/p1.sock` into a roster of
-/// remote endpoints for [`SocketTransport::connect`].
+/// remote endpoints for [`Network::connect`].
 fn parse_parties(spec: &str) -> Result<HashMap<PartyId, Endpoint>, String> {
     let mut endpoints = HashMap::new();
     for entry in spec.split(',').filter(|s| !s.is_empty()) {
@@ -387,7 +387,7 @@ fn serve_server(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let shards = table.vertical_split(&groups);
     println!("connecting to {} remote parties ({} clients total)…", endpoints.len(), n_clients);
-    let transport = SocketTransport::connect(n_clients, endpoints).map_err(|e| e.to_string())?;
+    let transport = Network::connect(n_clients, endpoints).map_err(|e| e.to_string())?;
     println!(
         "training GTV over sockets (partition {}, {} rounds) on {} rows × {} cols…",
         config.partition,

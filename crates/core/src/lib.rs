@@ -56,6 +56,6 @@ pub use trainer::{GtvTrainer, StepAllocStats, TrainHistory};
 // users of the trainer can build distributed deployments and match on
 // protocol errors without depending on gtv-vfl directly.
 pub use gtv_vfl::{
-    Endpoint, InProcTransport, PartitionError, PartyNode, SocketTransport, Transport,
+    Endpoint, InProcTransport, Network, PartitionError, PartyNode, SocketTransport, Transport,
     TransportError,
 };

@@ -97,10 +97,10 @@ struct CondRound {
 /// assert_eq!(synthetic.n_rows(), 200);
 /// ```
 ///
-/// The trainer is generic over its [`Transport`] backend:
-/// [`GtvTrainer::new`] runs everything in-process over [`Network`], while
-/// [`GtvTrainer::with_transport`] accepts any backend — e.g. a
-/// [`gtv_vfl::SocketTransport`] whose client parties are separate OS
+/// The trainer is generic over its [`Transport`]: [`GtvTrainer::new`] runs
+/// over a [`Network`] whose every party is local, while
+/// [`GtvTrainer::with_transport`] accepts any transport — e.g. a
+/// [`Network::connect`]ed one whose client parties are separate OS
 /// processes. The protocol choreography (and therefore the byte trace) is
 /// identical either way.
 pub struct GtvTrainer<T: Transport = Network> {
@@ -174,10 +174,10 @@ impl GtvTrainer {
 }
 
 impl<T: Transport> GtvTrainer<T> {
-    /// Creates a trainer over an arbitrary [`Transport`] backend — the
-    /// distributed entry point. With a [`gtv_vfl::SocketTransport`], the
-    /// client parties' inboxes live in other OS processes and every
-    /// protocol message genuinely crosses the socket.
+    /// Creates a trainer over an arbitrary [`Transport`] — the distributed
+    /// entry point. With a [`Network::connect`]ed network, the client
+    /// parties' inboxes live in other OS processes and every protocol
+    /// message to or from them genuinely crosses a socket.
     ///
     /// # Errors
     ///
@@ -371,10 +371,11 @@ impl<T: Transport> GtvTrainer<T> {
     }
 
     /// One server→clients fan-out phase (DESIGN.md §10): every message is
-    /// sent first ([`Transport::send_all`]; `InProcTransport` encodes the
-    /// payloads concurrently on the tensor worker pool, `SocketTransport`
-    /// one after another), then each recipient pops its delivery in message
-    /// order and its payload goes back to the tensor pool.
+    /// sent first ([`Transport::send_all`]; [`Network`] encodes the payloads
+    /// concurrently on the tensor worker pool, then delivers them to local
+    /// channels or remote nodes alike), then each recipient pops its
+    /// delivery in message order and its payload goes back to the tensor
+    /// pool.
     /// Takes the network rather than `self`, so a caller can keep borrowing
     /// one client's state across the fan-out.
     fn dispatch(network: &T, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {

@@ -7,12 +7,12 @@
 //! * [`RoundState`] / [`Message::edge`] — the round machine: the state each
 //!   message may be sent in, the state it leads to, and the [`Dir`] every
 //!   transport checks before it sends;
-//! * [`Transport`] — the backend-agnostic transport seam, with two
-//!   implementations: [`InProcTransport`] (alias [`Network`]) over channels
-//!   with per-link byte metering, and [`SocketTransport`] speaking
-//!   length-delimited frames of wire-v3 messages over TCP / Unix-domain sockets to
-//!   per-party [`PartyNode`] daemons, on [`socket`] — the one socket layer,
-//!   which `gtv-serve`'s serving wire runs on too;
+//! * [`Transport`] — the transport seam, and [`Network`], its one
+//!   implementation: a roster with per-link byte metering in which each
+//!   party's inbox is a local channel or, for a party hosted out of process,
+//!   a link to its [`PartyNode`] speaking length-delimited frames of wire-v3
+//!   messages over TCP / Unix-domain sockets, on [`socket`] — the one socket
+//!   layer, which `gtv-serve`'s serving wire runs on too;
 //! * [`psi_align`] — hashed private-set-intersection row alignment;
 //! * [`negotiate_seed`] / [`SharedShuffler`] — the peer-to-peer shuffle-seed
 //!   agreement behind *training-with-shuffling* (the server never observes
@@ -47,8 +47,9 @@ pub use partition::{ratio_vector, split_widths, PartitionError, PartitionPlan};
 pub use protocol::{Dir, Edge, RoundState};
 pub use psi::{psi_align, PsiAlignment};
 pub use shuffle::{negotiate_seed, SharedShuffler};
-pub use socket::{Endpoint, PartyNode, SocketTransport};
+pub use socket::{Endpoint, PartyNode};
 pub use transport::{
-    Fault, InProcTransport, NetStats, Network, PartyId, RoundStats, Transport, TransportError,
+    Fault, InProcTransport, NetStats, Network, PartyId, RoundStats, SocketTransport, Transport,
+    TransportError,
 };
 pub use wire::{DecodeMessageError, DenseFrame, MatrixPayload, Message, SeedShare, WireCodec};

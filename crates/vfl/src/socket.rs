@@ -10,9 +10,10 @@
 //! session's `ServeFrame` in `gtv-serve`. Each session keeps its own
 //! handshake, opcode space, versions and timeouts.
 //!
-//! **The party transport.** Every party hosts a [`PartyNode`] — a small
-//! daemon owning that party's inbox — and the orchestrating process drives
-//! the protocol through a [`SocketTransport`] whose every message genuinely
+//! **The party link.** A party hosted out of process runs a [`PartyNode`]
+//! — a small daemon owning that party's inbox — and a
+//! [`Network`](crate::Network) that names the node's endpoint reaches it
+//! through a `Remote` link: every message to or from that party genuinely
 //! transits the socket as a framed exchange. Connection lifecycle is
 //! first-class:
 //!
@@ -24,10 +25,9 @@
 //! * peer crash / EOF surfaces as [`TransportError::PeerDisconnected`],
 //!   never a panic or an indefinite block (every read is deadline-bounded).
 //!
-//! Byte accounting is identical to the in-process backend: the shared
-//! [`Meter`] counts the encoded message body only — frame headers and acks
-//! are a property of the medium, not the protocol — so [`NetStats`] from a
-//! socket run are comparable (and testably equal) to an in-process run.
+//! The frames carry the encoded message body the network has already
+//! metered ([`NetStats`](crate::NetStats)); frame headers and acks are a
+//! property of the medium, not the protocol, and are not metered.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![cfg_attr(
@@ -35,13 +35,11 @@
     deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
 )]
 
-use crate::transport::{
-    check_direction, Fault, Meter, NetStats, PartyId, Transport, TransportError,
-};
+use crate::transport::{Meter, PartyId, TransportError};
 use crate::wire::Message;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -921,177 +919,104 @@ struct Link {
     fb: FrameBuf<Frame>,
 }
 
-struct RemoteParty {
+/// The link to a party a [`PartyNode`] hosts: its endpoint, the versions
+/// its node is greeted with, and the open connection, if any. A
+/// [`Network`](crate::Network) holds one per remote party, each behind its
+/// own lock, so an exchange with one node holds up no other party.
+pub(crate) struct Remote {
+    party: PartyId,
     endpoint: Endpoint,
+    versions: (u32, u32),
     link: Option<Link>,
 }
 
-/// The socket [`Transport`] backend driven by the orchestrating process.
-///
-/// Parties with an endpoint in the roster are *remote*: every message to or
-/// from them transits their [`PartyNode`] as a framed socket exchange.
-/// Parties without one (typically [`PartyId::Server`] and
-/// [`PartyId::Public`], which the orchestrator itself hosts) get local
-/// in-process inboxes, exactly like the in-process backend's.
-pub struct SocketTransport {
-    meter: Meter,
-    local: Mutex<HashMap<PartyId, VecDeque<(PartyId, Message)>>>,
-    remotes: Mutex<HashMap<PartyId, RemoteParty>>,
-    faults: Mutex<Vec<(PartyId, PartyId, Fault)>>,
-    dead: Mutex<HashSet<PartyId>>,
-    versions: (u32, u32),
-}
-
-impl fmt::Debug for SocketTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.meter.stats();
-        write!(f, "SocketTransport({} msgs, {} bytes)", s.messages, s.bytes)
-    }
-}
-
-impl SocketTransport {
-    /// Connects to the roster of server + `n_clients` clients + public
-    /// board. Parties present in `endpoints` are dialed (bounded retry with
-    /// exponential backoff, then a version handshake); the rest are hosted
-    /// locally. Dialing everything eagerly surfaces configuration errors at
-    /// construction, not mid-round.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::HandshakeFailed`] if a party cannot be reached or
-    /// rejects the handshake, [`TransportError::UnknownParty`] naming the
-    /// smallest party in `endpoints` that is outside the roster.
-    pub fn connect(
-        n_clients: usize,
-        endpoints: HashMap<PartyId, Endpoint>,
-    ) -> Result<Self, TransportError> {
-        Self::connect_with_versions(n_clients, endpoints, PROTOCOL_VERSION, WIRE_VERSION)
-    }
-
-    /// [`SocketTransport::connect`] announcing custom handshake versions —
-    /// a test hook for exercising the rejection path against a live node.
-    #[doc(hidden)]
-    pub fn connect_with_versions(
-        n_clients: usize,
-        endpoints: HashMap<PartyId, Endpoint>,
+impl Remote {
+    /// Dials `endpoint` (bounded retry with exponential backoff) and greets
+    /// its node, so a misconfigured roster fails at construction, not
+    /// mid-round.
+    pub(crate) fn open(
+        party: PartyId,
+        endpoint: Endpoint,
         protocol: u32,
         wire: u32,
     ) -> Result<Self, TransportError> {
-        let mut roster = vec![PartyId::Server, PartyId::Public];
-        roster.extend((0..n_clients).map(PartyId::Client));
-        // In party order, so the error names the same party on every run.
-        let endpoints: BTreeMap<PartyId, Endpoint> = endpoints.into_iter().collect();
-        if let Some(&p) = endpoints.keys().find(|p| !roster.contains(p)) {
-            return Err(TransportError::UnknownParty(p));
+        let link = open_link(&endpoint, party, protocol, wire)?;
+        Ok(Self { party, endpoint, versions: (protocol, wire), link: Some(link) })
+    }
+
+    /// Closes the connection: a severed party.
+    pub(crate) fn close(&mut self) {
+        self.link = None;
+    }
+
+    /// Hands one encoded message to the node's inbox.
+    pub(crate) fn deliver(
+        &mut self,
+        from: PartyId,
+        payload: Bytes,
+        meter: &Meter,
+    ) -> Result<(), TransportError> {
+        match self.transact(&Frame::Deliver { from, payload }, ACK_TIMEOUT, meter)? {
+            Frame::DeliverAck => Ok(()),
+            other => Err(TransportError::Frame {
+                detail: format!("expected DeliverAck from {}, got {other:?}", self.party),
+            }),
         }
-        let mut local = HashMap::new();
-        let mut remotes = HashMap::new();
-        let mut remote_parties = Vec::new();
-        for p in roster {
-            match endpoints.get(&p) {
-                Some(ep) => {
-                    remotes.insert(p, RemoteParty { endpoint: ep.clone(), link: None });
-                    remote_parties.push(p);
-                }
-                None => {
-                    local.insert(p, VecDeque::new());
-                }
+    }
+
+    /// Pops the node's next message: at once for `None`, else waiting up to
+    /// the bound. The node waits and answers `TimedOut`; our own read
+    /// deadline fires only if the node itself stopped responding.
+    pub(crate) fn pop(
+        &mut self,
+        wait: Option<Duration>,
+        meter: &Meter,
+    ) -> Result<(PartyId, Message), TransportError> {
+        let reply = match wait {
+            None => self.transact(&Frame::TryRecvReq, ACK_TIMEOUT, meter)?,
+            Some(timeout) => {
+                let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+                let deadline = timeout.saturating_add(RECV_MARGIN);
+                self.transact(&Frame::RecvReq { timeout_ms }, deadline, meter)?
             }
-        }
-        let transport = Self {
-            meter: Meter::new(),
-            local: Mutex::new(local),
-            remotes: Mutex::new(remotes),
-            faults: Mutex::new(Vec::new()),
-            dead: Mutex::new(HashSet::new()),
-            versions: (protocol, wire),
         };
-        // Dial in deterministic party order.
-        remote_parties.sort_unstable();
-        for p in remote_parties {
-            transport.ensure_link(p)?;
+        match (reply, wait) {
+            (Frame::Msg { from, payload }, _) => Ok((from, Message::decode(payload)?)),
+            (Frame::Empty, None) => Err(TransportError::InboxEmpty(self.party)),
+            (Frame::TimedOut, Some(timeout)) => Err(meter.timeout_error(self.party, timeout)),
+            (other, _) => Err(TransportError::Frame {
+                detail: format!("expected a message from {}, got {other:?}", self.party),
+            }),
         }
-        Ok(transport)
     }
 
-    /// Arms a one-shot fault for the next send on `(from, to)` — same test
-    /// instrumentation as the in-process backend, so fault regressions run
-    /// against both.
-    pub fn inject_fault(&self, from: PartyId, to: PartyId, fault: Fault) {
-        self.faults.lock().push((from, to, fault));
-    }
-
-    fn take_fault(&self, from: PartyId, to: PartyId) -> Option<Fault> {
-        let mut faults = self.faults.lock();
-        let idx = faults.iter().position(|&(f, t, _)| f == from && t == to)?;
-        Some(faults.remove(idx).2)
-    }
-
-    fn is_dead(&self, party: PartyId) -> bool {
-        self.dead.lock().contains(&party)
-    }
-
-    /// Severs `party`'s link: the socket (if any) is closed, the local
-    /// inbox (if any) is dropped, and the party is marked dead.
-    fn sever(&self, party: PartyId) {
-        if let Some(remote) = self.remotes.lock().get_mut(&party) {
-            remote.link = None;
-        }
-        self.local.lock().remove(&party);
-        self.dead.lock().insert(party);
-    }
-
-    /// Dials `party` (if not already connected) and performs the handshake.
-    fn ensure_link(&self, party: PartyId) -> Result<(), TransportError> {
-        if self.is_dead(party) {
-            return Err(TransportError::PeerDisconnected { party });
-        }
-        let mut remotes = self.remotes.lock();
-        let Some(remote) = remotes.get_mut(&party) else {
-            return Err(TransportError::UnknownParty(party));
-        };
-        if remote.link.is_some() {
-            return Ok(());
-        }
-        let (protocol, wire) = self.versions;
-        remote.link = Some(open_link(&remote.endpoint, party, protocol, wire)?);
-        Ok(())
-    }
-
-    /// One request/reply exchange on `party`'s link. A broken link redials
-    /// once (bounded backoff inside [`dial`]); a second break marks the
-    /// party dead and reports [`TransportError::PeerDisconnected`]. Any
-    /// other failure — our own read deadline included — drops the link
-    /// before it is reported: a reply that arrives late would otherwise
-    /// answer the next request. Note a retried `Deliver` whose first copy
-    /// actually landed surfaces upstream as a duplicate-message protocol
-    /// violation — detected, not silent.
+    /// One request/reply exchange. A broken link redials once (bounded
+    /// backoff inside [`dial`]); a second break, or a redial that fails,
+    /// is [`TransportError::PeerDisconnected`]: the peer is gone, not
+    /// misconfigured, and the caller marks it dead. Any other failure — our
+    /// own read deadline included — drops the link before it is reported:
+    /// a reply that arrives late would otherwise answer the next request.
+    /// Note a retried `Deliver` whose first copy actually landed surfaces
+    /// upstream as a duplicate-message protocol violation — detected, not
+    /// silent.
     fn transact(
-        &self,
-        party: PartyId,
+        &mut self,
         request: &Frame,
         read_timeout: Duration,
+        meter: &Meter,
     ) -> Result<Frame, TransportError> {
-        for attempt in 0..2u32 {
-            if let Err(e) = self.ensure_link(party) {
-                // A redial that cannot re-establish a link that existed at
-                // construction means the peer is gone, not misconfigured.
-                self.dead.lock().insert(party);
-                return Err(match e {
-                    TransportError::HandshakeFailed { .. } => {
-                        TransportError::PeerDisconnected { party }
-                    }
-                    other => other,
-                });
-            }
-            let mut remotes = self.remotes.lock();
-            let Some(remote) = remotes.get_mut(&party) else {
-                return Err(TransportError::UnknownParty(party));
+        let party = self.party;
+        let mut redialed = false;
+        loop {
+            let link = match &mut self.link {
+                Some(link) => link,
+                None => {
+                    let (protocol, wire) = self.versions;
+                    let link = open_link(&self.endpoint, party, protocol, wire)
+                        .map_err(|_| TransportError::PeerDisconnected { party })?;
+                    self.link.insert(link)
+                }
             };
-            let Some(link) = remote.link.as_mut() else {
-                continue;
-            };
-            let meter = &self.meter;
             let exchange = (|| {
                 link.stream
                     .set_read_timeout(Some(read_timeout))
@@ -1101,50 +1026,17 @@ impl SocketTransport {
                     meter.timeout_error(party, read_timeout)
                 })
             })();
-            let Err(e) = exchange else {
-                return exchange;
-            };
-            remote.link = None;
-            match e {
-                // The next loop iteration redials.
-                TransportError::PeerDisconnected { .. } if attempt == 0 => {}
-                TransportError::PeerDisconnected { .. } => {
-                    drop(remotes);
-                    self.dead.lock().insert(party);
+            match exchange {
+                Ok(reply) => return Ok(reply),
+                Err(TransportError::PeerDisconnected { .. }) if !redialed => {
+                    self.link = None;
+                    redialed = true;
+                }
+                Err(e) => {
+                    self.link = None;
                     return Err(e);
                 }
-                e => return Err(e),
             }
-        }
-        self.dead.lock().insert(party);
-        Err(TransportError::PeerDisconnected { party })
-    }
-
-    /// Routes one already-encoded message to a local inbox or over the
-    /// party's socket (shared tail of `send`).
-    fn deliver_encoded(
-        &self,
-        from: PartyId,
-        to: PartyId,
-        encoded: Bytes,
-    ) -> Result<(), TransportError> {
-        {
-            let mut local = self.local.lock();
-            if let Some(inbox) = local.get_mut(&to) {
-                // Decode from the wire bytes — the recipient sees only what
-                // was actually serialized (parity with the in-process path).
-                inbox.push_back((from, Message::decode(encoded)?));
-                return Ok(());
-            }
-        }
-        if !self.remotes.lock().contains_key(&to) {
-            return Err(TransportError::UnknownRecipient(to));
-        }
-        match self.transact(to, &Frame::Deliver { from, payload: encoded }, ACK_TIMEOUT)? {
-            Frame::DeliverAck => Ok(()),
-            other => Err(TransportError::Frame {
-                detail: format!("expected DeliverAck from {to}, got {other:?}"),
-            }),
         }
     }
 }
@@ -1187,136 +1079,17 @@ fn open_link(
     Err(TransportError::HandshakeFailed { reason })
 }
 
-impl Transport for SocketTransport {
-    fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
-        check_direction(from, to, &msg)?;
-        if self.is_dead(to) {
-            return Err(TransportError::PeerDisconnected { party: to });
-        }
-        if self.is_dead(from) {
-            return Err(TransportError::PeerDisconnected { party: from });
-        }
-        let fault = self.take_fault(from, to);
-        if fault == Some(Fault::Disconnect) {
-            // The link dies as the send begins: nothing reaches the wire,
-            // so nothing is metered (parity with the in-process backend).
-            self.sever(to);
-            return Err(TransportError::PeerDisconnected { party: to });
-        }
-        if !self.local.lock().contains_key(&to) && !self.remotes.lock().contains_key(&to) {
-            return Err(TransportError::UnknownRecipient(to));
-        }
-        let encoded = msg.encode();
-        msg.recycle();
-        self.meter.record(from, to, encoded.len());
-        if fault == Some(Fault::Drop) {
-            return Ok(());
-        }
-        if fault == Some(Fault::Duplicate) {
-            self.deliver_encoded(from, to, encoded.clone())?;
-        }
-        self.deliver_encoded(from, to, encoded)
-    }
-
-    fn try_recv(&self, party: PartyId) -> Result<(PartyId, Message), TransportError> {
-        if self.is_dead(party) {
-            return Err(TransportError::PeerDisconnected { party });
-        }
-        {
-            let mut local = self.local.lock();
-            if let Some(inbox) = local.get_mut(&party) {
-                return inbox.pop_front().ok_or(TransportError::InboxEmpty(party));
-            }
-        }
-        if !self.remotes.lock().contains_key(&party) {
-            return Err(TransportError::UnknownParty(party));
-        }
-        match self.transact(party, &Frame::TryRecvReq, ACK_TIMEOUT)? {
-            Frame::Msg { from, payload } => Ok((from, Message::decode(payload)?)),
-            Frame::Empty => Err(TransportError::InboxEmpty(party)),
-            other => Err(TransportError::Frame {
-                detail: format!("expected Msg/Empty from {party}, got {other:?}"),
-            }),
-        }
-    }
-
-    fn recv_timeout(
-        &self,
-        party: PartyId,
-        timeout: Duration,
-    ) -> Result<(PartyId, Message), TransportError> {
-        if self.is_dead(party) {
-            return Err(TransportError::PeerDisconnected { party });
-        }
-        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
-        if self.local.lock().contains_key(&party) {
-            // Sleep-poll in 1 ms ticks instead of reading a wall clock
-            // (denied on library paths by `clippy.toml`'s `disallowed-methods`).
-            // Local inboxes are filled by this process's own sends, so the
-            // first check succeeds in the healthy case.
-            let mut remaining = timeout_ms;
-            loop {
-                if let Some(inbox) = self.local.lock().get_mut(&party) {
-                    if let Some(entry) = inbox.pop_front() {
-                        return Ok(entry);
-                    }
-                } else {
-                    // Severed while we were polling.
-                    return Err(TransportError::PeerDisconnected { party });
-                }
-                if remaining == 0 {
-                    return Err(self.meter.timeout_error(party, timeout));
-                }
-                std::thread::sleep(POLL_INTERVAL);
-                remaining -= 1;
-            }
-        }
-        if !self.remotes.lock().contains_key(&party) {
-            return Err(TransportError::UnknownParty(party));
-        }
-        // The node waits `timeout_ms` then answers `TimedOut`; our own read
-        // deadline only fires if the node itself stopped responding.
-        match self.transact(
-            party,
-            &Frame::RecvReq { timeout_ms },
-            timeout.saturating_add(RECV_MARGIN),
-        )? {
-            Frame::Msg { from, payload } => Ok((from, Message::decode(payload)?)),
-            Frame::TimedOut => Err(self.meter.timeout_error(party, timeout)),
-            other => Err(TransportError::Frame {
-                detail: format!("expected Msg/TimedOut from {party}, got {other:?}"),
-            }),
-        }
-    }
-
-    fn recv_timeout_bound(&self) -> Duration {
-        self.meter.recv_timeout_bound()
-    }
-
-    fn set_recv_timeout(&self, timeout: Duration) {
-        self.meter.set_recv_timeout(timeout);
-    }
-
-    fn begin_round(&self, round: u64) {
-        self.meter.begin_round(round);
-    }
-
-    fn stats(&self) -> NetStats {
-        self.meter.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.meter.reset();
-    }
-}
-
 #[cfg(test)]
 #[expect(clippy::disallowed_methods, reason = "the tests host their peers on threads")]
-mod tests {
+pub(crate) mod tests {
     use super::framing::handshake_reject_reason;
     use super::*;
-    use crate::wire::{MatrixPayload, SeedShare};
+    use crate::transport::Transport;
+    use crate::wire::MatrixPayload;
+    use crate::Network;
+    use std::collections::HashMap;
     use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     #[test]
     fn endpoint_parse_and_display_roundtrip() {
@@ -1337,37 +1110,51 @@ mod tests {
         assert!(handshake_reject_reason(0, 0).is_some());
     }
 
-    fn spawn_node(
-        party: PartyId,
-        endpoint: &Endpoint,
-    ) -> (Arc<PartyNode>, std::thread::JoinHandle<()>) {
-        let node = Arc::new(PartyNode::bind(party, endpoint).unwrap());
-        let serving = Arc::clone(&node);
-        let handle = std::thread::spawn(move || {
-            serving.serve().unwrap();
-        });
-        (node, handle)
+    /// A [`PartyNode`] serving on its own thread.
+    pub(crate) struct TestNode {
+        pub(crate) node: Arc<PartyNode>,
+        handle: JoinHandle<()>,
+    }
+
+    impl TestNode {
+        /// Binds `endpoint` for `party` and serves it.
+        pub(crate) fn spawn(party: PartyId, endpoint: &Endpoint) -> Self {
+            let node = Arc::new(PartyNode::bind(party, endpoint).unwrap());
+            let serving = Arc::clone(&node);
+            let handle = std::thread::spawn(move || serving.serve().unwrap());
+            Self { node, handle }
+        }
+
+        /// A roster of `n_clients` whose `party` is this node.
+        pub(crate) fn roster(&self, n_clients: usize) -> Network {
+            Network::connect(n_clients, HashMap::from([(self.node.party(), self.node.endpoint())]))
+                .unwrap()
+        }
+
+        /// Stops the node and joins its thread.
+        pub(crate) fn stop(self) {
+            self.node.request_stop();
+            self.handle.join().unwrap();
+        }
     }
 
     #[test]
-    fn tcp_loopback_send_recv_and_metering_match_inproc() {
-        let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
-        let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
-        let socket = SocketTransport::connect(1, endpoints).unwrap();
-        let inproc = crate::transport::Network::new(1);
+    fn a_remote_inbox_meters_like_a_local_one() {
+        let node = TestNode::spawn(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let remote = node.roster(1);
+        let local = Network::new(1);
         let msg = Message::GenSlice(MatrixPayload::new(2, 2, vec![1.0, 0.0, 0.0, 4.0]));
-        socket.send(PartyId::Server, PartyId::Client(0), msg.clone()).unwrap();
-        inproc.send(PartyId::Server, PartyId::Client(0), msg.clone()).unwrap();
-        let (from, got) = socket.recv(PartyId::Client(0)).unwrap();
+        remote.send(PartyId::Server, PartyId::Client(0), msg.clone()).unwrap();
+        local.send(PartyId::Server, PartyId::Client(0), msg.clone()).unwrap();
+        let (from, got) = remote.recv(PartyId::Client(0)).unwrap();
         assert_eq!((from, got), (PartyId::Server, msg));
-        // Byte accounting is identical across backends.
-        assert_eq!(socket.stats(), inproc.stats());
-        // Local (server-hosted) inboxes work alongside the remote one.
+        // Byte accounting does not depend on where the inbox is.
+        assert_eq!(remote.stats(), local.stats());
+        // Local (orchestrator-hosted) inboxes work alongside the remote one.
         let upload = Message::SynthLogits(MatrixPayload::new(1, 1, vec![7.0]));
-        socket.send(PartyId::Client(0), PartyId::Server, upload.clone()).unwrap();
-        assert_eq!(socket.try_recv(PartyId::Server).unwrap().1, upload);
-        node.request_stop();
-        handle.join().unwrap();
+        remote.send(PartyId::Client(0), PartyId::Server, upload.clone()).unwrap();
+        assert_eq!(remote.try_recv(PartyId::Server).unwrap().1, upload);
+        node.stop();
     }
 
     #[test]
@@ -1379,7 +1166,7 @@ mod tests {
                 (PartyId::Client(9), Endpoint::parse("127.0.0.1:1")),
                 (PartyId::Client(7), Endpoint::parse("127.0.0.1:1")),
             ]);
-            match SocketTransport::connect(2, endpoints) {
+            match Network::connect(2, endpoints) {
                 Err(TransportError::UnknownParty(p)) => assert_eq!(p, PartyId::Client(7)),
                 Err(other) => panic!("expected UnknownParty, got {other:?}"),
                 Ok(_) => panic!("an endpoint outside the roster must be refused"),
@@ -1389,94 +1176,34 @@ mod tests {
 
     #[test]
     fn version_mismatch_yields_handshake_failed() {
-        let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
-        let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
-        let err =
-            SocketTransport::connect_with_versions(1, endpoints, PROTOCOL_VERSION, 99).unwrap_err();
+        let node = TestNode::spawn(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let endpoints = HashMap::from([(PartyId::Client(0), node.node.endpoint())]);
+        let err = Network::connect_with_versions(1, endpoints, PROTOCOL_VERSION, 99).unwrap_err();
         match err {
             TransportError::HandshakeFailed { reason } => {
                 assert!(reason.contains("wire version 99"), "{reason}");
             }
             other => panic!("expected HandshakeFailed, got {other:?}"),
         }
-        node.request_stop();
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn injected_disconnect_severs_the_socket_link() {
-        let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
-        let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
-        let socket = SocketTransport::connect(1, endpoints).unwrap();
-        socket.inject_fault(PartyId::Server, PartyId::Client(0), Fault::Disconnect);
-        let err = socket
-            .send(
-                PartyId::Server,
-                PartyId::Client(0),
-                Message::RoundStart { round: 1, selected: 0 },
-            )
-            .unwrap_err();
-        assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(0) });
-        assert_eq!(
-            socket.recv(PartyId::Client(0)),
-            Err(TransportError::PeerDisconnected { party: PartyId::Client(0) })
-        );
-        node.request_stop();
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn misdirected_sends_never_reach_the_socket() {
-        let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
-        let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
-        let socket = SocketTransport::connect(1, endpoints).unwrap();
-        let seed = || Message::ShuffleSeedShare { share: SeedShare::from(7) };
-        let index = || Message::IndexShare { indices: vec![1, 2] };
-        let logits = Message::SynthLogits(MatrixPayload::new(1, 1, vec![1.0]));
-        for (from, to, msg) in [
-            (PartyId::Client(0), PartyId::Server, seed()),
-            (PartyId::Server, PartyId::Client(0), seed()),
-            (PartyId::Client(0), PartyId::Server, index()),
-            (PartyId::Server, PartyId::Client(0), index()),
-            (PartyId::Server, PartyId::Client(0), logits),
-        ] {
-            let kind = msg.kind();
-            assert_eq!(
-                socket.send(from, to, msg),
-                Err(TransportError::Misdirected { from, to, kind }),
-                "{kind} from {from} to {to}"
-            );
-        }
-        assert_eq!(socket.stats(), NetStats::default(), "a refused send is not metered");
-        assert_eq!(
-            socket.try_recv(PartyId::Server),
-            Err(TransportError::InboxEmpty(PartyId::Server))
-        );
-        assert_eq!(
-            socket.try_recv(PartyId::Client(0)),
-            Err(TransportError::InboxEmpty(PartyId::Client(0)))
-        );
-        node.request_stop();
-        handle.join().unwrap();
+        node.stop();
     }
 
     #[test]
     fn dead_node_surfaces_as_peer_disconnected_not_a_hang() {
-        let (node, handle) = spawn_node(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
-        let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
-        let socket = SocketTransport::connect(1, endpoints).unwrap();
-        socket
-            .send(
-                PartyId::Server,
-                PartyId::Client(0),
-                Message::RoundStart { round: 1, selected: 0 },
-            )
-            .unwrap();
+        let node = TestNode::spawn(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let net = node.roster(1);
+        net.send(
+            PartyId::Server,
+            PartyId::Client(0),
+            Message::RoundStart { round: 1, selected: 0 },
+        )
+        .unwrap();
         // Kill the node (listener included), then talk to the corpse.
+        let TestNode { node, handle } = node;
         node.request_stop();
         handle.join().unwrap();
         drop(node);
-        let err = socket
+        let err = net
             .send(
                 PartyId::Server,
                 PartyId::Client(0),
@@ -1484,5 +1211,10 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(0) });
+        // The party is dead for good: no further exchange is attempted.
+        assert_eq!(
+            net.try_recv(PartyId::Client(0)),
+            Err(TransportError::PeerDisconnected { party: PartyId::Client(0) })
+        );
     }
 }

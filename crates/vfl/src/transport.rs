@@ -4,18 +4,19 @@
 //! medium carrying it: every protocol exchange is *actually encoded to
 //! bytes*, metered, decoded and delivered to the recipient's inbox, so
 //! communication-overhead numbers come from the same code path as the
-//! training itself. Two backends implement it:
+//! training itself. [`Network`] implements it: a roster of the server, the
+//! clients and the public board in which each party's inbox is either
 //!
-//! * [`InProcTransport`] (aliased as [`Network`]) — crossbeam-channel
-//!   inboxes, usable both from a single-threaded orchestrator and from
-//!   parties running on their own threads;
-//! * [`SocketTransport`](crate::SocketTransport) — length-delimited wire
-//!   frames over TCP or Unix-domain sockets, for parties running as their
-//!   own OS processes.
+//! * **local** — a FIFO channel in this process, whose receive blocks on a
+//!   condvar, or
+//! * **remote** — a [`PartyNode`](crate::PartyNode) in another process,
+//!   reached by framed exchanges over TCP or a Unix-domain socket
+//!   ([`socket`](crate::socket)).
 //!
-//! Byte accounting is identical across backends: both meter the encoded
-//! message body only (framing overhead is a property of the medium, not the
-//! protocol), through the same [`Meter`] bookkeeping.
+//! [`Network::new`] makes every party local; [`Network::connect`] makes the
+//! parties it is given endpoints for remote. Sending, metering, fault
+//! injection and the dead-party set are the same code for both kinds, and
+//! [`NetStats`] count the encoded message body only, wherever it goes.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![cfg_attr(
@@ -23,11 +24,13 @@
     deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
 )]
 
+use crate::socket::framing::{PROTOCOL_VERSION, WIRE_VERSION};
+use crate::socket::{Endpoint, Remote};
 use crate::wire::{DecodeMessageError, Message, WireCodec};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -74,7 +77,7 @@ pub enum TransportError {
         /// Human-readable rejection reason.
         reason: String,
     },
-    /// A malformed transport frame (socket backend): bad opcode, truncated
+    /// A malformed transport frame on a remote party's link: bad opcode, truncated
     /// body, or a length prefix exceeding the framing bound.
     Frame {
         /// What was wrong with the frame.
@@ -277,11 +280,8 @@ impl NetStats {
     }
 }
 
-/// Shared metering/configuration state used by every [`Transport`] backend:
-/// cumulative and per-round traffic counters and the bounded-receive
-/// deadline. Keeping this in one struct is what makes
-/// the backend-equivalence argument mechanical — both backends account
-/// bytes through the exact same code.
+/// A [`Network`]'s metering and configuration state: cumulative and
+/// per-round traffic counters and the bounded-receive deadline.
 pub(crate) struct Meter {
     stats: Mutex<NetStats>,
     recv_timeout: Mutex<Duration>,
@@ -367,13 +367,9 @@ pub enum Fault {
 }
 
 /// Refuses `msg` on `(from, to)` unless its direction in the round machine
-/// admits that pair (DESIGN.md §11). Every backend's send path calls this
-/// before it encodes, meters or delivers anything.
-pub(crate) fn check_direction(
-    from: PartyId,
-    to: PartyId,
-    msg: &Message,
-) -> Result<(), TransportError> {
+/// admits that pair (DESIGN.md §11). Every send path calls this before it
+/// encodes, meters or delivers anything.
+fn check_direction(from: PartyId, to: PartyId, msg: &Message) -> Result<(), TransportError> {
     if msg.edge().dir.admits(from, to) {
         Ok(())
     } else {
@@ -387,20 +383,24 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(1);
 /// The message-transport seam between the GTV protocol and the medium
 /// carrying it.
 ///
-/// Implementations must meter every sent message through the same byte
-/// accounting (the encoded body's length, nothing more), so [`NetStats`]
-/// are comparable — and testably identical — across backends.
+/// [`Network`] implements it; test and benchmark wrappers that record or
+/// trace its traffic implement it by forwarding. Every implementation
+/// meters a sent message as its encoded body's length, nothing more, so
+/// [`NetStats`] are comparable — and testably identical — whichever parties
+/// are local.
 pub trait Transport {
     /// Encodes `msg`, meters it and delivers it to `to`'s inbox.
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::Misdirected`] if the message may not travel
-    /// from `from` to `to` (checked first: nothing is encoded, metered or
-    /// delivered), [`TransportError::UnknownRecipient`] if `to` has no inbox,
-    /// [`TransportError::PeerDisconnected`] if the link to either end is
-    /// closed, or [`TransportError::Decode`] if the message fails to
-    /// round-trip through its own wire encoding.
+    /// Refuses, in this order and before anything is encoded, metered or
+    /// delivered: [`TransportError::Misdirected`] if the message may not
+    /// travel from `from` to `to`, [`TransportError::PeerDisconnected`] if
+    /// the link to either end is closed (an armed [`Fault::Disconnect`]
+    /// closes it now), [`TransportError::UnknownRecipient`] if `to` has no
+    /// inbox. Afterwards, [`TransportError::Decode`] if the message fails
+    /// to round-trip through its own wire encoding, or a remote party's
+    /// link failure.
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError>;
 
     /// Pops the next message from `party`'s inbox without waiting.
@@ -416,8 +416,8 @@ pub trait Transport {
     /// # Errors
     ///
     /// Returns [`TransportError::Timeout`] (stamped with the open round
-    /// window) if no message arrives in time, plus every backend-specific
-    /// link failure.
+    /// window) if no message arrives in time, plus every link failure of a
+    /// remote party.
     fn recv_timeout(
         &self,
         party: PartyId,
@@ -454,8 +454,9 @@ pub trait Transport {
 
     /// Delivers one fan-out of pre-addressed messages, metered and delivered
     /// **in input order** — the wire trace is byte-identical to sending the
-    /// same list through [`Transport::send`] one at a time (backends may
-    /// parallelize the encoding, never the accounting order).
+    /// same list through [`Transport::send`] one at a time (an
+    /// implementation may parallelize the encoding, never the accounting
+    /// order).
     ///
     /// # Errors
     ///
@@ -556,15 +557,6 @@ pub trait Transport {
     }
 }
 
-struct Inboxes {
-    senders: HashMap<PartyId, Sender<(PartyId, Message)>>,
-    receivers: HashMap<PartyId, Receiver<(PartyId, Message)>>,
-    /// Parties whose link a [`Fault::Disconnect`] closed: their channel
-    /// halves are gone, and every operation involving them reports
-    /// [`TransportError::PeerDisconnected`].
-    dead: HashSet<PartyId>,
-}
-
 /// Seeded Fisher–Yates permuter over fan-out delivery order; one fresh
 /// permutation per [`Transport::send_all`] call, derived from (seed, call
 /// counter) via splitmix64 so a run is reproducible from its seed alone.
@@ -597,59 +589,119 @@ impl Permuter {
     }
 }
 
-/// The in-process [`Transport`] backend connecting server, clients and the
-/// public board through crossbeam-channel inboxes.
-pub struct InProcTransport {
+/// A party's inbox in this process: both halves of its channel, so a
+/// receive can clone the receiver and wait outside the roster's lock.
+struct LocalInbox {
+    tx: Sender<(PartyId, Message)>,
+    rx: Receiver<(PartyId, Message)>,
+}
+
+/// The [`Transport`]: the server, `n` clients and the public board, each
+/// with a local inbox or a link to the [`PartyNode`](crate::PartyNode) that
+/// hosts it.
+pub struct Network {
     meter: Meter,
-    inboxes: Mutex<Inboxes>,
+    /// Inboxes of the parties this process hosts. No socket exchange holds
+    /// this lock, so a local send never waits on another party's socket.
+    local: Mutex<HashMap<PartyId, LocalInbox>>,
+    /// Links to the parties hosted elsewhere, each held for one exchange.
+    remote: BTreeMap<PartyId, Mutex<Remote>>,
+    /// Parties whose link a [`Fault::Disconnect`] or a failed redial
+    /// closed: every operation involving them reports
+    /// [`TransportError::PeerDisconnected`].
+    dead: Mutex<HashSet<PartyId>>,
     faults: Mutex<Vec<(PartyId, PartyId, Fault)>>,
     permuter: Mutex<Option<Permuter>>,
 }
 
-/// The historical name of [`InProcTransport`], kept as an alias: existing
-/// orchestration code and docs talk about "the network", and the default
-/// trainer backend is still the in-process one.
-pub type Network = InProcTransport;
+/// Another name for [`Network`], kept because the benchmark (`gtvbench`)
+/// names it; ROADMAP item 5 retires it.
+pub type InProcTransport = Network;
 
-impl fmt::Debug for InProcTransport {
+/// Another name for [`Network`], kept because the benchmark (`gtvbench`)
+/// names it; ROADMAP item 5 retires it.
+pub type SocketTransport = Network;
+
+impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.meter.stats();
-        write!(f, "InProcTransport({} msgs, {} bytes)", s.messages, s.bytes)
+        write!(f, "Network({} remote, {} msgs, {} bytes)", self.remote.len(), s.messages, s.bytes)
     }
 }
 
-impl InProcTransport {
-    /// Creates a network with inboxes for the server, `n_clients` clients and
-    /// the public board.
+impl Network {
+    /// A roster of the server, `n_clients` clients and the public board,
+    /// every one with a local inbox.
     pub fn new(n_clients: usize) -> Self {
-        let mut senders = HashMap::new();
-        let mut receivers = HashMap::new();
-        let mut add = |p: PartyId| {
-            let (tx, rx) = unbounded();
-            senders.insert(p, tx);
-            receivers.insert(p, rx);
-        };
-        add(PartyId::Server);
-        add(PartyId::Public);
-        for i in 0..n_clients {
-            add(PartyId::Client(i));
+        Self::with_remote(n_clients, BTreeMap::new())
+    }
+
+    /// The roster of [`Network::new`], except that each party in
+    /// `endpoints` is remote: it is dialed (bounded retry with exponential
+    /// backoff, then a version handshake) in party order, so configuration
+    /// errors surface here, not mid-round.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::HandshakeFailed`] if a party cannot be reached or
+    /// rejects the handshake, [`TransportError::UnknownParty`] naming the
+    /// smallest party in `endpoints` that is outside the roster.
+    pub fn connect(
+        n_clients: usize,
+        endpoints: HashMap<PartyId, Endpoint>,
+    ) -> Result<Self, TransportError> {
+        Self::connect_with_versions(n_clients, endpoints, PROTOCOL_VERSION, WIRE_VERSION)
+    }
+
+    /// [`Network::connect`] announcing custom handshake versions — a test
+    /// hook for exercising the rejection path against a live node.
+    #[doc(hidden)]
+    pub fn connect_with_versions(
+        n_clients: usize,
+        endpoints: HashMap<PartyId, Endpoint>,
+        protocol: u32,
+        wire: u32,
+    ) -> Result<Self, TransportError> {
+        // In party order, so the error names the same party on every run.
+        let endpoints: BTreeMap<PartyId, Endpoint> = endpoints.into_iter().collect();
+        let roster = roster(n_clients);
+        if let Some(&p) = endpoints.keys().find(|p| !roster.contains(p)) {
+            return Err(TransportError::UnknownParty(p));
         }
+        let mut remote = BTreeMap::new();
+        for (party, endpoint) in endpoints {
+            remote.insert(party, Mutex::new(Remote::open(party, endpoint, protocol, wire)?));
+        }
+        Ok(Self::with_remote(n_clients, remote))
+    }
+
+    fn with_remote(n_clients: usize, remote: BTreeMap<PartyId, Mutex<Remote>>) -> Self {
+        let local = roster(n_clients)
+            .into_iter()
+            .filter(|p| !remote.contains_key(p))
+            .map(|p| {
+                let (tx, rx) = unbounded();
+                (p, LocalInbox { tx, rx })
+            })
+            .collect();
         Self {
             meter: Meter::new(),
-            inboxes: Mutex::new(Inboxes { senders, receivers, dead: HashSet::new() }),
+            local: Mutex::new(local),
+            remote,
+            dead: Mutex::new(HashSet::new()),
             faults: Mutex::new(Vec::new()),
             permuter: Mutex::new(None),
         }
     }
 
     /// Makes every subsequent [`Transport::send_all`] deliver its fan-out in
-    /// a seeded pseudo-random order instead of input order. The schedule
-    /// explorer uses this to prove the round choreography is insensitive
-    /// to ready-message delivery order: because [`Transport::gather`] slots
-    /// replies back into fixed sender order and every fan-out addresses
-    /// each recipient once, training results must be bit-identical under
-    /// any permutation. Per-call permutations are derived from
-    /// `(seed, call index)`, so a run replays exactly from its seed.
+    /// a seeded pseudo-random order instead of input order. Because
+    /// [`Transport::gather`] slots replies back into fixed sender order and
+    /// every fan-out addresses each recipient once, training results must
+    /// be bit-identical under any permutation, which
+    /// `crates/core/tests/schedule_explorer.rs` checks. Per-call
+    /// permutations are derived from `(seed, call index)`, so a run
+    /// replays exactly from its seed.
     pub fn permute_deliveries(&self, seed: u64) {
         *self.permuter.lock() = Some(Permuter { seed, calls: 0 });
     }
@@ -667,28 +719,44 @@ impl InProcTransport {
         Some(faults.remove(idx).2)
     }
 
-    /// Severs `party`'s link: both channel halves are dropped (waking any
-    /// blocked receiver with a disconnect) and the party is marked dead.
-    fn sever(&self, party: PartyId) {
-        let mut inboxes = self.inboxes.lock();
-        inboxes.senders.remove(&party);
-        inboxes.receivers.remove(&party);
-        inboxes.dead.insert(party);
-    }
-
     fn is_dead(&self, party: PartyId) -> bool {
-        self.inboxes.lock().dead.contains(&party)
+        self.dead.lock().contains(&party)
     }
 
-    /// Meters `encoded` on the `(from, to)` link and delivers its decoded
-    /// message to `to`'s inbox (the shared tail of [`Transport::send`] and
-    /// [`Transport::send_all`]).
-    fn deliver(&self, from: PartyId, to: PartyId, encoded: Bytes) -> Result<(), TransportError> {
-        if self.is_dead(to) {
-            return Err(TransportError::PeerDisconnected { party: to });
+    /// Severs `party`: it is marked dead, its socket (if remote) is closed
+    /// and its inbox (if local) dropped, which wakes a blocked receiver.
+    fn sever(&self, party: PartyId) {
+        self.dead.lock().insert(party);
+        if let Some(remote) = self.remote.get(&party) {
+            remote.lock().close();
         }
-        if self.is_dead(from) {
-            return Err(TransportError::PeerDisconnected { party: from });
+        self.local.lock().remove(&party);
+    }
+
+    /// Runs one exchange with remote `party`; a party its link reports gone
+    /// is dead from then on.
+    fn on_remote<R>(
+        &self,
+        party: PartyId,
+        remote: &Mutex<Remote>,
+        exchange: impl FnOnce(&mut Remote) -> Result<R, TransportError>,
+    ) -> Result<R, TransportError> {
+        let result = exchange(&mut remote.lock());
+        if let Err(TransportError::PeerDisconnected { .. }) = result {
+            self.dead.lock().insert(party);
+        }
+        result
+    }
+
+    /// Refuses a send on `(from, to)` before anything is encoded or
+    /// metered: a dead party at either end, an armed [`Fault::Disconnect`]
+    /// (which severs `to`), or a recipient outside the roster. Returns the
+    /// fault armed for the send, if any.
+    fn admit(&self, from: PartyId, to: PartyId) -> Result<Option<Fault>, TransportError> {
+        for party in [to, from] {
+            if self.is_dead(party) {
+                return Err(TransportError::PeerDisconnected { party });
+            }
         }
         let fault = self.take_fault(from, to);
         if fault == Some(Fault::Disconnect) {
@@ -697,77 +765,129 @@ impl InProcTransport {
             self.sever(to);
             return Err(TransportError::PeerDisconnected { party: to });
         }
+        if !self.remote.contains_key(&to) && !self.local.lock().contains_key(&to) {
+            return Err(TransportError::UnknownRecipient(to));
+        }
+        Ok(fault)
+    }
+
+    /// Meters `encoded` on `(from, to)` and delivers it as `fault` says:
+    /// not at all, twice, or once.
+    fn deliver(
+        &self,
+        from: PartyId,
+        to: PartyId,
+        fault: Option<Fault>,
+        encoded: Bytes,
+    ) -> Result<(), TransportError> {
         self.meter.record(from, to, encoded.len());
-        // Decode from the wire bytes — the recipient sees only what was
-        // actually serialized.
-        let delivered = Message::decode(encoded)?;
-        if fault == Some(Fault::Drop) {
-            delivered.recycle();
-            return Ok(());
+        match fault {
+            Some(Fault::Drop) => Ok(()),
+            Some(Fault::Duplicate) => {
+                self.put(from, to, encoded.clone())?;
+                self.put(from, to, encoded)
+            }
+            _ => self.put(from, to, encoded),
         }
-        let inboxes = self.inboxes.lock();
-        let sender = inboxes.senders.get(&to).ok_or(TransportError::UnknownRecipient(to))?;
-        if fault == Some(Fault::Duplicate) {
-            sender.send((from, delivered.clone())).map_err(|_| TransportError::InboxClosed(to))?;
+    }
+
+    /// Puts one encoded message into `to`'s inbox: over its node's socket,
+    /// or decoded into its channel — a local recipient, too, sees only what
+    /// was actually serialized.
+    fn put(&self, from: PartyId, to: PartyId, encoded: Bytes) -> Result<(), TransportError> {
+        if let Some(remote) = self.remote.get(&to) {
+            return self.on_remote(to, remote, |r| r.deliver(from, encoded, &self.meter));
         }
-        sender.send((from, delivered)).map_err(|_| TransportError::InboxClosed(to))
+        let msg = Message::decode(encoded)?;
+        let local = self.local.lock();
+        // `admit` found the inbox, so only a concurrent sever removed it.
+        let inbox = local.get(&to).ok_or(TransportError::PeerDisconnected { party: to })?;
+        inbox.tx.send((from, msg)).map_err(|_| TransportError::InboxClosed(to))
+    }
+
+    /// Pops `party`'s next message, waiting up to `wait` for one (`None`:
+    /// not at all).
+    fn pop(
+        &self,
+        party: PartyId,
+        wait: Option<Duration>,
+    ) -> Result<(PartyId, Message), TransportError> {
+        if self.is_dead(party) {
+            return Err(TransportError::PeerDisconnected { party });
+        }
+        if let Some(remote) = self.remote.get(&party) {
+            return self.on_remote(party, remote, |r| r.pop(wait, &self.meter));
+        }
+        // Clone the receiver and release the roster lock *before* blocking:
+        // holding it across the wait would deadlock concurrent `send`s, the
+        // very senders the wait exists for.
+        let rx = match self.local.lock().get(&party) {
+            Some(inbox) => inbox.rx.clone(),
+            None => return Err(TransportError::UnknownParty(party)),
+        };
+        // The channel disconnects only when `sever` drops the inbox.
+        match wait {
+            None => rx.try_recv().map_err(|e| match e {
+                TryRecvError::Empty => TransportError::InboxEmpty(party),
+                TryRecvError::Disconnected => TransportError::PeerDisconnected { party },
+            }),
+            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => self.meter.timeout_error(party, timeout),
+                RecvTimeoutError::Disconnected => TransportError::PeerDisconnected { party },
+            }),
+        }
     }
 }
 
-impl Transport for InProcTransport {
+/// The server, the public board and clients `0..n_clients`.
+fn roster(n_clients: usize) -> Vec<PartyId> {
+    let mut roster = vec![PartyId::Server, PartyId::Public];
+    roster.extend((0..n_clients).map(PartyId::Client));
+    roster
+}
+
+impl Transport for Network {
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
         check_direction(from, to, &msg)?;
+        let fault = self.admit(from, to)?;
         let encoded = msg.encode();
         msg.recycle();
-        self.deliver(from, to, encoded)
+        self.deliver(from, to, fault, encoded)
     }
 
     /// Every payload is encoded concurrently through `gtv_tensor::pool`
     /// (serialization cost is per-byte, and independent per message),
-    /// handed back to the tensor pool, then metered and delivered in input
-    /// order — so each delivery's decode can reuse a payload's storage.
-    /// Under [`InProcTransport::permute_deliveries`] the delivery order is
-    /// a seeded permutation instead; per-message bytes are unchanged.
+    /// handed back to the tensor pool, then admitted, metered and delivered
+    /// in input order — so each local delivery's decode can reuse a
+    /// payload's storage. Under [`Network::permute_deliveries`] the
+    /// delivery order is a seeded permutation instead; per-message bytes
+    /// are unchanged.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         msgs.iter().try_for_each(|(from, to, msg)| check_direction(*from, *to, msg))?;
         let encoded = gtv_tensor::pool::run_ordered(msgs.len(), |i| msgs[i].2.encode());
-        let links: Vec<(PartyId, PartyId)> = msgs
+        let mut fan: Vec<Option<(PartyId, PartyId, Bytes)>> = msgs
             .into_iter()
-            .map(|(from, to, msg)| {
+            .zip(encoded)
+            .map(|((from, to, msg), bytes)| {
                 msg.recycle();
-                (from, to)
+                Some((from, to, bytes))
             })
             .collect();
-        let order: Option<Vec<usize>> = self.permuter.lock().as_mut().map(|p| p.order(links.len()));
-        match order {
-            None => {
-                for (&(from, to), bytes) in links.iter().zip(encoded) {
-                    self.deliver(from, to, bytes)?;
-                }
-            }
-            Some(order) => {
-                let mut slots: Vec<Option<Bytes>> = encoded.into_iter().map(Some).collect();
-                for i in order {
-                    let (from, to) = links[i];
-                    if let Some(bytes) = slots[i].take() {
-                        self.deliver(from, to, bytes)?;
-                    }
-                }
+        let order = match self.permuter.lock().as_mut() {
+            Some(permuter) => permuter.order(fan.len()),
+            None => (0..fan.len()).collect(),
+        };
+        for i in order {
+            if let Some((from, to, bytes)) = fan[i].take() {
+                let fault = self.admit(from, to)?;
+                self.deliver(from, to, fault, bytes)?;
             }
         }
         Ok(())
     }
 
     fn try_recv(&self, party: PartyId) -> Result<(PartyId, Message), TransportError> {
-        let inboxes = self.inboxes.lock();
-        let Some(rx) = inboxes.receivers.get(&party) else {
-            return Err(if inboxes.dead.contains(&party) {
-                TransportError::PeerDisconnected { party }
-            } else {
-                TransportError::UnknownParty(party)
-            });
-        };
-        rx.try_recv().map_err(|_| TransportError::InboxEmpty(party))
+        self.pop(party, None)
     }
 
     fn recv_timeout(
@@ -775,30 +895,7 @@ impl Transport for InProcTransport {
         party: PartyId,
         timeout: Duration,
     ) -> Result<(PartyId, Message), TransportError> {
-        // Clone the receiver and release the inbox lock *before* blocking:
-        // holding it across the wait would deadlock concurrent `send`s, the
-        // very senders the wait exists for.
-        let rx = {
-            let inboxes = self.inboxes.lock();
-            let Some(rx) = inboxes.receivers.get(&party) else {
-                return Err(if inboxes.dead.contains(&party) {
-                    TransportError::PeerDisconnected { party }
-                } else {
-                    TransportError::UnknownParty(party)
-                });
-            };
-            rx.clone()
-        };
-        rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => self.meter.timeout_error(party, timeout),
-            RecvTimeoutError::Disconnected => {
-                if self.is_dead(party) {
-                    TransportError::PeerDisconnected { party }
-                } else {
-                    TransportError::InboxClosed(party)
-                }
-            }
-        })
+        self.pop(party, Some(timeout))
     }
 
     fn recv_timeout_bound(&self) -> Duration {
@@ -829,6 +926,7 @@ impl Transport for InProcTransport {
 )]
 mod tests {
     use super::*;
+    use crate::socket::tests::TestNode;
     use crate::wire::{MatrixPayload, SeedShare};
 
     /// A 1×1 synthetic-logits upload: client → server filler traffic.
@@ -1037,39 +1135,6 @@ mod tests {
     }
 
     #[test]
-    fn misdirected_sends_are_refused_before_the_wire() {
-        let net = Network::new(2);
-        net.send(PartyId::Server, PartyId::Client(0), start(0)).unwrap();
-        let before = net.stats();
-        let seed = || Message::ShuffleSeedShare { share: SeedShare::from(7) };
-        let index = || Message::IndexShare { indices: vec![1, 2] };
-        for (from, to, msg) in [
-            (PartyId::Client(0), PartyId::Server, seed()),
-            (PartyId::Server, PartyId::Client(1), seed()),
-            (PartyId::Client(0), PartyId::Server, index()),
-            (PartyId::Server, PartyId::Client(1), index()),
-            (PartyId::Server, PartyId::Client(1), logits(1)),
-        ] {
-            let kind = msg.kind();
-            assert_eq!(
-                net.send(from, to, msg),
-                Err(TransportError::Misdirected { from, to, kind }),
-                "{kind} from {from} to {to}"
-            );
-        }
-        // One misdirected message refuses the whole fan-out.
-        let fan = vec![
-            (PartyId::Server, PartyId::Client(1), start(1)),
-            (PartyId::Client(1), PartyId::Server, seed()),
-        ];
-        assert!(matches!(net.send_all(fan), Err(TransportError::Misdirected { .. })));
-        assert_eq!(net.stats(), before, "a refused send is not metered");
-        assert!(net.try_recv(PartyId::Server).is_err());
-        assert!(net.try_recv(PartyId::Client(1)).is_err());
-        assert_eq!(net.try_recv(PartyId::Client(0)).unwrap().1, start(0));
-    }
-
-    #[test]
     fn reset_clears_counters() {
         let net = Network::new(1);
         net.send(PartyId::Server, PartyId::Client(0), start(0)).unwrap();
@@ -1077,64 +1142,198 @@ mod tests {
         assert_eq!(net.stats().messages, 0);
     }
 
-    #[test]
-    fn injected_drop_leaves_inbox_empty() {
-        let net = Network::new(1);
-        net.inject_fault(PartyId::Server, PartyId::Client(0), Fault::Drop);
-        net.send(PartyId::Server, PartyId::Client(0), start(1)).unwrap();
-        assert!(net.try_recv(PartyId::Client(0)).is_err(), "dropped message must not arrive");
-        // Fault is one-shot.
-        net.send(PartyId::Server, PartyId::Client(0), start(2)).unwrap();
-        assert!(net.try_recv(PartyId::Client(0)).is_ok());
+    /// Where the fault table's client 0 lives; the server, the public board
+    /// and client 1 are always local.
+    #[derive(Debug, Clone, Copy)]
+    enum Host {
+        Local,
+        Tcp,
+        Uds,
+    }
+
+    /// A Unix-domain endpoint in the temporary directory, unique to `tag`.
+    fn uds(tag: &str) -> Endpoint {
+        Endpoint::Unix(
+            std::env::temp_dir().join(format!("gtv-vfl-{}-{tag}.sock", std::process::id())),
+        )
+    }
+
+    /// A two-client roster hosting client 0 as `host` says, and its node.
+    fn roster_at(host: Host, tag: &str) -> (Network, Option<TestNode>) {
+        let endpoint = match host {
+            Host::Local => return (Network::new(2), None),
+            Host::Tcp => Endpoint::parse("127.0.0.1:0"),
+            Host::Uds => uds(tag),
+        };
+        let node = TestNode::spawn(PartyId::Client(0), &endpoint);
+        (node.roster(2), Some(node))
+    }
+
+    /// What the fault table does to the roster.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Case {
+        Drop,
+        Duplicate,
+        Disconnect,
+        Misdirected,
+        UnknownRecipient,
+    }
+
+    /// Messages and bytes metered since `before`.
+    fn metered_since(net: &Network, before: &NetStats) -> (u64, u64) {
+        let now = net.stats();
+        (now.messages - before.messages, now.bytes - before.bytes)
+    }
+
+    /// Runs `case` on `net`, asserting the typed error, the meter and the
+    /// inboxes; every inbox is empty when it returns.
+    fn check(net: &Network, case: Case, at: &str) {
+        let (server, c0, c1) = (PartyId::Server, PartyId::Client(0), PartyId::Client(1));
+        let empty = |p| Err(TransportError::InboxEmpty(p));
+        match case {
+            Case::Drop | Case::Duplicate => {
+                let fault = if case == Case::Drop { Fault::Drop } else { Fault::Duplicate };
+                // Into client 0's inbox, and from client 0 into the server's.
+                for (from, to, msg) in [(server, c0, start(1)), (c0, server, logits(1))] {
+                    let before = net.stats();
+                    net.inject_fault(from, to, fault);
+                    assert_eq!(net.send(from, to, msg.clone()), Ok(()), "{at}");
+                    // The message went on the wire once, so it is metered once.
+                    let bytes = msg.encode().len() as u64;
+                    assert_eq!(metered_since(net, &before), (1, bytes), "{at}");
+                    if fault == Fault::Duplicate {
+                        assert_eq!(net.try_recv(to), Ok((from, msg.clone())), "{at}");
+                        assert_eq!(net.try_recv(to), Ok((from, msg.clone())), "{at}");
+                    }
+                    assert_eq!(net.try_recv(to), empty(to), "{at}: {from} to {to}");
+                    // The fault is one-shot.
+                    net.send(from, to, msg.clone()).unwrap();
+                    assert_eq!(net.try_recv(to), Ok((from, msg)), "{at}");
+                    assert_eq!(net.try_recv(to), empty(to), "{at}");
+                }
+            }
+            Case::Disconnect => {
+                net.inject_fault(server, c0, Fault::Disconnect);
+                let before = net.stats();
+                let gone = TransportError::PeerDisconnected { party: c0 };
+                assert_eq!(net.send(server, c0, start(1)).unwrap_err(), gone, "{at}");
+                // The link stays dead: sends to and from the crashed party
+                // and receives at it keep reporting the disconnect.
+                assert_eq!(net.send(server, c0, start(2)).unwrap_err(), gone, "{at}");
+                assert_eq!(net.send(c0, server, logits(3)).unwrap_err(), gone, "{at}");
+                assert_eq!(net.send_all(vec![(server, c0, start(3))]).unwrap_err(), gone, "{at}");
+                assert_eq!(net.try_recv(c0).unwrap_err(), gone, "{at}");
+                assert_eq!(net.recv(c0).unwrap_err(), gone, "{at}");
+                // None of it reached the wire.
+                assert_eq!(net.stats(), before, "{at}");
+                assert_eq!(net.try_recv(server), empty(server), "{at}");
+                // Unrelated links keep working.
+                net.send(server, c1, start(4)).unwrap();
+                assert_eq!(net.try_recv(c1), Ok((server, start(4))), "{at}");
+            }
+            Case::Misdirected => {
+                net.send(server, c0, start(0)).unwrap();
+                let before = net.stats();
+                let seed = || Message::ShuffleSeedShare { share: SeedShare::from(7) };
+                let index = || Message::IndexShare { indices: vec![1, 2] };
+                for (from, to, msg) in [
+                    (c0, server, seed()),
+                    (server, c0, seed()),
+                    (c0, server, index()),
+                    (server, c0, index()),
+                    (server, c0, logits(1)),
+                ] {
+                    let kind = msg.kind();
+                    assert_eq!(
+                        net.send(from, to, msg),
+                        Err(TransportError::Misdirected { from, to, kind }),
+                        "{at}: {kind} from {from} to {to}"
+                    );
+                }
+                // One misdirected message refuses the whole fan-out.
+                let fan = vec![(server, c0, start(1)), (c1, server, seed())];
+                assert!(
+                    matches!(net.send_all(fan), Err(TransportError::Misdirected { .. })),
+                    "{at}"
+                );
+                assert_eq!(net.stats(), before, "{at}: a refused send is not metered");
+                assert_eq!(net.try_recv(server), empty(server), "{at}");
+                assert_eq!(net.try_recv(c0), Ok((server, start(0))), "{at}");
+                assert_eq!(net.try_recv(c0), empty(c0), "{at}");
+            }
+            Case::UnknownRecipient => {
+                let stranger = PartyId::Client(5);
+                let before = net.stats();
+                assert_eq!(
+                    net.send(server, stranger, start(1)),
+                    Err(TransportError::UnknownRecipient(stranger)),
+                    "{at}"
+                );
+                assert_eq!(net.stats(), before, "{at}: a refused send is not metered");
+                assert_eq!(net.try_recv(stranger), Err(TransportError::UnknownParty(stranger)));
+                assert_eq!(net.recv(stranger), Err(TransportError::UnknownParty(stranger)));
+                for p in [server, c0] {
+                    assert_eq!(net.try_recv(p), empty(p), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn injected_duplicate_delivers_twice() {
-        let net = Network::new(1);
-        net.inject_fault(PartyId::Client(0), PartyId::Server, Fault::Duplicate);
-        net.send(PartyId::Client(0), PartyId::Server, logits(3)).unwrap();
-        assert!(net.try_recv(PartyId::Server).is_ok());
-        assert!(net.try_recv(PartyId::Server).is_ok());
-        assert!(net.try_recv(PartyId::Server).is_err());
-    }
-
-    #[test]
-    fn injected_disconnect_severs_the_link_permanently() {
-        let net = Network::new(2);
-        net.inject_fault(PartyId::Server, PartyId::Client(1), Fault::Disconnect);
-        let before = net.stats().bytes;
-        let err = net.send(PartyId::Server, PartyId::Client(1), start(1)).unwrap_err();
-        assert_eq!(err, TransportError::PeerDisconnected { party: PartyId::Client(1) });
-        // The severed message never reached the wire.
-        assert_eq!(net.stats().bytes, before);
-        // The link stays dead: sends to, sends from, and receives at the
-        // crashed party all keep reporting the disconnect.
-        assert_eq!(
-            net.send(PartyId::Server, PartyId::Client(1), start(2)),
-            Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
-        );
-        assert_eq!(
-            net.send(PartyId::Client(1), PartyId::Server, logits(3)),
-            Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
-        );
-        assert_eq!(
-            net.try_recv(PartyId::Client(1)),
-            Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
-        );
-        assert_eq!(
-            net.recv(PartyId::Client(1)),
-            Err(TransportError::PeerDisconnected { party: PartyId::Client(1) })
-        );
-        // Unrelated links keep working.
-        net.send(PartyId::Server, PartyId::Client(0), start(4)).unwrap();
-        assert!(net.try_recv(PartyId::Client(0)).is_ok());
+    fn every_fault_on_every_kind_of_inbox() {
+        for host in [Host::Local, Host::Tcp, Host::Uds] {
+            for case in [
+                Case::Drop,
+                Case::Duplicate,
+                Case::Disconnect,
+                Case::Misdirected,
+                Case::UnknownRecipient,
+            ] {
+                let at = format!("{host:?}/{case:?}");
+                let (net, node) = roster_at(host, &format!("table-{case:?}"));
+                check(&net, case, &at);
+                drop(net);
+                if let Some(node) = node {
+                    // Whatever the case refused or dropped never reached the
+                    // node: a fresh connection finds its inbox empty.
+                    let fresh = node.roster(2);
+                    assert_eq!(
+                        fresh.try_recv(PartyId::Client(0)),
+                        Err(TransportError::InboxEmpty(PartyId::Client(0))),
+                        "{at}"
+                    );
+                    drop(fresh);
+                    node.stop();
+                }
+            }
+        }
     }
 
     #[test]
     fn send_to_unknown_party_errors() {
-        let net = Network::new(1);
-        let err = net.send(PartyId::Server, PartyId::Client(5), start(1)).unwrap_err();
-        assert_eq!(err, TransportError::UnknownRecipient(PartyId::Client(5)));
+        // No refused send is metered, whether the recipient's inbox is local
+        // or on a node.
+        let node = TestNode::spawn(PartyId::Client(0), &uds("refused"));
+        for (net, at) in [(Network::new(1), "local"), (node.roster(1), "uds")] {
+            let (server, c0) = (PartyId::Server, PartyId::Client(0));
+            let before = net.stats();
+            let seed = Message::ShuffleSeedShare { share: SeedShare::from(7) };
+            assert!(
+                matches!(net.send(server, c0, seed), Err(TransportError::Misdirected { .. })),
+                "{at}"
+            );
+            assert_eq!(net.stats(), before, "{at}: misdirected");
+            let err = net.send(server, PartyId::Client(5), start(1)).unwrap_err();
+            assert_eq!(err, TransportError::UnknownRecipient(PartyId::Client(5)), "{at}");
+            assert_eq!(net.stats(), before, "{at}: unknown recipient");
+            net.inject_fault(server, c0, Fault::Disconnect);
+            for round in [2, 3] {
+                let err = net.send(server, c0, start(round)).unwrap_err();
+                assert_eq!(err, TransportError::PeerDisconnected { party: c0 }, "{at}");
+            }
+            assert_eq!(net.stats(), before, "{at}: dead party");
+        }
+        node.stop();
     }
 
     #[test]

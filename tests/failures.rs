@@ -66,8 +66,8 @@ fn faulted_trainer_does_not_panic() {
 #[test]
 fn mid_round_disconnect_surfaces_as_peer_disconnected() {
     // A peer crashing mid-round must surface as `PeerDisconnected` from
-    // `train_round` — not a panic, not an indefinite block. (The socket
-    // backend's copy of this regression lives in tests/socket_loopback.rs.)
+    // `train_round` — not a panic, not an indefinite block. (The copy of
+    // this regression with remote parties lives in tests/socket_loopback.rs.)
     let mut t = trainer();
     t.train_round().expect("healthy round first");
     t.network().inject_fault(PartyId::Server, PartyId::Client(1), Fault::Disconnect);

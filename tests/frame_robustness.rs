@@ -19,7 +19,7 @@ use gtv_vfl::socket::framing::{
     encode_frame, handshake_reject_reason, Frame, FrameBuf, FrameCodec, MAX_FRAME_BODY, MAX_REASON,
     PROTOCOL_VERSION, WIRE_VERSION,
 };
-use gtv_vfl::{Endpoint, PartyId, PartyNode, SocketTransport, TransportError};
+use gtv_vfl::{Endpoint, Network, PartyId, PartyNode, TransportError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -410,7 +410,7 @@ fn each_dialer_fails_typed_against_the_other_sessions_server() {
     let stop = server.stop_flag();
     let server_thread = std::thread::spawn(move || server.serve(None));
     let began = Instant::now();
-    let err = SocketTransport::connect(1, endpoints).expect_err("a synth server hosts no party");
+    let err = Network::connect(1, endpoints).expect_err("a synth server hosts no party");
     assert!(matches!(err, TransportError::HandshakeFailed { .. }), "{err:?}");
     assert!(began.elapsed() < HANDSHAKE_BOUND);
     stop.store(true, Ordering::SeqCst);

@@ -1,10 +1,11 @@
-//! Loopback integration: training over [`SocketTransport`] — every client
-//! party hosted by a [`PartyNode`] behind a real TCP or Unix-domain socket
-//! — is *observationally identical* to the in-process backend. Same seed,
-//! same config ⇒ byte-identical trained weights and identical per-round
-//! byte accounting; and the failure modes the sockets add (version
-//! mismatch, peer crash mid-round, a reply that comes too late) surface as
-//! typed [`TransportError`]s, never panics or hangs.
+//! Loopback integration: training over a [`Network`] whose every client
+//! party is hosted by a [`PartyNode`] behind a real TCP or Unix-domain
+//! socket is *observationally identical* to training with every party
+//! local. Same seed, same config ⇒ byte-identical trained weights and
+//! identical per-round byte accounting, in any delivery order; and the
+//! failure modes the sockets add (version mismatch, peer crash mid-round, a
+//! reply that comes too late) surface as typed [`TransportError`]s, never
+//! panics or hangs.
 
 #![expect(clippy::disallowed_methods, reason = "the tests host their peers on threads")]
 
@@ -14,8 +15,7 @@ use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};
 use gtv_vfl::socket::framing::{Frame, FrameBuf, PROTOCOL_VERSION, WIRE_VERSION};
 use gtv_vfl::socket::{read_frame, write_frame, Listener, Stream};
 use gtv_vfl::{
-    Endpoint, Fault, Message, PartitionPlan, PartyId, PartyNode, SocketTransport, Transport,
-    TransportError,
+    Endpoint, Fault, Message, Network, PartitionPlan, PartyId, PartyNode, Transport, TransportError,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -72,14 +72,22 @@ fn shards(n_clients: usize) -> Vec<Table> {
     table.vertical_split(&groups)
 }
 
-/// Train the same data/config/seed over both backends and demand
-/// bit-identical weights and identical byte accounting.
+/// Train the same data/config/seed with every party local and with every
+/// client remote, and demand bit-identical weights and identical byte
+/// accounting.
 fn assert_backends_equivalent(n_clients: usize, unix: bool, tag: &str) {
-    assert_equivalent_under(GtvConfig::smoke(), n_clients, unix, tag);
+    assert_equivalent_under(GtvConfig::smoke(), n_clients, unix, tag, None);
 }
 
-/// [`assert_backends_equivalent`] under `config`.
-fn assert_equivalent_under(config: GtvConfig, n_clients: usize, unix: bool, tag: &str) {
+/// [`assert_backends_equivalent`] under `config`, the remote run's fan-outs
+/// delivered in the order `permute` seeds, if any.
+fn assert_equivalent_under(
+    config: GtvConfig,
+    n_clients: usize,
+    unix: bool,
+    tag: &str,
+    permute: Option<u64>,
+) {
     let rounds = 2;
     let mut inproc = GtvTrainer::new(shards(n_clients), config.clone());
     for _ in 0..rounds {
@@ -87,8 +95,11 @@ fn assert_equivalent_under(config: GtvConfig, n_clients: usize, unix: bool, tag:
     }
 
     let fleet = Fleet::spawn(n_clients, unix, tag);
-    let transport = SocketTransport::connect(n_clients, fleet.endpoints.clone())
-        .expect("connect to loopback fleet");
+    let transport =
+        Network::connect(n_clients, fleet.endpoints.clone()).expect("connect to loopback fleet");
+    if let Some(seed) = permute {
+        transport.permute_deliveries(seed);
+    }
     let mut socketed = GtvTrainer::with_transport(shards(n_clients), config, transport)
         .expect("seed negotiation over sockets");
     for _ in 0..rounds {
@@ -100,7 +111,7 @@ fn assert_equivalent_under(config: GtvConfig, n_clients: usize, unix: bool, tag:
     assert_eq!(inproc.history().d_loss, socketed.history().d_loss);
     assert_eq!(inproc.history().g_loss, socketed.history().g_loss);
     // Identical byte accounting, including the per-round windows: the
-    // backends meter the encoded message bodies, not the medium.
+    // network meters the encoded message bodies, not the medium.
     assert_eq!(inproc.network_stats(), socketed.network_stats(), "byte accounting must match");
 
     fleet.shutdown();
@@ -133,8 +144,16 @@ fn faithful_three_party_unix_matches_in_process() {
     // idx_p rows out of — with and without DP noise on the upload.
     for (dp_noise_sigma, tag) in [(0.0, "faithful"), (0.5, "faithful-dp")] {
         let config = GtvConfig { faithful_real_path: true, dp_noise_sigma, ..GtvConfig::smoke() };
-        assert_equivalent_under(config, 3, true, tag);
+        assert_equivalent_under(config, 3, true, tag, None);
     }
+}
+
+#[test]
+fn three_party_unix_in_permuted_delivery_order_matches_in_process() {
+    // Every fan-out — to the nodes and into the server's local inbox —
+    // delivered in a seeded shuffled order still trains the unpermuted
+    // in-process run's weights and meters its traffic.
+    assert_equivalent_under(GtvConfig::smoke(), 3, true, "uds3-permuted", Some(7));
 }
 
 #[test]
@@ -144,17 +163,16 @@ fn version_mismatch_is_a_typed_handshake_failure() {
     for (protocol, wire) in
         [(PROTOCOL_VERSION + 1, WIRE_VERSION), (PROTOCOL_VERSION, 2), (PROTOCOL_VERSION, 99)]
     {
-        let err =
-            SocketTransport::connect_with_versions(1, fleet.endpoints.clone(), protocol, wire)
-                .expect_err("a version mismatch must be rejected");
+        let err = Network::connect_with_versions(1, fleet.endpoints.clone(), protocol, wire)
+            .expect_err("a version mismatch must be rejected");
         assert!(
             matches!(err, TransportError::HandshakeFailed { .. }),
             "({protocol},{wire}): {err:?}"
         );
     }
     // The node survives rejected handshakes and still serves honest peers.
-    let transport = SocketTransport::connect(1, fleet.endpoints.clone())
-        .expect("honest handshake after rejected ones");
+    let transport =
+        Network::connect(1, fleet.endpoints.clone()).expect("honest handshake after rejected ones");
     transport
         .send(PartyId::Server, PartyId::Client(0), Message::RoundStart { round: 3, selected: 0 })
         .expect("the link works");
@@ -165,7 +183,7 @@ fn version_mismatch_is_a_typed_handshake_failure() {
 fn mid_round_peer_crash_is_peer_disconnected_not_a_hang() {
     let mut fleet = Fleet::spawn(2, false, "crash");
     let transport =
-        SocketTransport::connect(2, fleet.endpoints.clone()).expect("connect to loopback fleet");
+        Network::connect(2, fleet.endpoints.clone()).expect("connect to loopback fleet");
     let mut trainer = GtvTrainer::with_transport(shards(2), GtvConfig::smoke(), transport)
         .expect("seed negotiation over sockets");
     trainer.train_round().expect("round 0 is healthy");
@@ -185,12 +203,12 @@ fn mid_round_peer_crash_is_peer_disconnected_not_a_hang() {
 
 #[test]
 fn injected_disconnect_mid_round_surfaces_on_the_socket_backend() {
-    // The `Fault::Disconnect` regression on the socket backend (the
-    // in-process copy lives in tests/failures.rs): the very next exchange
-    // with the severed party reports `PeerDisconnected` from `train_round`.
+    // The `Fault::Disconnect` regression with remote parties (the local
+    // copy lives in tests/failures.rs): the very next exchange with the
+    // severed party reports `PeerDisconnected` from `train_round`.
     let fleet = Fleet::spawn(2, false, "fault");
     let transport =
-        SocketTransport::connect(2, fleet.endpoints.clone()).expect("connect to loopback fleet");
+        Network::connect(2, fleet.endpoints.clone()).expect("connect to loopback fleet");
     let mut trainer = GtvTrainer::with_transport(shards(2), GtvConfig::smoke(), transport)
         .expect("seed negotiation over sockets");
     trainer.train_round().expect("round 0 is healthy");
@@ -274,7 +292,7 @@ fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
         assert!(matches!(deliver, Frame::Deliver { .. }), "{deliver:?}");
         write_frame(&mut second, &Frame::DeliverAck, PartyId::Server).expect("ack the delivery");
     });
-    let transport = SocketTransport::connect(1, endpoints).expect("connect to the scripted node");
+    let transport = Network::connect(1, endpoints).expect("connect to the scripted node");
     let err = transport
         .recv_timeout(PartyId::Client(0), Duration::ZERO)
         .expect_err("the reply comes after the deadline");

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use gtv::{GtvConfig, GtvTrainer, InProcTransport, NetPartition, Transport, TransportError};
+use gtv::{GtvConfig, GtvTrainer, NetPartition, Network, Transport, TransportError};
 use gtv_data::Dataset;
 use gtv_vfl::{Message, NetStats, PartyId};
 
@@ -133,7 +133,7 @@ const TABLE: [(&str, &[Row]); 9] = [
 /// An in-process network that records every message it sends: kind,
 /// recipient and encoded bytes.
 struct Tally {
-    inner: InProcTransport,
+    inner: Network,
     sent: RefCell<Vec<(&'static str, PartyId, u64)>>,
 }
 
@@ -198,7 +198,7 @@ fn each_partition_sends_its_pinned_kinds_only_to_parties_that_use_them() {
     for (partition, (name, pinned)) in NetPartition::all_nine().into_iter().zip(TABLE) {
         assert_eq!(partition.to_string(), name);
         let config = GtvConfig { partition, d_steps: D_STEPS, threads: 1, ..GtvConfig::smoke() };
-        let network = Tally { inner: InProcTransport::new(CLIENTS), sent: RefCell::default() };
+        let network = Tally { inner: Network::new(CLIENTS), sent: RefCell::default() };
         let mut t = GtvTrainer::with_transport(shards.clone(), config, network)
             .expect("seed negotiation succeeds in process");
         t.network().sent.take();
