@@ -16,9 +16,9 @@
 //! so the engine can coalesce aggressively without a bit of drift.
 //!
 //! Time never enters policy. The engine's clock is its *tick* — the batch
-//! sequence number — so scheduling is deterministic under the L2 lint:
-//! deadlines are "expire unless picked up within `deadline_ticks`
-//! batches", and `retry_after` hints are denominated in ticks too.
+//! sequence number — so scheduling reads no wall clock: deadlines are
+//! "expire unless picked up within `deadline_ticks` batches", and
+//! `retry_after` hints are denominated in ticks too.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 

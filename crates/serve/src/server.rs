@@ -1,18 +1,17 @@
 //! The serve-session socket surface: [`SynthServer`] and [`ServeConn`].
 //!
 //! Both run on `gtv_vfl::socket`, the socket layer the party transport
-//! uses: its listener (polled on a fixed tick so the stop flag is
-//! honored), dialer, frame buffer, reader and writer, with [`ServeFrame`]
-//! as the codec. This module holds only the session: the hello exchange,
-//! request admission and reply order, and its timeouts. Connections are
-//! served one at a time; *within* a connection requests may be pipelined,
-//! and the server drains every decodable request into the engine before
-//! pumping, so pipelined clients get their requests coalesced into
-//! batched forward passes.
+//! uses: its accept-and-serve loop (a scoped thread per connection, each
+//! polling the stop flag once a tick), dialer, frame buffer, reader and
+//! writer, with [`ServeFrame`] as the codec. This module holds only the
+//! session: the hello exchange, one reply per request in request order,
+//! and its timeouts. Each connection thread answers a request through
+//! [`SynthService::request`], so requests arriving on different
+//! connections at once are coalesced into batched forward passes by the
+//! engine's leader-combining.
 //!
 //! No wall clock is read anywhere: waits are counted in idle read ticks
-//! (`read_timeout`-bounded reads), keeping the serving path under the
-//! same determinism lint as the training transport.
+//! (`read_timeout`-bounded reads), as on the training transport.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -21,16 +20,14 @@ use crate::wire::{serve_reject_reason, ServeFrame, WireCond, SERVE_PROTOCOL};
 use gtv::{CondSpec, SynthSpec};
 use gtv_data::{to_csv_string, Table};
 use gtv_vfl::socket::framing::FrameBuf;
-use gtv_vfl::socket::{dial, read_frame, write_frame, Listener, Stream};
+use gtv_vfl::socket::{
+    dial, next_request, read_frame, serve_connections, write_frame, Listener, Stream, SERVE_POLL,
+};
 use gtv_vfl::{Endpoint, PartyId, TransportError};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// The read tick and accept-loop poll period (stop-flag latency).
-const SERVE_POLL: Duration = Duration::from_millis(20);
-/// Idle ticks a handshake may take before giving up (≈5 s).
+/// Idle ticks a client waits for the hello reply (≈5 s).
 const HANDSHAKE_POLLS: u32 = 250;
 /// Idle ticks a client waits for a reply frame (≈60 s).
 const REPLY_POLLS: u32 = 3000;
@@ -98,151 +95,103 @@ impl SynthServer {
         Arc::clone(&self.stop)
     }
 
-    /// Asks the accept loop to wind down at its next poll tick.
+    /// Asks [`serve`](Self::serve) to wind down; every connection sees it
+    /// within one tick.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Accepts and serves connections (one at a time) until the stop flag
-    /// is raised or `max_replies` responses have been written. Returns
-    /// the number of responses written, counting those written on a
-    /// connection that later failed. Only listener-level failures are
-    /// fatal; anything a client does wrong drops that client.
+    /// Serves connections, each on its own thread, until the stop flag is
+    /// raised or `max_replies` responses have been written; then winds
+    /// down every open connection. Returns the number of responses
+    /// written, counting those written on a connection that later failed.
+    /// Only listener-level failures are fatal; anything a client does
+    /// wrong drops that client.
     pub fn serve(&self, max_replies: Option<u64>) -> Result<u64, TransportError> {
-        let mut total = 0u64;
-        while !self.stopped() && !matches!(max_replies, Some(m) if total >= m) {
-            match self.listener.accept(SERVE_POLL)? {
-                Some(stream) => {
-                    let _ = self.serve_conn(stream, &mut total, max_replies);
-                }
-                None => std::thread::sleep(SERVE_POLL),
-            }
-        }
-        Ok(total)
-    }
-
-    /// Answers the opening frame: a `SynthHello` of this protocol gets a
-    /// `SynthHelloAck`; anything else gets a `SynthErr`, and the
-    /// connection is dropped.
-    fn handshake(
-        &self,
-        stream: &mut Stream,
-        fb: &mut FrameBuf<ServeFrame>,
-    ) -> Result<(), TransportError> {
-        let frame = read_frame(stream, fb, HANDSHAKE_POLLS, PartyId::Public, || {
-            silent(PartyId::Public, HANDSHAKE_POLLS)
-        })?;
-        let reason = match frame {
-            ServeFrame::SynthHello { protocol } => match serve_reject_reason(protocol) {
-                None => {
-                    let ack = ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL };
-                    return write_frame(stream, &ack, PartyId::Public);
-                }
-                Some(reason) => reason,
-            },
-            other => format!("expected SynthHello, got {}", other.kind()),
+        let written = AtomicU64::new(0);
+        let stopped = || {
+            self.stop.load(Ordering::SeqCst)
+                || matches!(max_replies, Some(m) if written.load(Ordering::SeqCst) >= m)
         };
-        write_frame(stream, &ServeFrame::SynthErr { id: 0, reason }, PartyId::Public)?;
-        Err(TransportError::HandshakeFailed { reason: "serve hello rejected".to_string() })
+        serve_connections(
+            &self.listener,
+            &stopped,
+            |reason| ServeFrame::SynthErr { id: 0, reason },
+            |stream, stopped| self.serve_conn(stream, stopped, &written, max_replies),
+        )?;
+        Ok(written.load(Ordering::SeqCst))
     }
 
-    /// Decodes one pipelined request and admits it into the engine,
-    /// returning `(wire id, admission outcome)`.
-    fn admit(&self, frame: ServeFrame) -> Result<(u64, Result<u64, ServeError>), TransportError> {
-        match frame {
-            ServeFrame::SynthRequest { id, model, n, seed, cond, deadline_ticks } => {
-                let spec = SynthSpec {
-                    n: usize::try_from(n).unwrap_or(usize::MAX),
-                    seed,
-                    cond: cond.map(|c| CondSpec {
-                        client: usize::try_from(c.client).unwrap_or(usize::MAX),
-                        column: usize::try_from(c.column).unwrap_or(usize::MAX),
-                        category: usize::try_from(c.category).unwrap_or(usize::MAX),
-                    }),
-                };
-                let req = RowsRequest {
-                    model,
-                    spec,
-                    deadline_ticks: (deadline_ticks != u64::MAX).then_some(deadline_ticks),
-                };
-                Ok((id, self.service.submit(&req)))
-            }
-            other => Err(frame_err(format!("expected SynthRequest, got {}", other.kind()))),
-        }
-    }
-
-    /// Writes a response for every head-of-line request whose result is
-    /// ready, preserving request order, counting each into `total`.
-    fn flush_ready(
-        &self,
-        stream: &mut Stream,
-        inflight: &mut VecDeque<(u64, Result<u64, ServeError>)>,
-        total: &mut u64,
-    ) -> Result<(), TransportError> {
-        while let Some((id, admitted)) = inflight.front() {
-            let outcome = match admitted {
-                Ok(ticket) => match self.service.try_take(*ticket) {
-                    Some(result) => result,
-                    None => break,
-                },
-                Err(e) => Err(e.clone()),
-            };
-            let id = *id;
-            inflight.pop_front();
-            let reply = reply_for(id, outcome);
-            write_frame(stream, &reply, PartyId::Public)?;
-            *total += 1;
-        }
-        Ok(())
-    }
-
-    /// Serves one connection until EOF, a malformed frame, the stop flag,
-    /// or `max_replies` in `total`. Every decodable request is admitted
-    /// before the engine is pumped, so pipelined requests coalesce into
-    /// one batched forward.
+    /// Serves one connection until EOF, a malformed or out-of-order frame,
+    /// a stop, or the last of `max_replies`. The opening `SynthHello` of
+    /// this protocol gets a `SynthHelloAck`, anything else a `SynthErr` and
+    /// the connection is dropped; after it, each `SynthRequest` is answered
+    /// through [`SynthService::request`] before the next is read.
     fn serve_conn(
         &self,
         mut stream: Stream,
-        total: &mut u64,
+        stopped: &dyn Fn() -> bool,
+        written: &AtomicU64,
         max_replies: Option<u64>,
     ) -> Result<(), TransportError> {
         let mut fb = FrameBuf::new();
-        self.handshake(&mut stream, &mut fb)?;
-        let mut inflight: VecDeque<(u64, Result<u64, ServeError>)> = VecDeque::new();
-        loop {
-            if self.stopped() {
-                return Ok(());
-            }
-            let disconnected = match read_frame(&mut stream, &mut fb, 1, PartyId::Public, || {
-                silent(PartyId::Public, 1)
-            }) {
-                Ok(frame) => {
-                    inflight.push_back(self.admit(frame)?);
-                    false
+        let mut greeted = false;
+        while let Some(frame) = next_request(&mut stream, &mut fb, stopped)? {
+            let (id, request) = match frame {
+                ServeFrame::SynthHello { protocol } if !greeted => {
+                    if let Some(reason) = serve_reject_reason(protocol) {
+                        return refuse(&mut stream, reason);
+                    }
+                    greeted = true;
+                    let ack = ServeFrame::SynthHelloAck { protocol: SERVE_PROTOCOL };
+                    write_frame(&mut stream, &ack, PartyId::Public)?;
+                    continue;
                 }
-                // Nothing arrived this tick: pump and flush what is in flight.
-                Err(TransportError::Timeout { .. }) => false,
-                Err(TransportError::PeerDisconnected { .. }) => true,
-                Err(e) => return Err(e),
+                other if !greeted => {
+                    return refuse(
+                        &mut stream,
+                        format!("expected SynthHello, got {}", other.kind()),
+                    )
+                }
+                ServeFrame::SynthRequest { id, model, n, seed, cond, deadline_ticks } => {
+                    let spec = SynthSpec {
+                        n: usize::try_from(n).unwrap_or(usize::MAX),
+                        seed,
+                        cond: cond.map(|c| CondSpec {
+                            client: usize::try_from(c.client).unwrap_or(usize::MAX),
+                            column: usize::try_from(c.column).unwrap_or(usize::MAX),
+                            category: usize::try_from(c.category).unwrap_or(usize::MAX),
+                        }),
+                    };
+                    let deadline_ticks = (deadline_ticks != u64::MAX).then_some(deadline_ticks);
+                    (id, RowsRequest { model, spec, deadline_ticks })
+                }
+                other => {
+                    return Err(frame_err(format!("expected SynthRequest, got {}", other.kind())))
+                }
             };
-            while let Some(frame) = fb.next_frame()? {
-                inflight.push_back(self.admit(frame)?);
-            }
-            if inflight.iter().any(|(_, admitted)| admitted.is_ok()) {
-                self.service.pump();
-            }
-            self.flush_ready(&mut stream, &mut inflight, total)?;
-            if matches!(max_replies, Some(m) if *total >= m)
-                || (disconnected && inflight.is_empty())
-            {
+            // The reply's slot is taken before the work, so concurrent
+            // connections write `max_replies` replies at most.
+            let slot = written.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                (!matches!(max_replies, Some(m) if w >= m)).then_some(w + 1)
+            });
+            if slot.is_err() {
                 return Ok(());
+            }
+            let reply = reply_for(id, self.service.request(&request));
+            if let Err(e) = write_frame(&mut stream, &reply, PartyId::Public) {
+                written.fetch_sub(1, Ordering::SeqCst);
+                return Err(e);
             }
         }
+        Ok(())
     }
+}
+
+/// Answers a failed hello with a `SynthErr`; the connection is then dropped.
+fn refuse(stream: &mut Stream, reason: String) -> Result<(), TransportError> {
+    write_frame(stream, &ServeFrame::SynthErr { id: 0, reason }, PartyId::Public)?;
+    Err(TransportError::HandshakeFailed { reason: "serve hello rejected".to_string() })
 }
 
 /// A connected synthesis client over TCP or a Unix socket.

@@ -10,10 +10,10 @@
 //! [`ServeFrame::SynthHello`], which a training node rejects as an unknown
 //! opcode (and vice versa).
 //!
-//! The session order is the code that serves it: `SynthServer::handshake`
-//! and `ServeConn::connect` accept only the hello exchange, and
-//! `SynthServer::admit` and `ServeConn::synth` only a request and its
-//! answer (DESIGN.md §14).
+//! The session order is the code that serves it: `SynthServer::serve_conn`
+//! accepts only the hello exchange and then only requests, each answered
+//! before the next is read, and `ServeConn::connect` and `ServeConn::synth`
+//! only the hello's answer and then a request's (DESIGN.md §14).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -43,8 +43,9 @@ pub struct WireCond {
 /// `SynthHello`/`SynthHelloAck` open a session; each `SynthRequest` is
 /// answered by exactly one of `SynthRows` (the sampled table as CSV
 /// bytes), `SynthBusy` (admission rejection with a retry hint) or
-/// `SynthErr` (typed failure), correlated by the client-chosen `id` so
-/// requests may be pipelined.
+/// `SynthErr` (typed failure), echoing the client-chosen `id`. A
+/// connection carries one request at a time: the server answers it before
+/// it reads the next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeFrame {
     /// Client → server session opener carrying the protocol version.

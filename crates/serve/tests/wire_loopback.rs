@@ -1,8 +1,9 @@
 //! Socket loopback: the wire surface returns byte-identical rows to the
-//! in-process handle, over both TCP and Unix-domain endpoints, remote
-//! failures arrive as typed error frames, the server's reply count
-//! survives a client that turns bad, and a session out of order is dropped
-//! without stopping the server.
+//! in-process handle, over both TCP and Unix-domain endpoints and on
+//! connections served at once, remote failures arrive as typed error
+//! frames, the server's reply count survives a client that turns bad and
+//! stops at its bound, and a session out of order is dropped without
+//! stopping the server.
 
 #![expect(clippy::disallowed_methods, reason = "each test serves its socket from a thread")]
 
@@ -78,6 +79,59 @@ fn unix_socket_round_trip_serves_rows() {
     let served = handle.join().expect("server thread").expect("serve loop");
     assert_eq!(served, 1);
     assert!(!path.exists(), "the listener removes its socket path on drop");
+}
+
+fn rows_in_process(service: &SynthService, n: usize, seed: u64) -> String {
+    let request = RowsRequest {
+        model: "loan".to_string(),
+        spec: SynthSpec { n, seed, cond: None },
+        deadline_ticks: None,
+    };
+    gtv_data::to_csv_string(&service.request(&request).expect("in-process request"))
+}
+
+#[test]
+fn two_connections_at_once_get_the_in_process_bytes() {
+    let service = service_with_loan();
+    let want = [rows_in_process(&service, 9, 77), rows_in_process(&service, 33, 78)];
+    let server =
+        SynthServer::bind(Arc::clone(&service), &Endpoint::parse("127.0.0.1:0")).expect("bind tcp");
+    let endpoint = server.endpoint();
+    let handle = std::thread::spawn(move || server.serve(Some(2)));
+    let mut a = ServeConn::connect(&endpoint).expect("connect a");
+    let mut b = ServeConn::connect(&endpoint).expect("connect b while a is open");
+    let got = std::thread::scope(|s| {
+        let a = s.spawn(|| a.synth("loan", 9, 77, None, None));
+        let b = s.spawn(|| b.synth("loan", 33, 78, None, None));
+        [a.join().expect("a's thread"), b.join().expect("b's thread")]
+    });
+    for (got, want) in got.into_iter().zip(want) {
+        assert_eq!(String::from_utf8(got.expect("rows")).expect("utf8 csv"), want);
+    }
+    assert_eq!(handle.join().expect("server thread").expect("serve loop"), 2);
+}
+
+#[test]
+fn serve_writes_exactly_max_replies_and_winds_down_the_other_connection() {
+    let server =
+        SynthServer::bind(service_with_loan(), &Endpoint::parse("127.0.0.1:0")).expect("bind tcp");
+    let endpoint = server.endpoint();
+    let handle = std::thread::spawn(move || server.serve(Some(1)));
+    let mut a = ServeConn::connect(&endpoint).expect("connect a");
+    let mut b = ServeConn::connect(&endpoint).expect("connect b while a is open");
+    let outcomes = std::thread::scope(|s| {
+        let a = s.spawn(|| a.synth("loan", 3, 1, None, None));
+        let b = s.spawn(|| b.synth("loan", 3, 2, None, None));
+        [a.join().expect("a's thread"), b.join().expect("b's thread")]
+    });
+    assert_eq!(handle.join().expect("server thread").expect("serve loop"), 1);
+    let answered = outcomes.iter().filter(|o| o.is_ok()).count();
+    assert_eq!(answered, 1, "{outcomes:?}");
+    for outcome in outcomes {
+        if let Err(e) = outcome {
+            assert!(matches!(e, ServeError::Transport(_)), "the other connection is closed: {e:?}");
+        }
+    }
 }
 
 /// One frame from the server, on a raw client stream.

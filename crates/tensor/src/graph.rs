@@ -185,9 +185,10 @@ impl Graph {
     /// graph and is untouched. Returns the number of nodes released. All
     /// `Var` handles into this graph are invalidated.
     pub fn reset(&self) -> usize {
-        let nodes = std::mem::take(&mut *self.nodes.borrow_mut());
+        // Drained, not taken: the next step's nodes reuse the arena.
+        let mut nodes = self.nodes.borrow_mut();
         let count = nodes.len();
-        for node in nodes {
+        for node in nodes.drain(..) {
             node.value.recycle();
         }
         // Cleared, not dropped: the next step's indices reuse the storage.

@@ -153,7 +153,7 @@ impl UnaryOp {
     }
 }
 
-/// Activation applied by the fused affine kernel ([`affine_act`]).
+/// Activation applied by the fused affine kernel (`affine_act`).
 ///
 /// A separate enum (rather than reusing [`UnaryOp`]) so only activations —
 /// not masks or scalar ops — can be fused behind a `matmul + bias`, and so

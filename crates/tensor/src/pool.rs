@@ -3,8 +3,9 @@
 //! [`run_ordered`] is the **only** sanctioned source of data parallelism on
 //! the training path: the root `clippy.toml` disallows `std::thread::spawn`,
 //! `std::thread::Builder::spawn` and `std::thread::Scope::spawn`, and the
-//! scoped spawn below is the one library site that carries an `#[expect]`
-//! for it. A parallel call runs its chunks on scoped threads that borrow the
+//! scoped spawn below is the one library site on the training path that
+//! carries an `#[expect]` for it (the other, the socket layer's
+//! accept-and-serve loop, only moves frames). A parallel call runs its chunks on scoped threads that borrow the
 //! caller's data and are joined before it returns; no thread outlives a
 //! call. Its contract, documented in DESIGN.md §8:
 //!

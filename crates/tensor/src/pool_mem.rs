@@ -19,7 +19,7 @@
 //!   `len ..= 4·len`; anything larger would waste too much memory on a
 //!   small tensor and is left for a bigger request.
 //! * **Determinism is structural.** A recycled buffer is handed out *empty*
-//!   (length zero) or fully overwritten ([`take_zeroed`] / [`take_filled`]),
+//!   (length zero) or fully overwritten ([`take_zeroed`] / `take_filled`),
 //!   so no stale element can ever be observed: results are bit-identical to
 //!   fresh allocation by construction, at any `GTV_THREADS` setting.
 //! * **Always instrumented.** Bytes requested and hit/miss counts are
@@ -250,7 +250,7 @@ pub fn reserve(len: usize, count: usize) -> usize {
 /// Hands out an *empty* buffer with capacity ≥ `len`: the smallest parked
 /// one with capacity in `len ..= 4·len` when recycling is enabled, a fresh
 /// allocation otherwise. Requests below the 64-element floor always
-/// allocate fresh (see [`MIN_RECYCLE_BYTES`]) and count as `small` rather
+/// allocate fresh (see `MIN_RECYCLE_BYTES`) and count as `small` rather
 /// than misses.
 pub fn take(len: usize) -> Vec<f32> {
     let mut buf = POOL.with(|p| p.borrow_mut().take(len));

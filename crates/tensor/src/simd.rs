@@ -7,7 +7,7 @@
 //! Everything here is straight-line arithmetic over `[f32; 8]` lane arrays:
 //! no `std::simd`, no intrinsics, no `unsafe`. LLVM's autovectorizer turns
 //! each helper into packed code for whatever the build level offers — one
-//! 256-bit register per [`F32x8`] at the repository's x86-64-v3
+//! 256-bit register per `F32x8` at the repository's x86-64-v3
 //! (`.cargo/config.toml`), two SSE registers in a baseline build — while
 //! the source stays portable and the workspace-wide
 //! `unsafe_code = "forbid"` holds. The register width changes how many
@@ -25,7 +25,7 @@
 //!   fixed lanes combined in one fixed order,
 //!   `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`, plus a sequential tail, so
 //!   the rounding tree is a pure function of the slice length;
-//! * the matmul micro-kernel ([`tile`]) runs its lanes across *output
+//! * the matmul micro-kernel (`tile`) runs its lanes across *output
 //!   columns*, never across the contraction index: every output element is
 //!   one chain `((0 + a₀b₀) + a₁b₁) + …` in ascending `p`, so the product is
 //!   bit-identical to the naive triple loop and no lane-combine exists;
@@ -41,11 +41,11 @@
 //!
 //! [`tanh`] is the rational approximation popularized by Eigen/XLA: an odd
 //! degree-13 numerator over an even degree-6 denominator in `x²`, input
-//! clamped to ±[`TANH_CLAMP`], with a pass-through for `|x| <`
-//! [`TANH_TINY`] (which keeps subnormals and ±0.0 exact). [`exp`] is a
+//! clamped to ±`TANH_CLAMP`, with a pass-through for `|x| <`
+//! `TANH_TINY` (which keeps subnormals and ±0.0 exact). [`exp`] is a
 //! classic Cody–Waite reduction (`x = n·ln2 + r`, `|r| ≤ ln2/2`) with a
 //! degree-7 Taylor core and a split power-of-two rescale; inputs beyond
-//! ±[`EXP_CLAMP_HI`]/[`EXP_CLAMP_LO`] saturate to `+∞` / `+0.0` (a
+//! ±`EXP_CLAMP_HI`/`EXP_CLAMP_LO` saturate to `+∞` / `+0.0` (a
 //! flush-to-zero of sub-minimal-normal results). [`sigmoid`] is
 //! `1 / (1 + exp(-x))` on top of that — structurally the same formula the
 //! scalar libm path used before. The observed worst-case error versus libm
@@ -246,7 +246,7 @@ pub(crate) fn exp8(x: F32x8) -> F32x8 {
 }
 
 /// Eight-lane logistic sigmoid `1 / (1 + e^{−x})` — structurally the same
-/// formula the scalar libm path used, with [`exp8`] supplying the
+/// formula the scalar libm path used, with `exp8` supplying the
 /// exponential. Lanewise pure.
 #[inline]
 pub(crate) fn sigmoid8(x: F32x8) -> F32x8 {
@@ -296,20 +296,20 @@ pub(crate) fn leaky_relu_mask8(x: F32x8, alpha: f32) -> F32x8 {
 
 // --- scalar forms --------------------------------------------------------
 
-/// Scalar tanh — lane 0 of [`tanh8`] on a splat, so tails and lanes agree
+/// Scalar tanh — lane 0 of `tanh8` on a splat, so tails and lanes agree
 /// bit for bit.
 #[inline]
 pub fn tanh(x: f32) -> f32 {
     tanh8(F32x8::splat(x)).0[0]
 }
 
-/// Scalar sigmoid — lane 0 of [`sigmoid8`] on a splat.
+/// Scalar sigmoid — lane 0 of `sigmoid8` on a splat.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
     sigmoid8(F32x8::splat(x)).0[0]
 }
 
-/// Scalar exp — lane 0 of [`exp8`] on a splat.
+/// Scalar exp — lane 0 of `exp8` on a splat.
 #[inline]
 pub fn exp(x: f32) -> f32 {
     exp8(F32x8::splat(x)).0[0]
@@ -352,7 +352,7 @@ pub(crate) fn bias_act_row(row: &mut [f32], bias: &[f32], f8: impl Fn(F32x8) -> 
 // --- fixed-shape reductions ----------------------------------------------
 
 /// Sum with eight independent accumulator lanes combined in the fixed
-/// [`F32x8::hsum`] order plus a sequential tail — the rounding tree depends
+/// `F32x8::hsum` order plus a sequential tail — the rounding tree depends
 /// only on `xs.len()`.
 #[inline]
 pub fn sum(xs: &[f32]) -> f32 {
@@ -507,7 +507,7 @@ pub fn exp_slice_f64(xs: &mut [f64]) {
 /// every block but the last must be a multiple of eight long for the lanes
 /// to be those of the whole column), a ragged end of block is summed
 /// sequentially on its own, and [`WeightedMoments::totals`] combines the
-/// lanes in the one [`F32x8::hsum`] order before adding it: the rounding
+/// lanes in the one `F32x8::hsum` order before adding it: the rounding
 /// tree is a pure function of the block lengths.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WeightedMoments {
@@ -565,7 +565,7 @@ impl WeightedMoments {
 // --- matmul micro-kernel --------------------------------------------------
 
 /// Output rows per register tile of the matmul micro-kernel. Four rows of
-/// two [`F32x8`] are eight 256-bit accumulators, which with the two panel
+/// two `F32x8` are eight 256-bit accumulators, which with the two panel
 /// vectors and the broadcast take eleven of x86-64-v3's sixteen registers.
 /// Measured, not derived (DESIGN.md §8): at v3 the 2-row tile — four
 /// accumulators, a load per two products — leaves the FP ports a third
@@ -574,7 +574,7 @@ impl WeightedMoments {
 /// (sixteen SSE accumulators, some spilled) 4 rows run level with 2 and 6
 /// rows a tenth slower, so the override build loses nothing.
 pub const MR: usize = 4;
-/// Output columns per register tile: two [`F32x8`] accumulators per row,
+/// Output columns per register tile: two `F32x8` accumulators per row,
 /// and the width of a packed RHS panel.
 pub const NR: usize = 2 * LANES;
 /// Most rows one [`col_chains`] call takes: enough independent add chains
@@ -702,7 +702,7 @@ pub(crate) fn tile(
 /// Single-column product (`m = 1`): `out[r] = Σ_p a(r, p)·b[p]` for
 /// `r < rows ≤ COL_ROWS`. A one-wide tile would leave a single add chain in
 /// flight; here the lanes are the *rows*, each still its own ascending-`p`
-/// chain, so the result equals [`tile`]'s and the naive loop's. A short
+/// chain, so the result equals `tile`'s and the naive loop's. A short
 /// group recomputes its last row in the spare lanes and discards them.
 pub(crate) fn col_chains(rows: usize, a: Lhs, k: usize, b: &[f32], out: &mut [f32]) {
     let lhs: [&[f32]; COL_ROWS] = std::array::from_fn(|r| a.strided_row(r.min(rows - 1), k));

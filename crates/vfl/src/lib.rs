@@ -50,6 +50,6 @@ pub use shuffle::{negotiate_seed, SharedShuffler};
 pub use socket::{Endpoint, PartyNode};
 pub use transport::{
     Fault, InProcTransport, NetStats, Network, PartyId, RoundStats, SocketTransport, Transport,
-    TransportError,
+    TransportError, DEFAULT_RECV_TIMEOUT,
 };
 pub use wire::{DecodeMessageError, DenseFrame, MatrixPayload, Message, SeedShare, WireCodec};

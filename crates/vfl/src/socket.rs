@@ -3,12 +3,14 @@
 //! **One layer.** Every frame on every socket is a `u32`-little-endian
 //! length prefix and a body bounded by [`framing::MAX_FRAME_BODY`]. A wire
 //! is a [`FrameCodec`] — how one body is written and read — and everything
-//! else is shared: [`Stream`], [`Listener`] (bind, accept, unlink on drop),
+//! else is shared: [`Stream`], [`Listener`] (bind, unlink on drop),
 //! [`dial`] with bounded backoff, the reassembly buffer
-//! [`FrameBuf<F>`](FrameBuf), [`read_frame`] and [`write_frame`]. Two codecs
-//! implement it: the party transport's [`Frame`] and the synthesis
-//! session's `ServeFrame` in `gtv-serve`. Each session keeps its own
-//! handshake, opcode space, versions and timeouts.
+//! [`FrameBuf<F>`](FrameBuf), [`read_frame`] and [`write_frame`], and the
+//! one accept-and-serve loop, [`serve_connections`]: a scoped thread per
+//! connection, at most [`MAX_CONNECTIONS`] at once. Two codecs implement
+//! it: the party transport's [`Frame`] and the synthesis session's
+//! `ServeFrame` in `gtv-serve`. Each session keeps its own handshake,
+//! opcode space, versions and timeouts.
 //!
 //! **The party link.** A party hosted out of process runs a [`PartyNode`]
 //! — a small daemon owning that party's inbox — and a
@@ -35,18 +37,16 @@
     deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)
 )]
 
-use crate::transport::{Meter, PartyId, TransportError};
+use crate::transport::{Inbox, Meter, PartyId, TransportError};
 use crate::wire::Message;
 use bytes::Bytes;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use framing::{encode_frame, Frame, FrameBuf, FrameCodec, PROTOCOL_VERSION, WIRE_VERSION};
@@ -485,16 +485,20 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long a dialer waits for a `DeliverAck`/`Msg`/`Empty` reply.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Slack added to a node-side bounded wait before the dialer's own read
-/// deadline fires (the node answers `TimedOut` first in the healthy case).
+/// deadline fires: the node's wait ends first, so no thread of a link the
+/// dialer dropped still waits to pop a message meant for its redial (test
+/// `a_node_side_wait_ends_before_the_dialers_deadline`).
 const RECV_MARGIN: Duration = Duration::from_secs(2);
-/// Node-side poll tick: bounded waits sleep in these steps instead of
-/// reading a wall clock (denied on library paths by the determinism lint).
-const POLL_INTERVAL: Duration = Duration::from_millis(1);
-/// Accept-loop and per-connection read poll period (stop-flag latency).
-const SERVE_POLL: Duration = Duration::from_millis(20);
+/// A server's tick: the accept poll period, the read timeout of every
+/// served connection and the slice of a node-side wait, so a stop is seen
+/// within one tick.
+pub const SERVE_POLL: Duration = Duration::from_millis(20);
+/// Most connections one server serves at once. A dialer beyond them is
+/// answered at once with its protocol's rejection frame.
+pub const MAX_CONNECTIONS: usize = 16;
 
 /// One connected byte stream, TCP or Unix-domain. Reads block for at most
-/// the read timeout set at [`dial`]/[`Listener::accept`] — one *tick* of
+/// the read timeout set when it was dialed or accepted — one *tick* of
 /// [`read_frame`].
 #[derive(Debug)]
 pub enum Stream {
@@ -574,9 +578,8 @@ pub fn dial(endpoint: &Endpoint, tick: Duration) -> Result<Stream, TransportErro
     Err(TransportError::HandshakeFailed { reason: format!("dial {endpoint}: {last_err}") })
 }
 
-/// A bound, non-blocking listening socket (accept loops poll a stop flag
-/// between [`Listener::accept`] calls). A Unix listener unlinks its socket
-/// file on drop.
+/// A bound, non-blocking listening socket, served by
+/// [`serve_connections`]. A Unix listener unlinks its socket file on drop.
 #[derive(Debug)]
 pub struct Listener {
     socket: ListenSocket,
@@ -628,13 +631,9 @@ impl Listener {
         self.endpoint.clone()
     }
 
-    /// Accepts one waiting connection, `Ok(None)` if none is waiting. The
-    /// accepted stream blocks, with `tick` as its read timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::HandshakeFailed`] if the listening socket failed.
-    pub fn accept(&self, tick: Duration) -> Result<Option<Stream>, TransportError> {
+    /// Accepts one waiting connection, `Ok(None)` if none is waiting; the
+    /// stream blocks for one [`SERVE_POLL`] a read. Errs if the socket failed.
+    fn accept(&self) -> Result<Option<Stream>, TransportError> {
         let accepted = match &self.socket {
             ListenSocket::Tcp(l) => {
                 l.accept().and_then(|(s, _)| s.set_nonblocking(false).map(|()| Stream::Tcp(s)))
@@ -646,7 +645,7 @@ impl Listener {
         match accepted {
             Ok(stream) => {
                 stream
-                    .set_read_timeout(Some(tick))
+                    .set_read_timeout(Some(SERVE_POLL))
                     .map_err(|e| setup_failed("accepted stream", e))?;
                 Ok(Some(stream))
             }
@@ -738,6 +737,93 @@ pub fn read_frame<F: FrameCodec>(
     }
 }
 
+/// The one accept-and-serve loop of every server on this layer. Until
+/// `stopped()` holds, each accepted stream is handed to `serve` on a scoped
+/// thread of its own, at most [`MAX_CONNECTIONS`] at once; `serve` gets the
+/// stop test to poll at least once a [`SERVE_POLL`] (see
+/// [`next_request`]), and its error ends that connection only. A dialer
+/// over the cap has its opening frame read (one tick at most) and is
+/// answered with `refusal(reason)`, the reason naming the cap. Returns once
+/// every connection has ended.
+///
+/// # Errors
+///
+/// Only a failure of the listening socket itself, after the open
+/// connections have wound down as on a stop.
+pub fn serve_connections<F: FrameCodec>(
+    listener: &Listener,
+    stopped: &(dyn Fn() -> bool + Sync),
+    refusal: impl Fn(String) -> F,
+    serve: impl Fn(Stream, &dyn Fn() -> bool) -> Result<(), TransportError> + Sync,
+) -> Result<(), TransportError> {
+    let failed = AtomicBool::new(false);
+    let halted = || failed.load(Ordering::SeqCst) || stopped();
+    let open = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        while !halted() {
+            let mut stream = match listener.accept() {
+                Ok(Some(stream)) => stream,
+                Ok(None) => {
+                    std::thread::sleep(SERVE_POLL);
+                    continue;
+                }
+                Err(e) => {
+                    failed.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
+            };
+            if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                // Read the hello first: a TCP close with it unread resets
+                // the link, and the refusal could be lost with it.
+                let _ =
+                    read_frame::<F>(&mut stream, &mut FrameBuf::new(), 1, PartyId::Public, idle);
+                let reason = format!("busy: {MAX_CONNECTIONS} connections open, the cap");
+                let _ = write_frame(&mut stream, &refusal(reason), PartyId::Public);
+                continue;
+            }
+            open.fetch_add(1, Ordering::SeqCst);
+            let (open, halted, serve) = (&open, &halted, &serve);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a connection's thread only moves frames; what a reply holds never depends on which thread or how many serve"
+            )]
+            scope.spawn(move || {
+                let _ = serve(stream, halted);
+                open.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        Ok(())
+    })
+}
+
+/// What a served connection's read of one idle tick reports.
+fn idle() -> TransportError {
+    TransportError::InboxEmpty(PartyId::Public)
+}
+
+/// The next frame of a served connection, read a tick at a time with
+/// `stopped` polled between ticks; `Ok(None)` once it holds or the dialer
+/// hangs up.
+///
+/// # Errors
+///
+/// [`TransportError::Frame`] on a malformed frame: the stream lost sync.
+pub fn next_request<F: FrameCodec>(
+    stream: &mut Stream,
+    fb: &mut FrameBuf<F>,
+    stopped: &dyn Fn() -> bool,
+) -> Result<Option<F>, TransportError> {
+    while !stopped() {
+        match read_frame(stream, fb, 1, PartyId::Public, idle) {
+            Ok(frame) => return Ok(Some(frame)),
+            Err(TransportError::InboxEmpty(_)) => {}
+            Err(TransportError::PeerDisconnected { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
+}
+
 /// A party's inbox daemon: binds one endpoint, serves framed
 /// deliver/receive exchanges for exactly one [`PartyId`], and validates
 /// every dialer's version handshake. The inbox outlives connections, so a
@@ -745,7 +831,7 @@ pub fn read_frame<F: FrameCodec>(
 pub struct PartyNode {
     party: PartyId,
     listener: Listener,
-    inbox: Mutex<VecDeque<(PartyId, Bytes)>>,
+    inbox: Inbox<(PartyId, Bytes)>,
     stop: AtomicBool,
 }
 
@@ -766,7 +852,7 @@ impl PartyNode {
         Ok(Self {
             party,
             listener: Listener::bind(endpoint)?,
-            inbox: Mutex::new(VecDeque::new()),
+            inbox: Inbox::new(),
             stop: AtomicBool::new(false),
         })
     }
@@ -781,135 +867,87 @@ impl PartyNode {
         self.listener.endpoint()
     }
 
-    /// Asks [`PartyNode::serve`] to return after its current poll tick
-    /// (callable from another thread through an `Arc<PartyNode>`).
+    /// Asks [`PartyNode::serve`] to return; every connection sees it within
+    /// one [`SERVE_POLL`] (callable from another thread through an
+    /// `Arc<PartyNode>`).
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Accept-and-serve loop until [`PartyNode::request_stop`].
-    /// Connections are served one at a time; per-connection failures sever
-    /// that connection only and the node returns to accepting, so a peer
-    /// may redial after a crash.
+    /// Serves dialers until [`PartyNode::request_stop`], each on its own
+    /// connection (see [`serve_connections`]), so a redial is served while
+    /// a dropped link winds down. A connection's failure severs it only.
     ///
     /// # Errors
     ///
     /// Only listener-level failures (the listening socket itself died);
     /// anything a peer does wrong is answered or dropped, never fatal.
     pub fn serve(&self) -> Result<(), TransportError> {
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept(SERVE_POLL)? {
-                Some(stream) => {
-                    let _ = self.serve_conn(stream);
+        let stopped = || self.stop.load(Ordering::SeqCst);
+        serve_connections(
+            &self.listener,
+            &stopped,
+            |reason| Frame::HelloReject { reason },
+            |stream, stopped| self.serve_conn(stream, stopped),
+        )
+    }
+
+    /// Serves one connection until EOF, a malformed frame, or a stop. The
+    /// first frame must be a version-valid `Hello` naming this node's
+    /// party; everything else is answered from the inbox.
+    fn serve_conn(
+        &self,
+        mut stream: Stream,
+        stopped: &dyn Fn() -> bool,
+    ) -> Result<(), TransportError> {
+        let mut fb = FrameBuf::new();
+        let mut greeted = false;
+        while let Some(frame) = next_request(&mut stream, &mut fb, stopped)? {
+            let msg = |(from, payload): (PartyId, Bytes)| Frame::Msg { from, payload };
+            let reply = match frame {
+                Frame::Hello { protocol, wire, party } => {
+                    greeted = true;
+                    let ack = Frame::HelloAck { protocol: PROTOCOL_VERSION, wire: WIRE_VERSION };
+                    let wrong = (party != self.party)
+                        .then(|| format!("this node hosts {}, not {party}", self.party));
+                    framing::handshake_reject_reason(protocol, wire).or(wrong).map_or(Ok(ack), Err)
                 }
-                None => std::thread::sleep(SERVE_POLL),
+                _ if !greeted => Err("handshake required before any other frame".to_string()),
+                Frame::Deliver { from, payload } => {
+                    // The node holds the receiver, so the send cannot fail.
+                    let _ = self.inbox.tx.send((from, payload));
+                    Ok(Frame::DeliverAck)
+                }
+                Frame::RecvReq { timeout_ms } => {
+                    Ok(self.recv_within(timeout_ms, stopped).map_or(Frame::TimedOut, msg))
+                }
+                Frame::TryRecvReq => Ok(self.inbox.rx.try_recv().ok().map_or(Frame::Empty, msg)),
+                other => Err(format!("unexpected frame from dialer: {other:?}")),
+            };
+            match reply {
+                Ok(reply) => write_frame(&mut stream, &reply, self.party)?,
+                Err(reason) => {
+                    let _ = write_frame(&mut stream, &Frame::HelloReject { reason }, self.party);
+                    return Ok(());
+                }
             }
         }
         Ok(())
     }
 
-    /// Serves one connection until EOF, a malformed frame, or a stop
-    /// request. The first frame must be a version-valid `Hello` naming this
-    /// node's party; everything else is answered from the inbox.
-    fn serve_conn(&self, mut stream: Stream) -> Result<(), TransportError> {
-        let mut fb = FrameBuf::new();
-        let mut greeted = false;
+    /// Pops the next inbox entry, waiting up to `timeout_ms` on the inbox's
+    /// condvar in slices of one [`SERVE_POLL`], so a stop lands within one.
+    fn recv_within(&self, timeout_ms: u64, stopped: &dyn Fn() -> bool) -> Option<(PartyId, Bytes)> {
+        let mut left = Duration::from_millis(timeout_ms);
         loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return Ok(());
+            let slice = left.min(SERVE_POLL);
+            if let Ok(entry) = self.inbox.rx.recv_timeout(slice) {
+                return Some(entry);
             }
-            let frame =
-                match read_frame(&mut stream, &mut fb, 1, self.party, || TransportError::Timeout {
-                    party: self.party,
-                    waited: SERVE_POLL,
-                    round: None,
-                    expecting: None,
-                }) {
-                    Ok(frame) => frame,
-                    // Nothing arrived this tick: poll the stop flag and wait on.
-                    Err(TransportError::Timeout { .. }) => continue,
-                    // Peer hung up; return to accepting (it may redial).
-                    Err(TransportError::PeerDisconnected { .. }) => return Ok(()),
-                    // Malformed frame: the stream lost sync — drop it.
-                    Err(e) => return Err(e),
-                };
-            match frame {
-                Frame::Hello { protocol, wire, party } => {
-                    let reject = framing::handshake_reject_reason(protocol, wire).or_else(|| {
-                        (party != self.party)
-                            .then(|| format!("this node hosts {}, not {party}", self.party))
-                    });
-                    match reject {
-                        Some(reason) => {
-                            let _ = write_frame(
-                                &mut stream,
-                                &Frame::HelloReject { reason },
-                                self.party,
-                            );
-                            return Ok(());
-                        }
-                        None => {
-                            greeted = true;
-                            write_frame(
-                                &mut stream,
-                                &Frame::HelloAck { protocol: PROTOCOL_VERSION, wire: WIRE_VERSION },
-                                self.party,
-                            )?;
-                        }
-                    }
-                }
-                _ if !greeted => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::HelloReject {
-                            reason: "handshake required before any other frame".to_string(),
-                        },
-                        self.party,
-                    );
-                    return Ok(());
-                }
-                Frame::Deliver { from, payload } => {
-                    self.inbox.lock().push_back((from, payload));
-                    write_frame(&mut stream, &Frame::DeliverAck, self.party)?;
-                }
-                Frame::RecvReq { timeout_ms } => {
-                    let reply = self.wait_pop(timeout_ms);
-                    write_frame(&mut stream, &reply, self.party)?;
-                }
-                Frame::TryRecvReq => {
-                    let reply = match self.inbox.lock().pop_front() {
-                        Some((from, payload)) => Frame::Msg { from, payload },
-                        None => Frame::Empty,
-                    };
-                    write_frame(&mut stream, &reply, self.party)?;
-                }
-                other => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::HelloReject {
-                            reason: format!("unexpected frame from dialer: {other:?}"),
-                        },
-                        self.party,
-                    );
-                    return Ok(());
-                }
+            left -= slice;
+            if left.is_zero() || stopped() {
+                return None;
             }
-        }
-    }
-
-    /// Pops the next inbox entry, sleep-polling in [`POLL_INTERVAL`] ticks
-    /// up to `timeout_ms` (no wall-clock reads on library paths).
-    fn wait_pop(&self, timeout_ms: u64) -> Frame {
-        let mut remaining = timeout_ms;
-        loop {
-            if let Some((from, payload)) = self.inbox.lock().pop_front() {
-                return Frame::Msg { from, payload };
-            }
-            if remaining == 0 || self.stop.load(Ordering::SeqCst) {
-                return Frame::TimedOut;
-            }
-            std::thread::sleep(POLL_INTERVAL);
-            remaining = remaining.saturating_sub(1);
         }
     }
 }
@@ -1090,6 +1128,7 @@ pub(crate) mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
     use std::thread::JoinHandle;
+    use std::time::Instant;
 
     #[test]
     fn endpoint_parse_and_display_roundtrip() {
@@ -1154,6 +1193,71 @@ pub(crate) mod tests {
         let upload = Message::SynthLogits(MatrixPayload::new(1, 1, vec![7.0]));
         remote.send(PartyId::Client(0), PartyId::Server, upload.clone()).unwrap();
         assert_eq!(remote.try_recv(PartyId::Server).unwrap().1, upload);
+        node.stop();
+    }
+
+    #[test]
+    fn a_second_dialer_is_served_while_the_first_holds_its_link() {
+        let node = TestNode::spawn(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let first = node.roster(1);
+        let began = Instant::now();
+        let second = node.roster(1);
+        assert!(began.elapsed() < Duration::from_secs(1), "took {:?}", began.elapsed());
+        // Both links reach the one inbox.
+        let a = Message::RoundStart { round: 1, selected: 0 };
+        let b = Message::RoundStart { round: 2, selected: 0 };
+        first.send(PartyId::Server, PartyId::Client(0), a.clone()).unwrap();
+        second.send(PartyId::Server, PartyId::Client(0), b.clone()).unwrap();
+        assert_eq!(second.recv(PartyId::Client(0)).unwrap(), (PartyId::Server, a));
+        assert_eq!(first.recv(PartyId::Client(0)).unwrap(), (PartyId::Server, b));
+        node.stop();
+    }
+
+    #[test]
+    fn a_stop_lands_within_a_tick_while_a_recv_waits() {
+        let node = TestNode::spawn(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let net = node.roster(1);
+        std::thread::scope(|s| {
+            let waiting = s.spawn(|| {
+                let began = Instant::now();
+                (net.recv_timeout(PartyId::Client(0), Duration::from_secs(30)), began.elapsed())
+            });
+            // Most likely the node is inside the wait by now; the bounds
+            // below hold whichever comes first.
+            std::thread::sleep(Duration::from_millis(200));
+            let began = Instant::now();
+            node.stop();
+            assert!(began.elapsed() < Duration::from_secs(1), "took {:?}", began.elapsed());
+            let (outcome, waited) = waiting.join().unwrap();
+            assert!(waited < Duration::from_secs(5), "the receive waited {waited:?}");
+            let err = outcome.unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TransportError::Timeout { .. } | TransportError::PeerDisconnected { .. }
+                ),
+                "{err:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn a_node_side_wait_ends_before_the_dialers_deadline() {
+        let node = TestNode::spawn(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0"));
+        let net = node.roster(1);
+        let wait = Duration::from_millis(300);
+        let began = Instant::now();
+        // The node's own `TimedOut` waited the bound asked for; the dialer's
+        // deadline would report the bound plus `RECV_MARGIN`.
+        match net.recv_timeout(PartyId::Client(0), wait) {
+            Err(TransportError::Timeout { waited, .. }) => assert_eq!(waited, wait),
+            other => panic!("expected the node's TimedOut, got {other:?}"),
+        }
+        assert!(began.elapsed() < wait + RECV_MARGIN, "took {:?}", began.elapsed());
+        // The link was kept, and no waiting thread is left to steal from it.
+        let msg = Message::RoundStart { round: 3, selected: 0 };
+        net.send(PartyId::Server, PartyId::Client(0), msg.clone()).unwrap();
+        assert_eq!(net.recv(PartyId::Client(0)).unwrap(), (PartyId::Server, msg));
         node.stop();
     }
 

@@ -589,11 +589,20 @@ impl Permuter {
     }
 }
 
-/// A party's inbox in this process: both halves of its channel, so a
-/// receive can clone the receiver and wait outside the roster's lock.
-struct LocalInbox {
-    tx: Sender<(PartyId, Message)>,
-    rx: Receiver<(PartyId, Message)>,
+/// An inbox in this process: both halves of a condvar channel, so a
+/// receive can clone the receiver and wait outside any lock. A [`Network`]
+/// holds one of decoded messages per local party, a
+/// [`PartyNode`](crate::PartyNode) one of encoded messages for its party.
+pub(crate) struct Inbox<T> {
+    pub(crate) tx: Sender<T>,
+    pub(crate) rx: Receiver<T>,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new() -> Self {
+        let (tx, rx) = unbounded();
+        Self { tx, rx }
+    }
 }
 
 /// The [`Transport`]: the server, `n` clients and the public board, each
@@ -603,7 +612,7 @@ pub struct Network {
     meter: Meter,
     /// Inboxes of the parties this process hosts. No socket exchange holds
     /// this lock, so a local send never waits on another party's socket.
-    local: Mutex<HashMap<PartyId, LocalInbox>>,
+    local: Mutex<HashMap<PartyId, Inbox<(PartyId, Message)>>>,
     /// Links to the parties hosted elsewhere, each held for one exchange.
     remote: BTreeMap<PartyId, Mutex<Remote>>,
     /// Parties whose link a [`Fault::Disconnect`] or a failed redial
@@ -679,10 +688,7 @@ impl Network {
         let local = roster(n_clients)
             .into_iter()
             .filter(|p| !remote.contains_key(p))
-            .map(|p| {
-                let (tx, rx) = unbounded();
-                (p, LocalInbox { tx, rx })
-            })
+            .map(|p| (p, Inbox::new()))
             .collect();
         Self {
             meter: Meter::new(),

@@ -18,7 +18,7 @@
 //! workspace sources for the rest:
 //!
 //! * **L6 `privacy-flow`** — shuffle-seed material (the secret roots in
-//!   [`passes`]) is never reachable from server-side code, nor held there
+//!   `passes`) is never reachable from server-side code, nor held there
 //!   in a type that contains it (that it never reaches a log is a type
 //!   fact: `gtv-vfl`'s seed types cannot be printed);
 //! * **L11 `raw-egress`** — raw feature-column data (partition table
@@ -26,12 +26,12 @@
 //!   `encode` sink except through the sanctioned
 //!   `TableTransformer::encode` → activation path (paper §3.1.4).
 //!
-//! Both run on the item-level engine: the [`parse`] module's
+//! Both run on the item-level engine: the `parse` module's
 //! recursive-descent parser extracts items (structs and enums with field
 //! types, fns with bodies) from comment- and string-stripped source, so
-//! tokens inside string literals or comments never count; [`model`] builds
+//! tokens inside string literals or comments never count; `model` builds
 //! the type-containment and approximate call/reference graphs, and
-//! [`dataflow`] layers flow-sensitive per-function taint tracking with
+//! `dataflow` layers flow-sensitive per-function taint tracking with
 //! memoized interprocedural summaries on top (L11 is taint-driven; L6's
 //! name registries remain as drift guards). The rule numbers of the retired
 //! L1–L5, L7–L10 and L12 stay unused: the compiler, clippy, `gtv-vfl`'s

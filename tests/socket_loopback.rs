@@ -4,23 +4,26 @@
 //! local. Same seed, same config ⇒ byte-identical trained weights and
 //! identical per-round byte accounting, in any delivery order; and the
 //! failure modes the sockets add (version mismatch, peer crash mid-round, a
-//! reply that comes too late) surface as typed [`TransportError`]s, never
-//! panics or hangs.
+//! reply that comes too late, a dialer over the connection cap) surface as
+//! typed [`TransportError`]s, never panics or hangs.
 
 #![expect(clippy::disallowed_methods, reason = "the tests host their peers on threads")]
 
 use gtv::{GtvConfig, GtvTrainer};
 use gtv_data::{Dataset, Table};
-use gtv_serve::{ModelRegistry, ServeConfig, SynthServer, SynthService};
+use gtv_serve::{ModelRegistry, ServeConfig, ServeConn, SynthServer, SynthService};
 use gtv_vfl::socket::framing::{Frame, FrameBuf, PROTOCOL_VERSION, WIRE_VERSION};
-use gtv_vfl::socket::{read_frame, write_frame, Listener, Stream};
+use gtv_vfl::socket::{
+    read_frame, serve_connections, write_frame, Listener, Stream, MAX_CONNECTIONS,
+};
 use gtv_vfl::{
     Endpoint, Fault, Message, Network, PartitionPlan, PartyId, PartyNode, Transport, TransportError,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Fleet {
     nodes: Vec<Arc<PartyNode>>,
@@ -244,21 +247,12 @@ fn binding_onto_a_regular_file_fails_and_leaves_it_intact() {
     assert!(!path.exists(), "the node unlinks its socket on drop");
 }
 
-/// Accepts one dialer on a scripted node and answers its hello.
-fn greet(listener: &Listener) -> (Stream, FrameBuf<Frame>) {
-    let tick = Duration::from_millis(20);
-    let mut stream = loop {
-        match listener.accept(tick).expect("accept") {
-            Some(stream) => break stream,
-            None => std::thread::sleep(tick),
-        }
-    };
-    let mut fb = FrameBuf::new();
-    let hello = next_frame(&mut stream, &mut fb);
+/// Answers a dialer's hello on a scripted node.
+fn greet(stream: &mut Stream, fb: &mut FrameBuf<Frame>) {
+    let hello = next_frame(stream, fb);
     assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
     let ack = Frame::HelloAck { protocol: PROTOCOL_VERSION, wire: WIRE_VERSION };
-    write_frame(&mut stream, &ack, PartyId::Server).expect("ack the hello");
-    (stream, fb)
+    write_frame(stream, &ack, PartyId::Server).expect("ack the hello");
 }
 
 fn next_frame(stream: &mut Stream, fb: &mut FrameBuf<Frame>) -> Frame {
@@ -270,35 +264,100 @@ fn next_frame(stream: &mut Stream, fb: &mut FrameBuf<Frame>) -> Frame {
 
 #[test]
 fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
-    // A scripted node answers the first `RecvReq` only after the dialer's
-    // own deadline (a 0 ms node-side wait plus the 2 s margin), then serves
-    // the redial honestly.
+    // A scripted node answers the first link's `RecvReq` only after the
+    // dialer's own deadline (a 0 ms node-side wait plus the 2 s margin),
+    // and serves the redialed link honestly.
     let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0")).expect("bind");
     let endpoints = HashMap::from([(PartyId::Client(0), listener.endpoint())]);
-    let node = std::thread::spawn(move || {
-        let (mut first, mut fb) = greet(&listener);
-        let request = next_frame(&mut first, &mut fb);
-        assert!(matches!(request, Frame::RecvReq { .. }), "{request:?}");
-        std::thread::sleep(Duration::from_millis(2500));
-        let late = Frame::Msg {
-            from: PartyId::Server,
-            payload: Message::RoundStart { round: 9, selected: 0 }.encode(),
-        };
-        // The dialer has hung up by now, so this write may fail; either way
-        // the reply must never reach the next exchange.
-        let _ = write_frame(&mut first, &late, PartyId::Server);
-        let (mut second, mut fb) = greet(&listener);
-        let deliver = next_frame(&mut second, &mut fb);
-        assert!(matches!(deliver, Frame::Deliver { .. }), "{deliver:?}");
-        write_frame(&mut second, &Frame::DeliverAck, PartyId::Server).expect("ack the delivery");
+    let stop = AtomicBool::new(false);
+    let links = AtomicUsize::new(0);
+    let script = |mut stream: Stream, _: &dyn Fn() -> bool| {
+        let mut fb = FrameBuf::new();
+        greet(&mut stream, &mut fb);
+        if links.fetch_add(1, Ordering::SeqCst) == 0 {
+            let request = next_frame(&mut stream, &mut fb);
+            assert!(matches!(request, Frame::RecvReq { .. }), "{request:?}");
+            std::thread::sleep(Duration::from_millis(2500));
+            let late = Frame::Msg {
+                from: PartyId::Server,
+                payload: Message::RoundStart { round: 9, selected: 0 }.encode(),
+            };
+            // The dialer has hung up by now, so this write may fail; either
+            // way the reply must never reach the next exchange.
+            let _ = write_frame(&mut stream, &late, PartyId::Server);
+        } else {
+            let deliver = next_frame(&mut stream, &mut fb);
+            assert!(matches!(deliver, Frame::Deliver { .. }), "{deliver:?}");
+            write_frame(&mut stream, &Frame::DeliverAck, PartyId::Server)
+                .expect("ack the delivery");
+        }
+        Ok(())
+    };
+    std::thread::scope(|s| {
+        let node = s.spawn(|| {
+            let stopped = || stop.load(Ordering::SeqCst);
+            serve_connections(&listener, &stopped, |reason| Frame::HelloReject { reason }, script)
+        });
+        let transport = Network::connect(1, endpoints).expect("connect to the scripted node");
+        let err = transport
+            .recv_timeout(PartyId::Client(0), Duration::ZERO)
+            .expect_err("the reply comes after the deadline");
+        assert!(matches!(err, TransportError::Timeout { .. }), "{err:?}");
+        transport
+            .send(
+                PartyId::Server,
+                PartyId::Client(0),
+                Message::RoundStart { round: 1, selected: 0 },
+            )
+            .expect("the next exchange redials instead of reading the late reply");
+        stop.store(true, Ordering::SeqCst);
+        let served = node.join().expect("the scripted node saw the exchanges it expected");
+        served.expect("the listener stays healthy");
     });
-    let transport = Network::connect(1, endpoints).expect("connect to the scripted node");
-    let err = transport
-        .recv_timeout(PartyId::Client(0), Duration::ZERO)
-        .expect_err("the reply comes after the deadline");
-    assert!(matches!(err, TransportError::Timeout { .. }), "{err:?}");
-    transport
-        .send(PartyId::Server, PartyId::Client(0), Message::RoundStart { round: 1, selected: 0 })
-        .expect("the next exchange redials instead of reading the late reply");
-    node.join().expect("the scripted node saw the exchange it expected");
+    assert_eq!(links.into_inner(), 2, "the dialer redialed once");
+}
+
+/// A refusal over the connection cap: typed, at once, and naming the cap.
+fn assert_refused_at_the_cap(err: TransportError, began: Instant) {
+    assert!(began.elapsed() < Duration::from_secs(1), "took {:?}", began.elapsed());
+    match err {
+        TransportError::HandshakeFailed { reason } => {
+            assert!(reason.contains(&MAX_CONNECTIONS.to_string()), "{reason}")
+        }
+        other => panic!("expected HandshakeFailed, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_dialer_over_the_connection_cap_is_refused_at_once() {
+    let node = Arc::new(
+        PartyNode::bind(PartyId::Client(0), &Endpoint::parse("127.0.0.1:0")).expect("bind node"),
+    );
+    let serving = Arc::clone(&node);
+    let node_thread = std::thread::spawn(move || serving.serve());
+    let endpoints = HashMap::from([(PartyId::Client(0), node.endpoint())]);
+    let held: Vec<Network> = (0..MAX_CONNECTIONS)
+        .map(|_| Network::connect(1, endpoints.clone()).expect("a link under the cap"))
+        .collect();
+    let began = Instant::now();
+    let err = Network::connect(1, endpoints).expect_err("a link over the cap");
+    assert_refused_at_the_cap(err, began);
+    drop(held);
+    node.request_stop();
+    node_thread.join().expect("node thread").expect("node serve loop");
+
+    let service = Arc::new(SynthService::new(ModelRegistry::new(), ServeConfig::default()));
+    let server = SynthServer::bind(service, &Endpoint::parse("127.0.0.1:0")).expect("bind");
+    let endpoint = server.endpoint();
+    let stop = server.stop_flag();
+    let server_thread = std::thread::spawn(move || server.serve(None));
+    let held: Vec<ServeConn> = (0..MAX_CONNECTIONS)
+        .map(|_| ServeConn::connect(&endpoint).expect("a session under the cap"))
+        .collect();
+    let began = Instant::now();
+    let err = ServeConn::connect(&endpoint).expect_err("a session over the cap");
+    assert_refused_at_the_cap(err, began);
+    drop(held);
+    stop.store(true, Ordering::SeqCst);
+    assert_eq!(server_thread.join().expect("server thread").expect("serve loop"), 0);
 }

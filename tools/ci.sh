@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: the build level, formatting, clippy under the workspace
-# deny-list and `clippy.toml` (and on the fixture that breaks each of its
-# bans), the gtv-xtask privacy lints, the test suite (the bit pins at two
-# build levels), the kernels' allocation count, the shims and the gtvbench
-# smoke pass; and the working tree left as it was found. Run from anywhere.
+# deny-list and `clippy.toml`, warning-free docs, clippy on the fixture that
+# breaks each of its bans, the gtv-xtask privacy lints, the test suite (the
+# bit pins at two build levels), the kernels' allocation count, the shims
+# and the gtvbench smoke pass; and the working tree left as it was found.
+# Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +48,11 @@ cargo fmt --check --manifest-path tools/kernel_allocs/Cargo.toml
 
 step "cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "cargo doc --workspace --no-deps (warning-free)"
+# A public item's docs that link to a private one, or to a name that does
+# not resolve, point the reader nowhere; rustdoc warns, and this fails on it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 step "clippy bans fire on their fixture"
 # The panic, clock/thread, environment, process-id, seeding, hash-order,

@@ -246,3 +246,26 @@ fn graph_kernels_take_their_buffers_from_the_pool() {
     report.check_graph("scatter rows", &[&x], |g, v| g.scatter_rows(v[0], &idx, 2 * BATCH));
     report.assert_clean();
 }
+
+#[test]
+fn a_graph_rebuilt_after_a_reset_reuses_its_arena() {
+    pool::set_threads(1);
+    // Values of one element stay below the floor, so only the graph's own
+    // storage can reach it: the node arena holds 200 nodes.
+    let g = Graph::new();
+    let x = Tensor::scalar(0.5);
+    let build = || {
+        let mut v = g.leaf(x.clone());
+        for _ in 1..200 {
+            v = g.add_scalar(v, 0.25);
+        }
+        v
+    };
+    build();
+    g.reset();
+    let (_, count, largest) = counted(build);
+    assert_eq!(g.reset(), 200);
+    let mut report = Report::default();
+    report.record("200 nodes rebuilt after a reset", count, largest);
+    report.assert_clean();
+}
