@@ -445,10 +445,8 @@ fn serve_synth(args: &Args) -> Result<(), String> {
     }
     let synth = trainer.synthesizer().map_err(|e| e.to_string())?;
 
-    // Steady-state serving runs entirely from recycled buffers; warming the
-    // registry parks the first request's allocations up front.
     let mut registry = ModelRegistry::new();
-    let parked = registry.insert_warm(&model, synth).map_err(|e| e.to_string())?;
+    registry.insert(&model, synth);
     let serve_config = ServeConfig {
         queue_cap: args.parsed_or("queue-cap", 256usize).map_err(|e| e.to_string())?,
         max_batch_rows: args.parsed_or("max-batch-rows", 4096usize).map_err(|e| e.to_string())?,
@@ -456,10 +454,7 @@ fn serve_synth(args: &Args) -> Result<(), String> {
     };
     let service = std::sync::Arc::new(SynthService::new(registry, serve_config));
     let server = SynthServer::bind(service, &listen).map_err(|e| e.to_string())?;
-    println!(
-        "model '{model}' registered ({parked} buffers pre-warmed); serving on {} (Ctrl-C to stop)",
-        server.endpoint()
-    );
+    println!("model '{model}' registered; serving on {} (Ctrl-C to stop)", server.endpoint());
     let max_replies = match args.optional("max-replies") {
         Some(n) => Some(n.parse::<u64>().map_err(|e| format!("--max-replies: {e}"))?),
         None => None,

@@ -95,6 +95,11 @@ impl SplitGenerator {
         &self.slice_widths
     }
 
+    /// Width of client `client`'s activated output (its encoded width).
+    pub fn client_width(&self, client: usize) -> usize {
+        self.client_heads[client].out_dim()
+    }
+
     /// Server part: runs `G^t` and splits the output into client slices.
     pub fn top_forward(&self, ctx: &Ctx<'_>, z_cv: Var) -> Vec<Var> {
         let g = ctx.graph();

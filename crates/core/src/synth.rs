@@ -1,4 +1,9 @@
-//! Standalone synthesis engine extracted from the trainer.
+//! The one generation path: the eval forward of the [`SplitGenerator`].
+//!
+//! Serving and publication run the same forward over borrowed parts
+//! (`Generation`): a trainer's publication (`GtvTrainer::synthesize`)
+//! carries exactly the rows a [`Synthesizer`] serves for the same
+//! `(n, seed)` with no fixed condition, permuted by the publication shuffle.
 //!
 //! A [`Synthesizer`] owns everything generation needs — a rebuilt
 //! [`SplitGenerator`], each client's fitted [`TableTransformer`], the
@@ -145,6 +150,143 @@ struct Plan {
     row_seeds: Vec<u64>,
 }
 
+/// The borrowed parts of one generator that its eval forward reads. A
+/// [`Synthesizer`] lends the parts it owns; the trainer lends its live ones
+/// for a publication, so neither copies a weight.
+pub(crate) struct Generation<'a> {
+    pub(crate) generator: &'a SplitGenerator,
+    pub(crate) samplers: &'a [Option<ClientCondSampler>],
+    pub(crate) layout: &'a CondLayout,
+    pub(crate) ratios: &'a [f64],
+    pub(crate) embedding_dim: usize,
+    /// Rows per forward pass; chunking never changes output bits.
+    pub(crate) chunk_rows: usize,
+}
+
+impl Generation<'_> {
+    /// The one eval forward of the generator: every request's rows, stacked
+    /// in request order, as one activation matrix per client. `specs` must
+    /// be non-empty and valid (see [`Synthesizer::validate`]); a zero-row
+    /// request yields zero-row matrices. No row cap applies here: the
+    /// serving cap is [`Synthesizer::validate`]'s.
+    pub(crate) fn forward(&self, specs: &[SynthSpec]) -> Vec<Tensor> {
+        let plans: Vec<Plan> = specs.iter().map(|s| self.plan(s)).collect();
+        let total: usize = specs.iter().map(|s| s.n).sum();
+
+        // Global row-major stack of all request inputs, then fixed-size
+        // forward chunks over it. Chunk boundaries may split a request;
+        // row independence makes that unobservable.
+        let g_in_refs: Vec<&Tensor> = plans.iter().map(|p| &p.g_in).collect();
+        let g_in_all = Tensor::concat_rows(&g_in_refs);
+        drop(g_in_refs);
+        let seeds_all: Vec<u64> = plans.iter().flat_map(|p| p.row_seeds.iter().copied()).collect();
+        for plan in plans {
+            plan.g_in.recycle();
+        }
+
+        let widths: Vec<usize> =
+            (0..self.samplers.len()).map(|c| self.generator.client_width(c)).collect();
+        let mut outputs: Vec<Vec<f32>> =
+            widths.iter().map(|w| gtv_tensor::pool_mem::take(total * w)).collect();
+        let mut done = 0;
+        while done < total {
+            let take = self.chunk_rows.min(total - done);
+            let rows: Vec<usize> = (done..done + take).collect();
+            let chunk = g_in_all.select_rows(&rows);
+            let g = Graph::new();
+            let ctx = Ctx::eval_rows(&g, seeds_all[done..done + take].to_vec());
+            let chunk = g.leaf(chunk);
+            let slices = self.generator.top_forward(&ctx, chunk);
+            for (c, out) in outputs.iter_mut().enumerate() {
+                let (_, act) = self.generator.client_forward(&ctx, c, slices[c]);
+                g.with_value(act, |t| out.extend_from_slice(t.as_slice()));
+            }
+            // Each chunk is its own step scope: park its graph storage for
+            // the next chunk (and the next request) to recycle.
+            g.reset();
+            done += take;
+        }
+        g_in_all.recycle();
+        outputs.into_iter().zip(widths).map(|(data, w)| Tensor::from_vec(total, w, data)).collect()
+    }
+
+    /// Materializes a validated request's inputs from its own seed streams.
+    fn plan(&self, spec: &SynthSpec) -> Plan {
+        #[expect(clippy::disallowed_methods, reason = "the request's `spec.seed`")]
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let cv = match &spec.cond {
+            Some(cond) => self.fixed_cv(cond, spec.n),
+            None => self.sampled_cv(spec.n, &mut rng),
+        };
+        let z = Tensor::randn(spec.n, self.embedding_dim, &mut rng);
+        let g_in = match cv {
+            Some(cv) => {
+                let joined = Tensor::concat_cols(&[&z, &cv]);
+                z.recycle();
+                cv.recycle();
+                joined
+            }
+            None => z,
+        };
+        let row_seeds = (0..spec.n as u64).map(|r| row_seed(spec.seed, r)).collect();
+        Plan { g_in, row_seeds }
+    }
+
+    /// Every row pinned to the request's fixed condition. `None` only when
+    /// validation was skipped and the cond is invalid — callers validate.
+    fn fixed_cv(&self, cond: &CondSpec, n: usize) -> Option<Tensor> {
+        let sampler = self.samplers.get(cond.client)?.as_ref()?;
+        let slot = sampler.slot_of_column(cond.column)?;
+        if cond.category >= sampler.categories_of_slot(slot) {
+            return None;
+        }
+        let choice = CondChoice { slot, column: cond.column, category: cond.category };
+        let choices = vec![choice; n];
+        Some(sampler.materialize(
+            &choices,
+            self.layout.offset(cond.client),
+            self.layout.total_width(),
+        ))
+    }
+
+    /// Generation-time conditional vectors: the constructing client drawn as
+    /// in training, once per request, then original-frequency category
+    /// sampling — all from the request's RNG stream. `None`, without a
+    /// draw, when no client has a categorical column.
+    fn sampled_cv(&self, n: usize, rng: &mut StdRng) -> Option<Tensor> {
+        let eligible = self
+            .samplers
+            .iter()
+            .zip(self.ratios)
+            .enumerate()
+            .filter_map(|(i, (sampler, &ratio))| sampler.as_ref().map(|s| (ratio, (i, s))));
+        let (p, sampler) = draw_constructor(eligible.collect(), rng)?;
+        let choices = sampler.sample_batch_original(n, rng);
+        Some(sampler.materialize(&choices, self.layout.offset(p), self.layout.total_width()))
+    }
+}
+
+/// Draws the CV-constructing client `p ~ P_r` (Algorithm 1, step 4) from
+/// `eligible`: `(ratio, client)` pairs, in client order, of the clients that
+/// own categorical columns. `None`, without a draw, when there are none.
+/// Training draws one per step, generation one per request.
+pub(crate) fn draw_constructor<C>(eligible: Vec<(f64, C)>, rng: &mut StdRng) -> Option<C> {
+    if eligible.is_empty() {
+        return None;
+    }
+    let total: f64 = eligible.iter().map(|&(ratio, _)| ratio).sum();
+    let mut u = rng.gen::<f64>() * total;
+    let mut chosen = None;
+    for (ratio, client) in eligible {
+        u -= ratio;
+        chosen = Some(client);
+        if u <= 0.0 {
+            break;
+        }
+    }
+    chosen
+}
+
 /// A cached, transport-free generation engine for one trained model.
 #[derive(Debug)]
 pub struct Synthesizer {
@@ -203,24 +345,6 @@ impl Synthesizer {
     /// Number of clients (vertical shards) behind this model.
     pub fn n_clients(&self) -> usize {
         self.transformers.len()
-    }
-
-    /// The internal forward-pass chunk size in rows.
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
-    /// Sets the forward-pass chunk size (the serving engine aligns it with
-    /// its coalescing cap so a whole request group runs as one pass).
-    /// Chunking never changes output bits — only memory/latency shape.
-    pub fn set_chunk_rows(&mut self, rows: usize) {
-        self.chunk_rows = rows.max(1);
-    }
-
-    /// Width of the generator input (`embedding_dim + CV width`) — the shape
-    /// serving warmup pins in the buffer pool.
-    pub fn input_width(&self) -> usize {
-        self.embedding_dim + self.layout.total_width()
     }
 
     /// The first conditionable column as `(client, client-local column)`,
@@ -284,9 +408,9 @@ impl Synthesizer {
     }
 
     /// Generates every request in `specs`, coalescing them into shared
-    /// forward passes of at most [`Synthesizer::chunk_rows`] rows. Each
-    /// returned table is byte-identical to what the same spec yields solo,
-    /// in any grouping, at any `GTV_THREADS` (see the module docs).
+    /// forward passes of at most `config.batch` rows. Each returned table is
+    /// byte-identical to what the same spec yields solo, in any grouping,
+    /// at any `GTV_THREADS` (see the module docs).
     ///
     /// # Errors
     ///
@@ -297,57 +421,18 @@ impl Synthesizer {
         for spec in specs {
             self.validate(spec)?;
         }
-        let plans: Vec<Plan> = specs.iter().map(|s| self.plan(s)).collect();
-        let total: usize = specs.iter().map(|s| s.n).sum();
-        if total == 0 {
+        if specs.is_empty() {
             return Ok(Vec::new());
         }
-
-        // Global row-major stack of all request inputs, then fixed-size
-        // forward chunks over it. Chunk boundaries may split a request;
-        // row independence makes that unobservable.
-        let g_in_refs: Vec<&Tensor> = plans.iter().map(|p| &p.g_in).collect();
-        let g_in_all = Tensor::concat_rows(&g_in_refs);
-        drop(g_in_refs);
-        let seeds_all: Vec<u64> = plans.iter().flat_map(|p| p.row_seeds.iter().copied()).collect();
-        for plan in plans {
-            plan.g_in.recycle();
-        }
-
-        let n_clients = self.n_clients();
-        let mut per_client: Vec<Vec<Tensor>> = vec![Vec::new(); n_clients];
-        let mut done = 0;
-        while done < total {
-            let take = self.chunk_rows.min(total - done);
-            let rows: Vec<usize> = (done..done + take).collect();
-            let chunk = g_in_all.select_rows(&rows);
-            let g = Graph::new();
-            let ctx = Ctx::eval_rows(&g, seeds_all[done..done + take].to_vec());
-            let chunk = g.leaf(chunk);
-            let slices = self.generator.top_forward(&ctx, chunk);
-            for (c, out) in per_client.iter_mut().enumerate() {
-                let (_, act) = self.generator.client_forward(&ctx, c, slices[c]);
-                out.push(g.value(act));
-            }
-            // Each chunk is its own step scope: park its graph storage for
-            // the next chunk (and the next request) to recycle.
-            g.reset();
-            done += take;
-        }
-        g_in_all.recycle();
-
-        let stacked: Vec<Tensor> = per_client
-            .into_iter()
-            .map(|chunks| {
-                let refs: Vec<&Tensor> = chunks.iter().collect();
-                let joined = Tensor::concat_rows(&refs);
-                drop(refs);
-                for chunk in chunks {
-                    chunk.recycle();
-                }
-                joined
-            })
-            .collect();
+        let generation = Generation {
+            generator: &self.generator,
+            samplers: &self.samplers,
+            layout: &self.layout,
+            ratios: &self.ratios,
+            embedding_dim: self.embedding_dim,
+            chunk_rows: self.chunk_rows,
+        };
+        let stacked = generation.forward(specs);
 
         // Slice each request's row range back out and decode per client.
         let mut out = Vec::with_capacity(specs.len());
@@ -372,71 +457,6 @@ impl Synthesizer {
             m.recycle();
         }
         Ok(out)
-    }
-
-    /// Materializes a validated request's inputs from its own seed streams.
-    fn plan(&self, spec: &SynthSpec) -> Plan {
-        #[expect(clippy::disallowed_methods, reason = "the request's `spec.seed`")]
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let cv = if self.layout.total_width() == 0 {
-            None
-        } else {
-            match &spec.cond {
-                Some(cond) => self.fixed_cv(cond, spec.n),
-                None => self.sampled_cv(spec.n, &mut rng),
-            }
-        };
-        let z = Tensor::randn(spec.n, self.embedding_dim, &mut rng);
-        let g_in = match cv {
-            Some(cv) => {
-                let joined = Tensor::concat_cols(&[&z, &cv]);
-                z.recycle();
-                cv.recycle();
-                joined
-            }
-            None => z,
-        };
-        let row_seeds = (0..spec.n as u64).map(|r| row_seed(spec.seed, r)).collect();
-        Plan { g_in, row_seeds }
-    }
-
-    /// Every row pinned to the request's fixed condition. `None` only when
-    /// validation was skipped and the cond is invalid — callers validate.
-    fn fixed_cv(&self, cond: &CondSpec, n: usize) -> Option<Tensor> {
-        let sampler = self.samplers.get(cond.client)?.as_ref()?;
-        let slot = sampler.slot_of_column(cond.column)?;
-        if cond.category >= sampler.categories_of_slot(slot) {
-            return None;
-        }
-        let choice = CondChoice { slot, column: cond.column, category: cond.category };
-        let choices = vec![choice; n];
-        Some(sampler.materialize(
-            &choices,
-            self.layout.offset(cond.client),
-            self.layout.total_width(),
-        ))
-    }
-
-    /// Generation-time conditional vectors, mirroring the trainer: one
-    /// constructing client drawn ∝ `P_r` per request, then original-frequency
-    /// category sampling — all from the request's RNG stream.
-    fn sampled_cv(&self, n: usize, rng: &mut StdRng) -> Option<Tensor> {
-        let eligible: Vec<usize> =
-            (0..self.samplers.len()).filter(|&i| self.samplers[i].is_some()).collect();
-        let (&first, rest) = eligible.split_first()?;
-        let total: f64 = eligible.iter().map(|&i| self.ratios[i]).sum();
-        let mut u = rng.gen::<f64>() * total;
-        let mut p = first;
-        for &i in std::iter::once(&first).chain(rest) {
-            u -= self.ratios[i];
-            p = i;
-            if u <= 0.0 {
-                break;
-            }
-        }
-        let sampler = self.samplers[p].as_ref()?;
-        let choices = sampler.sample_batch_original(n, rng);
-        Some(sampler.materialize(&choices, self.layout.offset(p), self.layout.total_width()))
     }
 }
 
@@ -479,11 +499,19 @@ mod tests {
 
     #[test]
     fn chunk_size_is_unobservable() {
-        let mut synth = smoke_synthesizer();
+        // Untrained weights depend on the seed, not on `batch`, which sets
+        // the chunk size: 32 rows a pass against 4.
+        let t = Dataset::Loan.generate(96, 3);
+        let n = t.n_cols();
+        let synth = |batch| {
+            let shards = t.vertical_split(&[(0..n / 2).collect(), (n / 2..n).collect()]);
+            GtvTrainer::new(shards, GtvConfig { batch, ..GtvConfig::smoke() })
+                .synthesizer()
+                .expect("synthesizer")
+        };
         let spec = SynthSpec { n: 23, seed: 5, cond: None };
-        let whole = synth.synth_one(&spec).expect("whole");
-        synth.set_chunk_rows(4);
-        let chunked = synth.synth_one(&spec).expect("chunked");
+        let whole = synth(32).synth_one(&spec).expect("whole");
+        let chunked = synth(4).synth_one(&spec).expect("chunked");
         assert_eq!(to_csv_string(&whole), to_csv_string(&chunked));
     }
 

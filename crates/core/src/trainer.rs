@@ -14,6 +14,8 @@ use crate::config::{GtvConfig, IndexSharing};
 use crate::discriminator::SplitDiscriminator;
 use crate::generator::SplitGenerator;
 use crate::privacy::{column_truths, ClientIndexObserver, ColumnTruth, ServerObserver};
+use crate::synth::{draw_constructor, Generation};
+use crate::SynthSpec;
 use gtv_cond::{ClientCondSampler, CondChoice, CondLayout};
 use gtv_data::Table;
 use gtv_encoders::TableTransformer;
@@ -67,8 +69,6 @@ struct ClientState {
     /// gathers the rows `current_to_initial[idx_p]` from it, or all of
     /// `current_to_initial` where the whole table is uploaded.
     encoded: Tensor,
-    /// Indexes the table in current (shuffled) row order.
-    sampler: Option<ClientCondSampler>,
     rng: StdRng,
 }
 
@@ -112,6 +112,10 @@ pub struct GtvTrainer<T: Transport = Network> {
     d_opt: Adam,
     network: T,
     shuffler: SharedShuffler,
+    /// Each client's conditional sampler (`None` without a categorical
+    /// column); it indexes the client's table in current (shuffled) row
+    /// order.
+    samplers: Vec<Option<ClientCondSampler>>,
     layout: CondLayout,
     ratios: Vec<f64>,
     observer: ServerObserver,
@@ -213,26 +217,23 @@ impl<T: Transport> GtvTrainer<T> {
 
         // Clients encode their local columns (Algorithm 1, step 1).
         let mut clients = Vec::with_capacity(n_clients);
+        let mut samplers = Vec::with_capacity(n_clients);
         for (i, table) in tables.into_iter().enumerate() {
             let transformer =
                 TableTransformer::fit(&table, config.max_modes, config.seed.wrapping_add(i as u64));
             let encoded = transformer.encode(&table, config.seed.wrapping_add(1000 + i as u64));
-            let sampler = ClientCondSampler::from_table(&table);
+            samplers.push(ClientCondSampler::from_table(&table));
             clients.push(ClientState {
                 table,
                 transformer,
                 encoded,
-                sampler,
                 #[expect(clippy::disallowed_methods, reason = "`config.seed`, offset per client")]
                 rng: StdRng::seed_from_u64(config.seed.wrapping_add(2000 + i as u64)),
             });
         }
 
         let layout = CondLayout::new(
-            clients
-                .iter()
-                .map(|c| c.sampler.as_ref().map_or(0, ClientCondSampler::width))
-                .collect(),
+            samplers.iter().map(|s| s.as_ref().map_or(0, ClientCondSampler::width)).collect(),
         );
         let client_widths: Vec<usize> = clients.iter().map(|c| c.transformer.width()).collect();
         let client_spans: Vec<Vec<gtv_encoders::Span>> =
@@ -267,6 +268,7 @@ impl<T: Transport> GtvTrainer<T> {
             d_opt,
             network,
             shuffler,
+            samplers,
             layout,
             ratios,
             observer,
@@ -408,11 +410,12 @@ impl<T: Transport> GtvTrainer<T> {
         let n_clients = self.clients.len();
         // Server-side selection of `p` among clients that own categorical
         // columns; the chosen client's sampler and stream come with it.
-        let eligible = self.clients.iter_mut().zip(&self.ratios).enumerate().filter_map(
-            |(i, (ClientState { sampler, rng, .. }, &ratio))| {
-                sampler.as_ref().map(|s| (ratio, (i, s, rng)))
-            },
-        );
+        let eligible =
+            self.samplers.iter().zip(&mut self.clients).zip(&self.ratios).enumerate().filter_map(
+                |(i, ((sampler, client), &ratio))| {
+                    sampler.as_ref().map(|s| (ratio, (i, s, &mut client.rng)))
+                },
+            );
         let Some((p, sampler, client_rng)) = draw_constructor(eligible.collect(), &mut self.rng)
         else {
             return Ok(None);
@@ -869,8 +872,8 @@ impl<T: Transport> GtvTrainer<T> {
         }
         let perm = self.shuffler.permutation(self.n_rows, self.round);
         self.current_to_initial = perm.iter().map(|&i| self.current_to_initial[i]).collect();
-        for client in &mut self.clients {
-            if let Some(sampler) = &mut client.sampler {
+        for (sampler, client) in self.samplers.iter_mut().zip(&self.clients) {
+            if let Some(sampler) = sampler {
                 sampler.reindex_in_order(&client.table, &self.current_to_initial);
             }
         }
@@ -908,57 +911,33 @@ impl<T: Transport> GtvTrainer<T> {
         Ok(())
     }
 
-    /// Secure synthetic-data publication (§3.1.7): generates `n` rows,
-    /// decodes each client's share locally, applies the shared publication
-    /// shuffle and publishes the shares. Returns one table per client (all
-    /// row-aligned).
+    /// Secure synthetic-data publication (§3.1.7): generates `n` rows
+    /// through the one generation forward (the rows a [`crate::Synthesizer`]
+    /// serves for `(n, seed)` with no fixed condition, and no serving row
+    /// cap), decodes each client's share locally, applies the shared
+    /// publication shuffle and publishes the shares. Returns one table per
+    /// client (all row-aligned); `n == 0` publishes zero-row shares.
     ///
     /// # Errors
     ///
     /// Returns a [`TransportError`] if publishing a share to the public
     /// board fails.
     pub fn synthesize_shares(&self, n: usize, seed: u64) -> Result<Vec<Table>, TransportError> {
-        #[expect(clippy::disallowed_methods, reason = "the caller's `seed`")]
-        let mut rng = StdRng::seed_from_u64(seed);
-        let batch = self.config.batch.max(1);
-        let mut per_client: Vec<Vec<Tensor>> = vec![Vec::new(); self.clients.len()];
-        let mut produced = 0;
-        while produced < n {
-            let take = batch.min(n - produced);
-            let cv = self.generation_cv(take, &mut rng);
-            let z = Tensor::randn(take, self.config.embedding_dim, &mut rng);
-            let g_in = match cv {
-                Some(cv) => {
-                    let g_in = Tensor::concat_cols(&[&z, &cv]);
-                    z.recycle();
-                    cv.recycle();
-                    g_in
-                }
-                None => z,
-            };
-            let g = Graph::new();
-            let ctx = Ctx::eval(&g, seed.wrapping_add(produced as u64));
-            let g_in = g.leaf(g_in);
-            let slices = self.generator.top_forward(&ctx, g_in);
-            for i in 0..self.clients.len() {
-                let (_, act) = self.generator.client_forward(&ctx, i, slices[i]);
-                per_client[i].push(g.value(act));
-            }
-            // Each generation batch is its own step scope: recycle its
-            // graph storage before building the next batch's graph.
-            g.reset();
-            produced += take;
-        }
+        let generation = Generation {
+            generator: &self.generator,
+            samplers: &self.samplers,
+            layout: &self.layout,
+            ratios: &self.ratios,
+            embedding_dim: self.config.embedding_dim,
+            chunk_rows: self.config.batch.max(1),
+        };
+        let outputs = generation.forward(&[SynthSpec { n, seed, cond: None }]);
         // Publication shuffle: shared among clients, unknown to the server.
         let perm = self.shuffler.permutation(n, u64::MAX ^ seed);
         let mut shares = Vec::with_capacity(self.clients.len());
         let mut publications: Vec<(PartyId, PartyId, Message)> =
             Vec::with_capacity(self.clients.len());
-        for (i, chunks) in per_client.into_iter().enumerate() {
-            let refs: Vec<&Tensor> = chunks.iter().collect();
-            let joined = Tensor::concat_rows(&refs);
-            drop(refs);
-            chunks.into_iter().for_each(Tensor::recycle);
+        for (i, joined) in outputs.into_iter().enumerate() {
             let matrix = joined.select_rows(&perm);
             joined.recycle();
             shares.push(self.clients[i].transformer.decode(&matrix));
@@ -1013,11 +992,10 @@ impl<T: Transport> GtvTrainer<T> {
         let mut dict = gtv_nn::StateDict::new();
         self.generator.save_state(&mut dict);
         let transformers = self.clients.iter().map(|c| c.transformer.clone()).collect();
-        let samplers = self.clients.iter().map(|c| c.sampler.clone()).collect();
         crate::Synthesizer::from_parts(
             &self.config,
             transformers,
-            samplers,
+            self.samplers.clone(),
             self.ratios.clone(),
             &dict,
         )
@@ -1034,46 +1012,6 @@ impl<T: Transport> GtvTrainer<T> {
         self.generator.load_state(dict)?;
         self.discriminator.load_state(dict)
     }
-
-    /// Generation-time conditional vectors (original-frequency sampling).
-    fn generation_cv(&self, batch: usize, rng: &mut StdRng) -> Option<Tensor> {
-        if self.layout.total_width() == 0 {
-            return None;
-        }
-        // Pick a constructing client ~ P_r among eligible ones.
-        let eligible =
-            self.clients.iter().zip(&self.ratios).enumerate().filter_map(
-                |(i, (client, &ratio))| client.sampler.as_ref().map(|s| (ratio, (i, s))),
-            );
-        #[expect(
-            clippy::expect_used,
-            reason = "total_width() > 0 implies at least one client contributed sampler width"
-        )]
-        let (p, sampler) = draw_constructor(eligible.collect(), rng)
-            .expect("layout nonzero implies an eligible client");
-        let choices = sampler.sample_batch_original(batch, rng);
-        Some(sampler.materialize(&choices, self.layout.offset(p), self.layout.total_width()))
-    }
-}
-
-/// Draws the CV-constructing client `p ~ P_r` (Algorithm 1, step 4) from
-/// `eligible`: `(ratio, client)` pairs, in client order, of the clients that
-/// own categorical columns. `None`, without a draw, when there are none.
-fn draw_constructor<C>(eligible: Vec<(f64, C)>, rng: &mut StdRng) -> Option<C> {
-    if eligible.is_empty() {
-        return None;
-    }
-    let total: f64 = eligible.iter().map(|&(ratio, _)| ratio).sum();
-    let mut u = rng.gen::<f64>() * total;
-    let mut chosen = None;
-    for (ratio, client) in eligible {
-        u -= ratio;
-        chosen = Some(client);
-        if u <= 0.0 {
-            break;
-        }
-    }
-    chosen
 }
 
 #[cfg(test)]
@@ -1363,7 +1301,7 @@ mod tests {
                 for (i, client) in t.clients.iter().enumerate() {
                     assert_eq!(client.table, shards[i], "the raw table stays as loaded");
                     assert_eq!(shards[i].select_rows(&t.current_to_initial), moved[i]);
-                    assert_eq!(client.sampler, ClientCondSampler::from_table(&moved[i]));
+                    assert_eq!(t.samplers[i], ClientCondSampler::from_table(&moved[i]));
                     assert_eq!(client.encoded, encoded[i], "so does the encoded one");
                 }
             }

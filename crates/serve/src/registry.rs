@@ -1,4 +1,4 @@
-//! The model registry: named, cached, pool-warmed generator instances.
+//! The model registry: named, cached generator instances.
 //!
 //! A [`ModelRegistry`] maps registry names to ready-to-sample
 //! [`gtv::Synthesizer`]s — generators rebuilt once from a trained
@@ -6,21 +6,16 @@
 //! for every request, so serving never pays weight-loading or graph
 //! construction per call.
 //!
-//! Registration can *warm* the step-scoped buffer pool for a model:
-//! [`insert_warm`](ModelRegistry::insert_warm) pins staging buffers sized
-//! for a full coalesced chunk via `pool_mem::reserve` and then runs one
-//! throwaway forward pass so every layer-intermediate buffer the model
-//! will ever need is parked in the pool. Steady-state requests after a
-//! warm insert allocate nothing fresh (asserted by the zero-allocation
-//! serve test). The pool is thread-local, so warming must happen on the
-//! thread that will lead batches — with leader-combining that is any
-//! caller thread, each of which warms itself after its first batch.
+//! Registration parks nothing: the buffer pool is thread-local, and every
+//! request is computed on the thread that leads its batch (a connection
+//! thread under `SynthServer`), whose pool warms itself on its first
+//! requests.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use gtv::{SynthError, SynthSpec, Synthesizer};
-use gtv_tensor::pool_mem;
+use gtv::Synthesizer;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Named collection of cached, sample-ready synthesizers.
 ///
@@ -42,32 +37,21 @@ impl ModelRegistry {
         self.models.insert(name.into(), synth);
     }
 
-    /// Registers `synth` under `name` and warms the current thread's
-    /// buffer pool for it: pins a staging buffer sized for one full
-    /// coalesced chunk, then runs a small throwaway forward so the
-    /// layer-intermediate buffers are parked too. Returns the number of
-    /// buffers pinned by the reservation.
+    /// [`ModelRegistry::insert`] under the name and `Result` that callers
+    /// such as gtvbench use; it parks nothing and cannot fail (see the
+    /// module docs).
     pub fn insert_warm(
         &mut self,
         name: impl Into<String>,
         synth: Synthesizer,
-    ) -> Result<usize, SynthError> {
-        let chunk = synth.chunk_rows();
-        let parked = pool_mem::reserve(chunk * synth.input_width(), 2);
-        let spec = SynthSpec { n: chunk.clamp(1, 64), seed: 0, cond: None };
-        synth.synth_one(&spec)?;
-        self.models.insert(name.into(), synth);
-        Ok(parked)
+    ) -> Result<(), Infallible> {
+        self.insert(name, synth);
+        Ok(())
     }
 
     /// The synthesizer registered under `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Synthesizer> {
         self.models.get(name)
-    }
-
-    /// Mutable access (e.g. to retune a model's chunk size).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Synthesizer> {
-        self.models.get_mut(name)
     }
 
     /// Registered names, lexicographically sorted.

@@ -21,12 +21,11 @@ fn req(seed: u64) -> RowsRequest {
 fn steady_state_requests_allocate_nothing_fresh() {
     pool_mem::set_enabled(true);
     let mut registry = ModelRegistry::new();
-    let parked = registry.insert_warm("loan", common::trained_synth()).expect("warm insert");
-    assert!(parked > 0, "insert_warm must pin at least the staging buffer");
+    registry.insert("loan", common::trained_synth());
     let service = SynthService::new(registry, ServeConfig::default());
 
-    // Warm-up window: the first requests of this shape may still park
-    // fresh buffers (the warm pass used the model's own chunk size).
+    // Warm-up window: the first requests of this shape park the buffers
+    // the later ones take (registration warms nothing).
     for seed in 0..4 {
         service.request(&req(seed)).expect("warm-up request");
     }
@@ -57,7 +56,7 @@ fn steady_state_requests_allocate_nothing_fresh() {
 fn pool_bytes_after_twice_the_requests_equal_those_after_the_first_half() {
     pool_mem::set_enabled(true);
     let mut registry = ModelRegistry::new();
-    registry.insert_warm("loan", common::trained_synth()).expect("warm insert");
+    registry.insert("loan", common::trained_synth());
     let service = SynthService::new(registry, ServeConfig::default());
     let requests = 24;
     for seed in 0..requests {

@@ -231,22 +231,6 @@ pub fn clear() {
     BYTE_POOL.with(|p| p.borrow_mut().clear());
 }
 
-/// Pre-parks `count` buffers of capacity `len` so a serving hot loop's first
-/// pass through a model already hits the pool instead of paying cold
-/// allocations. Respects the same budgets as [`give`]: sub-floor lengths,
-/// full buckets and the byte cap all turn pinning into a no-op for the
-/// remaining buffers. Returns how many buffers were actually parked.
-///
-/// This is the registry-warmup half of the serving allocation story: load a
-/// model, `reserve` its step shapes, and steady-state requests run at ~zero
-/// fresh allocations (asserted by the `crates/serve` zero-alloc test).
-pub fn reserve(len: usize, count: usize) -> usize {
-    POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        (0..count).take_while(|_| pool.give(Vec::with_capacity(len))).count()
-    })
-}
-
 /// Hands out an *empty* buffer with capacity ≥ `len`: the smallest parked
 /// one with capacity in `len ..= 4·len` when recycling is enabled, a fresh
 /// allocation otherwise. Requests below the 64-element floor always
@@ -377,29 +361,6 @@ mod tests {
             (MIN_RECYCLE_LEN as u64 - 1) * 4,
             "bytes_requested still covers sub-floor traffic"
         );
-        fresh();
-    }
-
-    #[test]
-    fn reserve_pins_capacity_that_later_takes_hit() {
-        fresh();
-        assert_eq!(reserve(128, 3), 3);
-        assert_eq!(stats().bytes_held, 3 * 128 * 4);
-        for _ in 0..3 {
-            let buf = take(128);
-            assert!(buf.capacity() >= 128);
-        }
-        let s = stats();
-        assert_eq!((s.hits, s.misses), (3, 0), "reserved buffers must serve as hits: {s:?}");
-        fresh();
-    }
-
-    #[test]
-    fn reserve_respects_floor_and_disabled_pool() {
-        fresh();
-        assert_eq!(reserve(MIN_RECYCLE_LEN - 1, 4), 0, "sub-floor reserve is a no-op");
-        set_enabled(false);
-        assert_eq!(reserve(256, 4), 0, "reserve is a no-op while recycling is off");
         fresh();
     }
 

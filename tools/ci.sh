@@ -96,15 +96,18 @@ step "bit pins at baseline x86-64 (two-level check)"
 # that just passed at x86-64-v3 — kernel-output hashes taken on a baseline
 # build (the f32 kernels, the f64 exp and moment lanes, and the mixtures
 # `Gmm1d::fit` reaches through them), the ULP sweeps and scalar-tail
-# identities, matmul ≡ naive triple loop, the trained-weights fingerprint —
-# must pass in a baseline build of the same tree. A target directory of its
+# identities, matmul ≡ naive triple loop, the trained-weights fingerprint,
+# the published and the served tables' hashes — must pass in a baseline
+# build of the same tree. A target directory of its
 # own, so neither build evicts the other's artifacts.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-tensor --test target_invariance --test simd_math --test prop
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-encoders --test target_invariance
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
-    -p gtv --test step_work
+    -p gtv --test step_work --test pipeline_equivalence
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
+    -p gtv-suite --test generation_path
 
 step "kernel allocations (tools/kernel_allocs)"
 # Once warm, a kernel call takes every buffer the recycling pool would
