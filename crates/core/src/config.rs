@@ -137,7 +137,10 @@ pub struct GtvConfig {
     /// from the `GTV_THREADS` environment variable, falling back to the
     /// host's available parallelism. Results are bit-identical for every
     /// setting — the pool's chunking depends only on problem size (see
-    /// DESIGN.md §8) — so this is purely a throughput knob.
+    /// DESIGN.md §8) — so this is purely a throughput knob. It sizes the
+    /// kernel pool only: each party's table-sized work (its encoder fit,
+    /// its whole-table upload) runs on a thread of its own whatever it
+    /// says.
     pub threads: usize,
 }
 

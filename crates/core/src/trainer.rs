@@ -215,14 +215,20 @@ impl<T: Transport> GtvTrainer<T> {
         let ratios: Vec<f64> =
             tables.iter().map(|t| t.n_cols() as f64 / total_cols as f64).collect();
 
-        // Clients encode their local columns (Algorithm 1, step 1).
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut samplers = Vec::with_capacity(n_clients);
-        for (i, table) in tables.into_iter().enumerate() {
+        // Clients encode their local columns (Algorithm 1, step 1), each on
+        // a thread of its own: a fit, an encode and a sampler are functions
+        // of the client's table and seed only (DESIGN.md §8).
+        let fitted = gtv_tensor::pool::run_per_party(tables, |i, table| {
             let transformer =
                 TableTransformer::fit(&table, config.max_modes, config.seed.wrapping_add(i as u64));
             let encoded = transformer.encode(&table, config.seed.wrapping_add(1000 + i as u64));
-            samplers.push(ClientCondSampler::from_table(&table));
+            let sampler = ClientCondSampler::from_table(&table);
+            (table, transformer, encoded, sampler)
+        });
+        let mut clients = Vec::with_capacity(n_clients);
+        let mut samplers = Vec::with_capacity(n_clients);
+        for (i, (table, transformer, encoded, sampler)) in fitted.into_iter().enumerate() {
+            samplers.push(sampler);
             clients.push(ClientState {
                 table,
                 transformer,
@@ -587,7 +593,12 @@ impl<T: Transport> GtvTrainer<T> {
     /// `None` when it is off.
     fn dp_noise(&mut self, rows: usize, cols: usize) -> Option<Tensor> {
         let sigma = self.config.dp_noise_sigma;
-        (sigma > 0.0).then(|| Tensor::randn(rows, cols, &mut self.rng).mul_scalar(sigma))
+        (sigma > 0.0).then(|| {
+            let unit = Tensor::randn(rows, cols, &mut self.rng);
+            let noise = unit.mul_scalar(sigma);
+            unit.recycle();
+            noise
+        })
     }
 
     /// [`Self::dp_noise`] added to an uploaded logit matrix in the graph.
@@ -625,6 +636,9 @@ impl<T: Transport> GtvTrainer<T> {
         // of the client's upload.
         let mut real_nodes: Vec<Option<Var>> = Vec::with_capacity(self.clients.len());
         let mut uploads: Vec<(PartyId, PartyId, Message)> = Vec::with_capacity(self.clients.len());
+        // The whole-table uploads still to be written: each client's frame
+        // and its noise.
+        let mut whole_tables: Vec<(usize, DenseFrame, Option<Tensor>)> = Vec::new();
         for i in 0..self.clients.len() {
             let selected_rows = self.clients[i].encoded.select_rows(&stored);
             let is_p = cond.as_ref().is_none_or(|c| c.p == i);
@@ -639,28 +653,15 @@ impl<T: Transport> GtvTrainer<T> {
                 // shared shuffled order, and the server selects the idx_p
                 // rows. With no bottom blocks D_i^b is the identity, so the
                 // upload is the table itself: its rows are written once,
-                // straight into the message's wire frame. With DP noise the
-                // noise is drawn for the whole table, as the uploading client
-                // draws it, and each value is written noisy.
+                // straight into the message's wire frame, below. With DP
+                // noise the noise is drawn here, for the whole table, as the
+                // uploading client draws it, and each value is written noisy.
+                // The frame is taken here too: the byte pool is the calling
+                // thread's, and it is where the server parks the frame again.
                 let width = self.clients[i].encoded.cols();
                 let noise = self.dp_noise(self.n_rows, width);
-                let encoded = &self.clients[i].encoded;
-                let mut frame =
-                    DenseFrame::new(Message::RealLogits, self.n_rows as u32, width as u32);
-                match noise {
-                    Some(noise) => {
-                        for (r, &row) in self.current_to_initial.iter().enumerate() {
-                            frame.push_row_sum(encoded.row_slice(row), noise.row_slice(r));
-                        }
-                        noise.recycle();
-                    }
-                    None => {
-                        for &row in &self.current_to_initial {
-                            frame.push_row(encoded.row_slice(row));
-                        }
-                    }
-                }
-                uploads.push((PartyId::Client(i), PartyId::Server, frame.finish()));
+                let frame = DenseFrame::new(Message::RealLogits, self.n_rows as u32, width as u32);
+                whole_tables.push((i, frame, noise));
                 real_nodes.push(None);
             } else if full_upload {
                 // With bottom blocks the whole table goes through them —
@@ -688,6 +689,35 @@ impl<T: Transport> GtvTrainer<T> {
                 real_nodes.push(Some(logits));
             }
             real_rows.push(selected_rows);
+        }
+        // Every uploading client writes its rows at once, each on a thread
+        // of its own, as each would on its own machine; a client writes
+        // only its own frame. The messages join the others in client order.
+        let (clients, order) = (&self.clients, &self.current_to_initial);
+        let written = gtv_tensor::pool::run_per_party(whole_tables, |_, (i, mut frame, noise)| {
+            let encoded = &clients[i].encoded;
+            match &noise {
+                Some(noise) => {
+                    for (r, &row) in order.iter().enumerate() {
+                        frame.push_row_sum(encoded.row_slice(row), noise.row_slice(r));
+                    }
+                }
+                None => {
+                    for &row in order {
+                        frame.push_row(encoded.row_slice(row));
+                    }
+                }
+            }
+            (i, frame, noise)
+        });
+        // On the caller, so the noise goes back to its pool. `written` is
+        // in client order and `uploads` holds the other clients' messages
+        // in client order, so each insert lands where the client's slot is.
+        for (i, frame, noise) in written {
+            if let Some(noise) = noise {
+                noise.recycle();
+            }
+            uploads.insert(i, (PartyId::Client(i), PartyId::Server, frame.finish()));
         }
         // The server's node for a whole-table upload is a batch-sized leaf
         // of the idx_p rows it reads out of what it received — only those

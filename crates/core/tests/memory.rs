@@ -217,3 +217,37 @@ fn whole_table_uploads_cycle_through_the_pool() {
         default.misses
     );
 }
+
+/// Five Loan clients on the faithful real path: four whole-table uploads a
+/// D-step, written at once on threads of their own. Each frame is still
+/// taken from the calling thread's byte pool and parked there again once
+/// the server has read it, and each whole-table noise goes back to the
+/// calling thread's pool: a warm round allocates nothing and parks nothing
+/// more. (A frame taken on a party thread would come from that thread's
+/// empty pool, be allocated fresh every round, and pile up parked in the
+/// caller's.)
+#[test]
+fn concurrent_whole_table_uploads_cycle_through_the_callers_pool() {
+    let _guard = SERIAL.lock().unwrap();
+    pool_mem::clear();
+    pool_mem::reset_stats();
+    let table = gtv_data::Dataset::Loan.generate(2000, 0);
+    let n = table.n_cols();
+    let groups: Vec<Vec<usize>> =
+        (0..5).map(|p| (p * 2..if p == 4 { n } else { (p + 1) * 2 }).collect()).collect();
+    let config = GtvConfig { faithful_real_path: true, dp_noise_sigma: 0.1, ..tiny_config() };
+    let mut trainer = GtvTrainer::new(table.vertical_split(&groups), config);
+    for _ in 0..3 {
+        trainer.train_round().unwrap();
+    }
+    let warm = pool_mem::stats();
+    for _ in 3..9 {
+        trainer.train_round().unwrap();
+    }
+    let after = pool_mem::stats();
+    pool_mem::clear();
+    assert_eq!(after.misses, warm.misses, "a warm round allocates f32 storage fresh");
+    assert_eq!(after.byte_misses, warm.byte_misses, "a warm round allocates a frame fresh");
+    assert_eq!(after.bytes_held, warm.bytes_held, "the caller's f32 pool grew");
+    assert_eq!(after.byte_bytes_held, warm.byte_bytes_held, "the caller's byte pool grew");
+}

@@ -4,11 +4,27 @@
 # breaks each of its bans, the gtv-xtask privacy lints, the test suite (the
 # bit pins at two build levels), the kernels' allocation count, the shims
 # and the gtvbench smoke pass; and the working tree left as it was found.
+# The test suite and the smoke pass run under a time limit.
 # Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s ==\n' "$*"; }
+
+# Runs a command under a time limit, so a hang (a blocking accept nobody
+# wakes, a reply that never comes) fails the gate with the step's name
+# instead of stalling it: bounded SECONDS NAME CMD... The build before it
+# runs unbounded, so a cold compile does not count against the limit.
+bounded() {
+    local limit="$1" name="$2" status=0
+    shift 2
+    timeout --kill-after=30 "$limit" "$@" || status=$?
+    if [ "$status" = 124 ] || [ "$status" = 137 ]; then
+        echo "ci: '$name' did not finish within ${limit}s: a hang?" >&2
+        exit 1
+    fi
+    return "$status"
+}
 
 # What git reports about the tree: each path's status and a hash of its
 # content, so a file that was already dirty and changes again counts too.
@@ -89,7 +105,8 @@ step "gtv-xtask lint"
 cargo run -q -p gtv-xtask -- lint
 
 step "cargo test -q"
-cargo test -q --workspace
+cargo test -q --workspace --no-run
+bounded 900 "cargo test -q --workspace" cargo test -q --workspace
 
 step "bit pins at baseline x86-64 (two-level check)"
 # No output bit may depend on the build level (DESIGN.md §8): the same pins
@@ -134,7 +151,8 @@ step "gtvbench smoke (benchmark output checks at 1/50 size)"
 # four workloads with every output check (avg_jsd bound, finite losses,
 # reply ≡ in-process request bytes), so a change that breaks a check or a
 # public item the benchmark depends on fails here, not in the driver.
-cargo test --offline --manifest-path gtvbench/Cargo.toml
+cargo test --offline --manifest-path gtvbench/Cargo.toml --no-run
+bounded 600 "gtvbench smoke" cargo test --offline --manifest-path gtvbench/Cargo.toml
 
 step "working tree unchanged"
 # Nothing above may write into the tree outside the ignored build outputs.
