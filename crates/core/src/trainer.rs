@@ -381,17 +381,17 @@ impl<T: Transport> GtvTrainer<T> {
     /// One server→clients fan-out phase (DESIGN.md §10): every message is
     /// sent first ([`Transport::send_all`]; [`Network`] encodes the payloads
     /// concurrently on the tensor worker pool, then delivers them to local
-    /// channels or remote nodes alike), then each recipient pops its
-    /// delivery in message order and its payload goes back to the tensor
-    /// pool.
+    /// channels or remote nodes alike), then every recipient pops its
+    /// delivery ([`Transport::recv_each`]; [`Network`] has the remote pops in
+    /// flight together) and its payload goes back to the tensor pool.
     /// Takes the network rather than `self`, so a caller can keep borrowing
     /// one client's state across the fan-out.
     fn dispatch(network: &T, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         let expects: Vec<(PartyId, &'static str)> =
             msgs.iter().map(|&(_, to, ref m)| (to, m.kind())).collect();
         network.send_all(msgs)?;
-        for (to, expected) in expects {
-            network.recv_expect(to, expected)?.1.recycle();
+        for (_, msg) in network.recv_each(&expects)? {
+            msg.recycle();
         }
         Ok(())
     }

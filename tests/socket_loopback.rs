@@ -2,10 +2,12 @@
 //! party is hosted by a [`PartyNode`] behind a real TCP or Unix-domain
 //! socket is *observationally identical* to training with every party
 //! local. Same seed, same config ⇒ byte-identical trained weights and
-//! identical per-round byte accounting, in any delivery order; and the
-//! failure modes the sockets add (version mismatch, peer crash mid-round, a
-//! reply that comes too late, a dialer over the connection cap) surface as
-//! typed [`TransportError`]s, never panics or hangs.
+//! identical per-round byte accounting, in any delivery order; a remote
+//! message costs one round trip, and a fan-out's pops are in flight
+//! together; and the failure modes the sockets add (version mismatch, peer
+//! crash mid-round, a reply that comes too late, a dialer over the
+//! connection cap) surface as typed [`TransportError`]s, never panics or
+//! hangs.
 
 #![expect(clippy::disallowed_methods, reason = "the tests host their peers on threads")]
 
@@ -19,9 +21,9 @@ use gtv_vfl::socket::{
 use gtv_vfl::{
     Endpoint, Fault, Message, Network, PartitionPlan, PartyId, PartyNode, Transport, TransportError,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -262,6 +264,150 @@ fn next_frame(stream: &mut Stream, fb: &mut FrameBuf<Frame>) -> Frame {
     .expect("a frame from the dialer")
 }
 
+/// Sets its flag when dropped, so scripted nodes stop even when the test
+/// body panics: `std::thread::scope` would otherwise wait for them forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Frames of a scripted node's session, as it saw them.
+type WireLog = Mutex<Vec<&'static str>>;
+
+/// A scripted node's session after the hello, until the dialer hangs up:
+/// it keeps each delivered payload, answers each `RecvReq` with the oldest
+/// one after holding it for `hold`, and logs every frame it reads or
+/// writes.
+fn mailbox(stream: &mut Stream, fb: &mut FrameBuf<Frame>, hold: Duration, log: &WireLog) {
+    let mut held = VecDeque::new();
+    let note = |name| log.lock().expect("no session panicked").push(name);
+    loop {
+        let frame = match read_frame(stream, fb, 500, PartyId::Server, || {
+            TransportError::HandshakeFailed { reason: "the dialer went quiet".to_string() }
+        }) {
+            Ok(frame) => frame,
+            Err(TransportError::PeerDisconnected { .. }) => return,
+            Err(e) => panic!("{e:?}"),
+        };
+        match frame {
+            Frame::Deliver { from, payload } => {
+                note("Deliver");
+                held.push_back((from, payload));
+            }
+            Frame::RecvReq { .. } => {
+                note("RecvReq");
+                std::thread::sleep(hold);
+                let (from, payload) = held.pop_front().expect("a delivery to answer with");
+                write_frame(stream, &Frame::Msg { from, payload }, PartyId::Server)
+                    .expect("answer the pop");
+                note("Msg");
+            }
+            other => panic!("unexpected frame from the dialer: {other:?}"),
+        }
+    }
+}
+
+/// Serves `listeners` with [`mailbox`] sessions while `dial` runs on a
+/// network connected to them (client `i` at listener `i`), then stops them;
+/// returns each node's wire log.
+fn with_mailboxes(
+    listeners: &[Listener],
+    hold: Duration,
+    dial: impl FnOnce(Network),
+) -> Vec<Vec<&'static str>> {
+    let stop = AtomicBool::new(false);
+    let logs: Vec<WireLog> = listeners.iter().map(|_| Mutex::new(Vec::new())).collect();
+    std::thread::scope(|s| {
+        let nodes: Vec<_> = listeners
+            .iter()
+            .zip(&logs)
+            .map(|(listener, log)| {
+                let stop = &stop;
+                s.spawn(move || {
+                    let stopped = || stop.load(Ordering::SeqCst);
+                    let session = |mut stream: Stream, _: &dyn Fn() -> bool| {
+                        let mut fb = FrameBuf::new();
+                        greet(&mut stream, &mut fb);
+                        mailbox(&mut stream, &mut fb, hold, log);
+                        Ok(())
+                    };
+                    serve_connections(
+                        listener,
+                        &stopped,
+                        |reason| Frame::HelloReject { reason },
+                        session,
+                    )
+                })
+            })
+            .collect();
+        let stopping = StopOnDrop(&stop);
+        let endpoints =
+            listeners.iter().enumerate().map(|(i, l)| (PartyId::Client(i), l.endpoint())).collect();
+        dial(Network::connect(listeners.len(), endpoints).expect("connect to the scripted nodes"));
+        drop(stopping);
+        for node in nodes {
+            node.join().expect("a scripted node panicked").expect("the listener stays healthy");
+        }
+    });
+    logs.into_iter().map(|log| log.into_inner().expect("no session panicked")).collect()
+}
+
+fn tcp_listener() -> Listener {
+    Listener::bind(&Endpoint::parse("127.0.0.1:0")).expect("bind")
+}
+
+#[test]
+fn a_remote_message_costs_one_round_trip() {
+    let msg = Message::RoundStart { round: 1, selected: 0 };
+    let logs = with_mailboxes(&[tcp_listener()], Duration::ZERO, |net| {
+        net.send(PartyId::Server, PartyId::Client(0), msg.clone()).expect("deliver");
+        let popped = net.recv_expect(PartyId::Client(0), "RoundStart").expect("pop");
+        assert_eq!(popped, (PartyId::Server, msg.clone()));
+    });
+    // A one-way deliver, then one request answered by one reply.
+    assert_eq!(logs, vec![vec!["Deliver", "RecvReq", "Msg"]]);
+}
+
+#[test]
+fn a_fan_outs_pops_are_in_flight_together() {
+    // Each node holds every reply for 300 ms: popped one after another,
+    // three pops take at least 900 ms; in flight together, about 300.
+    let hold = Duration::from_millis(300);
+    let listeners: Vec<Listener> = (0..3).map(|_| tcp_listener()).collect();
+    let fan = |round| {
+        (0..3)
+            .map(|i| {
+                (PartyId::Server, PartyId::Client(i), Message::RoundStart { round, selected: 0 })
+            })
+            .collect::<Vec<_>>()
+    };
+    let expects: Vec<(PartyId, &'static str)> =
+        (0..3).map(|i| (PartyId::Client(i), "RoundStart")).collect();
+    let logs = with_mailboxes(&listeners, hold, |net| {
+        let began = Instant::now();
+        net.send_all(fan(1)).expect("fan out");
+        let popped = net.recv_each(&expects).expect("pop the fan-out");
+        let together = began.elapsed();
+        let want: Vec<(PartyId, Message)> =
+            fan(1).into_iter().map(|(from, _, m)| (from, m)).collect();
+        assert_eq!(popped, want);
+        assert!(together < Duration::from_millis(600), "recv_each took {together:?}");
+
+        let began = Instant::now();
+        net.send_all(fan(2)).expect("fan out");
+        for &(party, expected) in &expects {
+            net.recv_expect(party, expected).expect("pop");
+        }
+        let one_by_one = began.elapsed();
+        assert!(one_by_one >= 3 * hold, "one pop after another took {one_by_one:?}");
+    });
+    let session = ["Deliver", "RecvReq", "Msg"];
+    assert_eq!(logs, vec![[session, session].concat(); 3]);
+}
+
 #[test]
 fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
     // A scripted node answers the first link's `RecvReq` only after the
@@ -271,6 +417,7 @@ fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
     let endpoints = HashMap::from([(PartyId::Client(0), listener.endpoint())]);
     let stop = AtomicBool::new(false);
     let links = AtomicUsize::new(0);
+    let log = WireLog::default();
     let script = |mut stream: Stream, _: &dyn Fn() -> bool| {
         let mut fb = FrameBuf::new();
         greet(&mut stream, &mut fb);
@@ -286,10 +433,7 @@ fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
             // way the reply must never reach the next exchange.
             let _ = write_frame(&mut stream, &late, PartyId::Server);
         } else {
-            let deliver = next_frame(&mut stream, &mut fb);
-            assert!(matches!(deliver, Frame::Deliver { .. }), "{deliver:?}");
-            write_frame(&mut stream, &Frame::DeliverAck, PartyId::Server)
-                .expect("ack the delivery");
+            mailbox(&mut stream, &mut fb, Duration::ZERO, &log);
         }
         Ok(())
     };
@@ -298,23 +442,25 @@ fn a_late_reply_drops_the_link_instead_of_answering_the_next_request() {
             let stopped = || stop.load(Ordering::SeqCst);
             serve_connections(&listener, &stopped, |reason| Frame::HelloReject { reason }, script)
         });
+        let stopping = StopOnDrop(&stop);
         let transport = Network::connect(1, endpoints).expect("connect to the scripted node");
         let err = transport
             .recv_timeout(PartyId::Client(0), Duration::ZERO)
             .expect_err("the reply comes after the deadline");
         assert!(matches!(err, TransportError::Timeout { .. }), "{err:?}");
+        let msg = Message::RoundStart { round: 1, selected: 0 };
         transport
-            .send(
-                PartyId::Server,
-                PartyId::Client(0),
-                Message::RoundStart { round: 1, selected: 0 },
-            )
+            .send(PartyId::Server, PartyId::Client(0), msg.clone())
             .expect("the next exchange redials instead of reading the late reply");
-        stop.store(true, Ordering::SeqCst);
+        // The redialed link pops the delivered message, not the late one.
+        assert_eq!(transport.recv(PartyId::Client(0)), Ok((PartyId::Server, msg)));
+        drop(transport);
+        drop(stopping);
         let served = node.join().expect("the scripted node saw the exchanges it expected");
         served.expect("the listener stays healthy");
     });
     assert_eq!(links.into_inner(), 2, "the dialer redialed once");
+    assert_eq!(log.into_inner().expect("no session panicked"), ["Deliver", "RecvReq", "Msg"]);
 }
 
 /// A refusal over the connection cap: typed, at once, and naming the cap.

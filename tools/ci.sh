@@ -2,9 +2,10 @@
 # Local CI gate: the build level, formatting, clippy under the workspace
 # deny-list and `clippy.toml`, warning-free docs, clippy on the fixture that
 # breaks each of its bans, the gtv-xtask privacy lints, the test suite (the
-# bit pins at two build levels), the kernels' allocation count, the shims
-# and the gtvbench smoke pass; and the working tree left as it was found.
-# The test suite and the smoke pass run under a time limit.
+# bit pins at two build levels), the socket tests five times over, the
+# kernels' allocation count, the shims and the gtvbench smoke pass; and the
+# working tree left as it was found. The test suite, the socket repeats and
+# the smoke pass run under a time limit.
 # Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -107,6 +108,16 @@ cargo run -q -p gtv-xtask -- lint
 step "cargo test -q"
 cargo test -q --workspace --no-run
 bounded 900 "cargo test -q --workspace" cargo test -q --workspace
+
+step "socket tests ×5"
+# A fan-out's pops are in flight together on several links at once, so a
+# race between them may show only in some interleavings: the transport's
+# own tests, the loopback suite and the failure suite run five times in a
+# row, under one time limit.
+bounded 600 "socket tests ×5" bash -c 'for _ in 1 2 3 4 5; do
+    cargo test -q -p gtv-vfl --lib &&
+        cargo test -q -p gtv-suite --test socket_loopback --test failures || exit 1
+done'
 
 step "bit pins at baseline x86-64 (two-level check)"
 # No output bit may depend on the build level (DESIGN.md §8): the same pins
