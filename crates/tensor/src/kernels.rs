@@ -7,10 +7,10 @@
 //!   chunked computation inline;
 //! * reductions combine chunk partials in a fixed pairwise tree, so the
 //!   rounding of a sum depends on the data's length, not on scheduling;
-//! * matmul accumulates every output element as one chain in ascending
-//!   contraction index — the naive triple loop's bits — so its tiling,
-//!   blocking and data-dependent kernel selection (register-tiled vs.
-//!   zero-skipping rows) are all unobservable;
+//! * matmul accumulates every output element as one chain of fused
+//!   multiply-adds in ascending contraction index — the naive triple loop's
+//!   bits — so its tiling, blocking and data-dependent kernel selection
+//!   (register-tiled vs. zero-skipping rows) are all unobservable;
 //! * inline-vs-pool dispatch keys on the problem size alone, against the
 //!   thresholds in [`crate::dispatch`], and both sides run the *same*
 //!   chunked computation.
@@ -28,10 +28,11 @@ use crate::pool;
 use crate::pool_mem;
 use crate::simd;
 
-/// Output rows per matmul block, a multiple of [`simd::MR`]: the unit of
-/// pool dispatch, and small enough that a block of LHS rows stays
-/// cache-resident while the packed RHS panels stream past it.
-const ROW_BLOCK: usize = 32;
+/// Output rows per matmul block, a multiple of [`simd::MR`] and of
+/// [`simd::COL_ROWS`], so neither kernel gets a short group inside a
+/// block: the unit of pool dispatch, and small enough that a block of LHS
+/// rows stays cache-resident while the packed RHS panels stream past it.
+const ROW_BLOCK: usize = 48;
 /// Share of a LHS row, as `(numerator, denominator)`, that has to be zero
 /// before the zero-skipping axpy beats the register tile. The crossover
 /// measured at the x86-64-v3 build level runs from 72% zeros (256 output
@@ -528,7 +529,8 @@ struct Product<'a> {
 /// micro-kernel over the packed panels, panel by panel so one `k×NR`
 /// panel stays cache-resident across the block (a single output column
 /// takes [`simd::col_chains`] on `b` itself). Either way every output
-/// element is one ascending-`p` chain — see [`matmul`].
+/// element is one ascending-`p` chain of fused multiply-adds — see
+/// [`matmul`].
 fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
     let (k, m) = (op.k, op.m);
     for i in (r0..r1).filter(|&i| op.sparse[i] != 0) {
@@ -539,7 +541,23 @@ fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
                 continue;
             }
             for (o, &bv) in out_row.iter_mut().zip(&op.b[p * m..(p + 1) * m]) {
-                *o += av * bv;
+                *o = av.mul_add(bv, *o);
+            }
+        }
+        // A skipped term with a +0.0 product would have turned a −0.0
+        // accumulator into +0.0 (see `matmul`), so an element that ends at
+        // −0.0 is walked again as the whole chain. Rare: only a product
+        // that underflows with a negative sign leaves −0.0 behind.
+        let neg_zero = (-0.0f32).to_bits();
+        if out_row.iter().fold(false, |seen, v| seen | (v.to_bits() == neg_zero)) {
+            for (j, o) in out_row.iter_mut().enumerate() {
+                if o.to_bits() == neg_zero {
+                    *o = lhs
+                        .iter()
+                        .step_by(op.lhs.step)
+                        .zip(op.b[j..].iter().step_by(m))
+                        .fold(0.0, |acc, (&av, &bv)| av.mul_add(bv, acc));
+                }
             }
         }
     }
@@ -560,14 +578,16 @@ fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
 
 /// Matrix product in one of the three [`Layout`]s, **bit-identical to the
 /// naive triple loop** over the operands as the layout reads them: every
-/// `c[i][j]` is the single chain `((0 + a(i,0)·b(0,j)) + a(i,1)·b(1,j)) + …`
-/// in ascending `p`, with multiply and add rounded separately. Tile shape,
+/// `c[i][j]` is the single chain `s = a(i,p).mul_add(b(p,j), s)` in
+/// ascending `p` from `s = +0.0`, each term one fused multiply-add rounded
+/// once — the same bits at every build level, since `mul_add` is correctly
+/// rounded whether an instruction or libm computes it. Tile shape,
 /// ragged edges, row blocks, the thread count and the rows sharing a batch
 /// (which is what lets the serving engine coalesce and split request
 /// batches, DESIGN.md §14) are therefore all unobservable in the output
 /// bits — and so is the layout itself: `a·bᵀ` equals the product with a
-/// transposed copy of `b` bit for bit, because IEEE multiplication
-/// commutes and the chain order is the same.
+/// transposed copy of `b` bit for bit, because a fused multiply-add
+/// commutes in its two factors and the chain order is the same.
 ///
 /// The layout decides how the tile reads LHS rows (a stride pair, see
 /// [`simd::Lhs`]: a transposed LHS is read as contiguous values of one row
@@ -576,12 +596,16 @@ fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
 /// Kernel choice is made **per output row** from the measured crossover
 /// (DESIGN.md §8): a row at least [`AXPY_MIN_ZEROS`] zero against a finite
 /// RHS more than one panel wide — one-hot and condition-vector rows on the
-/// encode path — skips its zero terms; each is an exact `±0.0` added to an
-/// accumulator that is never `-0.0`, so skipping changes nothing. The axpy
-/// walks rows of the RHS, so only the layouts that do not transpose it
-/// offer it. Every other row takes the register-tiled kernel over the RHS
-/// packed once per call ([`simd::col_chains`] for a single column): rows
-/// behind a dropout mask or a ReLU, half zero give or take, where a
+/// encode path — skips its zero terms. Each adds an exact `±0.0`, which
+/// changes nothing unless the accumulator is `−0.0`: a fused step whose
+/// product underflows with a negative sign can leave one, and a `+0.0`
+/// product then turns it into `+0.0`. So an axpy element that ends at
+/// `−0.0` is walked again as the whole chain, and skipping changes no bit.
+/// The axpy walks rows of the RHS, so only the layouts that do not
+/// transpose it offer it. Every other row takes the register-tiled kernel
+/// over the RHS packed once per call ([`simd::col_chains`] for a single
+/// column): rows behind a dropout mask or a ReLU, half zero give or take,
+/// where a
 /// mispredicted branch per element costs the axpy more than the skipped
 /// terms save; every row of an output at most [`simd::NR`] columns wide,
 /// where the axpy never catches up; and every row of a product with a
@@ -779,6 +803,29 @@ mod tests {
                 assert_eq!(picked, dense, "{n}x{k}x{m} {layout:?} as selected");
             }
         }
+    }
+
+    #[test]
+    fn a_skipped_zero_term_still_clears_a_negative_zero() {
+        // `-1e-30·1e-30` underflows: the first fused step leaves −0.0, and
+        // the chain's next term, `+0·1`, turns it into +0.0. The axpy skips
+        // that term, so its row has to arrive at +0.0 some other way.
+        let (n, k, m) = (2, 4, 20);
+        let a = [-1e-30, 0.0, 0.0, 0.0, -1e-30, -0.0, -0.0, -0.0];
+        let b: Vec<f32> = (0..k * m).map(|i| if i < m { 1e-30 } else { 1.0 }).collect();
+        let mut panels = Vec::new();
+        simd::pack_panels(&b, k, m, false, &mut panels);
+        let lhs = simd::Lhs { data: &a, row: k, step: 1 };
+        let rows = |flag: u8| {
+            let mut out = vec![0.0; n * m];
+            let op = Product { lhs, b: &b, panels: &panels, sparse: &[flag; 2], k, m };
+            matmul_rows(&op, 0, n, &mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let (tile, axpy) = (rows(0), rows(1));
+        assert_eq!(tile[..m], [0.0f32.to_bits(); 20], "+0·1 clears the −0.0");
+        assert_eq!(tile[m..], [(-0.0f32).to_bits(); 20], "−0·1 keeps it");
+        assert_eq!(axpy, tile);
     }
 
     #[test]

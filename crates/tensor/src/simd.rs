@@ -12,9 +12,11 @@
 //! the source stays portable and the workspace-wide
 //! `unsafe_code = "forbid"` holds. The register width changes how many
 //! instructions run, not what they compute: rustc never contracts a
-//! multiply and an add into an FMA, and every lane grouping and reduction
-//! order below is written out (`tests/target_invariance.rs` pins the bits
-//! of a baseline build, and CI runs it at both levels).
+//! multiply and an add into an FMA on its own, the matmul's fused terms are
+//! `f32::mul_add`, correctly rounded at every level (one instruction at
+//! x86-64-v3, libm's `fmaf` in a baseline build), and every lane grouping
+//! and reduction order below is written out (`tests/target_invariance.rs`
+//! pins the bits of a baseline build, and CI runs it at both levels).
 //!
 //! Determinism contract (DESIGN.md §8):
 //!
@@ -27,15 +29,21 @@
 //!   the rounding tree is a pure function of the slice length;
 //! * the matmul micro-kernel (`tile`) runs its lanes across *output
 //!   columns*, never across the contraction index: every output element is
-//!   one chain `((0 + a₀b₀) + a₁b₁) + …` in ascending `p`, so the product is
-//!   bit-identical to the naive triple loop and no lane-combine exists;
+//!   one chain `s = a_p·b_p + s` in ascending `p` from `s = 0`, each term a
+//!   fused multiply-add rounded once, so the product is bit-identical to
+//!   the naive triple loop of `mul_add`s and no lane-combine exists;
 //! * the scalar transcendentals ([`tanh`], [`sigmoid`], [`exp`]) are defined
 //!   as lane 0 of the eight-lane kernel applied to a splat, which makes
 //!   scalar tails bit-identical to vector lanes *by construction*;
-//! * no helper uses a fused multiply-add: `mul_add`-shaped expressions are
-//!   written as two separately rounded operations, so results do not depend
-//!   on whether the target has FMA hardware — the v3 build level guarantees
-//!   the instruction and still never emits it.
+//! * the matmul's terms are the only fused multiply-adds: all three arms
+//!   of the product — `tile`, `col_chains` and the zero-skipping axpy in
+//!   `kernels` — fuse alike, so which one serves a row stays unobservable.
+//!   Everywhere else a `mul_add`-shaped expression is two separately
+//!   rounded operations: the lane polynomials, the reductions and the `f64`
+//!   lanes keep the bits and ULP bounds they are pinned at. Fusing them
+//!   would buy little — Tanh, TanhGrad and Exp together took under 0.5 ms of
+//!   a `paper_inproc` round of about 75 ms in a profile — and move every
+//!   one of those pins (DESIGN.md §8).
 //!
 //! # Approximation accuracy
 //!
@@ -120,7 +128,14 @@ impl F32x8 {
         self.zip(o, |a, b| a / b)
     }
 
-    /// `self·m + a` per lane as **two rounded ops** (never an FMA).
+    /// `self·m + a` per lane as one fused multiply-add, rounded once.
+    #[inline(always)]
+    fn mul_add(self, m: Self, a: Self) -> Self {
+        Self(std::array::from_fn(|i| self.0[i].mul_add(m.0[i], a.0[i])))
+    }
+
+    /// `self·m + a` per lane as **two rounded ops** (not an FMA: the
+    /// polynomials keep their pinned bits, see the module docs).
     #[inline(always)]
     fn mul_add_s(self, m: f32, a: f32) -> Self {
         self.map(|v| v * m + a)
@@ -564,21 +579,22 @@ impl WeightedMoments {
 
 // --- matmul micro-kernel --------------------------------------------------
 
-/// Output rows per register tile of the matmul micro-kernel. Four rows of
-/// two `F32x8` are eight 256-bit accumulators, which with the two panel
-/// vectors and the broadcast take eleven of x86-64-v3's sixteen registers.
-/// Measured, not derived (DESIGN.md §8): at v3 the 2-row tile — four
-/// accumulators, a load per two products — leaves the FP ports a third
-/// idle; 4 rows run both paper-scale shapes a sixth faster (47.6 → 55.3 and
-/// 49.5 → 57.3 GFLOP/s), 6 rows no faster than 4. In a baseline build
-/// (sixteen SSE accumulators, some spilled) 4 rows run level with 2 and 6
-/// rows a tenth slower, so the override build loses nothing.
-pub const MR: usize = 4;
+/// Output rows per register tile of the matmul micro-kernel. Six rows of
+/// two `F32x8` are twelve 256-bit accumulators, which with the two panel
+/// vectors and the broadcast take fifteen of x86-64-v3's sixteen
+/// registers. Measured, not derived (DESIGN.md §8): with a separate
+/// multiply and add 4 rows were a sixth faster than 2 and 6 no faster than
+/// 4; with fused terms an FMA's latency on two ports wants more than the
+/// eight accumulators of 4 rows in flight, and 6 rows run the paper-scale
+/// shapes 6–10% faster than 4 (500×256×256 60.0 → 64.0, `xᵀ·g` 56.8 →
+/// 62.7 GFLOP/s, medians of six interleaved rounds). A baseline build
+/// computes each term with a libm `fmaf` call, whatever the height.
+pub const MR: usize = 6;
 /// Output columns per register tile: two `F32x8` accumulators per row,
 /// and the width of a packed RHS panel.
 pub const NR: usize = 2 * LANES;
-/// Most rows one [`col_chains`] call takes: enough independent add chains
-/// to cover the add latency when the output is a single column.
+/// Most rows one [`col_chains`] call takes: enough independent chains to
+/// cover the multiply-add latency when the output is a single column.
 pub(crate) const COL_ROWS: usize = 16;
 
 /// A LHS read in place: element `(r, p)` — row `r`, contraction index `p` —
@@ -631,10 +647,28 @@ pub(crate) fn pack_panels(b: &[f32], k: usize, m: usize, transposed: bool, out: 
     }
 }
 
-/// `R × NV·LANES` register tile: `acc[r][j] += a[r][p]·panel[p][j]` for
-/// `p` ascending, multiply and add rounded separately. Lanes run across
-/// `j` only, so each `acc[r][j]` is the naive loop's accumulator. `NV = 1`
-/// reads only the left half of each panel row.
+/// One `p` step of an `R × NV·LANES` tile: `acc[r][j] = av[r]·bp[j] +
+/// acc[r][j]` as one fused multiply-add, rounded once.
+#[inline(always)]
+fn fma_step<const R: usize, const NV: usize>(acc: &mut [[F32x8; NV]; R], av: [f32; R], bp: &[f32]) {
+    let b: [F32x8; NV] = std::array::from_fn(|v| F32x8::load(&bp[v * LANES..]));
+    for r in 0..R {
+        let av = F32x8::splat(av[r]);
+        for v in 0..NV {
+            acc[r][v] = av.mul_add(b[v], acc[r][v]);
+        }
+    }
+}
+
+/// `R × NV·LANES` register tile: [`fma_step`] for `p` ascending. Lanes run
+/// across `j` only, so each `acc[r][j]` is the naive loop's accumulator.
+/// `NV = 1` reads only the left half of each panel row.
+///
+/// The layouts read the LHS with one of two stride pairs, and each has a
+/// `p`-loop of its own with one bounds check a step instead of one per
+/// row: rows contiguous in `p` (`step == 1`) are cut to the same `k`
+/// values, and a transposed LHS (`row == 1`) has the tile's `R` values at
+/// one `p` side by side, one slice.
 #[inline(always)]
 fn tile_rows<const R: usize, const NV: usize>(
     a: Lhs,
@@ -644,16 +678,17 @@ fn tile_rows<const R: usize, const NV: usize>(
     m: usize,
     w: usize,
 ) {
-    let rows: [&[f32]; R] = std::array::from_fn(|r| a.strided_row(r, k));
     let mut acc = [[F32x8::splat(0.0); NV]; R];
-    for (p, bp) in panel[..k * NR].chunks_exact(NR).enumerate() {
-        let b: [F32x8; NV] = std::array::from_fn(|v| F32x8::load(&bp[v * LANES..]));
-        let at = p * a.step;
-        for r in 0..R {
-            let av = F32x8::splat(rows[r][at]);
-            for v in 0..NV {
-                acc[r][v] = acc[r][v].add(av.mul(b[v]));
-            }
+    if a.step == 1 {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &a.data[r * a.row..r * a.row + k]);
+        for (p, bp) in panel[..k * NR].chunks_exact(NR).enumerate() {
+            fma_step(&mut acc, std::array::from_fn(|r| rows[r][p]), bp);
+        }
+    } else {
+        debug_assert_eq!(a.row, 1, "an LHS view is row-major or transposed");
+        for (p, bp) in panel[..k * NR].chunks_exact(NR).enumerate() {
+            let col = &a.data[p * a.step..p * a.step + R];
+            fma_step(&mut acc, std::array::from_fn(|r| col[r]), bp);
         }
     }
     for (r, acc) in acc.iter().enumerate() {
@@ -669,10 +704,11 @@ fn tile_rows<const R: usize, const NV: usize>(
 /// `r < rows ≤ MR` and `j < w ≤ NR`, where `a` holds the tile's `rows` LHS
 /// rows of length `k`, read in place, `panel` is one [`pack_panels`] panel
 /// and `out` starts at the tile's first element inside an output of row
-/// stride `m`. Each sum is a single chain in ascending `p` — equal to the
-/// naive triple loop bit for bit whatever `rows`, `w` and the LHS strides
-/// are. A tile at most [`LANES`] wide (a ragged last panel, a narrow
-/// output) runs one accumulator per row instead of two.
+/// stride `m`. Each sum is a single chain of fused multiply-adds in
+/// ascending `p` — equal to the naive triple loop of `mul_add`s bit for bit
+/// whatever `rows`, `w` and the LHS strides are. A tile at most [`LANES`]
+/// wide (a ragged last panel, a narrow output) runs one accumulator per row
+/// instead of two.
 ///
 /// # Panics
 ///
@@ -691,26 +727,31 @@ pub(crate) fn tile(
         (2, false) => tile_rows::<2, 2>(a, k, panel, out, m, w),
         (3, false) => tile_rows::<3, 2>(a, k, panel, out, m, w),
         (4, false) => tile_rows::<4, 2>(a, k, panel, out, m, w),
+        (5, false) => tile_rows::<5, 2>(a, k, panel, out, m, w),
+        (6, false) => tile_rows::<6, 2>(a, k, panel, out, m, w),
         (1, true) => tile_rows::<1, 1>(a, k, panel, out, m, w),
         (2, true) => tile_rows::<2, 1>(a, k, panel, out, m, w),
         (3, true) => tile_rows::<3, 1>(a, k, panel, out, m, w),
         (4, true) => tile_rows::<4, 1>(a, k, panel, out, m, w),
+        (5, true) => tile_rows::<5, 1>(a, k, panel, out, m, w),
+        (6, true) => tile_rows::<6, 1>(a, k, panel, out, m, w),
         _ => panic!("tile height {rows} outside 1..={MR}"),
     }
 }
 
 /// Single-column product (`m = 1`): `out[r] = Σ_p a(r, p)·b[p]` for
-/// `r < rows ≤ COL_ROWS`. A one-wide tile would leave a single add chain in
+/// `r < rows ≤ COL_ROWS`. A one-wide tile would leave a single chain in
 /// flight; here the lanes are the *rows*, each still its own ascending-`p`
-/// chain, so the result equals `tile`'s and the naive loop's. A short
-/// group recomputes its last row in the spare lanes and discards them.
+/// chain of fused multiply-adds, so the result equals `tile`'s and the
+/// naive loop's. A short group recomputes its last row in the spare lanes
+/// and discards them.
 pub(crate) fn col_chains(rows: usize, a: Lhs, k: usize, b: &[f32], out: &mut [f32]) {
     let lhs: [&[f32]; COL_ROWS] = std::array::from_fn(|r| a.strided_row(r.min(rows - 1), k));
     let mut acc = [0.0; COL_ROWS];
     for (p, &bv) in b[..k].iter().enumerate() {
         let at = p * a.step;
         for r in 0..COL_ROWS {
-            acc[r] += lhs[r][at] * bv;
+            acc[r] = lhs[r][at].mul_add(bv, acc[r]);
         }
     }
     out[..rows].copy_from_slice(&acc[..rows]);

@@ -395,9 +395,11 @@ impl Tensor {
     }
 
     /// Matrix product `self @ other`, **bit-identical to the naive triple
-    /// loop**: each output element is one chain
-    /// `((0 + a₀·b₀) + a₁·b₁) + …` in ascending contraction index, multiply
-    /// and add rounded separately (no FMA). The register-tiled, panel-packed
+    /// loop** of fused multiply-adds: each output element is one chain
+    /// `s = a_p.mul_add(b_p, s)` in ascending contraction index `p` from
+    /// `s = 0`, each term rounded once (one FMA instruction at the
+    /// repository's x86-64-v3 build level, libm's correctly rounded `fmaf`
+    /// in a baseline build — the same bits). The register-tiled, panel-packed
     /// kernel behind it (DESIGN.md §8) only changes how fast that chain is
     /// walked, so results do not depend on the `GTV_THREADS` setting, on
     /// tile or block remainders, or on which other rows share the batch.

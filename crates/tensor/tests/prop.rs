@@ -62,6 +62,67 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
 }
 
+/// What an `f64` product allows one element of the `f32` product to be,
+/// if that element is the chain `ŝ_p = fl(a_p·b_p + ŝ_{p−1})` of fused
+/// multiply-adds in ascending `p` — in any order of operations that rounds
+/// once per term and adds the terms in that order.
+///
+/// Independent of the kernel's arithmetic: a product of two `f32` is exact
+/// in `f64`, and the prefix sums `S_p = Σ_{q≤p} a_q·b_q` are accumulated
+/// there. A fused step with a nonzero product rounds once, by at most
+/// `u·|exact| + η` (`u = 2⁻²⁴`, `η = 2⁻¹⁵⁰` — half the smallest subnormal,
+/// for results in the subnormal range), and a zero product leaves the
+/// accumulator as it is, so after step `p` the chain is off by at most
+/// `e_p = (1 + u)·e_{p−1} + u·|S_p| + η`. Since `|S_p| ≤ Σ|a·b|`, that is at
+/// most `γ_k·Σ_p|a_p·b_p| + k·η·(1 + γ_k)`, the textbook bound; it is
+/// tighter where the prefix sums cancel, which is where a step that rounds
+/// twice shows: it also rounds the product, by up to `u·|a_p·b_p|`, which
+/// no `|S_p|` pays for. The `f64` sums' own error (`2⁻⁵³` a step) is added.
+#[derive(Debug, Clone, Copy)]
+struct FusedBound {
+    /// `S_k` in `f64`: NaN or ±∞ exactly when an operand is.
+    exact: f64,
+    /// The most `|ŝ_k − S_k|` may be.
+    slack: f64,
+    /// Whether a prefix sum of the finite terms comes within its bound of
+    /// `f32::MAX`, so the `f32` chain may overflow where the `f64` one does
+    /// not.
+    may_overflow: bool,
+}
+
+impl FusedBound {
+    fn of(terms: impl Iterator<Item = (f32, f32)>) -> Self {
+        const U: f64 = 1.0 / (1u64 << 24) as f64;
+        const U64: f64 = 1.0 / (1u64 << 53) as f64;
+        let eta = 2f64.powi(-150);
+        let (mut exact, mut abs, mut err, mut peak, mut steps) = (0.0f64, 0.0f64, 0.0, 0.0f64, 0.0);
+        for (a, b) in terms {
+            let t = f64::from(a) * f64::from(b);
+            exact += t;
+            if t != 0.0 && t.is_finite() && exact.is_finite() {
+                abs += t.abs();
+                steps += 1.0;
+                let s = exact.abs() + 2.0 * steps * U64 * abs;
+                err = (1.0 + U) * err + U * s + eta;
+                peak = peak.max(s + err);
+            }
+        }
+        let slack = (err + 2.0 * steps * U64 * abs) * (1.0 + 2f64.powi(-40));
+        FusedBound { exact, slack, may_overflow: peak >= f64::from(f32::MAX) }
+    }
+
+    fn admits(&self, got: f32) -> bool {
+        let got = f64::from(got);
+        if self.exact.is_nan() {
+            got.is_nan()
+        } else if !got.is_finite() {
+            self.may_overflow || got == self.exact
+        } else {
+            self.exact.is_finite() && (got - self.exact).abs() <= self.slack
+        }
+    }
+}
+
 /// The stored transpose of `t`, by the definition.
 fn transposed(t: &Tensor) -> Tensor {
     Tensor::from_fn(t.cols(), t.rows(), |r, c| t.at(c, r))
@@ -92,12 +153,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The matmul contract (DESIGN.md §8): the product is the naive triple
-    /// loop, bit for bit — in every layout, whatever the shape does to the
-    /// tiling (ragged `n % MR`, `m % NR`, the single-column kernel, empty
-    /// dimensions), whichever rows skip their zeros, and at any thread
-    /// count. The operands are drawn as the product reads them and stored
-    /// transposed where the layout says so, so a LHS row keeps its zero
-    /// share whichever way it is stored.
+    /// loop of fused multiply-adds, bit for bit — in every layout, whatever
+    /// the shape does to the tiling (ragged `n % MR`, `m % NR`, the
+    /// single-column kernel, empty dimensions), whichever rows skip their
+    /// zeros, and at any thread count. The operands are drawn as the product
+    /// reads them and stored transposed where the layout says so, so a LHS
+    /// row keeps its zero share whichever way it is stored.
+    ///
+    /// First, on the same draws, a check that shares none of that
+    /// arithmetic: every element lies within the fused chain's error bound
+    /// of a product taken in `f64` (`FusedBound`).
     #[test]
     fn matmul_equals_naive_triple_loop(
         n in dim_strategy(),
@@ -109,9 +174,12 @@ proptest! {
         let mut state = seed;
         let a = messy(n, k, &mut state, non_finite == 0);
         let b = messy(k, m, &mut state, non_finite == 0);
+        let bounds: Vec<FusedBound> = (0..n * m)
+            .map(|e| FusedBound::of((0..k).map(|p| (a.at(e / m, p), b.at(p, e % m)))))
+            .collect();
         let want = Tensor::from_fn(n, m, |i, j| {
-            let mut acc = 0.0;
-            (0..k).for_each(|p| acc += a.at(i, p) * b.at(p, j));
+            let mut acc = 0.0f32;
+            (0..k).for_each(|p| acc = a.at(i, p).mul_add(b.at(p, j), acc));
             acc
         });
         let (at, bt) = (transposed(&a), transposed(&b));
@@ -126,6 +194,13 @@ proptest! {
                 pool::set_threads(threads);
                 let got = lhs.matmul_layout(rhs, layout);
                 prop_assert_eq!(got.shape(), (n, m));
+                for (e, (bound, &v)) in bounds.iter().zip(got.as_slice()).enumerate() {
+                    prop_assert!(
+                        bound.admits(v),
+                        "{}x{}x{} {:?} at {} threads: element ({}, {}) = {:e} outside {:?}",
+                        n, k, m, layout, threads, e / m, e % m, v, bound
+                    );
+                }
                 prop_assert_eq!(
                     bits(&got), bits(&want), "{}x{}x{} {:?} at {} threads", n, k, m, layout, threads
                 );

@@ -1,16 +1,21 @@
 //! No output bit depends on the build level (DESIGN.md §8).
 //!
 //! The repository builds for x86-64-v3 (`.cargo/config.toml`), where an
-//! `F32x8` is one 256-bit register instead of two SSE ones. rustc never
-//! contracts `a*b + c` into an FMA and every lane grouping and reduction
-//! order in `simd.rs` is written out, so the wider register changes how
-//! many instructions run, not what they compute. This file makes that a
-//! checked property: every literal below is the FNV-1a hash of a kernel's
-//! output bits taken on a **baseline x86-64** build of the commit before
-//! the build level moved, and `tools/ci.sh` runs the file at both levels.
+//! `F32x8` is one 256-bit register instead of two SSE ones and a fused
+//! multiply-add one instruction instead of a libm `fmaf` call. rustc never
+//! contracts `a*b + c` into an FMA on its own, the matmul's `mul_add`s are
+//! correctly rounded either way, and every lane grouping and reduction
+//! order in `simd.rs` is written out, so the build level changes how many
+//! instructions run, not what they compute. This file makes that a checked
+//! property: every literal below is the FNV-1a hash of a kernel's output
+//! bits taken on a **baseline x86-64** build, and `tools/ci.sh` runs the
+//! file at both levels.
 //!
-//! (The `f64` lanes of the encoder fit came after the build level moved;
-//! their literals are of a baseline build of the commit that added them.)
+//! Which commit: the elementwise and reduction literals are of the commit
+//! before the build level moved, the `f64` lanes' of the commit that added
+//! them, and those of the products (`matmul`, `affine_act` and the critic
+//! step) of the commit that fused the matmul's terms, where a hash that
+//! fusing did not move kept its literal.
 //!
 //! Inputs come from an integer hash through exact float arithmetic only —
 //! no libm call, whose result is the host's, not the build's. NaNs are
@@ -101,21 +106,21 @@ fn non_finite_rhs(stream: u64, k: usize, m: usize) -> Tensor {
 #[test]
 fn matmul_bits_are_the_baseline_builds() {
     // (n, k, m, LHS, non-finite RHS, hash). Ragged tiles in both directions,
-    // `m ∈ {1, 8, 16, 17}`, an empty contraction, the 32-row block boundary,
+    // `m ∈ {1, 8, 16, 17}`, an empty contraction, a row-block boundary,
     // `col_chains` groups of 16 and shorter, both row kernels in one product.
     let cases: [(usize, usize, usize, Lhs, bool, u64); 13] = [
-        (1, 33, 21, Lhs::Dense, false, 0x7551_d382_0b04_980b),
-        (8, 40, 8, Lhs::Dense, false, 0x4fd4_a795_7b6b_bd1d),
-        (16, 64, 16, Lhs::Dense, false, 0xa386_1b13_7f23_06db),
-        (17, 64, 17, Lhs::Dense, false, 0xf3fc_4c08_9996_42d5),
-        (9, 40, 1, Lhs::Dense, false, 0x2ec4_ffae_1ba7_e794),
-        (35, 19, 1, Lhs::Banded, false, 0x2cf9_90f7_798d_ea0d),
+        (1, 33, 21, Lhs::Dense, false, 0x5293_8dc0_5123_0aa1),
+        (8, 40, 8, Lhs::Dense, false, 0x5b72_e5fb_face_5461),
+        (16, 64, 16, Lhs::Dense, false, 0x5c59_73d0_8b63_1e3f),
+        (17, 64, 17, Lhs::Dense, false, 0xf64a_ae32_82f7_80d2),
+        (9, 40, 1, Lhs::Dense, false, 0x75a3_7f91_a48b_372a),
+        (35, 19, 1, Lhs::Banded, false, 0xe5dc_cbcf_1298_fa96),
         (7, 0, 5, Lhs::Dense, false, 0x7b71_c07e_2c06_0e95),
-        (33, 70, 35, Lhs::Banded, false, 0x9977_6cfa_e764_99b1),
+        (33, 70, 35, Lhs::Banded, false, 0x60e6_c50d_1ff2_18eb),
         (17, 48, 48, Lhs::OneHot, false, 0xdf44_6fb0_6275_45d0),
         (17, 48, 48, Lhs::OneHot, true, 0x9c5c_aabd_ad6e_b2a5),
         (8, 37, 40, Lhs::Dense, true, 0x0229_85b2_d168_9525),
-        (50, 256, 130, Lhs::Banded, false, 0x672a_91ed_9503_cf99),
+        (50, 256, 130, Lhs::Banded, false, 0x3374_8bab_2a1d_56ed),
         (64, 49, 256, Lhs::OneHot, false, 0x1269_9758_e138_5fcd),
     ];
     let got: Vec<u64> = cases
@@ -149,10 +154,10 @@ fn affine_act_bits_are_the_baseline_builds() {
         .map(|&act| g.with_value(g.affine_act(x, w, b, act), |t| fnv(t.as_slice())))
         .collect();
     let want = [
-        0xe9ab_5613_ab7e_87edu64,
-        0xfaf0_a895_eae2_8d4e,
-        0xc00d_b99c_1523_b675,
-        0xca2e_441b_8f24_c0b9,
+        0xaa75_2d34_b517_e119u64,
+        0x7063_be85_732b_d6b0,
+        0x76ac_8d8a_2362_43a2,
+        0xca39_5f09_ef49_d53d,
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
@@ -295,12 +300,12 @@ fn d_step_bits_are_the_baseline_builds() {
         got.push(g.with_value(dw, |t| fnv(t.as_slice())));
     }
     let want = [
-        0xea5a_3350_f695_12c4u64,
-        0xe2f6_03f3_a8d7_3407,
-        0x7931_3776_d60d_a1a4,
-        0xc1f0_8b52_d012_4496,
+        0x0ac0_b37a_a60f_79afu64,
+        0x1eae_a4f0_7ce2_0d87,
+        0x4ca7_2721_4ffd_5e29,
+        0xdca7_b8bd_e968_da27,
         0x1790_91b0_2a8d_49f3,
-        0x9b6a_ffd8_d4d6_e357,
+        0xa0f7_2fb7_26e8_a226,
         0x4d25_767f_9dce_13f5,
     ];
     assert_eq!(got, want, "got {got:#018x?}");

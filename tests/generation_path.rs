@@ -83,7 +83,9 @@ fn a_publication_carries_the_rows_the_synthesizer_serves() {
 
 /// FNV-1a of the served CSV of one smoke model, unconditioned and with a
 /// fixed condition. The literals are the bits this generator served before
-/// the trainer's publication was routed through it; they must not move.
+/// the trainer's publication was routed through it, re-taken once when the
+/// matmul fused its terms (which moves the trained weights and every row
+/// generated from them); nothing else may move them.
 #[test]
 fn the_served_bits_are_pinned() {
     let trainer = trained(split(&Dataset::Loan.generate(96, 3), 2), NetPartition::d2g0());
@@ -97,7 +99,7 @@ fn the_served_bits_are_pinned() {
         .iter()
         .map(|s| fnv64(to_csv_string(&synth.synth_one(s).expect("served")).as_bytes()))
         .collect();
-    assert_eq!(got, [0x29e4_6e3b_c580_79d9, 0x8742_6238_1150_761f], "{got:x?}");
+    assert_eq!(got, [0x720b_7ace_ce4e_b59c, 0xce56_a523_aab2_6cad], "{got:x?}");
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! fit, encode and sampler at construction. Each party writes only its own
 //! frame or its own fit, and every RNG draw stays on the calling thread in
 //! client order, so the weights and the traffic are those the one-thread
-//! loops trained. The literals were taken from those loops.
+//! loops trained. The literals were taken from those loops, and re-taken
+//! once, at one thread, when the matmul fused its terms.
 //!
 //! Five clients: the faithful real path then has four whole-table uploads
 //! a D-step, so four parties write at once. With `dp_noise_sigma` 0.1 the
@@ -48,7 +49,7 @@ fn train(config: GtvConfig, rounds: usize) -> (u64, u64, u64) {
 /// rounds. The bytes are those of the noise-free run: noise changes the
 /// values an upload carries, not its size.
 const FAITHFUL_PINS: [(f32, (u64, u64, u64)); 2] =
-    [(0.0, (0x59f0_dfc7_7144_3566, 146, 222_930)), (0.1, (0x161e_c2dc_a877_d75b, 146, 222_930))];
+    [(0.0, (0x71f0_aa87_1837_e9a5, 146, 222_930)), (0.1, (0x53c8_1350_9eeb_2248, 146, 222_930))];
 
 #[test]
 fn five_party_faithful_rounds_train_the_pinned_weights_and_traffic() {
@@ -73,7 +74,7 @@ fn five_party_faithful_rounds_train_the_pinned_weights_and_traffic() {
 
 /// The weights after the first round of a five-client trainer on the
 /// default real path: what the per-party fits, encodes and samplers built.
-const CONSTRUCTION_PIN: u64 = 0x031c_f0b7_885e_dabf;
+const CONSTRUCTION_PIN: u64 = 0xb90f_3948_0e70_3034;
 
 #[test]
 fn five_party_construction_builds_the_pinned_trainer() {

@@ -40,17 +40,21 @@ step "build level (x86-64-v3 from .cargo/config.toml, and a host that runs it)"
 # The repository builds for x86-64-v3 (DESIGN.md §8). A `RUSTFLAGS` in the
 # environment silently replaces the checked-in flags, and every timing and
 # every "at the repository's level" pin below would then be of another
-# build — so ask the compiler what it was told. And a host without AVX2
-# would kill the first binary below with SIGILL; say so instead.
+# build — so ask the compiler what it was told: AVX2 for the lane kernels,
+# FMA for the matmul's fused terms (without it each term is a libm `fmaf`
+# call — the same bits, many times slower). And a host without AVX2 would
+# kill the first binary below with SIGILL; say so instead.
 if [ "$(uname -m)" = x86_64 ]; then
     # Captured first: under `pipefail` a `grep -q` that exits at its match
     # would turn cargo's SIGPIPE into a failure.
     cfg="$(cargo rustc -q -p gtv-tensor --lib -- --print cfg)"
-    if ! grep -qx 'target_feature="avx2"' <<<"$cfg"; then
-        echo "ci: .cargo/config.toml did not take effect (gtv-tensor is not built with AVX2)." >&2
-        echo "    Is RUSTFLAGS set in the environment? It replaces the checked-in flags; unset it." >&2
-        exit 1
-    fi
+    for feature in avx2 fma; do
+        if ! grep -qx "target_feature=\"$feature\"" <<<"$cfg"; then
+            echo "ci: .cargo/config.toml did not take effect (gtv-tensor is not built with $feature)." >&2
+            echo "    Is RUSTFLAGS set in the environment? It replaces the checked-in flags; unset it." >&2
+            exit 1
+        fi
+    done
     if ! grep -qw avx2 /proc/cpuinfo; then
         echo "ci: this CPU has no AVX2, so it cannot run the repository's x86-64-v3 build level." >&2
         echo "    Build and test here at baseline with RUSTFLAGS=\"-C target-cpu=x86-64\" cargo test --workspace;" >&2
@@ -124,10 +128,11 @@ step "bit pins at baseline x86-64 (two-level check)"
 # that just passed at x86-64-v3 — kernel-output hashes taken on a baseline
 # build (the f32 kernels, the f64 exp and moment lanes, and the mixtures
 # `Gmm1d::fit` reaches through them), the ULP sweeps and scalar-tail
-# identities, matmul ≡ naive triple loop, the trained-weights fingerprint,
-# the published and the served tables' hashes — must pass in a baseline
-# build of the same tree. A target directory of its
-# own, so neither build evicts the other's artifacts.
+# identities, matmul ≡ naive triple loop of fused multiply-adds, the
+# trained-weights fingerprints (one party thread and five), the published
+# and the served tables' hashes — must pass in a baseline build of the same
+# tree, where every matmul term is a libm `fmaf` call. A target directory
+# of its own, so neither build evicts the other's artifacts.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-tensor --test target_invariance --test simd_math --test prop
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
@@ -135,7 +140,7 @@ RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv --test step_work --test pipeline_equivalence
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
-    -p gtv-suite --test generation_path
+    -p gtv-suite --test generation_path --test party_threads
 
 step "kernel allocations (tools/kernel_allocs)"
 # Once warm, a kernel call takes every buffer the recycling pool would
