@@ -8,8 +8,12 @@
 //! to construct the batch of CVs: for every row, client `p` samples one of
 //! *its* categorical columns uniformly, samples a category from that column's
 //! **log-frequency** distribution (CTGAN's training-by-sampling), and picks a
-//! real row whose cell matches the sampled category (`idx_p`). Bits belonging
-//! to other clients stay zero.
+//! real row whose cell matches the sampled category, uniformly among those
+//! rows (`idx_p`). Bits belonging to other clients stay zero.
+//!
+//! A sampler is built once, from the client's table as loaded, and draws
+//! rows of that table. The end-of-round shuffle does not touch it: the
+//! trainer announces each drawn row at its current (shuffled) position.
 //!
 //! [`ClientCondSampler`] implements the per-client construction,
 //! [`CondLayout`] tracks the global bit layout across clients, and
@@ -53,7 +57,8 @@ pub struct CondChoice {
 pub struct CondBatch {
     /// Per-row sampled conditions.
     pub choices: Vec<CondChoice>,
-    /// Per-row index of a real row whose cell matches the condition.
+    /// Per-row index of a real row whose cell matches the condition: a row
+    /// of the table as loaded, the one the sampler was built from.
     pub row_indices: Vec<usize>,
 }
 
@@ -84,68 +89,19 @@ impl ClientCondSampler {
     /// Builds a sampler from a client's local table, or `None` if the table
     /// has no categorical columns (such a client can never be chosen to
     /// construct the CV).
+    ///
+    /// The sampler is built once, from the table as loaded, and never
+    /// changes: the rows it draws ([`CondBatch::row_indices`]) are rows of
+    /// that table, whatever shuffles the client has applied since.
     pub fn from_table(table: &Table) -> Option<Self> {
-        Self::build(table, 0..table.n_rows())
-    }
-
-    /// The sampler of `table.select_rows(order)`, built without making that
-    /// table: row `r` of the sampled table is row `order[r]` of `table`.
-    ///
-    /// This is how a client re-indexes after the end-of-round shuffle. It
-    /// keeps its raw table as loaded and hands in the composed shuffle
-    /// (current position → stored row); the categorical columns are read
-    /// through `order` in ascending position, so every pool, probability
-    /// and draw — and the `row_indices` of [`ClientCondSampler::sample_batch`],
-    /// which are positions in `order` — is what [`ClientCondSampler::from_table`]
-    /// gives for the materialised table. `from_table` is this constructor
-    /// with the identity order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry of `order` is not a row of `table`.
-    pub fn from_table_in_order(table: &Table, order: &[usize]) -> Option<Self> {
-        Self::build(table, order.iter().copied())
-    }
-
-    /// Re-indexes in place after a shuffle: afterwards `self` equals
-    /// [`ClientCondSampler::from_table_in_order`]`(table, order)`, given that
-    /// `table` is the table the sampler was built from and `order` a
-    /// permutation of the order it was built (or last re-indexed) with.
-    ///
-    /// A permutation moves rows between positions and changes no count, so
-    /// the probabilities and frequencies stay as they are and every pool is
-    /// cleared and refilled inside the capacity it already has — nothing is
-    /// allocated, which is why the trainer's end-of-round shuffle calls this
-    /// instead of building a sampler per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry of `order` is not a row of `table`, or if reading
-    /// through `order` changes how often a category occurs.
-    pub fn reindex_in_order(&mut self, table: &Table, order: &[usize]) {
-        for col in &mut self.columns {
-            let cells = table.column(col.column).as_cat();
-            col.pools.iter_mut().for_each(Vec::clear);
-            for (r, &row) in order.iter().enumerate() {
-                col.pools[cells[row] as usize].push(r);
-            }
-            assert!(
-                col.pools.iter().zip(&col.freqs).all(|(pool, &f)| pool.len() as f64 == f),
-                "reindex_in_order: the order changes the category counts of column {}",
-                col.column
-            );
-        }
-    }
-
-    fn build(table: &Table, order: impl Iterator<Item = usize> + Clone) -> Option<Self> {
         let mut columns = Vec::new();
         let mut offset = 0usize;
         for (ci, meta) in table.schema().columns().iter().enumerate() {
             let Some(k) = meta.kind.n_categories() else { continue };
             let cells = table.column(ci).as_cat();
             let mut pools: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for (r, row) in order.clone().enumerate() {
-                pools[cells[row] as usize].push(r);
+            for (r, &cell) in cells.iter().enumerate() {
+                pools[cell as usize].push(r);
             }
             let counts: Vec<usize> = pools.iter().map(Vec::len).collect();
             // CTGAN log-frequency: P(cat) ∝ log(1 + count); empty categories
@@ -339,7 +295,6 @@ impl CondLayout {
 mod tests {
     use super::*;
     use gtv_data::{ColumnData, ColumnKind, ColumnMeta, Schema};
-    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn demo_table() -> Table {
@@ -449,125 +404,12 @@ mod tests {
         let t = demo_table();
         for s in [
             ClientCondSampler::from_table(&t).unwrap(),
-            ClientCondSampler::from_table_in_order(&t, &[9, 9, 2, 0, 5]).unwrap(),
+            ClientCondSampler::from_table(&t.select_rows(&[9, 9, 2, 0, 5])).unwrap(),
         ] {
             let (mut a, mut b) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
             assert_eq!(s.sample_batch_original(300, &mut a), reference(&s, 300, &mut b));
             // Same draws consumed, too: the streams stay in step.
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-    }
-
-    #[test]
-    fn order_indexes_the_sampled_rows() {
-        // Positions 0..4 hold stored rows 8, 9, 0, 1: column g reads 1 1 0 0.
-        let t = demo_table();
-        let s = ClientCondSampler::from_table_in_order(&t, &[8, 9, 0, 1]).unwrap();
-        assert_eq!(s.columns[0].pools, vec![vec![2, 3], vec![0, 1]]);
-        assert_eq!(s.columns[0].freqs, vec![2.0, 2.0]);
-        // Column h reads 2 0 0 1.
-        assert_eq!(s.columns[1].pools, vec![vec![1, 2], vec![3], vec![0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "changes the category counts")]
-    fn reindexing_rejects_an_order_that_is_not_a_permutation() {
-        let t = demo_table();
-        let mut s = ClientCondSampler::from_table(&t).unwrap();
-        s.reindex_in_order(&t, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn order_must_name_rows_of_the_table() {
-        let _ = ClientCondSampler::from_table_in_order(&demo_table(), &[0, 10]);
-    }
-
-    /// A random table (one continuous column, 1–3 categorical ones, some
-    /// categories possibly unused) and a list of its rows — a permutation
-    /// when `permute`, otherwise any rows in any number.
-    fn table_and_order() -> impl Strategy<Value = (Table, Vec<usize>)> {
-        (1usize..4, 1usize..60, any::<u64>(), any::<bool>()).prop_map(
-            |(n_cat, rows, seed, permute)| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut metas = vec![ColumnMeta::new("x", ColumnKind::Continuous)];
-                let mut cols =
-                    vec![ColumnData::Float((0..rows).map(|_| rng.gen_range(-5.0..5.0)).collect())];
-                for c in 0..n_cat {
-                    let k = rng.gen_range(1..6usize);
-                    metas.push(ColumnMeta::new(
-                        format!("c{c}"),
-                        ColumnKind::categorical((0..k).map(|i| format!("v{i}"))),
-                    ));
-                    cols.push(ColumnData::Cat(
-                        (0..rows).map(|_| rng.gen_range(0..k) as u32).collect(),
-                    ));
-                }
-                let table = Table::new(Schema::new(metas, None), cols);
-                let order = if permute {
-                    Table::shuffle_permutation(rows, seed ^ 0x5eed)
-                } else {
-                    (0..rng.gen_range(1..2 * rows + 1)).map(|_| rng.gen_range(0..rows)).collect()
-                };
-                (table, order)
-            },
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Reading through an order is building from the reordered table:
-        /// same pools, probabilities, frequencies and width, hence the same
-        /// conditions and row indices for the same seed.
-        #[test]
-        fn reading_through_an_order_equals_materialising_it(
-            (table, order) in table_and_order(),
-            seed in any::<u64>(),
-        ) {
-            let through = ClientCondSampler::from_table_in_order(&table, &order).unwrap();
-            let materialised = ClientCondSampler::from_table(&table.select_rows(&order)).unwrap();
-            prop_assert_eq!(&through, &materialised);
-            prop_assert_eq!(through.width(), materialised.width());
-            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            prop_assert_eq!(through.sample_batch(40, &mut a), materialised.sample_batch(40, &mut b));
-            prop_assert_eq!(
-                through.sample_batch_original(40, &mut a),
-                materialised.sample_batch_original(40, &mut b)
-            );
-        }
-
-        /// Re-indexing in place through any sequence of permutations ends at
-        /// the sampler built from nothing with the last one.
-        #[test]
-        fn reindexing_in_place_equals_rebuilding(
-            (table, _) in table_and_order(),
-            seeds in proptest::collection::vec(any::<u64>(), 1..5),
-            seed in any::<u64>(),
-        ) {
-            let mut sampler = ClientCondSampler::from_table(&table).unwrap();
-            for &s in &seeds {
-                let order = Table::shuffle_permutation(table.n_rows(), s);
-                sampler.reindex_in_order(&table, &order);
-                let rebuilt = ClientCondSampler::from_table_in_order(&table, &order).unwrap();
-                prop_assert_eq!(&sampler, &rebuilt);
-                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                prop_assert_eq!(sampler.sample_batch(40, &mut a), rebuilt.sample_batch(40, &mut b));
-                prop_assert_eq!(
-                    sampler.sample_batch_original(40, &mut a),
-                    rebuilt.sample_batch_original(40, &mut b)
-                );
-            }
-        }
-
-        /// `from_table` is the identity-order case.
-        #[test]
-        fn identity_order_is_from_table((table, _) in table_and_order()) {
-            let identity: Vec<usize> = (0..table.n_rows()).collect();
-            prop_assert_eq!(
-                ClientCondSampler::from_table_in_order(&table, &identity),
-                ClientCondSampler::from_table(&table)
-            );
         }
     }
 

@@ -61,8 +61,7 @@ pub struct StepAllocStats {
 
 struct ClientState {
     /// The raw local table as it was handed in — initial row order, the
-    /// only copy. The end-of-round shuffle never moves it: the sampler
-    /// reads it through [`GtvTrainer::current_to_initial`].
+    /// only copy. The end-of-round shuffle never moves it.
     table: Table,
     transformer: TableTransformer,
     /// The encoded table — initial row order too, the only copy. A step
@@ -113,8 +112,8 @@ pub struct GtvTrainer<T: Transport = Network> {
     network: T,
     shuffler: SharedShuffler,
     /// Each client's conditional sampler (`None` without a categorical
-    /// column); it indexes the client's table in current (shuffled) row
-    /// order.
+    /// column), built once from the client's table as loaded: it draws
+    /// rows as loaded, whatever the shuffles since.
     samplers: Vec<Option<ClientCondSampler>>,
     layout: CondLayout,
     ratios: Vec<f64>,
@@ -123,6 +122,12 @@ pub struct GtvTrainer<T: Transport = Network> {
     /// Maps current row positions to initial row ids (tracks the shared
     /// shuffle, which every client knows).
     current_to_initial: Vec<usize>,
+    /// The inverse of `current_to_initial`: the current position of each
+    /// row as loaded. Client `p` announces a drawn row at this position.
+    initial_to_current: Vec<usize>,
+    /// The buffer the next `current_to_initial` is composed in; it holds
+    /// the previous order between rounds.
+    next_order: Vec<usize>,
     shuffling_enabled: bool,
     history: TrainHistory,
     alloc_history: Vec<StepAllocStats>,
@@ -280,6 +285,8 @@ impl<T: Transport> GtvTrainer<T> {
             observer,
             client_observers,
             current_to_initial: (0..n_rows).collect(),
+            initial_to_current: (0..n_rows).collect(),
+            next_order: Vec::with_capacity(n_rows),
             shuffling_enabled: true,
             history: TrainHistory::default(),
             alloc_history: Vec::new(),
@@ -412,6 +419,10 @@ impl<T: Transport> GtvTrainer<T> {
 
     /// Steps 4/18 of Algorithm 1: CV construction by the selected client,
     /// upload of `(CV_p, idx_p)` to the server.
+    ///
+    /// Client `p`'s sampler draws rows as loaded; `idx_p` announces each at
+    /// its current position (`initial_to_current`), the position the server
+    /// and the other clients index the shuffled tables by.
     fn sample_condition(&mut self) -> Result<Option<CondRound>, TransportError> {
         let n_clients = self.clients.len();
         // Server-side selection of `p` among clients that own categorical
@@ -441,7 +452,8 @@ impl<T: Transport> GtvTrainer<T> {
         let cond = sampler.sample_batch(self.config.batch, client_rng);
         let cv =
             sampler.materialize(&cond.choices, self.layout.offset(p), self.layout.total_width());
-        let indices_u32: Vec<u32> = cond.row_indices.iter().map(|&i| i as u32).collect();
+        let indices_u32: Vec<u32> =
+            cond.row_indices.iter().map(|&row| self.initial_to_current[row] as u32).collect();
         match self.config.index_sharing {
             IndexSharing::Server => {
                 // idx_p is shared only between client p and the server
@@ -518,7 +530,8 @@ impl<T: Transport> GtvTrainer<T> {
                         indices.iter().map(|&i| self.current_to_initial[i as usize]).collect();
                     self.client_observers[j].record(&initial);
                 }
-                Ok(Some(CondRound { p, choices: cond.choices, indices: cond.row_indices, cv }))
+                let indices = indices_u32.iter().map(|&i| i as usize).collect();
+                Ok(Some(CondRound { p, choices: cond.choices, indices, cv }))
             }
         }
     }
@@ -885,28 +898,27 @@ impl<T: Transport> GtvTrainer<T> {
     /// Step 23: every client shuffles its local data with the shared,
     /// server-hidden seed.
     ///
-    /// The shuffle is an index, not a copy: nothing table-sized moves here.
-    /// The round's permutation is composed into `current_to_initial` (every
-    /// client can track it — it applies it; the server cannot), the raw and
-    /// the encoded tables stay in initial order, and each sampler re-indexes
-    /// its row pools in place by reading its table through the composed
-    /// order, which gives the pools and draws of the shuffled table (see
-    /// [`ClientCondSampler::reindex_in_order`]; a permutation changes no
-    /// count, so the probabilities stand). The next round's steps
-    /// read the encoded rows through the same order (`d_step`): the `idx_p`
-    /// rows, or — where a whole table is uploaded — all of them, gathered
-    /// straight into the buffer that is uploaded.
+    /// The shuffle is an index, not a copy: nothing table-sized moves here,
+    /// and nothing per column. The round's permutation is composed into
+    /// `current_to_initial` (every client can track it — it applies it; the
+    /// server cannot) and `initial_to_current` is rebuilt as its inverse,
+    /// both in buffers the trainer keeps. The raw and the encoded tables
+    /// stay in initial order, and so do the samplers: a draw is of a row as
+    /// loaded, announced at its current position (`sample_condition`). The
+    /// next round's steps read the encoded rows through the composed order
+    /// (`d_step`): the `idx_p` rows, or — where a whole table is uploaded —
+    /// all of them, gathered straight into the buffer that is uploaded.
     fn end_of_round_shuffle(&mut self) {
         if !self.shuffling_enabled {
             return;
         }
-        let perm = self.shuffler.permutation(self.n_rows, self.round);
-        self.current_to_initial = perm.iter().map(|&i| self.current_to_initial[i]).collect();
-        for (sampler, client) in self.samplers.iter_mut().zip(&self.clients) {
-            if let Some(sampler) = sampler {
-                sampler.reindex_in_order(&client.table, &self.current_to_initial);
-            }
+        let next = &mut self.next_order;
+        self.shuffler.permutation_into(self.n_rows, self.round, next);
+        for (position, row) in next.iter_mut().enumerate() {
+            *row = self.current_to_initial[*row];
+            self.initial_to_current[*row] = position;
         }
+        std::mem::swap(&mut self.current_to_initial, next);
     }
 
     /// Runs one full round: `e` discriminator steps, one generator step and
@@ -1331,8 +1343,59 @@ mod tests {
                 for (i, client) in t.clients.iter().enumerate() {
                     assert_eq!(client.table, shards[i], "the raw table stays as loaded");
                     assert_eq!(shards[i].select_rows(&t.current_to_initial), moved[i]);
-                    assert_eq!(t.samplers[i], ClientCondSampler::from_table(&moved[i]));
+                    assert_eq!(t.samplers[i], ClientCondSampler::from_table(&shards[i]));
                     assert_eq!(client.encoded, encoded[i], "so does the encoded one");
+                }
+                for (position, &row) in t.current_to_initial.iter().enumerate() {
+                    assert_eq!(t.initial_to_current[row], position, "round {round}");
+                }
+            }
+            assert_ne!(t.current_to_initial, (0..90).collect::<Vec<_>>(), "rounds do shuffle");
+        }
+    }
+
+    /// The client, local column and category behind a hot CV bit.
+    fn hot_category<T: Transport>(t: &GtvTrainer<T>, bit: usize) -> (usize, usize, usize) {
+        for (i, sampler) in t.samplers.iter().enumerate() {
+            let Some(s) = sampler else { continue };
+            for slot in 0..s.n_columns() {
+                let first = t.layout.offset(i) + s.local_bit(slot, 0);
+                if (first..first + s.categories_of_slot(slot)).contains(&bit) {
+                    return (i, s.column_of_slot(slot), bit - first);
+                }
+            }
+        }
+        panic!("bit {bit} is no client's")
+    }
+
+    #[test]
+    fn every_announced_index_names_a_row_of_its_category() {
+        // Read through the order its round trains in, each `idx_p` must name
+        // a row whose cell is the CV's hot category: on both real paths, and
+        // whether the indices go to the server or to the other clients.
+        for (faithful_real_path, index_sharing) in [
+            (false, IndexSharing::Server),
+            (true, IndexSharing::Server),
+            (false, IndexSharing::PeerToPeer),
+            (true, IndexSharing::PeerToPeer),
+        ] {
+            let what = format!("faithful_real_path = {faithful_real_path}, {index_sharing:?}");
+            let shards = two_client_shards(90);
+            let config = GtvConfig { faithful_real_path, index_sharing, ..GtvConfig::smoke() };
+            let mut t =
+                GtvTrainer::with_transport(shards.clone(), config, Capturing::new(2)).unwrap();
+            for round in 0..6 {
+                let order = t.current_to_initial.clone();
+                t.train_round().unwrap();
+                let conds = t.network().conds.take();
+                assert_eq!(conds.len(), 2, "{what}: one CV per step");
+                for (bits, indices) in conds {
+                    assert_eq!(bits.len(), indices.len(), "{what}: one index per CV row");
+                    for (&bit, &idx) in bits.iter().zip(&indices) {
+                        let (client, column, category) = hot_category(&t, bit);
+                        let cell = shards[client].column(column).as_cat()[order[idx as usize]];
+                        assert_eq!(cell as usize, category, "{what}, round {round}: idx_p {idx}");
+                    }
                 }
             }
             assert_ne!(t.current_to_initial, (0..90).collect::<Vec<_>>(), "rounds do shuffle");
@@ -1344,14 +1407,16 @@ mod tests {
     type Sent = (PartyId, PartyId, &'static str, Edge);
 
     /// An in-process network that records every message it sends
-    /// ([`Sent`]) and keeps a copy of every `RealLogits` payload handed to
-    /// it, with its sender — and, for `flip_rows: Some(n)`, flips one value
-    /// of every `n`-row upload on its way: the first value of the row the
-    /// step's first `idx_p` names.
+    /// ([`Sent`]), keeps a copy of every `RealLogits` payload handed to it,
+    /// with its sender, and each step's CV hot bits with the `idx_p` that
+    /// went with them, to the server or to a peer — and, for
+    /// `flip_rows: Some(n)`, flips one value of every `n`-row upload on its
+    /// way: the first value of the row the step's first `idx_p` names.
     struct Capturing {
         inner: Network,
         trace: std::cell::RefCell<Vec<Sent>>,
         real_logits: std::cell::RefCell<Vec<(PartyId, MatrixPayload)>>,
+        conds: std::cell::RefCell<Vec<(Vec<usize>, Vec<u32>)>>,
         flip_rows: Option<u32>,
         first_index: std::cell::Cell<usize>,
     }
@@ -1366,6 +1431,7 @@ mod tests {
                 inner: Network::new(n_clients),
                 trace: Default::default(),
                 real_logits: Default::default(),
+                conds: Default::default(),
                 flip_rows,
                 first_index: Default::default(),
             }
@@ -1375,10 +1441,25 @@ mod tests {
     impl Transport for Capturing {
         fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
             let msg = match msg {
-                Message::CondUpload { ref indices, .. } => {
+                Message::CondUpload { ref cv, ref indices } => {
                     // Peer-to-peer, the upload carries no indices.
                     if let Some(&first) = indices.first() {
                         self.first_index.set(first as usize);
+                    }
+                    let values = cv.values();
+                    let bits = values
+                        .chunks_exact(cv.cols as usize)
+                        .map(|row| row.iter().position(|&v| v == 1.0).unwrap())
+                        .collect();
+                    self.conds.borrow_mut().push((bits, indices.clone()));
+                    msg
+                }
+                Message::IndexShare { ref indices } => {
+                    // Every peer gets the same indices; keep the first copy.
+                    if let Some((_, kept)) = self.conds.borrow_mut().last_mut() {
+                        if kept.is_empty() {
+                            kept.clone_from(indices);
+                        }
                     }
                     msg
                 }

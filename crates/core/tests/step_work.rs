@@ -63,12 +63,15 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// FNV-1a of `save_weights().to_bytes()` after three rounds of the shape
 /// above, as commit cc9bbec trained them — the last commit whose shuffle
 /// re-ordered the tables themselves — with the matmul's terms fused (one
-/// rounding per multiply-add, the only change of arithmetic since). Three
-/// rounds take two shuffles into account. The faithful real path sends whole tables and lets the server
-/// select, the default path selects first: the same rows reach the same
-/// arithmetic, so one constant serves both. A later change of arithmetic,
-/// draw order or row order lands here.
-const WEIGHTS_AFTER_3_ROUNDS: u64 = 0x4598_2003_b06e_49ad;
+/// rounding per multiply-add), and re-taken when the CV sampler stopped
+/// following the shuffle: a draw names a row as loaded, announced at its
+/// current position, so the same RNG draw names another row from the
+/// second round on (it was `0x4598_2003_b06e_49ad`). Three rounds take two
+/// shuffles into account. The faithful real path sends whole tables and
+/// lets the server select, the default path selects first: the same rows
+/// reach the same arithmetic, so one constant serves both. A later change
+/// of arithmetic, draw order or row order lands here.
+const WEIGHTS_AFTER_3_ROUNDS: u64 = 0xe983_790f_0a68_6f15;
 
 #[test]
 fn three_rounds_train_exactly_the_pinned_weights() {
@@ -85,8 +88,9 @@ fn three_rounds_train_exactly_the_pinned_weights() {
 /// itself: one `D_i^b` block per client (`D_1^1 G_2^0`), so every client
 /// runs its entire table through its bottom block and the server gathers
 /// the `idx_p` rows of those logits. Weights as the trainer of commit
-/// 39eaeda built them, with the matmul's terms fused; nodes since the
-/// backward pass builds no transpose (451 and 758 before).
+/// 39eaeda built them, with the matmul's terms fused and draws of rows as
+/// loaded (`0x9b96_66fe_160c_e0c7` before); nodes since the backward pass
+/// builds no transpose (451 and 758 before).
 #[test]
 fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
     let config = GtvConfig {
@@ -96,22 +100,22 @@ fn faithful_path_with_a_bottom_block_trains_the_pinned_weights() {
     };
     let (nodes, fingerprint) = train(config, 3);
     assert_eq!(nodes, [418, 742], "[D-step, G-step] live nodes");
-    assert_eq!(fingerprint, 0x9b96_66fe_160c_e0c7, "{fingerprint:#018x}");
+    assert_eq!(fingerprint, 0xcb07_2443_a8fe_65d1, "{fingerprint:#018x}");
 }
 
 /// The faithful real path with DP noise on the uploads: the noise for a
 /// whole-table upload is drawn at the table's shape in the same client
 /// order, and the server's rows are the `idx_p` rows of the noisy table.
-/// Weights as commit 39eaeda trained them, with the matmul's terms fused;
-/// its D-step built 424 nodes (a
-/// table-sized leaf, a noise leaf, their sum and a gather per uploading
-/// client), then 421 (a single batch-sized leaf per uploading client), 417
-/// once it built no `GradLogits`, and 388 since it builds no transpose (the
-/// G-step 752 → 737).
+/// Weights as commit 39eaeda trained them, with the matmul's terms fused and
+/// draws of rows as loaded (`0xba59_6a68_205d_9a63` before); its D-step
+/// built 424 nodes (a table-sized leaf, a noise leaf, their sum and a
+/// gather per uploading client), then 421 (a single batch-sized leaf per
+/// uploading client), 417 once it built no `GradLogits`, and 388 since it
+/// builds no transpose (the G-step 752 → 737).
 #[test]
 fn faithful_path_with_dp_noise_trains_the_pinned_weights() {
     let config = GtvConfig { faithful_real_path: true, dp_noise_sigma: 0.5, ..GtvConfig::smoke() };
     let (nodes, fingerprint) = train(config, 3);
     assert_eq!(nodes, [388, 737], "[D-step, G-step] live nodes");
-    assert_eq!(fingerprint, 0xba59_6a68_205d_9a63, "{fingerprint:#018x}");
+    assert_eq!(fingerprint, 0x448b_3c70_994e_4d6a, "{fingerprint:#018x}");
 }

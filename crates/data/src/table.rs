@@ -185,14 +185,22 @@ impl Table {
     /// the same seed derive the same permutation — this is the shared-seed
     /// `Shuffle` of the GTV protocol.
     pub fn shuffle_permutation(n_rows: usize, seed: u64) -> Vec<usize> {
-        let mut perm: Vec<usize> = (0..n_rows).collect();
+        let mut perm = Vec::with_capacity(n_rows);
+        Self::shuffle_permutation_into(n_rows, seed, &mut perm);
+        perm
+    }
+
+    /// [`Table::shuffle_permutation`] written into `perm`, whose contents
+    /// it replaces and whose capacity it reuses.
+    pub fn shuffle_permutation_into(n_rows: usize, seed: u64, perm: &mut Vec<usize>) {
+        perm.clear();
+        perm.extend(0..n_rows);
         #[expect(
             clippy::disallowed_methods,
             reason = "the caller's `seed`, shared by every party that must shuffle alike"
         )]
         let mut rng = StdRng::seed_from_u64(seed);
         perm.shuffle(&mut rng);
-        perm
     }
 
     /// Returns the table with rows permuted by the shared-seed shuffle.

@@ -127,6 +127,12 @@ impl SharedShuffler {
         Table::shuffle_permutation(n_rows, round_seed(self.base_seed, round))
     }
 
+    /// [`SharedShuffler::permutation`] written into `perm`, reusing its
+    /// capacity.
+    pub fn permutation_into(&self, n_rows: usize, round: u64, perm: &mut Vec<usize>) {
+        Table::shuffle_permutation_into(n_rows, round_seed(self.base_seed, round), perm);
+    }
+
     /// Shuffles a table for the given round.
     pub fn shuffle(&self, table: &Table, round: u64) -> Table {
         table.select_rows(&self.permutation(table.n_rows(), round))

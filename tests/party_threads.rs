@@ -4,7 +4,10 @@
 //! frame or its own fit, and every RNG draw stays on the calling thread in
 //! client order, so the weights and the traffic are those the one-thread
 //! loops trained. The literals were taken from those loops, and re-taken
-//! once, at one thread, when the matmul fused its terms.
+//! at one thread when the matmul fused its terms, and when the CV sampler
+//! began to draw rows as loaded and announce their current positions
+//! (weights `0x71f0_aa87_1837_e9a5` and `0x53c8_1350_9eeb_2248` before;
+//! construction and traffic did not move).
 //!
 //! Five clients: the faithful real path then has four whole-table uploads
 //! a D-step, so four parties write at once. With `dp_noise_sigma` 0.1 the
@@ -49,7 +52,7 @@ fn train(config: GtvConfig, rounds: usize) -> (u64, u64, u64) {
 /// rounds. The bytes are those of the noise-free run: noise changes the
 /// values an upload carries, not its size.
 const FAITHFUL_PINS: [(f32, (u64, u64, u64)); 2] =
-    [(0.0, (0x71f0_aa87_1837_e9a5, 146, 222_930)), (0.1, (0x53c8_1350_9eeb_2248, 146, 222_930))];
+    [(0.0, (0xb279_0eee_5345_f8c1, 146, 222_930)), (0.1, (0xe98b_e13a_2a6d_2a0b, 146, 222_930))];
 
 #[test]
 fn five_party_faithful_rounds_train_the_pinned_weights_and_traffic() {
