@@ -47,13 +47,13 @@ impl ResidualBlock {
         &self.bn
     }
 
-    /// Applies the block.
+    /// Applies the block: the product `x·W`, then its bias, batch norm,
+    /// ReLU and the concat of `x` as one fused
+    /// [`Graph::bn_tail`](gtv_tensor::Graph::bn_tail) node (DESIGN.md §9).
     pub fn forward(&self, ctx: &Ctx<'_>, x: Var) -> Var {
-        let g = ctx.graph();
-        let h = self.fc.forward(ctx, x);
-        let h = self.bn.forward(ctx, h);
-        let h = g.relu(h);
-        g.concat_cols(&[h, x])
+        let (w, b) = self.fc.bind(ctx);
+        let xw = ctx.graph().matmul(x, w);
+        self.bn.tail(ctx, xw, Some(b), true, Some(x))
     }
 }
 

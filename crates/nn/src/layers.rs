@@ -3,7 +3,7 @@
 use crate::ctx::Ctx;
 use crate::init::Init;
 use crate::param::{Module, Param};
-use gtv_tensor::{FusedAct, Tensor, Var};
+use gtv_tensor::{BnStats, BnTail, FusedAct, Tensor, Var};
 use rand::Rng;
 use std::sync::{PoisonError, RwLock};
 
@@ -46,11 +46,16 @@ impl Linear {
     ///
     /// Panics (in the tensor layer) if `x` does not have `in_dim` columns.
     pub fn forward(&self, ctx: &Ctx<'_>, x: Var) -> Var {
+        let (w, b) = self.bind(ctx);
         let g = ctx.graph();
-        let w = ctx.binder().bind(g, &self.w);
-        let b = ctx.binder().bind(g, &self.b);
         let xw = g.matmul(x, w);
         g.add(xw, b)
+    }
+
+    /// Binds the weights and the bias into the step's graph.
+    pub(crate) fn bind(&self, ctx: &Ctx<'_>) -> (Var, Var) {
+        let g = ctx.graph();
+        (ctx.binder().bind(g, &self.w), ctx.binder().bind(g, &self.b))
     }
 
     /// Applies the layer followed by `act` through the fused
@@ -134,34 +139,47 @@ impl BatchNorm1d {
 
     /// Applies normalization.
     pub fn forward(&self, ctx: &Ctx<'_>, x: Var) -> Var {
+        self.tail(ctx, x, None, false, None)
+    }
+
+    /// Batch norm of `x + bias` (of `x` with no bias), then a ReLU if
+    /// `relu`, with `skip` concatenated to the right if given: one fused
+    /// [`Graph::bn_tail`](gtv_tensor::Graph::bn_tail) node. In training it
+    /// normalises with the batch statistics and folds them into the running
+    /// ones; in inference it normalises with the running ones.
+    pub(crate) fn tail(
+        &self,
+        ctx: &Ctx<'_>,
+        x: Var,
+        bias: Option<Var>,
+        relu: bool,
+        skip: Option<Var>,
+    ) -> Var {
         let g = ctx.graph();
-        let gamma = ctx.binder().bind(g, &self.gamma);
-        let beta = ctx.binder().bind(g, &self.beta);
-        let (centered, var) = if ctx.is_train() {
-            let mean = g.mean_rows(x);
-            let centered = g.sub(x, mean);
-            let var = g.mean_rows(g.square(centered));
-            // Update running stats (numeric, outside the graph).
-            let m = g.value(mean);
-            let v = g.value(var);
-            {
-                let mut rm = self.running_mean.write().unwrap_or_else(PoisonError::into_inner);
-                *rm = rm.mul_scalar(1.0 - self.momentum).add(&m.mul_scalar(self.momentum));
-                let mut rv = self.running_var.write().unwrap_or_else(PoisonError::into_inner);
-                *rv = rv.mul_scalar(1.0 - self.momentum).add(&v.mul_scalar(self.momentum));
-            }
-            (centered, var)
-        } else {
-            let mean =
-                g.leaf(self.running_mean.read().unwrap_or_else(PoisonError::into_inner).clone());
-            let var =
-                g.leaf(self.running_var.read().unwrap_or_else(PoisonError::into_inner).clone());
-            (g.sub(x, mean), var)
+        let tail = BnTail {
+            bias,
+            gamma: ctx.binder().bind(g, &self.gamma),
+            beta: ctx.binder().bind(g, &self.beta),
+            eps: self.eps,
+            relu,
+            skip,
         };
-        let denom = g.sqrt(g.add_scalar(var, self.eps));
-        let norm = g.div(centered, denom);
-        let scaled = g.mul(norm, gamma);
-        g.add(scaled, beta)
+        if !ctx.is_train() {
+            let mean = self.running_mean.read().unwrap_or_else(PoisonError::into_inner);
+            let var = self.running_var.read().unwrap_or_else(PoisonError::into_inner);
+            return g.bn_tail(x, tail, BnStats::Running(&mean, &var)).0;
+        }
+        let (out, stats) = g.bn_tail(x, tail, BnStats::Batch);
+        g.with_value(stats, |batch| {
+            let keep = 1.0 - self.momentum;
+            for (running, row) in [(&self.running_mean, 0), (&self.running_var, 1)] {
+                let mut running = running.write().unwrap_or_else(PoisonError::into_inner);
+                for (r, &b) in running.as_mut_slice().iter_mut().zip(batch.row_slice(row)) {
+                    *r = *r * keep + b * self.momentum;
+                }
+            }
+        });
+        out
     }
 }
 

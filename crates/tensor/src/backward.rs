@@ -7,9 +7,9 @@
 //! the backward pass is ordinary graph construction, its outputs can be
 //! differentiated again — this is what powers the WGAN-GP gradient penalty.
 
-use crate::graph::{Graph, Op, Var};
-use crate::kernels::{FusedAct, Layout, UnaryOp};
-use crate::Tensor;
+use crate::graph::{BnTailOp, Graph, Op, Var};
+use crate::kernels::{self, FusedAct, Layout, UnaryOp};
+use crate::{pool_mem, Tensor};
 
 impl Graph {
     /// Reduces `v` down to `(rows, cols)` by summing over broadcast axes —
@@ -33,6 +33,72 @@ impl Graph {
             Some(existing) => self.add(existing, contrib),
             None => contrib,
         });
+    }
+
+    /// The backward arm of a [`Graph::bn_tail`] node `out` with upstream
+    /// adjoint `g_out`: the skip's columns of `g_out` as the unfused
+    /// `concat_cols` arm slices them, then one kernel call for the rest,
+    /// its results accumulated in the unfused chain's order (`β` at the
+    /// shift's `Add`, `γ` at the scale's `Mul`, then the input and the bias
+    /// at the bias `Add`).
+    fn bn_tail_backward(
+        &self,
+        op: &BnTailOp,
+        out: Var,
+        g_out: Var,
+        adj: &mut [Option<Var>],
+        live: impl Fn(Var) -> bool,
+    ) {
+        let t = &op.tail;
+        let (rows, cols) = self.shape(op.x);
+        if let Some(skip) = t.skip.filter(|&s| live(s)) {
+            let gs = self.slice_cols(g_out, cols, self.shape(skip).1);
+            self.accumulate(adj, skip.0, gs);
+        }
+        let want_bias = t.bias.is_some_and(&live);
+        let grads = {
+            let nodes = self.nodes.borrow();
+            let value = |v: Var| nodes[v.0].value.as_slice();
+            let input = kernels::BnTailIn {
+                x: value(op.x),
+                rows,
+                cols,
+                bias: t.bias.map(value),
+                gamma: value(t.gamma),
+                beta: value(t.beta),
+                stats: value(op.stats),
+                eps: t.eps,
+                relu: t.relu,
+            };
+            let g = &nodes[g_out.0].value;
+            kernels::bn_tail_backward(
+                &input,
+                op.batch,
+                g.as_slice(),
+                g.cols(),
+                live(op.x),
+                want_bias,
+            )
+        };
+        let node = |data: Vec<f32>, r: usize| {
+            self.push(Tensor::from_vec(r, cols, data), Op::BnTailGrad(out, g_out))
+        };
+        for (v, data) in [(t.beta, grads.beta), (t.gamma, grads.gamma)] {
+            if live(v) {
+                let gv = node(data, 1);
+                self.accumulate(adj, v.0, gv);
+            } else {
+                pool_mem::give(data);
+            }
+        }
+        if let Some(dx) = grads.input {
+            let gx = node(dx, rows);
+            self.accumulate(adj, op.x.0, gx);
+        }
+        if let (Some(b), Some(db)) = (t.bias, grads.bias) {
+            let gb = node(db, 1);
+            self.accumulate(adj, b.0, gb);
+        }
     }
 
     /// Marks the nodes below `limit` that a gradient towards `wrt` has to
@@ -353,6 +419,10 @@ impl Graph {
                     let gx = self.add(q, p);
                     self.accumulate(&mut adj, x.0, gx);
                 }
+                Op::BnTail(op) => self.bn_tail_backward(&op, out_var, g_out, &mut adj, live),
+                Op::BnTailGrad(..) => panic!(
+                    "a bn_tail gradient is first order only: differentiating it again is refused"
+                ),
             }
         }
 

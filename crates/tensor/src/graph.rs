@@ -87,6 +87,23 @@ pub(crate) enum Op {
     AffineAct(Var, Var, Var, FusedAct),
     /// Fused row-wise `sqrt(Σ_cols x² + eps)` (`n×m → n×1`).
     RowNormEps(Var),
+    /// Fused batch-norm tail ([`Graph::bn_tail`]).
+    BnTail(Box<BnTailOp>),
+    /// A gradient [`Graph::bn_tail`]'s backward built, from the tail node
+    /// and the upstream adjoint: first order only, so its own backward arm
+    /// refuses to differentiate it again.
+    BnTailGrad(Var, Var),
+}
+
+/// A [`Graph::bn_tail`] node's operands and settings.
+#[derive(Debug, Clone)]
+pub(crate) struct BnTailOp {
+    pub(crate) x: Var,
+    pub(crate) tail: BnTail,
+    /// The `2×m` leaf of the statistics it normalised with.
+    pub(crate) stats: Var,
+    /// Batch statistics (a function of `x`) rather than running ones.
+    pub(crate) batch: bool,
 }
 
 impl Op {
@@ -121,8 +138,49 @@ impl Op {
             | Op::RowNormEps(x) => pred(*x),
             Op::ConcatCols(parts) => parts.iter().any(|p| pred(*p)),
             Op::AffineAct(x, w, b, _) => pred(*x) || pred(*w) || pred(*b),
+            Op::BnTail(op) => {
+                let t = &op.tail;
+                pred(op.x)
+                    || t.bias.is_some_and(&mut pred)
+                    || pred(t.gamma)
+                    || pred(t.beta)
+                    || t.skip.is_some_and(pred)
+            }
+            Op::BnTailGrad(tail, g) => pred(*tail) || pred(*g),
         }
     }
+}
+
+/// What a [`Graph::bn_tail`] computes around the batch normalisation of its
+/// `n×m` input: an optional bias row added first, the affine `γ`, `β`
+/// (`1×m` rows), `ε`, an optional ReLU, and an optional skip input
+/// concatenated to the right of the result.
+#[derive(Debug, Clone, Copy)]
+pub struct BnTail {
+    /// `1×m` row added to the input before the statistics (a linear
+    /// layer's bias), or none.
+    pub bias: Option<Var>,
+    /// `1×m` scale.
+    pub gamma: Var,
+    /// `1×m` shift.
+    pub beta: Var,
+    /// Added to the variance under the square root.
+    pub eps: f32,
+    /// Whether a ReLU follows the affine.
+    pub relu: bool,
+    /// `n×k` input concatenated to the right of the result (a residual
+    /// block's input), or none.
+    pub skip: Option<Var>,
+}
+
+/// The statistics a [`Graph::bn_tail`] normalises with.
+#[derive(Debug, Clone, Copy)]
+pub enum BnStats<'a> {
+    /// The batch's own mean and (biased) variance per column, computed by
+    /// the node; gradients flow through them (training).
+    Batch,
+    /// Running `(mean, variance)`, `1×m` each: constants (inference).
+    Running(&'a Tensor, &'a Tensor),
 }
 
 pub(crate) struct Node {
@@ -541,6 +599,92 @@ impl Graph {
             Tensor::from_vec(n, m, data)
         };
         self.push(value, Op::AffineAct(x, w, b, act))
+    }
+
+    /// Fused batch-norm tail: `[act(BN(x + bias)), skip]` with `BN(h) =
+    /// (h − mean) / √(var + ε) · γ + β` per column, `act` a ReLU or the
+    /// identity, and the optional bias and skip of `tail` — a generator
+    /// residual block's `bias → BatchNorm → ReLU → concat` after its
+    /// product `x`, or with neither and no ReLU a plain batch norm.
+    ///
+    /// Returns the output node and a `2×m` leaf holding the mean and the
+    /// variance it normalised with, row by row: the batch's with
+    /// [`BnStats::Batch`] (the caller's running-statistics update reads
+    /// them), the running ones otherwise. The leaf is a value, not a path
+    /// for gradients.
+    ///
+    /// Bit-identical to the composed chain `add → mean_rows → sub → square
+    /// → mean_rows → add_scalar → sqrt → div → mul → add → relu →
+    /// concat_cols` (running statistics enter it as leaves): the same float
+    /// operations in the same order, the column sums in `sum_rows`' chunk
+    /// and tree order (a NaN is a NaN in both, its sign and payload aside,
+    /// which Rust leaves unspecified). Its backward mirrors that chain's
+    /// adjoints term by term and returns the same bits for `x`, the bias,
+    /// `γ`, `β` and the skip — when the node is `x`'s only consumer, as a
+    /// residual block's product is, since the chain adds its two
+    /// contributions to `x`'s adjoint one at a time. It builds a handful of
+    /// nodes instead of about twenty, and they are first order only:
+    /// differentiating them again panics (a generator's output is never
+    /// differentiated twice; the gradient penalty's double backward runs
+    /// through the critic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bias, `γ`, `β` or a running statistic is not a `1×m`
+    /// row, or the skip's row count differs from `x`'s.
+    pub fn bn_tail(&self, x: Var, tail: BnTail, stats: BnStats<'_>) -> (Var, Var) {
+        let (out, stats_value) = {
+            let nodes = self.nodes.borrow();
+            let xv = &nodes[x.0].value;
+            let (rows, cols) = xv.shape();
+            let row = |v: Var, what: &str| {
+                let t = &nodes[v.0].value;
+                assert_eq!(
+                    t.shape(),
+                    (1, cols),
+                    "bn_tail {what} must be 1x{cols}, got {:?}",
+                    t.shape()
+                );
+                t.as_slice()
+            };
+            let bias = tail.bias.map(|b| row(b, "bias"));
+            let (gamma, beta) = (row(tail.gamma, "gamma"), row(tail.beta, "beta"));
+            let skip = tail.skip.map(|s| {
+                let t = &nodes[s.0].value;
+                assert_eq!(t.rows(), rows, "bn_tail skip has {} rows, the input {rows}", t.rows());
+                (t.as_slice(), t.cols())
+            });
+            let stats = match stats {
+                BnStats::Batch => kernels::bn_batch_stats(xv.as_slice(), rows, cols, bias),
+                BnStats::Running(mean, var) => {
+                    for (t, what) in [(mean, "running mean"), (var, "running variance")] {
+                        assert_eq!(t.shape(), (1, cols), "bn_tail {what} must be 1x{cols}");
+                    }
+                    let mut s = crate::pool_mem::take(2 * cols);
+                    s.extend_from_slice(mean.as_slice());
+                    s.extend_from_slice(var.as_slice());
+                    s
+                }
+            };
+            let input = kernels::BnTailIn {
+                x: xv.as_slice(),
+                rows,
+                cols,
+                bias,
+                gamma,
+                beta,
+                stats: &stats,
+                eps: tail.eps,
+                relu: tail.relu,
+            };
+            let out = kernels::bn_tail(&input, skip);
+            let out_cols = cols + skip.map_or(0, |(_, w)| w);
+            (Tensor::from_vec(rows, out_cols, out), Tensor::from_vec(2, cols, stats))
+        };
+        let batch = matches!(stats, BnStats::Batch);
+        let stats = self.leaf(stats_value);
+        let out = self.push(out, Op::BnTail(Box::new(BnTailOp { x, tail, stats, batch })));
+        (out, stats)
     }
 
     /// Fused row-wise norm with floor: `sqrt(Σ_cols x² + eps)` (`n×m → n×1`)

@@ -422,27 +422,91 @@ fn rows_per_chunk(cols: usize) -> usize {
     (REDUCE_BLOCK / cols.max(1)).max(1)
 }
 
-/// Column sums of a row-major `rows×cols` buffer → `cols` values.
-/// Rows are accumulated sequentially inside fixed row blocks, each into its
-/// own `cols`-wide slot of one pooled buffer; the slots combine in the
-/// pairwise tree of [`tree_fold`].
+/// Column sums of a row-major `rows×cols` buffer → `cols` values
+/// ([`col_sums_by`] of the stored rows).
 pub(crate) fn col_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    col_sums_by(rows, cols, 1, |r, acc| add_row(acc, data, r))
+}
+
+/// Adds row `r` of the row-major `data` (rows as wide as `acc`) into `acc`.
+#[inline]
+fn add_row(acc: &mut [f32], data: &[f32], r: usize) {
+    let cols = acc.len();
+    acc.iter_mut().zip(&data[r * cols..][..cols]).for_each(|(a, v)| *a += v);
+}
+
+/// `sums` column sums at once over `rows` rows of `cols` values that
+/// `add_row(r, acc)` adds into `acc` (`sums·cols` slots, one `cols`-wide run
+/// per sum) → `sums·cols` values. Rows are accumulated sequentially from
+/// `+0.0` inside fixed row blocks of [`rows_per_chunk`]`(cols)`, each block
+/// into its own slot of one pooled buffer; the slots combine in the pairwise
+/// tree of [`tree_fold`]. So each sum has the bits [`col_sums`] gives the
+/// stored values, whichever other sums share the pass: a fused kernel sums
+/// values it never stores.
+fn col_sums_by(
+    rows: usize,
+    cols: usize,
+    sums: usize,
+    add_row: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<f32> {
+    let width = sums * cols;
     if rows == 0 || cols == 0 {
-        return pool_mem::take_zeroed(cols);
+        return pool_mem::take_zeroed(width);
     }
     let block = rows_per_chunk(cols);
-    let mut partials = reduce_chunks(rows.div_ceil(block), cols, data.len(), |i, acc| {
-        for row in data[i * block * cols..((i + 1) * block).min(rows) * cols].chunks_exact(cols) {
-            for (a, v) in acc.iter_mut().zip(row) {
-                *a += v;
-            }
+    let mut partials = reduce_chunks(rows.div_ceil(block), width, rows * cols, |i, acc| {
+        for r in i * block..((i + 1) * block).min(rows) {
+            add_row(r, acc);
         }
     });
-    tree_fold(&mut partials, cols);
-    let mut out = pool_mem::take(cols);
-    out.extend_from_slice(&partials[..cols]);
+    tree_fold(&mut partials, width);
+    let mut out = pool_mem::take(width);
+    out.extend_from_slice(&partials[..width]);
     pool_mem::give(partials);
     out
+}
+
+/// The sums `Graph::reduce_to` takes of an adjoint broadcast down the rows:
+/// [`col_sums_by`], except that a single row passes through as it is, as
+/// `reduce_to` sums nothing then. (Summing from `−0.0` is the identity, so
+/// a `−0.0` stays one, where a sum from `+0.0` would make it `+0.0`.)
+fn adjoint_col_sums(
+    rows: usize,
+    cols: usize,
+    sums: usize,
+    add_row: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<f32> {
+    if rows != 1 {
+        return col_sums_by(rows, cols, sums, add_row);
+    }
+    let mut acc = pool_mem::take_filled(sums * cols, -0.0);
+    add_row(0, &mut acc);
+    acc
+}
+
+/// Rows `0..rows` of a row-major `rows×cols` output, each appended by
+/// `fill_row(r, out)`. A row's values never depend on which rows share its
+/// chunk, so below [`dispatch::elem_par_min`] one pass fills the output,
+/// and above it blocks of about `ELEM_BLOCK` elements run on the pool.
+fn map_row_blocks(
+    rows: usize,
+    cols: usize,
+    fill_row: impl Fn(usize, &mut Vec<f32>) + Sync,
+) -> Vec<f32> {
+    let len = rows * cols;
+    if pool::threads() == 1 || len < dispatch::elem_par_min() {
+        let mut out = pool_mem::take(len);
+        (0..rows).for_each(|r| fill_row(r, &mut out));
+        return out;
+    }
+    let block = (ELEM_BLOCK / cols.max(1)).max(1);
+    let chunks = pool::run_ordered(rows.div_ceil(block), |i| {
+        let (lo, hi) = (i * block, ((i + 1) * block).min(rows));
+        let mut out = pool_mem::take((hi - lo) * cols);
+        (lo..hi).for_each(|r| fill_row(r, &mut out));
+        out
+    });
+    stitch(chunks, len)
 }
 
 /// `per_row(row)` for every row of a row-major `rows×cols` buffer
@@ -745,6 +809,281 @@ pub(crate) fn row_norm_eps(data: &[f32], rows: usize, cols: usize, eps: f32) -> 
         return pool_mem::take_filled(rows, eps.sqrt());
     }
     map_rows(data, rows, cols, |row| (leaf_sum_squares(row) + eps).sqrt())
+}
+
+/// Mean and variance (`2·cols` values: the means, then the variances) over
+/// the rows of `x + bias` (of `x` with no bias), a row-major `rows×cols`
+/// buffer: the batch statistics of a batch-norm tail in training.
+///
+/// Bit for bit the unfused chain `h = x + b`, `mean = Σ_rows h · (1/n)`,
+/// `var = Σ_rows (h − mean)² · (1/n)`: each sum is [`col_sums_by`] over
+/// the very values the chain stores, `c·c` one rounded product as `Mul(c,
+/// c)` is, and `1/n` the `f32` quotient `Graph::mean_rows` multiplies by.
+pub(crate) fn bn_batch_stats(
+    x: &[f32],
+    rows: usize,
+    cols: usize,
+    bias: Option<&[f32]>,
+) -> Vec<f32> {
+    let inv_n = 1.0 / rows as f32;
+    let row = |r: usize| &x[r * cols..][..cols];
+    let sums = col_sums_by(rows, cols, 1, |r, acc| match bias {
+        Some(b) => acc.iter_mut().zip(row(r)).zip(b).for_each(|((a, &x), &b)| *a += x + b),
+        None => acc.iter_mut().zip(row(r)).for_each(|(a, &x)| *a += x),
+    });
+    let mut stats = pool_mem::take(2 * cols);
+    stats.extend(sums.iter().map(|&s| s * inv_n));
+    pool_mem::give(sums);
+    let mean = &stats[..cols];
+    let sums = col_sums_by(rows, cols, 1, |r, acc| {
+        let square = |c: f32| c * c;
+        match bias {
+            Some(b) => acc
+                .iter_mut()
+                .zip(row(r))
+                .zip(b)
+                .zip(mean)
+                .for_each(|(((a, &x), &b), &m)| *a += square((x + b) - m)),
+            None => {
+                acc.iter_mut().zip(row(r)).zip(mean).for_each(|((a, &x), &m)| *a += square(x - m))
+            }
+        }
+    });
+    stats.extend(sums.iter().map(|&s| s * inv_n));
+    pool_mem::give(sums);
+    stats
+}
+
+/// A batch-norm tail's operands: a row-major `rows×cols` input `x`, an
+/// optional bias row, `γ`, `β`, the statistics it normalises with (`2·cols`
+/// values, the means then the variances), `ε` and whether a ReLU follows.
+/// Every element goes through the unfused chain's float operations in its
+/// order, each rounded once: `h = x + b`, `c = h − mean`, `n = c / d` with
+/// `d = √(var + ε)` per column, `o = n·γ + β` (a product and a sum, never
+/// one fused step), `max(o, 0)`.
+pub(crate) struct BnTailIn<'a> {
+    pub(crate) x: &'a [f32],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) bias: Option<&'a [f32]>,
+    pub(crate) gamma: &'a [f32],
+    pub(crate) beta: &'a [f32],
+    pub(crate) stats: &'a [f32],
+    pub(crate) eps: f32,
+    pub(crate) relu: bool,
+}
+
+/// The gradients a batch-norm tail's backward returns, each as the unfused
+/// chain's adjoint of that input: `∂β`, `∂γ` (`cols` values each), `∂x`
+/// (`rows·cols`, when asked for) and `∂bias` (`cols`, when asked for).
+pub(crate) struct BnTailGrads {
+    pub(crate) beta: Vec<f32>,
+    pub(crate) gamma: Vec<f32>,
+    pub(crate) input: Option<Vec<f32>>,
+    pub(crate) bias: Option<Vec<f32>>,
+}
+
+impl BnTailIn<'_> {
+    /// `d = √(var + ε)` per column, a pooled buffer.
+    fn denominators(&self) -> Vec<f32> {
+        let mut d = pool_mem::take(self.cols);
+        d.extend(self.stats[self.cols..].iter().map(|&v| (v + self.eps).sqrt()));
+        d
+    }
+
+    /// Appends row `r`'s centred values `c = (x + bias) − mean`.
+    #[inline(always)]
+    fn extend_centred(&self, r: usize, out: &mut Vec<f32>) {
+        let x = &self.x[r * self.cols..][..self.cols];
+        let mean = &self.stats[..self.cols];
+        match self.bias {
+            Some(b) => out.extend(x.iter().zip(b).zip(mean).map(|((&x, &b), &m)| (x + b) - m)),
+            None => out.extend(x.iter().zip(mean).map(|(&x, &m)| x - m)),
+        }
+    }
+}
+
+/// The batch-norm tail's forward: `[act(BN(x + bias)), skip]` per row, with
+/// `skip` an optional row-major buffer of `skip_cols` columns concatenated
+/// to the right (→ `rows×(cols + skip_cols)`). One pass; each element is
+/// the unfused chain's operations in its order ([`BnTailIn`]), and the ReLU
+/// is `max(o, 0)` as [`UnaryOp::Relu`] evaluates it.
+pub(crate) fn bn_tail(t: &BnTailIn, skip: Option<(&[f32], usize)>) -> Vec<f32> {
+    if t.relu {
+        bn_tail_with(t, skip, |o| o.max(0.0))
+    } else {
+        bn_tail_with(t, skip, |o| o)
+    }
+}
+
+/// [`bn_tail`] with the activation `act` (monomorphised, so the row loop
+/// has no branch).
+fn bn_tail_with(
+    t: &BnTailIn,
+    skip: Option<(&[f32], usize)>,
+    act: impl Fn(f32) -> f32 + Sync,
+) -> Vec<f32> {
+    let cols = t.cols;
+    let d = t.denominators();
+    let (gamma, beta) = (&t.gamma[..cols], &t.beta[..cols]);
+    let skip_cols = skip.map_or(0, |(_, w)| w);
+    let out = map_row_blocks(t.rows, cols + skip_cols, |r, out| {
+        let start = out.len();
+        t.extend_centred(r, out);
+        let row = &mut out[start..];
+        for (((v, &d), &g), &b) in row.iter_mut().zip(&d).zip(gamma).zip(beta) {
+            *v = act((*v / d) * g + b);
+        }
+        if let Some((s, w)) = skip {
+            out.extend_from_slice(&s[r * w..][..w]);
+        }
+    });
+    pool_mem::give(d);
+    out
+}
+
+/// The batch-norm tail's backward from the upstream gradient `g` (row
+/// stride `g_cols`; its first `cols` columns are the normalised part's).
+///
+/// Mirrors the adjoints the unfused chain's backward arms build, term by
+/// term and in their accumulation order. With `ĝ` the adjoint at `o` (the
+/// upstream times the ReLU's mask leaf, `1` for `o > 0` else `0` with NaN
+/// included, as a product; the upstream itself without a ReLU) and `g_n =
+/// ĝ·γ`:
+///
+/// * `∂β = Σ_rows ĝ`, `∂γ = Σ_rows ĝ·n`;
+/// * with running statistics (constants), `∂x = g_n / d`;
+/// * with batch statistics, the `Div` arm's path to the denominator,
+///   `g_d = Σ_rows −(g_n · (c / (d·d)))`, back through `Sqrt`, `AddScalar`
+///   and `MulScalar` to `q = ((g_d·0.5) / d)·(1/n)`; the centred values'
+///   adjoint `g_c = ((g_n / d) + q·c) + q·c` (the `Div` arm, then the
+///   `Mul(c, c)` arm's two identical contributions); `Sub`'s contribution
+///   to the mean, `g_m = Σ_rows −g_c`, and `∂x = g_c + g_m·(1/n)`;
+/// * `∂bias = Σ_rows ∂x`.
+///
+/// Every sum is an [`adjoint_col_sums`] sum, so it has the bits the
+/// unfused chain's `reduce_to` gives the stored values.
+pub(crate) fn bn_tail_backward(
+    t: &BnTailIn,
+    batch: bool,
+    g: &[f32],
+    g_cols: usize,
+    want_input: bool,
+    want_bias: bool,
+) -> BnTailGrads {
+    let wants = (batch, want_input, want_bias);
+    if t.relu {
+        bn_tail_backward_with(t, g, g_cols, wants, |g, o| g * if o > 0.0 { 1.0 } else { 0.0 })
+    } else {
+        bn_tail_backward_with(t, g, g_cols, wants, |g, _| g)
+    }
+}
+
+/// One column of a row in [`bn_tail_backward_with`]: the centred value
+/// `c`, the normalised `n`, the upstream gradient `g`, and the column's
+/// `d`, `γ` and `β`.
+#[derive(Clone, Copy)]
+struct Column {
+    c: f32,
+    n: f32,
+    g: f32,
+    d: f32,
+    gamma: f32,
+    beta: f32,
+}
+
+/// [`bn_tail_backward`] with `adjoint(g, o)` the adjoint at the affine
+/// output `o` from the upstream `g` (monomorphised, so the row loops have
+/// no branch).
+fn bn_tail_backward_with(
+    t: &BnTailIn,
+    g: &[f32],
+    g_cols: usize,
+    (batch, want_input, want_bias): (bool, bool, bool),
+    adjoint: impl Fn(f32, f32) -> f32 + Sync,
+) -> BnTailGrads {
+    let (rows, cols) = (t.rows, t.cols);
+    let inv_n = 1.0 / rows as f32;
+    let dens = t.denominators();
+    let (d, gamma, beta) = (&dens[..cols], &t.gamma[..cols], &t.beta[..cols]);
+    // The centred and the normalised values, stored once: every pass below
+    // reads them, and a division costs more than a load.
+    let centred = map_row_blocks(rows, cols, |r, out| t.extend_centred(r, out));
+    let normalised = map_row_blocks(rows, cols, |r, out| {
+        out.extend(centred[r * cols..][..cols].iter().zip(d).map(|(&c, &d)| c / d));
+    });
+    // Row `r`'s columns.
+    let columns = |r: usize| {
+        centred[r * cols..][..cols]
+            .iter()
+            .zip(&normalised[r * cols..][..cols])
+            .zip(&g[r * g_cols..][..cols])
+            .zip(d)
+            .zip(gamma)
+            .zip(beta)
+            .map(|(((((&c, &n), &g), &d), &gamma), &beta)| Column { c, n, g, d, gamma, beta })
+    };
+    // `ĝ` and `g_n` of one column.
+    let at = |col: Column| {
+        let g_o = adjoint(col.g, col.n * col.gamma + col.beta);
+        (g_o, g_o * col.gamma)
+    };
+    // ∂β, ∂γ and g_d in one pass (g_d unused with running statistics).
+    let sums = adjoint_col_sums(rows, cols, 3, |r, acc| {
+        let (acc_beta, rest) = acc.split_at_mut(cols);
+        let (acc_gamma, acc_d) = rest.split_at_mut(cols);
+        let accs = acc_beta.iter_mut().zip(acc_gamma).zip(acc_d);
+        for (((a_beta, a_gamma), a_d), col) in accs.zip(columns(r)) {
+            let (g_o, g_n) = at(col);
+            *a_beta += g_o;
+            *a_gamma += g_o * col.n;
+            *a_d += -(g_n * (col.c / (col.d * col.d)));
+        }
+    });
+    let mut beta_grad = pool_mem::take(cols);
+    beta_grad.extend_from_slice(&sums[..cols]);
+    let mut gamma_grad = pool_mem::take(cols);
+    gamma_grad.extend_from_slice(&sums[cols..2 * cols]);
+    let input = (want_input || want_bias).then(|| {
+        if !batch {
+            return map_row_blocks(rows, cols, |r, out| {
+                out.extend(columns(r).map(|col| at(col).1 / col.d));
+            });
+        }
+        let mut q = pool_mem::take(cols);
+        q.extend(sums[2 * cols..].iter().zip(d).map(|(&g_d, &d)| ((g_d * 0.5) / d) * inv_n));
+        let mut dx = map_row_blocks(rows, cols, |r, out| {
+            out.extend(
+                columns(r).zip(&q).map(|(col, &q)| ((at(col).1 / col.d) + q * col.c) + q * col.c),
+            );
+        });
+        let mut g_s1 = adjoint_col_sums(rows, cols, 1, |r, acc| {
+            acc.iter_mut().zip(&dx[r * cols..][..cols]).for_each(|(a, &g_c)| *a += -g_c);
+        });
+        g_s1.iter_mut().for_each(|v| *v *= inv_n);
+        for row in dx.chunks_exact_mut(cols.max(1)) {
+            row.iter_mut().zip(&g_s1).for_each(|(g_c, &s1)| *g_c += s1);
+        }
+        pool_mem::give(q);
+        pool_mem::give(g_s1);
+        dx
+    });
+    pool_mem::give(sums);
+    pool_mem::give(centred);
+    pool_mem::give(normalised);
+    pool_mem::give(dens);
+    let bias = input
+        .as_ref()
+        .filter(|_| want_bias)
+        .map(|dx| adjoint_col_sums(rows, cols, 1, |r, acc| add_row(acc, dx, r)));
+    let input = match input {
+        Some(dx) if !want_input => {
+            pool_mem::give(dx);
+            None
+        }
+        dx => dx,
+    };
+    BnTailGrads { beta: beta_grad, gamma: gamma_grad, input, bias }
 }
 
 #[cfg(test)]

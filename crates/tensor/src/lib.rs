@@ -54,6 +54,6 @@ pub mod pool_mem;
 pub mod simd;
 mod tensor;
 
-pub use graph::{Graph, Var};
+pub use graph::{BnStats, BnTail, Graph, Var};
 pub use kernels::{BinaryOp, FusedAct, Layout, UnaryOp};
 pub use tensor::Tensor;

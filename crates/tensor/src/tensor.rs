@@ -130,13 +130,12 @@ impl Tensor {
         t
     }
 
-    /// Builds a tensor by evaluating `f(row, col)` at every position.
+    /// Builds a tensor by evaluating `f(row, col)` at every position, in
+    /// row-major order (a random draw in `f` fills the rows in turn).
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = pool_mem::take(rows * cols);
         for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
+            data.extend((0..cols).map(|c| f(r, c)));
         }
         Self::from_vec(rows, cols, data)
     }

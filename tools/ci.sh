@@ -128,13 +128,15 @@ step "bit pins at baseline x86-64 (two-level check)"
 # that just passed at x86-64-v3 — kernel-output hashes taken on a baseline
 # build (the f32 kernels, the f64 exp and moment lanes, and the mixtures
 # `Gmm1d::fit` reaches through them), the ULP sweeps and scalar-tail
-# identities, matmul ≡ naive triple loop of fused multiply-adds, the
+# identities, matmul ≡ naive triple loop of fused multiply-adds, each fused
+# graph op (affine + activation, row norm, batch-norm tail) ≡ the chain
+# of primitives it replaces, forward and backward, the
 # trained-weights fingerprints (one party thread and five), the published
 # and the served tables' hashes — must pass in a baseline build of the same
 # tree, where every matmul term is a libm `fmaf` call. A target directory
 # of its own, so neither build evicts the other's artifacts.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
-    -p gtv-tensor --test target_invariance --test simd_math --test prop
+    -p gtv-tensor --test target_invariance --test simd_math --test prop --test fused_ops
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-encoders --test target_invariance
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
-use gtv_tensor::{pool, FusedAct, Graph, Layout, Tensor, UnaryOp, Var};
+use gtv_tensor::{pool, BnStats, BnTail, FusedAct, Graph, Layout, Tensor, UnaryOp, Var};
 
 /// `pool_mem`'s recycling floor, in bytes.
 const FLOOR: usize = 256;
@@ -22,6 +22,8 @@ const FLOOR: usize = 256;
 const BATCH: usize = 500;
 /// Width of a hidden block.
 const WIDTH: usize = 256;
+/// Width of a generator residual block's batch-norm tail.
+const TAIL_WIDTH: usize = 128;
 
 thread_local! {
     /// Whether this thread's allocations are being counted.
@@ -242,6 +244,27 @@ fn graph_kernels_take_their_buffers_from_the_pool() {
         });
     }
     report.check_graph("row norms", &[&x], |g, v| g.row_norm_eps(v[0], 1e-12));
+    // A generator residual block's tail at its paper-scale width: the
+    // product, bias, γ, β and the block input it concatenates.
+    let (product, row) = (dense(BATCH, TAIL_WIDTH), dense(1, TAIL_WIDTH));
+    let tail_inputs = [&product, &row, &row, &row, &x];
+    let tail = |v: &[Var]| BnTail {
+        bias: Some(v[1]),
+        gamma: v[2],
+        beta: v[3],
+        eps: 1e-5,
+        relu: true,
+        skip: Some(v[4]),
+    };
+    report.check_graph("batch-norm tail, training, forward and backward", &tail_inputs, |g, v| {
+        let (out, _) = g.bn_tail(v[0], tail(v), BnStats::Batch);
+        let loss = g.sum_all(out);
+        g.grad(loss, &v[..4])[0]
+    });
+    let running = (dense(1, TAIL_WIDTH), dense(1, TAIL_WIDTH).add_scalar(2.0));
+    report.check_graph("batch-norm tail, inference", &tail_inputs, |g, v| {
+        g.bn_tail(v[0], tail(v), BnStats::Running(&running.0, &running.1)).0
+    });
     report.check_graph("select rows", &[&x], |g, v| g.select_rows(v[0], &idx));
     report.check_graph("scatter rows", &[&x], |g, v| g.scatter_rows(v[0], &idx, 2 * BATCH));
     report.assert_clean();
