@@ -10,8 +10,8 @@
 
 use crate::config::GtvConfig;
 use gtv_encoders::{Span, SpanKind};
-use gtv_nn::{gumbel_softmax, Ctx, Init, Linear, Module, Param, ResidualBlock};
-use gtv_tensor::Var;
+use gtv_nn::{head_activations, Ctx, Init, Linear, Module, Param, ResidualBlock};
+use gtv_tensor::{HeadSpan, SpanAct, Var};
 use gtv_vfl::split_widths;
 use rand::rngs::StdRng;
 
@@ -22,7 +22,8 @@ pub struct SplitGenerator {
     slice_widths: Vec<usize>,
     client_blocks: Vec<Vec<ResidualBlock>>,
     client_heads: Vec<Linear>,
-    client_spans: Vec<Vec<Span>>,
+    /// Each client's head spans, in the tensor layer's terms.
+    client_spans: Vec<Vec<HeadSpan>>,
     tau: f32,
 }
 
@@ -85,7 +86,7 @@ impl SplitGenerator {
             slice_widths,
             client_blocks,
             client_heads,
-            client_spans,
+            client_spans: client_spans.iter().map(|spans| head_spans(spans)).collect(),
             tau: config.gumbel_tau,
         }
     }
@@ -116,27 +117,17 @@ impl SplitGenerator {
         slices
     }
 
-    /// Client part: `G_i^b` blocks, head, and output activations. Returns
-    /// `(head_logits, activated)` — the raw logits feed the generator's
-    /// conditional loss.
+    /// Client part: `G_i^b` blocks, head, and output activations — tanh on
+    /// the `α` spans and Gumbel-softmax on the indicator spans, one graph
+    /// node ([`head_activations`]). Returns `(head_logits, activated)` —
+    /// the raw logits feed the generator's conditional loss.
     pub fn client_forward(&self, ctx: &Ctx<'_>, client: usize, slice: Var) -> (Var, Var) {
-        let g = ctx.graph();
         let mut h = slice;
         for block in &self.client_blocks[client] {
             h = block.forward(ctx, h);
         }
         let logits = self.client_heads[client].forward(ctx, h);
-        // Activate per span; spans tile the full width in order.
-        let mut parts = Vec::with_capacity(self.client_spans[client].len());
-        for span in &self.client_spans[client] {
-            let piece = g.slice_cols(logits, span.start, span.width);
-            let activated = match span.kind {
-                SpanKind::Alpha => g.tanh(piece),
-                SpanKind::Indicator => gumbel_softmax(ctx, piece, self.tau),
-            };
-            parts.push(activated);
-        }
-        let activated = g.concat_cols(&parts);
+        let activated = head_activations(ctx, logits, &self.client_spans[client], self.tau);
         (logits, activated)
     }
 
@@ -152,6 +143,22 @@ impl SplitGenerator {
         p.extend(self.client_heads[client].params());
         p
     }
+}
+
+/// An encoder's activation spans as the head node's: tanh on `α`,
+/// Gumbel-softmax on an indicator.
+fn head_spans(spans: &[Span]) -> Vec<HeadSpan> {
+    spans
+        .iter()
+        .map(|s| HeadSpan {
+            start: s.start,
+            width: s.width,
+            act: match s.kind {
+                SpanKind::Alpha => SpanAct::Tanh,
+                SpanKind::Indicator => SpanAct::GumbelSoftmax,
+            },
+        })
+        .collect()
 }
 
 impl Module for SplitGenerator {

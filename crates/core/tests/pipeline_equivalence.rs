@@ -21,7 +21,12 @@
 //! multiply-add (one rounding instead of two), and once more when the CV
 //! sampler began to draw rows as loaded and announce their current
 //! positions (same distribution, other rows from the second round on;
-//! messages and bytes did not move): the literals are those of both
+//! messages and bytes did not move), and once more when the stochastic
+//! layer moved to lane kernels (normal draws, Gumbel noise and the lane
+//! `ln`, one uniform draw per output head, dropout coins from whole RNG
+//! words; messages and bytes did not move; they were `0x6430_231c_7b8f_273c`
+//! / `0xbb80_580b_c714_ed9b` for 2 parties and `0xdd00_9119_14c8_6a7d` /
+//! `0xe3e7_3096_bc6f_00c9` for 3): the literals are those of all three
 //! changes, which every thread count reproduces.
 //!
 //! Worker-pool size is process-global state, so the whole sweep runs inside
@@ -45,8 +50,8 @@ const PINS: [(usize, Pin); 2] = [
     (
         2,
         Pin {
-            weights_fnv64: 0x6430_231c_7b8f_273c,
-            synth_fnv64: 0xbb80_580b_c714_ed9b,
+            weights_fnv64: 0xb27e_9313_5151_0cd6,
+            synth_fnv64: 0x9811_3aab_85a3_1668,
             messages: 40,
             bytes: 39_702,
         },
@@ -54,8 +59,8 @@ const PINS: [(usize, Pin); 2] = [
     (
         3,
         Pin {
-            weights_fnv64: 0xdd00_9119_14c8_6a7d,
-            synth_fnv64: 0xe3e7_3096_bc6f_00c9,
+            weights_fnv64: 0x89c5_d973_b483_7274,
+            synth_fnv64: 0x1035_4b5d_2983_6513,
             messages: 61,
             bytes: 39_920,
         },

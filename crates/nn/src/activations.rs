@@ -1,26 +1,24 @@
 //! Stochastic activations used by tabular GAN output heads.
 
 use crate::ctx::Ctx;
-use gtv_tensor::Var;
+use gtv_tensor::{HeadSpan, SpanAct, Var};
 
-/// Gumbel-softmax over the rows of `x` with temperature `tau` (CTGAN uses
-/// `tau = 0.2` on every categorical/one-hot output span).
-///
-/// In training mode standard Gumbel noise `-ln(-ln u)` is added before the
-/// tempered softmax, giving differentiable samples; in eval mode the noise is
-/// still applied so generated data is stochastic (matching CTGAN's sampling),
-/// but callers can use [`softmax_tempered`] for deterministic behaviour.
-/// Under a [`Ctx::eval_rows`] context the uniforms come from per-row
-/// substreams, so each row's sample is independent of the batch it rode in.
-pub fn gumbel_softmax(ctx: &Ctx<'_>, x: Var, tau: f32) -> Var {
+/// A tabular generator's output activations as one graph node
+/// ([`gtv_tensor::Graph::span_act`]): `tanh` on each [`SpanAct::Tanh`]
+/// span of `logits` and a Gumbel-softmax with temperature `tau` on each
+/// [`SpanAct::GumbelSoftmax`] one (CTGAN uses `tau = 0.2`). The spans must
+/// tile the columns in order. Every span's uniforms come from one
+/// [`Ctx::uniform_noise`] call, so under a [`Ctx::eval_rows`] context a
+/// head is one call site and each row's sample is independent of the batch
+/// it rode in. The noise is drawn in eval mode too, so generated data is
+/// stochastic (CTGAN's sampling); [`softmax_tempered`] is the
+/// deterministic form.
+pub fn head_activations(ctx: &Ctx<'_>, logits: Var, spans: &[HeadSpan], tau: f32) -> Var {
     let g = ctx.graph();
-    let (rows, cols) = g.shape(x);
-    let mut noise = ctx.uniform_noise(rows, cols);
-    noise.map_inplace(|u| -(-u.ln()).ln());
-    let noise = g.leaf(noise);
-    let noisy = g.add(x, noise);
-    let scaled = g.mul_scalar(noisy, 1.0 / tau);
-    g.softmax_rows(scaled)
+    let rows = g.shape(logits).0;
+    let noise_cols =
+        spans.iter().filter(|s| s.act == SpanAct::GumbelSoftmax).map(|s| s.width).sum();
+    g.span_act(logits, spans, tau, ctx.uniform_noise(rows, noise_cols))
 }
 
 /// Softmax with temperature but without Gumbel noise.
@@ -35,6 +33,13 @@ mod tests {
     use super::*;
     use crate::ctx::row_seed;
     use gtv_tensor::{Graph, Tensor};
+
+    /// A Gumbel-softmax over the whole row: the one-span head.
+    fn gumbel_softmax(ctx: &Ctx<'_>, x: Var, tau: f32) -> Var {
+        let width = ctx.graph().shape(x).1;
+        let span = HeadSpan { start: 0, width, act: SpanAct::GumbelSoftmax };
+        head_activations(ctx, x, &[span], tau)
+    }
 
     #[test]
     fn gumbel_softmax_rows_are_distributions() {

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 
-/// Per-row noise substreams: noise drawn through [`Ctx::gumbel_noise`] depends
+/// Per-row noise substreams: noise drawn through [`Ctx::uniform_noise`] depends
 /// only on `(seeds[row], node_index, col)`, never on the batch composition, so
 /// a forward over rows `[a, b]` produces bit-identical slices to two forwards
 /// over `[a]` and `[b]`. The node index counts stochastic activation sites in
@@ -115,29 +115,49 @@ impl<'g> Ctx<'g> {
     /// value at `(r, c)` is a pure function of `(seeds[r], node, c)` where
     /// `node` is the index of this call site in traversal order — batch
     /// composition cannot influence it. Otherwise the draw comes from the
-    /// sequential step RNG, preserving the historical behaviour.
+    /// sequential step RNG, one word per value in row-major order.
     pub fn uniform_noise(&self, rows: usize, cols: usize) -> gtv_tensor::Tensor {
         use rand::Rng;
         if let Some(rn) = &self.row_noise {
             if rn.seeds.len() == rows {
                 let node = rn.node.get();
                 rn.node.set(node.wrapping_add(1));
-                return gtv_tensor::Tensor::from_fn(rows, cols, |r, c| {
-                    let word = mix64(
-                        rn.seeds[r]
-                            .wrapping_add(mix64(node.wrapping_add(0x9e37_79b9_7f4a_7c15)))
-                            .wrapping_add(mix64(c as u64 ^ 0xd1b5_4a32_d192_ed03)),
-                    );
-                    // Top 24 bits -> f32 in [0, 1); clamp away exact zero.
-                    let u = ((word >> 40) as f32) * (1.0 / 16_777_216.0);
-                    u.max(f32::EPSILON)
-                });
+                return substream_uniforms(&rn.seeds, node, cols);
             }
         }
         self.with_rng(|rng| {
             gtv_tensor::Tensor::from_fn(rows, cols, |_, _| rng.gen_range(f32::EPSILON..1.0))
         })
     }
+}
+
+/// Columns whose mixes [`substream_uniforms`] holds on the stack at once.
+const MIX_BLOCK: usize = 64;
+
+/// The substream uniforms of call site `node`: element `(r, c)` is the top
+/// 24 bits of `mix64(seeds[r] + mix64(node + K₁) + mix64(c ^ K₂))` scaled
+/// to `[0, 1)` and clamped away from zero. The call's mix is taken once and
+/// the columns' once per block of [`MIX_BLOCK`], so an element costs one
+/// `mix64`.
+fn substream_uniforms(seeds: &[u64], node: u64, cols: usize) -> gtv_tensor::Tensor {
+    let node_mix = mix64(node.wrapping_add(0x9e37_79b9_7f4a_7c15));
+    let mut data = gtv_tensor::pool_mem::take_zeroed(seeds.len() * cols);
+    for c0 in (0..cols).step_by(MIX_BLOCK) {
+        let width = MIX_BLOCK.min(cols - c0);
+        let mut col_mix = [0u64; MIX_BLOCK];
+        for (j, m) in col_mix[..width].iter_mut().enumerate() {
+            *m = mix64((c0 + j) as u64 ^ 0xd1b5_4a32_d192_ed03);
+        }
+        for (row, &seed) in data.chunks_exact_mut(cols).zip(seeds) {
+            let base = seed.wrapping_add(node_mix);
+            for (v, &cm) in row[c0..c0 + width].iter_mut().zip(&col_mix) {
+                let word = mix64(base.wrapping_add(cm));
+                // Top 24 bits -> f32 in [0, 1); clamp away exact zero.
+                *v = (((word >> 40) as f32) * (1.0 / 16_777_216.0)).max(f32::EPSILON);
+            }
+        }
+    }
+    gtv_tensor::Tensor::from_vec(seeds.len(), cols, data)
 }
 
 /// Derives the noise-substream seed for row `row` of a request seeded with

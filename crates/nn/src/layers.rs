@@ -4,7 +4,7 @@ use crate::ctx::Ctx;
 use crate::init::Init;
 use crate::param::{Module, Param};
 use gtv_tensor::{BnStats, BnTail, FusedAct, Tensor, Var};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use std::sync::{PoisonError, RwLock};
 
 /// Fully-connected layer `y = xW + b`.
@@ -219,16 +219,51 @@ impl Dropout {
         }
         let g = ctx.graph();
         let (rows, cols) = g.shape(x);
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        // A select, not a branch: which elements survive is a coin flip the
-        // predictor loses half the time. `1·scale` and `0·scale` are exact.
-        let mask = ctx.with_rng(|rng| {
-            Tensor::from_fn(rows, cols, |_, _| f32::from(u8::from(rng.gen::<f32>() < keep)) * scale)
-        });
+        let mask = ctx.with_rng(|rng| dropout_mask(rows, cols, 1.0 - self.p, rng));
         let mask = g.leaf(mask);
         g.mul(x, mask)
     }
+}
+
+/// Bits of a uniform word compared at once by [`dropout_mask`].
+const COIN_BITS: u32 = 24;
+
+/// An inverted-dropout mask: each element `1/keep` with probability
+/// `T/2²⁴`, where `T = ⌈keep·2²⁴⌉`, else `0` — exactly the keep rate of
+/// comparing a 24-bit uniform `U` with `keep` — for 64 elements a batch of
+/// words.
+///
+/// The 64 comparisons `U < T` run bit-sliced: bit `i` of word `j` is bit
+/// `b` of element `i`'s `U` (inverted, which leaves it uniform), for the
+/// bits `b` of `T` from its lowest set bit up to its top one, in that
+/// order; the comparison of the bits above `b` is `w | r` where `T` has a
+/// one and `w & r` where it has a zero (`U`'s bits below `T`'s lowest set
+/// bit cannot make it smaller). So `p = 0.5` takes one word for 64 coins
+/// and no keep rate more than 24. Element `e` of the row-major mask is bit
+/// `e mod 64` of batch `e / 64`; `1·scale` and `0·scale` are exact.
+fn dropout_mask(rows: usize, cols: usize, keep: f32, rng: &mut impl RngCore) -> Tensor {
+    let scale = 1.0 / keep;
+    // `keep·2²⁴` is exact; a keep rate that rounded to 1 keeps everything.
+    let t = (keep * (1u32 << COIN_BITS) as f32).ceil() as u32;
+    let n = rows * cols;
+    let mut data = gtv_tensor::pool_mem::take(n);
+    while data.len() < n {
+        let coins = if t >> COIN_BITS != 0 {
+            u64::MAX
+        } else {
+            (t.trailing_zeros()..COIN_BITS).fold(0u64, |r, b| {
+                let w = rng.next_u64();
+                if (t >> b) & 1 == 1 {
+                    w | r
+                } else {
+                    w & r
+                }
+            })
+        };
+        let take = (n - data.len()).min(64);
+        data.extend((0..take).map(|i| f32::from(u8::from((coins >> i) & 1 == 1)) * scale));
+    }
+    Tensor::from_vec(rows, cols, data)
 }
 
 #[cfg(test)]
@@ -345,21 +380,33 @@ mod tests {
     }
 
     #[test]
-    fn dropout_mask_is_the_branchy_definition_on_the_same_draws() {
+    fn dropout_mask_is_the_integer_comparison_on_the_same_words() {
         use rand::SeedableRng;
-        for p in [0.5f32, 0.1, 0.75] {
+        for p in [0.5f32, 0.1, 0.75, 0.3] {
             let g = Graph::new();
             let ctx = Ctx::train(&g, 42);
             let x = g.leaf(Tensor::ones(37, 19));
             let y = g.value(Dropout::new(p).forward(&ctx, x));
             let keep = 1.0 - p;
+            // Element `e` compares its 24-bit uniform `U`, assembled from
+            // the complement of bit `e mod 64` of the words of its batch,
+            // with `T = ⌈keep·2²⁴⌉` as integers.
+            let t = (f64::from(keep) * 16_777_216.0).ceil() as u32;
             let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-            let want =
-                Tensor::from_fn(
-                    37,
-                    19,
-                    |_, _| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 },
-                );
+            let mut words = Vec::new();
+            let want = Tensor::from_fn(37, 19, |r, c| {
+                let e = r * 19 + c;
+                if e % 64 == 0 {
+                    words = (t.trailing_zeros()..24).map(|b| (b, rng.next_u64())).collect();
+                }
+                let u: u32 =
+                    words.iter().map(|&(b, w)| u32::from((w >> (e % 64)) & 1 == 0) << b).sum();
+                if u < t {
+                    1.0 / keep
+                } else {
+                    0.0
+                }
+            });
             assert_eq!(y, want, "p = {p}");
         }
     }

@@ -6,7 +6,8 @@
 //! * [`Linear`], [`BatchNorm1d`], [`Dropout`] layers;
 //! * the generator's [`ResidualBlock`] (FC → BN → ReLU, concat skip) and the
 //!   discriminator's [`FnBlock`] (FC → LeakyReLU → Dropout);
-//! * [`gumbel_softmax`] for categorical output heads;
+//! * [`head_activations`], a tabular generator's output head (tanh and
+//!   Gumbel-softmax spans) as one graph node;
 //! * [`Adam`] (CTGAN defaults) and [`Sgd`] optimizers;
 //! * the [`Param`] / [`ParamBinder`] machinery that binds persistent
 //!   parameters into per-step autograd graphs.
@@ -37,7 +38,7 @@ mod optim;
 mod param;
 mod state;
 
-pub use activations::{gumbel_softmax, softmax_tempered};
+pub use activations::{head_activations, softmax_tempered};
 pub use blocks::{FnBlock, ResidualBlock};
 pub use ctx::{row_seed, Ctx};
 pub use init::Init;

@@ -423,6 +423,22 @@ impl Graph {
                 Op::BnTailGrad(..) => panic!(
                     "a bn_tail gradient is first order only: differentiating it again is refused"
                 ),
+                Op::SpanAct(x, at, inv_tau) => {
+                    let gx = {
+                        let nodes = self.nodes.borrow();
+                        let y = &nodes[i].value;
+                        let spans = &self.spans.borrow()[at];
+                        let g = nodes[g_out.0].value.as_slice();
+                        let data =
+                            kernels::span_act_backward(y.as_slice(), g, y.cols(), spans, inv_tau);
+                        Tensor::from_vec(y.rows(), y.cols(), data)
+                    };
+                    let gx = self.push(gx, Op::SpanActGrad(out_var, g_out));
+                    self.accumulate(&mut adj, x.0, gx);
+                }
+                Op::SpanActGrad(..) => panic!(
+                    "a span_act gradient is first order only: differentiating it again is refused"
+                ),
             }
         }
 

@@ -21,7 +21,7 @@
 //! assert_eq!(g.value(d2y).item(), 2.0);
 //! ```
 
-use crate::kernels::{self, FusedAct, Layout, UnaryOp};
+use crate::kernels::{self, FusedAct, HeadSpan, Layout, SpanAct, UnaryOp};
 use crate::Tensor;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -93,6 +93,12 @@ pub(crate) enum Op {
     /// and the upstream adjoint: first order only, so its own backward arm
     /// refuses to differentiate it again.
     BnTailGrad(Var, Var),
+    /// An output head ([`Graph::span_act`]) over the logits, with its spans
+    /// at this range of [`Graph::spans`] and `1/τ`.
+    SpanAct(Var, Range<usize>, f32),
+    /// The logits' gradient a [`Graph::span_act`] node's backward built,
+    /// from the head node and the upstream adjoint: first order only.
+    SpanActGrad(Var, Var),
 }
 
 /// A [`Graph::bn_tail`] node's operands and settings.
@@ -135,7 +141,8 @@ impl Op {
             | Op::PadCols(x, _)
             | Op::SelectRows(x, _)
             | Op::ScatterRows(x, _)
-            | Op::RowNormEps(x) => pred(*x),
+            | Op::RowNormEps(x)
+            | Op::SpanAct(x, ..) => pred(*x),
             Op::ConcatCols(parts) => parts.iter().any(|p| pred(*p)),
             Op::AffineAct(x, w, b, _) => pred(*x) || pred(*w) || pred(*b),
             Op::BnTail(op) => {
@@ -146,7 +153,7 @@ impl Op {
                     || pred(t.beta)
                     || t.skip.is_some_and(pred)
             }
-            Op::BnTailGrad(tail, g) => pred(*tail) || pred(*g),
+            Op::BnTailGrad(tail, g) | Op::SpanActGrad(tail, g) => pred(*tail) || pred(*g),
         }
     }
 }
@@ -198,6 +205,8 @@ pub struct Graph {
     /// The row indices of every gather and scatter node, end to end; a node
     /// holds its range, and a backward node shares its forward node's.
     pub(crate) indices: RefCell<Vec<usize>>,
+    /// The spans of every output-head node, end to end, held the same way.
+    pub(crate) spans: RefCell<Vec<HeadSpan>>,
 }
 
 impl std::fmt::Debug for Graph {
@@ -251,6 +260,7 @@ impl Graph {
         }
         // Cleared, not dropped: the next step's indices reuse the storage.
         self.indices.borrow_mut().clear();
+        self.spans.borrow_mut().clear();
         count
     }
 
@@ -685,6 +695,59 @@ impl Graph {
         let stats = self.leaf(stats_value);
         let out = self.push(out, Op::BnTail(Box::new(BnTailOp { x, tail, stats, batch })));
         (out, stats)
+    }
+
+    /// A tabular generator's output head in one node: over the `n×m`
+    /// `logits`, whose `spans` tile the columns in order, `tanh` on each
+    /// [`SpanAct::Tanh`] span and on each [`SpanAct::GumbelSoftmax`] span the
+    /// tempered softmax `softmax((x + g)/τ)` with Gumbel noise `g = −ln(−ln
+    /// u)` (CTGAN's output activations, `τ = 0.2` there). `uniforms` holds
+    /// the `u` of the softmax spans, `n × Σ width` of them in span order,
+    /// drawn in `(0, 1)`; the node consumes it.
+    ///
+    /// The forward is one pass of lane kernels ([`crate::simd`]'s `ln`, `exp`
+    /// and `tanh`, no libm call) and performs the composed chain `slice_cols
+    /// → tanh | (add the noise, mul_scalar(1/τ), softmax_rows) →
+    /// concat_cols` element for element, given the same noise. The node
+    /// stores only its output, and its backward reads nothing else: `g·(1 −
+    /// y²)` on a tanh column, `((g − Σ_span g⊙y)·y)/τ` on a softmax span.
+    /// That gradient is first order only: differentiating it again panics
+    /// (a generator's output is never differentiated twice).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spans do not tile the logits' columns in order, if
+    /// `uniforms` is not `n × Σ width` of the softmax spans, or if `tau` is
+    /// not positive.
+    pub fn span_act(&self, logits: Var, spans: &[HeadSpan], tau: f32, uniforms: Tensor) -> Var {
+        assert!(tau > 0.0, "span_act needs a positive temperature, got {tau}");
+        let (rows, cols) = self.shape(logits);
+        let mut end = 0;
+        for s in spans {
+            assert_eq!(s.start, end, "span_act spans must tile the columns in order: {s:?}");
+            end += s.width;
+        }
+        assert_eq!(end, cols, "span_act spans cover {end} of the logits' {cols} columns");
+        let noise_cols: usize =
+            spans.iter().filter(|s| s.act == SpanAct::GumbelSoftmax).map(|s| s.width).sum();
+        assert_eq!(
+            uniforms.shape(),
+            (rows, noise_cols),
+            "span_act uniforms must be {rows}x{noise_cols}"
+        );
+        let inv_tau = 1.0 / tau;
+        let value = self.with_value(logits, |x| {
+            let data =
+                kernels::span_act(x.as_slice(), rows, cols, spans, inv_tau, uniforms.into_vec());
+            Tensor::from_vec(rows, cols, data)
+        });
+        let at = {
+            let mut all = self.spans.borrow_mut();
+            let start = all.len();
+            all.extend_from_slice(spans);
+            start..all.len()
+        };
+        self.push(value, Op::SpanAct(logits, at, inv_tau))
     }
 
     /// Fused row-wise norm with floor: `sqrt(Σ_cols x² + eps)` (`n×m → n×1`)

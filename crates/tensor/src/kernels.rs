@@ -99,7 +99,7 @@ impl UnaryOp {
         match self {
             UnaryOp::Neg => -v,
             UnaryOp::Exp => simd::exp(v),
-            UnaryOp::Ln => v.ln(),
+            UnaryOp::Ln => simd::ln(v),
             UnaryOp::Sqrt => v.sqrt(),
             UnaryOp::Tanh => simd::tanh(v),
             UnaryOp::Sigmoid => simd::sigmoid(v),
@@ -136,6 +136,7 @@ impl UnaryOp {
             UnaryOp::Tanh => simd::map_slice(src, out, simd::tanh8),
             UnaryOp::Sigmoid => simd::map_slice(src, out, simd::sigmoid8),
             UnaryOp::Exp => simd::map_slice(src, out, simd::exp8),
+            UnaryOp::Ln => simd::map_slice(src, out, simd::ln8),
             UnaryOp::Relu => simd::map_slice(src, out, simd::relu8),
             UnaryOp::LeakyRelu(alpha) => simd::map_slice(src, out, |x| simd::leaky_relu8(x, alpha)),
             UnaryOp::ReluMask => simd::map_slice(src, out, simd::relu_mask8),
@@ -145,7 +146,6 @@ impl UnaryOp {
             UnaryOp::TanhGrad => simd::map_slice(src, out, simd::tanh_grad8),
             UnaryOp::SigmoidGrad => simd::map_slice(src, out, simd::sigmoid_grad8),
             UnaryOp::Neg => out.extend(src.iter().map(|&v| -v)),
-            UnaryOp::Ln => out.extend(src.iter().map(|&v| v.ln())),
             UnaryOp::Sqrt => out.extend(src.iter().map(|&v| v.sqrt())),
             UnaryOp::MulScalar(c) => out.extend(src.iter().map(|&v| v * c)),
             UnaryOp::AddScalar(c) => out.extend(src.iter().map(|&v| v + c)),
@@ -657,7 +657,10 @@ fn matmul_rows(op: &Product, r0: usize, r1: usize, out: &mut [f32]) {
 /// [`simd::Lhs`]: a transposed LHS is read as contiguous values of one row
 /// of `a`) and where the RHS panels are packed from (`b` or `bᵀ`).
 ///
-/// Kernel choice is made **per output row** from the measured crossover
+/// A product with one contraction term (`k = 1`, an outer product in every
+/// layout) skips the row flags and the packing: [`simd::outer`] writes the
+/// naive chain's single step per element. Otherwise, kernel choice is made
+/// **per output row** from the measured crossover
 /// (DESIGN.md §8): a row at least [`AXPY_MIN_ZEROS`] zero against a finite
 /// RHS more than one panel wide — one-hot and condition-vector rows on the
 /// encode path — skips its zero terms. Each adds an exact `±0.0`, which
@@ -686,6 +689,12 @@ pub(crate) fn matmul(
 ) -> Vec<f32> {
     if n == 0 || k == 0 || m == 0 {
         return pool_mem::take_zeroed(n * m);
+    }
+    if k == 1 {
+        // `a` is then its `n` values and `b` its `m`, whatever the layout.
+        let mut out = pool_mem::take(n * m);
+        simd::outer(a, b, &mut out);
+        return out;
     }
     let lhs = match layout {
         Layout::TransA => simd::Lhs { data: a, row: 1, step: n },
@@ -809,6 +818,137 @@ pub(crate) fn row_norm_eps(data: &[f32], rows: usize, cols: usize, eps: f32) -> 
         return pool_mem::take_filled(rows, eps.sqrt());
     }
     map_rows(data, rows, cols, |row| (leaf_sum_squares(row) + eps).sqrt())
+}
+
+/// How an output head activates one span of its columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanAct {
+    /// `tanh` per column: a mode-specific normalised scalar `α`.
+    Tanh,
+    /// A Gumbel-softmax over the span: a mode indicator or a category.
+    GumbelSoftmax,
+}
+
+/// Columns `start .. start + width` of an output head and their
+/// activation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadSpan {
+    /// First column.
+    pub start: usize,
+    /// Number of columns.
+    pub width: usize,
+    /// What activates them.
+    pub act: SpanAct,
+}
+
+/// An output head's forward ([`crate::Graph::span_act`]) over the row-major
+/// `rows×cols` logits `x`, whose spans tile the columns in order. `noise`
+/// holds the uniforms of the Gumbel-softmax spans, row by row in span order
+/// (`rows × Σ width` of those spans), and is the scratch the softmaxes run
+/// in; it goes back to the pool.
+///
+/// Per element, the composed chain's operations in its order: `tanh x` on
+/// a `Tanh` span; on a `GumbelSoftmax` span `s = (x + g)·inv_tau` with `g =
+/// −ln(−ln u)`, the span's maximum folded from `−∞` by `f32::max` (which
+/// passes a NaN by), `e = exp(s − max)`, and `e / Σ e` with the sum in
+/// [`simd::sum`]'s order. Each transcendental runs in lanes over the whole
+/// buffer of its kind — the Gumbel transform and the exponentials over
+/// `noise`, the tanh over the gathered `α` columns — so a head of narrow
+/// spans still fills its lanes, and every element depends on its own row
+/// alone.
+pub(crate) fn span_act(
+    x: &[f32],
+    rows: usize,
+    cols: usize,
+    spans: &[HeadSpan],
+    inv_tau: f32,
+    mut noise: Vec<f32>,
+) -> Vec<f32> {
+    let noise_cols = noise.len().checked_div(rows).unwrap_or(0);
+    simd::map_in_place(&mut noise, simd::gumbel8);
+    let mut alpha = pool_mem::take(rows * (cols - noise_cols));
+    for r in 0..rows {
+        let xr = &x[r * cols..][..cols];
+        let nr = &mut noise[r * noise_cols..][..noise_cols];
+        let mut at = 0;
+        for s in spans {
+            let xs = &xr[s.start..s.start + s.width];
+            match s.act {
+                SpanAct::Tanh => alpha.extend_from_slice(xs),
+                SpanAct::GumbelSoftmax => {
+                    let seg = &mut nr[at..at + s.width];
+                    for (v, &xv) in seg.iter_mut().zip(xs) {
+                        *v = (xv + *v) * inv_tau;
+                    }
+                    let max = seg.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    seg.iter_mut().for_each(|v| *v -= max);
+                    at += s.width;
+                }
+            }
+        }
+    }
+    simd::map_in_place(&mut noise, simd::exp8);
+    simd::map_in_place(&mut alpha, simd::tanh8);
+    let mut out = pool_mem::take_zeroed(rows * cols);
+    let (mut ai, mut ni) = (0, 0);
+    for or in out.chunks_exact_mut(cols) {
+        for s in spans {
+            let os = &mut or[s.start..s.start + s.width];
+            match s.act {
+                SpanAct::Tanh => {
+                    os.copy_from_slice(&alpha[ai..ai + s.width]);
+                    ai += s.width;
+                }
+                SpanAct::GumbelSoftmax => {
+                    let e = &noise[ni..ni + s.width];
+                    let sum = simd::sum(e);
+                    os.iter_mut().zip(e).for_each(|(o, &e)| *o = e / sum);
+                    ni += s.width;
+                }
+            }
+        }
+    }
+    pool_mem::give(alpha);
+    pool_mem::give(noise);
+    out
+}
+
+/// The output head's backward from its output `y` and the upstream `g`
+/// (both row-major `rows×cols`): `g·(1 − y²)` on a `Tanh` span — the
+/// product `Graph::tanh`'s arm builds, bit for bit — and on a
+/// `GumbelSoftmax` span `((g − Σ g⊙y)·y)·inv_tau`, the softmax's
+/// vector–Jacobian product with the temperature's factor, the dot product
+/// summed left to right.
+pub(crate) fn span_act_backward(
+    y: &[f32],
+    g: &[f32],
+    cols: usize,
+    spans: &[HeadSpan],
+    inv_tau: f32,
+) -> Vec<f32> {
+    let mut out = pool_mem::take_zeroed(y.len());
+    for ((or, yr), gr) in
+        out.chunks_exact_mut(cols).zip(y.chunks_exact(cols)).zip(g.chunks_exact(cols))
+    {
+        for s in spans {
+            let range = s.start..s.start + s.width;
+            let (os, ys, gs) = (&mut or[range.clone()], &yr[range.clone()], &gr[range]);
+            match s.act {
+                SpanAct::Tanh => {
+                    for ((o, &y), &g) in os.iter_mut().zip(ys).zip(gs) {
+                        *o = g * (1.0 - y * y);
+                    }
+                }
+                SpanAct::GumbelSoftmax => {
+                    let dot = ys.iter().zip(gs).fold(0.0, |acc, (&y, &g)| acc + g * y);
+                    for ((o, &y), &g) in os.iter_mut().zip(ys).zip(gs) {
+                        *o = ((g - dot) * y) * inv_tau;
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Mean and variance (`2·cols` values: the means, then the variances) over

@@ -55,5 +55,5 @@ pub mod simd;
 mod tensor;
 
 pub use graph::{BnStats, BnTail, Graph, Var};
-pub use kernels::{BinaryOp, FusedAct, Layout, UnaryOp};
+pub use kernels::{BinaryOp, FusedAct, HeadSpan, Layout, SpanAct, UnaryOp};
 pub use tensor::Tensor;

@@ -33,17 +33,22 @@
 //!   fused multiply-add rounded once, so the product is bit-identical to
 //!   the naive triple loop of `mul_add`s and no lane-combine exists;
 //! * the scalar transcendentals ([`tanh`], [`sigmoid`], [`exp`]) are defined
-//!   as lane 0 of the eight-lane kernel applied to a splat, which makes
-//!   scalar tails bit-identical to vector lanes *by construction*;
-//! * the matmul's terms are the only fused multiply-adds: all three arms
-//!   of the product — `tile`, `col_chains` and the zero-skipping axpy in
-//!   `kernels` — fuse alike, so which one serves a row stays unobservable.
-//!   Everywhere else a `mul_add`-shaped expression is two separately
-//!   rounded operations: the lane polynomials, the reductions and the `f64`
-//!   lanes keep the bits and ULP bounds they are pinned at. Fusing them
-//!   would buy little — Tanh, TanhGrad and Exp together took under 0.5 ms of
-//!   a `paper_inproc` round of about 75 ms in a profile — and move every
-//!   one of those pins (DESIGN.md §8).
+//!   as lane 0 of the eight-lane kernel applied to a splat, and [`ln`],
+//!   [`sin_cos`] and [`gumbel`] as the one-lane function their kernels loop
+//!   over, which makes scalar tails bit-identical to vector lanes *by
+//!   construction*;
+//! * fused multiply-adds appear in two places only. The matmul's terms:
+//!   all three arms of the product — `tile`, `col_chains` and the
+//!   zero-skipping axpy in `kernels` — fuse alike, so which one serves a
+//!   row stays unobservable. And the stochastic layer's kernels (`ln8`, the
+//!   Gumbel transform, Box–Muller's sine and cosine), written after the
+//!   product fused, whose polynomial and reduction steps are fused from the
+//!   start. Everywhere else a `mul_add`-shaped expression is two separately
+//!   rounded operations: the tanh/exp polynomials, the reductions and the
+//!   `f64` lanes keep the bits and ULP bounds they are pinned at. Fusing
+//!   them would buy little — Tanh, TanhGrad and Exp together took under
+//!   0.5 ms of a `paper_inproc` round of about 75 ms in a profile — and move
+//!   every one of those pins (DESIGN.md §8).
 //!
 //! # Approximation accuracy
 //!
@@ -61,6 +66,15 @@
 //! `crates/tensor/tests/simd_math.rs` and documented in DESIGN.md §8:
 //! ≤ [`TANH_MAX_ULP`] ULP for tanh and ≤ [`SIGMOID_MAX_ULP`] ULP for
 //! sigmoid at f32.
+//!
+//! [`ln`] is Cephes' `logf` (a degree-8 polynomial on the mantissa folded
+//! onto `[√½, √2)`, in Estrin's scheme), within [`LN_MAX_ULP`] of libm over
+//! the whole positive range, subnormals included; [`sin_cos`] is Cephes'
+//! `sinf`/`cosf` pair after a three-part Cody–Waite reduction by `π/2`,
+//! within [`SIN_COS_MAX_ULP`] over Box–Muller's `[0, 2π]`. Together they
+//! make the generator's noise — [`gumbel`]'s `−ln(−ln u)` and
+//! `Tensor::randn`'s Box–Muller pairs — and the graph's `ln` lane code with
+//! no libm call.
 
 /// Lane width of every kernel in this module.
 pub const LANES: usize = 8;
@@ -72,6 +86,22 @@ pub const TANH_MAX_ULP: u32 = 8;
 /// Asserted upper bound (in f32 ULP) on `|sigmoid(x) − 1/(1+expf(−x))|`
 /// over the sweep in `tests/simd_math.rs`.
 pub const SIGMOID_MAX_ULP: u32 = 8;
+
+/// Asserted upper bound (in f32 ULP) on `|ln(x) − libm ln(x)|` over the
+/// sweep of `(0, ∞)` in `tests/simd_math.rs`, subnormals included.
+pub const LN_MAX_ULP: u32 = 1;
+
+/// Asserted upper bound (in f32 ULP) on the distance of each of
+/// `sin_cos(θ)`'s two results from libm's `sin θ` and `cos θ` over the sweep
+/// of `[0, 2π]` in `tests/simd_math.rs`, or, where libm's value is below
+/// [`SIN_COS_ABS_FLOOR`] in magnitude, that floor's ULP in absolute terms.
+pub const SIN_COS_MAX_ULP: u32 = 1;
+
+/// Below this magnitude a sine or cosine is held to an absolute error of
+/// [`SIN_COS_MAX_ULP`] of its ULP instead of a relative one: near a zero
+/// crossing the result is the reduced argument itself, whose error is that
+/// of `π/2` in three `f32` parts, about `2⁻⁴⁴` absolute.
+pub const SIN_COS_ABS_FLOOR: f32 = 1.0 / 1024.0;
 
 /// Eight f32 lanes. A plain array wrapper: safe Rust, fixed width, written
 /// so LLVM autovectorizes every lanewise helper.
@@ -245,8 +275,11 @@ pub(crate) fn exp8(x: F32x8) -> F32x8 {
     let p = p.mul(r).map(|v| v + 1.0);
     // Scale by 2^n in two halves so n = 128 (x near ln MAX) stays finite:
     // 2^n = 2^(n/2) · 2^(n−n/2), each half's biased exponent in [1, 254].
-    let y = p.zip(n, |pi, nf| {
-        let ni = nf as i32;
+    // `n` is read off the shifted value's bits (`1.5·2²³ + n` has ulp 1, so
+    // its low bits are `n`): integer lanes, where `n as i32`'s saturating
+    // conversion would take a scalar compare per lane.
+    let y = p.zip(shifted, |pi, sh| {
+        let ni = (sh.to_bits() as i32).wrapping_sub(EXP_MAGIC.to_bits() as i32);
         let half = ni >> 1;
         let s1 = f32::from_bits(((half + 127) as u32) << 23);
         let s2 = f32::from_bits((((ni - half) + 127) as u32) << 23);
@@ -266,6 +299,143 @@ pub(crate) fn exp8(x: F32x8) -> F32x8 {
 #[inline]
 pub(crate) fn sigmoid8(x: F32x8) -> F32x8 {
     exp8(x.map(|v| -v)).map(|e| 1.0 / (1.0 + e))
+}
+
+// --- Cephes-style ln ------------------------------------------------------
+
+/// `2²³`: a subnormal times this is a normal number, exactly.
+const LN_SUBNORMAL_SCALE: f32 = 8_388_608.0;
+/// `√½`: the mantissa `m ∈ [½, 1)` is folded onto `[√½, √2)` at this cut,
+/// so the core's argument `f = m − 1` (or `2m − 1`) stays within
+/// `[√½ − 1, √2 − 1]`.
+const LN_SQRT_HALF: f32 = std::f32::consts::FRAC_1_SQRT_2;
+/// Cephes `logf`'s minimax coefficients of `(ln(1+f) − f + f²/2) / f³`,
+/// highest degree first.
+const LN_POLY: [f32; 9] = [
+    7.037_683_6e-2,
+    -1.151_461_e-1,
+    1.167_699_9e-1,
+    -1.242_014_1e-1,
+    1.424_932_3e-1,
+    -1.666_805_8e-1,
+    2.000_071_5e-1,
+    -2.499_999_4e-1,
+    3.333_333e-1,
+];
+
+/// Natural logarithm of one lane: [`ln8`]'s arithmetic.
+///
+/// `x = 2ᵉ·m` with `m ∈ [√½, √2)` read off the bits (a subnormal is first
+/// scaled by `2²³`, exactly); `ln x = e·ln 2 + ln(1 + f)` with `f = m − 1`
+/// exact, `ln(1 + f) = f − f²/2 + f³·P(f)`, `P` in Estrin's scheme of
+/// fused multiply-adds (four steps deep instead of eight), and `e·ln 2`
+/// added in the high and low parts of `exp8`'s Cody–Waite pair, each a
+/// fused multiply-add. Then the edges: `ln(±0) = −∞`, `ln(x < 0) = NaN`,
+/// `ln ∞ = ∞`, and a NaN comes back as itself — four single-compare
+/// selects. Written per lane, with selects and no branch, so the
+/// vectorizer packs the whole of it eight-wide.
+#[inline(always)]
+fn ln_lane(x: f32) -> f32 {
+    let subnormal = x < f32::MIN_POSITIVE;
+    let scaled = if subnormal { x * LN_SUBNORMAL_SCALE } else { x };
+    // Exponent and mantissa in [½, 1).
+    let e = ((scaled.to_bits() >> 23) & 0xff) as f32 - 126.0;
+    let m = f32::from_bits((scaled.to_bits() & 0x007f_ffff) | 0x3f00_0000);
+    let e = if subnormal { e - 23.0 } else { e };
+    let fold = m < LN_SQRT_HALF;
+    let e = if fold { e - 1.0 } else { e };
+    let f = if fold { (m + m) - 1.0 } else { m - 1.0 };
+    let z = f * f;
+    let c = LN_POLY;
+    let low = c[5].mul_add(f, c[6]).mul_add(z, c[7].mul_add(f, c[8]));
+    let high = c[1].mul_add(f, c[2]).mul_add(z, c[3].mul_add(f, c[4]));
+    let p = c[0].mul_add(z * z, high).mul_add(z * z, low);
+    let y = e.mul_add(EXP_LN2_LO, (p * f) * z);
+    let y = z.mul_add(-0.5, y);
+    let r = e.mul_add(EXP_LN2_HI, f + y);
+    let r = if x == f32::INFINITY { x } else { r };
+    let r = if x == 0.0 { f32::NEG_INFINITY } else { r };
+    let r = if x < 0.0 { f32::NAN } else { r };
+    if x.is_nan() {
+        x
+    } else {
+        r
+    }
+}
+
+/// Eight-lane natural logarithm ([`ln_lane`] in each lane). Lanewise pure.
+/// A plain loop over the lanes, not [`F32x8::map`]: a lane body this long
+/// would stay a closure call per lane there.
+#[inline]
+pub(crate) fn ln8(x: F32x8) -> F32x8 {
+    let mut out = [0.0; LANES];
+    for (o, &v) in out.iter_mut().zip(&x.0) {
+        *o = ln_lane(v);
+    }
+    F32x8(out)
+}
+
+/// Eight-lane Gumbel transform `−ln(−ln u)` of uniforms `u ∈ (0, 1)`,
+/// looped as [`ln8`]. Lanewise pure.
+#[inline]
+pub(crate) fn gumbel8(u: F32x8) -> F32x8 {
+    let mut out = [0.0; LANES];
+    for (o, &v) in out.iter_mut().zip(&u.0) {
+        *o = -ln_lane(-ln_lane(v));
+    }
+    F32x8(out)
+}
+
+// --- sine and cosine of Box–Muller's angle --------------------------------
+
+/// `π/2` in three parts: the first two have few enough significant bits
+/// that `n·part` is exact for the quadrants of `[−2π, 2π]` (Cephes'
+/// `DP1..DP3`, doubled).
+const PIO2_HI: f32 = 1.570_312_5;
+const PIO2_MID: f32 = 4.837_513e-4;
+const PIO2_LO: f32 = 7.549_79e-8;
+/// Cephes `sinf` on `|r| ≤ π/4`: `r + r³·S(r²)`, highest degree first.
+const SIN_POLY: [f32; 3] = [-1.951_529_6e-4, 8.332_161e-3, -1.666_665_5e-1];
+/// Cephes `cosf` on `|r| ≤ π/4`: `1 − r²/2 + r⁴·C(r²)`, highest degree
+/// first.
+const COS_POLY: [f32; 3] = [2.443_315_7e-5, -1.388_731_6e-3, 4.166_664_6e-2];
+
+/// `(sin θ, cos θ)` of one lane, for the angles Box–Muller draws, `θ ∈
+/// [0, 2π)`. Lanewise pure: [`box_muller_pairs`] packs it eight-wide.
+///
+/// `θ = n·π/2 + r` with `n` rounded by `exp8`'s magic-number shift and `r`
+/// reduced by fused multiply-adds in the three parts of `π/2`
+/// (Cody–Waite), so `|r| ≤ π/4` and is accurate to about `2⁻⁴⁴` absolute;
+/// Cephes' two polynomials, Horner steps fused, give `sin r` and `cos r`,
+/// and the quadrant `n mod 4` swaps them and flips signs with a bit mask.
+/// The reduction is exact for `|θ|` up to a few thousand, far past the
+/// angles drawn; there is no Payne–Hanek path for larger ones. A
+/// non-finite `θ` gives NaN for both.
+#[inline(always)]
+fn sin_cos_lane(theta: f32) -> (f32, f32) {
+    let shifted = theta * std::f32::consts::FRAC_2_PI + EXP_MAGIC;
+    let n = shifted - EXP_MAGIC;
+    let r = n.mul_add(-PIO2_HI, theta);
+    let r = n.mul_add(-PIO2_MID, r);
+    let r = n.mul_add(-PIO2_LO, r);
+    let z = r * r;
+    let s = SIN_POLY[0].mul_add(z, SIN_POLY[1]).mul_add(z, SIN_POLY[2]);
+    let s = (s * z).mul_add(r, r);
+    let c = COS_POLY[0].mul_add(z, COS_POLY[1]).mul_add(z, COS_POLY[2]);
+    let c = (c * z).mul_add(z, -0.5 * z) + 1.0;
+    // `n mod 4` sits in the low bits of the shifted value (two's
+    // complement, so a negative `n` works too). Odd quadrants swap sine and
+    // cosine; the sine is negated in quadrants 2 and 3, the cosine in 1
+    // and 2.
+    let q = shifted.to_bits() & 3;
+    let (a, b) = if q & 1 == 1 { (c, s) } else { (s, c) };
+    let sin = f32::from_bits(a.to_bits() ^ ((q & 2) << 30));
+    let cos = f32::from_bits(b.to_bits() ^ (((q + 1) & 2) << 30));
+    if theta.is_finite() {
+        (sin, cos)
+    } else {
+        (f32::NAN, f32::NAN)
+    }
 }
 
 /// Eight-lane derivative-from-output of tanh: `1 − y²`. Bit-identical to
@@ -328,6 +498,68 @@ pub fn sigmoid(x: f32) -> f32 {
 #[inline]
 pub fn exp(x: f32) -> f32 {
     exp8(F32x8::splat(x)).0[0]
+}
+
+/// Scalar natural logarithm: one lane of `ln8`.
+#[inline]
+pub fn ln(x: f32) -> f32 {
+    ln_lane(x)
+}
+
+/// Scalar `(sin θ, cos θ)`: the lane arithmetic of `Tensor::randn`'s
+/// Box–Muller, meant for its angles, `θ ∈ [0, 2π)`; see
+/// [`SIN_COS_MAX_ULP`].
+#[inline]
+pub fn sin_cos(theta: f32) -> (f32, f32) {
+    sin_cos_lane(theta)
+}
+
+/// Scalar Gumbel transform `−ln(−ln u)`: one lane of `gumbel8`.
+#[inline]
+pub fn gumbel(u: f32) -> f32 {
+    -ln_lane(-ln_lane(u))
+}
+
+/// Applies the lane kernel `f8` to `xs` in place: [`map_slice`] without a
+/// second buffer — full eight-lane groups, then the tail through the splat
+/// path, so element `i` depends on `xs[i]` alone.
+pub(crate) fn map_in_place(xs: &mut [f32], f8: impl Fn(F32x8) -> F32x8) {
+    let mut groups = xs.chunks_exact_mut(LANES);
+    for g in &mut groups {
+        f8(F32x8::load(g)).store(g);
+    }
+    for v in groups.into_remainder() {
+        *v = f8(F32x8::splat(*v)).0[0];
+    }
+}
+
+/// One Box–Muller pair: `(ρ·cos θ, ρ·sin θ)` with `ρ = √(−2·ln u₁)` and
+/// `θ = 2π·u₂`, the operations of the scalar formula in its order.
+#[inline(always)]
+fn box_muller_lane(u1: f32, u2: f32) -> (f32, f32) {
+    let rho = (-2.0 * ln_lane(u1)).sqrt();
+    let (sin, cos) = sin_cos_lane(2.0 * std::f32::consts::PI * u2);
+    (rho * cos, rho * sin)
+}
+
+/// Box–Muller in place over interleaved uniform pairs `(u₁, u₂)`, each pair
+/// becoming [`box_muller_lane`]'s two normals: eight pairs a group, which
+/// the vectorizer packs eight-wide, then the ragged pairs one at a time —
+/// the same arithmetic, so the grouping is unobservable. `pairs.len()`
+/// must be even.
+pub(crate) fn box_muller_pairs(pairs: &mut [f32]) {
+    debug_assert_eq!(pairs.len() % 2, 0, "Box–Muller takes whole pairs");
+    let mut groups = pairs.chunks_exact_mut(2 * LANES);
+    for g in &mut groups {
+        let mut out = [0.0; 2 * LANES];
+        for i in 0..LANES {
+            (out[2 * i], out[2 * i + 1]) = box_muller_lane(g[2 * i], g[2 * i + 1]);
+        }
+        g.copy_from_slice(&out);
+    }
+    for pair in groups.into_remainder().chunks_exact_mut(2) {
+        (pair[0], pair[1]) = box_muller_lane(pair[0], pair[1]);
+    }
 }
 
 // --- slice kernels -------------------------------------------------------
@@ -745,7 +977,35 @@ pub(crate) fn tile(
 /// chain of fused multiply-adds, so the result equals `tile`'s and the
 /// naive loop's. A short group recomputes its last row in the spare lanes
 /// and discards them.
+///
+/// A transposed LHS (`row == 1`, `aᵀ·g`) has the group's rows side by side
+/// at each `p`: they are read as one contiguous run into two `F32x8`
+/// accumulators (a short group through a zero-padded copy).
 pub(crate) fn col_chains(rows: usize, a: Lhs, k: usize, b: &[f32], out: &mut [f32]) {
+    if a.row == 1 {
+        let mut acc = [F32x8::splat(0.0); 2];
+        let mut step = |col: &[f32], bv: f32| {
+            let bv = F32x8::splat(bv);
+            acc[0] = F32x8::load(col).mul_add(bv, acc[0]);
+            acc[1] = F32x8::load(&col[LANES..]).mul_add(bv, acc[1]);
+        };
+        if rows == COL_ROWS {
+            for (p, &bv) in b[..k].iter().enumerate() {
+                step(&a.data[p * a.step..p * a.step + COL_ROWS], bv);
+            }
+        } else {
+            let mut col = [0.0; COL_ROWS];
+            for (p, &bv) in b[..k].iter().enumerate() {
+                col[..rows].copy_from_slice(&a.data[p * a.step..p * a.step + rows]);
+                step(&col, bv);
+            }
+        }
+        let mut flat = [0.0; COL_ROWS];
+        acc[0].store(&mut flat);
+        acc[1].store(&mut flat[LANES..]);
+        out[..rows].copy_from_slice(&flat[..rows]);
+        return;
+    }
     let lhs: [&[f32]; COL_ROWS] = std::array::from_fn(|r| a.strided_row(r.min(rows - 1), k));
     let mut acc = [0.0; COL_ROWS];
     for (p, &bv) in b[..k].iter().enumerate() {
@@ -755,6 +1015,22 @@ pub(crate) fn col_chains(rows: usize, a: Lhs, k: usize, b: &[f32], out: &mut [f3
         }
     }
     out[..rows].copy_from_slice(&acc[..rows]);
+}
+
+/// A product with one contraction term (`k = 1`), the outer product
+/// `out[i·m + j] = a[i]·b[j]` appended to `out`: each element is the naive
+/// chain's single step `a[i].mul_add(b[j], +0.0)`, so a `−0` product still
+/// ends `+0` and the bits are the other arms'. Lanes run across `j`.
+pub(crate) fn outer(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
+    let zero = F32x8::splat(0.0);
+    for &av in a {
+        let splat = F32x8::splat(av);
+        let mut groups = b.chunks_exact(LANES);
+        for g in &mut groups {
+            out.extend_from_slice(&splat.mul_add(F32x8::load(g), zero).0);
+        }
+        out.extend(groups.remainder().iter().map(|&bv| av.mul_add(bv, 0.0)));
+    }
 }
 
 #[cfg(test)]

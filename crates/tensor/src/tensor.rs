@@ -6,7 +6,7 @@
 //! Broadcasting follows NumPy semantics restricted to those shapes.
 
 use crate::kernels::{self, BinaryOp, Broadcast, Layout, UnaryOp};
-use crate::pool_mem;
+use crate::{pool_mem, simd};
 use rand::Rng;
 use std::fmt;
 
@@ -140,20 +140,22 @@ impl Tensor {
         Self::from_vec(rows, cols, data)
     }
 
-    /// Standard-normal samples in the given shape (Box–Muller).
+    /// Standard-normal samples in the given shape (Box–Muller): uniform
+    /// pairs `u₁ ∈ [ε, 1)`, `u₂ ∈ [0, 1)` drawn in turn, each pair giving
+    /// `ρ·cos θ` then `ρ·sin θ` with `ρ = √(−2·ln u₁)`, `θ = 2π·u₂` (an odd
+    /// count drops the last sine). The draws come first, into the output
+    /// buffer; the transform then runs in lanes ([`simd::ln`] and
+    /// [`simd::sin_cos`]), with no libm call.
     pub fn randn(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
         let n = rows * cols;
-        let mut data = pool_mem::take(n);
-        while data.len() < n {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos());
-            if data.len() < n {
-                data.push(r * theta.sin());
-            }
+        let pairs = n.div_ceil(2);
+        let mut data = pool_mem::take(2 * pairs);
+        for _ in 0..pairs {
+            data.push(rng.gen_range(f32::EPSILON..1.0));
+            data.push(rng.gen_range(0.0..1.0));
         }
+        simd::box_muller_pairs(&mut data);
+        data.truncate(n);
         Self::from_vec(rows, cols, data)
     }
 

@@ -2,9 +2,14 @@
 //! `Graph::bn_tail` must be *bit-identical* to the unfused primitive chains
 //! they replace — forward and backward, and for the first two through the
 //! WGAN-GP double-backward path — for every tested `GTV_THREADS` value.
+//! `Graph::span_act`, the generator's output head, is bit-identical to its
+//! chain forward and within a measured tolerance of it backward (its
+//! softmax gradient is the closed form, not the chain's adjoints).
 //! Gradients are additionally checked against central finite differences.
 
-use gtv_tensor::{dispatch, pool, BnStats, BnTail, FusedAct, Graph, Tensor, Var};
+use gtv_tensor::{
+    dispatch, pool, simd, BnStats, BnTail, FusedAct, Graph, HeadSpan, SpanAct, Tensor, Var,
+};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -487,6 +492,240 @@ fn a_bn_tail_gradient_is_not_differentiated_again() {
         skip: None,
     };
     let (y, _) = g.bn_tail(x, t, BnStats::Batch);
+    let y = g.sum_all(g.mul(y, y));
+    let dx = g.grad(y, &[x])[0];
+    let _ = g.grad(g.sum_all(g.mul(dx, dx)), &[x]);
+}
+
+// --- the output head (`span_act`) -------------------------------------------
+
+/// A value in `[-1, 1)` from an integer hash, exact in `f32`.
+fn hashed(stream: u64, i: usize) -> f32 {
+    let mut z = ((stream << 32) | i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    (z >> 40) as f32 * (1.0 / 8_388_608.0) - 1.0
+}
+
+/// Spans from `(width, softmax)` pairs, tiling the columns in order.
+fn layout(parts: &[(usize, bool)]) -> Vec<HeadSpan> {
+    let mut start = 0;
+    parts
+        .iter()
+        .map(|&(width, softmax)| {
+            let act = if softmax { SpanAct::GumbelSoftmax } else { SpanAct::Tanh };
+            let span = HeadSpan { start, width, act };
+            start += width;
+            span
+        })
+        .collect()
+}
+
+/// α-only, indicator-only (with a width-1 indicator), and mixed heads, the
+/// last with a span wider than a lane group.
+fn head_layouts() -> Vec<Vec<HeadSpan>> {
+    vec![
+        layout(&[(1, false), (1, false), (2, false)]),
+        layout(&[(3, true), (1, true), (5, true)]),
+        layout(&[(1, false), (4, true), (1, false), (2, true), (1, true), (2, false), (11, true)]),
+    ]
+}
+
+fn noise_width(spans: &[HeadSpan]) -> usize {
+    spans.iter().filter(|s| s.act == SpanAct::GumbelSoftmax).map(|s| s.width).sum()
+}
+
+/// Uniforms in `(0, 1)`, the extremes `ε` and `1 − 2⁻²⁴` included.
+fn uniforms(rows: usize, cols: usize, stream: u64) -> Tensor {
+    Tensor::from_fn(rows, cols, |r, c| match (r * cols + c) % 17 {
+        3 => f32::EPSILON,
+        11 => 1.0 - 1.0 / 16_777_216.0,
+        _ => (hashed(stream, r * cols + c) * 0.5 + 0.5).max(f32::EPSILON),
+    })
+}
+
+/// The composed chain `span_act` replaces: per span `slice_cols`, then
+/// `tanh`, or the Gumbel noise added as a leaf, `mul_scalar(1/τ)` and
+/// `softmax_rows`; then `concat_cols`.
+fn composed_head(g: &Graph, x: Var, spans: &[HeadSpan], tau: f32, u: &Tensor) -> Var {
+    let mut parts = Vec::new();
+    let mut at = 0;
+    for s in spans {
+        let piece = g.slice_cols(x, s.start, s.width);
+        parts.push(match s.act {
+            SpanAct::Tanh => g.tanh(piece),
+            SpanAct::GumbelSoftmax => {
+                let noise = g.leaf(u.slice_cols(at, s.width).map(simd::gumbel));
+                at += s.width;
+                g.softmax_rows(g.mul_scalar(g.add(piece, noise), 1.0 / tau))
+            }
+        });
+    }
+    g.concat_cols(&parts)
+}
+
+/// The head's output and the gradient of `Σ y⊙w` towards the logits, by
+/// the node or by the chain.
+fn head_run(x0: &Tensor, spans: &[HeadSpan], u: &Tensor, fused: bool) -> (Tensor, Tensor) {
+    let g = Graph::new();
+    let x = g.leaf(x0.clone());
+    let y = if fused {
+        g.span_act(x, spans, 0.2, u.clone())
+    } else {
+        composed_head(&g, x, spans, 0.2, u)
+    };
+    let (rows, cols) = x0.shape();
+    let w = g.leaf(Tensor::from_fn(rows, cols, |r, c| hashed(900, r * cols + c) * 2.0));
+    let dx = g.grad(g.sum_all(g.mul(y, w)), &[x])[0];
+    (g.value(y), g.value(dx))
+}
+
+/// Largest `|a − b| / (1 + |b|)` over the elements.
+fn worst_gap(a: &Tensor, b: &Tensor) -> f32 {
+    a.as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .fold(0.0, |m, (&a, &b)| m.max((a - b).abs() / (1.0 + b.abs())))
+}
+
+/// The backward tolerance against the chain, relative as [`worst_gap`]
+/// measures it. Measured: at most 1.4e-6 over the cases below (the closed
+/// form and the chain's adjoints round differently), 9e-7 with non-finite
+/// logits.
+const HEAD_GRAD_TOL: f32 = 4e-6;
+
+#[test]
+fn span_act_is_the_composed_chain_forward_and_close_to_it_backward() {
+    force_pool_dispatch();
+    for spans in head_layouts() {
+        let cols = spans.iter().map(|s| s.width).sum::<usize>();
+        for rows in [1, 13, 150] {
+            let x0 = Tensor::from_fn(rows, cols, |r, c| hashed(901, r * cols + c) * 3.0);
+            let u = uniforms(rows, noise_width(&spans), 902);
+            let (y_chain, dx_chain) = head_run(&x0, &spans, &u, false);
+            for threads in THREAD_COUNTS {
+                pool::set_threads(threads);
+                let (y, dx) = head_run(&x0, &spans, &u, true);
+                assert_eq!(bits(&y), bits(&y_chain), "{spans:?}, {rows} rows, {threads} threads");
+                let gap = worst_gap(&dx, &dx_chain);
+                assert!(gap <= HEAD_GRAD_TOL, "{spans:?}, {rows} rows: gradient gap {gap:e}");
+            }
+        }
+    }
+    pool::set_threads(1);
+}
+
+#[test]
+fn span_act_with_non_finite_logits_matches_the_chain() {
+    let spans = layout(&[(1, false), (3, true), (1, false), (1, true), (4, true), (2, true)]);
+    let cols = 12;
+    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.5, -0.0, 80.0];
+    for (i, &special) in specials.iter().enumerate() {
+        // Each row puts the special value at another column.
+        let x0 = Tensor::from_fn(7, cols, |r, c| {
+            if (r + i) % cols == c || (r * 5 + i) % cols == c {
+                special
+            } else {
+                hashed(903, r * cols + c) * 3.0
+            }
+        });
+        let u = uniforms(7, noise_width(&spans), 904);
+        let (y_chain, dx_chain) = head_run(&x0, &spans, &u, false);
+        let (y, dx) = head_run(&x0, &spans, &u, true);
+        assert_eq!(bits_nan_as_one(&y), bits_nan_as_one(&y_chain), "logit {special}");
+        for (e, (&a, &b)) in dx.as_slice().iter().zip(dx_chain.as_slice()).enumerate() {
+            assert_eq!(a.is_nan(), b.is_nan(), "logit {special}, element {e}: {a:e} vs {b:e}");
+            if !b.is_nan() {
+                assert!((a - b).abs() <= HEAD_GRAD_TOL * (1.0 + b.abs()), "{a:e} vs {b:e}");
+            }
+        }
+    }
+}
+
+/// The head in `f64`: `Σ w⊙y` with the same Gumbel noise the node adds.
+fn head_f64(x: &[f64], cols: usize, spans: &[HeadSpan], noise: &[f64], w: &[f64]) -> f64 {
+    let noise_cols = noise_width(spans);
+    let mut total = 0.0;
+    for (r, xr) in x.chunks_exact(cols).enumerate() {
+        let mut at = 0;
+        for s in spans {
+            let xs = &xr[s.start..s.start + s.width];
+            let ws = &w[r * cols + s.start..][..s.width];
+            match s.act {
+                SpanAct::Tanh => total += xs.iter().zip(ws).map(|(x, w)| w * x.tanh()).sum::<f64>(),
+                SpanAct::GumbelSoftmax => {
+                    let z: Vec<f64> = xs
+                        .iter()
+                        .zip(&noise[r * noise_cols + at..])
+                        .map(|(x, g)| (x + g) / 0.2)
+                        .collect();
+                    let max = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    let e: Vec<f64> = z.iter().map(|z| (z - max).exp()).collect();
+                    let sum: f64 = e.iter().sum();
+                    total += e.iter().zip(ws).map(|(e, w)| w * e / sum).sum::<f64>();
+                    at += s.width;
+                }
+            }
+        }
+    }
+    total
+}
+
+/// The node's `f32` gradient against central differences of the head
+/// computed in `f64`, relative as [`worst_gap`] measures it: at most 8.1e-7
+/// measured, 1e-5 asserted.
+#[test]
+fn span_act_gradient_matches_f64_central_differences() {
+    for spans in head_layouts() {
+        let cols = spans.iter().map(|s| s.width).sum::<usize>();
+        let rows = 3;
+        let x0 = Tensor::from_fn(rows, cols, |r, c| hashed(905, r * cols + c) * 1.5);
+        let u = uniforms(rows, noise_width(&spans), 906);
+        let (_, dx) = head_run(&x0, &spans, &u, true);
+        let noise: Vec<f64> = u.as_slice().iter().map(|&u| f64::from(simd::gumbel(u))).collect();
+        let w: Vec<f64> = (0..rows * cols).map(|i| f64::from(hashed(900, i) * 2.0)).collect();
+        let x: Vec<f64> = x0.as_slice().iter().map(|&v| f64::from(v)).collect();
+        let h = 1e-6;
+        for i in 0..x.len() {
+            let at = |d: f64| {
+                let mut moved = x.clone();
+                moved[i] += d;
+                head_f64(&moved, cols, &spans, &noise, &w)
+            };
+            let numeric = (at(h) - at(-h)) / (2.0 * h);
+            let a = f64::from(dx.as_slice()[i]);
+            assert!(
+                (a - numeric).abs() <= 1e-5 * (1.0 + numeric.abs()),
+                "{spans:?}, element {i}: analytic {a:e} vs numeric {numeric:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn span_act_rejects_spans_that_do_not_tile_and_misshapen_uniforms() {
+    let g = Graph::new();
+    let x = g.leaf(Tensor::zeros(2, 4));
+    let spans = layout(&[(1, false), (3, true)]);
+    let attempt = |spans: &[HeadSpan], u: Tensor, tau: f32| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.span_act(x, spans, tau, u)))
+            .is_err()
+    };
+    assert!(attempt(&spans[1..], Tensor::zeros(2, 3), 0.2), "a gap before the first span");
+    assert!(attempt(&spans[..1], Tensor::zeros(2, 0), 0.2), "columns left over");
+    assert!(attempt(&spans, Tensor::zeros(2, 4), 0.2), "uniforms one column too wide");
+    assert!(attempt(&spans, Tensor::zeros(2, 3), 0.0), "a zero temperature");
+    let ok = g.span_act(x, &spans, 0.2, Tensor::full(2, 3, 0.5));
+    assert_eq!(g.shape(ok), (2, 4));
+}
+
+#[test]
+#[should_panic(expected = "span_act gradient is first order only")]
+fn a_span_act_gradient_is_not_differentiated_again() {
+    let g = Graph::new();
+    let x = g.leaf(Tensor::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.3 - 1.0));
+    let y = g.span_act(x, &layout(&[(1, false), (3, true)]), 0.2, Tensor::full(3, 3, 0.5));
     let y = g.sum_all(g.mul(y, y));
     let dx = g.grad(y, &[x])[0];
     let _ = g.grad(g.sum_all(g.mul(dx, dx)), &[x]);

@@ -128,6 +128,63 @@ fn transposed(t: &Tensor) -> Tensor {
     Tensor::from_fn(t.cols(), t.rows(), |r, c| t.at(c, r))
 }
 
+/// `matmul_equals_naive_triple_loop`'s check of one `n×k·k×m` product
+/// of [`messy`] operands (with NaN and ±∞ when `non_finite`) in every
+/// layout at 1, 2 and 8 threads.
+fn check_product(n: usize, k: usize, m: usize, seed: u64, non_finite: bool) {
+    let mut state = seed;
+    let a = messy(n, k, &mut state, non_finite);
+    let b = messy(k, m, &mut state, non_finite);
+    let bounds: Vec<FusedBound> = (0..n * m)
+        .map(|e| FusedBound::of((0..k).map(|p| (a.at(e / m, p), b.at(p, e % m)))))
+        .collect();
+    let want = Tensor::from_fn(n, m, |i, j| {
+        let mut acc = 0.0f32;
+        (0..k).for_each(|p| acc = a.at(i, p).mul_add(b.at(p, j), acc));
+        acc
+    });
+    let (at, bt) = (transposed(&a), transposed(&b));
+    // Lowered so these shapes cross the pool; left lowered, as in
+    // `parallel_determinism` (the override is process-global and the
+    // other properties here do not care where their chunks run).
+    dispatch::set_par_mins(1_024, 1_024, 2_048);
+    for (layout, lhs, rhs) in
+        [(Layout::Plain, &a, &b), (Layout::TransB, &a, &bt), (Layout::TransA, &at, &b)]
+    {
+        for threads in [1, 2, 8] {
+            pool::set_threads(threads);
+            let got = lhs.matmul_layout(rhs, layout);
+            prop_assert_eq!(got.shape(), (n, m));
+            for (e, (bound, &v)) in bounds.iter().zip(got.as_slice()).enumerate() {
+                prop_assert!(
+                    bound.admits(v),
+                    "{}x{}x{} {:?} at {} threads: element ({}, {}) = {:e} outside {:?}",
+                    n,
+                    k,
+                    m,
+                    layout,
+                    threads,
+                    e / m,
+                    e % m,
+                    v,
+                    bound
+                );
+            }
+            prop_assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{}x{}x{} {:?} at {} threads",
+                n,
+                k,
+                m,
+                layout,
+                threads
+            );
+        }
+    }
+    pool::set_threads(1);
+}
+
 /// Every unary op, each parameterised one with a value that is not special.
 const UNARY_OPS: [UnaryOp; 15] = [
     UnaryOp::Neg,
@@ -171,42 +228,24 @@ proptest! {
         seed in any::<u64>(),
         non_finite in 0u8..4
     ) {
-        let mut state = seed;
-        let a = messy(n, k, &mut state, non_finite == 0);
-        let b = messy(k, m, &mut state, non_finite == 0);
-        let bounds: Vec<FusedBound> = (0..n * m)
-            .map(|e| FusedBound::of((0..k).map(|p| (a.at(e / m, p), b.at(p, e % m)))))
-            .collect();
-        let want = Tensor::from_fn(n, m, |i, j| {
-            let mut acc = 0.0f32;
-            (0..k).for_each(|p| acc = a.at(i, p).mul_add(b.at(p, j), acc));
-            acc
-        });
-        let (at, bt) = (transposed(&a), transposed(&b));
-        // Lowered so these shapes cross the pool; left lowered, as in
-        // `parallel_determinism` (the override is process-global and the
-        // other properties here do not care where their chunks run).
-        dispatch::set_par_mins(1_024, 1_024, 2_048);
-        for (layout, lhs, rhs) in
-            [(Layout::Plain, &a, &b), (Layout::TransB, &a, &bt), (Layout::TransA, &at, &b)]
-        {
-            for threads in [1, 2, 8] {
-                pool::set_threads(threads);
-                let got = lhs.matmul_layout(rhs, layout);
-                prop_assert_eq!(got.shape(), (n, m));
-                for (e, (bound, &v)) in bounds.iter().zip(got.as_slice()).enumerate() {
-                    prop_assert!(
-                        bound.admits(v),
-                        "{}x{}x{} {:?} at {} threads: element ({}, {}) = {:e} outside {:?}",
-                        n, k, m, layout, threads, e / m, e % m, v, bound
-                    );
-                }
-                prop_assert_eq!(
-                    bits(&got), bits(&want), "{}x{}x{} {:?} at {} threads", n, k, m, layout, threads
-                );
-            }
-        }
-        pool::set_threads(1);
+        check_product(n, k, m, seed, non_finite == 0);
+    }
+
+    /// The degenerate arms on their own, each drawn every case: one
+    /// contraction term (`k = 1`, an outer product — the score layer's
+    /// `g·w_sᵀ`) and one output column (`m = 1` — in `TransA` the weight
+    /// gradient `h₂ᵀ·g`), with `−0`, `±∞` and NaN among the operands in
+    /// half the cases. A `−0` product must still end `+0`, as the naive
+    /// chain from `+0.0` leaves it.
+    #[test]
+    fn degenerate_matmul_arms_equal_the_naive_loop(
+        rows in dim_strategy(),
+        other in dim_strategy(),
+        seed in any::<u64>(),
+        non_finite in any::<bool>()
+    ) {
+        check_product(rows, 1, other, seed, non_finite);
+        check_product(other, rows, 1, seed, non_finite);
     }
 
     /// Every elementwise form is its scalar definition, element for

@@ -4,6 +4,11 @@
 //!   within the documented bounds ([`simd::TANH_MAX_ULP`] /
 //!   [`simd::SIGMOID_MAX_ULP`]) across a dense sweep of [-20, 20] plus the
 //!   IEEE edge inventory: ±0.0, subnormals, NaN, ±∞ and the clamp knees.
+//! * **ln** is held to libm within [`simd::LN_MAX_ULP`] over `(0, ∞)`,
+//!   subnormals included, with its IEEE edges (`ln 1 = +0`, `ln ±0 = −∞`,
+//!   `ln(x < 0) = NaN`, `ln ∞ = ∞`, NaN in, NaN out); **sine and cosine**
+//!   within [`simd::SIN_COS_MAX_ULP`] over Box–Muller's `[0, 2π]`, and
+//!   `Tensor::randn` is the scalar Box–Muller formula on those kernels.
 //! * The **`f64` exp** of the encoder fit is held to libm within
 //!   [`simd::EXP_F64_MAX_ULP`] over its whole finite range, with its one
 //!   deliberate difference (flush to `+0` where libm goes subnormal) and
@@ -139,6 +144,101 @@ fn edge_cases_match_libm_semantics() {
     }
 }
 
+#[test]
+fn ln_stays_within_its_ulp_bound_of_libm() {
+    // Every 241st bit pattern of the positive finite floats, from the
+    // smallest subnormal up: about 8.9M points, 34 thousand of them
+    // subnormal, every exponent and a spread of mantissas.
+    let mut worst = 0u64;
+    for bits in (1..0x7f80_0000u32).step_by(241).chain([0x7f7f_ffff, 0x3f80_0001, 0x3f7f_ffff]) {
+        let x = f32::from_bits(bits);
+        let (got, want) = (simd::ln(x), x.ln());
+        let d = ulp_distance(got, want);
+        worst = worst.max(d);
+        assert!(
+            d <= u64::from(simd::LN_MAX_ULP),
+            "ln({x:e}) = {got:e}, libm {want:e}: {d} ULP > bound {}",
+            simd::LN_MAX_ULP
+        );
+    }
+    assert!(worst > 0, "a zero-ULP sweep means the comparison is broken");
+}
+
+#[test]
+fn ln_keeps_the_ieee_edges() {
+    assert_eq!(simd::ln(1.0).to_bits(), 0.0f32.to_bits(), "ln 1 is +0");
+    assert_eq!(simd::ln(0.0), f32::NEG_INFINITY);
+    assert_eq!(simd::ln(-0.0), f32::NEG_INFINITY);
+    assert_eq!(simd::ln(f32::INFINITY), f32::INFINITY);
+    for x in [-1.0, -f32::MIN_POSITIVE, f32::from_bits(0x8000_0001), f32::NEG_INFINITY, f32::MIN] {
+        assert!(simd::ln(x).is_nan(), "ln({x:e}) must be NaN");
+    }
+    let payload = f32::from_bits(0x7fc0_1234);
+    assert_eq!(simd::ln(payload).to_bits(), payload.to_bits(), "a NaN comes back as itself");
+    // The positive part of the edge inventory, against libm.
+    for x in edge_cases().into_iter().filter(|x| *x > 0.0 && x.is_finite()) {
+        assert!(ulp_distance(simd::ln(x), x.ln()) <= u64::from(simd::LN_MAX_ULP), "ln({x:e})");
+    }
+}
+
+#[test]
+fn sin_cos_stay_within_their_bound_of_libm_over_the_box_muller_angle() {
+    // 4M + 1 points over [0, 2π]; near a zero crossing the error is held
+    // in absolute terms at the floor's ULP.
+    let floor_ulp = f64::from(simd::SIN_COS_ABS_FLOOR) * f64::from(f32::EPSILON) / 2.0;
+    let bound = u64::from(simd::SIN_COS_MAX_ULP);
+    let top = 2.0 * std::f32::consts::PI;
+    let mut worst = 0u64;
+    for i in 0..=4_000_000u32 {
+        let theta = (i as f32 / 4_000_000.0) * top;
+        let (s, c) = simd::sin_cos(theta);
+        for (what, got, want) in [("sin", s, theta.sin()), ("cos", c, theta.cos())] {
+            if want.abs() < simd::SIN_COS_ABS_FLOOR {
+                let err = (f64::from(got) - f64::from(want)).abs();
+                assert!(
+                    err <= bound as f64 * floor_ulp,
+                    "{what}({theta:e}) = {got:e}, libm {want:e}: off by {err:e} near a zero"
+                );
+            } else {
+                let d = ulp_distance(got, want);
+                worst = worst.max(d);
+                assert!(d <= bound, "{what}({theta:e}) = {got:e}, libm {want:e}: {d} ULP");
+            }
+        }
+    }
+    assert!(worst > 0, "a zero-ULP sweep means the comparison is broken");
+    assert_eq!(simd::sin_cos(0.0), (0.0, 1.0));
+    for theta in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let (s, c) = simd::sin_cos(theta);
+        assert!(s.is_nan() && c.is_nan(), "sin_cos({theta}) must be NaN");
+    }
+}
+
+#[test]
+fn randn_is_the_scalar_box_muller_on_the_same_draws() {
+    use rand::{Rng, SeedableRng};
+    // Odd and even counts, lane groups of eight pairs and ragged ends.
+    for n in [0usize, 1, 2, 15, 16, 17, 33, 250] {
+        #[expect(clippy::disallowed_methods, reason = "a literal test seed")]
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        let got = Tensor::randn(1, n, &mut rng);
+        #[expect(clippy::disallowed_methods, reason = "the same literal test seed")]
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        let mut want = Vec::new();
+        while want.len() < n {
+            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = rng.gen_range(0.0..1.0);
+            let rho = (-2.0 * simd::ln(u1)).sqrt();
+            let (sin, cos) = simd::sin_cos(2.0 * std::f32::consts::PI * u2);
+            want.push(rho * cos);
+            want.push(rho * sin);
+        }
+        want.truncate(n);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.as_slice()), bits(&want), "n = {n}");
+    }
+}
+
 /// [`ulp_distance`] on the `f64` lattice.
 fn ulp_distance_f64(a: f64, b: f64) -> u64 {
     fn lattice(x: f64) -> i128 {
@@ -251,6 +351,7 @@ fn scalar_reference(op: UnaryOp, x: f32) -> f32 {
         UnaryOp::Tanh => simd::tanh(x),
         UnaryOp::Sigmoid => simd::sigmoid(x),
         UnaryOp::Exp => simd::exp(x),
+        UnaryOp::Ln => simd::ln(x),
         UnaryOp::Relu => x.max(0.0),
         UnaryOp::LeakyRelu(alpha) => {
             if x >= 0.0 {
@@ -278,10 +379,11 @@ fn scalar_reference(op: UnaryOp, x: f32) -> f32 {
 }
 
 /// Every unary op with a lane kernel.
-const LANE_OPS: [UnaryOp; 7] = [
+const LANE_OPS: [UnaryOp; 8] = [
     UnaryOp::Tanh,
     UnaryOp::Sigmoid,
     UnaryOp::Exp,
+    UnaryOp::Ln,
     UnaryOp::Relu,
     UnaryOp::LeakyRelu(0.2),
     UnaryOp::ReluMask,

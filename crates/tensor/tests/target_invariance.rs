@@ -15,7 +15,10 @@
 //! before the build level moved, the `f64` lanes' of the commit that added
 //! them, and those of the products (`matmul`, `affine_act` and the critic
 //! step) of the commit that fused the matmul's terms, where a hash that
-//! fusing did not move kept its literal.
+//! fusing did not move kept its literal; the degenerate products' and the
+//! stochastic layer's (`ln`, sine and cosine, normal draws, the output
+//! head) are of the commit that gave the products their one-term and
+//! one-column arms and the noise its lane kernels.
 //!
 //! Inputs come from an integer hash through exact float arithmetic only —
 //! no libm call, whose result is the host's, not the build's. NaNs are
@@ -23,7 +26,7 @@
 //! and payload open, and on x86 they follow operand order, which the
 //! compiler may commute.
 
-use gtv_tensor::{simd, FusedAct, Graph, Tensor, UnaryOp};
+use gtv_tensor::{simd, FusedAct, Graph, Layout, Tensor, UnaryOp};
 
 /// FNV-1a over the little-endian bit patterns of `values`, NaNs folded.
 fn fnv(values: &[f32]) -> u64 {
@@ -307,6 +310,86 @@ fn d_step_bits_are_the_baseline_builds() {
         0x1790_91b0_2a8d_49f3,
         0xa0f7_2fb7_26e8_a226,
         0x4d25_767f_9dce_13f5,
+    ];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
+/// The stored transpose of `t`.
+fn transposed(t: &Tensor) -> Tensor {
+    Tensor::from_fn(t.cols(), t.rows(), |r, c| t.at(c, r))
+}
+
+#[test]
+fn degenerate_product_bits_are_the_baseline_builds() {
+    // One contraction term (an outer product, in each layout, with −0, ±∞
+    // and NaN among the operands) and a transposed LHS into one column,
+    // 16-row groups and a short one.
+    let col = non_finite_rhs(500, 37, 1);
+    let row = non_finite_rhs(501, 1, 45);
+    let a = dense(502, 300, 35);
+    let g = dense(503, 300, 1);
+    let got = [
+        fnv(col.matmul(&row).as_slice()),
+        fnv(col.matmul_layout(&transposed(&row), Layout::TransB).as_slice()),
+        fnv(transposed(&col).matmul_layout(&row, Layout::TransA).as_slice()),
+        fnv(a.matmul_layout(&g, Layout::TransA).as_slice()),
+    ];
+    let outer = 0xf141_a9e5_76ad_066e;
+    let want = [outer, outer, outer, 0x103f_b3a2_ae9c_13c2];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
+#[test]
+fn stochastic_layer_bits_are_the_baseline_builds() {
+    use gtv_tensor::{HeadSpan, SpanAct};
+    use rand::SeedableRng;
+    // ln: every 997th positive finite bit pattern from the smallest
+    // subnormal up, then the edges.
+    let mut xs: Vec<f32> = (1..0x7f80_0000u32).step_by(997).map(f32::from_bits).collect();
+    xs.extend_from_slice(&EDGES);
+    let ln = Tensor::from_vec(1, xs.len(), xs).apply(UnaryOp::Ln);
+    // sine and cosine over Box–Muller's [0, 2π], 4 Ki + 1 points.
+    let angles: Vec<f32> =
+        (0..=4_096).map(|i| i as f32 / 4_096.0 * (2.0 * std::f32::consts::PI)).collect();
+    let sin_cos: Vec<f32> = angles
+        .iter()
+        .flat_map(|&t| {
+            let (s, c) = simd::sin_cos(t);
+            [s, c]
+        })
+        .collect();
+    // Normal draws: 16-pair lane groups and a ragged odd end.
+    #[expect(clippy::disallowed_methods, reason = "a literal test seed")]
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let normal = Tensor::randn(37, 29, &mut rng);
+    // An output head, forward and backward: an α, a width-1 indicator, a
+    // ten-mode indicator and a category, uniforms at the clamp.
+    let spans = [
+        (0, 1, SpanAct::Tanh),
+        (1, 1, SpanAct::GumbelSoftmax),
+        (2, 10, SpanAct::GumbelSoftmax),
+        (12, 5, SpanAct::GumbelSoftmax),
+    ]
+    .map(|(start, width, act)| HeadSpan { start, width, act });
+    let graph = Graph::new();
+    let x = graph.leaf(dense(504, 23, 17).mul_scalar(4.0));
+    let u = Tensor::from_fn(23, 16, |r, c| (value(505, r * 16 + c) * 0.5 + 0.5).max(f32::EPSILON));
+    let y = graph.span_act(x, &spans, 0.2, u);
+    let w = graph.leaf(dense(506, 23, 17));
+    let dx = graph.grad(graph.sum_all(graph.mul(y, w)), &[x])[0];
+    let got = [
+        fnv(ln.as_slice()),
+        fnv(&sin_cos),
+        fnv(normal.as_slice()),
+        graph.with_value(y, |t| fnv(t.as_slice())),
+        graph.with_value(dx, |t| fnv(t.as_slice())),
+    ];
+    let want = [
+        0x11e2_1e00_78cc_f82cu64,
+        0x7744_f640_2f12_3c68,
+        0x139b_0094_32cd_36c6,
+        0x0bb7_5905_d141_3207,
+        0x5566_6aba_49cd_fee8,
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }

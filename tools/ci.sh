@@ -129,20 +129,27 @@ step "bit pins at baseline x86-64 (two-level check)"
 # build (the f32 kernels, the f64 exp and moment lanes, and the mixtures
 # `Gmm1d::fit` reaches through them), the ULP sweeps and scalar-tail
 # identities, matmul ≡ naive triple loop of fused multiply-adds, each fused
-# graph op (affine + activation, row norm, batch-norm tail) ≡ the chain
-# of primitives it replaces, forward and backward, the
+# graph op (affine + activation, row norm, batch-norm tail, output head) ≡
+# the chain of primitives it replaces, the stochastic layer's lanes (`ln`,
+# sine and cosine, normal draws, Gumbel noise under both uniform sources,
+# dropout masks: `gtv-nn`'s noise pins and distributions), the
 # trained-weights fingerprints (one party thread and five), the published
-# and the served tables' hashes — must pass in a baseline build of the same
+# and the served tables' hashes, and the served rows' independence of
+# coalescing and thread count — must pass in a baseline build of the same
 # tree, where every matmul term is a libm `fmaf` call. A target directory
 # of its own, so neither build evicts the other's artifacts.
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-tensor --test target_invariance --test simd_math --test prop --test fused_ops
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
+    -p gtv-nn --test noise
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-encoders --test target_invariance
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv --test step_work --test pipeline_equivalence
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
     -p gtv-suite --test generation_path --test party_threads
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --target-dir target/baseline \
+    -p gtv-serve --test bit_identity
 
 step "kernel allocations (tools/kernel_allocs)"
 # Once warm, a kernel call takes every buffer the recycling pool would

@@ -1,5 +1,6 @@
-//! Once warm, the tensor kernels take every buffer the recycling pool would
-//! recycle from the pool (DESIGN.md §9).
+//! Once warm, the tensor kernels — and the noise a generator step draws —
+//! take every buffer the recycling pool would recycle from the pool
+//! (DESIGN.md §9).
 //!
 //! A counting global allocator wraps the system one and records, on the
 //! calling thread only, every allocation (or growing reallocation) of at
@@ -14,7 +15,11 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
-use gtv_tensor::{pool, BnStats, BnTail, FusedAct, Graph, Layout, Tensor, UnaryOp, Var};
+use gtv_nn::{head_activations, Ctx, Dropout};
+use gtv_tensor::{
+    pool, BnStats, BnTail, FusedAct, Graph, HeadSpan, Layout, SpanAct, Tensor, UnaryOp, Var,
+};
+use rand::SeedableRng;
 
 /// `pool_mem`'s recycling floor, in bytes.
 const FLOOR: usize = 256;
@@ -113,6 +118,28 @@ impl Report {
         g.reset();
         let vars = bind(&g);
         let (_, count, largest) = counted(|| op(&g, &vars));
+        g.reset();
+        self.record(name, count, largest);
+    }
+
+    /// `op` with a step context over one graph that holds `input` as a
+    /// leaf: the context is built before counting (its row seeds are a
+    /// request's, not a kernel's), then a warm-up pass, `Graph::reset`, and
+    /// a counted pass on a freshly bound leaf.
+    fn check_ctx(
+        &mut self,
+        name: &str,
+        input: &Tensor,
+        ctx: impl for<'g> Fn(&'g Graph) -> Ctx<'g>,
+        op: impl Fn(&Ctx<'_>, Var) -> Var,
+    ) {
+        pool::set_threads(1);
+        let g = Graph::new();
+        let ctx = ctx(&g);
+        op(&ctx, g.leaf(input.clone()));
+        g.reset();
+        let x = g.leaf(input.clone());
+        let (_, count, largest) = counted(|| op(&ctx, x));
         g.reset();
         self.record(name, count, largest);
     }
@@ -290,5 +317,66 @@ fn a_graph_rebuilt_after_a_reset_reuses_its_arena() {
     assert_eq!(g.reset(), 200);
     let mut report = Report::default();
     report.record("200 nodes rebuilt after a reset", count, largest);
+    report.assert_clean();
+}
+
+/// A paper-scale generator head, `WIDTH` columns: the `α` of eight
+/// mixed columns and their ten-mode indicators, then categories of 3 to 17
+/// levels, tiling the width in order.
+fn head_spans() -> Vec<HeadSpan> {
+    let mut parts: Vec<(usize, SpanAct)> =
+        (0..8).flat_map(|_| [(1, SpanAct::Tanh), (10, SpanAct::GumbelSoftmax)]).collect();
+    let mut used = 88;
+    for level in (3..=17).cycle() {
+        let width = level.min(WIDTH - used);
+        parts.push((width, SpanAct::GumbelSoftmax));
+        used += width;
+        if used == WIDTH {
+            break;
+        }
+    }
+    let mut start = 0;
+    parts
+        .into_iter()
+        .map(|(width, act)| {
+            start += width;
+            HeadSpan { start: start - width, width, act }
+        })
+        .collect()
+}
+
+#[test]
+fn the_stochastic_layer_takes_its_buffers_from_the_pool() {
+    let mut report = Report::default();
+    let logits = dense(BATCH, WIDTH);
+    let spans = head_spans();
+    report.check_ctx(
+        "output head, training, forward and backward",
+        &logits,
+        |g| Ctx::train(g, 7),
+        |ctx, x| {
+            let g = ctx.graph();
+            let y = head_activations(ctx, x, &spans, 0.2);
+            g.grad(g.sum_all(g.mul(y, y)), &[x])[0]
+        },
+    );
+    let row_seeds: Vec<u64> = (0..BATCH as u64).map(|r| r * 0x9e37_79b9).collect();
+    report.check_ctx(
+        "output head, per-row substreams, forward",
+        &logits,
+        |g| Ctx::eval_rows(g, row_seeds.clone()),
+        |ctx, x| head_activations(ctx, x, &spans, 0.2),
+    );
+    for p in [0.5, 0.3] {
+        report.check_ctx(
+            &format!("dropout mask, p = {p}"),
+            &logits,
+            |g| Ctx::train(g, 11),
+            |ctx, x| Dropout::new(p).forward(ctx, x),
+        );
+    }
+    #[expect(clippy::disallowed_methods, reason = "a literal test seed")]
+    let rng = std::cell::RefCell::new(rand::rngs::StdRng::seed_from_u64(5));
+    report.check("normal draws", || Tensor::randn(BATCH, WIDTH, &mut *rng.borrow_mut()));
     report.assert_clean();
 }
