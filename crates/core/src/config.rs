@@ -133,14 +133,17 @@ pub struct GtvConfig {
     /// message sizes are no longer the faithful ones. Enable for
     /// communication measurements.
     pub faithful_real_path: bool,
-    /// Worker threads for the tensor hot loops. `0` (the default) resolves
-    /// from the `GTV_THREADS` environment variable, falling back to the
-    /// host's available parallelism. Results are bit-identical for every
-    /// setting — the pool's chunking depends only on problem size (see
-    /// DESIGN.md §8) — so this is purely a throughput knob. It sizes the
-    /// kernel pool only: each party's table-sized work (its encoder fit,
-    /// its whole-table upload) runs on a thread of its own whatever it
-    /// says.
+    /// Worker threads for the two tensor kernels that fan out: a matmul of
+    /// at least 4 Mi multiply-adds, and a sum, sum of squares or column sum
+    /// over at least 4 Mi elements. Every other op, and the transport's
+    /// message encoding, runs on the calling thread whatever it says. `0`
+    /// (the default) resolves from the `GTV_THREADS` environment variable,
+    /// falling back to the host's available parallelism. Results are
+    /// bit-identical for every setting — the pool's chunking depends only
+    /// on problem size (see DESIGN.md §8) — so this is purely a throughput
+    /// knob. It sizes the kernel pool only: each party's table-sized work
+    /// (its encoder fit, its whole-table upload) runs on a thread of its
+    /// own whatever it says.
     pub threads: usize,
 }
 

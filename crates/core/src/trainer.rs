@@ -387,8 +387,8 @@ impl<T: Transport> GtvTrainer<T> {
 
     /// One server→clients fan-out phase (DESIGN.md §10): every message is
     /// sent first ([`Transport::send_all`]; [`Network`] encodes the payloads
-    /// concurrently on the tensor worker pool, then delivers them to local
-    /// channels or remote nodes alike), then every recipient pops its
+    /// on the calling thread, then delivers them to local channels or
+    /// remote nodes alike), then every recipient pops its
     /// delivery ([`Transport::recv_each`]; [`Network`] has the remote pops in
     /// flight together) and its payload goes back to the tensor pool.
     /// Takes the network rather than `self`, so a caller can keep borrowing

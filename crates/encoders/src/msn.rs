@@ -27,11 +27,6 @@ impl ModeSpecificNormalizer {
         Self { gmm: Gmm1d::fit(data, max_modes, seed) }
     }
 
-    /// The fitted mixture.
-    pub fn gmm(&self) -> &Gmm1d {
-        &self.gmm
-    }
-
     /// Encoded width: `1 + n_modes`.
     pub fn width(&self) -> usize {
         1 + self.gmm.n_components()
@@ -121,11 +116,6 @@ impl MixedEncoder {
     /// Encoded width: `1 + n_specials + n_modes`.
     pub fn width(&self) -> usize {
         self.specials.len() + self.msn.width()
-    }
-
-    /// Number of one-hot slots (specials + modes).
-    pub fn indicator_width(&self) -> usize {
-        self.width() - 1
     }
 
     /// Encodes `x` into `out = [α, specials…, modes…]`.

@@ -1,7 +1,6 @@
 //! Whole-table feature engineering: fits one encoder per column and maps a
 //! [`Table`] to/from the dense matrix a tabular GAN trains on.
 
-use crate::gmm::Gmm1d;
 use crate::msn::{MixedEncoder, ModeSpecificNormalizer};
 use crate::onehot::OneHotEncoder;
 use gtv_data::{ColumnData, ColumnKind, Schema, Table};
@@ -190,14 +189,6 @@ impl TableTransformer {
     /// Conditional-vector info for every categorical column.
     pub fn categorical_info(&self) -> &[CategoricalInfo] {
         &self.categorical
-    }
-
-    /// The GMM fitted for a continuous column, if that column is continuous.
-    pub fn gmm_for(&self, column: usize) -> Option<&Gmm1d> {
-        match &self.encoders[column] {
-            ColumnEncoder::Msn(m) => Some(m.gmm()),
-            _ => None,
-        }
     }
 
     /// Encodes a table (which must match the fitted schema) into the dense

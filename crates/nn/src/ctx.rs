@@ -104,11 +104,6 @@ impl<'g> Ctx<'g> {
         f(&mut self.rng.borrow_mut())
     }
 
-    /// True when this context was built with [`Ctx::eval_rows`].
-    pub fn has_row_noise(&self) -> bool {
-        self.row_noise.is_some()
-    }
-
     /// Standard-uniform draw in `[EPSILON, 1)` for stochastic activations.
     ///
     /// With per-row substreams registered (and a matching row count) the

@@ -8,7 +8,7 @@
 //!   discriminator's [`FnBlock`] (FC → LeakyReLU → Dropout);
 //! * [`head_activations`], a tabular generator's output head (tanh and
 //!   Gumbel-softmax spans) as one graph node;
-//! * [`Adam`] (CTGAN defaults) and [`Sgd`] optimizers;
+//! * the [`Adam`] optimizer (CTGAN defaults);
 //! * the [`Param`] / [`ParamBinder`] machinery that binds persistent
 //!   parameters into per-step autograd graphs.
 //!
@@ -43,6 +43,6 @@ pub use blocks::{FnBlock, ResidualBlock};
 pub use ctx::{row_seed, Ctx};
 pub use init::Init;
 pub use layers::{BatchNorm1d, Dropout, Linear};
-pub use optim::{Adam, AdamConfig, Sgd};
+pub use optim::{Adam, AdamConfig};
 pub use param::{Module, Param, ParamBinder};
 pub use state::{LoadStateError, StateDict, Stateful};

@@ -1,4 +1,4 @@
-//! Optimizers: Adam (CTGAN defaults) and plain SGD.
+//! The Adam optimizer (CTGAN defaults).
 
 use crate::param::Param;
 use gtv_tensor::Tensor;
@@ -126,44 +126,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent (used by the evaluation classifiers).
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Param>,
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    pub fn new(params: Vec<Param>, lr: f32) -> Self {
-        Self { params, lr }
-    }
-
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate (for simple schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies `p ← p − lr·∇p` for every parameter.
-    pub fn step(&mut self) {
-        for p in &self.params {
-            p.set_value(p.value().sub(&p.grad().mul_scalar(self.lr)));
-        }
-    }
-
-    /// Zeroes all gradient buffers.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,18 +147,6 @@ mod tests {
             opt.step();
         }
         assert!((p.value().item() - 3.0).abs() < 0.05, "got {}", p.value().item());
-    }
-
-    #[test]
-    fn sgd_descends() {
-        let p = Param::new("w", Tensor::scalar(10.0));
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        for _ in 0..100 {
-            opt.zero_grad();
-            p.accumulate_grad(&Tensor::scalar(2.0 * p.value().item())); // d/dw w²
-            opt.step();
-        }
-        assert!(p.value().item().abs() < 1e-3);
     }
 
     /// `Adam::step` as it was before it updated under one write guard:

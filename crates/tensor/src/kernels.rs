@@ -11,9 +11,13 @@
 //!   multiply-adds in ascending contraction index — the naive triple loop's
 //!   bits — so its tiling, blocking and data-dependent kernel selection
 //!   (register-tiled vs. zero-skipping rows) are all unobservable;
-//! * inline-vs-pool dispatch keys on the problem size alone, against the
-//!   thresholds in [`crate::dispatch`], and both sides run the *same*
-//!   chunked computation.
+//! * only two kinds of work fan out to the pool: the matmul's row blocks
+//!   and the reductions' chunks (`reduce_chunks`). Each does so above its
+//!   threshold in [`crate::dispatch`], which keys on the problem size
+//!   alone, and both sides run the *same* chunked computation. Elementwise
+//!   maps and the per-row passes always run inline (DESIGN.md §8: at two
+//!   workers the maps lost to their inline path at every size measured,
+//!   and no caller row-reduces enough rows to reach a threshold).
 //!
 //! Together these make results bit-identical for any `GTV_THREADS` value.
 //!
@@ -46,11 +50,8 @@ const AXPY_MIN_ZEROS: (usize, usize) = (3, 4);
 /// Rows of a transposed LHS whose zeros [`matmul`] counts in one pass over
 /// `a`, so the counters fit on the stack.
 const ZERO_COUNT_STRIP: usize = 256;
-/// Elements per elementwise chunk (a multiple of [`simd::LANES`], so chunk
-/// cuts land on lane-group boundaries).
-const ELEM_BLOCK: usize = 8_192;
-/// Elements per reduction leaf; also the row-block budget for row/column
-/// sums (`rows_per_chunk = REDUCE_BLOCK / cols`). A multiple of
+/// Elements per reduction leaf; also the row-block budget for column sums
+/// (`rows_per_chunk = REDUCE_BLOCK / cols`). A multiple of
 /// [`simd::LANES`].
 const REDUCE_BLOCK: usize = 4_096;
 
@@ -198,31 +199,11 @@ impl BinaryOp {
     }
 }
 
-/// An elementwise map over `len` elements, where `fill(lo, hi, out)`
-/// appends outputs `lo..hi`. Sub-threshold maps run inline in one pass (the
-/// parallel path's thread spawn and stitch cost more than small ops
-/// themselves); larger ones are cut into `ELEM_BLOCK`-element chunks over
-/// the pool. Each element's value never depends on its chunk, so any
-/// execution order is bitwise identical.
-fn map_elems(len: usize, fill: impl Fn(usize, usize, &mut Vec<f32>) + Sync) -> Vec<f32> {
-    if pool::threads() == 1 || len < dispatch::elem_par_min() {
-        let mut out = pool_mem::take(len);
-        fill(0, len, &mut out);
-        return out;
-    }
-    let chunks = pool::run_ordered(len.div_ceil(ELEM_BLOCK), |i| {
-        let lo = i * ELEM_BLOCK;
-        let hi = (lo + ELEM_BLOCK).min(len);
-        let mut out = pool_mem::take(hi - lo);
-        fill(lo, hi, &mut out);
-        out
-    });
-    stitch(chunks, len)
-}
-
-/// Elementwise unary map ([`map_elems`]).
+/// Elementwise unary map, in one pass into pooled storage.
 pub(crate) fn unary(data: &[f32], op: UnaryOp) -> Vec<f32> {
-    map_elems(data.len(), |lo, hi, out| op.apply_slice(&data[lo..hi], out))
+    let mut out = pool_mem::take(data.len());
+    op.apply_slice(data, &mut out);
+    out
 }
 
 /// Appends `f(a[i], b[i])` for equal-length slices: one IEEE operation per
@@ -245,10 +226,12 @@ fn zip_op(a: &[f32], b: &[f32], out: &mut Vec<f32>, op: BinaryOp) {
     }
 }
 
-/// Elementwise binary map over equal-length buffers ([`map_elems`]).
+/// Elementwise binary map over equal-length buffers, in one pass into
+/// pooled storage.
 pub(crate) fn binary(a: &[f32], b: &[f32], op: BinaryOp) -> Vec<f32> {
-    debug_assert_eq!(a.len(), b.len());
-    map_elems(a.len(), |lo, hi, out| zip_op(&a[lo..hi], &b[lo..hi], out, op))
+    let mut out = pool_mem::take(a.len());
+    zip_op(a, b, &mut out, op);
+    out
 }
 
 /// How the narrower operand of a broadcasting binary op lines up against
@@ -323,8 +306,8 @@ pub(crate) fn binary_broadcast(
     out
 }
 
-/// Concatenates chunk outputs in index order; each drained chunk buffer is
-/// parked back in the recycling pool.
+/// Concatenates the matmul's row-block outputs in index order; each
+/// drained block buffer is parked back in the recycling pool.
 fn stitch(chunks: Vec<Vec<f32>>, len: usize) -> Vec<f32> {
     let mut out = pool_mem::take(len);
     for chunk in chunks {
@@ -416,8 +399,8 @@ pub(crate) fn sum_squares(data: &[f32]) -> f32 {
     reduce(data, leaf_sum_squares)
 }
 
-/// Row blocks used by the row/column-sum reductions: enough rows per chunk
-/// to cover roughly `REDUCE_BLOCK` elements.
+/// Row blocks used by the column-sum reductions: enough rows per chunk to
+/// cover roughly `REDUCE_BLOCK` elements.
 fn rows_per_chunk(cols: usize) -> usize {
     (REDUCE_BLOCK / cols.max(1)).max(1)
 }
@@ -485,59 +468,23 @@ fn adjoint_col_sums(
 }
 
 /// Rows `0..rows` of a row-major `rows×cols` output, each appended by
-/// `fill_row(r, out)`. A row's values never depend on which rows share its
-/// chunk, so below [`dispatch::elem_par_min`] one pass fills the output,
-/// and above it blocks of about `ELEM_BLOCK` elements run on the pool.
-fn map_row_blocks(
-    rows: usize,
-    cols: usize,
-    fill_row: impl Fn(usize, &mut Vec<f32>) + Sync,
-) -> Vec<f32> {
-    let len = rows * cols;
-    if pool::threads() == 1 || len < dispatch::elem_par_min() {
-        let mut out = pool_mem::take(len);
-        (0..rows).for_each(|r| fill_row(r, &mut out));
-        return out;
-    }
-    let block = (ELEM_BLOCK / cols.max(1)).max(1);
-    let chunks = pool::run_ordered(rows.div_ceil(block), |i| {
-        let (lo, hi) = (i * block, ((i + 1) * block).min(rows));
-        let mut out = pool_mem::take((hi - lo) * cols);
-        (lo..hi).for_each(|r| fill_row(r, &mut out));
-        out
-    });
-    stitch(chunks, len)
+/// `fill_row(r, out)`, in one pass into pooled storage.
+fn fill_rows(rows: usize, cols: usize, fill_row: impl Fn(usize, &mut Vec<f32>)) -> Vec<f32> {
+    let mut out = pool_mem::take(rows * cols);
+    (0..rows).for_each(|r| fill_row(r, &mut out));
+    out
 }
 
 /// `per_row(row)` for every row of a row-major `rows×cols` buffer
-/// (`cols > 0`). A row's value never depends on which rows share its
-/// chunk, so below [`dispatch::reduce_par_min`] one pass fills the output,
-/// and above it the row blocks of [`rows_per_chunk`] run on the pool.
-fn map_rows(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    per_row: impl Fn(&[f32]) -> f32 + Sync,
-) -> Vec<f32> {
-    if pool::threads() == 1 || data.len() < dispatch::reduce_par_min() {
-        let mut out = pool_mem::take(rows);
-        out.extend(data.chunks_exact(cols).map(&per_row));
-        return out;
-    }
-    let block = rows_per_chunk(cols);
-    let chunks = pool::run_ordered(rows.div_ceil(block), |i| {
-        let lo = i * block;
-        let hi = ((i + 1) * block).min(rows);
-        let mut out = pool_mem::take(hi - lo);
-        out.extend(data[lo * cols..hi * cols].chunks_exact(cols).map(&per_row));
-        out
-    });
-    stitch(chunks, rows)
+/// (`cols > 0`), in one pass into pooled storage.
+fn map_rows(data: &[f32], rows: usize, cols: usize, per_row: impl Fn(&[f32]) -> f32) -> Vec<f32> {
+    let mut out = pool_mem::take(rows);
+    out.extend(data.chunks_exact(cols).map(per_row));
+    out
 }
 
 /// Row sums of a row-major `rows×cols` buffer → `rows` values. Each row is
-/// summed sequentially (rows are short on the training path); row blocks
-/// run on the pool when the buffer is large.
+/// summed sequentially (rows are short on the training path).
 pub(crate) fn row_sums(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     if rows == 0 || cols == 0 {
         return pool_mem::take_zeroed(rows);
@@ -810,8 +757,7 @@ fn bias_act_rows(
 /// bit: the unfused row sum runs [`leaf_sum`] sequentially over a whole
 /// row of stored `v·v` products (rows are never split across chunks), and
 /// [`leaf_sum_squares`] performs that identical left-to-right fold on the
-/// fly. Row blocks run on the worker pool for large buffers with the same
-/// chunking as [`row_sums`].
+/// fly.
 pub(crate) fn row_norm_eps(data: &[f32], rows: usize, cols: usize, eps: f32) -> Vec<f32> {
     if rows == 0 || cols == 0 {
         // Empty rows sum to 0, so every norm is √eps — same as unfused.
@@ -1067,7 +1013,7 @@ fn bn_tail_with(
     let d = t.denominators();
     let (gamma, beta) = (&t.gamma[..cols], &t.beta[..cols]);
     let skip_cols = skip.map_or(0, |(_, w)| w);
-    let out = map_row_blocks(t.rows, cols + skip_cols, |r, out| {
+    let out = fill_rows(t.rows, cols + skip_cols, |r, out| {
         let start = out.len();
         t.extend_centred(r, out);
         let row = &mut out[start..];
@@ -1148,8 +1094,8 @@ fn bn_tail_backward_with(
     let (d, gamma, beta) = (&dens[..cols], &t.gamma[..cols], &t.beta[..cols]);
     // The centred and the normalised values, stored once: every pass below
     // reads them, and a division costs more than a load.
-    let centred = map_row_blocks(rows, cols, |r, out| t.extend_centred(r, out));
-    let normalised = map_row_blocks(rows, cols, |r, out| {
+    let centred = fill_rows(rows, cols, |r, out| t.extend_centred(r, out));
+    let normalised = fill_rows(rows, cols, |r, out| {
         out.extend(centred[r * cols..][..cols].iter().zip(d).map(|(&c, &d)| c / d));
     });
     // Row `r`'s columns.
@@ -1186,13 +1132,13 @@ fn bn_tail_backward_with(
     gamma_grad.extend_from_slice(&sums[cols..2 * cols]);
     let input = (want_input || want_bias).then(|| {
         if !batch {
-            return map_row_blocks(rows, cols, |r, out| {
+            return fill_rows(rows, cols, |r, out| {
                 out.extend(columns(r).map(|col| at(col).1 / col.d));
             });
         }
         let mut q = pool_mem::take(cols);
         q.extend(sums[2 * cols..].iter().zip(d).map(|(&g_d, &d)| ((g_d * 0.5) / d) * inv_n));
-        let mut dx = map_row_blocks(rows, cols, |r, out| {
+        let mut dx = fill_rows(rows, cols, |r, out| {
             out.extend(
                 columns(r).zip(&q).map(|(col, &q)| ((at(col).1 / col.d) + q * col.c) + q * col.c),
             );

@@ -15,15 +15,16 @@
 //!   is what makes the WGAN-GP gradient penalty (a second-order construct)
 //!   expressible without any special casing.
 //!
-//! Hot loops (matmul, elementwise kernels, reductions) fan out over scoped
-//! threads that borrow their inputs ([`pool`]): chunk boundaries depend only
-//! on problem size, so results are **bit-identical** for any `GTV_THREADS`
-//! setting — see DESIGN.md §8 for the full contract. The inner loops are
-//! portable 8-lane SIMD micro-kernels ([`simd`] — vectorized tanh /
-//! sigmoid / exp with documented ULP bounds and bit-identical scalar
-//! tails), and whether an op fans out to the pool at all is a pure
-//! function of problem size ([`dispatch`]), so small ops stay inline on
-//! the calling thread.
+//! Two hot loops, matmul and the reductions, fan out over scoped threads
+//! that borrow their inputs ([`pool`]); elementwise and per-row kernels run
+//! inline. Chunk boundaries depend only on problem size, so results are
+//! **bit-identical** for any `GTV_THREADS` setting — see DESIGN.md §8 for
+//! the full contract. The inner loops are portable 8-lane SIMD
+//! micro-kernels ([`simd`] — vectorized tanh / sigmoid / exp with
+//! documented ULP bounds and bit-identical scalar tails), and whether a
+//! matmul or reduction fans out to the pool at all is a pure function of
+//! problem size ([`dispatch`]), so small ones stay inline on the calling
+//! thread.
 //!
 //! Tensor storage comes from a shape-keyed recycling pool ([`pool_mem`]):
 //! [`Graph::reset`] returns a finished step's node storage for reuse by the

@@ -1,7 +1,12 @@
-//! Deterministic fan-out for the tensor hot loops and for the parties.
+//! Deterministic fan-out for two tensor kernels and for the parties.
 //!
-//! [`run_ordered`] and [`run_per_party`] are the only sanctioned sources of
-//! parallelism on the training path: the root `clippy.toml` disallows
+//! `run_ordered` and [`run_per_party`] are the only sanctioned sources of
+//! parallelism on the training path. `run_ordered` is crate-private and has
+//! two callers, the two fan-outs measured to beat their inline path at two
+//! workers (DESIGN.md §8): the matmul's row blocks and the reductions'
+//! chunks (sum, sum of squares, column sums). Elementwise and per-row maps,
+//! and the transport's message encoding, run inline on the calling thread.
+//! The root `clippy.toml` disallows
 //! `std::thread::spawn`, `std::thread::Builder::spawn` and
 //! `std::thread::Scope::spawn`, and the scoped spawn below, which both
 //! share, is the one library site on the training path that carries an
@@ -10,7 +15,7 @@
 //! borrow the caller's data and are joined before it returns; no thread
 //! outlives a call. The contract, documented in DESIGN.md §8:
 //!
-//! * **Fixed partitioning** — [`run_ordered`]'s chunk boundaries are a
+//! * **Fixed partitioning** — `run_ordered`'s chunk boundaries are a
 //!   function of problem size only, never of the worker count.
 //!   `set_threads` changes how many chunks run concurrently, not what any
 //!   chunk computes. [`run_per_party`]'s unit is a party, which owns its
@@ -89,15 +94,18 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Runs `task(i)` for every `i in 0..n` and returns the results **in index
 /// order**, independent of worker count and completion order. The caller
 /// decides the chunking; this function only decides *where* each chunk
-/// runs. The tensor kernels and the VFL transport's parallel message
-/// encoding both go through it.
+/// runs. Its two callers are `kernels::matmul` (row blocks) and
+/// `kernels::reduce_chunks` (the reductions' leaves and column-sum
+/// blocks), which ran faster at two workers than inline at paper-scale
+/// sizes, where elementwise maps and message encoding ran slower
+/// (DESIGN.md §8).
 ///
 /// The chunks are split into [`threads`] contiguous runs; the calling
 /// thread computes the first and scoped threads the rest, borrowing
 /// whatever `task` borrows. With one worker (or one chunk) everything runs
 /// inline in index order — same arithmetic, same results. A panic inside a
 /// chunk reaches the caller with its own payload.
-pub fn run_ordered<R, F>(n: usize, task: F) -> Vec<R>
+pub(crate) fn run_ordered<R, F>(n: usize, task: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,

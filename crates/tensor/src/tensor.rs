@@ -265,26 +265,25 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Applies `f` elementwise, returning a new tensor. Always runs on the
-    /// calling thread; hot paths use [`Tensor::apply`] with a named kernel
-    /// instead.
+    /// Applies `f` elementwise, returning a new tensor. Hot paths use
+    /// [`Tensor::apply`] with a named kernel instead.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         let mut data = pool_mem::take(self.data.len());
         data.extend(self.data.iter().map(|&v| f(v)));
         Self::from_vec(self.rows, self.cols, data)
     }
 
-    /// Applies a named unary kernel elementwise, chunked over the worker
-    /// pool for large tensors (bit-identical at any thread count).
+    /// Applies a named unary kernel elementwise, in one pass on the calling
+    /// thread (its SIMD lane kernel where it has one).
     pub fn apply(&self, op: UnaryOp) -> Self {
         Self::from_vec(self.rows, self.cols, kernels::unary(&self.data, op))
     }
 
     /// Broadcasting combine with a named binary kernel. The same-shape fast
-    /// path is chunked over the worker pool for large tensors; a matrix
-    /// against a row or column vector (a bias add, a batch-norm `x − mean`)
-    /// runs row by row through the same lane kernels. Every path yields the
-    /// bits of the generic [`Tensor::zip`] loop.
+    /// path is one pass on the calling thread; a matrix against a row or
+    /// column vector (a bias add, a batch-norm `x − mean`) runs row by row
+    /// through the same lane kernels. Every path yields the bits of the
+    /// generic [`Tensor::zip`] loop.
     ///
     /// # Panics
     ///
@@ -306,13 +305,6 @@ impl Tensor {
         };
         let data = kernels::binary_broadcast(&full.data, &vec.data, cols, along, vec_first, op);
         Self::from_vec(rows, cols, data)
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     fn broadcast_index(&self, r: usize, c: usize) -> f32 {

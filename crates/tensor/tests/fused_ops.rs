@@ -20,7 +20,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// restored, since the override is process-global and tests run
 /// concurrently.
 fn force_pool_dispatch() {
-    dispatch::set_par_mins(1_024, 1_024, 8_192);
+    dispatch::set_par_mins(1_024, 8_192);
 }
 
 const ACTS: [FusedAct; 4] =

@@ -7,7 +7,7 @@ use gtv_tensor::{dispatch, pool, pool_mem, Tensor};
 
 #[test]
 fn a_repeated_parallel_matmul_takes_every_buffer_from_the_pool() {
-    dispatch::set_par_mins(1_024, 1_024, 8_192);
+    dispatch::set_par_mins(1_024, 8_192);
     pool::set_threads(2);
     // Three row blocks of dense rows, more than one panel wide: the RHS is
     // packed, and the blocks are split between two workers.

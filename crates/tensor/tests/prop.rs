@@ -147,7 +147,7 @@ fn check_product(n: usize, k: usize, m: usize, seed: u64, non_finite: bool) {
     // Lowered so these shapes cross the pool; left lowered, as in
     // `parallel_determinism` (the override is process-global and the
     // other properties here do not care where their chunks run).
-    dispatch::set_par_mins(1_024, 1_024, 2_048);
+    dispatch::set_par_mins(1_024, 2_048);
     for (layout, lhs, rhs) in
         [(Layout::Plain, &a, &b), (Layout::TransB, &a, &bt), (Layout::TransA, &at, &b)]
     {

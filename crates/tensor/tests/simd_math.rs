@@ -418,7 +418,7 @@ proptest! {
     fn simd_unary_kernels_match_scalar_reference_bit_for_bit(
         data in proptest::collection::vec(-30.0f32..30.0, 7 * 101)
     ) {
-        dispatch::set_par_mins(1_024, 1_024, 8_192);
+        dispatch::set_par_mins(1_024, 8_192);
         let t = Tensor::from_vec(7, 101, data.clone());
         for op in LANE_OPS {
             let want: Vec<u32> =
@@ -443,7 +443,7 @@ proptest! {
     fn simd_reductions_are_thread_invariant(
         data in proptest::collection::vec(-10.0f32..10.0, 5 * 103)
     ) {
-        dispatch::set_par_mins(1_024, 1_024, 8_192);
+        dispatch::set_par_mins(1_024, 8_192);
         let t = Tensor::from_vec(5, 103, data.clone());
         let mut reference: Option<(u32, u32)> = None;
         for &threads in &THREAD_COUNTS {

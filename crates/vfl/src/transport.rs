@@ -886,20 +886,20 @@ impl Transport for Network {
         self.deliver(from, to, fault, encoded)
     }
 
-    /// Every payload is encoded concurrently through `gtv_tensor::pool`
-    /// (serialization cost is per-byte, and independent per message),
-    /// handed back to the tensor pool, then admitted, metered and delivered
-    /// in input order — so each local delivery's decode can reuse a
-    /// payload's storage. Under [`Network::permute_deliveries`] the
-    /// delivery order is a seeded permutation instead; per-message bytes
-    /// are unchanged.
+    /// Every payload is encoded on the calling thread, in input order, and
+    /// handed back to the tensor pool; then all of them are admitted,
+    /// metered and delivered in input order — so each local delivery's
+    /// decode can reuse a payload's storage. (Encoding on the kernel pool's
+    /// threads ran 2–14× slower than this at two workers: a thread spawn
+    /// costs more than a fan-out's encodes.) Under
+    /// [`Network::permute_deliveries`] the delivery order is a seeded
+    /// permutation instead; per-message bytes are unchanged.
     fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
         msgs.iter().try_for_each(|(from, to, msg)| check_direction(*from, *to, msg))?;
-        let encoded = gtv_tensor::pool::run_ordered(msgs.len(), |i| msgs[i].2.encode());
         let mut fan: Vec<Option<(PartyId, PartyId, Bytes)>> = msgs
             .into_iter()
-            .zip(encoded)
-            .map(|((from, to, msg), bytes)| {
+            .map(|(from, to, msg)| {
+                let bytes = msg.encode();
                 msg.recycle();
                 Some((from, to, bytes))
             })
@@ -1083,31 +1083,44 @@ mod tests {
                 ),
             ]
         };
-        // At two workers half the payloads are encoded off the calling
-        // thread; either way every one comes back to the calling thread's
-        // pool once it is encoded. The worker count is process-wide, but
-        // results do not depend on it, so tests running alongside see the
-        // same bits.
-        let before = gtv_tensor::pool::threads();
-        for threads in [1, 2] {
-            gtv_tensor::pool::set_threads(threads);
-            let seq = Network::new(2);
-            for (f, t, m) in msgs() {
-                seq.send(f, t, m).unwrap();
-            }
-            let all = Network::new(2);
-            let held = gtv_tensor::pool_mem::stats().bytes_held;
-            all.send_all(msgs()).unwrap();
-            assert!(
-                gtv_tensor::pool_mem::stats().bytes_held >= held + 64 * 4,
-                "the encoded payloads must be parked at {threads} threads"
-            );
-            assert_eq!(seq.stats(), all.stats());
-            // FIFO order per inbox is preserved.
-            let (_, a) = all.recv(PartyId::Client(0)).unwrap();
-            assert_eq!(a, Message::GenSlice(MatrixPayload::new(1, 3, vec![0.0, 2.0, 0.0])));
+        let seq = Network::new(2);
+        for (f, t, m) in msgs() {
+            seq.send(f, t, m).unwrap();
         }
-        gtv_tensor::pool::set_threads(before);
+        let all = Network::new(2);
+        let held = gtv_tensor::pool_mem::stats().bytes_held;
+        all.send_all(msgs()).unwrap();
+        assert!(
+            gtv_tensor::pool_mem::stats().bytes_held >= held + 64 * 4,
+            "the encoded payloads must be parked"
+        );
+        assert_eq!(seq.stats(), all.stats());
+        // FIFO order per inbox is preserved.
+        let (_, a) = all.recv(PartyId::Client(0)).unwrap();
+        assert_eq!(a, Message::GenSlice(MatrixPayload::new(1, 3, vec![0.0, 2.0, 0.0])));
+    }
+
+    /// A fan-out's payloads are encoded on the calling thread whatever the
+    /// kernel pool's size: no worker is started for them. The worker count
+    /// is process-wide, but no result depends on it, so tests running
+    /// alongside see the same bits.
+    #[test]
+    fn send_all_encodes_on_the_calling_thread_at_any_worker_count() {
+        let fan: Vec<_> = (0..4)
+            .map(|i| {
+                let payload = MatrixPayload::new(8, 64, vec![0.5 + i as f32; 8 * 64]);
+                (PartyId::Server, PartyId::Client(i % 2), Message::GenSlice(payload))
+            })
+            .collect();
+        let net = Network::new(2);
+        let threads = gtv_tensor::pool::threads();
+        gtv_tensor::pool::set_threads(8);
+        let before = gtv_tensor::pool::dispatch_count();
+        net.send_all(fan).unwrap();
+        let after = gtv_tensor::pool::dispatch_count();
+        gtv_tensor::pool::set_threads(threads);
+        assert_eq!(after, before, "send_all fanned its encodes out to the pool");
+        assert_eq!(net.stats().messages, 4);
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //! `Tensor`/`Graph` API at the shapes of a paper-scale training step (batch
 //! 500, width 256), with one worker so every chunk runs on this thread: a
 //! warm-up call whose output goes back to the pool, then a counted call that
-//! must make no such allocation.
+//! must make no such allocation. One case runs at two workers with the
+//! dispatch thresholds lowered: the kernels that never fan out must still
+//! run on this thread alone.
 #![cfg(test)]
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gtv_nn::{head_activations, Ctx, Dropout};
 use gtv_tensor::{
-    pool, BnStats, BnTail, FusedAct, Graph, HeadSpan, Layout, SpanAct, Tensor, UnaryOp, Var,
+    dispatch, pool, BnStats, BnTail, FusedAct, Graph, HeadSpan, Layout, SpanAct, Tensor, UnaryOp,
+    Var,
 };
 use rand::SeedableRng;
 
@@ -92,14 +96,34 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     (out, count, largest)
 }
 
-/// Collects the cases that allocated, so one run names all of them.
-#[derive(Default)]
-struct Report(Vec<String>);
+/// The worker count and the dispatch thresholds are process-wide and the
+/// tests run on parallel threads, so each holds this while it counts.
+static KNOBS: Mutex<()> = Mutex::new(());
+
+/// Collects the cases that allocated, so one run names all of them, and
+/// holds [`KNOBS`] meanwhile.
+struct Report {
+    found: Vec<String>,
+    _knobs: MutexGuard<'static, ()>,
+}
 
 impl Report {
+    /// A report whose cases run at one worker.
+    fn new() -> Self {
+        Self::at(1)
+    }
+
+    /// A report whose cases run at `threads` workers and the default
+    /// dispatch thresholds.
+    fn at(threads: usize) -> Self {
+        let knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
+        pool::set_threads(threads);
+        dispatch::reset_par_mins();
+        Self { found: Vec::new(), _knobs: knobs }
+    }
+
     /// `case` once to warm the pool, its output given back, then counted.
     fn check(&mut self, name: &str, case: impl Fn() -> Tensor) {
-        pool::set_threads(1);
         case().recycle();
         let (out, count, largest) = counted(&case);
         out.recycle();
@@ -110,7 +134,6 @@ impl Report {
     /// `Graph::reset` (which parks every node's storage), then a counted
     /// call of `op` alone on freshly bound leaves.
     fn check_graph(&mut self, name: &str, inputs: &[&Tensor], op: impl Fn(&Graph, &[Var]) -> Var) {
-        pool::set_threads(1);
         let g = Graph::new();
         let bind = |g: &Graph| inputs.iter().map(|t| g.leaf((*t).clone())).collect::<Vec<_>>();
         let vars = bind(&g);
@@ -133,7 +156,6 @@ impl Report {
         ctx: impl for<'g> Fn(&'g Graph) -> Ctx<'g>,
         op: impl Fn(&Ctx<'_>, Var) -> Var,
     ) {
-        pool::set_threads(1);
         let g = Graph::new();
         let ctx = ctx(&g);
         op(&ctx, g.leaf(input.clone()));
@@ -146,7 +168,7 @@ impl Report {
 
     fn record(&mut self, name: &str, count: usize, largest: usize) {
         if count > 0 {
-            self.0.push(format!(
+            self.found.push(format!(
                 "{name}: {count} allocation(s) of at least {FLOOR} B, the largest {largest} B"
             ));
         }
@@ -154,9 +176,9 @@ impl Report {
 
     fn assert_clean(self) {
         assert!(
-            self.0.is_empty(),
+            self.found.is_empty(),
             "warm kernels allocated outside the pool:\n{}",
-            self.0.join("\n")
+            self.found.join("\n")
         );
     }
 }
@@ -174,7 +196,7 @@ fn one_hot(rows: usize, cols: usize) -> Tensor {
 
 #[test]
 fn matmul_in_every_layout_takes_its_buffers_from_the_pool() {
-    let mut report = Report::default();
+    let mut report = Report::new();
     let w = dense(WIDTH, WIDTH);
     let head = dense(WIDTH, 1);
     let dy = dense(BATCH, WIDTH);
@@ -197,7 +219,7 @@ fn matmul_in_every_layout_takes_its_buffers_from_the_pool() {
 
 #[test]
 fn elementwise_ops_take_their_buffers_from_the_pool() {
-    let mut report = Report::default();
+    let mut report = Report::new();
     let x = dense(BATCH, WIDTH);
     let y = one_hot(BATCH, WIDTH).add_scalar(0.5);
     let row = dense(1, WIDTH);
@@ -237,7 +259,7 @@ fn elementwise_ops_take_their_buffers_from_the_pool() {
 
 #[test]
 fn reductions_and_copies_take_their_buffers_from_the_pool() {
-    let mut report = Report::default();
+    let mut report = Report::new();
     let x = dense(BATCH, WIDTH);
     let narrow = dense(BATCH, 8);
     let idx: Vec<usize> = (0..BATCH).map(|i| (i * 7) % BATCH).collect();
@@ -260,7 +282,7 @@ fn reductions_and_copies_take_their_buffers_from_the_pool() {
 
 #[test]
 fn graph_kernels_take_their_buffers_from_the_pool() {
-    let mut report = Report::default();
+    let mut report = Report::new();
     let x = dense(BATCH, WIDTH);
     let w = dense(WIDTH, WIDTH);
     let b = dense(1, WIDTH);
@@ -299,7 +321,7 @@ fn graph_kernels_take_their_buffers_from_the_pool() {
 
 #[test]
 fn a_graph_rebuilt_after_a_reset_reuses_its_arena() {
-    pool::set_threads(1);
+    let mut report = Report::new();
     // Values of one element stay below the floor, so only the graph's own
     // storage can reach it: the node arena holds 200 nodes.
     let g = Graph::new();
@@ -315,8 +337,25 @@ fn a_graph_rebuilt_after_a_reset_reuses_its_arena() {
     g.reset();
     let (_, count, largest) = counted(build);
     assert_eq!(g.reset(), 200);
-    let mut report = Report::default();
     report.record("200 nodes rebuilt after a reset", count, largest);
+    report.assert_clean();
+}
+
+/// At two workers, with the thresholds lowered so far that a reduction or a
+/// matmul of these shapes would fan out, the kernels that never fan out —
+/// elementwise maps and per-row maps — still allocate nothing: no
+/// per-worker result lists, no stitched copy.
+#[test]
+fn kernels_that_run_inline_allocate_nothing_at_two_workers() {
+    let mut report = Report::at(2);
+    dispatch::set_par_mins(1_024, 8_192);
+    let x = dense(BATCH, WIDTH);
+    let y = one_hot(BATCH, WIDTH).add_scalar(0.5);
+    report.check("Tanh, two workers", || x.apply(UnaryOp::Tanh));
+    report.check("mul, two workers", || x.mul(&y));
+    report.check("row sums, two workers", || x.sum_cols());
+    report.check_graph("row norms, two workers", &[&x], |g, v| g.row_norm_eps(v[0], 1e-12));
+    dispatch::reset_par_mins();
     report.assert_clean();
 }
 
@@ -347,7 +386,7 @@ fn head_spans() -> Vec<HeadSpan> {
 
 #[test]
 fn the_stochastic_layer_takes_its_buffers_from_the_pool() {
-    let mut report = Report::default();
+    let mut report = Report::new();
     let logits = dense(BATCH, WIDTH);
     let spans = head_spans();
     report.check_ctx(
